@@ -11,11 +11,12 @@ atom, ``ngauss`` primitives each) and realistic Schwarz screening behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ...core.errors import ConfigurationError
+from ...core.memo import Memo
 
 __all__ = ["HeSystem", "make_helium_system", "STO3G_HE_EXPONENTS",
            "STO3G_HE_COEFFS", "STO6G_HE_EXPONENTS", "STO6G_HE_COEFFS"]
@@ -32,9 +33,14 @@ STO6G_HE_COEFFS = (0.00916359628, 0.04936149294, 0.16853830490,
                    0.37056279970, 0.41649152980, 0.13033408410)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeSystem:
-    """A helium cluster with one contracted s basis function per atom."""
+    """A helium cluster with one contracted s basis function per atom.
+
+    Systems from :func:`make_helium_system` are shared memo entries: their
+    arrays are read-only and :attr:`key` records the arguments that built
+    them.  A hand-built system has ``key=None``.
+    """
 
     #: atom (and basis function) count
     natoms: int
@@ -48,6 +54,10 @@ class HeSystem:
     coef: np.ndarray
     #: (natoms, natoms) initial (symmetric) density matrix
     dens: np.ndarray
+    #: ``(natoms, ngauss, spacing, density_decay, seed)`` when built by
+    #: :func:`make_helium_system`; not copied by ``dataclasses.replace``
+    key: Optional[tuple] = field(default=None, init=False, compare=False,
+                                 repr=False)
 
     def __post_init__(self):
         if self.geometry.shape != (self.natoms, 3):
@@ -87,13 +97,8 @@ def triangular_pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
     The ordering matches :func:`decode_pair`: index ``ij`` corresponds to
     ``i = row(ij)``, ``j = ij - i*(i+1)/2`` with ``i >= j``.
     """
-    i_list = []
-    j_list = []
-    for i in range(n):
-        for j in range(i + 1):
-            i_list.append(i)
-            j_list.append(j)
-    return np.asarray(i_list, dtype=np.int64), np.asarray(j_list, dtype=np.int64)
+    i_idx, j_idx = np.tril_indices(n)
+    return i_idx.astype(np.int64, copy=False), j_idx.astype(np.int64, copy=False)
 
 
 def normalise_coefficients(xpnt, coef) -> np.ndarray:
@@ -104,10 +109,18 @@ def normalise_coefficients(xpnt, coef) -> np.ndarray:
     return coef * norm
 
 
+#: memo behind :func:`make_helium_system`
+HELIUM_MEMO = Memo("helium_system")
+
+
 def make_helium_system(natoms: int, ngauss: int = 3, *, spacing: float = 3.0,
                        density_decay: float = 0.2,
                        seed: int = 2025) -> HeSystem:
     """Create a helium lattice system.
+
+    The result is memoised on all five arguments (:data:`HELIUM_MEMO`):
+    repeated calls return the same :class:`HeSystem`, whose arrays are
+    read-only and whose :attr:`~HeSystem.key` is that argument tuple.
 
     Parameters
     ----------
@@ -120,7 +133,15 @@ def make_helium_system(natoms: int, ngauss: int = 3, *, spacing: float = 3.0,
         prunes distant quadruples.
     density_decay:
         Exponential decay of the off-diagonal density guess with distance.
+    seed:
+        Seed of the lattice jitter.
     """
+    key = (natoms, ngauss, spacing, density_decay, seed)
+    return HELIUM_MEMO.get_or_compute(key, lambda: _build_helium_system(key))
+
+
+def _build_helium_system(key: tuple) -> HeSystem:
+    natoms, ngauss, spacing, density_decay, seed = key
     if natoms <= 0:
         raise ConfigurationError("natoms must be positive")
     if ngauss == 3:
@@ -135,13 +156,10 @@ def make_helium_system(natoms: int, ngauss: int = 3, *, spacing: float = 3.0,
     # Cubic lattice, filled in order, with a small deterministic jitter so no
     # two pair distances are exactly equal (mirrors a relaxed cluster).
     edge = int(np.ceil(natoms ** (1.0 / 3.0)))
-    coords = []
-    for idx in range(natoms):
-        x = idx % edge
-        y = (idx // edge) % edge
-        z = idx // (edge * edge)
-        coords.append((x, y, z))
-    geometry = np.asarray(coords, dtype=np.float64) * spacing
+    idx = np.arange(natoms)
+    coords = np.stack([idx % edge, (idx // edge) % edge, idx // (edge * edge)],
+                      axis=1)
+    geometry = coords.astype(np.float64) * spacing
     rng = np.random.default_rng(seed)
     geometry += rng.uniform(-0.05, 0.05, size=geometry.shape) * spacing
 
@@ -152,7 +170,7 @@ def make_helium_system(natoms: int, ngauss: int = 3, *, spacing: float = 3.0,
     dens = 2.0 * np.exp(-density_decay * dist)
     dens = 0.5 * (dens + dens.T)
 
-    return HeSystem(
+    system = HeSystem(
         natoms=natoms,
         ngauss=ngauss,
         geometry=geometry,
@@ -160,3 +178,5 @@ def make_helium_system(natoms: int, ngauss: int = 3, *, spacing: float = 3.0,
         coef=normalise_coefficients(xpnt, coef),
         dens=dens,
     )
+    object.__setattr__(system, "key", key)
+    return system

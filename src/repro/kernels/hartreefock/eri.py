@@ -57,20 +57,30 @@ def boys_f0_array(t: np.ndarray) -> np.ndarray:
     return np.where(t < _F0_SMALL, small, large)
 
 
-try:  # SciPy gives the exact vectorised erf; fall back to a rational fit.
-    from scipy.special import erf as _scipy_erf
-except ImportError:  # pragma: no cover - exercised only without SciPy
-    _scipy_erf = None
+#: the vectorised erf in use, resolved by the first :func:`_erf` call
+_erf_impl = None
 
 
 def _erf(x: np.ndarray) -> np.ndarray:
     """Vectorised error function (SciPy when available).
 
-    The fallback is the Abramowitz & Stegun 7.1.26 rational approximation
-    (absolute error below 1.5e-7), sufficient for Schwarz screening.
+    ``scipy.special`` is imported on the first call rather than with this
+    module: it is a large import that only Boys evaluations need.
     """
-    if _scipy_erf is not None:
-        return _scipy_erf(x)
+    global _erf_impl
+    if _erf_impl is None:
+        try:  # SciPy gives the exact vectorised erf
+            from scipy.special import erf as _erf_impl
+        except ImportError:  # pragma: no cover - exercised only without SciPy
+            _erf_impl = _erf_rational
+    return _erf_impl(x)
+
+
+def _erf_rational(x: np.ndarray) -> np.ndarray:
+    """Abramowitz & Stegun 7.1.26 rational approximation of erf.
+
+    Absolute error below 1.5e-7, sufficient for Schwarz screening.
+    """
     sign = np.sign(x)
     ax = np.abs(x)
     t = 1.0 / (1.0 + 0.3275911 * ax)

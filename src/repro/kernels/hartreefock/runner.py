@@ -29,6 +29,7 @@ from ...core.device import DeviceContext
 from ...core.dtypes import DType
 from ...core.kernel import LaunchConfig
 from ...core.layout import Layout
+from ...core.memo import Memo
 from ...gpu.timing import TimingBreakdown
 from .basis import HeSystem, make_helium_system, triangular_pairs
 from .eri import pair_schwarz, schwarz_identical_basis
@@ -66,13 +67,33 @@ class HartreeFockResult:
     timing: TimingBreakdown
 
 
+#: memo behind :func:`compute_schwarz`
+SCHWARZ_MEMO = Memo("schwarz")
+
+
 def compute_schwarz(system: HeSystem, *, approximate: bool = False) -> np.ndarray:
     """Schwarz bounds for every unique basis-function pair of *system*.
 
     ``approximate=True`` switches to the distance-interpolation fast path
     (exact for identical basis functions up to interpolation error), which is
     what large systems (512+ atoms) use.
+
+    The bounds are memoised on ``(system.key, approximate)``
+    (:data:`SCHWARZ_MEMO`), so a system from
+    :func:`~repro.kernels.hartreefock.basis.make_helium_system` pays for them
+    once.  A hand-built system has no key and is recomputed on every call.
+    The returned array is read-only either way.
     """
+    if system.key is None:
+        bounds = _schwarz_bounds(system, approximate)
+        bounds.flags.writeable = False
+        return bounds
+    return SCHWARZ_MEMO.get_or_compute(
+        (system.key, bool(approximate)),
+        lambda: _schwarz_bounds(system, approximate))
+
+
+def _schwarz_bounds(system: HeSystem, approximate: bool) -> np.ndarray:
     if approximate:
         return schwarz_identical_basis(system.pair_distances_sq(),
                                        system.xpnt, system.coef)
@@ -95,16 +116,12 @@ def surviving_quadruple_fraction(schwarz: np.ndarray,
     total = n * (n + 1) // 2
     # For each ij (value v), the partners kl <= ij that survive are those with
     # s[kl] >= tol / v.  Work on the sorted array and count pairs (p <= q).
-    surviving = 0
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         thresholds = np.where(s > 0, tol / s, np.inf)
-    # index of first element >= threshold for each q
+    # index of first element >= threshold for each q; q survives with the
+    # q - firsts[q] + 1 partners at or below it, or none when firsts[q] > q
     firsts = np.searchsorted(s, thresholds, side="left")
-    for q in range(n):
-        lo = firsts[q]
-        if lo > q:
-            continue
-        surviving += q - lo + 1
+    surviving = int(np.clip(np.arange(1, n + 1) - firsts, 0, None).sum())
     return surviving / total
 
 

@@ -64,6 +64,8 @@ COUNTER_CATALOG: Tuple[str, ...] = (
     "graphopt_ops_elided_total",
     "graphopt_ops_fused_total",
     "lint_diagnostics_total",
+    "memo_hits_total",
+    "memo_misses_total",
 )
 
 #: every histogram the stack can emit, zero-filled in every snapshot
@@ -95,6 +97,8 @@ _HELP = {
     "graphopt_ops_elided_total": "graph-compiler ops elided by transfer passes",
     "graphopt_ops_fused_total": "graph-compiler fusion rewrites emitted",
     "lint_diagnostics_total": "static-analysis diagnostics (label: rule)",
+    "memo_hits_total": "Memo lookups answered from the memo (label: memo)",
+    "memo_misses_total": "Memo lookups that ran the computation (label: memo)",
     "workload_run_latency_ms": "Workload.run wall latency (label: workload)",
 }
 

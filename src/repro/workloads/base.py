@@ -25,6 +25,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import ConfigurationError, VerificationError
+from ..core.memo import Memo
 from ..harness.runner import MeasurementProtocol
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
@@ -580,15 +581,12 @@ class Workload:
         key = (model, launch, request.backend, request.gpu,
                request.fast_math)
         try:
-            cached = _COUNTER_MEMO.get(key)
+            hash(key)
         except TypeError:  # unhashable launch: compute uncached
             return self._compute_counter_metrics(request, model, launch)
-        if cached is None:
-            cached = self._compute_counter_metrics(request, model, launch)
-            _COUNTER_MEMO[key] = cached
-            while len(_COUNTER_MEMO) > _COUNTER_MEMO_MAXSIZE:
-                _COUNTER_MEMO.pop(next(iter(_COUNTER_MEMO)))
-        return dict(cached)
+        return dict(_COUNTER_MEMO.get_or_compute(
+            key, lambda: self._compute_counter_metrics(request, model,
+                                                       launch)))
 
     @staticmethod
     def _compute_counter_metrics(request: RunRequest, model,
@@ -719,8 +717,7 @@ class Workload:
 
 #: memo for :meth:`Workload.counter_metrics` — counters are pure functions
 #: of (model, launch, backend, gpu, fast_math), so repeat runs pay nothing
-_COUNTER_MEMO: Dict[object, Dict[str, float]] = {}
-_COUNTER_MEMO_MAXSIZE = 256
+_COUNTER_MEMO = Memo("counter_metrics")
 
 
 def _modelled_result_ms(result: WorkloadResult) -> Optional[float]:

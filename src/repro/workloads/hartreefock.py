@@ -25,10 +25,32 @@ from ..kernels.hartreefock.runner import (
     surviving_quadruple_fraction,
 )
 from ..core.kernel import LaunchConfig
+from ..core.memo import Memo
 from .base import ParamSpec, RunRequest, Verification, Workload, WorkloadResult
 from .provenance import build_provenance
 
 __all__ = ["HartreeFockWorkload", "bench_hartreefock"]
+
+#: memo behind :func:`_screened_system`
+SURVIVORS_MEMO = Memo("surviving_fraction")
+
+
+def _screened_system(natoms: int, ngauss: int, spacing: float,
+                     schwarz_tol: float):
+    """The memoised helium system and its surviving-quadruple fraction.
+
+    The fraction is memoised on ``(system.key, schwarz_tol)``; the Schwarz
+    bounds behind it are approximate from :data:`APPROX_SCHWARZ_NATOMS` on.
+    """
+    system = make_helium_system(natoms, ngauss, spacing=spacing)
+
+    def count():
+        schwarz = compute_schwarz(
+            system, approximate=natoms >= APPROX_SCHWARZ_NATOMS)
+        return surviving_quadruple_fraction(schwarz, schwarz_tol)
+
+    return system, SURVIVORS_MEMO.get_or_compute((system.key, schwarz_tol),
+                                                 count)
 
 
 def bench_hartreefock(
@@ -65,10 +87,8 @@ def bench_hartreefock(
             streams=streams, pipeline_sink=pipeline_sink)
         verified = True
 
-    system = make_helium_system(natoms, ngauss, spacing=spacing)
-    approximate = natoms >= APPROX_SCHWARZ_NATOMS
-    schwarz = compute_schwarz(system, approximate=approximate)
-    survivors = surviving_quadruple_fraction(schwarz, schwarz_tol)
+    system, survivors = _screened_system(natoms, ngauss, spacing,
+                                         schwarz_tol)
 
     model = hartree_fock_kernel_model(natoms=natoms, ngauss=ngauss,
                                       surviving_fraction=survivors)
@@ -129,29 +149,18 @@ class HartreeFockWorkload(Workload):
     def tuning_model(self, request: RunRequest):
         """ERI kernel model + launch for the pruner.
 
-        The system shape (quadruple count, Schwarz survival fraction) is
-        launch-independent, so it is memoised per problem configuration —
-        candidate scoring must not re-screen the system per block size.
+        The system and its surviving fraction are launch-independent and
+        memoised by value, so scoring candidates does not re-screen the
+        system per block size.
         """
         p = self.validate_params(request.params)
-        key = (p["natoms"], p["ngauss"], p["spacing"], p["schwarz_tol"])
-        cache = self.__dict__.setdefault("_tuning_system_cache", {})
-        shape = cache.get(key)
-        if shape is None:
-            system = make_helium_system(p["natoms"], p["ngauss"],
-                                        spacing=p["spacing"])
-            schwarz = compute_schwarz(
-                system, approximate=p["natoms"] >= APPROX_SCHWARZ_NATOMS)
-            shape = (system.nquads,
-                     surviving_quadruple_fraction(schwarz, p["schwarz_tol"]))
-            if len(cache) > 8:
-                cache.clear()
-            cache[key] = shape
-        nquads, survivors = shape
-        model = hartree_fock_kernel_model(natoms=p["natoms"],
-                                          ngauss=p["ngauss"],
-                                          surviving_fraction=survivors)
-        return model, LaunchConfig.for_elements(nquads, p["block_size"])
+        system, survivors = _screened_system(p["natoms"], p["ngauss"],
+                                             p["spacing"], p["schwarz_tol"])
+        model = hartree_fock_kernel_model(
+            natoms=p["natoms"], ngauss=p["ngauss"],
+            surviving_fraction=survivors)
+        return model, LaunchConfig.for_elements(system.nquads,
+                                                p["block_size"])
 
     def lint_graph(self):
         """Two-stream upload → fan-in → ERI kernel → D2H capture (tiny system).

@@ -9,13 +9,14 @@ from __future__ import annotations
 from typing import Optional
 
 from ..backends import get_backend
+from ..core.errors import ConfigurationError
 from ..gpu.specs import get_gpu
 from ..kernels.minibude.deck import (
     BM1_NATLIG,
     BM1_NATPRO,
     BM1_NPOSES,
+    BM1_NTYPES,
     Deck,
-    make_bm1,
     make_deck,
 )
 from ..kernels.minibude.kernel import fasten_kernel_model
@@ -58,34 +59,39 @@ def bench_minibude(
     """
     spec = get_gpu(gpu)
     be = get_backend(backend)
-    full_deck = deck or make_bm1(nposes, seed=seed)
+    # Only the deck's shape enters the model, so bm1 is never generated.
+    if deck is None:
+        if nposes <= 0:
+            raise ConfigurationError("nposes must be positive")
+        natlig, natpro, ntypes = BM1_NATLIG, BM1_NATPRO, BM1_NTYPES
+    else:
+        natlig, natpro, ntypes = deck.natlig, deck.natpro, deck.ntypes
+        nposes = deck.nposes
 
     verified = False
     max_rel_error = float("nan")
     if verify:
-        small = make_deck(natlig=min(full_deck.natlig, 8),
-                          natpro=min(full_deck.natpro, 32),
-                          ntypes=full_deck.ntypes,
+        small = make_deck(natlig=min(natlig, 8), natpro=min(natpro, 32),
+                          ntypes=ntypes,
                           nposes=verify_poses, seed=seed, name="verify")
         _, max_rel_error = run_fasten_functional(
             small, ppwi=min(ppwi, 2), wgsize=min(wgsize, 8), gpu=gpu,
             executor=executor, streams=streams, pipeline_sink=pipeline_sink)
         verified = True
 
-    model = fasten_kernel_model(ppwi=ppwi, natlig=full_deck.natlig,
-                                natpro=full_deck.natpro, wgsize=wgsize)
-    launch = minibude_launch_config(full_deck.nposes, ppwi, wgsize)
+    model = fasten_kernel_model(ppwi=ppwi, natlig=natlig, natpro=natpro,
+                                wgsize=wgsize)
+    launch = minibude_launch_config(nposes, ppwi, wgsize)
     run = be.time(model, spec, launch, fast_math=fast_math)
     time_s = run.timing.kernel_time_s
-    achieved = gflops(ppwi, full_deck.natlig, full_deck.natpro,
-                      full_deck.nposes, time_s)
+    achieved = gflops(ppwi, natlig, natpro, nposes, time_s)
 
     return MiniBudeResult(
         ppwi=ppwi,
         wgsize=wgsize,
-        nposes=full_deck.nposes,
-        natlig=full_deck.natlig,
-        natpro=full_deck.natpro,
+        nposes=nposes,
+        natlig=natlig,
+        natpro=natpro,
         backend=be.name,
         gpu=spec.name,
         fast_math=run.fast_math,

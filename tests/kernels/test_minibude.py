@@ -200,3 +200,23 @@ class TestRunner:
         res = run_minibude(ppwi=2, wgsize=8, backend="mojo", gpu="h100",
                            verify=True, verify_poses=16)
         assert res.verified and res.max_rel_error < 2e-3
+
+    def test_default_deck_is_not_generated(self, monkeypatch):
+        """Without a deck only the bm1 shape is used; results match the
+        generated bm1 deck exactly."""
+        kwargs = dict(ppwi=4, wgsize=64, backend="mojo", gpu="h100",
+                      verify=True, verify_poses=16, seed=11)
+        given = run_minibude(deck=make_bm1(4096, seed=11), **kwargs)
+        check = Deck.__post_init__
+
+        def only_verify_decks(deck):
+            assert deck.nposes == 16, "a full-size deck was generated"
+            check(deck)
+
+        monkeypatch.setattr(Deck, "__post_init__", only_verify_decks)
+        shaped = run_minibude(nposes=4096, **kwargs)
+        assert shaped == given
+
+    def test_non_positive_pose_count_rejected(self):
+        with pytest.raises(ConfigurationError):
+            run_minibude(nposes=0, verify=False)
