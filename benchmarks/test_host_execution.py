@@ -452,14 +452,27 @@ def test_bench_lowered_stencil_graph_replay(benchmark):
     assert np.any(result["f"] != 0.0)
 
 
+def test_bench_auto_stencil_graph_replay(benchmark):
+    """The same stencil capture with the default executor mode.
+
+    ``auto`` is codegen-first: it lowers every declared vector-safe launch
+    it can, so the default replay must keep the lowering tier's win over
+    the lockstep engine (at least 2x ``vectorized``, guarded in
+    test_benchcheck.py).
+    """
+    graph = _stencil_graph_capture(32, "auto")
+    result = benchmark(graph.replay)
+    assert np.any(result["f"] != 0.0)
+
+
 def test_bench_unfused_babelstream_graph_replay(benchmark):
     """The BabelStream Copy/Mul/Add/Triad capture replayed as recorded.
 
     Uses the workload's shipped lint/tuning capture (n=4096, one stream),
     i.e. exactly the graph ``RunRequest.optimize`` feeds the pass
-    pipeline.  Paired with the fused variant below: the committed
-    baselines must show the fused replay no slower (guarded in
-    test_benchcheck.py).
+    pipeline; its default-mode kernels each replay lowered.  Paired with
+    the fused variant below: the committed baselines must show the fused
+    replay no slower (guarded in test_benchcheck.py).
     """
     from repro.workloads import get_workload
 

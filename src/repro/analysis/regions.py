@@ -38,7 +38,6 @@ from __future__ import annotations
 import ast
 import inspect
 import math
-import textwrap
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -59,6 +58,7 @@ from .symexpr import (
     Var,
     launch_env,
 )
+from .verifier import kernel_ast
 
 __all__ = [
     "TensorSpec",
@@ -882,24 +882,12 @@ def kernel_regions(kern) -> RegionSummary:
 
 
 def _build_summary(fn, name: str) -> RegionSummary:
-    try:
-        source = textwrap.dedent(inspect.getsource(fn))
-        source_file = inspect.getsourcefile(fn) or ""
-        tree = ast.parse(source)
-    except (OSError, TypeError, SyntaxError):
+    fndef = kernel_ast(fn)
+    if fndef is None:
         return RegionSummary(kernel=name, source="", params=(),
                              accesses=(), analyzable=False,
                              reasons=("source unavailable",))
-    offset = getattr(getattr(fn, "__code__", None), "co_firstlineno", 1) - 1
-    if offset:
-        ast.increment_lineno(tree, offset)
-    fndef = next((n for n in tree.body
-                  if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))),
-                 None)
-    if fndef is None:  # pragma: no cover - defensive
-        return RegionSummary(kernel=name, source=source_file, params=(),
-                             accesses=(), analyzable=False,
-                             reasons=("no function definition",))
+    source_file = inspect.getsourcefile(fn) or ""
     params = tuple(a.arg for a in
                    list(fndef.args.posonlyargs) + list(fndef.args.args))
     interp = _RegionInterp(name, source_file, params)

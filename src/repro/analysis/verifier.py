@@ -68,6 +68,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.atomics import ATOMIC_FUNCTIONS
 from ..core.intrinsics import SIMT_MODEL
+from ..core.memo import Memo
 from .diagnostics import Diagnostic, Severity
 
 __all__ = [
@@ -709,6 +710,30 @@ def _underlying_fn(kern):
     return fn
 
 
+#: one parsed kernel body per function, shared by the verifier, the region
+#: analysis and the lowering tier (:mod:`repro.graphopt.lower`)
+KERNEL_AST_MEMO = Memo("kernel_ast")
+
+
+def kernel_ast(fn) -> Optional[ast.FunctionDef]:
+    """*fn*'s parsed ``def`` with file line numbers, memoised; None when the
+    source is unavailable or holds no function definition."""
+    return KERNEL_AST_MEMO.get_or_compute(fn, lambda: _parse_kernel(fn))
+
+
+def _parse_kernel(fn) -> Optional[ast.FunctionDef]:
+    try:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    except (OSError, TypeError, SyntaxError):
+        return None
+    offset = getattr(getattr(fn, "__code__", None), "co_firstlineno", 1) - 1
+    if offset:
+        ast.increment_lineno(tree, offset)
+    return next((n for n in tree.body
+                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))),
+                None)
+
+
 def verify_kernel(kern) -> VerifierResult:
     """Verify a kernel (or plain callable) body; memoised on the function.
 
@@ -724,10 +749,8 @@ def verify_kernel(kern) -> VerifierResult:
 
     name = getattr(kern, "name", None) or getattr(fn, "__name__", "<kernel>")
     declared = _declared_flag(kern, fn)
-    try:
-        source = textwrap.dedent(inspect.getsource(fn))
-        source_file = inspect.getsourcefile(fn) or ""
-    except (OSError, TypeError):
+    fndef = kernel_ast(fn)
+    if fndef is None:
         result = VerifierResult(kernel=name, source="", declared=declared,
                                 inferred=None, reasons=(
                                     "source unavailable for analysis",),
@@ -735,30 +758,7 @@ def verify_kernel(kern) -> VerifierResult:
         _cache(fn, result)
         return result
 
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:  # pragma: no cover - getsource returned a fragment
-        result = VerifierResult(kernel=name, source=source_file,
-                                declared=declared, inferred=None,
-                                reasons=("source could not be parsed",),
-                                diagnostics=())
-        _cache(fn, result)
-        return result
-
-    offset = getattr(getattr(fn, "__code__", None), "co_firstlineno", 1) - 1
-    if offset:
-        ast.increment_lineno(tree, offset)
-    fndef = next((n for n in tree.body
-                  if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))),
-                 None)
-    if fndef is None:  # pragma: no cover - defensive
-        result = VerifierResult(kernel=name, source=source_file,
-                                declared=declared, inferred=None,
-                                reasons=("no function definition found",),
-                                diagnostics=())
-        _cache(fn, result)
-        return result
-
+    source_file = inspect.getsourcefile(fn) or ""
     analyzer = _BodyAnalyzer(name, source_file)
     analyzer.run(fndef)
     has_errors = any(d.severity == Severity.ERROR for d in analyzer.diags)

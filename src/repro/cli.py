@@ -133,10 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["auto", "vectorized", "sequential",
                               "cooperative", "lowered"],
                      help="functional-simulator mode for verification "
-                          "launches (default auto: lockstep vectorized for "
-                          "vector-safe kernels; lowered: NumPy-codegen "
-                          "whole-array compilation with per-launch fallback "
-                          "to auto)")
+                          "launches (default auto: NumPy-codegen lowering "
+                          "for vector-safe kernels, lockstep vectorized "
+                          "where a body does not lower, scalar modes "
+                          "otherwise; lowered: same as auto; vectorized: "
+                          "never lower)")
     b_p.add_argument("--optimize", default="none", metavar="PASSES",
                      help="graph-compiler passes applied to captured device "
                           "graphs: 'none' (default), 'all', or a "
@@ -214,7 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     sw_p.add_argument("--executor", default="auto",
                       choices=["auto", "vectorized", "sequential",
                                "cooperative", "lowered"],
-                      help="functional-simulator mode (default auto)")
+                      help="functional-simulator mode (default auto: "
+                           "lowered where the kernel body allows, else "
+                           "vectorized or scalar; lowered: same as auto)")
     sw_p.add_argument("--workers", type=int, default=1, metavar="N",
                       help="thread-pool width (default 1: sequential)")
     sw_p.add_argument("--no-cache", action="store_true",
@@ -364,7 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=["auto", "vectorized", "sequential",
                                "cooperative", "lowered"],
                       help="functional-simulator mode for verification "
-                           "launches (default auto)")
+                           "launches (default auto: lowered where the "
+                           "kernel body allows, else vectorized or scalar; "
+                           "lowered: same as auto)")
     tr_p.add_argument("--optimize", default="none", metavar="PASSES",
                       help="graph-compiler passes applied to captured "
                            "device graphs ('none', 'all', or a subset of "

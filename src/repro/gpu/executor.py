@@ -2,7 +2,7 @@
 
 The executor runs a :class:`~repro.core.kernel.Kernel` over a grid of blocks
 and threads, exactly as a GPU would schedule it logically (every thread sees
-its own ``thread_idx`` / ``block_idx``).  Three execution modes exist:
+its own ``thread_idx`` / ``block_idx``).  Four execution modes exist:
 
 ``vectorized``
     Lockstep array-level execution (:mod:`repro.gpu.vector_executor`) for
@@ -12,8 +12,8 @@ its own ``thread_idx`` / ``block_idx``).  Three execution modes exist:
     kernels, one block per lane set for kernels with barriers / shared
     memory.  Divergence is expressed through the lane helpers
     (``any_lane`` / ``compress_lanes`` / ``lane_where`` / ``masked_store``)
-    and atomics take their ``np.add.at``-backed lane-vector form.  This is
-    the default mode for vector-safe kernels.
+    and atomics take their ``np.add.at``-backed lane-vector form.  The
+    default for vector-safe kernels whose body does not lower.
 
 ``sequential``
     Threads of a block run one after another in a plain Python loop.  Correct
@@ -35,17 +35,22 @@ its own ``thread_idx`` / ``block_idx``).  Three execution modes exist:
     Dispatch through NumPy-slice code generated by the graph compiler's
     lowering tier (:mod:`repro.graphopt.lower`): the vector-safe body is
     rewritten at the AST level into whole-array slicing, compiled once per
-    (kernel, launch, argument-shape) specialisation, and executed without
-    per-lane index arrays or per-subscript fancy indexing.  Bodies outside
-    the lowerable subset fall back to ``auto`` resolution transparently.
+    (kernel, launch, argument-signature) specialisation, and executed without
+    per-lane index arrays or per-subscript fancy indexing.  Results and
+    counters are bit-identical to ``vectorized``.
 
-Mode selection (``mode="auto"``) picks ``vectorized`` for vector-safe
-kernels, otherwise ``cooperative`` when :func:`kernel_uses_barrier` detects
-barriers / shared memory and ``sequential`` for everything else.  Requesting
-``mode="vectorized"`` for a kernel that is not vector-safe falls back to the
-appropriate scalar mode automatically (vector safety is a property of the
-kernel body, not of the request); the :class:`ExecutionResult` reports the
-mode that actually ran.
+Mode selection is codegen-first: ``mode="auto"`` (the default) tries the
+lowering tier for every launch of a declared vector-safe kernel and runs
+``vectorized`` when the body falls outside the lowerable subset; any other
+kernel runs ``cooperative`` when :func:`kernel_uses_barrier` detects
+barriers / shared memory and ``sequential`` otherwise.  ``mode="lowered"``
+is accepted and resolves exactly like ``auto``.  An explicit
+``mode="vectorized"`` never lowers, also accepts kernels the static
+verifier infers vector-safe, and falls back to the appropriate scalar mode
+for the rest (vector safety is a property of the kernel body, not of the
+request).  :meth:`KernelExecutor.launch` and
+:meth:`KernelExecutor.instantiate` share one resolver, and the
+:class:`ExecutionResult` reports the mode that actually ran.
 
 Execution-mode / performance envelope
 -------------------------------------
@@ -59,8 +64,9 @@ kernels by one to two orders of magnitude (the executor-stencil benchmark in
 ``benchmarks/baseline.json``).  Choose the cheapest tool that answers the
 question:
 
-* **Vectorized functional simulation** (default for the four science
-  kernels) — per-thread semantics with array-level throughput; fine up to
+* **Lowered / vectorized functional simulation** (default for the four
+  science kernels: lowered where the body allows, vectorized otherwise) —
+  per-thread semantics with array-level throughput; fine up to
   ~10^6-thread grids in tests.
 * **Scalar functional simulation** (``sequential`` / ``cooperative``) —
   bit-accurate one-thread-at-a-time oracle; use for small grids and for
@@ -75,7 +81,7 @@ question:
 Event counting uses per-worker local tallies that are merged into the shared
 :class:`ExecutionCounters` once per block (the vectorized mode records whole
 lane sets per event), so no lock is taken per event — and the counters are
-identical across all three modes for the same launch.  Kernel *durations*
+identical across all four modes for the same launch.  Kernel *durations*
 come from the analytic model in :mod:`repro.gpu.timing`, not from Python
 wall-clock.
 """
@@ -237,6 +243,39 @@ def kernel_uses_barrier(kern: Kernel) -> bool:
     return uses
 
 
+def _resolve_mode(kern: Kernel, args: Sequence, launch: LaunchConfig,
+                  mode: str) -> Tuple[str, Optional[Callable]]:
+    """The mode a launch runs in, plus its compiled entry when it lowers.
+
+    ``"auto"`` and ``"lowered"`` honour the kernel's declared flag only, so
+    the default path never analyses anything; an explicit ``"vectorized"``
+    is worth an inference pass (memoised, one AST walk per kernel body).
+    """
+    if mode in ("auto", "lowered", "vectorized"):
+        if not kernel_vector_safe(kern, infer=(mode == "vectorized")):
+            return ("cooperative" if kernel_uses_barrier(kern)
+                    else "sequential"), None
+        if mode == "vectorized":
+            return mode, None
+        # Lazy import: graphopt's legality queries consume this module.
+        from ..graphopt.lower import lower_launch
+
+        entry = lower_launch(kern, args, launch)
+        return ("vectorized", None) if entry is None else ("lowered", entry)
+    if mode not in ("sequential", "cooperative"):
+        raise LaunchError(f"unknown execution mode {mode!r}")
+    return mode, None
+
+
+def _run_lowered(entry: Callable, name: str, args: Sequence) -> None:
+    """Run a lowered entry behind the ``launch.lowered`` fault sites."""
+    injector = _faults._ACTIVE
+    if injector is not None:
+        injector.fail_launch("launch.lowered", name)
+        injector.inject_latency("latency.lowered", name)
+    entry(*args)
+
+
 class KernelExecutor:
     """Runs kernels functionally over a simulated grid."""
 
@@ -269,16 +308,10 @@ class KernelExecutor:
         launch:
             Grid/block extents.
         mode:
-            ``"auto"`` (default), ``"vectorized"``, ``"sequential"``,
-            ``"cooperative"`` or ``"lowered"`` (graph-compiler NumPy-slice
-            codegen, falling back to ``"auto"`` for bodies outside the
-            lowerable subset).  ``"auto"`` honours the kernel's declared
-            flag; an explicit ``"vectorized"`` additionally asks the static
-            verifier to *infer* safety for undeclared kernels
-            (:func:`~repro.gpu.vector_executor.kernel_vector_safe` with
-            ``infer=True``).  Both fall back to the scalar modes when the
-            kernel is not (provably) vector-safe; the returned result
-            reports the mode that ran.
+            ``"auto"`` (default; ``"lowered"`` is the same request),
+            ``"vectorized"``, ``"sequential"`` or ``"cooperative"`` —
+            resolved as described in the module docstring.  The returned
+            result reports the mode that ran.
         """
         if not isinstance(kern, Kernel):
             kern = Kernel(kern)
@@ -294,35 +327,7 @@ class KernelExecutor:
                 f"limit of {self.max_total_threads}; use the vectorized "
                 "reference implementation / timing model for large problems"
             )
-        if mode == "lowered":
-            # Lazy import: graphopt's legality queries consume this module.
-            from ..graphopt.lower import lower_launch
-
-            entry = lower_launch(kern, args, launch)
-            if entry is not None:
-                counters = ExecutionCounters()
-                start = time.perf_counter()
-                entry(*args)
-                wall = time.perf_counter() - start
-                # Lowerable bodies are barrier- and atomic-free, so the
-                # counters match the lane interpreter's for the same grid.
-                counters.merge(threads_run=launch.total_threads,
-                               blocks_run=launch.num_blocks)
-                return ExecutionResult(
-                    kernel_name=kern.name, launch=launch, mode="lowered",
-                    counters=counters, wall_time_s=wall,
-                    shared_bytes_per_block=0)
-            mode = "auto"   # outside the lowerable subset: interpret instead
-        if mode in ("auto", "vectorized"):
-            # an explicit "vectorized" request is worth an inference pass
-            # (memoised, one AST walk per kernel body ever); "auto" stays
-            # declaration-only so the default path never analyses anything
-            if kernel_vector_safe(kern, infer=(mode == "vectorized")):
-                mode = "vectorized"
-            else:
-                mode = "cooperative" if kernel_uses_barrier(kern) else "sequential"
-        if mode not in ("sequential", "cooperative", "vectorized"):
-            raise LaunchError(f"unknown execution mode {mode!r}")
+        mode, entry = _resolve_mode(kern, args, launch, mode)
         if mode == "cooperative" and launch.threads_per_block > self.MAX_COOPERATIVE_BLOCK:
             raise LaunchError(
                 f"cooperative mode supports at most {self.MAX_COOPERATIVE_BLOCK} "
@@ -331,7 +336,13 @@ class KernelExecutor:
 
         counters = ExecutionCounters()
         start = time.perf_counter()
-        if mode == "vectorized":
+        if entry is not None:
+            _run_lowered(entry, kern.name, args)
+            # Lowerable bodies are barrier-, atomic- and shared-memory-free,
+            # so the counters match the lane interpreter's for the same grid.
+            counters.merge(threads_run=total, blocks_run=launch.num_blocks)
+            max_shared = 0
+        elif mode == "vectorized":
             max_shared = run_vectorized(kern, args, launch, counters,
                                         per_block=kernel_uses_barrier(kern))
         elif mode == "sequential":
@@ -355,8 +366,8 @@ class KernelExecutor:
 
         The functional-simulator analogue of graph instantiation: kernel
         wrapping, launch validation, thread-limit checks and execution-mode
-        resolution are paid once here, and the returned thunk only performs
-        the kernel's functional work.  Used by
+        resolution (including lowering) are paid once here, and the returned
+        thunk only performs the kernel's functional work.  Used by
         :meth:`repro.core.device.DeviceGraph.replay` to amortise launch
         overhead across repeats; the thunk reports no counters or timings.
         """
@@ -368,28 +379,21 @@ class KernelExecutor:
                 f"functional launch of {launch.total_threads} threads exceeds "
                 f"the simulator limit of {self.max_total_threads}"
             )
-        if mode == "lowered":
-            from ..graphopt.lower import lower_launch
+        mode, entry = _resolve_mode(kern, args, launch, mode)
+        if entry is not None:
+            name = kern.name
 
-            entry = lower_launch(kern, args, launch)
-            if entry is not None:
-                def lowered_thunk() -> None:
-                    entry(*args)
-
-                return lowered_thunk
-            mode = "auto"   # outside the lowerable subset: interpret instead
-        if mode in ("auto", "vectorized") and \
-                kernel_vector_safe(kern, infer=(mode == "vectorized")):
+            def thunk() -> None:
+                _run_lowered(entry, name, args)
+        elif mode == "vectorized":
             per_block = kernel_uses_barrier(kern)
 
             def thunk() -> None:
                 run_vectorized(kern, args, launch, ExecutionCounters(),
                                per_block=per_block)
-
-            return thunk
-
-        def thunk() -> None:
-            self.launch(kern, args, launch, mode=mode)
+        else:
+            def thunk() -> None:
+                self.launch(kern, args, launch, mode=mode)
 
         return thunk
 

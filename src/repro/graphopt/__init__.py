@@ -4,8 +4,8 @@ The compilation stack the paper's thesis calls for, applied to the captured
 graph IR: :func:`optimize_graph` runs the pass pipeline (kernel fusion,
 transfer/memset elision, invariant-transfer hoisting) over a
 :class:`~repro.core.device.DeviceGraph`, and :mod:`repro.graphopt.lower`
-compiles fused vector-safe kernel bodies into NumPy whole-array slicing for
-the executor's ``mode="lowered"`` dispatch.
+compiles vector-safe kernel bodies (fused or not) into NumPy whole-array
+slicing, which the executor's default ``auto`` dispatch tries first.
 
 Entry points
 ------------

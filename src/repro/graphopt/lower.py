@@ -7,8 +7,9 @@ index arrays.  This module goes one step further, the way the paper's MLIR
 stack lowers its parametric kernels to target code: a vector-safe body whose
 lane indices are *affine* in the launch axes is rewritten — via AST analysis,
 not execution — into plain NumPy whole-array slicing, compiled with
-``exec`` into a synthetic module, and dispatched through the executor's
-``mode="lowered"``.
+``exec`` into a synthetic module, and dispatched by the executor: every
+``auto`` (or ``lowered``) launch of a declared vector-safe kernel tries this
+tier first.
 
 The contract mirrors a real compiler's legality checking: lowering is a
 *best-effort specialisation*.  ``lower_launch`` returns a compiled entry
@@ -35,13 +36,22 @@ Supported body shape (the SIMT-generic idiom all four science kernels use):
   tensor reads.
 
 Everything else — ``while`` loops, ``barrier()``, shared memory, masked
-gathers, data-dependent indexing — raises :class:`LoweringUnsupported`
-internally and surfaces as a ``None`` entry (i.e. "keep interpreting").
+gathers, data-dependent indexing, stores into immutable tensors, and
+multi-chunk launches that read a stored tensor at a shifted index (the lane
+interpreter would see some lanes' writes; whole-array slicing sees none) —
+raises :class:`LoweringUnsupported` internally and surfaces as a ``None``
+entry (i.e. "keep interpreting"), so the interpreter reports exactly what
+it would have.
 
 Specialisation key: the generated source bakes slice *bounds* (derived from
-launch extents, scalar argument values and tensor shapes), so compiled
-entries are memoised on the kernel function object keyed by exactly those
-ingredients.  Tensor *data* is rebound on every call (the entry re-reads
+launch extents, scalar argument values and tensor shapes) and is legal only
+for row-major contiguous, mutable-where-stored tensors, so compiled entries
+are memoised in :data:`LOWERED_MEMO` on (kernel function, launch, whether
+the launch is one lane chunk, argument signature), where a tensor's
+signature is its shape, dtype, layout order, strides and mutability.  Each
+kernel body is parsed once, shared with the static analyses
+(:func:`repro.analysis.verifier.kernel_ast`).
+Tensor *data* is rebound on every call (the entry re-reads
 ``args[i].ptr``), so replaying a graph with new H2D bindings reuses the
 compiled module.
 """
@@ -49,19 +59,23 @@ compiled module.
 from __future__ import annotations
 
 import ast
-import inspect
 import re
-import textwrap
 import types
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..analysis.verifier import kernel_ast
 from ..core.kernel import Kernel, LaunchConfig
 from ..core.layout import LayoutTensor
+from ..core.memo import Memo
+from ..gpu.vector_executor import single_chunk
 
-__all__ = ["LoweringUnsupported", "lower_launch", "lower_source",
-           "lowering_report"]
+__all__ = ["LOWERED_MEMO", "LoweringUnsupported", "lower_launch",
+           "lower_source", "lowering_report"]
+
+#: ``(entry, source)`` or ``(None, reason)`` per lowered specialisation
+LOWERED_MEMO = Memo("lowered")
 
 
 class LoweringUnsupported(Exception):
@@ -101,13 +115,17 @@ class _Mask:
 
 
 class _Tensor:
-    """A tensor argument: combined-arg index plus its shape."""
+    """A tensor argument: combined-arg index, shape, mutability and whether
+    the body stores to it and reads it at a non-zero lane offset."""
 
-    __slots__ = ("index", "shape")
+    __slots__ = ("index", "shape", "mut", "stored", "shifted_read")
 
-    def __init__(self, index: int, shape: Tuple[int, ...]):
+    def __init__(self, index: int, shape: Tuple[int, ...], mut: bool):
         self.index = index
         self.shape = shape
+        self.mut = mut
+        self.stored = False
+        self.shifted_read = False
 
 
 class _Scalar:
@@ -384,6 +402,8 @@ class _BodyLowerer:
                             "store indices")
             if tensor.index == lhs_index:
                 reads_lhs[0] = True
+            if any(off for _, off in comps):
+                tensor.shifted_read = True
             return f"_d{tensor.index}[{_slices_for(comps, tensor.shape, env)}]"
         raise _fail("unsupported expression in kernel body")
 
@@ -428,6 +448,9 @@ class _BodyLowerer:
         tensor = env.get(target.value.id)
         if not isinstance(tensor, _Tensor):
             raise _fail(f"store into non-tensor {target.value.id!r}")
+        if not tensor.mut:
+            # the interpreter raises LayoutError here; let it
+            raise _fail(f"store into immutable tensor {target.value.id!r}")
         comps = _index_components(target.slice, env)
         axes = [env[name].axis for name, _ in comps]
         if len(set(axes)) != len(axes):
@@ -445,6 +468,7 @@ class _BodyLowerer:
             # the RHS first, as the lane interpreter's gather does, so an
             # overlapping slice copy cannot read half-written data.
             rhs = f"({rhs}).copy()"
+        tensor.stored = True
         self.lines.append(f"_d{tensor.index}[{slices}] = {rhs}")
 
 
@@ -453,7 +477,9 @@ def _arg_signature(args: Sequence) -> Tuple:
     sig = []
     for a in args:
         if isinstance(a, LayoutTensor):
-            sig.append(("T", a.shape, a.dtype.name))
+            lay = a.layout
+            sig.append(("T", lay.shape, a.dtype.name, lay.order, lay.strides,
+                        a.mut))
         elif isinstance(a, (int, float, np.integer, np.floating)):
             sig.append(("S", type(a).__name__, a))
         else:
@@ -463,15 +489,10 @@ def _arg_signature(args: Sequence) -> Tuple:
 
 def _bind_params(fn, args: Sequence, indices: Sequence[int],
                  tensors: Dict[int, _Tensor]) -> Tuple[Dict, ast.FunctionDef]:
-    """Parse *fn* and bind its parameters to combined-arg symbols."""
-    try:
-        source = textwrap.dedent(inspect.getsource(fn))
-    except (OSError, TypeError):
-        raise _fail("kernel source is unavailable")
-    tree = ast.parse(source)
-    fdef = tree.body[0]
+    """Bind *fn*'s parameters to combined-arg symbols."""
+    fdef = kernel_ast(fn)
     if not isinstance(fdef, ast.FunctionDef):
-        raise _fail("kernel source does not start with a function definition")
+        raise _fail("kernel source is unavailable")
     params = [p.arg for p in fdef.args.args]
     if len(params) != len(indices) or fdef.args.vararg or fdef.args.kwarg \
             or fdef.args.kwonlyargs:
@@ -484,7 +505,7 @@ def _bind_params(fn, args: Sequence, indices: Sequence[int],
                 raise _fail(f"tensor {pname!r} is not row-major contiguous")
             sym = tensors.get(idx)
             if sym is None:
-                sym = tensors[idx] = _Tensor(idx, a.shape)
+                sym = tensors[idx] = _Tensor(idx, a.shape, a.mut)
             env[pname] = sym
         elif isinstance(a, (int, float, np.integer, np.floating)):
             env[pname] = _Scalar(idx, a)
@@ -515,6 +536,12 @@ def _generate(kern, args: Sequence, launch: LaunchConfig) -> Tuple[object, str]:
         if not lowerer.lines:
             raise _fail("kernel body lowered to no stores")
         body_lines.extend(lowerer.lines)
+    if not single_chunk(launch) and any(t.stored and t.shifted_read
+                                        for t in tensors.values()):
+        # The lane interpreter runs such a launch chunk by chunk, so later
+        # chunks read what earlier ones stored; whole-array slices cannot.
+        raise _fail("multi-chunk launch reads a stored tensor at a shifted "
+                    "index")
 
     name = kern.name if isinstance(kern, Kernel) else \
         getattr(kern, "__name__", "kernel")
@@ -539,42 +566,31 @@ def _generate(kern, args: Sequence, launch: LaunchConfig) -> Tuple[object, str]:
 
 
 # -------------------------------------------------------------------- public
-def _cache_for(fn) -> Optional[Dict]:
-    cache = getattr(fn, "_repro_lowered", None)
-    if cache is None:
-        try:
-            cache = fn._repro_lowered = {}
-        except (AttributeError, TypeError):  # pragma: no cover - builtins
-            return None
-    return cache
-
-
 def _lower(kern, args: Sequence, launch: LaunchConfig):
     """(entry, source-or-reason): memoised lowering of one specialisation."""
     fn = kern.fn if isinstance(kern, Kernel) else kern
     bd, gd = launch.block_dim, launch.grid_dim
     try:
-        key = ((bd.x, bd.y, bd.z, gd.x, gd.y, gd.z), _arg_signature(args))
+        key = (fn, (bd.x, bd.y, bd.z, gd.x, gd.y, gd.z), single_chunk(launch),
+               _arg_signature(args))
     except LoweringUnsupported as exc:
         return None, str(exc)
-    cache = _cache_for(fn)
-    if cache is not None and key in cache:
-        return cache[key]
-    try:
-        entry = _generate(kern, args, launch)
-    except LoweringUnsupported as exc:
-        entry = (None, str(exc))
-    if cache is not None:
-        cache[key] = entry
-    return entry
+
+    def generate():
+        try:
+            return _generate(kern, args, launch)
+        except LoweringUnsupported as exc:
+            return None, str(exc)
+
+    return LOWERED_MEMO.get_or_compute(key, generate)
 
 
 def lower_launch(kern, args: Sequence, launch: LaunchConfig):
     """Compiled NumPy-slice entry for the launch, or None when unsupported.
 
     The entry takes the original positional ``*args`` and performs exactly
-    the stores the kernel body would; the executor's ``mode="lowered"``
-    dispatches through it and falls back to the interpreter on None.
+    the stores the kernel body would; the executor's ``auto`` / ``lowered``
+    dispatch runs it and falls back to the interpreter on None.
     """
     return _lower(kern, args, launch)[0]
 

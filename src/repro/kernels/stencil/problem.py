@@ -16,8 +16,13 @@ import numpy as np
 
 from ...core.dtypes import DType, dtype_from_any
 from ...core.errors import ConfigurationError
+from ...core.memo import Memo
 
-__all__ = ["StencilProblem"]
+__all__ = ["StencilProblem", "FIELD_MEMO"]
+
+#: initial fields by (L, extent, dtype): every verify, probe and reference
+#: of one grid shares one read-only array
+FIELD_MEMO = Memo("stencil_field")
 
 
 @dataclass
@@ -80,8 +85,13 @@ class StencilProblem:
         """Quadratic input field ``u(x, y, z) = x^2 + y^2 + z^2``.
 
         Its analytic Laplacian is the constant 6, giving an exact expected
-        value for every interior cell.
+        value for every interior cell.  Memoised (:data:`FIELD_MEMO`); the
+        returned array is read-only.
         """
+        return FIELD_MEMO.get_or_compute(
+            (self.L, self.extent, self.dtype.name), self._build_field)
+
+    def _build_field(self) -> np.ndarray:
         np_dtype = self.dtype.to_numpy()
         hx, hy, hz = self.spacing
         x = (np.arange(self.L) * hx).astype(np_dtype)

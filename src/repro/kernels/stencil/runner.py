@@ -70,8 +70,8 @@ def verify_stencil_kernel(L: int = 18, precision: str = "float64",
     """Run the device kernel functionally on a small grid and verify it.
 
     Returns the maximum relative error against the NumPy reference.
-    ``executor`` selects the simulator mode (``"auto"`` is lockstep
-    vectorized for this vector-safe kernel).  ``streams > 1`` gives the
+    ``executor`` selects the simulator mode (``"auto"`` lowers this
+    vector-safe kernel to NumPy slicing).  ``streams > 1`` gives the
     upload, the kernel and the download their own timeline lanes with
     explicit event ordering; the three phases are strictly dependent here,
     so they still serialise — the lanes expose the pipeline structure rather

@@ -9,9 +9,9 @@ recovery strategy:
 * **across steps**: when a step keeps failing, the run degrades along a
   deterministic ladder — first ``tune="off"`` (a corrupt or infeasible
   tuning-database winner must never kill a run the default geometry can
-  serve), then executor fallback ``vectorized → cooperative → sequential``
-  (the three modes are bit-identical by the PR 3 contract, so a degraded
-  result is still *the* result).
+  serve), then executor fallback ``auto`` / ``lowered`` → ``vectorized →
+  cooperative → sequential`` (every mode is bit-identical to the others,
+  so a degraded result is still *the* result).
 
 Every result produced here carries a structured
 ``provenance["resilience"]`` record: how many attempts ran, whether and
@@ -33,7 +33,8 @@ __all__ = ["run_resilient", "degradation_ladder"]
 #: executor fallback chain: key = the mode a step ran with, value = the
 #: modes to try next (in order) when that step keeps failing
 _EXECUTOR_FALLBACK = {
-    "auto": ("cooperative", "sequential"),
+    "auto": ("vectorized", "cooperative", "sequential"),
+    "lowered": ("vectorized", "cooperative", "sequential"),
     "vectorized": ("cooperative", "sequential"),
     "cooperative": ("sequential",),
     "sequential": (),

@@ -20,8 +20,11 @@ Injection sites wired into the existing layers
 ``launch``          raise :class:`LaunchError` at :meth:`KernelExecutor.launch`
 ``launch.vectorized`` raise :class:`LaunchError` inside ``run_vectorized``
                     (covers graph-replay thunks, which bypass ``launch``)
+``launch.lowered``  raise :class:`LaunchError` before a lowered entry runs,
+                    in ``launch`` and in graph-replay thunks alike
 ``latency``         sleep ``latency_ms`` inside :meth:`KernelExecutor.launch`
 ``latency.vectorized`` sleep inside ``run_vectorized``
+``latency.lowered`` sleep before a lowered entry runs
 ``diskstore.read``  make one JSON store read report a miss (torn read)
 ================== =========================================================
 
@@ -69,8 +72,10 @@ FAULT_SITES = (
     "corrupt.d2h",
     "launch",
     "launch.vectorized",
+    "launch.lowered",
     "latency",
     "latency.vectorized",
+    "latency.lowered",
     "diskstore.read",
 )
 
@@ -281,7 +286,7 @@ class FaultInjector:
             corrupt_array(sink)
 
     def fail_launch(self, site: str, name: str) -> None:
-        """Hook for ``launch`` / ``launch.vectorized`` (raises)."""
+        """Hook for the ``launch`` / ``launch.*`` sites (raises)."""
         rule = self.decide(site, name)
         if rule is not None:
             exc = LaunchError(
@@ -293,7 +298,7 @@ class FaultInjector:
 
     def inject_latency(self, site: str, name: str, *,
                        sleep=time.sleep) -> None:
-        """Hook for ``latency`` / ``latency.vectorized`` (sleeps)."""
+        """Hook for the ``latency`` / ``latency.*`` sites (sleeps)."""
         rule = self.decide(site, name, kind="latency")
         if rule is not None and rule.latency_ms > 0:
             sleep(rule.latency_ms / 1e3)

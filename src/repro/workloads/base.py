@@ -46,11 +46,11 @@ __all__ = [
 DEFAULT_PROTOCOL = MeasurementProtocol(warmup=1, repeats=5)
 
 #: functional-simulator execution modes a request may select; ``"auto"``
-#: (the default) picks the lockstep vectorized engine for vector-safe
-#: kernels and preserves the scalar behaviour for everything else;
-#: ``"lowered"`` additionally compiles vector-safe bodies to NumPy
-#: whole-array expressions (:mod:`repro.graphopt.lower`), falling back to
-#: ``"auto"`` per launch when a body cannot be lowered
+#: (the default) compiles each vector-safe launch to NumPy whole-array
+#: expressions (:mod:`repro.graphopt.lower`), runs the lockstep vectorized
+#: engine when a body cannot be lowered, and keeps the scalar modes for
+#: everything else; ``"lowered"`` is accepted and means the same as
+#: ``"auto"``; ``"vectorized"`` pins the lockstep engine
 EXECUTOR_MODES = ("auto", "vectorized", "sequential", "cooperative",
                   "lowered")
 

@@ -5,12 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import verifier
 from repro.core.device import DeviceContext
 from repro.core.dtypes import DType
+from repro.core.errors import LayoutError
 from repro.core.intrinsics import any_lane, block_dim, block_idx, compress_lanes, thread_idx
 from repro.core.kernel import LaunchConfig, kernel
-from repro.core.layout import Layout
+from repro.core.layout import Layout, LayoutTensor
+from repro.gpu import vector_executor
 from repro.gpu.executor import KernelExecutor
+from repro.graphopt import lower as lower_mod
 from repro.graphopt import lower_launch, lower_source, lowering_report
 from repro.kernels.babelstream.kernels import (
     SCALAR,
@@ -40,6 +44,47 @@ def _inplace_scale(a, scalar, n):
         return
     i = compress_lanes(m, i)
     a[i] = scalar * a[i]
+
+
+@kernel(name="_scale2d", vector_safe=True, strict=True)
+def _scale2d(f, u, nx, ny):
+    """``f[i, j] = 2 * u[i, j]`` over a 2-D launch."""
+    i = block_dim.x * block_idx.x + thread_idx.x
+    j = block_dim.y * block_idx.y + thread_idx.y
+    m = (i < nx) & (j < ny)
+    if not any_lane(m):
+        return
+    i, j = compress_lanes(m, i, j)
+    f[i, j] = 2.0 * u[i, j]
+
+
+@kernel(name="_shift_double", vector_safe=True)
+def _shift_double(a, n):
+    """``a[i] = 2 * a[i - 1]``: each lane reads its left neighbour's store."""
+    i = block_dim.x * block_idx.x + thread_idx.x
+    m = (i > 0) & (i < n)
+    if not any_lane(m):
+        return
+    i = compress_lanes(m, i)
+    a[i] = 2.0 * a[i - 1]
+
+
+@kernel(name="_parse_once_probe", vector_safe=True)
+def _parse_once_probe(a, n):
+    """Outside the lowerable subset (an augmented store): always falls back."""
+    i = block_dim.x * block_idx.x + thread_idx.x
+    m = i < n
+    if not any_lane(m):
+        return
+    i = compress_lanes(m, i)
+    a[i] += 1.0
+
+
+def _scale2d_tensors(f_layout):
+    u = LayoutTensor(DType.float64, Layout.row_major(4, 6),
+                     np.arange(24.0), mut=False)
+    f = LayoutTensor(DType.float64, f_layout, np.zeros(24))
+    return f, u
 
 
 def _stream_tensors(ctx, n=N):
@@ -203,3 +248,90 @@ class TestExecutorDispatch:
             results[mode] = f_buf.array.copy()
         assert np.any(results["lowered"] != 0.0)
         assert np.array_equal(results["vectorized"], results["lowered"])
+
+
+class TestSpecialisationKey:
+    """The memo key must separate every specialisation that lowers differently."""
+
+    LAUNCH = LaunchConfig.make((1, 1), (4, 6))
+
+    def test_layout_is_part_of_the_key(self):
+        row_f, u = _scale2d_tensors(Layout.row_major(4, 6))
+        res = KernelExecutor().launch(_scale2d, (row_f, u, 4, 6), self.LAUNCH)
+        assert res.mode == "lowered"
+        # Same shape and dtype, column-major output: the row-major entry
+        # must not be reused (it would scatter into the wrong elements).
+        outputs = {}
+        for mode in ("auto", "vectorized"):
+            col_f, u = _scale2d_tensors(Layout.col_major(4, 6))
+            res = KernelExecutor().launch(_scale2d, (col_f, u, 4, 6),
+                                          self.LAUNCH, mode=mode)
+            assert res.mode == "vectorized"
+            outputs[mode] = col_f.to_numpy()
+        assert np.array_equal(outputs["auto"], outputs["vectorized"])
+        assert np.array_equal(outputs["auto"],
+                              2.0 * np.arange(24.0).reshape(4, 6))
+
+    def test_store_into_immutable_tensor_raises_like_the_interpreter(self):
+        f, u = _scale2d_tensors(Layout.row_major(4, 6))
+        res = KernelExecutor().launch(_scale2d, (f, u, 4, 6), self.LAUNCH)
+        assert res.mode == "lowered"
+        frozen, u = _scale2d_tensors(Layout.row_major(4, 6))
+        frozen.mut = False
+        assert lower_launch(_scale2d, (frozen, u, 4, 6), self.LAUNCH) is None
+        report = lowering_report(_scale2d, (frozen, u, 4, 6), self.LAUNCH)
+        assert "immutable" in report["reason"]
+        with pytest.raises(LayoutError):
+            KernelExecutor().launch(_scale2d, (frozen, u, 4, 6), self.LAUNCH)
+        assert not np.any(frozen.ptr)
+
+    def test_multi_chunk_shifted_self_read_stays_interpreted(self,
+                                                             monkeypatch):
+        launch = LaunchConfig.make(4, 16)
+        single = np.ones(64)
+        a = LayoutTensor(DType.float64, Layout.row_major(64), single)
+        assert lower_launch(_shift_double, (a, 64), launch) is not None
+        # Split the same grid into 16-lane chunks: the interpreter now sees
+        # earlier chunks' stores, which whole-array slicing cannot mimic.
+        monkeypatch.setattr(vector_executor, "VECTOR_CHUNK_LANES", 16)
+        outputs = {}
+        for mode in ("auto", "vectorized"):
+            data = np.ones(64)
+            a = LayoutTensor(DType.float64, Layout.row_major(64), data)
+            res = KernelExecutor().launch(_shift_double, (a, 64), launch,
+                                          mode=mode)
+            assert res.mode == "vectorized"
+            outputs[mode] = data
+        assert np.array_equal(outputs["auto"], outputs["vectorized"])
+
+
+class TestMemos:
+    def test_lowered_memo_reports_hits(self):
+        ctx = DeviceContext("h100")
+        bufs, t = _stream_tensors(ctx)
+        launch = LaunchConfig.for_elements(N, 256)
+        lower_launch(copy_kernel, (t["a"], t["c"], N), launch)
+        before = lower_mod.LOWERED_MEMO.cache_info()
+        lower_launch(copy_kernel, (t["a"], t["c"], N), launch)
+        after = lower_mod.LOWERED_MEMO.cache_info()
+        assert after.hits == before.hits + 1
+        assert after.misses == before.misses
+        assert 0 < after.entries
+
+    def test_unlowerable_body_is_parsed_once(self, monkeypatch):
+        parses = []
+        real_parse = verifier._parse_kernel
+        monkeypatch.setattr(verifier, "_parse_kernel",
+                            lambda fn: parses.append(fn) or real_parse(fn))
+        verifier.KERNEL_AST_MEMO.clear()
+        for n in (64, 128, 256):        # three launch shapes, one parse
+            data = np.zeros(n)
+            a = LayoutTensor(DType.float64, Layout.row_major(n), data)
+            res = KernelExecutor().launch(_parse_once_probe, (a, n),
+                                          LaunchConfig.for_elements(n, 64))
+            assert res.mode == "vectorized"
+        # all three lowering attempts (and the verifier's flag cross-check)
+        # share the one parse
+        assert parses == [_parse_once_probe.fn]
+        info = verifier.KERNEL_AST_MEMO.cache_info()
+        assert info.misses == 1 and info.hits >= 2

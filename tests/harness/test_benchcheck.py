@@ -170,6 +170,20 @@ class TestRepoBaseline:
         lowered = stats["test_bench_lowered_stencil_graph_replay"]["min"]
         assert vectorized >= 2.0 * lowered
 
+    def test_auto_stencil_baseline_beats_vectorized_2x(self):
+        """Codegen-first dispatch: the default (``auto``) stencil replay
+        lowers, so its recorded baseline is at least 2x faster than the
+        replay pinned to the lockstep engine on the same 32^3 capture.
+
+        Both baselines come from one `bench-compare --update` run, so the
+        ratio is machine-independent."""
+        import os
+        root = os.path.join(os.path.dirname(__file__), "..", "..")
+        stats = load_stats(os.path.join(root, "benchmarks", "baseline.json"))
+        vectorized = stats["test_bench_vectorized_stencil_graph_replay"]["min"]
+        auto = stats["test_bench_auto_stencil_graph_replay"]["min"]
+        assert vectorized >= 2.0 * auto
+
     def test_trace_disabled_dispatch_baseline_within_2x(self):
         """ISSUE-10 acceptance: the tracing-instrumented (but disabled)
         workload-dispatch baseline stays within 2x of the plain dispatch

@@ -43,6 +43,13 @@ class TestStencilProblem:
         assert u[1, 2, 3] == pytest.approx((1 * h) ** 2 + (2 * h) ** 2 + (3 * h) ** 2,
                                            rel=1e-6)
 
+    def test_initial_field_is_memoised_and_read_only(self):
+        first = StencilProblem(8).initial_field()
+        assert StencilProblem(8).initial_field() is first
+        assert StencilProblem(8, "float32").initial_field() is not first
+        with pytest.raises(ValueError):
+            first[0, 0, 0] = 1.0
+
     def test_precision_dtype(self):
         assert StencilProblem(8, "float32").dtype.name == "float32"
 

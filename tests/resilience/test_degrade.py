@@ -27,8 +27,14 @@ class TestDegradationLadder:
         request = stencil_request(stencil)
         steps = degradation_ladder(request)
         assert [s.executor for s in steps] == \
-            ["auto", "cooperative", "sequential"]
+            ["auto", "vectorized", "cooperative", "sequential"]
         assert all(s.tune == "off" for s in steps)
+
+    def test_lowered_request_degrades_like_auto(self, stencil):
+        request = stencil_request(stencil, executor="lowered")
+        steps = degradation_ladder(request)
+        assert [s.executor for s in steps] == \
+            ["lowered", "vectorized", "cooperative", "sequential"]
 
     def test_tuned_request_drops_tuning_first(self, stencil):
         request = stencil_request(stencil, tune="cached")
@@ -36,7 +42,7 @@ class TestDegradationLadder:
         assert steps[0].tune == "cached"
         assert [s.tune for s in steps[1:]] == ["off"] * (len(steps) - 1)
         assert [s.executor for s in steps[1:]] == \
-            ["auto", "cooperative", "sequential"]
+            ["auto", "vectorized", "cooperative", "sequential"]
 
     def test_sequential_has_nowhere_to_go(self, stencil):
         request = stencil_request(stencil, executor="sequential")
@@ -85,7 +91,7 @@ class TestRunResilient:
         assert_bit_identical(recovered, clean)
 
     def test_persistent_vectorized_fault_degrades_executor(self, stencil):
-        request = stencil_request(stencil)
+        request = stencil_request(stencil, executor="vectorized")
         clean = stencil.run(request)
         # launch.vectorized fires on every vectorized dispatch but never in
         # the cooperative/sequential interpreters: retries on step 0 are
@@ -99,8 +105,29 @@ class TestRunResilient:
         record = recovered.provenance["resilience"]
         assert record["degraded"]
         assert record["ran"]["executor"] == "cooperative"
-        assert record["requested"]["executor"] == "auto"
+        assert record["requested"]["executor"] == "vectorized"
         assert record["attempts"] == 3  # 2 on vectorized + 1 on cooperative
+        assert_bit_identical(recovered, clean)
+
+    def test_persistent_lowered_fault_degrades_auto_to_vectorized(self,
+                                                                  stencil):
+        request = stencil_request(stencil)
+        clean = stencil.run(request)
+        # launch.lowered fires on every lowered dispatch: the default auto
+        # request lowers the stencil, so the ladder must step down to the
+        # lockstep interpreter, which never fires the site.
+        plan = FaultPlan(rules=(
+            FaultRule(site="launch.lowered", probability=1.0),))
+        with install_fault_plan(plan) as injector:
+            recovered = run_resilient(
+                stencil, request,
+                retry=RetryPolicy(max_attempts=2, sleep=lambda s: None))
+        record = recovered.provenance["resilience"]
+        assert record["degraded"]
+        assert record["requested"]["executor"] == "auto"
+        assert record["ran"]["executor"] == "vectorized"
+        assert record["attempts"] == 3  # 2 on auto + 1 on vectorized
+        assert injector.stats()["fired"] == {"launch.lowered": 2}
         assert_bit_identical(recovered, clean)
 
     def test_degrade_false_exhausts_and_raises(self, stencil):

@@ -251,3 +251,23 @@ class TestZeroOverheadDisabledPath:
         assert faults_mod._ACTIVE is None
         with install_fault_plan(FaultPlan()) as injector:
             assert faults_mod._ACTIVE is injector
+
+
+class TestLoweredSites:
+    def test_replay_thunk_fires_the_lowered_site(self, stencil):
+        # The default (auto) probe lowers the stencil at instantiation, so
+        # replays never reach run_vectorized: launch.lowered must cover them.
+        graph = stencil.tuning_probe(stencil_request(stencil, L=16))
+        clean = graph.replay()["f"].copy()
+        plan = FaultPlan(rules=(
+            FaultRule(site="launch.lowered", indices=(0,)),))
+        with install_fault_plan(plan) as injector:
+            with pytest.raises(LaunchError) as err:
+                graph.replay()
+            again = graph.replay()["f"]
+        occurrences = injector.stats()["occurrences"]
+        assert err.value.injected is True
+        assert occurrences["launch.lowered"] == 2
+        assert occurrences["latency.lowered"] == 1
+        assert "launch.vectorized" not in occurrences
+        np.testing.assert_array_equal(again, clean)
