@@ -353,6 +353,105 @@ def test_bench_vectorized_babelstream_dot(benchmark):
     np.testing.assert_allclose(result.sum(), a_store @ b_store, rtol=1e-10)
 
 
+def _science_launch(kernel_name):
+    """Verify-sized launch of one of the three loop/atomic/barrier kernels.
+
+    Returns ``(kernel, args, launch, output array)``: fasten on an 8x32
+    deck with 64 poses, the ERI kernel on a 4-atom helium system, Dot on
+    n=4096 with 4 blocks of 64 threads (bounds-checked, as the BabelStream
+    runner binds it).
+    """
+    from repro.core.layout import Layout, LayoutTensor
+
+    def tensor(data, shape=None, dtype=DType.float64, checked=False):
+        flat = np.array(data, dtype=dtype.to_numpy()).reshape(-1)
+        return LayoutTensor(dtype, Layout.row_major(*(shape or (flat.size,))),
+                            flat, bounds_check=checked)
+
+    if kernel_name == "fasten":
+        from repro.kernels.minibude.kernel import fasten_kernel
+        from repro.kernels.minibude.runner import minibude_launch_config
+
+        deck = make_deck(natlig=8, natpro=32, ntypes=4, nposes=64, seed=7)
+        f32 = DType.float32
+        out = tensor(np.zeros(deck.nposes), dtype=f32)
+        args = (2, deck.natlig, deck.natpro,
+                tensor(deck.protein_flat(), dtype=f32),
+                tensor(deck.ligand_flat(), dtype=f32),
+                *(tensor(t, dtype=f32) for t in deck.transforms()),
+                out, tensor(deck.forcefield_flat(), dtype=f32), deck.nposes)
+        return (fasten_kernel, args,
+                minibude_launch_config(deck.nposes, 2, 8), out.ptr)
+    if kernel_name == "eri":
+        from repro.kernels.hartreefock.kernel import hartree_fock_kernel
+
+        system = make_helium_system(4, 3, spacing=2.5)
+        n = system.natoms
+        fock = tensor(np.zeros((n, n)), (n, n))
+        args = (system.ngauss, n, system.nquads,
+                tensor(compute_schwarz(system)), 0.0, tensor(system.xpnt),
+                tensor(system.coef), tensor(system.geometry, (n, 3)),
+                tensor(system.dens, (n, n)), fock)
+        return (hartree_fock_kernel, args,
+                LaunchConfig.for_elements(system.nquads, 16), fock.ptr)
+    from repro.kernels.babelstream.kernels import dot_kernel
+
+    n, tb, blocks = 4096, 64, 4
+    rng = np.random.default_rng(12)
+    sums = tensor(np.zeros(blocks), checked=True)
+    args = (tensor(rng.normal(size=n), checked=True),
+            tensor(rng.normal(size=n), checked=True), sums, n, tb)
+    return dot_kernel, args, LaunchConfig.make(blocks, tb), sums.ptr
+
+
+def _bench_science_launch(benchmark, kernel_name, mode):
+    kern, args, launch, out = _science_launch(kernel_name)
+    executor = KernelExecutor()
+
+    def run():
+        out[:] = 0.0
+        return executor.launch(kern, args, launch, mode=mode)
+
+    result = benchmark(run)
+    assert result.mode == mode
+    assert np.any(out != 0.0)
+
+
+def test_bench_lowered_fasten_launch(benchmark):
+    """fasten through the lowering tier: the ligand x protein nest runs
+    with its loop indices as array axes.  The committed baselines must
+    show it at least 2x faster than the lockstep engine (guarded in
+    test_benchcheck.py)."""
+    _bench_science_launch(benchmark, "fasten", "lowered")
+
+
+def test_bench_vectorized_fasten_launch(benchmark):
+    """The same fasten launch pinned to the lockstep interpreter."""
+    _bench_science_launch(benchmark, "fasten", "vectorized")
+
+
+def test_bench_lowered_eri_launch(benchmark):
+    """The ERI kernel through the lowering tier: primitive-quartet nest as
+    array axes, inline Fock atomics (at least 2x ``vectorized``)."""
+    _bench_science_launch(benchmark, "eri", "lowered")
+
+
+def test_bench_vectorized_eri_launch(benchmark):
+    """The same ERI launch pinned to the lockstep interpreter."""
+    _bench_science_launch(benchmark, "eri", "vectorized")
+
+
+def test_bench_lowered_dot_launch(benchmark):
+    """Dot through the lowering tier: every block at once on a (block,
+    lane) axis (at least 2x ``vectorized``)."""
+    _bench_science_launch(benchmark, "dot", "lowered")
+
+
+def test_bench_vectorized_dot_launch(benchmark):
+    """The same Dot launch pinned to the per-block lockstep interpreter."""
+    _bench_science_launch(benchmark, "dot", "vectorized")
+
+
 def test_bench_lint_vector_safe_hot_path(benchmark):
     """Launch-path vector-safety resolution must stay attribute-read cheap.
 

@@ -133,11 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["auto", "vectorized", "sequential",
                               "cooperative", "lowered"],
                      help="functional-simulator mode for verification "
-                          "launches (default auto: NumPy-codegen lowering "
-                          "for vector-safe kernels, lockstep vectorized "
-                          "where a body does not lower, scalar modes "
-                          "otherwise; lowered: same as auto; vectorized: "
-                          "never lower)")
+                          "launches (default auto: NumPy codegen for "
+                          "vector-safe kernels, which covers all eight "
+                          "shipped kernels; lockstep vectorized where a "
+                          "body does not lower, scalar modes otherwise; "
+                          "lowered: same as auto; vectorized: never lower)")
     b_p.add_argument("--optimize", default="none", metavar="PASSES",
                      help="graph-compiler passes applied to captured device "
                           "graphs: 'none' (default), 'all', or a "
@@ -216,8 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=["auto", "vectorized", "sequential",
                                "cooperative", "lowered"],
                       help="functional-simulator mode (default auto: "
-                           "lowered where the kernel body allows, else "
-                           "vectorized or scalar; lowered: same as auto)")
+                           "NumPy codegen where the kernel body allows, "
+                           "as for every shipped kernel, else vectorized "
+                           "or scalar; lowered: same as auto; vectorized: "
+                           "never lower)")
     sw_p.add_argument("--workers", type=int, default=1, metavar="N",
                       help="thread-pool width (default 1: sequential)")
     sw_p.add_argument("--no-cache", action="store_true",
@@ -367,9 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=["auto", "vectorized", "sequential",
                                "cooperative", "lowered"],
                       help="functional-simulator mode for verification "
-                           "launches (default auto: lowered where the "
-                           "kernel body allows, else vectorized or scalar; "
-                           "lowered: same as auto)")
+                           "launches (default auto: NumPy codegen where "
+                           "the kernel body allows, as for every shipped "
+                           "kernel, else vectorized or scalar; lowered: "
+                           "same as auto; vectorized: never lower)")
     tr_p.add_argument("--optimize", default="none", metavar="PASSES",
                       help="graph-compiler passes applied to captured "
                            "device graphs ('none', 'all', or a subset of "
@@ -566,7 +569,7 @@ def _cmd_graph(args) -> int:
         for label in entry["pinned"]:
             print(f"  pinned: {label}")
         for low in entry["lowering"]:
-            status = ("lowered to NumPy slicing" if low["lowered"]
+            status = ("lowered to NumPy" if low["lowered"]
                       else f"not lowered ({low['reason']})")
             print(f"  {low['kernel']}: {status}")
         print(f"  optimized graph lint: "
@@ -1084,7 +1087,8 @@ def _cmd_report(ids: List[str], *, write: Optional[str], full: bool,
 #: microbenchmarks — the paths substrate changes regress first — while the
 #: multi-second reference benches stay out of the tier-1 flow)
 QUICK_BENCH_EXPR = ("executor or dispatch or vectorized or graph or tuned "
-                    "or lint or fused or lowered or region or trace")
+                    "or lint or fused or lowered or region or trace "
+                    "or launch")
 
 
 def _cmd_trace(args) -> int:

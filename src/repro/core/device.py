@@ -222,12 +222,14 @@ class DeviceBuffer:
         return f"DeviceBuffer({self.label}, {self.dtype.name}[{self.count}])"
 
 
-@dataclass
+@dataclass(slots=True)
 class StreamEvent:
     """One entry in the context's executed-operation timeline.
 
     ``start_ms``/``end_ms`` place the operation on its stream's lane of the
-    modelled timeline; ``modelled_time_ms`` is its duration.
+    modelled timeline; ``modelled_time_ms`` is its duration.  Slotted: a
+    context keeps one per executed operation and graph replay, so the
+    timeline's memory grows with the number of replays a run makes.
     """
 
     kind: str                      # "kernel" | "h2d" | "d2h" | "memset" | "event" | "graph"

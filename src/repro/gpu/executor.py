@@ -32,12 +32,14 @@ its own ``thread_idx`` / ``block_idx``).  Four execution modes exist:
     are *not* vector-safe.
 
 ``lowered``
-    Dispatch through NumPy-slice code generated by the graph compiler's
-    lowering tier (:mod:`repro.graphopt.lower`): the vector-safe body is
-    rewritten at the AST level into whole-array slicing, compiled once per
-    (kernel, launch, argument-signature) specialisation, and executed without
-    per-lane index arrays or per-subscript fancy indexing.  Results and
-    counters are bit-identical to ``vectorized``.
+    Dispatch through NumPy code generated by the graph compiler's lowering
+    tier (:mod:`repro.graphopt.lower`): the vector-safe body is rewritten at
+    the AST level into whole-array slicing (lane-affine accesses) or
+    straight-line NumPy over per-lane index arrays, with uniform loops
+    evaluated as array axes and barrier bodies run for every block at once,
+    compiled once per (kernel, launch, argument-signature) specialisation.
+    The entry returns its barrier and atomic counts and shared bytes per
+    block; results, counters and exceptions match ``vectorized``.
 
 Mode selection is codegen-first: ``mode="auto"`` (the default) tries the
 lowering tier for every launch of a declared vector-safe kernel and runs
@@ -65,7 +67,7 @@ kernels by one to two orders of magnitude (the executor-stencil benchmark in
 question:
 
 * **Lowered / vectorized functional simulation** (default for the four
-  science kernels: lowered where the body allows, vectorized otherwise) —
+  science kernels, all of whose kernels lower) —
   per-thread semantics with array-level throughput; fine up to
   ~10^6-thread grids in tests.
 * **Scalar functional simulation** (``sequential`` / ``cooperative``) —
@@ -88,7 +90,7 @@ wall-clock.
 
 from __future__ import annotations
 
-import inspect
+import ast
 import threading
 import time
 from dataclasses import dataclass
@@ -217,25 +219,35 @@ def _iter_dim3(extent: Dim3):
                 yield Dim3(x, y, z)
 
 
-def kernel_uses_barrier(kern: Kernel) -> bool:
-    """Heuristic: does the kernel body call ``barrier`` or allocate shared memory?
+#: calls that make a kernel body synchronise or share memory per block
+_BLOCK_CALLS = frozenset({"barrier", "shared_array", "stack_allocation"})
 
-    The result is cached on the underlying function object (covering both the
-    :class:`Kernel` wrapper and re-wraps of the same plain callable), so the
-    ``inspect.getsource`` walk runs once per kernel instead of once per
-    launch.
+
+def kernel_uses_barrier(kern: Kernel) -> bool:
+    """Does the kernel body call ``barrier`` or allocate shared memory?
+
+    Decided on the parsed body shared with the static analyses
+    (:func:`repro.analysis.verifier.kernel_ast`): a call whose callee name
+    (``barrier(...)``, ``intrinsics.shared_array(...)``) is one of
+    ``barrier`` / ``shared_array`` / ``stack_allocation``.  Docstrings and
+    comments do not count; unknown source does (cooperative is the safe
+    mode).  Cached on the underlying function object.
     """
     fn = kern.fn if isinstance(kern, Kernel) else kern
     cached = getattr(fn, "_repro_uses_barrier", None)
     if cached is not None:
         return cached
-    try:
-        src = inspect.getsource(fn)
-    except (OSError, TypeError):
+    from ..analysis.verifier import kernel_ast
+
+    fdef = kernel_ast(fn)
+    if fdef is None:
         uses = True  # be safe: unknown source -> cooperative
     else:
-        uses = ("barrier(" in src) or ("stack_allocation" in src) \
-            or ("shared_array" in src)
+        uses = any(
+            isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) in _BLOCK_CALLS
+                 or getattr(node.func, "attr", None) in _BLOCK_CALLS)
+            for node in ast.walk(fdef))
     try:
         fn._repro_uses_barrier = uses
     except (AttributeError, TypeError):  # pragma: no cover - exotic callables
@@ -267,13 +279,14 @@ def _resolve_mode(kern: Kernel, args: Sequence, launch: LaunchConfig,
     return mode, None
 
 
-def _run_lowered(entry: Callable, name: str, args: Sequence) -> None:
-    """Run a lowered entry behind the ``launch.lowered`` fault sites."""
+def _run_lowered(entry: Callable, name: str, args: Sequence):
+    """Run a lowered entry behind the ``launch.lowered`` fault sites; returns
+    its ``(barriers, atomics, shared bytes per block)``."""
     injector = _faults._ACTIVE
     if injector is not None:
         injector.fail_launch("launch.lowered", name)
         injector.inject_latency("latency.lowered", name)
-    entry(*args)
+    return entry(*args)
 
 
 class KernelExecutor:
@@ -337,11 +350,12 @@ class KernelExecutor:
         counters = ExecutionCounters()
         start = time.perf_counter()
         if entry is not None:
-            _run_lowered(entry, kern.name, args)
-            # Lowerable bodies are barrier-, atomic- and shared-memory-free,
-            # so the counters match the lane interpreter's for the same grid.
-            counters.merge(threads_run=total, blocks_run=launch.num_blocks)
-            max_shared = 0
+            barriers, atomics, max_shared = _run_lowered(entry, kern.name,
+                                                         args)
+            # the entry counts the barrier and atomic events the lane
+            # interpreter would record, so the counters match it exactly
+            counters.merge(threads_run=total, blocks_run=launch.num_blocks,
+                           barriers=barriers, atomics=atomics)
         elif mode == "vectorized":
             max_shared = run_vectorized(kern, args, launch, counters,
                                         per_block=kernel_uses_barrier(kern))

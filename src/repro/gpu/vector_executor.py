@@ -278,7 +278,8 @@ def _grid_geometry(bd: Dim3, gd: Dim3):
     chunk generator.
     """
     global _geometry_cache_bytes
-    key = (bd.x, bd.y, bd.z, gd.x, gd.y, gd.z)
+    # the chunking depends on VECTOR_CHUNK_LANES, so the key carries it
+    key = (bd.x, bd.y, bd.z, gd.x, gd.y, gd.z, VECTOR_CHUNK_LANES)
     with _geometry_lock:
         cached = _GEOMETRY_CACHE.get(key)
     if cached is not None:

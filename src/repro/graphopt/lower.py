@@ -1,78 +1,98 @@
-"""Lowering tier: compile vector-safe kernel bodies to NumPy-slice code.
+"""Lowering tier: compile vector-safe kernel bodies to NumPy code.
 
-The vectorized executor (:mod:`repro.gpu.vector_executor`) already amortises
-the Python interpreter over whole lane sets, but every tensor subscript in
-the kernel body still pays a fancy-indexing gather/scatter through per-lane
-index arrays.  This module goes one step further, the way the paper's MLIR
-stack lowers its parametric kernels to target code: a vector-safe body whose
-lane indices are *affine* in the launch axes is rewritten — via AST analysis,
-not execution — into plain NumPy whole-array slicing, compiled with
-``exec`` into a synthetic module, and dispatched by the executor: every
-``auto`` (or ``lowered``) launch of a declared vector-safe kernel tries this
-tier first.
+The vectorized executor (:mod:`repro.gpu.vector_executor`) amortises the
+Python interpreter over whole lane sets, but it still interprets the kernel
+body statement by statement: every intrinsic read goes through a
+thread-local proxy, every tensor subscript through ``LayoutTensor`` index
+resolution, every loop iteration re-runs its statements on small arrays.
+This module goes one step further, the way the paper's MLIR stack lowers
+its parametric kernels to target code: the body is rewritten — via AST
+analysis of the one memoised parse
+(:func:`repro.analysis.verifier.kernel_ast`), not execution — into NumPy
+source, compiled with ``exec`` into a synthetic module, and dispatched by
+the executor: every ``auto`` (or ``lowered``) launch of a declared
+vector-safe kernel tries this tier first.
 
 The contract mirrors a real compiler's legality checking: lowering is a
 *best-effort specialisation*.  ``lower_launch`` returns a compiled entry
-point when the body fits the supported shape and ``None`` otherwise, and the
-executor falls back to the lockstep interpreter — behaviour, counters and
-results stay identical either way (the generated code performs the very same
-NumPy element operations, in the same order and dtype, that the lane
-interpreter would, so results are bit-identical; the property suite in
-``tests/property`` holds the compiler to that).
+point when the body fits the supported shape and ``None`` otherwise, and
+the executor falls back to the lockstep interpreter.  Behaviour is
+identical either way: the generated code performs the interpreter's
+element operations in its order and dtypes (a float64 scalar load is a
+Python float, a narrower one a NumPy scalar), keeps its checks (bounds
+checks on ``bounds_check=True`` tensors, the atomic index check, lock and
+count) and returns the barrier and atomic counts and shared bytes per block
+the interpreter would report.  ``tests/gpu/test_mode_differential.py`` and
+the property suite hold the tier to bitwise equality.
 
-Supported body shape (the SIMT-generic idiom all four science kernels use):
+One emitter, two index rules:
 
-* lane indices bound from affine intrinsics, e.g.
-  ``i = block_dim.x * block_idx.x + thread_idx.x`` (any operand order);
-* guard masks that are conjunctions of comparisons between a lane index and
-  a statically evaluable scalar expression, e.g.
-  ``interior = (i > 0) & (i < nx - 1) & ...``;
-* the ``if not any_lane(m): return`` early-exit idiom;
-* ``i = compress_lanes(m, i)`` / ``i, j, k = compress_lanes(m, i, j, k)``
-  range tightening;
-* whole-tensor stores ``t[i, j, k] = expr`` whose indices are lane
-  variables with constant offsets (``u[i - 1, j, k]``) and whose right-hand
-  side is built from ``+ - * /``, scalar arguments, constants and aligned
-  tensor reads.
+* **slices** — when every lane index is *affine* in the launch axes
+  (``i = block_dim.x * block_idx.x + thread_idx.x``), guard masks are
+  conjunctions of lane comparisons with static bounds, ``compress_lanes``
+  tightens ranges and every access is ``t[i +/- c, ...]``, the body becomes
+  whole-array slicing (stencil, Copy/Mul/Add/Triad);
+* **gathers** — otherwise intrinsics become the interpreter's own lane
+  index arrays, tensor accesses gathers/scatters through its offset
+  arithmetic, and ``any_lane`` / ``compress_lanes`` / ``lane_where`` /
+  ``masked_gather`` / ``masked_store`` / ``Atomic.fetch_add`` are emitted
+  inline (fasten, ERI, Dot).  Uniform ``for … in range(<static>)`` loops
+  whose iterations interact only through ``x = x + e`` accumulators run
+  with the loop index as a leading array axis; the accumulators fold in
+  iteration and statement order (:func:`_fold`), so sums stay bitwise.
+  The axis form is used while its temporaries fit :data:`AXIS_BUDGET`
+  elements; above it a loop stays a Python loop in the generated code (short
+  loops that the axis form refuses unroll).  Stores and atomics run once,
+  over all lanes, in the interpreter's order.  Bodies with barriers or
+  shared memory (:func:`repro.gpu.executor.kernel_uses_barrier`) run every
+  block at once on a ``(block, lane)`` axis: shared arrays become
+  ``(blocks, size)``, a ``while any_lane(...)`` test is evaluated per block
+  and blocks whose loop has ended keep their state.
 
-Everything else — ``while`` loops, ``barrier()``, shared memory, masked
-gathers, data-dependent indexing, stores into immutable tensors, and
-multi-chunk launches that read a stored tensor at a shifted index (the lane
-interpreter would see some lanes' writes; whole-array slicing sees none) —
-raises :class:`LoweringUnsupported` internally and surfaces as a ``None``
-entry (i.e. "keep interpreting"), so the interpreter reports exactly what
-it would have.
+Everything else — break/continue, augmented stores, atomics other than
+``fetch_add``, helpers that read thread state, stores into immutable
+tensors, per-block bodies that read a tensor they write, multi-chunk
+gather launches, and multi-chunk slice launches that read a stored tensor
+at a shifted index — raises :class:`LoweringUnsupported` internally and
+surfaces as a ``None`` entry (i.e. "keep interpreting"), so the interpreter
+reports exactly what it would have.
 
-Specialisation key: the generated source bakes slice *bounds* (derived from
-launch extents, scalar argument values and tensor shapes) and is legal only
-for row-major contiguous, mutable-where-stored tensors, so compiled entries
-are memoised in :data:`LOWERED_MEMO` on (kernel function, launch, whether
-the launch is one lane chunk, argument signature), where a tensor's
-signature is its shape, dtype, layout order, strides and mutability.  Each
-kernel body is parsed once, shared with the static analyses
-(:func:`repro.analysis.verifier.kernel_ast`).
-Tensor *data* is rebound on every call (the entry re-reads
-``args[i].ptr``), so replaying a graph with new H2D bindings reuses the
-compiled module.
+Specialisation key: generated source bakes launch extents, scalar argument
+values and tensor layouts, so compiled entries are memoised in
+:data:`LOWERED_MEMO` on (kernel function, launch, whether the launch is one
+lane chunk, argument signature), where a tensor's signature is its shape,
+dtype, layout order, strides, mutability and bounds checking.  Tensor
+*data* is rebound on every call (the entry re-reads ``args[i].ptr``), so
+replaying a graph with new H2D bindings reuses the compiled module.
 """
-
 from __future__ import annotations
 
 import ast
+import builtins
+import itertools
+import math
+import operator
 import re
 import types
+import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.verifier import kernel_ast
+from ..core import atomics as _atomics
+from ..core import intrinsics as _intrinsics
+from ..core.dtypes import dtype_from_any
+from ..core.errors import LaunchError
+from ..core.intrinsics import Dim3
 from ..core.kernel import Kernel, LaunchConfig
 from ..core.layout import LayoutTensor
 from ..core.memo import Memo
-from ..gpu.vector_executor import single_chunk
+from ..gpu.executor import kernel_uses_barrier
+from ..gpu.vector_executor import _grid_geometry, _lane_indices, single_chunk
 
-__all__ = ["LOWERED_MEMO", "LoweringUnsupported", "lower_launch",
-           "lower_source", "lowering_report"]
+__all__ = ["LOWERED_MEMO", "TYPES_MEMO", "LoweringUnsupported",
+           "lower_launch", "lower_source", "lowering_report"]
 
 #: ``(entry, source)`` or ``(None, reason)`` per lowered specialisation
 LOWERED_MEMO = Memo("lowered")
@@ -85,8 +105,6 @@ class LoweringUnsupported(Exception):
 #: intrinsic names whose attributes form affine lane-index expressions
 _AXIS_INTRINSICS = ("thread_idx", "block_idx", "block_dim")
 _AXES = ("x", "y", "z")
-#: scalar-argument references in generated source ("_s<combined index>")
-_SCALAR_TOKEN = re.compile(r"_s(\d+)")
 
 
 class _Axis:
@@ -115,27 +133,22 @@ class _Mask:
 
 
 class _Tensor:
-    """A tensor argument: combined-arg index, shape, mutability and whether
-    the body stores to it and reads it at a non-zero lane offset."""
+    """A tensor argument: combined-arg index, layout facts, and whether the
+    body stores to it and reads it at a non-zero lane offset."""
 
-    __slots__ = ("index", "shape", "mut", "stored", "shifted_read")
+    __slots__ = ("index", "shape", "strides", "dtype", "mut", "bounds_check",
+                 "name", "stored", "shifted_read")
 
-    def __init__(self, index: int, shape: Tuple[int, ...], mut: bool):
+    def __init__(self, index: int, tensor: LayoutTensor, name: str):
         self.index = index
-        self.shape = shape
-        self.mut = mut
+        self.shape = tensor.shape
+        self.strides = tensor.layout.strides
+        self.dtype = np.dtype(tensor.dtype.to_numpy())
+        self.mut = tensor.mut
+        self.bounds_check = tensor.bounds_check
+        self.name = name
         self.stored = False
         self.shifted_read = False
-
-
-class _Scalar:
-    """A scalar argument: combined-arg index plus its captured value."""
-
-    __slots__ = ("index", "value")
-
-    def __init__(self, index: int, value):
-        self.index = index
-        self.value = value
 
 
 def _fail(reason: str) -> "LoweringUnsupported":
@@ -192,7 +205,7 @@ def _eval_static(node, env) -> float:
         return node.value
     if isinstance(node, ast.Name):
         sym = env.get(node.id)
-        if isinstance(sym, _Scalar):
+        if isinstance(sym, _Const) and _const_type(sym.value) is not None:
             return sym.value
         raise _fail(f"name {node.id!r} is not a scalar argument")
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
@@ -358,92 +371,690 @@ def _slices_for(comps: Sequence[Tuple[str, int]], shape: Tuple[int, ...],
     return ", ".join(parts)
 
 
-class _BodyLowerer:
-    """Lower one kernel body's statements into NumPy-slice source lines."""
+# ----------------------------------------------------------- the emitter
+#: axis-form loop nests whose temporaries would exceed this many elements
+#: (loop extents times the launch's lane count) stay Python loops
+AXIS_BUDGET = 1 << 14
+#: static loops refused by the axis form unroll up to this trip count
+UNROLL_MAX = 8
+#: a ``while`` loop over a static test unrolls at most this many times
+_STATIC_WHILE_MAX = 64
 
-    def __init__(self, env: Dict[str, object], extents: Dict[str, int],
-                 tensors: Dict[int, _Tensor]):
-        self.env = env
-        self.extents = extents
-        self.tensors = tensors
-        self.lines: List[str] = []
 
-    # ------------------------------------------------------------ expression
-    def _emit_expr(self, node, lhs_comps, lhs_index: int,
-                   reads_lhs: List[bool]) -> str:
-        env = self.env
-        if isinstance(node, ast.Constant) \
-                and isinstance(node.value, (int, float)):
-            return repr(node.value)
-        if isinstance(node, ast.Name):
-            sym = env.get(node.id)
-            if isinstance(sym, _Scalar):
-                return f"_s{sym.index}"
-            raise _fail(f"unsupported value {node.id!r} in expression")
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return f"(-{self._emit_expr(node.operand, lhs_comps, lhs_index, reads_lhs)})"
-        if isinstance(node, ast.BinOp):
-            ops = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
-            sym = ops.get(type(node.op))
-            if sym is None:
-                raise _fail("unsupported arithmetic operator")
-            left = self._emit_expr(node.left, lhs_comps, lhs_index, reads_lhs)
-            right = self._emit_expr(node.right, lhs_comps, lhs_index, reads_lhs)
-            return f"({left} {sym} {right})"
-        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name):
-            tensor = env.get(node.value.id)
-            if not isinstance(tensor, _Tensor):
-                raise _fail(f"subscript of non-tensor {node.value.id!r}")
-            comps = _index_components(node.slice, env)
-            # Alignment: a read must enumerate lanes exactly as the store
-            # does, else the slice views would pair the wrong elements.
-            if [c[0] for c in comps] != [c[0] for c in lhs_comps]:
-                raise _fail("tensor read indices are not aligned with the "
-                            "store indices")
-            if tensor.index == lhs_index:
-                reads_lhs[0] = True
-            if any(off for _, off in comps):
-                tensor.shifted_read = True
-            return f"_d{tensor.index}[{_slices_for(comps, tensor.shape, env)}]"
-        raise _fail("unsupported expression in kernel body")
+class _OverBudget(LoweringUnsupported):
+    """An axis-form nest would exceed :data:`AXIS_BUDGET` (internal)."""
 
-    # ------------------------------------------------------------- statement
-    def lower_statements(self, body: Sequence[ast.stmt]) -> None:
-        env = self.env
-        for stmt in body:
-            if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant) \
-                    and isinstance(stmt.value.value, str):
-                continue  # docstring
-            if _is_guard_return(stmt, env):
-                continue  # empty lane sets produce empty slices: a no-op
-            if isinstance(stmt, ast.Return) and stmt.value is None:
-                break
-            compress = _match_compress(stmt, env) \
-                if isinstance(stmt, ast.Assign) else None
-            if compress is not None:
-                _apply_compress(compress[0], compress[1], env)
-                continue
-            if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
-                raise _fail(f"unsupported statement {ast.dump(stmt)[:60]}")
-            target = stmt.targets[0]
-            if isinstance(target, ast.Name):
-                self._lower_binding(target.id, stmt.value)
-            elif isinstance(target, ast.Subscript) \
-                    and isinstance(target.value, ast.Name):
-                self._lower_store(target, stmt.value)
-            else:
-                raise _fail("unsupported assignment target")
 
-    def _lower_binding(self, name: str, value) -> None:
-        env = self.env
+class _Const:
+    """A value known at code-generation time (scalar argument, constant,
+    launch extent, module global); *src* names it in generated code."""
+
+    __slots__ = ("value", "src")
+
+    def __init__(self, value, src: Optional[str] = None):
+        self.value = value
+        self.src = src
+
+
+class _Dyn:
+    """A runtime value: *src* is its expression or variable in the generated
+    code, *dtype*/*weak* its NumPy type (``weak`` = a Python scalar in the
+    interpreter, ``None`` = unknown or mixed), *lanes* whether it varies per
+    lane and *axes* the loop (or ``"B"`` block) axes it carries."""
+
+    __slots__ = ("src", "dtype", "weak", "lanes", "axes")
+
+    def __init__(self, src: str, dtype, weak, lanes: bool,
+                 axes=frozenset()):
+        self.src = src
+        self.dtype = dtype
+        self.weak = weak
+        self.lanes = lanes
+        self.axes = axes
+
+    @property
+    def type(self):
+        return (self.dtype, self.weak)
+
+    def same_type(self, other) -> bool:
+        return isinstance(other, _Dyn) and self.type == other.type \
+            and self.lanes == other.lanes and self.axes == other.axes
+
+
+class _Seq:
+    """A Python list or tuple whose structure is resolved at codegen time."""
+
+    __slots__ = ("items", "sid", "mutable", "scope")
+
+    def __init__(self, items, sid: int, mutable: bool, scope: int):
+        self.items = list(items)
+        self.sid = sid
+        self.mutable = mutable
+        self.scope = scope
+
+
+class _SharedArr:
+    """A block-shared allocation: one ``(blocks, size)`` array per launch."""
+
+    __slots__ = ("src", "dtype", "size")
+
+    def __init__(self, src: str, dtype, size: int):
+        self.src = src
+        self.dtype = dtype
+        self.size = size
+
+
+class _Poison:
+    """A name whose interpreter value the generated code does not hold."""
+
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        self.reason = reason
+
+
+class _Frame:
+    """One axis-form loop: its axis position, trip count, the bindings that
+    existed on entry, and the accumulators it folds on exit."""
+
+    __slots__ = ("depth", "trip", "names", "seqs", "accums")
+
+    def __init__(self, depth: int, trip: int, names, seqs):
+        self.depth = depth
+        self.trip = trip
+        self.names = names
+        self.seqs = seqs
+        self.accums: Dict = {}
+
+
+_MISSING = object()
+_BINOPS = {ast.Add: ("+", operator.add), ast.Sub: ("-", operator.sub),
+           ast.Mult: ("*", operator.mul), ast.Div: ("/", operator.truediv),
+           ast.FloorDiv: ("//", operator.floordiv),
+           ast.Mod: ("%", operator.mod), ast.Pow: ("**", operator.pow),
+           ast.BitAnd: ("&", operator.and_), ast.BitOr: ("|", operator.or_),
+           ast.BitXor: ("^", operator.xor)}
+_CMPOPS = {ast.Lt: ("<", operator.lt), ast.LtE: ("<=", operator.le),
+           ast.Gt: (">", operator.gt), ast.GtE: (">=", operator.ge),
+           ast.Eq: ("==", operator.eq), ast.NotEq: ("!=", operator.ne)}
+_PY_KIND = {bool: "b", int: "i", float: "f"}
+_WEAK_DTYPE = {"b": np.dtype(bool), "i": np.dtype(np.int64),
+               "f": np.dtype(np.float64)}
+#: result types of operations and helper calls on sample operands
+TYPES_MEMO = Memo("lower_types")
+
+
+def _const_type(value):
+    """(dtype, weak) of a codegen-time value, or None when not numeric."""
+    kind = _PY_KIND.get(type(value))
+    if kind is not None:
+        return _WEAK_DTYPE[kind], True
+    if isinstance(value, np.generic):
+        return value.dtype, False
+    return None
+
+
+def _sample(t):
+    dtype, weak = t
+    if weak:
+        return {"b": True, "i": 1, "u": 1, "f": 1.0}[dtype.kind]
+    return dtype.type(1)
+
+
+def _result_type(fn, *types):
+    """The interpreter's result (dtype, weak) of ``fn(*operands)``.
+
+    Evaluated on one-element samples, so NumPy's own promotion rules
+    (Python scalars are weak) decide; ``(None, None)`` when unknown.
+    """
+    if any(t is None or t[0] is None or t[1] is None for t in types):
+        return None, None
+    return TYPES_MEMO.get_or_compute(
+        ("op", fn, types),
+        lambda: _value_type(_call_sample(fn, [_sample(t) for t in types])))
+
+
+def _call_sample(fn, samples):
+    """``fn(*samples)``, or None when it raises (then the interpreter's
+    operation raises too, or the type is simply unknown)."""
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
         try:
-            axis = _match_axis_expr(value)
-        except LoweringUnsupported:
-            env[name] = _match_mask(value, env)
-            return
-        env[name] = _Axis(axis, 0, self.extents[axis])
+            return fn(*samples)
+        except Exception:   # noqa: BLE001 - any failure means "unknown"
+            return None
 
-    def _lower_store(self, target: ast.Subscript, value) -> None:
+
+def _value_type(x):
+    if type(x) in _PY_KIND:
+        return _WEAK_DTYPE[_PY_KIND[type(x)]], True
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.dtype, False
+    return None, None
+
+
+def _fold(init, terms, p, ext, dtype):
+    """Fold ``acc = acc + term`` over an axis-form loop nest, in order.
+
+    *terms* carry the loop axes ``p .. p+len(ext)`` (C order = iteration
+    order) in front of the lane axis; every iteration adds its terms in
+    statement order.  The sums run from the initial row in that order
+    (``np.add.accumulate`` along many short columns, or row by row), i.e.
+    exactly the interpreter's sequential additions.
+    """
+    nd = max(np.ndim(t) for t in terms)
+    shapes = [(1,) * (nd - np.ndim(t)) + np.shape(t) for t in terms]
+    ishape = (1,) * (nd - np.ndim(init)) + np.shape(init)
+    full = np.broadcast_shapes(*shapes, ishape)
+    batch, lanes, r = full[:p], full[-1], len(ext)
+    n = int(np.prod(ext))
+    rows = np.empty(batch + (n * len(terms) + 1, lanes), dtype)
+    rows[..., 0, :] = np.reshape(init, ishape[:p] + ishape[-1:])
+    for j, (t, shape) in enumerate(zip(terms, shapes)):
+        t = np.reshape(t, shape[:p + r] + shape[-1:])
+        rows[..., 1 + j::len(terms), :] = np.broadcast_to(
+            t, batch + tuple(ext) + (lanes,)).reshape(batch + (n, lanes))
+    if rows[..., 0, :].size <= rows.shape[p]:
+        out = np.add.accumulate(rows, axis=p)[..., -1, :]
+    else:   # few long rows: add them one by one (the same sums, in order)
+        rows = np.moveaxis(rows, p, 0)
+        out = rows[0].copy()
+        for row in rows[1:]:
+            np.add(out, row, out=out)
+    return out.reshape(batch + (1,) * (nd - 1 - p) + (lanes,)) if p else out
+
+
+def _probe(f, arg_types):
+    """Result type(s) of a pure helper, by calling it on one-element
+    samples: ``(dtype, weak)``, a list of those, or ``(None, None)``."""
+    if not all(t[0] is not None and t[1] is not None for t, _ in arg_types):
+        return None, None
+
+    def probe():
+        out = _call_sample(f, [np.ones(1, t[0]) if array else _sample(t)
+                               for t, array in arg_types])
+        if isinstance(out, tuple):
+            return [_value_type(x) for x in out]
+        return _value_type(out)
+    return TYPES_MEMO.get_or_compute(("call", f, arg_types), probe)
+
+
+def _slice_expression(node) -> bool:
+    """The slice rule's expressions: ``+ - * /``, negation, names,
+    numbers and tensor reads — operations whose results do not depend on
+    the memory layout of the slice views they run on."""
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div))
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, ast.USub)
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (int, float))
+    return isinstance(node, (ast.Name, ast.Subscript))
+
+
+def _reachable_seqs(values) -> List[_Seq]:
+    out, seen, stack = [], set(), list(values)
+    while stack:
+        v = stack.pop()
+        if isinstance(v, _Seq) and id(v) not in seen:
+            seen.add(id(v))
+            out.append(v)
+            stack.extend(v.items)
+    return out
+
+
+def _assigned_names(body) -> set:
+    names = set()
+    for node in body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                names.add(sub.id)
+    return names
+
+
+class _BodyLowerer:
+    """Lower one kernel body's statements into NumPy source lines.
+
+    One emitter, two index rules (see the module docstring).  Under
+    ``rule="slices"`` lane indices are affine :class:`_Axis` ranges, guard
+    masks tighten them and tensor accesses become slices of one lane box;
+    under ``rule="gathers"`` tensor accesses become gathers/scatters
+    through the interpreter's own offset arithmetic, lane helpers and
+    atomics are inlined, uniform loops run with their index as a leading
+    array axis (within :data:`AXIS_BUDGET`), and barrier bodies run every
+    block at once on a ``(block, lane)`` axis.  Expressions are emitted by
+    one evaluator for both.
+    """
+
+    def __init__(self, fn, env: Dict, launch: LaunchConfig, rule: str,
+                 per_block: bool, ns: Dict, n: int = 0):
+        self.globals = getattr(fn, "__globals__", {})
+        self.rule = rule
+        self.extents = _axis_extents(launch)
+        #: (store components, tensor index, [reads the stored tensor]) while
+        #: a slice-rule store's right-hand side is evaluated
+        self.store_target = None
+        self.env = env
+        self.ns = ns
+        self.n = n                  # generated-name counter
+        self.lines: List[str] = []
+        self.indent = 1
+        self.frames: List[_Frame] = []
+        # scope 0 is straight-line (or unrolled) code; every runtime loop,
+        # runtime branch and axis-form loop body opens a new one
+        self.scope = 0
+        self.scopes = itertools.count(1)
+        self.merge_mask: Optional[str] = None   # per-block while mask
+        self.per_block = per_block
+        self.shared: Dict[str, _SharedArr] = {}
+        self.shared_seq = 0
+        self.shared_bytes = 0
+        self.loads = 0
+        self.axis_arrays: List[Tuple[str, int, int]] = []
+        self.reads: set = set()
+        self.writes: set = set()
+        bd, gd = launch.block_dim, launch.grid_dim
+        self.lane_bound = launch.total_threads
+        self.geom = self._geometry(bd, gd)
+
+    # ------------------------------------------------------------ geometry
+    def _geometry(self, bd, gd):
+        """Intrinsic components: launch extents are constants, lane indices
+        the interpreter's own arrays, bound per call by the entry prelude
+        (:func:`_lane_prelude`) so no compiled entry holds them."""
+        geom = {"block_dim": {a: _Const(getattr(bd, a)) for a in _AXES},
+                "grid_dim": {a: _Const(getattr(gd, a)) for a in _AXES}}
+        int64 = np.dtype(np.int64)
+        if self.per_block:
+            self.nblocks, self.tpb = gd.total, bd.total
+        # a one-block launch has a uniform block index: Python ints
+        one_block = gd.total == 1
+        geom["thread_idx"] = {a: _Dyn(f"_t{a}", int64, False, True)
+                              for a in _AXES}
+        geom["block_idx"] = {
+            a: _Const(0) if one_block else
+            _Dyn(f"_b{a}", int64, True, False, frozenset("B"))
+            if self.per_block else _Dyn(f"_b{a}", int64, False, True)
+            for a in _AXES}
+        return geom
+
+    # -------------------------------------------------------------- naming
+    def _new(self, prefix: str = "_t") -> str:
+        self.n += 1
+        return f"{prefix}{self.n}"
+
+    def _sid(self) -> int:
+        self.n += 1
+        return self.n
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.indent + line)
+
+    def const_src(self, c: _Const) -> str:
+        if c.src is None:
+            v = c.value
+            if type(v) in (int, bool) or v is None or (
+                    type(v) is float and math.isfinite(v)):
+                c.src = repr(v)
+            else:
+                known = self.ns.setdefault("_consts", {})
+                c.src = known.get(id(v))
+                if c.src is None:
+                    c.src = known[id(v)] = f"_k{len(known)}"
+                    self.ns[c.src] = v
+        return c.src
+
+    def src(self, v) -> str:
+        if isinstance(v, _Const):
+            if _const_type(v.value) is None and not isinstance(
+                    v.value, (str, type(None))):
+                raise _fail(f"{type(v.value).__name__} used as a value")
+            return self.const_src(v)
+        if isinstance(v, _Dyn):
+            return v.src
+        raise _fail(f"{type(v).__name__} used as a value")
+
+    def vtype(self, v):
+        if isinstance(v, _Const):
+            t = _const_type(v.value)
+            if t is None:
+                raise _fail(f"{type(v.value).__name__} used as a number")
+            return t
+        if isinstance(v, _Dyn):
+            return v.type
+        raise _fail(f"{type(v).__name__} used as a number")
+
+    def temp(self, v, name: Optional[str] = None):
+        """Materialise a runtime value into a variable (Consts pass)."""
+        if not isinstance(v, _Dyn) or (name is None and v.src.isidentifier()):
+            return v
+        target = name or self._new()
+        if v.src != target:
+            self.emit(f"{target} = {v.src}")
+        return _Dyn(target, v.dtype, v.weak, v.lanes, v.axes)
+
+    @staticmethod
+    def lanes_of(*vals) -> bool:
+        return any(isinstance(v, _Dyn) and v.lanes for v in vals)
+
+    @staticmethod
+    def axes_of(*vals):
+        out = frozenset()
+        for v in vals:
+            if isinstance(v, _Dyn):
+                out = out | v.axes
+        return out
+
+    @staticmethod
+    def is_array(v) -> bool:
+        return isinstance(v, _Dyn) and (v.lanes or bool(v.axes))
+
+    # ---------------------------------------------------------- promotion
+    def _operands(self, vals, arith: bool) -> List[str]:
+        """Sources for an elementwise operation, casting any weak value the
+        axis form turned into an array to the dtype the interpreter's
+        Python scalar would have taken against the strong operands."""
+        srcs = [self.src(v) for v in vals]
+        if not any(isinstance(v, _Dyn) and v.axes and v.weak is not False
+                   for v in vals):
+            return srcs
+        types = [self.vtype(v) for v in vals]
+        strong = [t for t in types if t[1] is False]
+        if any(t[0] is None for t in strong):
+            raise _fail("axis form meets an operand of unknown dtype")
+        for k, (v, t) in enumerate(zip(vals, types)):
+            if not (isinstance(v, _Dyn) and v.axes):
+                continue
+            if t[1] is None:            # mixed weak/strong
+                if not strong or any(s[0] != t[0] for s in strong) \
+                        or t[0] is None:
+                    raise _fail("axis form meets a value of mixed type")
+                continue
+            if t[1] is False:
+                continue
+            if not strong:
+                if arith and t[0].kind == "b":
+                    raise _fail("Python bool arithmetic in the axis form")
+                continue
+            target = np.result_type(*(s[0] for s in strong), _sample(t))
+            if target != t[0]:
+                srcs[k] = f"{srcs[k]}.astype({target.name!r})"
+        return srcs
+
+    # --------------------------------------------------------- expressions
+    def ev(self, node):
+        meth = getattr(self, "_e_" + type(node).__name__, None)
+        if meth is None or (self.rule == "slices"
+                            and not _slice_expression(node)):
+            raise _fail(f"unsupported expression {type(node).__name__}")
+        return meth(node)
+
+    def _e_Constant(self, node):
+        return _Const(node.value)
+
+    def _e_Name(self, node):
+        v = self.env.get(node.id, _MISSING)
+        if v is _MISSING:
+            if node.id in self.globals:
+                return _Const(self.globals[node.id])
+            if hasattr(builtins, node.id):
+                return _Const(getattr(builtins, node.id))
+            raise _fail(f"name {node.id!r} is not defined")
+        if isinstance(v, _Poison):
+            raise _fail(f"{node.id!r} {v.reason}")
+        return v
+
+    def _e_Attribute(self, node):
+        base = self.ev(node.value)
+        if not isinstance(base, _Const):
+            raise _fail(f"attribute {node.attr!r} of a runtime value")
+        for name, comps in self.geom.items():
+            if base.value is getattr(_intrinsics, name):
+                if node.attr not in comps:
+                    raise _fail(f"{name}.{node.attr} is not lowerable")
+                return comps[node.attr]
+        try:
+            return _Const(getattr(base.value, node.attr))
+        except AttributeError:
+            raise _fail(f"unknown attribute {node.attr!r}") from None
+
+    def _e_Tuple(self, node):
+        return _Seq([self.temp(self.ev(e)) for e in node.elts],
+                    self._sid(), False, self.scope)
+
+    def _e_List(self, node):
+        seq = self._e_Tuple(node)
+        seq.mutable = True
+        return seq
+
+    def _e_UnaryOp(self, node):
+        v = self.ev(node.operand)
+        if isinstance(v, _Const):
+            try:
+                return _Const({ast.USub: operator.neg, ast.UAdd: operator.pos,
+                               ast.Not: operator.not_,
+                               ast.Invert: operator.invert}[type(node.op)](
+                                   v.value))
+            except Exception:   # noqa: BLE001 - let the runtime raise
+                pass
+        t = self.vtype(v)
+        if isinstance(node.op, ast.Not):
+            if v.lanes:
+                raise _fail("'not' of a lane array")
+            if v.axes:
+                if t[0] is None or t[0].kind != "b":
+                    raise _fail("'not' of a non-boolean in the axis form")
+                return _Dyn(f"(~{v.src})", t[0], True, False, v.axes)
+            return _Dyn(f"(not {v.src})", np.dtype(bool), True, False)
+        sym, fn = {ast.USub: ("-", operator.neg),
+                   ast.UAdd: ("+", operator.pos),
+                   ast.Invert: ("~", operator.invert)}[type(node.op)]
+        rt = _result_type(fn, t)
+        return _Dyn(f"({sym}{self.src(v)})", rt[0], rt[1], v.lanes, v.axes)
+
+    def _e_BinOp(self, node):
+        a, b = self.ev(node.left), self.ev(node.right)
+        sym, fn = _BINOPS.get(type(node.op), (None, None))
+        if sym is None:
+            raise _fail("unsupported binary operator")
+        if isinstance(a, _Seq) and sym == "*" and isinstance(b, _Const) \
+                and type(b.value) is int:
+            return _Seq(a.items * b.value, self._sid(), a.mutable,
+                        self.scope)
+        return self._arith(sym, fn, a, b)
+
+    def _arith(self, sym, fn, a, b):
+        if isinstance(a, _Const) and isinstance(b, _Const) \
+                and _const_type(a.value) and _const_type(b.value):
+            try:
+                return _Const(fn(a.value, b.value))
+            except Exception:   # noqa: BLE001 - let the runtime raise
+                pass
+        ta, tb = self.vtype(a), self.vtype(b)
+        if sym == "**" and any(isinstance(v, _Dyn) and v.axes and v.weak
+                               is not False for v in (a, b)):
+            raise _fail("Python power in the axis form")
+        arith = sym not in ("&", "|", "^")
+        sa, sb = self._operands([a, b], arith)
+        rt = _result_type(fn, ta, tb)
+        return _Dyn(f"({sa} {sym} {sb})", rt[0], rt[1],
+                    self.lanes_of(a, b), self.axes_of(a, b))
+
+    def _e_Compare(self, node):
+        if len(node.ops) != 1 or type(node.ops[0]) not in _CMPOPS:
+            raise _fail("unsupported comparison")
+        sym, fn = _CMPOPS[type(node.ops[0])]
+        return self._arith(sym, fn, self.ev(node.left),
+                           self.ev(node.comparators[0]))
+
+    def _pure(self, fn):
+        """Evaluate *fn* requiring it to emit no statements and no loads."""
+        mark, loads = len(self.lines), self.loads
+        out = fn()
+        if len(self.lines) != mark or self.loads != loads:
+            raise _fail("conditional operand has side effects")
+        return out
+
+    def _e_BoolOp(self, node):
+        vals = [self.ev(node.values[0])] + [
+            self._pure(lambda e=e: self.ev(e)) for e in node.values[1:]]
+        if all(isinstance(v, _Const) for v in vals):
+            out = vals[0].value
+            for v in vals[1:]:
+                out = (out and v.value) if isinstance(node.op, ast.And) \
+                    else (out or v.value)
+            return _Const(out)
+        if self.lanes_of(*vals):
+            raise _fail("'and'/'or' of lane arrays")
+        types = {self.vtype(v) for v in vals}
+        # Python's and/or return an operand: its type when all agree
+        dtype, weak = types.pop() if len(types) == 1 else (None, None)
+        axes = self.axes_of(*vals)
+        if axes:
+            if dtype is None or dtype.kind != "b":
+                raise _fail("'and'/'or' of non-booleans in the axis form")
+            sym = " & " if isinstance(node.op, ast.And) else " | "
+            return _Dyn("(" + sym.join(self.src(v) for v in vals) + ")",
+                        dtype, weak, False, axes)
+        sym = " and " if isinstance(node.op, ast.And) else " or "
+        return _Dyn("(" + sym.join(self.src(v) for v in vals) + ")",
+                    dtype, weak, False)
+
+    def _e_IfExp(self, node):
+        test = self.ev(node.test)
+        if isinstance(test, _Const):
+            return self.ev(node.body if test.value else node.orelse)
+        a = self._pure(lambda: self.ev(node.body))
+        b = self._pure(lambda: self.ev(node.orelse))
+        return self._select(test, a, b)
+
+    def _select(self, test, a, b):
+        """``a if test else b`` for a uniform runtime *test*."""
+        if test.lanes:
+            raise _fail("conditional on a lane array")
+        ta, tb = self.vtype(a), self.vtype(b)
+        if test.axes:
+            if ta != tb or ta[0] is None:
+                raise _fail("axis-form select between different types")
+            return _Dyn(f"np.where({test.src}, {self.src(a)}, {self.src(b)})",
+                        ta[0], ta[1], self.lanes_of(a, b),
+                        self.axes_of(test, a, b))
+        same = ta == tb
+        return _Dyn(f"({self.src(a)} if {test.src} else {self.src(b)})",
+                    ta[0] if same else None, ta[1] if same else None,
+                    self.lanes_of(a, b), self.axes_of(a, b))
+
+    def _e_Subscript(self, node):
+        if self.rule == "slices":
+            return self._slice_load(node)
+        base = self.ev(node.value)
+        if isinstance(base, _Seq):
+            idx = self.ev(node.slice)
+            if not (isinstance(idx, _Const) and type(idx.value) is int):
+                raise _fail("list index is not static")
+            try:
+                return base.items[idx.value]
+            except IndexError:
+                raise _fail("static list index out of range") from None
+        comps = self._index(node.slice)
+        if isinstance(base, _Tensor):
+            return self._load(base, comps)
+        if isinstance(base, _SharedArr):
+            return self._shared_load(base, comps)
+        raise _fail("subscript of an unsupported value")
+
+    def _index(self, node) -> List:
+        elts = node.elts if isinstance(node, ast.Tuple) else [node]
+        comps = [self.ev(e) for e in elts]
+        for c in comps:
+            self.vtype(c)
+        return comps
+
+    # --------------------------------------------------------- memory ops
+    def _offset(self, t: "_Tensor", comps, scalar: bool) -> str:
+        """The interpreter's flat offset for *comps* (checked or not)."""
+        srcs = [self.src(c) for c in comps]
+        if len(comps) != len(t.shape):
+            raise _fail("tensor subscript rank does not match its shape")
+        if t.bounds_check:
+            fn = "offset" if scalar else "offset_array"
+            return f"_L{t.index}.{fn}({', '.join(srcs)})"
+        terms = [s if st == 1 else f"{s} * {st}"
+                 for s, st in zip(srcs, t.strides)]
+        return " + ".join(f"({x})" for x in terms)
+
+    def _load(self, t: "_Tensor", comps):
+        self.loads += 1
+        self.reads.add(t.index)
+        if not any(self.is_array(c) for c in comps):
+            off = self._offset(t, comps, True)
+            if t.dtype == np.float64:
+                return _Dyn(f"_f{t.index}.item({off})", t.dtype, True, False)
+            return _Dyn(f"_f{t.index}[{off}]", t.dtype, False, False)
+        lanes = self.lanes_of(*comps)
+        # a float64 load without lanes is a Python float per iteration
+        weak = (not lanes) and t.dtype == np.float64
+        return _Dyn(f"_f{t.index}[{self._offset(t, comps, False)}]", t.dtype,
+                    weak, lanes, self.axes_of(*comps))
+
+    def _store(self, t: "_Tensor", comps, value) -> None:
+        self._no_side_effects("tensor store")
+        if not t.mut:
+            # the interpreter raises LayoutError here; let it
+            raise _fail(f"store into immutable tensor {t.name!r}")
+        self.writes.add(t.index)
+        scalar = not any(self.is_array(c) for c in comps)
+        self.emit(f"_f{t.index}[{self._offset(t, comps, scalar)}] = "
+                  f"{self.src(value)}")
+
+    def _shared_index(self, sh: _SharedArr, comps) -> str:
+        if len(comps) != 1:
+            raise _fail("shared arrays are one-dimensional")
+        return f"{sh.src}[_bi, {self.src(comps[0])}]"
+
+    def _shared_load(self, sh: _SharedArr, comps):
+        self.loads += 1
+        lanes = self.lanes_of(*comps)
+        return _Dyn(self._shared_index(sh, comps), sh.dtype, False, lanes,
+                    self.axes_of(*comps) | frozenset("B"))
+
+    def _no_side_effects(self, what: str) -> None:
+        if self.frames or self.merge_mask is not None:
+            raise _fail(f"{what} inside an axis-form or per-block loop")
+
+    # ---------------------------------------------------------- slice rule
+    def _slice_stmt(self, stmt) -> bool:
+        env = self.env
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant) \
+                and isinstance(stmt.value.value, str):
+            return False        # docstring
+        if _is_guard_return(stmt, env):
+            return False        # empty lane sets give empty slices: a no-op
+        if isinstance(stmt, ast.Return) and stmt.value is None:
+            return True
+        compress = _match_compress(stmt, env) \
+            if isinstance(stmt, ast.Assign) else None
+        if compress is not None:
+            _apply_compress(compress[0], compress[1], env)
+            return False
+        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
+            raise _fail(f"unsupported statement {ast.dump(stmt)[:60]}")
+        target = stmt.targets[0]
+        if isinstance(target, ast.Name):
+            try:
+                axis = _match_axis_expr(stmt.value)
+            except LoweringUnsupported:
+                env[target.id] = _match_mask(stmt.value, env)
+            else:
+                env[target.id] = _Axis(axis, 0, self.extents[axis])
+        elif isinstance(target, ast.Subscript) \
+                and isinstance(target.value, ast.Name):
+            self._slice_store(target, stmt.value)
+        else:
+            raise _fail("unsupported assignment target")
+        return False
+
+    def _slice_store(self, target: ast.Subscript, value) -> None:
         env = self.env
         tensor = env.get(target.value.id)
         if not isinstance(tensor, _Tensor):
@@ -461,15 +1072,936 @@ class _BodyLowerer:
         if not live_axes <= set(axes):
             raise _fail("store does not cover every populated launch axis")
         slices = _slices_for(comps, tensor.shape, env)
-        reads_lhs = [False]
-        rhs = self._emit_expr(value, comps, tensor.index, reads_lhs)
-        if reads_lhs[0]:
+        self.store_target = (comps, tensor.index, [False])
+        try:
+            rhs = self.src(self.ev(value))
+            reads_lhs = self.store_target[2][0]
+        finally:
+            self.store_target = None
+        if reads_lhs:
             # The store target appears on its right-hand side: materialise
             # the RHS first, as the lane interpreter's gather does, so an
             # overlapping slice copy cannot read half-written data.
             rhs = f"({rhs}).copy()"
         tensor.stored = True
-        self.lines.append(f"_d{tensor.index}[{slices}] = {rhs}")
+        self.emit(f"_d{tensor.index}[{slices}] = {rhs}")
+
+    def _slice_load(self, node):
+        tensor = self.env.get(getattr(node.value, "id", None))
+        if not isinstance(tensor, _Tensor) or self.store_target is None:
+            raise _fail("subscript outside a tensor store's right-hand side")
+        lhs_comps, lhs_index, reads_lhs = self.store_target
+        comps = _index_components(node.slice, self.env)
+        # Alignment: a read must enumerate lanes exactly as the store does,
+        # else the slice views would pair the wrong elements.
+        if [c[0] for c in comps] != [c[0] for c in lhs_comps]:
+            raise _fail("tensor read indices are not aligned with the store "
+                        "indices")
+        if tensor.index == lhs_index:
+            reads_lhs[0] = True
+        if any(off for _, off in comps):
+            tensor.shifted_read = True
+        slices = _slices_for(comps, tensor.shape, self.env)
+        return _Dyn(f"_d{tensor.index}[{slices}]", tensor.dtype, False, True)
+
+    # ---------------------------------------------------------- call sites
+    def _e_Call(self, node):
+        fn = self.ev(node.func)
+        if not isinstance(fn, _Const):
+            raise _fail("call of a runtime value")
+        f = fn.value
+        kw = {k.arg: k.value for k in node.keywords}
+        if None in kw or any(isinstance(a, ast.Starred) for a in node.args):
+            raise _fail("star arguments")
+        handler = self._HELPERS.get(id(f))
+        if handler is not None:
+            return getattr(self, handler)(node, kw)
+        if kw:
+            raise _fail(f"keyword arguments to {getattr(f, '__name__', f)}")
+        args = [self.ev(a) for a in node.args]
+        if isinstance(f, np.ufunc) or f is np.where:
+            return self._numpy_call(f, args)
+        if getattr(f, "__module__", None) == "math" or f in (
+                int, float, abs):
+            return self._scalar_builtin(f, args)
+        if isinstance(f, types.FunctionType):
+            return self._opaque_call(f, args)
+        raise _fail(f"call of {getattr(f, '__name__', type(f).__name__)}")
+
+    def _numpy_call(self, f, args):
+        if all(isinstance(a, _Const) for a in args):
+            return _Const(f(*(a.value for a in args)))
+        types_ = [self.vtype(a) for a in args]
+        srcs = self._operands(args, False)
+        name = getattr(f, "__name__", "")
+        ref = f"np.{name}" if getattr(np, name, None) is f else \
+            self.const_src(_Const(f))
+        rt = _result_type(f, *types_)
+        return _Dyn(f"{ref}({', '.join(srcs)})", rt[0], False,
+                    self.lanes_of(*args), self.axes_of(*args))
+
+    def _scalar_builtin(self, f, args):
+        if all(isinstance(a, _Const) for a in args):
+            return _Const(f(*(a.value for a in args)))
+        if len(args) != 1:
+            raise _fail(f"{f.__name__} with {len(args)} arguments")
+        (a,) = args
+        t = self.vtype(a)
+        if f is abs:
+            return _Dyn(f"abs({a.src})", t[0], t[1], a.lanes, a.axes)
+        if a.lanes:
+            raise _fail(f"{f.__name__}() of a lane array")
+        if a.axes:
+            # the axis form evaluates every iteration's scalar at once
+            if t[0] is None or t[0].kind not in "iuf":
+                raise _fail(f"{f.__name__}() of an unknown type")
+            if f is int:
+                return _Dyn(f"{a.src}.astype('int64')",
+                            np.dtype(np.int64), True, False, a.axes)
+            if f is float:
+                return _Dyn(f"{a.src}.astype('float64')",
+                            np.dtype(np.float64), True, False, a.axes)
+            if f is math.sqrt and t[0] == np.float64:
+                return _Dyn(f"np.sqrt({a.src})", t[0], True, False, a.axes)
+            raise _fail(f"math.{f.__name__} in the axis form")
+        ref = f.__name__ if f in (int, float) else f"math.{f.__name__}"
+        rt = _result_type(f, t)
+        return _Dyn(f"{ref}({a.src})", rt[0], rt[1], False)
+
+    def _opaque_call(self, f, args):
+        code = getattr(f, "__code__", None)
+        if code is None or set(code.co_names) & _KERNEL_STATE_NAMES:
+            raise _fail(f"helper {f.__name__!r} touches kernel state")
+        if self.axes_of(*args) and not self.lanes_of(*args):
+            raise _fail(f"helper {f.__name__!r} on axis-only values")
+        ref = self.const_src(_Const(f))
+        call = f"{ref}({', '.join(self.src(a) for a in args)})"
+        lanes, axes = self.lanes_of(*args), self.axes_of(*args)
+        probe = _probe(f, tuple((self.vtype(a), self.is_array(a))
+                                for a in args))
+        if isinstance(probe, list):
+            names = [self._new() for _ in probe]
+            self.emit(f"{', '.join(names)} = {call}")
+            return _Seq([_Dyn(n, t[0], t[1], lanes, axes)
+                         for n, t in zip(names, probe)], self._sid(), False,
+                        self.scope)
+        return _Dyn(call, probe[0], probe[1], lanes, axes)
+
+    # -- lane helpers ---------------------------------------------------
+    def _h_any_lane(self, node, kw, reducer="any"):
+        (m,) = [self.ev(a) for a in node.args]
+        if isinstance(m, _Const):
+            return _Const(bool(m.value))
+        if not m.lanes:
+            if m.axes:
+                return m
+            return _Dyn(f"bool({m.src})", np.dtype(bool), True, False)
+        if self.per_block:
+            return _Dyn(f"{m.src}.{reducer}(axis=-1, keepdims=True)",
+                        np.dtype(bool), True, False, m.axes | frozenset("B"))
+        return _Dyn(f"bool({m.src}.{reducer}())", np.dtype(bool), True,
+                    False)
+
+    def _h_all_lanes(self, node, kw):
+        return self._h_any_lane(node, kw, "all")
+
+    def _h_lane_where(self, node, kw):
+        m, a, b = [self.ev(x) for x in node.args]
+        if isinstance(m, _Const):
+            return a if m.value else b
+        if not m.lanes:
+            return self._select(m, a, b)
+        rt = _result_type(np.where, m.type,
+                          self.vtype(a), self.vtype(b))
+        sa, sb = self._operands([a, b], False)
+        return _Dyn(f"np.where({m.src}, {sa}, {sb})", rt[0], False, True,
+                    self.axes_of(m, a, b))
+
+    def _h_compress_lanes(self, node, kw):
+        if self.per_block:
+            raise _fail("compress_lanes in a per-block body")
+        vals = [self.ev(a) for a in node.args]
+        m, rest = self.temp(vals[0]), vals[1:]
+        out = []
+        for v in rest:
+            if isinstance(m, _Dyn) and m.lanes and isinstance(v, _Dyn) \
+                    and v.lanes:
+                if v.axes:
+                    raise _fail("compress_lanes of an axis value")
+                out.append(_Dyn(f"{v.src}[{m.src}]", v.dtype, v.weak, True))
+            else:
+                out.append(v)
+        if len(out) == 1:
+            return out[0]
+        return _Seq([self.temp(v) for v in out], self._sid(), False,
+                    self.scope)
+
+    def _h_masked_gather(self, node, kw):
+        args = [self.ev(a) for a in node.args]
+        if "other" in kw:
+            args.append(self.ev(kw.pop("other")))
+        if kw or len(args) not in (3, 4):
+            raise _fail("masked_gather arguments")
+        target, index, mask = args[:3]
+        other = args[3] if len(args) == 4 else _Const(0.0)
+        if not (isinstance(mask, _Dyn) and mask.lanes):
+            raise _fail("masked_gather with a uniform mask")
+        mask = self.temp(mask)
+        safe = self.temp(_Dyn(f"np.where({mask.src}, {self.src(index)}, 0)",
+                              np.dtype(np.int64), False, True,
+                              self.axes_of(mask, index)))
+        if isinstance(target, _Tensor):
+            loaded = self._load(target, [safe])
+        elif isinstance(target, _SharedArr):
+            loaded = self._shared_load(target, [safe])
+        else:
+            raise _fail("masked_gather target")
+        rt = _result_type(np.where, mask.type,
+                          loaded.type, self.vtype(other))
+        return _Dyn(f"np.where({mask.src}, {loaded.src}, {self.src(other)})",
+                    rt[0], False, True, self.axes_of(loaded, mask, other))
+
+    def _h_masked_store(self, node, kw):
+        if kw:
+            raise _fail("masked_store keywords")
+        target, index, value, mask = [self.ev(a) for a in node.args]
+        self._no_side_effects("masked_store")
+        if not (isinstance(mask, _Dyn) and mask.lanes):
+            raise _fail("masked_store with a uniform mask")
+        index, value, mask = (self.temp(v) for v in (index, value, mask))
+        if self.per_block:
+            shape = f"({self.nblocks}, {self.tpb})"
+            m = self.temp(_Dyn(f"np.broadcast_to({mask.src}, {shape})",
+                               mask.dtype, False, True))
+        else:
+            shape, m = f"{mask.src}.shape", mask
+        self.emit(f"if {m.src}.any():")
+        self.indent += 1
+        idx = self.temp(_Dyn(
+            f"np.broadcast_to(np.asarray({self.src(index)}), {shape})"
+            f"[{m.src}]", np.dtype(np.int64), False, True))
+        val = self.temp(_Dyn(
+            f"np.broadcast_to(np.asarray({self.src(value)}), {shape})"
+            f"[{m.src}]", None, False, True))
+        if isinstance(target, _SharedArr):
+            self.emit(f"{target.src}[np.broadcast_to(_bi, {shape})[{m.src}], "
+                      f"{idx.src}] = {val.src}")
+        elif isinstance(target, _Tensor):
+            self._store(target, [idx], val)
+        else:
+            raise _fail("masked_store target")
+        self.indent -= 1
+        return None
+
+    def _h_barrier(self, node, kw):
+        if not self.per_block:
+            raise _fail("barrier in a whole-grid body")
+        if self.frames:
+            raise _fail("barrier inside an axis-form loop")
+        if self.merge_mask is not None:
+            self.emit(f"_nbar += {self.tpb} * int({self.merge_mask}.sum())")
+        else:
+            self.emit(f"_nbar += {self.nblocks * self.tpb}")
+        return None
+
+    def _h_shared_array(self, node, kw):
+        args = [self.ev(a) for a in node.args]
+        key = self.ev(kw.pop("key")) if "key" in kw else _Const(None)
+        space = self.ev(kw.pop("address_space")) if "address_space" in kw \
+            else _Const(_intrinsics.AddressSpace.SHARED)
+        if kw or len(args) != 2 or not all(
+                isinstance(v, _Const) for v in args + [key, space]):
+            raise _fail("shared allocation arguments are not static")
+        if space.value != _intrinsics.AddressSpace.SHARED:
+            raise _fail("thread-local stack allocation")
+        if not self.per_block or self.scope:
+            raise _fail("shared allocation outside a static per-block body")
+        key = key.value if key.value is not None \
+            else f"__shared_{self.shared_seq}"
+        self.shared_seq += 1
+        sh = self.shared.get(key)
+        if sh is None:
+            dtype = np.dtype(dtype_from_any(args[1].value).to_numpy())
+            sh = self.shared[key] = _SharedArr(self._new("_sh"), dtype,
+                                               int(args[0].value))
+            self.emit(f"{sh.src} = np.zeros(({self.nblocks}, {sh.size}), "
+                      f"{dtype.name!r})")
+            self.shared_bytes += sh.size * dtype.itemsize
+        return sh
+
+    def _h_fetch_add(self, node, kw):
+        if kw or len(node.args) != 3:
+            raise _fail("Atomic.fetch_add form")
+        target = self.ev(node.args[0])
+        if not isinstance(target, _Tensor):
+            raise _fail("atomic target is not a tensor argument")
+        comps = self._index(node.args[1])
+        value = self.temp(self.ev(node.args[2]))
+        self._no_side_effects("atomic")
+        if not target.mut:
+            raise _fail(f"atomic on immutable tensor {target.name!r}")
+        self.writes.add(target.index)
+        f = f"_f{target.index}"
+        tuple_index = isinstance(node.args[1], ast.Tuple)
+        srcs = ", ".join(self.src(c) for c in comps)
+        if not any(self.is_array(c) for c in comps):
+            # one read-modify-write, resolved exactly as the interpreter does
+            self.ns["_Atomic"] = _atomics.Atomic
+            index = f"({srcs},)" if tuple_index else srcs
+            self.emit("_nat += 1")
+            self.emit(f"_Atomic.fetch_add(_T{target.index}, {index}, "
+                      f"{self.src(value)})")
+            return None
+        flat = self._new()
+        if tuple_index:
+            self.emit(f"{flat} = np.asarray(_L{target.index}.offset_array("
+                      f"{srcs}), dtype=np.intp)")
+        else:
+            self.emit(f"{flat} = np.asarray({srcs}, dtype=np.intp)")
+        self.emit(f"if {flat}.size and (int({flat}.min()) < 0 or "
+                  f"int({flat}.max()) >= {f}.size):")
+        self.emit(f"    raise _LaunchError(f'atomic lane index out of bounds "
+                  f"for size {{{f}.size}}')")
+        self.emit(f"_nat += int({flat}.size)")
+        self.emit("with _ATOMIC_LOCK:")
+        self.emit(f"    np.add.at({f}, {flat}, {self.src(value)})")
+        return None
+
+    def _h_unsupported(self, node, kw):
+        raise _fail("unsupported intrinsic call")
+
+    # ---------------------------------------------------------- statements
+    def run(self, body) -> bool:
+        """Lower *body*; True when it ends in a ``return``."""
+        for stmt in body:
+            if self.stmt(stmt):
+                return True
+        return False
+
+    def stmt(self, node) -> bool:
+        if self.rule == "slices":
+            return self._slice_stmt(node)
+        meth = getattr(self, "_s_" + type(node).__name__, None)
+        if meth is None:
+            raise _fail(f"unsupported statement {type(node).__name__}")
+        return bool(meth(node))
+
+    def _s_Pass(self, node):
+        return False
+
+    def _s_Expr(self, node):
+        if isinstance(node.value, ast.Constant):
+            return False        # docstring
+        if not isinstance(node.value, ast.Call):
+            raise _fail("expression statement")
+        call = node.value
+        if isinstance(call.func, ast.Attribute) \
+                and call.func.attr == "append" \
+                and len(call.args) == 1 and not call.keywords:
+            seq = self.ev(call.func.value)
+            if isinstance(seq, _Seq) and seq.mutable:
+                if seq.scope != self.scope:
+                    raise _fail("append to a list from an enclosing loop")
+                seq.items.append(self.temp(self.ev(call.args[0])))
+                return False
+        fn = self.ev(call.func)
+        if not (isinstance(fn, _Const)
+                and self._HELPERS.get(id(fn.value)) in self._STATEMENTS):
+            raise _fail("call statement with no lowerable effect")
+        self.ev(node.value)
+        return False
+
+    def _s_Return(self, node):
+        if node.value is not None:
+            raise _fail("kernel returns a value")
+        if self.frames or self.merge_mask is not None or self.per_block:
+            raise _fail("return inside an axis-form or per-block body")
+        self.emit("return _nbar, _nat")
+        return True
+
+    def _s_AugAssign(self, node):
+        if not isinstance(node.target, ast.Name):
+            raise _fail("augmented store")
+        cur = self.ev(node.target)
+        sym, fn = _BINOPS.get(type(node.op), (None, None))
+        if sym is None:
+            raise _fail("unsupported augmented operator")
+        value = self.ev(node.value)
+        if isinstance(cur, _Dyn) and cur.weak is not True:
+            raise _fail("in-place update of an array")
+        self.bind(node.target.id, self._arith(sym, fn, cur, value))
+        return False
+
+    def _s_Assign(self, node):
+        if len(node.targets) != 1:
+            raise _fail("chained assignment")
+        target = node.targets[0]
+        if self._accumulate(target, node.value):
+            return False
+        if isinstance(target, ast.Subscript):
+            base = self.ev(target.value)
+            if isinstance(base, _Seq):
+                idx = self.ev(target.slice)
+                if not (isinstance(idx, _Const) and type(idx.value) is int
+                        and base.mutable
+                        and -len(base.items) <= idx.value < len(base.items)):
+                    raise _fail("list store with a runtime index")
+                self.store(("s", base, idx.value % len(base.items)),
+                           self.ev(node.value))
+                return False
+            value = self.ev(node.value)
+            comps = self._index(target.slice)
+            if isinstance(base, _Tensor):
+                self._store(base, comps, value)
+            elif isinstance(base, _SharedArr):
+                self._no_side_effects("shared store")
+                self.emit(f"{self._shared_index(base, comps)} = "
+                          f"{self.src(value)}")
+            else:
+                raise _fail("store into an unsupported value")
+            return False
+        self._assign(target, self.ev(node.value))
+        return False
+
+    def _assign(self, target, value) -> None:
+        if isinstance(target, ast.Name):
+            self.bind(target.id, value)
+            return
+        if not isinstance(target, (ast.Tuple, ast.List)):
+            raise _fail("unsupported assignment target")
+        n = len(target.elts)
+        if isinstance(value, _Seq):
+            if len(value.items) != n:
+                raise _fail("unpacking arity mismatch")
+            for t, v in zip(target.elts, list(value.items)):
+                self._assign(t, v)
+            return
+        if isinstance(value, _Dyn) and value.dtype is None:
+            names = [self._new() for _ in range(n)]
+            self.emit(f"{', '.join(names)} = {value.src}")
+            for t, name in zip(target.elts, names):
+                self._assign(t, _Dyn(name, None, None, value.lanes,
+                                     value.axes))
+            return
+        raise _fail("unpacking of a non-sequence")
+
+    # -- bindings -----------------------------------------------------
+    # Bindings are keyed ("n", name) for a variable and ("s", seq, index)
+    # for a slot of a codegen-time list; each has one stable runtime name.
+    @staticmethod
+    def _stable(key) -> str:
+        return f"v_{key[1]}" if key[0] == "n" else f"_q{key[1].sid}_{key[2]}"
+
+    def _get(self, key, default=_MISSING):
+        if key[0] == "n":
+            return self.env.get(key[1], default)
+        return key[1].items[key[2]]
+
+    def _set(self, key, value) -> None:
+        if key[0] == "n":
+            self.env[key[1]] = value
+        else:
+            key[1].items[key[2]] = value
+
+    def _outer_frame(self, key) -> Optional[_Frame]:
+        """The outermost axis-form loop that *key* was bound before."""
+        for frame in self.frames:
+            if (key[1] in frame.names) if key[0] == "n" \
+                    else (id(key[1]) in frame.seqs):
+                return frame
+        return None
+
+    def bind(self, name: str, value) -> None:
+        self.store(("n", name), value)
+
+    def store(self, key, value) -> None:
+        if self.frames and not isinstance(value, _Const) \
+                and self._outer_frame(key) is not None:
+            raise _fail("a binding from outside an axis-form loop is "
+                        "reassigned inside it")
+        if self.merge_mask is not None and isinstance(value, _Dyn) \
+                and isinstance(self._get(key, None), _Dyn):
+            value = self._merge(self._get(key), value)
+        if isinstance(value, _Dyn):
+            value = self.temp(value, self._stable(key))
+        self._set(key, value)
+
+    def _merge(self, old: _Dyn, new: _Dyn) -> _Dyn:
+        """Per-block while: blocks whose loop has ended keep *old*."""
+        if old.type == new.type:
+            dtype, weak = old.type
+        elif old.dtype == new.dtype and old.dtype is not None \
+                and old.dtype in _WEAK_DTYPE.values():
+            dtype, weak = old.dtype, None
+        else:
+            raise _fail("per-block loop changes a value's type")
+        return _Dyn(f"np.where({self.merge_mask}, {new.src}, {old.src})",
+                    dtype, weak, old.lanes or new.lanes,
+                    old.axes | new.axes | frozenset("B"))
+
+    # -- accumulation ---------------------------------------------------
+    def _accumulate(self, target, value) -> bool:
+        """``x = x + e`` inside an axis-form loop: record the term."""
+        if not (self.frames and isinstance(value, ast.BinOp)
+                and isinstance(value.op, ast.Add)
+                and ast.unparse(value.left) == ast.unparse(target)):
+            return False
+        if isinstance(target, ast.Name):
+            key = ("n", target.id)
+        elif isinstance(target, ast.Subscript):
+            seq = self.ev(target.value)
+            idx = self.ev(target.slice)
+            if not (isinstance(seq, _Seq) and isinstance(idx, _Const)
+                    and type(idx.value) is int
+                    and -len(seq.items) <= idx.value < len(seq.items)):
+                return False
+            key = ("s", seq, idx.value % len(seq.items))
+        else:
+            return False
+        cur = self._get(key)
+        frame = self._outer_frame(key)
+        if frame is None or cur is _MISSING:
+            return False
+        inner = self.frames[-1]
+        acc = frame.accums.get(key)
+        if acc is None:
+            if isinstance(cur, _Poison):
+                raise _fail("accumulator folds in two loops")
+            acc = frame.accums[key] = {
+                "key": key, "init": cur, "terms": [], "inner": inner,
+                "ext": tuple(f.trip for f in self.frames[frame.depth:])}
+            self._set(key, _Poison("is an accumulator read inside its "
+                                   "loop"))
+        elif acc["inner"] is not inner:
+            raise _fail("accumulator updated from two loop bodies")
+        term = self.temp(self.ev(value.right))
+        self.vtype(term)
+        acc["terms"].append(term)
+        return True
+
+    def _fold_frame(self, frame: _Frame) -> None:
+        for acc in frame.accums.values():
+            init, terms = acc["init"], acc["terms"]
+            t = self.vtype(init)
+            for _ in range(2):
+                for term in terms:
+                    t = _result_type(operator.add, t, term.type)
+            if t[0] is None or t[1] is None:
+                raise _fail("accumulator type is not static")
+            key = acc["key"]
+            name = self._stable(key)
+            lanes = self.lanes_of(init, *terms)
+            axes = self.axes_of(init, *terms) - frozenset(
+                range(frame.depth, frame.depth + len(acc["ext"])))
+            self.emit(f"{name} = _fold({self.src(init)}, "
+                      f"({''.join(x.src + ', ' for x in terms)}), "
+                      f"{frame.depth}, {acc['ext']!r}, {t[0].name!r})")
+            if not lanes and not axes:
+                self.emit(f"{name} = {name}.item()" if t[1] else
+                          f"{name} = {name}[0]")
+            self._set(key, _Dyn(name, t[0], t[1], lanes, axes))
+
+    # ---------------------------------------------------------------- if
+    def _s_If(self, node):
+        test = self.ev(node.test)
+        if isinstance(test, _Const):
+            return self.run(node.body if test.value else node.orelse)
+        if test.lanes:
+            raise _fail("if on a lane array")
+        if test.axes:
+            return self._if_select(test, node)
+        return self._if_runtime(test, node)
+
+    def _if_select(self, test, node) -> bool:
+        """An axis-varying test: both branches are pure assignments merged
+        with ``np.where``, as the interpreter's per-iteration branch."""
+        test = self.temp(test)
+        results = []
+        before = dict(self.env)
+        for body in (node.body, node.orelse):
+            self.env = dict(before)
+            for stmt in body:
+                if not (isinstance(stmt, ast.Assign)
+                        and len(stmt.targets) == 1
+                        and isinstance(stmt.targets[0], ast.Name)):
+                    raise _fail("axis-form branch is not pure assignments")
+                value = self._pure(lambda s=stmt: self.ev(s.value))
+                self.env[stmt.targets[0].id] = value
+            results.append(self.env)
+        self.env = before
+        for name in sorted(set(results[0]) | set(results[1])):
+            a, b = results[0].get(name), results[1].get(name)
+            if a is b:
+                continue
+            if a is None or b is None:
+                self.env[name] = _Poison("is bound on one branch only")
+                continue
+            self.bind(name, self._select(test, a, b))
+        return False
+
+    def _if_runtime(self, test, node) -> bool:
+        assigned = _assigned_names(node.body + node.orelse)
+        for name in sorted(assigned):
+            cur = self.env.get(name)
+            if isinstance(cur, _Const) and _const_type(cur.value):
+                self.bind(name, _Dyn(self.const_src(cur),
+                                     *_const_type(cur.value), False))
+        saved, before = self._save_env(), self._bindings()
+        live = []
+        scope, self.scope = self.scope, next(self.scopes)
+        for header, body in ((f"if {test.src}:", node.body),
+                             ("else:", node.orelse)):
+            self._restore_env(saved)
+            if body:
+                self.emit(header)
+                self.indent += 1
+                mark = len(self.lines)
+                if self.run(body):
+                    self.indent -= 1
+                    continue            # this branch returned
+                if len(self.lines) == mark:
+                    self.emit("pass")
+                self.indent -= 1
+            live.append(self._bindings())
+        self.scope = scope
+        self._restore_env(saved)
+        if not live:
+            return True
+        for key in set().union(*live):
+            vals = [b.get(key, _MISSING) for b in live]
+            old = before.get(key, _MISSING)
+            if all(v is old for v in vals):
+                continue
+            first = vals[0]
+            if all(v is first for v in vals) or all(
+                    isinstance(v, _Dyn) and v.same_type(first)
+                    and v.src == first.src for v in vals):
+                self._set(key, first)
+            elif key[0] == "n" or old is not _MISSING:
+                self._set(key, _Poison("differs between branches"))
+        return False
+
+    # -------------------------------------------------------------- loops
+    def _s_For(self, node):
+        it = node.iter
+        if node.orelse or not isinstance(node.target, ast.Name) or not (
+                isinstance(it, ast.Call) and isinstance(it.func, ast.Name)
+                and it.func.id == "range" and not it.keywords
+                and 1 <= len(it.args) <= 3):
+            raise _fail("loop is not 'for name in range(...)'")
+        bounds = [self.ev(a) for a in it.args]
+        var = node.target.id
+        if all(isinstance(b, _Const) and isinstance(b.value, (int, np.integer))
+               for b in bounds):
+            trip = range(*(int(b.value) for b in bounds))
+            if len(trip) == 0:
+                return False
+            over = False
+            if len(trip) > 1 and len(it.args) == 1:
+                try:
+                    return self._attempt(lambda: self._for_axis(
+                        node, var, len(trip)))
+                except _OverBudget:
+                    over = True
+                except LoweringUnsupported:
+                    pass
+            short = len(trip) <= UNROLL_MAX
+            if self.frames and not short:
+                raise _OverBudget("loop nest exceeds the axis budget") \
+                    if over else _fail("loop inside an axis-form loop")
+            if self.frames or (short and not over):
+                return self._unroll(node.body, var, trip)
+            header = f"for v_{var} in {trip!r}:"
+            if short:   # over budget: a Python loop, else unrolled
+                try:
+                    return self._attempt(lambda: self._python_for(
+                        node, var, header, True))
+                except LoweringUnsupported:
+                    return self._unroll(node.body, var, trip)
+            known = True
+        else:
+            if self.frames:
+                raise _fail("runtime loop inside an axis-form loop")
+            for b in bounds:
+                if self.is_array(b):
+                    raise _fail("range() of an array")
+            srcs = ", ".join(self.src(b) for b in bounds)
+            header = f"for v_{var} in range({srcs}):"
+            known = False
+
+        return self._python_for(node, var, header, known)
+
+    def _unroll(self, body, var: str, trip) -> bool:
+        for k in trip:
+            self.env[var] = _Const(k)
+            if self.run(body):
+                return True
+        return False
+
+    def _python_for(self, node, var: str, header: str, known: bool) -> bool:
+        def prepare():
+            self.env[var] = _Dyn(f"v_{var}", np.dtype(np.int64), True, False)
+            return header
+        self._runtime_loop(prepare, node.body, known, {var})
+        return False
+
+    def _attempt(self, fn):
+        state = self._save()
+        try:
+            return fn()
+        except LoweringUnsupported:
+            self._restore(state)
+            raise
+
+    def _save_env(self):
+        seqs = _reachable_seqs(list(self.env.values()))
+        return dict(self.env), [(s, list(s.items)) for s in seqs]
+
+    def _restore_env(self, saved) -> None:
+        env, seqs = saved
+        self.env = dict(env)
+        for seq, items in seqs:
+            seq.items = list(items)
+
+    def _save(self):
+        return (self._save_env(), len(self.lines), self.loads,
+                dict(self.shared), self.shared_seq, self.shared_bytes,
+                len(self.axis_arrays), set(self.reads), set(self.writes),
+                self.n, self.indent)
+
+    def _restore(self, state) -> None:
+        (saved, nlines, self.loads, self.shared, self.shared_seq,
+         self.shared_bytes, naxes, self.reads, self.writes, self.n,
+         self.indent) = state
+        self._restore_env(saved)
+        del self.lines[nlines:]
+        del self.axis_arrays[naxes:]
+
+    def _for_axis(self, node, var: str, trip: int) -> bool:
+        extent = trip * self.lane_bound
+        for f in self.frames:
+            extent *= f.trip
+        if extent > AXIS_BUDGET:
+            raise _OverBudget("axis form exceeds the budget")
+        if self.per_block or self.merge_mask is not None:
+            raise _fail("axis form in a per-block body")
+        live = {k for k, v in self.env.items() if not isinstance(v, _Poison)}
+        frame = _Frame(len(self.frames), trip, live,
+                       {id(s) for s in _reachable_seqs(
+                           list(self.env.values()))})
+        src = self._new("_ax")
+        self.axis_arrays.append((src, frame.depth, trip))
+        self.env[var] = _Dyn(src, np.dtype(np.int64), True, False,
+                             frozenset({frame.depth}))
+        self.frames.append(frame)
+        scope, self.scope = self.scope, next(self.scopes)
+        try:
+            self.run(node.body)
+        finally:
+            self.frames.pop()
+            self.scope = scope
+        self._fold_frame(frame)
+        for name, v in list(self.env.items()):
+            if name not in live and not isinstance(v, (_Const, _Poison)):
+                self.env[name] = _Poison("is local to an axis-form loop")
+        self.env[var] = _Const(trip - 1)
+        return False
+
+    def _s_While(self, node):
+        if node.orelse:
+            raise _fail("while/else")
+        for _ in range(_STATIC_WHILE_MAX):
+            state = self._save()
+            test = self.ev(node.test)
+            if not isinstance(test, _Const):
+                self._restore(state)
+                break
+            if not test.value:
+                return False
+            if self.run(node.body):
+                return True
+        else:
+            raise _fail("static while loop does not terminate")
+        if self.frames or self.merge_mask is not None:
+            raise _fail("runtime while inside an axis-form or per-block loop")
+        if test.lanes:
+            raise _fail("while on a lane array")
+        if test.axes:
+            return self._while_per_block(node)
+
+        def prepare():
+            return f"while {self.ev(node.test).src}:"
+        self._runtime_loop(prepare, node.body, False, set())
+        return False
+
+    def _while_per_block(self, node) -> bool:
+        """``while any_lane(c)`` per block; finished blocks keep state."""
+        mask = self._new("_w")
+
+        def prepare():
+            test = self.ev(node.test)
+            self.emit(f"{mask} = {test.src}")
+            self.merge_mask = mask
+            return f"while {mask}.any():"
+
+        def tail():
+            self.emit(f"{mask} = {mask} & {self.ev(node.test).src}")
+        try:
+            self._runtime_loop(prepare, node.body, False, set(), tail)
+        finally:
+            self.merge_mask = None
+        return False
+
+    def _runtime_loop(self, prepare, body, known: bool, local: set,
+                      tail=None) -> None:
+        """Emit a Python loop whose body is lowered once.
+
+        Bindings the body changes are materialised into stable variables
+        first; the body is then lowered until its code and the bindings'
+        types reach a fixed point, so the single emitted body is valid for
+        every iteration.  When the loop may run zero times, a binding whose
+        type the loop changes is joined (or poisoned) afterwards.
+        """
+        scope, self.scope = self.scope, next(self.scopes)
+        try:
+            base = self._save()
+            before = self._bindings()
+            self._loop_pass(prepare, body, tail)
+            after = self._bindings()
+            self._restore(base)
+            for key, v in before.items():
+                if key[0] == "n" and key[1] in local:
+                    continue
+                if not self._unchanged(v, after.get(key)):
+                    self._stabilise(key)
+            entry = self._save()
+            entry_b = self._bindings()
+            code, exit_b = self._loop_pass(prepare, body, tail)
+            if not self._types_match(entry_b, exit_b, local, entry_b):
+                # lower again at the loop-carried types of iteration two
+                self._restore(entry)
+                for key, v in exit_b.items():
+                    if key in entry_b and isinstance(v, _Dyn) and not (
+                            key[0] == "n" and key[1] in local):
+                        self._set(key, v)
+                code2, exit2 = self._loop_pass(prepare, body, tail)
+                if code2 != code or not self._types_match(
+                        exit_b, exit2, local, entry_b):
+                    raise _fail("loop-carried values do not reach a fixed "
+                                "point")
+                exit_b = exit2
+            self.lines.extend(code)
+            if not known:
+                self._join_after_loop(entry_b, exit_b)
+        finally:
+            self.scope = scope
+
+    def _bindings(self) -> Dict:
+        out = {("n", k): v for k, v in self.env.items()}
+        for seq in _reachable_seqs(list(self.env.values())):
+            for i, v in enumerate(seq.items):
+                out[("s", seq, i)] = v
+        return out
+
+    def _join_after_loop(self, entry: Dict, exit_: Dict) -> None:
+        """A loop that may not run: each binding is its entry or exit value."""
+        for key, v in exit_.items():
+            e = entry.get(key, _MISSING)
+            if e is v:
+                continue
+            if e is _MISSING:
+                if key[0] == "n":
+                    self._set(key, _Poison("is bound inside a loop that "
+                                           "may not run"))
+                continue
+            if isinstance(e, _Dyn) and isinstance(v, _Dyn) \
+                    and e.src == v.src and e.dtype == v.dtype \
+                    and e.dtype is not None and (
+                        (e.lanes, e.axes) == (v.lanes, v.axes)
+                        or e.dtype.kind == "f"):
+                weak = e.weak if e.weak == v.weak else None
+                self._set(key, _Dyn(v.src, v.dtype, weak, e.lanes or v.lanes,
+                                    e.axes | v.axes))
+            else:
+                self._set(key, _Poison("may or may not be updated by a "
+                                       "loop"))
+
+    def _loop_pass(self, prepare, body, tail):
+        mark = len(self.lines)
+        self.emit(prepare())
+        self.indent += 1
+        inner = len(self.lines)
+        self.run(body)
+        if tail is not None:
+            tail()
+        if len(self.lines) == inner:
+            self.emit("pass")
+        self.indent -= 1
+        code = self.lines[mark:]
+        del self.lines[mark:]
+        return code, self._bindings()
+
+    @staticmethod
+    def _unchanged(old, new) -> bool:
+        if old is new:
+            return True
+        if isinstance(old, _Const) and isinstance(new, _Const):
+            return type(old.value) is type(new.value) \
+                and old.value == new.value
+        return False
+
+    @staticmethod
+    def _types_match(a: Dict, b: Dict, local: set, keys) -> bool:
+        """Do the loop-carried bindings *keys* have equal types in a, b?"""
+        for key in keys:
+            v = a.get(key)
+            if (key[0] == "n" and key[1] in local) or not isinstance(v, _Dyn):
+                continue
+            w = b.get(key)
+            if not (isinstance(w, _Dyn) and v.same_type(w)
+                    and v.src == w.src):
+                return False
+        return True
+
+    def _stabilise(self, key) -> None:
+        v, name = self._get(key), self._stable(key)
+        if isinstance(v, _Const):
+            t = _const_type(v.value)
+            if t is None:
+                raise _fail("a non-numeric binding is rebound inside a loop")
+            v = _Dyn(self.const_src(v), t[0], t[1], False)
+        if not isinstance(v, _Dyn):
+            raise _fail("a non-numeric binding is rebound inside a loop")
+        self._set(key, self.temp(v, name))
+
+
+#: names whose use inside a helper means it reads per-thread kernel state,
+#: which generated code does not bind
+_KERNEL_STATE_NAMES = frozenset(
+    sum((list(v) for v in _intrinsics.SIMT_MODEL.values()), [])
+    + ["current_thread_state", "bind_thread_state", "Atomic",
+       *_atomics.ATOMIC_FUNCTIONS])
+_BodyLowerer._HELPERS = {id(f): h for f, h in (
+    (_intrinsics.any_lane, "_h_any_lane"),
+    (_intrinsics.all_lanes, "_h_all_lanes"),
+    (_intrinsics.lane_where, "_h_lane_where"),
+    (_intrinsics.compress_lanes, "_h_compress_lanes"),
+    (_intrinsics.masked_gather, "_h_masked_gather"),
+    (_intrinsics.masked_store, "_h_masked_store"),
+    (_intrinsics.barrier, "_h_barrier"),
+    (_intrinsics.shared_array, "_h_shared_array"),
+    (_intrinsics.stack_allocation, "_h_shared_array"),
+    (_atomics.Atomic.fetch_add, "_h_fetch_add"),
+    (_intrinsics.global_idx, "_h_unsupported"),
+    (_intrinsics.current_thread_state, "_h_unsupported"),
+    (_atomics.Atomic.fetch_max, "_h_unsupported"),
+    (_atomics.Atomic.fetch_min, "_h_unsupported"),
+    (_atomics.Atomic.compare_exchange, "_h_unsupported"),
+    (_atomics.atomic_add, "_h_unsupported"),
+    (_atomics.atomic_max, "_h_unsupported"),
+    (_atomics.atomic_min, "_h_unsupported"))}
+_BodyLowerer._STATEMENTS = frozenset(
+    {"_h_masked_store", "_h_barrier", "_h_fetch_add"})
 
 
 # ------------------------------------------------------------------ assembly
@@ -479,7 +2011,7 @@ def _arg_signature(args: Sequence) -> Tuple:
         if isinstance(a, LayoutTensor):
             lay = a.layout
             sig.append(("T", lay.shape, a.dtype.name, lay.order, lay.strides,
-                        a.mut))
+                        a.mut, a.bounds_check))
         elif isinstance(a, (int, float, np.integer, np.floating)):
             sig.append(("S", type(a).__name__, a))
         else:
@@ -505,10 +2037,10 @@ def _bind_params(fn, args: Sequence, indices: Sequence[int],
                 raise _fail(f"tensor {pname!r} is not row-major contiguous")
             sym = tensors.get(idx)
             if sym is None:
-                sym = tensors[idx] = _Tensor(idx, a.shape, a.mut)
+                sym = tensors[idx] = _Tensor(idx, a, pname)
             env[pname] = sym
         elif isinstance(a, (int, float, np.integer, np.floating)):
-            env[pname] = _Scalar(idx, a)
+            env[pname] = _Const(a, f"_s{idx}")
         else:
             raise _fail(f"unsupported argument type {type(a).__name__}")
     return env, fdef
@@ -519,50 +2051,135 @@ def _fused_parts(kern) -> Optional[Tuple]:
     return getattr(fn, "_repro_fused_parts", None)
 
 
-def _generate(kern, args: Sequence, launch: LaunchConfig) -> Tuple[object, str]:
-    """Build (entry, source) for a launch; raises LoweringUnsupported."""
-    extents = _axis_extents(launch)
+def _kernel_parts(kern, args: Sequence):
     parts = _fused_parts(kern)
     if parts is None:
         fn = kern.fn if isinstance(kern, Kernel) else kern
         parts = ((fn, tuple(range(len(args)))),)
+    return [(fn.fn if isinstance(fn, Kernel) else fn, indices)
+            for fn, indices in parts]
+
+
+def _kernel_name(kern) -> str:
+    return kern.name if isinstance(kern, Kernel) else \
+        getattr(kern, "__name__", "kernel")
+
+
+def _compile(kern, launch, source: str, ns: Optional[Dict] = None):
+    name = _kernel_name(kern)
+    source = f"# lowered from kernel {name!r} for launch {launch}\n{source}"
+    module = types.ModuleType(f"_repro_lowered_{name}")
+    module.__dict__.update(ns or {})
+    exec(compile(source, f"<lowered:{name}>", "exec"), module.__dict__)
+    return module._entry, source
+
+
+#: generated-code references to argument ``i``: flat data, layout, tensor,
+#: scalar, and the row-major view the slice rule indexes
+_ARG_TOKEN = re.compile(r"(?<![\w])_([fLTsd])(\d+)\b")
+_ARG_PRELUDE = {"f": "args[{i}].ptr", "L": "args[{i}].layout",
+                "T": "args[{i}]", "s": "args[{i}]",
+                "d": "args[{i}].ptr[:{size}].reshape({shape!r})"}
+#: generated-code references to lane index arrays
+_LANE_TOKEN = re.compile(r"(?<![\w])_(?:[tb][xyz]|bi)\b")
+
+
+def _lane_prelude(lines: Sequence[str], launch: LaunchConfig,
+                  per_block: bool) -> List[str]:
+    """Bind the lane index arrays *lines* use, exactly as the interpreter
+    builds them for this launch: the whole-grid chunk (memoised for small
+    launches by :func:`repro.gpu.vector_executor._grid_geometry`), or per
+    block one row of thread indices and one column of block indices."""
+    used = {m for line in lines for m in _LANE_TOKEN.findall(line)}
+    if not used:
+        return []
+    bd, gd = launch.block_dim, launch.grid_dim
+    if per_block:
+        out = [f"_tx, _ty, _tz = (_c.reshape(1, -1) for _c in "
+               f"_lane_indices(_Dim3{tuple(bd)}))",
+               f"_bx, _by, _bz = (_c.reshape(-1, 1) for _c in "
+               f"_lane_indices(_Dim3{tuple(gd)}))"]
+        if "_bi" in used:
+            out.append(f"_bi = np.arange({gd.total}).reshape(-1, 1)")
+        return out
+    return [f"_lt, _lb, _ = next(iter(_grid_geometry(_Dim3{tuple(bd)}, "
+            f"_Dim3{tuple(gd)})))",
+            "_tx, _ty, _tz = _lt.x, _lt.y, _lt.z",
+            "_bx, _by, _bz = _lb.x, _lb.y, _lb.z"]
+
+
+def _generate_rule(kern, args: Sequence, launch: LaunchConfig,
+                   rule: str) -> Tuple[object, str]:
+    """(entry, source) under one index rule; raises LoweringUnsupported.
+
+    Each kernel body (several for a fused kernel) becomes a ``_part``
+    function returning its barrier and atomic counts; ``_entry`` runs them
+    in order and adds the shared bytes per block.
+    """
+    gathers = rule == "gathers"
+    if gathers and not single_chunk(launch):
+        raise _fail("multi-chunk launch: the interpreter's lane sets are "
+                    "per chunk")
+    per_block = kernel_uses_barrier(kern)
+    ns = {"np": np, "math": math, "_fold": _fold, "_LaunchError": LaunchError,
+          "_ATOMIC_LOCK": _atomics._ATOMIC_LOCK, "_Dim3": Dim3,
+          "_grid_geometry": _grid_geometry, "_lane_indices": _lane_indices}
     tensors: Dict[int, _Tensor] = {}
-    body_lines: List[str] = []
-    for fn, indices in parts:
-        fn = fn.fn if isinstance(fn, Kernel) else fn
+    funcs, calls, axis_arrays, n, shared = [], [], [], 0, 0
+    for k, (fn, indices) in enumerate(_kernel_parts(kern, args)):
         env, fdef = _bind_params(fn, args, indices, tensors)
-        lowerer = _BodyLowerer(env, extents, tensors)
-        lowerer.lower_statements(fdef.body)
-        if not lowerer.lines:
+        low = _BodyLowerer(fn, env, launch, rule, per_block, ns, n)
+        low.run(fdef.body)
+        if not gathers and not low.lines:
             raise _fail("kernel body lowered to no stores")
-        body_lines.extend(lowerer.lines)
-    if not single_chunk(launch) and any(t.stored and t.shifted_read
-                                        for t in tensors.values()):
+        if per_block and launch.grid_dim.total > 1 and low.reads & low.writes:
+            # the interpreter runs blocks one after another; a block would
+            # read what an earlier block wrote
+            raise _fail("per-block body reads a tensor it writes")
+        n, shared = low.n, shared + low.shared_bytes
+        axis_arrays.extend(low.axis_arrays)
+        refs = sorted({(kind, int(i)) for line in low.lines
+                       for kind, i in _ARG_TOKEN.findall(line)},
+                      key=lambda r: (r[1], r[0]))
+        prelude = [f"_{kind}{i} = " + _ARG_PRELUDE[kind].format(
+            i=i, shape=getattr(args[i], "shape", ()),
+            size=getattr(args[i], "size", 1)) for kind, i in refs]
+        prelude += _lane_prelude(low.lines, launch, per_block)
+        body = "\n".join(["    _nbar = 0", "    _nat = 0"]
+                         + ["    " + line for line in prelude] + low.lines
+                         + ["    return _nbar, _nat"])
+        funcs.append(f"def _part{k}(*args):\n{body}\n")
+        calls.append(f"_part{k}(*args)")
+    if not gathers and not single_chunk(launch) and any(
+            t.stored and t.shifted_read for t in tensors.values()):
         # The lane interpreter runs such a launch chunk by chunk, so later
         # chunks read what earlier ones stored; whole-array slices cannot.
         raise _fail("multi-chunk launch reads a stored tensor at a shifted "
                     "index")
+    rank = 1 + max((depth for _, depth, _ in axis_arrays), default=-1)
+    for src, depth, trip in axis_arrays:
+        shape = [1] * (rank + 1)
+        shape[depth] = trip
+        ns[src] = np.arange(trip, dtype=np.int64).reshape(shape)
+    if len(calls) == 1:
+        entry = f"def _entry(*args):\n    return (*{calls[0]}, {shared})\n"
+    else:
+        entry = ("def _entry(*args):\n    _nbar = _nat = 0\n"
+                 + "".join(f"    _b, _a = {c}\n    _nbar += _b\n"
+                           f"    _nat += _a\n" for c in calls)
+                 + f"    return _nbar, _nat, {shared}\n")
+    return _compile(kern, launch, "\n\n".join(funcs + [entry]), ns)
 
-    name = kern.name if isinstance(kern, Kernel) else \
-        getattr(kern, "__name__", "kernel")
-    prelude = []
-    for idx in sorted(tensors):
-        shape = tensors[idx].shape
-        size = int(np.prod(shape))
-        prelude.append(
-            f"_d{idx} = args[{idx}].ptr[:{size}].reshape({shape!r})")
-    # Scalar prelude: reference every scalar index the body mentions.
-    scalar_idx = sorted({int(m) for line in body_lines
-                         for m in _SCALAR_TOKEN.findall(line)})
-    for idx in scalar_idx:
-        prelude.append(f"_s{idx} = args[{idx}]")
-    indent = "\n    ".join(prelude + body_lines)
-    source = (f"# lowered from kernel {name!r} for launch {launch}\n"
-              f"def _entry(*args):\n    {indent}\n")
-    module = types.ModuleType(f"_repro_lowered_{name}")
-    code = compile(source, f"<lowered:{name}>", "exec")
-    exec(code, module.__dict__)
-    return module._entry, source
+
+def _generate(kern, args: Sequence, launch: LaunchConfig) -> Tuple[object, str]:
+    """Build (entry, source) for a launch; raises LoweringUnsupported.
+
+    The slice rule when every access is lane-affine, else the gather rule.
+    """
+    try:
+        return _generate_rule(kern, args, launch, "slices")
+    except LoweringUnsupported:
+        return _generate_rule(kern, args, launch, "gathers")
 
 
 # -------------------------------------------------------------------- public

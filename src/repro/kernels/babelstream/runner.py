@@ -82,8 +82,8 @@ def run_babelstream_functional(
     Uses a reduced vector size (the numerics do not depend on ``n``) and
     returns the verification errors.  Raises on any mismatch.  ``executor``
     selects the simulator mode for all five launches (``"auto"`` lowers
-    Copy/Mul/Add/Triad to NumPy slicing and runs Dot on the lockstep
-    vectorized engine).
+    Copy/Mul/Add/Triad to NumPy slicing and Dot to NumPy over a
+    (block, lane) axis; ``"vectorized"`` runs the lockstep interpreter).
     ``streams > 1`` puts the initial memsets on their own streams and
     event-orders the kernel stream behind them; the kernels themselves are
     data-dependent on each other and stay FIFO on one stream, so the

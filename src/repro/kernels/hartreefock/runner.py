@@ -138,8 +138,9 @@ def run_hartreefock_functional(natoms: int = 4, ngauss: int = 3, *,
 
     Returns ``(fock, max_rel_error)`` against the host quadruple reference.
     ``schwarz_tol=0`` disables screening so every quadruple is exercised.
-    ``executor`` selects the simulator mode (``"auto"`` is lockstep
-    vectorized); ``streams > 1`` spreads the six input uploads round-robin
+    ``executor`` selects the simulator mode (``"auto"`` runs the kernel as
+    generated NumPy code, ``"vectorized"`` on the lockstep interpreter);
+    ``streams > 1`` spreads the six input uploads round-robin
     over that many H2D streams with the kernel event-ordered behind them
     (identical numerics, overlapped modelled pipeline).  *pipeline_sink*
     receives the context's :class:`~repro.core.device.PipelineTiming` under

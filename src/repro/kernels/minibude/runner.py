@@ -70,7 +70,8 @@ def run_fasten_functional(deck: Deck, *, ppwi: int = 2, wgsize: int = 8,
 
     Returns ``(energies, max_rel_error)`` after verifying against the
     vectorised reference.  Intended for reduced decks.  ``executor`` selects
-    the simulator mode (``"auto"`` is lockstep vectorized); ``streams > 1``
+    the simulator mode (``"auto"`` runs the kernel as generated NumPy code,
+    ``"vectorized"`` on the lockstep interpreter); ``streams > 1``
     distributes the deck uploads round-robin over that many H2D streams,
     with the kernel event-ordered after every upload (identical numerics,
     overlapped modelled pipeline).  *pipeline_sink*, when given, receives

@@ -231,3 +231,52 @@ class TestBarrierHeuristicCache:
         from repro.core.kernel import Kernel
         assert kernel_uses_barrier(Kernel(plain)) is False
         assert plain._repro_uses_barrier is False
+
+
+def _docstring_mentions_barrier(out, n):
+    """Writes each thread's index without any barrier() call or
+    shared_array allocation."""
+    i = block_idx.x * block_dim.x + thread_idx.x
+    if i < n:
+        out[i] = float(i)
+
+
+@kernel(vector_safe=True)
+def _vector_docstring_mentions_barrier(out, n):
+    """Lockstep-safe, and still without any barrier() call."""
+    i = block_idx.x * block_dim.x + thread_idx.x
+    masked_store(out, i, i * 2.0, i < n)
+
+
+class TestBarrierDetection:
+    """Only real calls count: the body is classified on its parsed AST."""
+
+    def test_docstring_mention_is_not_a_barrier(self):
+        assert kernel_uses_barrier(_docstring_mentions_barrier) is False
+        out = np.zeros(40)
+        res = KernelExecutor().launch(_docstring_mentions_barrier, (out, 40),
+                                      LaunchConfig.make(3, 16))
+        assert res.mode == "sequential"
+        np.testing.assert_array_equal(out, np.arange(40.0))
+
+    def test_vector_safe_docstring_kernel_runs_whole_grid(self, monkeypatch):
+        from repro.gpu import executor as executor_mod
+
+        assert kernel_uses_barrier(_vector_docstring_mentions_barrier) is False
+        per_block = []
+        real = executor_mod.run_vectorized
+
+        def spy(*args, **kwargs):
+            per_block.append(kwargs["per_block"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(executor_mod, "run_vectorized", spy)
+        out = np.zeros(40)
+        res = KernelExecutor().launch(_vector_docstring_mentions_barrier,
+                                      (out, 40), LaunchConfig.make(3, 16),
+                                      mode="vectorized")
+        assert res.mode == "vectorized" and per_block == [False]
+        np.testing.assert_array_equal(out, np.arange(40.0) * 2.0)
+
+    def test_real_calls_are_detected(self):
+        assert kernel_uses_barrier(_block_sum_kernel) is True

@@ -3,9 +3,14 @@
 The verify-path launches of the four science kernels (stencil, the five
 BabelStream kernels, miniBUDE's fasten and the Hartree–Fock ERI kernel) run
 on small seeded inputs in ``auto``, ``lowered``, ``vectorized`` and the
-scalar mode each kernel needs.  Outputs must be bitwise equal and the
-:class:`~repro.gpu.executor.ExecutionCounters` identical; ``auto`` (and its
-alias ``lowered``) must report the tier that actually ran.
+scalar mode each kernel needs, with unchecked and bounds-checked tensors.
+Outputs must be equal byte for byte (so ``-0.0`` and ``0.0`` differ and
+equal NaNs agree), the :class:`~repro.gpu.executor.ExecutionCounters` and
+``shared_bytes_per_block`` identical, and ``auto`` (and its alias
+``lowered``) must report the tier that actually ran: every shipped kernel
+lowers.  One larger input per kernel checks ``auto`` against
+``vectorized`` beyond the lowering tier's loop-axis budget, and an
+out-of-range launch must raise the same exception class in both.
 
 The one stated tolerance: the Hartree–Fock kernel's scalar path evaluates
 the Boys function with ``math.erf`` per thread where the lane path uses a
@@ -15,13 +20,17 @@ relative (measured ~1e-15) rather than bitwise.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.core.dtypes import DType
+from repro.core.errors import LayoutError
 from repro.core.kernel import LaunchConfig
 from repro.core.layout import Layout, LayoutTensor
 from repro.gpu.executor import KernelExecutor
+from repro.graphopt import lower_launch
 from repro.kernels.babelstream.kernels import (
     SCALAR,
     add_kernel,
@@ -45,13 +54,14 @@ MODES = ("auto", "lowered", "vectorized", "sequential")
 SCALAR_ERF_RTOL = 1e-13
 
 
-def _tensor(data, shape=None, dtype=DType.float64, mut=True):
+def _tensor(data, shape=None, dtype=DType.float64, mut=True, checked=False):
     flat = np.array(data, dtype=dtype.to_numpy()).reshape(-1)
     layout = Layout.row_major(*(shape or (flat.size,)))
-    return LayoutTensor(dtype, layout, flat, mut=mut, bounds_check=False)
+    return LayoutTensor(dtype, layout, flat, mut=mut, bounds_check=checked)
 
 
-def _stencil(ex, mode):
+def _stencil(ex, mode, checked=False):
+    _tensor = functools.partial(globals()["_tensor"], checked=checked)
     L = 12
     problem = StencilProblem(L, "float64")
     u = _tensor(problem.initial_field(), (L, L, L), mut=False)
@@ -62,7 +72,8 @@ def _stencil(ex, mode):
     return {"f": f.ptr}, {"laplacian_kernel": res}
 
 
-def _babelstream(ex, mode):
+def _babelstream(ex, mode, checked=False):
+    _tensor = functools.partial(globals()["_tensor"], checked=checked)
     n, tb, blocks = 1000, 64, 4                  # n % tb != 0: tail guard
     rng = np.random.default_rng(13)
     a, b, c = (_tensor(rng.normal(size=n)) for _ in range(3))
@@ -82,8 +93,11 @@ def _babelstream(ex, mode):
     return {"a": a.ptr, "b": b.ptr, "c": c.ptr, "sums": sums.ptr}, results
 
 
-def _fasten(ex, mode):
-    deck = make_deck(natlig=6, natpro=24, ntypes=4, nposes=32, seed=5)
+def _fasten(ex, mode, checked=False, natlig=6, natpro=24, nposes=32,
+            wgsize=8):
+    _tensor = functools.partial(globals()["_tensor"], checked=checked)
+    deck = make_deck(natlig=natlig, natpro=natpro, ntypes=4, nposes=nposes,
+                     seed=5)
     f32 = DType.float32
     etotals = _tensor(np.zeros(deck.nposes), dtype=f32)
     args = (2, deck.natlig, deck.natpro,
@@ -92,12 +106,14 @@ def _fasten(ex, mode):
             *(_tensor(t, dtype=f32) for t in deck.transforms()),
             etotals, _tensor(deck.forcefield_flat(), dtype=f32), deck.nposes)
     res = ex.launch(fasten_kernel, args,
-                    minibude_launch_config(deck.nposes, 2, 8), mode=mode)
+                    minibude_launch_config(deck.nposes, 2, wgsize),
+                    mode=mode)
     return {"etotals": etotals.ptr}, {"fasten_kernel": res}
 
 
-def _eri(ex, mode):
-    system = make_helium_system(4, 3, spacing=2.5)
+def _eri(ex, mode, checked=False, natoms=4):
+    _tensor = functools.partial(globals()["_tensor"], checked=checked)
+    system = make_helium_system(natoms, 3, spacing=2.5)
     n = system.natoms
     schwarz = compute_schwarz(system)
     fock = _tensor(np.zeros((n, n)), (n, n))
@@ -117,31 +133,96 @@ CASES = {
                                    "mul_kernel": "lowered",
                                    "add_kernel": "lowered",
                                    "triad_kernel": "lowered",
-                                   "dot_kernel": "vectorized"}),
-    "minibude": (_fasten, {"fasten_kernel": "vectorized"}),
-    "hartreefock": (_eri, {"hartree_fock_kernel": "vectorized"}),
+                                   "dot_kernel": "lowered"}),
+    "minibude": (_fasten, {"fasten_kernel": "lowered"}),
+    "hartreefock": (_eri, {"hartree_fock_kernel": "lowered"}),
 }
+
+
+def _assert_same_run(run, ref, label):
+    outputs, results = run
+    ref_out, ref_res = ref
+    for name, expected in ref_out.items():
+        assert np.any(expected != 0.0), name
+        assert outputs[name].tobytes() == expected.tobytes(), (label, name)
+    for name, res in results.items():
+        assert res.counters.as_dict() == ref_res[name].counters.as_dict(), \
+            (label, name)
+        assert res.shared_bytes_per_block == \
+            ref_res[name].shared_bytes_per_block, (label, name)
 
 
 @pytest.mark.parametrize("family", sorted(CASES))
 def test_modes_agree_bitwise_with_identical_counters(family):
+    _check_modes(family, checked=False)
+
+
+@pytest.mark.parametrize("family", sorted(CASES))
+def test_modes_agree_bitwise_on_bounds_checked_tensors(family):
+    # the BabelStream runner binds bounds-checked tensors
+    _check_modes(family, checked=True)
+
+
+def _check_modes(family, checked):
     driver, auto_tiers = CASES[family]
-    runs = {mode: driver(KernelExecutor(), mode) for mode in MODES}
-    ref_out, ref_res = runs["vectorized"]
+    runs = {mode: driver(KernelExecutor(), mode, checked=checked)
+            for mode in MODES}
+    ref = runs["vectorized"]
     for mode in MODES:
-        outputs, results = runs[mode]
-        for label, expected in ref_out.items():
-            assert np.any(expected != 0.0), label
-            if family == "hartreefock" and mode == "sequential":
-                np.testing.assert_allclose(outputs[label], expected,
+        if family == "hartreefock" and mode == "sequential":
+            for name, expected in ref[0].items():
+                np.testing.assert_allclose(runs[mode][0][name], expected,
                                            rtol=SCALAR_ERF_RTOL, atol=0.0)
-            else:
-                assert np.array_equal(outputs[label], expected), (mode, label)
-        for name, res in results.items():
-            assert res.counters.as_dict() == \
-                ref_res[name].counters.as_dict(), (mode, name)
+            for name, res in runs[mode][1].items():
+                assert res.counters.as_dict() == \
+                    ref[1][name].counters.as_dict()
+        else:
+            _assert_same_run(runs[mode], ref, mode)
     for mode in ("auto", "lowered"):
         ran = {name: res.mode for name, res in runs[mode][1].items()}
         assert ran == auto_tiers, mode
-    assert {res.mode for res in runs["vectorized"][1].values()} \
-        == {"vectorized"}
+    assert {res.mode for res in ref[1].values()} == {"vectorized"}
+
+
+def _dot_launch(n=100_000, tb=256, blocks=8, size=None):
+    rng = np.random.default_rng(29)
+    a, b = (_tensor(rng.normal(size=size or n), checked=True)
+            for _ in range(2))
+    sums = _tensor(np.zeros(blocks), checked=True)
+    return (a, b, sums, n, tb), LaunchConfig.make(blocks, tb)
+
+
+def _dot_large(ex, mode):
+    args, launch = _dot_launch()
+    res = ex.launch(dot_kernel, args, launch, mode=mode)
+    return {"sums": args[2].ptr}, {"dot_kernel": res}
+
+
+#: one input per kernel beyond the loop-axis budget of the lowering tier
+LARGE = {
+    "dot": _dot_large,
+    "eri": functools.partial(_eri, natoms=16),
+    "fasten": functools.partial(_fasten, natlig=26, natpro=938, nposes=256,
+                                wgsize=64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LARGE))
+def test_larger_inputs_lower_bitwise(case):
+    runs = {mode: LARGE[case](KernelExecutor(), mode)
+            for mode in ("auto", "vectorized")}
+    _assert_same_run(runs["auto"], runs["vectorized"], case)
+    assert {res.mode for res in runs["auto"][1].values()} == {"lowered"}
+
+
+def test_out_of_range_launch_raises_like_the_interpreter():
+    # n exceeds the bounds-checked inputs: the grid-stride gathers run off
+    # the end of `a` and `b`
+    errors = {}
+    for mode in ("auto", "vectorized"):
+        args, launch = _dot_launch(n=4096, tb=64, blocks=4, size=4000)
+        assert lower_launch(dot_kernel, args, launch) is not None
+        with pytest.raises(Exception) as info:
+            KernelExecutor().launch(dot_kernel, args, launch, mode=mode)
+        errors[mode] = type(info.value)
+    assert errors["auto"] is errors["vectorized"] is LayoutError

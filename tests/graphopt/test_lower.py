@@ -9,7 +9,18 @@ from repro.analysis import verifier
 from repro.core.device import DeviceContext
 from repro.core.dtypes import DType
 from repro.core.errors import LayoutError
-from repro.core.intrinsics import any_lane, block_dim, block_idx, compress_lanes, thread_idx
+from repro.core.intrinsics import (
+    any_lane,
+    barrier,
+    block_dim,
+    block_idx,
+    compress_lanes,
+    lane_where,
+    masked_gather,
+    masked_store,
+    shared_array,
+    thread_idx,
+)
 from repro.core.kernel import LaunchConfig, kernel
 from repro.core.layout import Layout, LayoutTensor
 from repro.gpu import vector_executor
@@ -80,6 +91,42 @@ def _parse_once_probe(a, n):
     a[i] += 1.0
 
 
+@kernel(name="_row_sums", vector_safe=True, strict=True)
+def _row_sums(out, table, weights, n, nrows, ncols):
+    """``out[i] = sum_r sum_c w[c] * table[r, c] * i`` via accumulators."""
+    i = block_dim.x * block_idx.x + thread_idx.x
+    m = i < n
+    if not any_lane(m):
+        return
+    i = compress_lanes(m, i)
+    total = 0.0
+    for r in range(nrows):
+        scale = table[r, 0] * 0.5
+        for c in range(ncols):
+            total = total + weights[c] * table[r, c] * i
+            total = total + lane_where(scale > 0.0, scale, -scale)
+    out[i] = total
+
+
+@kernel(name="_block_max_tree", vector_safe=True, strict=True)
+def _block_max_tree(x, block_out, tb, n):
+    """A shared-memory tree reduction (maximum) per block."""
+    buf = shared_array(tb, DType.float32, key="buf")
+    t = thread_idx.x
+    g = block_dim.x * block_idx.x + t
+    buf[t] = masked_gather(x, g, g < n, -np.inf)
+    stride = block_dim.x // 2
+    while stride > 0:
+        barrier()
+        m = t < stride
+        masked_store(buf, t, np.maximum(masked_gather(buf, t, m),
+                                        masked_gather(buf, t + stride, m)),
+                     m)
+        stride //= 2
+    barrier()
+    masked_store(block_out, block_idx.x, buf[0], t == 0)
+
+
 def _scale2d_tensors(f_layout):
     u = LayoutTensor(DType.float64, Layout.row_major(4, 6),
                      np.arange(24.0), mut=False)
@@ -122,19 +169,15 @@ class TestLowerSource:
         source = lower_source(_inplace_scale, (t["a"], SCALAR, N), launch)
         assert ".copy()" in source
 
-    def test_barrier_kernel_is_rejected_with_reason(self):
-        ctx = DeviceContext("h100")
-        n, tb = 512, 64
-        bufs, t = _stream_tensors(ctx, n)
-        sums_buf = ctx.enqueue_create_buffer(DType.float64, n // tb,
-                                             label="sums")
-        args = (t["a"], t["b"], sums_buf.tensor(), n, tb)
-        launch = LaunchConfig.make(n // tb, tb)
-        assert lower_launch(dot_kernel, args, launch) is None
-        report = lowering_report(dot_kernel, args, launch)
-        assert report["kernel"] == "dot_kernel"
+    def test_unsupported_kernel_is_rejected_with_reason(self):
+        data = np.zeros(N)
+        args = (LayoutTensor(DType.float64, Layout.row_major(N), data), N)
+        launch = LaunchConfig.for_elements(N, 256)
+        assert lower_launch(_parse_once_probe, args, launch) is None
+        report = lowering_report(_parse_once_probe, args, launch)
+        assert report["kernel"] == "_parse_once_probe"
         assert report["lowered"] is False
-        assert report["reason"]
+        assert "augmented store" in report["reason"]
 
     def test_report_for_lowerable_kernel_carries_source(self):
         ctx = DeviceContext("h100")
@@ -179,18 +222,35 @@ class TestExecutorDispatch:
         np.testing.assert_array_equal(bufs["c"].array, bufs["a"].array)
 
     def test_lowered_mode_falls_back_for_unsupported_bodies(self):
+        data = np.arange(float(N))
+        a = LayoutTensor(DType.float64, Layout.row_major(N), data)
+        result = KernelExecutor().launch(_parse_once_probe, (a, N - 24),
+                                         LaunchConfig.for_elements(N, 256),
+                                         mode="lowered")
+        assert result.mode == "vectorized"  # fell back to the interpreter
+        expected = np.arange(float(N))
+        expected[:N - 24] += 1.0
+        assert data.tobytes() == expected.tobytes()
+
+    def test_dot_kernel_lowers_with_barrier_and_shared_counts(self):
         ctx = DeviceContext("h100")
         n, tb = 512, 64
         bufs, t = _stream_tensors(ctx, n)
-        sums_buf = ctx.enqueue_create_buffer(DType.float64, n // tb,
-                                             label="sums")
-        args = (t["a"], t["b"], sums_buf.tensor(), n, tb)
-        result = KernelExecutor().launch(dot_kernel, args,
-                                         LaunchConfig.make(n // tb, tb),
-                                         mode="lowered")
-        assert result.mode == "vectorized"  # fell back to the interpreter
-        expected = float(np.dot(bufs["a"].array, bufs["b"].array))
-        assert float(np.sum(sums_buf.array)) == pytest.approx(expected)
+        runs = {}
+        for mode in ("auto", "vectorized"):
+            sums_buf = ctx.enqueue_create_buffer(DType.float64, n // tb,
+                                                 label="sums")
+            res = KernelExecutor().launch(
+                dot_kernel, (t["a"], t["b"], sums_buf.tensor(), n, tb),
+                LaunchConfig.make(n // tb, tb), mode=mode)
+            runs[mode] = (res, sums_buf.array.tobytes())
+        (auto, auto_sums), (vec, vec_sums) = runs["auto"], runs["vectorized"]
+        assert (auto.mode, vec.mode) == ("lowered", "vectorized")
+        assert auto_sums == vec_sums
+        assert auto.counters.as_dict() == vec.counters.as_dict()
+        assert auto.counters.barriers == 7 * n  # log2(64) + 1 per thread
+        assert auto.shared_bytes_per_block == vec.shared_bytes_per_block \
+            == tb * 8
 
     def test_stream_sweep_bit_identical_to_vectorized(self):
         results = {}
@@ -250,6 +310,56 @@ class TestExecutorDispatch:
         assert np.array_equal(results["vectorized"], results["lowered"])
 
 
+class TestGenericKernels:
+    """Fixtures that are not shipped kernels lower and match bitwise."""
+
+    def _compare(self, kern, make_args, launch):
+        runs = {}
+        for mode in ("auto", "vectorized"):
+            args, outputs = make_args()
+            res = KernelExecutor().launch(kern, args, launch, mode=mode)
+            runs[mode] = (res, [o.tobytes() for o in outputs])
+        (auto, auto_out), (vec, vec_out) = runs["auto"], runs["vectorized"]
+        assert (auto.mode, vec.mode) == ("lowered", "vectorized")
+        assert auto_out == vec_out
+        assert auto.counters.as_dict() == vec.counters.as_dict()
+        assert auto.shared_bytes_per_block == vec.shared_bytes_per_block
+        return auto
+
+    def test_accumulate_loop_kernel(self):
+        rng = np.random.default_rng(3)
+        table = rng.normal(size=(5, 7)).astype(np.float32)
+        weights = rng.normal(size=7).astype(np.float32)
+
+        def make_args():
+            out = np.zeros(40, dtype=np.float32)
+            f32 = DType.float32
+            return ((LayoutTensor(f32, Layout.row_major(40), out),
+                     LayoutTensor(f32, Layout.row_major(5, 7), table,
+                                  mut=False),
+                     LayoutTensor(f32, Layout.row_major(7), weights,
+                                  mut=False), 40, 5, 7), [out])
+        self._compare(_row_sums, make_args, LaunchConfig.make(3, 16))
+        args, _ = make_args()
+        source = lower_source(_row_sums, args, LaunchConfig.make(3, 16))
+        assert "_fold(" in source       # the loop nest became array axes
+
+    def test_block_tree_reduction_kernel(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=128).astype(np.float32)
+
+        def make_args():
+            out = np.zeros(4, dtype=np.float32)
+            f32 = DType.float32
+            return ((LayoutTensor(f32, Layout.row_major(128), x, mut=False),
+                     LayoutTensor(f32, Layout.row_major(4), out), 32, 120),
+                    [out])
+        res = self._compare(_block_max_tree, make_args,
+                            LaunchConfig.make(4, 32))
+        assert res.counters.barriers == 6 * 128
+        assert res.shared_bytes_per_block == 32 * 4
+
+
 class TestSpecialisationKey:
     """The memo key must separate every specialisation that lowers differently."""
 
@@ -284,6 +394,25 @@ class TestSpecialisationKey:
         with pytest.raises(LayoutError):
             KernelExecutor().launch(_scale2d, (frozen, u, 4, 6), self.LAUNCH)
         assert not np.any(frozen.ptr)
+
+    def test_bounds_check_is_part_of_the_key(self):
+        launch = LaunchConfig.make(3, 16)
+        entries = []
+        for checked in (False, True):
+            out = np.zeros(40, dtype=np.float32)
+            f32 = DType.float32
+            args = (LayoutTensor(f32, Layout.row_major(40), out,
+                                 bounds_check=checked),
+                    LayoutTensor(f32, Layout.row_major(5, 7),
+                                 np.ones(35, np.float32),
+                                 bounds_check=checked),
+                    LayoutTensor(f32, Layout.row_major(7),
+                                 np.ones(7, np.float32),
+                                 bounds_check=checked), 40, 5, 7)
+            entries.append(lower_launch(_row_sums, args, launch))
+            source = lower_source(_row_sums, args, launch)
+            assert ("offset_array" in source) is checked
+        assert None not in entries and entries[0] is not entries[1]
 
     def test_multi_chunk_shifted_self_read_stays_interpreted(self,
                                                              monkeypatch):

@@ -409,6 +409,9 @@ class TestBenchCompare:
             "test_bench_vectorized_executor_stencil",
             "test_bench_vectorized_babelstream_dot",
             "test_bench_workload_dispatch",
+            *(f"test_bench_{mode}_{kernel}_launch"
+              for mode in ("lowered", "vectorized")
+              for kernel in ("fasten", "eri", "dot")),
         ]
         excluded = [
             "test_bench_minibude_reference_energies",
