@@ -539,6 +539,21 @@ def test_bench_vectorized_stencil_graph_replay(benchmark):
     assert np.any(result["f"] != 0.0)
 
 
+def test_bench_vectorized_stencil_probe_replay(benchmark):
+    """The stencil tuning probe replayed on the lockstep engine.
+
+    The untuned probe launches (512, 1, 1) blocks on an L=16 grid: 131,072
+    lanes in one chunk, whose lane index arrays are built once and
+    memoised, not rebuilt on every replay.
+    """
+    from repro.workloads import get_workload
+
+    workload = get_workload("stencil")
+    graph = workload.tuning_probe(workload.make_request(executor="vectorized"))
+    result = benchmark(graph.replay)
+    assert np.any(result["f"] != 0.0)
+
+
 def test_bench_lowered_stencil_graph_replay(benchmark):
     """The same stencil capture dispatched through the lowering tier.
 

@@ -1189,18 +1189,21 @@ def _cmd_bench_compare(*, baseline: Optional[str], current: Optional[str],
 
 def _print_cache_counters(stats: Optional[dict] = None,
                           origin: str = "this process") -> None:
-    """Report the substrate caches' hit/miss counters.
+    """Report the substrate caches' and every memo's counters.
 
-    *stats* is the ``{"compile": ..., "result": ...}`` payload exported by
-    the benchmark subprocess; without it the current process's counters are
-    reported (meaningful when the caller itself exercised the caches).
+    *stats* is the ``{"compile": ..., "result": ..., "memo": ...}`` payload
+    exported by the benchmark subprocess; without it the current process's
+    counters are reported (meaningful when the caller itself exercised the
+    caches).
     """
     if stats is None:
         from .core.compiler import compile_cache_info
+        from .core.memo import memo_infos
         from .workloads.cache import result_cache_info
 
         stats = {"compile": compile_cache_info(),
-                 "result": result_cache_info()}
+                 "result": result_cache_info(),
+                 "memo": memo_infos()}
     compile_info = stats["compile"]
     result_info = stats["result"]
     print(f"compile cache ({origin}): {compile_info['hits']} hit(s), "
@@ -1209,6 +1212,10 @@ def _print_cache_counters(stats: Optional[dict] = None,
     print(f"result cache ({origin}):  {result_info['hits']} hit(s), "
           f"{result_info['misses']} miss(es), "
           f"{result_info['size']}/{result_info['maxsize']} entries")
+    for name, info in stats.get("memo", {}).items():
+        print(f"memo {name} ({origin}): {info['hits']} hit(s), "
+              f"{info['misses']} miss(es), {info['entries']} entries, "
+              f"{info['bytes']} bytes")
 
 
 def _bench_compare_inner(benchcheck, *, baseline: Optional[str],

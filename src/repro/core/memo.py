@@ -16,7 +16,7 @@ value key so the work is paid once:
 * **Observable.**  :meth:`Memo.cache_info` reports hits, misses, entries
   and bytes; every lookup also bumps the process metrics counters
   ``memo_hits_total`` / ``memo_misses_total`` under a ``memo=<name>``
-  label.
+  label, and :func:`memo_infos` reports every live memo at once.
 
 The computation runs outside the lock, so two threads missing on the same
 key may both compute it; the first result stored wins and both callers get
@@ -27,19 +27,25 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+import weakref
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, NamedTuple
+from typing import Any, Callable, Dict, Hashable, NamedTuple
 
 import numpy as np
 
 from ..obs import metrics as _obs_metrics
 
-__all__ = ["Memo", "MemoInfo", "MAX_ENTRIES", "MAX_BYTES"]
+__all__ = ["Memo", "MemoInfo", "MAX_ENTRIES", "MAX_BYTES", "memo_infos"]
 
 #: most entries one memo keeps
 MAX_ENTRIES = 256
 #: most NumPy array bytes one memo keeps
 MAX_BYTES = 64 << 20
+
+
+#: every live memo, for :func:`memo_infos` (weak: a dropped memo leaves it)
+_REGISTRY: "weakref.WeakSet[Memo]" = weakref.WeakSet()
+_REGISTRY_LOCK = threading.Lock()
 
 
 class MemoInfo(NamedTuple):
@@ -75,6 +81,8 @@ class Memo:
         self._bytes = 0
         self._hits = 0
         self._misses = 0
+        with _REGISTRY_LOCK:
+            _REGISTRY.add(self)
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         """The value stored under *key*, computing and storing it on a miss."""
@@ -117,3 +125,12 @@ class Memo:
             self._bytes = 0
             self._hits = 0
             self._misses = 0
+
+
+def memo_infos() -> Dict[str, Dict[str, int]]:
+    """:meth:`Memo.cache_info` of every live memo as a JSON-ready dict,
+    keyed and sorted by name."""
+    with _REGISTRY_LOCK:
+        memos = list(_REGISTRY)
+    return {memo.name: memo.cache_info()._asdict()
+            for memo in sorted(memos, key=lambda memo: memo.name)}

@@ -24,6 +24,11 @@ Two lane-set granularities exist:
   per lane (keeping :class:`~repro.gpu.executor.ExecutionCounters` identical
   to the scalar modes, where each simulated thread counts its own call).
 
+The index arrays of a launch that fits one chunk (:func:`single_chunk`) are
+built once and memoised in :data:`LANE_GEOMETRY_MEMO`, which is what makes
+replaying a captured launch cheap.  Every index array a body sees is
+read-only.
+
 Masked divergence (``if`` guards, predicated accumulation) is expressed in
 the kernel body through the lane helpers (``any_lane`` + ``compress_lanes``
 for top-level guards, ``lane_where`` / ``masked_store`` for predicated
@@ -34,17 +39,19 @@ scalar executors automatically — see :meth:`KernelExecutor.launch`.
 
 from __future__ import annotations
 
-import threading
+import dataclasses
 from typing import Dict, Optional
 
 import numpy as np
 
 from ..core.intrinsics import Dim3, bind_thread_state
 from ..core.kernel import Kernel
+from ..core.memo import Memo
 from ..resilience import faults as _faults
 
 __all__ = ["VectorThreadState", "LaneDim3", "kernel_vector_safe",
-           "run_vectorized", "single_chunk", "VECTOR_CHUNK_LANES"]
+           "run_vectorized", "single_chunk", "VECTOR_CHUNK_LANES",
+           "LANE_GEOMETRY_MEMO"]
 
 #: whole-grid lane sets are split at block boundaries so one chunk carries at
 #: most this many lanes (bounds the size of the per-lane index arrays)
@@ -61,7 +68,11 @@ def single_chunk(launch) -> bool:
     chunk (part A chunk 1, part B chunk 1, part A chunk 2, ...), which
     breaks cross-lane producer/consumer patterns between parts.
     """
-    return launch.total_threads <= VECTOR_CHUNK_LANES
+    return _single_chunk(launch.block_dim, launch.grid_dim)
+
+
+def _single_chunk(bd: Dim3, gd: Dim3) -> bool:
+    return bd.total * gd.total <= VECTOR_CHUNK_LANES
 
 
 def kernel_vector_safe(kern, *, infer: bool = False) -> bool:
@@ -223,30 +234,55 @@ def _lane_indices(extent: Dim3):
     return x, y, z
 
 
-#: memoised launch geometries (the per-lane index arrays depend only on the
-#: grid/block extents).  Cached entries are frozen read-only, so a kernel
-#: that mutated its index arrays in place fails loudly instead of corrupting
-#: later launches.  Caching removes the arange/tile/repeat cost from every
-#: repeated launch (which is what makes captured-graph replay cheap), and is
-#: limited to small launches so the cache stays byte-bounded and big grids
-#: keep their one-transient-chunk memory profile.
-_GEOMETRY_CACHE: Dict[tuple, list] = {}
-#: launches with at most this many total threads are cached (one chunk)
-_GEOMETRY_CACHE_MAX_LANES = 1 << 16
-#: total cached lane-index bytes before the cache is dropped and rebuilt
-_GEOMETRY_CACHE_MAX_BYTES = 32 << 20
-_geometry_cache_bytes = 0
-#: guards the cache dict and byte counter: sweeps run launches on worker
-#: threads (Sweep.run_workload(workers=N) / run_workload_async)
-_geometry_lock = threading.Lock()
+@dataclasses.dataclass
+class LaneSet:
+    """The index arrays of one lane set, frozen on construction so a body
+    that writes to ``thread_idx.x`` fails alike for every launch size.
+
+    A whole-grid chunk has one entry per lane (block components are ints
+    for a one-block chunk); a per-block geometry has the thread components
+    of one block and one block-component entry per block.
+    """
+
+    tx: np.ndarray
+    ty: np.ndarray
+    tz: np.ndarray
+    bx: object
+    by: object
+    bz: object
+    lanes: int
+
+    def __post_init__(self):
+        for comp in (self.tx, self.ty, self.tz, self.bx, self.by, self.bz):
+            if isinstance(comp, np.ndarray):
+                comp.flags.writeable = False
+
+    def chunk(self):
+        """``(thread_idx, block_idx, lanes)`` as the kernel body sees them."""
+        return (LaneDim3(self.tx, self.ty, self.tz),
+                LaneDim3(self.bx, self.by, self.bz), self.lanes)
+
+
+#: lane sets of single-chunk launches (see :func:`single_chunk`), keyed by
+#: launch geometry; larger launches build theirs transiently, so peak
+#: memory for big grids stays one chunk
+LANE_GEOMETRY_MEMO = Memo("lane_geometry")
+
+
+def _memoised(kind: str, bd: Dim3, gd: Dim3, build):
+    """``build()``, memoised when the launch is a single chunk."""
+    if not _single_chunk(bd, gd):
+        return build()
+    # the chunking depends on VECTOR_CHUNK_LANES, so the key carries it
+    key = (kind, bd.x, bd.y, bd.z, gd.x, gd.y, gd.z, VECTOR_CHUNK_LANES)
+    return LANE_GEOMETRY_MEMO.get_or_compute(key, build)
 
 
 def _iter_chunks(bd: Dim3, gd: Dim3):
-    """Yield ``(thread_idx, block_idx, lanes)`` whole-grid lane chunks.
+    """Yield whole-grid :class:`LaneSet` chunks.
 
     Consecutive blocks are fused into chunks of at most
-    :data:`VECTOR_CHUNK_LANES` lanes; each chunk's index arrays are built
-    transiently, so peak memory for big grids is one chunk.
+    :data:`VECTOR_CHUNK_LANES` lanes.
     """
     tpb = bd.total
     tx, ty, tz = _lane_indices(bd)
@@ -256,57 +292,35 @@ def _iter_chunks(bd: Dim3, gd: Dim3):
         stop = min(start + blocks_per_chunk, gd.total)
         nblocks = stop - start
         if nblocks == 1:
-            yield (LaneDim3(tx, ty, tz),
-                   LaneDim3(int(bx[start]), int(by[start]), int(bz[start])),
-                   tpb)
-        else:
-            yield (
-                LaneDim3(np.tile(tx, nblocks), np.tile(ty, nblocks),
-                         np.tile(tz, nblocks)),
-                LaneDim3(np.repeat(bx[start:stop], tpb),
-                         np.repeat(by[start:stop], tpb),
-                         np.repeat(bz[start:stop], tpb)),
-                nblocks * tpb,
-            )
+            yield LaneSet(tx, ty, tz, int(bx[start]), int(by[start]),
+                          int(bz[start]), tpb)
+            continue
+        # a component of extent 1 is all zeros: a zero-stride view
+        lanes = nblocks * tpb
+        zero = np.broadcast_to(np.int64(0), (lanes,))
+        yield LaneSet(
+            *(zero if n == 1 else np.tile(c, nblocks)
+              for c, n in zip((tx, ty, tz), bd)),
+            *(zero if n == 1 else np.repeat(c[start:stop], tpb)
+              for c, n in zip((bx, by, bz), gd)),
+            lanes)
 
 
 def _grid_geometry(bd: Dim3, gd: Dim3):
-    """Whole-grid lane geometry: an iterable of chunk tuples.
-
-    Small launches (≤ :data:`_GEOMETRY_CACHE_MAX_LANES` threads) return a
-    memoised list of frozen chunks; larger grids return the transient
-    chunk generator.
+    """Whole-grid lane geometry: an iterable of ``(thread_idx, block_idx,
+    lanes)`` chunk tuples, the one chunk of a single-chunk launch memoised.
     """
-    global _geometry_cache_bytes
-    # the chunking depends on VECTOR_CHUNK_LANES, so the key carries it
-    key = (bd.x, bd.y, bd.z, gd.x, gd.y, gd.z, VECTOR_CHUNK_LANES)
-    with _geometry_lock:
-        cached = _GEOMETRY_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if gd.total * bd.total > _GEOMETRY_CACHE_MAX_LANES:
-        return _iter_chunks(bd, gd)
-    chunks = list(_iter_chunks(bd, gd))
-    nbytes = 0
-    seen: set = set()
-    for thread_idx, block_idx, _ in chunks:
-        for dim3 in (thread_idx, block_idx):
-            for comp in (dim3.x, dim3.y, dim3.z):
-                if isinstance(comp, np.ndarray):
-                    comp.setflags(write=False)
-                    if id(comp) not in seen:  # tx/ty/tz shared across chunks
-                        seen.add(id(comp))
-                        nbytes += comp.nbytes
-    with _geometry_lock:
-        raced = _GEOMETRY_CACHE.get(key)
-        if raced is not None:
-            return raced
-        if _geometry_cache_bytes + nbytes > _GEOMETRY_CACHE_MAX_BYTES:
-            _GEOMETRY_CACHE.clear()
-            _geometry_cache_bytes = 0
-        _GEOMETRY_CACHE[key] = chunks
-        _geometry_cache_bytes += nbytes
-    return chunks
+    if not _single_chunk(bd, gd):
+        return (lane_set.chunk() for lane_set in _iter_chunks(bd, gd))
+    return (_memoised("grid", bd, gd,
+                      lambda: next(_iter_chunks(bd, gd))).chunk(),)
+
+
+def _block_geometry(bd: Dim3, gd: Dim3) -> LaneSet:
+    """Per-block lane geometry: the thread indices of one block and the
+    block indices of the grid, memoised for a single-chunk launch."""
+    return _memoised("block", bd, gd, lambda: LaneSet(
+        *_lane_indices(bd), *_lane_indices(gd), bd.total))
 
 
 def run_vectorized(kern, args, launch, counters, *, per_block: bool) -> int:
@@ -330,10 +344,10 @@ def run_vectorized(kern, args, launch, counters, *, per_block: bool) -> int:
     max_shared = 0
 
     if per_block:
-        tx, ty, tz = _lane_indices(bd)
-        bx, by, bz = _lane_indices(gd)
+        geom = _block_geometry(bd, gd)
+        bx, by, bz = geom.bx, geom.by, geom.bz
         state = VectorThreadState(
-            thread_idx=LaneDim3(tx, ty, tz),
+            thread_idx=LaneDim3(geom.tx, geom.ty, geom.tz),
             block_idx=LaneDim3(0, 0, 0),
             block_dim=bd, grid_dim=gd, num_lanes=tpb, counters=counters,
         )
@@ -350,7 +364,7 @@ def run_vectorized(kern, args, launch, counters, *, per_block: bool) -> int:
         return max_shared
 
     # Whole-grid mode: blocks are independent, fused into chunks (memoised
-    # for small launches, a transient generator for big grids).
+    # for a single-chunk launch, a transient generator for bigger grids).
     state = VectorThreadState(
         thread_idx=LaneDim3(0, 0, 0),
         block_idx=LaneDim3(0, 0, 0),

@@ -89,7 +89,7 @@ from ..core.kernel import Kernel, LaunchConfig
 from ..core.layout import LayoutTensor
 from ..core.memo import Memo
 from ..gpu.executor import kernel_uses_barrier
-from ..gpu.vector_executor import _grid_geometry, _lane_indices, single_chunk
+from ..gpu.vector_executor import _block_geometry, _grid_geometry, single_chunk
 
 __all__ = ["LOWERED_MEMO", "TYPES_MEMO", "LoweringUnsupported",
            "lower_launch", "lower_source", "lowering_report"]
@@ -2086,19 +2086,20 @@ _LANE_TOKEN = re.compile(r"(?<![\w])_(?:[tb][xyz]|bi)\b")
 
 def _lane_prelude(lines: Sequence[str], launch: LaunchConfig,
                   per_block: bool) -> List[str]:
-    """Bind the lane index arrays *lines* use, exactly as the interpreter
-    builds them for this launch: the whole-grid chunk (memoised for small
-    launches by :func:`repro.gpu.vector_executor._grid_geometry`), or per
-    block one row of thread indices and one column of block indices."""
+    """Bind the lane index arrays *lines* use: the interpreter's own lane
+    geometry for this launch (:mod:`repro.gpu.vector_executor`, memoised
+    for a single-chunk launch), as the whole-grid chunk, or per block one
+    row of thread indices and one column of block indices."""
     used = {m for line in lines for m in _LANE_TOKEN.findall(line)}
     if not used:
         return []
     bd, gd = launch.block_dim, launch.grid_dim
     if per_block:
-        out = [f"_tx, _ty, _tz = (_c.reshape(1, -1) for _c in "
-               f"_lane_indices(_Dim3{tuple(bd)}))",
-               f"_bx, _by, _bz = (_c.reshape(-1, 1) for _c in "
-               f"_lane_indices(_Dim3{tuple(gd)}))"]
+        out = [f"_g = _block_geometry(_Dim3{tuple(bd)}, _Dim3{tuple(gd)})",
+               "_tx, _ty, _tz = (_c.reshape(1, -1) for _c in "
+               "(_g.tx, _g.ty, _g.tz))",
+               "_bx, _by, _bz = (_c.reshape(-1, 1) for _c in "
+               "(_g.bx, _g.by, _g.bz))"]
         if "_bi" in used:
             out.append(f"_bi = np.arange({gd.total}).reshape(-1, 1)")
         return out
@@ -2123,7 +2124,8 @@ def _generate_rule(kern, args: Sequence, launch: LaunchConfig,
     per_block = kernel_uses_barrier(kern)
     ns = {"np": np, "math": math, "_fold": _fold, "_LaunchError": LaunchError,
           "_ATOMIC_LOCK": _atomics._ATOMIC_LOCK, "_Dim3": Dim3,
-          "_grid_geometry": _grid_geometry, "_lane_indices": _lane_indices}
+          "_grid_geometry": _grid_geometry,
+          "_block_geometry": _block_geometry}
     tensors: Dict[int, _Tensor] = {}
     funcs, calls, axis_arrays, n, shared = [], [], [], 0, 0
     for k, (fn, indices) in enumerate(_kernel_parts(kern, args)):

@@ -1,6 +1,7 @@
 """Tests for the bounded, thread-safe memo primitive."""
 
 import dataclasses
+import gc
 import sys
 import threading
 
@@ -120,3 +121,16 @@ class TestMemo:
         info = memo.cache_info()
         assert info.hits + info.misses == threads * rounds
         assert info.entries <= 8
+
+
+class TestRegistry:
+    def test_memo_infos_reports_live_memos_only(self):
+        memo = Memo("registry-test")
+        memo.get_or_compute("k", lambda: np.zeros(2))
+        infos = memo_module.memo_infos()
+        assert infos["registry-test"] == {"hits": 0, "misses": 1,
+                                          "entries": 1, "bytes": 16}
+        assert list(infos) == sorted(infos)
+        del memo
+        gc.collect()
+        assert "registry-test" not in memo_module.memo_infos()

@@ -9,8 +9,10 @@ equal NaNs agree), the :class:`~repro.gpu.executor.ExecutionCounters` and
 ``shared_bytes_per_block`` identical, and ``auto`` (and its alias
 ``lowered``) must report the tier that actually ran: every shipped kernel
 lowers.  One larger input per kernel checks ``auto`` against
-``vectorized`` beyond the lowering tier's loop-axis budget, and an
-out-of-range launch must raise the same exception class in both.
+``vectorized`` beyond the lowering tier's loop-axis budget, a stencil launch
+whose lane chunks span many blocks runs through the memoised one-chunk and
+the transient multi-chunk lane geometry, and an out-of-range launch must
+raise the same exception class in both.
 
 The one stated tolerance: the Hartree–Fock kernel's scalar path evaluates
 the Boys function with ``math.erf`` per thread where the lane path uses a
@@ -29,6 +31,7 @@ from repro.core.dtypes import DType
 from repro.core.errors import LayoutError
 from repro.core.kernel import LaunchConfig
 from repro.core.layout import Layout, LayoutTensor
+from repro.gpu import vector_executor
 from repro.gpu.executor import KernelExecutor
 from repro.graphopt import lower_launch
 from repro.kernels.babelstream.kernels import (
@@ -60,15 +63,14 @@ def _tensor(data, shape=None, dtype=DType.float64, mut=True, checked=False):
     return LayoutTensor(dtype, layout, flat, mut=mut, bounds_check=checked)
 
 
-def _stencil(ex, mode, checked=False):
+def _stencil(ex, mode, checked=False, L=12, block=(8, 4, 4)):
     _tensor = functools.partial(globals()["_tensor"], checked=checked)
-    L = 12
     problem = StencilProblem(L, "float64")
     u = _tensor(problem.initial_field(), (L, L, L), mut=False)
     f = _tensor(np.zeros(L ** 3), (L, L, L))
     res = ex.launch(laplacian_kernel,
                     (f, u, L, L, L, *problem.inverse_spacing_squared),
-                    stencil_launch_config(L, (8, 4, 4)), mode=mode)
+                    stencil_launch_config(L, block), mode=mode)
     return {"f": f.ptr}, {"laplacian_kernel": res}
 
 
@@ -213,6 +215,30 @@ def test_larger_inputs_lower_bitwise(case):
             for mode in ("auto", "vectorized")}
     _assert_same_run(runs["auto"], runs["vectorized"], case)
     assert {res.mode for res in runs["auto"][1].values()} == {"lowered"}
+
+
+@pytest.mark.parametrize("chunk_lanes", [None, 2048],
+                         ids=["one-chunk", "multi-chunk"])
+def test_stencil_multi_block_chunks_agree_bitwise(chunk_lanes, monkeypatch):
+    # (64, 1, 1) blocks on a 12^3 grid: 144 blocks per launch, so chunks
+    # span many blocks and ty, tz and bx have extent 1; 2048-lane chunks
+    # take the transient multi-chunk path instead of the memoised one
+    if chunk_lanes is not None:
+        monkeypatch.setattr(vector_executor, "VECTOR_CHUNK_LANES",
+                            chunk_lanes)
+    stencil = functools.partial(_stencil, block=(64, 1, 1))
+    runs = {mode: stencil(KernelExecutor(), mode)
+            for mode in ("auto", "vectorized", "sequential")}
+    for mode in ("auto", "vectorized"):
+        _assert_same_run(runs[mode], runs["sequential"], mode)
+
+
+def test_stencil_tuning_probe_geometry_auto_matches_vectorized():
+    # the untuned stencil tuning probe: (512, 1, 1) blocks, L=16
+    stencil = functools.partial(_stencil, L=16, block=(512, 1, 1))
+    runs = {mode: stencil(KernelExecutor(), mode)
+            for mode in ("auto", "vectorized")}
+    _assert_same_run(runs["auto"], runs["vectorized"], "auto")
 
 
 def test_out_of_range_launch_raises_like_the_interpreter():

@@ -195,6 +195,124 @@ class TestChunking:
 
 
 # ---------------------------------------------------------------------------
+# Lane geometry: memoised per single-chunk launch, read-only everywhere
+# ---------------------------------------------------------------------------
+
+#: the (thread_idx, block_idx) components each lane set of the recording
+#: kernels below saw, in launch order
+_SEEN = []
+
+
+@kernel(vector_safe=True)
+def _record_lanes(out):
+    _SEEN.append((thread_idx.x, thread_idx.y, thread_idx.z,
+                  block_idx.x, block_idx.y, block_idx.z))
+    out[0] = 1.0
+
+
+@kernel(vector_safe=True)
+def _record_block_lanes(out):
+    barrier()
+    _SEEN.append((thread_idx.x, thread_idx.y, thread_idx.z))
+    out[0] = 1.0
+
+
+def _seen_lanes(kern, launch):
+    """The index components *kern* saw in one vectorized launch."""
+    _SEEN.clear()
+    result = KernelExecutor().launch(kern, (np.zeros(1),), launch,
+                                     mode="vectorized")
+    assert result.mode == "vectorized"
+    seen = list(_SEEN)
+    _SEEN.clear()
+    return seen
+
+
+#: the untuned stencil tuning probe's geometry: (512, 1, 1) blocks on an
+#: L=16 grid, 131,072 lanes in one chunk
+_PROBE = LaunchConfig.make((1, 16, 16), (512, 1, 1))
+
+
+class TestLaneGeometry:
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self):
+        vector_executor.LANE_GEOMETRY_MEMO.clear()
+        yield
+        vector_executor.LANE_GEOMETRY_MEMO.clear()
+
+    @pytest.mark.parametrize("launch", [
+        LaunchConfig.make(4, 16),                            # 64 lanes
+        _PROBE,                                              # 131,072
+        LaunchConfig.make(vector_executor.VECTOR_CHUNK_LANES // 512 + 2,
+                          512),                              # two chunks
+    ], ids=["64", "131072", "multi-chunk"])
+    def test_whole_grid_lane_arrays_are_read_only(self, launch):
+        seen = _seen_lanes(_record_lanes, launch)
+        arrays = [c for comps in seen for c in comps
+                  if isinstance(c, np.ndarray)]
+        assert arrays
+        assert all(a.flags.writeable is False for a in arrays)
+        with pytest.raises(ValueError):
+            arrays[0][0] = 7
+
+    @pytest.mark.parametrize("chunk_lanes", [None, 64],
+                             ids=["memoised", "transient"])
+    def test_per_block_lane_arrays_are_read_only(self, chunk_lanes,
+                                                 monkeypatch):
+        if chunk_lanes is not None:
+            monkeypatch.setattr(vector_executor, "VECTOR_CHUNK_LANES",
+                                chunk_lanes)
+        seen = _seen_lanes(_record_block_lanes, LaunchConfig.make(3, 32))
+        assert len(seen) == 3
+        assert all(c.flags.writeable is False for comps in seen
+                   for c in comps)
+
+    def test_relaunch_is_a_hit_returning_the_same_arrays(self):
+        from repro.obs import registry
+
+        memo = vector_executor.LANE_GEOMETRY_MEMO
+        hits = registry().counter("memo_hits_total", memo="lane_geometry")
+        first = _seen_lanes(_record_lanes, _PROBE)
+        assert memo.cache_info().misses == 1
+        assert memo.cache_info().bytes > 0
+        second = _seen_lanes(_record_lanes, _PROBE)
+        assert len(first) == len(second) == 1
+        assert all(a is b for a, b in zip(first[0], second[0]))
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.entries) == (1, 1, 1)
+        assert registry().counter("memo_hits_total",
+                                  memo="lane_geometry") == hits + 1
+
+    def test_launch_above_chunk_size_stores_nothing(self):
+        launch = LaunchConfig.make(
+            vector_executor.VECTOR_CHUNK_LANES // 512 + 2, 512)
+        assert not vector_executor.single_chunk(launch)
+        assert len(_seen_lanes(_record_lanes, launch)) == 2
+        assert vector_executor.LANE_GEOMETRY_MEMO.cache_info().entries == 0
+
+    def test_chunk_size_is_part_of_the_key(self, monkeypatch):
+        memo = vector_executor.LANE_GEOMETRY_MEMO
+        launch = LaunchConfig.make(4, 16)
+        _seen_lanes(_record_lanes, launch)
+        monkeypatch.setattr(vector_executor, "VECTOR_CHUNK_LANES", 128)
+        _seen_lanes(_record_lanes, launch)
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.entries) == (0, 2, 2)
+
+    def test_extent_one_components_are_zero_stride_views(self):
+        (tx, ty, tz, bx, by, bz), = _seen_lanes(_record_lanes, _PROBE)
+        lanes = _PROBE.total_threads
+        for comp in (ty, tz, bx):
+            assert comp.strides == (0,)
+            assert comp.dtype == np.int64 and comp.shape == (lanes,)
+            np.testing.assert_array_equal(comp, np.zeros(lanes, np.int64))
+        for comp in (tx, by, bz):
+            assert comp.strides == (8,)
+        np.testing.assert_array_equal(tx, np.tile(np.arange(512), 256))
+        np.testing.assert_array_equal(bz, np.repeat(np.arange(16), 512 * 16))
+
+
+# ---------------------------------------------------------------------------
 # Cross-mode parity on the four science kernels
 # ---------------------------------------------------------------------------
 

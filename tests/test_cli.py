@@ -408,6 +408,7 @@ class TestBenchCompare:
             "test_bench_functional_executor_stencil",
             "test_bench_vectorized_executor_stencil",
             "test_bench_vectorized_babelstream_dot",
+            "test_bench_vectorized_stencil_probe_replay",
             "test_bench_workload_dispatch",
             *(f"test_bench_{mode}_{kernel}_launch"
               for mode in ("lowered", "vectorized")
@@ -460,6 +461,44 @@ class TestBenchCompare:
         out = capsys.readouterr().out
         assert "compile cache (benchmark run): 7 hit(s), 3 miss(es)" in out
         assert "result cache (benchmark run):  2 hit(s), 1 miss(es)" in out
+
+    def test_every_memo_reports_one_line(self, tmp_path, capsys,
+                                         monkeypatch):
+        from repro import cli as cli_mod
+
+        base = self._stats_file(tmp_path / "base.json", bench_a=1.0)
+        exported = {"compile": {"hits": 0, "misses": 0, "size": 0,
+                                "maxsize": 512},
+                    "result": {"hits": 0, "misses": 0, "size": 0,
+                               "maxsize": 256},
+                    "memo": {"lane_geometry": {"hits": 9, "misses": 2,
+                                               "entries": 2,
+                                               "bytes": 4096},
+                             "lowered": {"hits": 5, "misses": 1,
+                                         "entries": 1, "bytes": 0}}}
+
+        def fake_run(bench_file, *, quick=False, cache_stats_path=None):
+            with open(cache_stats_path, "w", encoding="utf-8") as fh:
+                json.dump(exported, fh)
+            out = tmp_path / "current.json"
+            out.write_text(json.dumps({"bench_a": {"min": 1.0, "mean": 1.1}}))
+            return str(out)
+
+        monkeypatch.setattr(cli_mod, "_run_host_benchmarks", fake_run)
+        assert main(["bench-compare", "--baseline", base]) == 0
+        out = capsys.readouterr().out
+        assert ("memo lane_geometry (benchmark run): 9 hit(s), 2 miss(es), "
+                "2 entries, 4096 bytes") in out
+        assert ("memo lowered (benchmark run): 5 hit(s), 1 miss(es), "
+                "1 entries, 0 bytes") in out
+
+    def test_this_process_reports_live_memos(self, tmp_path, capsys):
+        import repro.gpu.vector_executor  # noqa: F401  (registers its memo)
+
+        base = self._stats_file(tmp_path / "base.json", bench_a=1.0)
+        cur = self._stats_file(tmp_path / "cur.json", bench_a=1.0)
+        assert main(["bench-compare", "--baseline", base, "--current", cur]) == 0
+        assert "memo lane_geometry (this process): " in capsys.readouterr().out
 
 
 class TestBenchExecutorAndCache:
