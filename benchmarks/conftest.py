@@ -15,25 +15,20 @@ import pytest
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Export the substrate cache counters for ``repro bench-compare``.
+    """Export the memo counters for ``repro bench-compare``.
 
-    The CLI runs this benchmark suite in a subprocess, so its own
-    compile/result cache and memo counters never move; when it sets
-    ``REPRO_CACHE_STATS_PATH`` we dump this process's counters there for the
-    parent to report.
+    The CLI runs this benchmark suite in a subprocess, so its own memo
+    counters never move; when it sets ``REPRO_CACHE_STATS_PATH`` we dump
+    this process's counters there for the parent to report.
     """
     path = os.environ.get("REPRO_CACHE_STATS_PATH")
     if not path:
         return
-    from repro.core.compiler import compile_cache_info
     from repro.core.memo import memo_infos
-    from repro.workloads.cache import result_cache_info
 
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"compile": compile_cache_info(),
-                       "result": result_cache_info(),
-                       "memo": memo_infos()}, fh)
+            json.dump({"memo": memo_infos()}, fh)
     except OSError:  # pragma: no cover - best-effort reporting
         pass
 

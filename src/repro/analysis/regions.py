@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.atomics import ATOMIC_FUNCTIONS
+from ..core.memo import Memo
 from .diagnostics import Diagnostic, Severity
 from .symexpr import (
     Add,
@@ -866,19 +867,16 @@ def _underlying_fn(kern):
     return getattr(kern, "fn", kern)
 
 
+#: symbolic access summary per kernel function
+REGION_SUMMARY_MEMO = Memo("region_summary")
+
+
 def kernel_regions(kern) -> RegionSummary:
-    """Symbolic access summary of a kernel body; memoised on the function."""
+    """Symbolic access summary of a kernel body; memoised per function."""
     fn = _underlying_fn(kern)
-    cached = getattr(fn, "_repro_region_summary", None)
-    if cached is not None:
-        return cached
     name = getattr(kern, "name", None) or getattr(fn, "__name__", "<kernel>")
-    summary = _build_summary(fn, name)
-    try:
-        fn._repro_region_summary = summary
-    except (AttributeError, TypeError):  # pragma: no cover - builtins
-        pass
-    return summary
+    return REGION_SUMMARY_MEMO.get_or_compute(
+        fn, lambda: _build_summary(fn, name))
 
 
 def _build_summary(fn, name: str) -> RegionSummary:
@@ -1003,31 +1001,22 @@ def _launch_key(launch) -> Tuple:
     return (bd.x, bd.y, bd.z, gd.x, gd.y, gd.z)
 
 
+#: concrete access boxes per (kernel function, launch dims, argument
+#: signature)
+LAUNCH_REGIONS_MEMO = Memo("launch_regions")
+
+
 def concretize_launch(kern, args, launch) -> Optional[LaunchRegions]:
     """Integer access boxes of *kern* under *launch* with *args* bound.
 
-    Memoised per ``(kernel function, launch dims, argument signature)``;
-    repeat calls on a hot path reduce to two dict lookups.  Returns
-    ``None`` when the body source is unavailable (the caller falls back to
-    whole-buffer reasoning).
+    Memoised per ``(kernel function, launch dims, argument signature)`` in
+    :data:`LAUNCH_REGIONS_MEMO`.  Returns ``None`` when the body source is
+    unavailable (the caller falls back to whole-buffer reasoning).
     """
-    fn = _underlying_fn(kern)
-    key = (_launch_key(launch), tuple(_arg_key(a) for a in args))
-    cache = getattr(fn, "_repro_region_cache", None)
-    if cache is None:
-        cache = {}
-        try:
-            fn._repro_region_cache = cache
-        except (AttributeError, TypeError):  # pragma: no cover
-            return _concretize_uncached(kern, args, launch)
-    hit = cache.get(key, False)
-    if hit is not False:
-        return hit
-    result = _concretize_uncached(kern, args, launch)
-    if len(cache) > 64:               # sweep-sized launch spaces, bounded
-        cache.clear()
-    cache[key] = result
-    return result
+    key = (_underlying_fn(kern), _launch_key(launch),
+           tuple(_arg_key(a) for a in args))
+    return LAUNCH_REGIONS_MEMO.get_or_compute(
+        key, lambda: _concretize_uncached(kern, args, launch))
 
 
 def _concretize_uncached(kern, args, launch) -> Optional[LaunchRegions]:

@@ -734,8 +734,12 @@ def _parse_kernel(fn) -> Optional[ast.FunctionDef]:
                 None)
 
 
+#: one verification verdict per kernel function
+VERIFY_MEMO = Memo("verify")
+
+
 def verify_kernel(kern) -> VerifierResult:
-    """Verify a kernel (or plain callable) body; memoised on the function.
+    """Verify a kernel (or plain callable) body; memoised per function.
 
     Returns a :class:`VerifierResult` whose ``inferred`` field is the
     verifier's lockstep-safety verdict — ``None`` when the source is
@@ -743,32 +747,28 @@ def verify_kernel(kern) -> VerifierResult:
     rules run either.
     """
     fn = _underlying_fn(kern)
-    cached = getattr(fn, "_repro_verify_result", None)
-    if cached is not None:
-        return cached
+    return VERIFY_MEMO.get_or_compute(fn, lambda: _verify(kern, fn))
 
+
+def _verify(kern, fn) -> VerifierResult:
     name = getattr(kern, "name", None) or getattr(fn, "__name__", "<kernel>")
     declared = _declared_flag(kern, fn)
     fndef = kernel_ast(fn)
     if fndef is None:
-        result = VerifierResult(kernel=name, source="", declared=declared,
-                                inferred=None, reasons=(
-                                    "source unavailable for analysis",),
-                                diagnostics=())
-        _cache(fn, result)
-        return result
+        return VerifierResult(kernel=name, source="", declared=declared,
+                              inferred=None, reasons=(
+                                  "source unavailable for analysis",),
+                              diagnostics=())
 
     source_file = inspect.getsourcefile(fn) or ""
     analyzer = _BodyAnalyzer(name, source_file)
     analyzer.run(fndef)
     has_errors = any(d.severity == Severity.ERROR for d in analyzer.diags)
     inferred = not analyzer.reasons and not has_errors
-    result = VerifierResult(kernel=name, source=source_file,
-                            declared=declared, inferred=inferred,
-                            reasons=tuple(analyzer.reasons),
-                            diagnostics=tuple(analyzer.diags))
-    _cache(fn, result)
-    return result
+    return VerifierResult(kernel=name, source=source_file,
+                          declared=declared, inferred=inferred,
+                          reasons=tuple(analyzer.reasons),
+                          diagnostics=tuple(analyzer.diags))
 
 
 def infer_vector_safe(kern) -> Optional[bool]:
@@ -810,10 +810,3 @@ def _declared_flag(kern, fn) -> Optional[bool]:
     if hasattr(fn, "_repro_vector_safe"):
         return bool(fn._repro_vector_safe)
     return None
-
-
-def _cache(fn, result: VerifierResult) -> None:
-    try:
-        fn._repro_verify_result = result
-    except (AttributeError, TypeError):  # pragma: no cover - builtins
-        pass

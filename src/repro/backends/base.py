@@ -18,10 +18,14 @@ from typing import Optional, Sequence, Tuple
 from ..core.compiler import CompiledKernel, CompilerProfile, compile_kernel
 from ..core.errors import UnsupportedBackendError
 from ..core.kernel import KernelModel, LaunchConfig
+from ..core.memo import Memo
 from ..gpu.specs import GPUSpec, get_gpu
 from ..gpu.timing import KernelTimingModel, TimingBreakdown
 
-__all__ = ["Backend", "BackendRun"]
+__all__ = ["Backend", "BackendRun", "PROFILE_MEMO"]
+
+#: compiler profile per (backend instance, GPU name)
+PROFILE_MEMO = Memo("compiler_profile")
 
 
 @dataclass
@@ -82,18 +86,14 @@ class Backend:
         raise NotImplementedError
 
     def cached_profile(self, spec: GPUSpec) -> CompilerProfile:
-        """Per-GPU memo of :meth:`compiler_profile`.
+        """Per-GPU memo of :meth:`compiler_profile` (:data:`PROFILE_MEMO`).
 
         Profiles are frozen value objects, so reusing one instance per GPU is
         safe and keeps the sweep hot path (compile → cache lookup) free of
         repeated profile construction.
         """
-        cache = self.__dict__.setdefault("_profile_cache", {})
-        profile = cache.get(spec.name)
-        if profile is None:
-            profile = self.compiler_profile(spec)
-            cache[spec.name] = profile
-        return profile
+        return PROFILE_MEMO.get_or_compute(
+            (self, spec.name), lambda: self.compiler_profile(spec))
 
     def compile(self, model: KernelModel, gpu, *, launch: Optional[LaunchConfig] = None,
                 fast_math: bool = False) -> CompiledKernel:

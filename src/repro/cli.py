@@ -767,7 +767,7 @@ def _cmd_bench(args) -> int:
             cache = ResultCache(disk_dir=args.cache_dir or DEFAULT_CACHE_DIR)
             result = run_cached(request, cache=cache, workload=workload,
                                 runner=runner)
-            cache_note = ("hit (disk)" if cache.info()["disk_hits"]
+            cache_note = ("hit (disk)" if cache.memo.cache_info().disk_hits
                           else "miss (stored)")
 
     table = ResultTable(columns=list(result.ROW_COLUMNS),
@@ -1147,8 +1147,8 @@ def _run_host_benchmarks(bench_file: str, *, quick: bool = False,
     """Run the host-execution benchmarks, returning the JSON export path.
 
     ``cache_stats_path`` is forwarded to the benchmark subprocess (via
-    ``REPRO_CACHE_STATS_PATH``), which dumps its compile/result cache
-    counters there at session end — see ``benchmarks/conftest.py``.
+    ``REPRO_CACHE_STATS_PATH``), which dumps its memo counters there at
+    session end — see ``benchmarks/conftest.py``.
     """
     import os
     import subprocess
@@ -1189,33 +1189,20 @@ def _cmd_bench_compare(*, baseline: Optional[str], current: Optional[str],
 
 def _print_cache_counters(stats: Optional[dict] = None,
                           origin: str = "this process") -> None:
-    """Report the substrate caches' and every memo's counters.
+    """Report every memo's counters.
 
-    *stats* is the ``{"compile": ..., "result": ..., "memo": ...}`` payload
-    exported by the benchmark subprocess; without it the current process's
-    counters are reported (meaningful when the caller itself exercised the
-    caches).
+    *stats* is the ``{"memo": memo_infos()}`` payload exported by the
+    benchmark subprocess; without it the current process's memos are
+    reported (meaningful when the caller itself exercised them).
     """
     if stats is None:
-        from .core.compiler import compile_cache_info
         from .core.memo import memo_infos
-        from .workloads.cache import result_cache_info
 
-        stats = {"compile": compile_cache_info(),
-                 "result": result_cache_info(),
-                 "memo": memo_infos()}
-    compile_info = stats["compile"]
-    result_info = stats["result"]
-    print(f"compile cache ({origin}): {compile_info['hits']} hit(s), "
-          f"{compile_info['misses']} miss(es), "
-          f"{compile_info['size']}/{compile_info['maxsize']} entries")
-    print(f"result cache ({origin}):  {result_info['hits']} hit(s), "
-          f"{result_info['misses']} miss(es), "
-          f"{result_info['size']}/{result_info['maxsize']} entries")
+        stats = {"memo": memo_infos()}
     for name, info in stats.get("memo", {}).items():
         print(f"memo {name} ({origin}): {info['hits']} hit(s), "
               f"{info['misses']} miss(es), {info['entries']} entries, "
-              f"{info['bytes']} bytes")
+              f"{info['bytes']} bytes, {info['disk_hits']} disk hit(s)")
 
 
 def _bench_compare_inner(benchcheck, *, baseline: Optional[str],

@@ -17,15 +17,13 @@ lives here and can be ablated.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from ..obs import metrics as _obs_metrics
 from .dtypes import DType
 from .errors import CompilationError
 from .kernel import KernelModel, LaunchConfig, MemoryPattern
+from .memo import Memo
 
 __all__ = [
     "Opcode",
@@ -42,7 +40,7 @@ __all__ = [
     "build_ir",
     "compile_kernel",
     "compile_cache_info",
-    "clear_compile_cache",
+    "COMPILE_MEMO",
     "default_pass_pipeline",
 ]
 
@@ -428,31 +426,12 @@ _SLOW_DIV_WEIGHT = 12.0
 # ``instruction_mix`` and ``launch`` are fresh per call.
 # ---------------------------------------------------------------------------
 
-_COMPILE_CACHE_MAXSIZE = 512
-_compile_cache: "OrderedDict" = OrderedDict()
-_compile_cache_lock = threading.Lock()
-_compile_cache_hits = 0
-_compile_cache_misses = 0
+COMPILE_MEMO = Memo("compile")
 
 
 def compile_cache_info() -> Dict[str, int]:
     """Hit/miss/size statistics of the :func:`compile_kernel` memo."""
-    with _compile_cache_lock:
-        return {
-            "hits": _compile_cache_hits,
-            "misses": _compile_cache_misses,
-            "size": len(_compile_cache),
-            "maxsize": _COMPILE_CACHE_MAXSIZE,
-        }
-
-
-def clear_compile_cache() -> None:
-    """Drop all memoised compilations (and reset the hit/miss counters)."""
-    global _compile_cache_hits, _compile_cache_misses
-    with _compile_cache_lock:
-        _compile_cache.clear()
-        _compile_cache_hits = 0
-        _compile_cache_misses = 0
+    return COMPILE_MEMO.cache_info()._asdict()
 
 
 def compile_kernel(
@@ -467,39 +446,26 @@ def compile_kernel(
     """Run the pass pipeline over *model* and assemble a :class:`CompiledKernel`.
 
     Results are memoised on ``(model, profile, fast_math, backend_name,
-    passes-identity)`` in a shared LRU cache; *launch* only annotates the
+    passes-identity)`` in :data:`COMPILE_MEMO`; *launch* only annotates the
     returned object and is applied per call.  Because :class:`KernelModel` is
     frozen, a "mutated" model (via :meth:`KernelModel.scaled`) is a different
     value and therefore a different cache key — stale results cannot be
     served.
     """
-    global _compile_cache_hits, _compile_cache_misses
+    def compile_once():
+        return _compile_uncached(model, profile, fast_math=fast_math,
+                                 launch=None, backend_name=backend_name,
+                                 passes=passes)
+
     key = (model, profile, bool(fast_math), backend_name,
            None if passes is None else tuple(passes))
     try:
-        with _compile_cache_lock:
-            cached = _compile_cache.get(key)
-            if cached is not None:
-                _compile_cache_hits += 1
-                _compile_cache.move_to_end(key)
-        if cached is not None:
-            _obs_metrics.inc("compile_cache_hits_total")
+        hash(key)
     except TypeError:
         # Unhashable ingredient (e.g. an exotic pass pipeline): compile
         # straight through without memoisation.
-        return _compile_uncached(model, profile, fast_math=fast_math,
-                                 launch=launch, backend_name=backend_name,
-                                 passes=passes)
-    if cached is None:
-        cached = _compile_uncached(model, profile, fast_math=fast_math,
-                                   launch=None, backend_name=backend_name,
-                                   passes=passes)
-        with _compile_cache_lock:
-            _compile_cache_misses += 1
-            _compile_cache[key] = cached
-            while len(_compile_cache) > _COMPILE_CACHE_MAXSIZE:
-                _compile_cache.popitem(last=False)
-        _obs_metrics.inc("compile_cache_misses_total")
+        return replace(compile_once(), launch=launch)
+    cached = COMPILE_MEMO.get_or_compute(key, compile_once)
     return replace(cached, launch=launch, notes=list(cached.notes),
                    instruction_mix=dict(cached.instruction_mix))
 

@@ -1,9 +1,9 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
-Every subsystem in the reproduction already counts things — result-cache
-and tuning-database hits, compile-cache reuse, fault firings, retry
-attempts, breaker trips, graph-compiler rewrites, lint diagnostics — but
-until now each count lived in its own ad-hoc dict.  This registry gives
+Every subsystem in the reproduction already counts things — memo hits
+and misses (compile, result cache, tuning database, ...), fault firings,
+retry attempts, breaker trips, graph-compiler rewrites, lint diagnostics —
+but until now each count lived in its own ad-hoc dict.  This registry gives
 them one process-wide home with a stable catalog, a :func:`snapshot` dict
 for JSON surfaces (``repro trace --json``, CI asserts) and a Prometheus
 text exposition ready for the future ``repro serve``.
@@ -47,14 +47,6 @@ __all__ = [
 
 #: every counter the stack can emit, zero-filled in every snapshot
 COUNTER_CATALOG: Tuple[str, ...] = (
-    "result_cache_hits_total",
-    "result_cache_misses_total",
-    "result_cache_disk_hits_total",
-    "tuning_db_hits_total",
-    "tuning_db_misses_total",
-    "tuning_db_disk_hits_total",
-    "compile_cache_hits_total",
-    "compile_cache_misses_total",
     "fault_injections_fired_total",
     "retry_attempts_total",
     "breaker_open_total",
@@ -66,6 +58,7 @@ COUNTER_CATALOG: Tuple[str, ...] = (
     "lint_diagnostics_total",
     "memo_hits_total",
     "memo_misses_total",
+    "memo_disk_hits_total",
 )
 
 #: every histogram the stack can emit, zero-filled in every snapshot
@@ -80,14 +73,6 @@ LATENCY_BUCKETS_MS: Tuple[float, ...] = (
 )
 
 _HELP = {
-    "result_cache_hits_total": "ResultCache lookups answered from memory or disk",
-    "result_cache_misses_total": "ResultCache lookups that fell through to a run",
-    "result_cache_disk_hits_total": "ResultCache hits served from the disk store",
-    "tuning_db_hits_total": "TuningDB lookups answered from memory or disk",
-    "tuning_db_misses_total": "TuningDB lookups that fell through to a search",
-    "tuning_db_disk_hits_total": "TuningDB hits served from the disk store",
-    "compile_cache_hits_total": "compile_kernel calls answered from the memo",
-    "compile_cache_misses_total": "compile_kernel calls that ran the pipeline",
     "fault_injections_fired_total": "FaultInjector rules that actually fired",
     "retry_attempts_total": "re-attempts after a retryable failure",
     "breaker_open_total": "CircuitBreaker closed/half-open -> open transitions",
@@ -97,8 +82,9 @@ _HELP = {
     "graphopt_ops_elided_total": "graph-compiler ops elided by transfer passes",
     "graphopt_ops_fused_total": "graph-compiler fusion rewrites emitted",
     "lint_diagnostics_total": "static-analysis diagnostics (label: rule)",
-    "memo_hits_total": "Memo lookups answered from the memo (label: memo)",
-    "memo_misses_total": "Memo lookups that ran the computation (label: memo)",
+    "memo_hits_total": "Memo lookups served from memory or disk (label: memo)",
+    "memo_misses_total": "Memo lookups that found nothing (label: memo)",
+    "memo_disk_hits_total": "Memo hits read from the disk tier (label: memo)",
     "workload_run_latency_ms": "Workload.run wall latency (label: workload)",
 }
 

@@ -12,8 +12,8 @@ artefact instead of a hardcoded constant:
 * :mod:`~repro.tuning.tuner` — budgeted search (exhaustive or seeded
   random + hill-climb) scoring candidates on the analytic bench path, with
   capture/replay functional probes;
-* :mod:`~repro.tuning.db` — the :class:`TuningDB` (in-memory LRU +
-  ``.repro_tune/`` JSON store) that persists winners per problem key;
+* :mod:`~repro.tuning.db` — the :class:`TuningDB` (a memo with a
+  ``.repro_tune/`` disk tier) that persists winners per problem key;
 * :mod:`~repro.tuning.report` — tuned-vs-untuned Φ (Table 5 revisited).
 
 Requests opt in through ``RunRequest.tune``: ``"cached"`` applies a
@@ -30,10 +30,8 @@ from .db import (
     DEFAULT_TUNE_DIR,
     TuningDB,
     TuningRecord,
-    clear_tuning_db,
     configure_tuning_db,
     default_tuning_db,
-    tuning_db_info,
 )
 from .model import CandidateEstimate, PruneReport, estimate_candidate, prune_space
 from .probe import ProbeResult, run_probe
@@ -47,7 +45,7 @@ __all__ = [
     "ProbeResult", "run_probe",
     "Tuner", "TuningOutcome", "Evaluation", "STRATEGIES", "DEFAULT_BUDGET",
     "TuningDB", "TuningRecord", "DEFAULT_TUNE_DIR", "default_tuning_db",
-    "configure_tuning_db", "tuning_db_info", "clear_tuning_db",
+    "configure_tuning_db",
     "TuningReport", "tuning_report",
     "resolve_tuning",
 ]

@@ -1,9 +1,11 @@
 """The tuning database: remembered winners per (workload, gpu, backend, ...).
 
-Mirrors the request-level result cache (:mod:`repro.workloads.cache`): an
-in-memory LRU in front of an optional on-disk JSON store (default location
-``.repro_tune/``), thread-safe, with ``info()``/``clear()`` statistics and a
-module-level default instance.
+A :class:`TuningDB` owns one :class:`~repro.core.memo.Memo` named
+``tuning``; with a *disk_dir* the memo gets a disk tier under
+``<disk_dir>/records/`` (default location ``.repro_tune/``).  This module
+adds what only it knows: the :class:`TuningRecord` codec and the problem
+key (:func:`tuning_key`).  Statistics come from
+:func:`repro.core.memo.memo_infos` or ``db.memo.cache_info()``.
 
 Keys
 ----
@@ -18,7 +20,7 @@ space without that knob) — identifies the problem.  The schema tag and package
 (and checked on read), so a schema bump or release invalidates stale
 records instead of serving a winner the current model would not pick.
 
-Disk entries are pruned oldest-first past a byte budget
+Disk entries are pruned oldest-first past :data:`TUNE_DISK_BUDGET`
 (:func:`repro.core.diskstore.prune_dir_to_budget`), so ``.repro_tune/``
 cannot grow without bound across sweeps.
 """
@@ -29,22 +31,20 @@ import hashlib
 import json
 import os
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from ..obs import metrics as _obs_metrics
+from ..core.memo import DiskTier, Memo
 from .space import TuningConfig, TuningSpace
 
 __all__ = ["TuningRecord", "TuningDB", "DEFAULT_TUNE_DIR",
-           "DEFAULT_TUNE_DISK_BUDGET", "configure_tuning_db",
-           "default_tuning_db", "tuning_db_info", "clear_tuning_db"]
+           "TUNE_DISK_BUDGET", "configure_tuning_db", "default_tuning_db"]
 
 #: default on-disk store location (created lazily on the first write)
 DEFAULT_TUNE_DIR = ".repro_tune"
 
 #: byte budget for the on-disk store; oldest records beyond it are evicted
-DEFAULT_TUNE_DISK_BUDGET = 8 * 1024 * 1024
+TUNE_DISK_BUDGET = 8 * 1024 * 1024
 
 #: schema tag stored with every record; bump to invalidate old stores
 _TUNE_SCHEMA = "repro.tuning-record/v1"
@@ -153,115 +153,43 @@ def tuning_key(request, tuned_params: Sequence[str] = (),
 
 
 class TuningDB:
-    """Keyed store of :class:`TuningRecord`, memory LRU + optional disk."""
+    """Keyed store of :class:`TuningRecord`: a memo plus optional disk.
 
-    def __init__(self, maxsize: int = 128,
-                 disk_dir: Optional[str] = None,
-                 max_disk_bytes: int = DEFAULT_TUNE_DISK_BUDGET):
-        self.maxsize = int(maxsize)
+    Memo keys are ``(workload, tuning_key)``; the disk tier files a record
+    as ``records/<workload>-<tuning_key>.json``.
+    """
+
+    def __init__(self, disk_dir: Optional[str] = None):
         self.disk_dir = disk_dir
-        self.max_disk_bytes = max_disk_bytes
-        self._entries: "OrderedDict[str, TuningRecord]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._disk_hits = 0
+        disk = None
+        if disk_dir is not None:
+            disk = DiskTier(os.path.join(disk_dir, "records"),
+                            TUNE_DISK_BUDGET, stem="-".join,
+                            encode=TuningRecord.as_dict, decode=_decode)
+        self.memo = Memo("tuning", disk=disk)
 
-    # ------------------------------------------------------------------ keys
     @staticmethod
     def key_for(request, space: Optional[TuningSpace] = None) -> str:
         if space is None:
             return tuning_key(request)
         return tuning_key(request, space.param_names, space.field_names)
 
-    def _disk_path(self, workload: str, key: str) -> str:
-        return os.path.join(self.disk_dir, "records",
-                            f"{workload}-{key}.json")
-
-    # ------------------------------------------------------------- get / put
     def get(self, request, space: Optional[TuningSpace] = None,
             ) -> Optional[TuningRecord]:
         """Best-known record for *request*'s problem, or None."""
-        key = self.key_for(request, space)
-        with self._lock:
-            record = self._entries.get(key)
-            if record is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                _obs_metrics.inc("tuning_db_hits_total")
-                return record
-        if self.disk_dir is not None:
-            record = self._disk_get(request.workload, key)
-            if record is not None:
-                with self._lock:
-                    self._hits += 1
-                    self._disk_hits += 1
-                    self._remember(key, record)
-                _obs_metrics.inc("tuning_db_hits_total")
-                _obs_metrics.inc("tuning_db_disk_hits_total")
-                return record
-        with self._lock:
-            self._misses += 1
-        _obs_metrics.inc("tuning_db_misses_total")
-        return None
+        return self.memo.get((request.workload, self.key_for(request, space)))
 
     def put(self, request, record: TuningRecord,
             space: Optional[TuningSpace] = None) -> str:
         """Store *record* for *request*'s problem; returns the key."""
         key = self.key_for(request, space)
-        with self._lock:
-            self._remember(key, record)
-        if self.disk_dir is not None:
-            self._disk_put(request.workload, key, record)
+        self.memo.put((request.workload, key), record)
         return key
 
-    def _remember(self, key: str, record: TuningRecord) -> None:
-        self._entries[key] = record
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
 
-    # ----------------------------------------------------------------- disk
-    def _disk_get(self, workload: str, key: str) -> Optional[TuningRecord]:
-        from ..core.diskstore import read_json_entry
+def _decode(key, payload: Dict) -> Optional[TuningRecord]:
+    return TuningRecord.from_dict(payload)
 
-        payload = read_json_entry(self._disk_path(workload, key))
-        if payload is None:
-            return None
-        return TuningRecord.from_dict(payload)
-
-    def _disk_put(self, workload: str, key: str,
-                  record: TuningRecord) -> None:
-        from ..core.diskstore import write_json_entry
-
-        write_json_entry(self._disk_path(workload, key), record.as_dict(),
-                         self.max_disk_bytes)
-
-    # ------------------------------------------------------------ statistics
-    def info(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "size": len(self._entries),
-                "maxsize": self.maxsize,
-                "disk_hits": self._disk_hits,
-                "disk_enabled": self.disk_dir is not None,
-                "max_disk_bytes": self.max_disk_bytes,
-            }
-
-    def clear(self) -> None:
-        """Drop in-memory records and reset counters (disk left in place)."""
-        with self._lock:
-            self._entries.clear()
-            self._hits = 0
-            self._misses = 0
-            self._disk_hits = 0
-
-
-# ---------------------------------------------------------------------------
-# Module-level default DB (mirrors the result-cache module API)
-# ---------------------------------------------------------------------------
 
 _default_db = TuningDB(disk_dir=DEFAULT_TUNE_DIR)
 _default_lock = threading.Lock()
@@ -272,37 +200,21 @@ def default_tuning_db() -> TuningDB:
     return _default_db
 
 
-def configure_tuning_db(*, maxsize: Optional[int] = None,
-                        disk_dir: Optional[str] = None,
-                        disk: Optional[bool] = None,
-                        max_disk_bytes: Optional[int] = None) -> TuningDB:
-    """Replace the default DB's configuration (entries are dropped).
+def configure_tuning_db(*, disk_dir: Optional[str] = None,
+                        disk: Optional[bool] = None) -> TuningDB:
+    """Replace the default DB (its memo starts empty).
 
     ``disk=False`` makes the default DB purely in-memory (used by tests and
     the tuned-portability report, which must not pollute ``.repro_tune/``).
     """
     global _default_db
     with _default_lock:
-        current = _default_db
-        new_maxsize = maxsize if maxsize is not None else current.maxsize
-        new_budget = max_disk_bytes if max_disk_bytes is not None \
-            else current.max_disk_bytes
+        current = _default_db.disk_dir
         if disk is None:
-            new_dir = disk_dir if disk_dir is not None else current.disk_dir
+            new_dir = disk_dir if disk_dir is not None else current
         elif disk:
-            new_dir = disk_dir or current.disk_dir or DEFAULT_TUNE_DIR
+            new_dir = disk_dir or current or DEFAULT_TUNE_DIR
         else:
             new_dir = None
-        _default_db = TuningDB(maxsize=new_maxsize, disk_dir=new_dir,
-                               max_disk_bytes=new_budget)
+        _default_db = TuningDB(disk_dir=new_dir)
         return _default_db
-
-
-def tuning_db_info() -> Dict[str, object]:
-    """Statistics of the default tuning database."""
-    return _default_db.info()
-
-
-def clear_tuning_db() -> None:
-    """Drop the default DB's in-memory records and counters."""
-    _default_db.clear()

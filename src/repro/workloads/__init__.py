@@ -26,12 +26,7 @@ from .base import (
     Workload,
     WorkloadResult,
 )
-from .cache import (
-    ResultCache,
-    clear_result_cache,
-    result_cache_info,
-    run_cached,
-)
+from .cache import ResultCache, default_result_cache, run_cached
 from .registry import (
     get_workload,
     list_workloads,
@@ -51,7 +46,7 @@ __all__ = [
     "StencilWorkload", "BabelStreamWorkload", "MiniBudeWorkload",
     "HartreeFockWorkload",
     "run_workload",
-    "ResultCache", "run_cached", "result_cache_info", "clear_result_cache",
+    "ResultCache", "run_cached", "default_result_cache",
 ]
 
 register_workload(StencilWorkload(), "laplacian")

@@ -6,40 +6,35 @@ timing model is deterministic), so repeated sweep points and repeated
 ``bench`` invocations can be answered from a keyed memo instead of re-running
 verification and the analytic pipeline.
 
-Two layers, mirroring the memoised compile pipeline
-(:func:`repro.core.compiler.compile_cache_info`):
+A :class:`ResultCache` owns one :class:`~repro.core.memo.Memo` named
+``result``, keyed by the ``RunRequest`` itself.  With a *disk_dir* the memo
+gets a disk tier under ``<disk_dir>/results/``, keyed by a digest of the
+request's canonical JSON, which survives process boundaries and makes
+repeated CLI ``bench`` invocations near-free.  Disk hits are rehydrated into
+a :class:`WorkloadResult` whose ``timing`` entries are the plain exported
+dicts and whose ``raw`` legacy payload is ``None`` (both are documented as
+export-shaped for cached results).
 
-* an **in-memory LRU** keyed directly by the ``RunRequest`` — exact object
-  round-trip, used by :meth:`repro.harness.sweep.Sweep.run_workload` and any
-  in-process repetition;
-* an optional **on-disk JSON store** (default location ``.repro_cache/``)
-  keyed by a digest of the request's canonical JSON — survives process
-  boundaries, which makes repeated CLI ``bench`` invocations near-free.
-  Disk hits are rehydrated into a :class:`WorkloadResult` whose ``timing``
-  entries are the plain exported dicts and whose ``raw`` legacy payload is
-  ``None`` (both are documented as export-shaped for cached results).
-
-``result_cache_info()`` / ``clear_result_cache()`` expose the default
-cache's statistics, mirroring ``compile_cache_info`` / ``clear_compile_cache``.
+What this module adds to the memo is what only it knows: the request
+digest, the result codec, the caller-isolating clone, and the rule that
+tuned requests are never memoised (:func:`run_cached`).  Statistics come
+from :func:`repro.core.memo.memo_infos` or ``cache.memo.cache_info()``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import hashlib
 import json
 import os
 import threading
-from collections import OrderedDict
 from typing import Dict, Optional
 
-from ..obs import metrics as _obs_metrics
+from ..core.memo import DiskTier, Memo
 from .base import RunRequest, Verification, WorkloadResult
 
-__all__ = ["ResultCache", "run_cached", "result_cache_info",
-           "clear_result_cache", "configure_result_cache",
-           "DEFAULT_CACHE_DIR", "DEFAULT_CACHE_DISK_BUDGET"]
+__all__ = ["ResultCache", "run_cached", "default_result_cache",
+           "configure_result_cache", "DEFAULT_CACHE_DIR", "CACHE_DISK_BUDGET"]
 
 #: default on-disk store location (created lazily, only when disk caching
 #: is enabled)
@@ -47,7 +42,7 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: byte budget for the on-disk store; oldest results beyond it are evicted
 #: (see :func:`repro.core.diskstore.prune_dir_to_budget`)
-DEFAULT_CACHE_DISK_BUDGET = 64 * 1024 * 1024
+CACHE_DISK_BUDGET = 64 * 1024 * 1024
 
 #: schema tag stored with every disk entry; bump to invalidate old stores
 _DISK_SCHEMA = "repro.result-cache/v1"
@@ -56,58 +51,19 @@ _DISK_SCHEMA = "repro.result-cache/v1"
 class ResultCache:
     """Keyed memo of :class:`WorkloadResult` by :class:`RunRequest`.
 
-    Thread-safe; the in-memory layer is an LRU bounded by *maxsize*.  Pass a
-    *disk_dir* to add the JSON store layer (entries are written through on
-    :meth:`put` and consulted on in-memory misses).
+    Pass a *disk_dir* to give the memo its JSON disk tier (entries are
+    written through on :meth:`put` and read on memory misses).
     """
 
-    def __init__(self, maxsize: int = 256,
-                 disk_dir: Optional[str] = None,
-                 max_disk_bytes: int = DEFAULT_CACHE_DISK_BUDGET):
-        self.maxsize = int(maxsize)
+    def __init__(self, disk_dir: Optional[str] = None):
         self.disk_dir = disk_dir
-        self.max_disk_bytes = max_disk_bytes
-        self._entries: "OrderedDict[RunRequest, WorkloadResult]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._disk_hits = 0
-        # per-request single-flight locks (see locked()); guarded by _lock
-        self._inflight: Dict[RunRequest, threading.Lock] = {}
-        self._inflight_refs: Dict[RunRequest, int] = {}
+        disk = None
+        if disk_dir is not None:
+            disk = DiskTier(os.path.join(disk_dir, "results"),
+                            CACHE_DISK_BUDGET, stem=_disk_stem,
+                            encode=_encode, decode=_decode)
+        self.memo = Memo("result", disk=disk)
 
-    @contextlib.contextmanager
-    def locked(self, request: RunRequest):
-        """Serialise computations of one request (single-flight).
-
-        Concurrent callers of :func:`run_cached` — a threaded
-        ``Sweep.run_workload(workers=N)`` or the async
-        ``run_workload_async`` — may hold duplicate requests.  Without
-        coalescing, every duplicate misses and runs the workload
-        redundantly, and the sync sequential path (one miss, then hits) and
-        the concurrent paths (N misses) would disagree in their cache
-        accounting.  This lock keys on the request itself, so *distinct*
-        requests still run fully in parallel.
-        """
-        with self._lock:
-            lock = self._inflight.get(request)
-            if lock is None:
-                lock = threading.Lock()
-                self._inflight[request] = lock
-                self._inflight_refs[request] = 0
-            self._inflight_refs[request] += 1
-        lock.acquire()
-        try:
-            yield
-        finally:
-            lock.release()
-            with self._lock:
-                self._inflight_refs[request] -= 1
-                if self._inflight_refs[request] == 0:
-                    del self._inflight[request]
-                    del self._inflight_refs[request]
-
-    # ------------------------------------------------------------------ keys
     @staticmethod
     def disk_key(request: RunRequest) -> str:
         """Stable digest of the request's canonical JSON form.
@@ -125,34 +81,10 @@ class ResultCache:
         keyed = f"{__version__}|{payload}"
         return hashlib.sha256(keyed.encode("utf-8")).hexdigest()[:24]
 
-    def _disk_path(self, request: RunRequest) -> str:
-        return os.path.join(self.disk_dir, "results",
-                            f"{request.workload}-{self.disk_key(request)}.json")
-
-    # ------------------------------------------------------------- get / put
     def get(self, request: RunRequest) -> Optional[WorkloadResult]:
         """Cached result for *request*, or None.  Counts a hit or a miss."""
-        with self._lock:
-            result = self._entries.get(request)
-            if result is not None:
-                self._entries.move_to_end(request)
-                self._hits += 1
-                _obs_metrics.inc("result_cache_hits_total")
-                return _clone(result)
-        if self.disk_dir is not None:
-            result = self._disk_get(request)
-            if result is not None:
-                with self._lock:
-                    self._hits += 1
-                    self._disk_hits += 1
-                    self._remember(request, result)
-                _obs_metrics.inc("result_cache_hits_total")
-                _obs_metrics.inc("result_cache_disk_hits_total")
-                return _clone(result)
-        with self._lock:
-            self._misses += 1
-        _obs_metrics.inc("result_cache_misses_total")
-        return None
+        result = self.memo.get(request)
+        return None if result is None else _clone(result)
 
     def put(self, request: RunRequest, result: WorkloadResult) -> None:
         """Store *result* under *request* (write-through to disk if enabled).
@@ -160,59 +92,21 @@ class ResultCache:
         A caller-isolated clone is stored, so mutating the result object
         after ``put`` cannot poison the cache.
         """
-        stored = _clone(result)
-        with self._lock:
-            self._remember(request, stored)
-        if self.disk_dir is not None:
-            self._disk_put(request, stored)
+        self.memo.put(request, _clone(result))
 
-    def _remember(self, request: RunRequest, result: WorkloadResult) -> None:
-        self._entries[request] = result
-        self._entries.move_to_end(request)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
 
-    # ----------------------------------------------------------------- disk
-    def _disk_get(self, request: RunRequest) -> Optional[WorkloadResult]:
-        from ..core.diskstore import read_json_entry
+def _disk_stem(request: RunRequest) -> str:
+    return f"{request.workload}-{ResultCache.disk_key(request)}"
 
-        payload = read_json_entry(self._disk_path(request))
-        if payload is None or payload.get("schema") != _DISK_SCHEMA:
-            return None
-        return _result_from_export(request, payload["result"])
 
-    def _disk_put(self, request: RunRequest, result: WorkloadResult) -> None:
-        from ..core.diskstore import write_json_entry
+def _encode(result: WorkloadResult) -> dict:
+    return {"schema": _DISK_SCHEMA, "result": result.as_dict()}
 
-        write_json_entry(self._disk_path(request),
-                         {"schema": _DISK_SCHEMA, "result": result.as_dict()},
-                         self.max_disk_bytes)
 
-    # ------------------------------------------------------------ statistics
-    def info(self) -> Dict[str, int]:
-        """Hit/miss/size statistics, shaped like ``compile_cache_info()``."""
-        with self._lock:
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "size": len(self._entries),
-                "maxsize": self.maxsize,
-                "disk_hits": self._disk_hits,
-                "disk_enabled": self.disk_dir is not None,
-                "max_disk_bytes": self.max_disk_bytes,
-            }
-
-    def clear(self) -> None:
-        """Drop the in-memory entries and reset the counters.
-
-        Disk entries are left in place (delete ``.repro_cache/`` to drop
-        them); a cleared cache simply re-reads them as disk hits.
-        """
-        with self._lock:
-            self._entries.clear()
-            self._hits = 0
-            self._misses = 0
-            self._disk_hits = 0
+def _decode(request: RunRequest, payload: dict) -> Optional[WorkloadResult]:
+    if payload.get("schema") != _DISK_SCHEMA:
+        return None
+    return _result_from_export(request, payload["result"])
 
 
 def _clone(result: WorkloadResult) -> WorkloadResult:
@@ -255,39 +149,33 @@ def _result_from_export(request: RunRequest, payload: Dict) -> WorkloadResult:
     )
 
 
-# ---------------------------------------------------------------------------
-# Module-level default cache (mirrors the compile-cache module API)
-# ---------------------------------------------------------------------------
-
 _default_cache = ResultCache()
 _default_lock = threading.Lock()
 
 
-def configure_result_cache(*, maxsize: Optional[int] = None,
-                           disk_dir: Optional[str] = None,
-                           disk: Optional[bool] = None,
-                           max_disk_bytes: Optional[int] = None) -> ResultCache:
-    """Replace the default cache's configuration.
+def default_result_cache() -> ResultCache:
+    """The process-wide default result cache used by :func:`run_cached`."""
+    return _default_cache
+
+
+def configure_result_cache(*, disk_dir: Optional[str] = None,
+                           disk: Optional[bool] = None) -> ResultCache:
+    """Replace the default cache.
 
     ``disk=True`` enables the on-disk store at *disk_dir* (default
-    ``.repro_cache/``); ``disk=False`` disables it; ``max_disk_bytes``
-    bounds the store's size (oldest entries are evicted past it).  Returns
-    the (new) default cache; existing entries and counters are dropped.
+    ``.repro_cache/``); ``disk=False`` disables it.  Returns the new default
+    cache, whose memo starts empty.
     """
     global _default_cache
     with _default_lock:
-        current = _default_cache
-        new_maxsize = maxsize if maxsize is not None else current.maxsize
-        new_budget = max_disk_bytes if max_disk_bytes is not None \
-            else current.max_disk_bytes
+        current = _default_cache.disk_dir
         if disk is None:
-            new_dir = disk_dir if disk_dir is not None else current.disk_dir
+            new_dir = disk_dir if disk_dir is not None else current
         elif disk:
-            new_dir = disk_dir or current.disk_dir or DEFAULT_CACHE_DIR
+            new_dir = disk_dir or current or DEFAULT_CACHE_DIR
         else:
             new_dir = None
-        _default_cache = ResultCache(maxsize=new_maxsize, disk_dir=new_dir,
-                                     max_disk_bytes=new_budget)
+        _default_cache = ResultCache(disk_dir=new_dir)
         return _default_cache
 
 
@@ -323,20 +211,9 @@ def run_cached(request: RunRequest, *,
     run = runner if runner is not None else wl.run
     if request.tune != "off":
         return run(request)
-    with target.locked(request):
+    with target.memo.single_flight(request):
         result = target.get(request)
-        if result is not None:
-            return result
-        result = run(request)
-        target.put(request, result)
+        if result is None:
+            result = run(request)
+            target.put(request, result)
     return result
-
-
-def result_cache_info() -> Dict[str, int]:
-    """Statistics of the default request-result memo."""
-    return _default_cache.info()
-
-
-def clear_result_cache() -> None:
-    """Drop all memoised results (and reset the hit/miss counters)."""
-    _default_cache.clear()

@@ -152,8 +152,8 @@ class TestCompileCache:
     """Memoisation of compile_kernel on (model, profile, fast_math, passes)."""
 
     def setup_method(self):
-        from repro.core.compiler import clear_compile_cache
-        clear_compile_cache()
+        from repro.core.compiler import COMPILE_MEMO
+        COMPILE_MEMO.clear()
 
     def test_identical_inputs_hit(self):
         from repro.core.compiler import compile_cache_info

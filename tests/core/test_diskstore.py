@@ -195,14 +195,14 @@ class TestStoreSelfHealing:
         with pytest.warns(CorruptEntryWarning):
             healed = run_cached(request, cache=fresh, workload=wl)
         assert healed.metrics == first.metrics
-        assert fresh.info()["misses"] == 1  # corruption read as a miss
+        assert fresh.memo.cache_info().misses == 1  # corruption: a miss
         assert (store / "results" / QUARANTINE_DIR).exists()
         # the store healed: a third cache sees a clean disk hit
         again = ResultCache(disk_dir=str(store))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run_cached(request, cache=again, workload=wl)
-        assert again.info()["disk_hits"] == 1
+        assert again.memo.cache_info().disk_hits == 1
 
     def test_tuning_db_heals_a_corrupt_record(self, tmp_path):
         from repro.harness.runner import MeasurementProtocol
@@ -234,8 +234,10 @@ class TestStoreSelfHealing:
 
 
 class TestResultCacheBudget:
-    def test_result_cache_disk_store_respects_budget(self, tmp_path):
+    def test_result_cache_disk_store_respects_budget(self, tmp_path,
+                                                      monkeypatch):
         from repro.harness.runner import MeasurementProtocol
+        from repro.workloads import cache as cache_module
         from repro.workloads import get_workload
         from repro.workloads.cache import ResultCache, run_cached
 
@@ -252,9 +254,108 @@ class TestResultCacheBudget:
         [entry] = list(results.iterdir())
         size = entry.stat().st_size
 
-        cache = ResultCache(disk_dir=str(tmp_path / "store"),
-                            max_disk_bytes=int(size * 2.5))
+        monkeypatch.setattr(cache_module, "CACHE_DISK_BUDGET",
+                            int(size * 2.5))
+        cache = ResultCache(disk_dir=str(tmp_path / "store"))
         for L in (16, 24, 32, 48, 64):
             run_cached(request(L), cache=cache, workload=wl)
         stored = list((tmp_path / "store" / "results").iterdir())
         assert len(stored) <= 3
+
+
+class TestStoreCompatibility:
+    """Entries written in the v1 layout (path, digest, schema) read back as
+    disk hits, so existing ``.repro_cache/`` and ``.repro_tune/`` stores
+    stay warm."""
+
+    @staticmethod
+    def _digest(text):
+        import hashlib
+
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:24]
+
+    def _request(self):
+        from repro.harness.runner import MeasurementProtocol
+        from repro.workloads import get_workload
+
+        wl = get_workload("stencil")
+        return wl, wl.make_request(
+            params={"L": 20}, verify=False,
+            protocol=MeasurementProtocol(warmup=0, repeats=1))
+
+    def _result_entry(self, store, wl, request):
+        from repro import __version__
+
+        canonical = json.dumps(request.as_dict(), sort_keys=True, default=str)
+        digest = self._digest(f"{__version__}|{canonical}")
+        path = store / "results" / f"stencil-{digest}.json"
+        result = wl.run(request)
+        write_json_entry(str(path), {"schema": "repro.result-cache/v1",
+                                     "result": result.as_dict()}, 0)
+        return path, result
+
+    def _tuning_entry(self, store, request):
+        from repro import __version__
+
+        canonical = json.dumps({
+            "workload": "stencil", "gpu": request.gpu,
+            "backend": request.backend, "precision": request.precision,
+            "params": dict(sorted(request.params.items())),
+            "fields": {"fast_math": request.fast_math},
+        }, sort_keys=True, default=str)
+        digest = self._digest(
+            f"repro.tuning-record/v1|{__version__}|{canonical}")
+        path = store / "records" / f"stencil-{digest}.json"
+        write_json_entry(str(path), {
+            "schema": "repro.tuning-record/v1", "workload": "stencil",
+            "gpu": request.gpu, "backend": request.backend,
+            "precision": request.precision, "key_params": {"L": 20},
+            "config": {"params": {"block_shape": [4, 4, 4]}, "fields": {}},
+            "score_ms": 0.007, "baseline_ms": 0.02, "modelled_ms": 0.01,
+            "strategy": "exhaustive", "budget": 8, "space_size": 36,
+            "pruned": 12, "measured": 8}, 0)
+        return path
+
+    def test_result_entry_is_a_disk_hit(self, tmp_path):
+        from repro.workloads.cache import ResultCache
+
+        wl, request = self._request()
+        _, result = self._result_entry(tmp_path, wl, request)
+        cache = ResultCache(disk_dir=str(tmp_path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hit = cache.get(request)
+        assert hit is not None and hit.metrics == result.metrics
+        assert cache.memo.cache_info() == (1, 0, 1, 0, 1)
+
+    def test_tuning_entry_is_a_disk_hit(self, tmp_path):
+        from repro.tuning.db import TuningDB
+
+        _, request = self._request()
+        self._tuning_entry(tmp_path, request)
+        db = TuningDB(disk_dir=str(tmp_path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = db.get(request)
+        assert record is not None and record.score_ms == 0.007
+        assert record.config.params["block_shape"] == (4, 4, 4)
+        assert db.memo.cache_info() == (1, 0, 1, 0, 1)
+
+    def test_corrupt_entries_are_still_quarantined(self, tmp_path):
+        from repro.tuning.db import TuningDB
+        from repro.workloads.cache import ResultCache
+
+        wl, request = self._request()
+        paths = [self._result_entry(tmp_path, wl, request)[0],
+                 self._tuning_entry(tmp_path, request)]
+        for path in paths:
+            path.write_text(path.read_text().replace("0.007", "0.008")
+                            .replace('"ran"', '"RAN"'))
+        for store in (ResultCache(disk_dir=str(tmp_path)),
+                      TuningDB(disk_dir=str(tmp_path))):
+            with pytest.warns(CorruptEntryWarning, match="checksum"):
+                assert store.get(request) is None
+            assert store.memo.cache_info() == (0, 1, 0, 0, 0)
+        for path in paths:
+            assert not path.exists()
+            assert (path.parent / QUARANTINE_DIR / path.name).exists()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.obs import trace
 from repro.obs.metrics import reset_metrics
-from repro.workloads import clear_result_cache, get_workload
+from repro.workloads import default_result_cache, get_workload
 
 
 @pytest.fixture(autouse=True)
@@ -24,9 +24,9 @@ def _clean_metrics():
 
 @pytest.fixture(autouse=True)
 def _clean_default_cache():
-    clear_result_cache()
+    default_result_cache().memo.clear()
     yield
-    clear_result_cache()
+    default_result_cache().memo.clear()
 
 
 @pytest.fixture

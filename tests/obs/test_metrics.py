@@ -124,14 +124,16 @@ class TestInstrumentedSites:
     def test_compile_cache_counters(self, stencil):
         reset_metrics()
         request = stencil.make_request(params={"L": 18}, protocol=FAST)
+        reg = registry()
         stencil.run(request)
-        first = snapshot()["counters"]
+        first = (reg.counter("memo_hits_total", memo="compile"),
+                 reg.counter("memo_misses_total", memo="compile"))
         stencil.run(request)
-        second = snapshot()["counters"]
+        second = (reg.counter("memo_hits_total", memo="compile"),
+                  reg.counter("memo_misses_total", memo="compile"))
         # a repeat run re-serves every kernel from the compile memo
-        assert second["compile_cache_hits_total"] > first["compile_cache_hits_total"]
-        assert (second["compile_cache_misses_total"]
-                == first["compile_cache_misses_total"])
+        assert second[0] > first[0]
+        assert second[1] == first[1]
 
     def test_result_cache_counters(self, stencil):
         from repro.workloads.cache import ResultCache, run_cached
@@ -140,9 +142,9 @@ class TestInstrumentedSites:
         request = stencil.make_request(params={"L": 18}, protocol=FAST)
         cache = ResultCache()
         run_cached(request, cache=cache, workload=stencil)
-        assert registry().counter("result_cache_misses_total") == 1.0
+        assert registry().counter("memo_misses_total", memo="result") == 1.0
         run_cached(request, cache=cache, workload=stencil)
-        assert registry().counter("result_cache_hits_total") == 1.0
+        assert registry().counter("memo_hits_total", memo="result") == 1.0
 
     def test_tuning_db_counters(self, stencil):
         from repro.tuning.db import TuningDB
@@ -151,7 +153,7 @@ class TestInstrumentedSites:
         db = TuningDB()
         request = stencil.make_request(params={"L": 18}, protocol=FAST)
         assert db.get(request) is None
-        assert registry().counter("tuning_db_misses_total") == 1.0
+        assert registry().counter("memo_misses_total", memo="tuning") == 1.0
 
     def test_lint_diagnostics_counter(self):
         from repro.analysis.lint import run_lint

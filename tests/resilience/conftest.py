@@ -3,7 +3,7 @@
 import pytest
 
 from repro.resilience import faults
-from repro.workloads import clear_result_cache, get_workload
+from repro.workloads import default_result_cache, get_workload
 
 
 @pytest.fixture(autouse=True)
@@ -16,9 +16,9 @@ def _no_leaked_injector():
 
 @pytest.fixture(autouse=True)
 def _clean_default_cache():
-    clear_result_cache()
+    default_result_cache().memo.clear()
     yield
-    clear_result_cache()
+    default_result_cache().memo.clear()
 
 
 @pytest.fixture

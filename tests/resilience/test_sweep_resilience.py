@@ -226,13 +226,12 @@ class TestAsyncResilience:
                 await task
 
         asyncio.run(interrupt())  # joins the executor threads on shutdown
-        assert isolated._inflight == {}
-        assert isolated._inflight_refs == {}
-        assert db.info()["size"] == 0  # untouched by the cancelled sweep
+        assert isolated.memo._flights == {}
+        assert db.memo.cache_info().entries == 0  # untouched by the sweep
 
         monkeypatch.setattr(type(stencil), "run", real_run)
         rerun = asyncio.run(sweep(L=[18, 20, 22, 24]).run_workload_async(
             stencil, workers=2, verify=True, protocol=FAST))
         assert len(rerun) == 4
         assert all(r.verification.passed for r in rerun)
-        assert isolated._inflight == {}
+        assert isolated.memo._flights == {}

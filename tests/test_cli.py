@@ -432,8 +432,8 @@ class TestBenchCompare:
         assert main(["bench-compare", "--baseline", base, "--current", cur]) == 0
         out = capsys.readouterr().out
         # With --current no subprocess runs; this process's counters print.
-        assert "compile cache (this process):" in out
-        assert "result cache (this process):" in out
+        assert "memo compile (this process):" in out
+        assert "memo result (this process):" in out
 
     def test_cache_counters_read_from_benchmark_subprocess_export(
             self, tmp_path, capsys, monkeypatch):
@@ -443,10 +443,11 @@ class TestBenchCompare:
         from repro import cli as cli_mod
 
         base = self._stats_file(tmp_path / "base.json", bench_a=1.0)
-        exported = {"compile": {"hits": 7, "misses": 3, "size": 3,
-                                "maxsize": 512},
-                    "result": {"hits": 2, "misses": 1, "size": 1,
-                               "maxsize": 256}}
+        exported = {"memo": {
+            "compile": {"hits": 7, "misses": 3, "entries": 3, "bytes": 0,
+                        "disk_hits": 0},
+            "result": {"hits": 2, "misses": 1, "entries": 1, "bytes": 0,
+                       "disk_hits": 1}}}
 
         def fake_run(bench_file, *, quick=False, cache_stats_path=None):
             assert cache_stats_path is not None
@@ -459,23 +460,20 @@ class TestBenchCompare:
         monkeypatch.setattr(cli_mod, "_run_host_benchmarks", fake_run)
         assert main(["bench-compare", "--baseline", base]) == 0
         out = capsys.readouterr().out
-        assert "compile cache (benchmark run): 7 hit(s), 3 miss(es)" in out
-        assert "result cache (benchmark run):  2 hit(s), 1 miss(es)" in out
+        assert "memo compile (benchmark run): 7 hit(s), 3 miss(es)" in out
+        assert "memo result (benchmark run): 2 hit(s), 1 miss(es)" in out
 
     def test_every_memo_reports_one_line(self, tmp_path, capsys,
                                          monkeypatch):
         from repro import cli as cli_mod
 
         base = self._stats_file(tmp_path / "base.json", bench_a=1.0)
-        exported = {"compile": {"hits": 0, "misses": 0, "size": 0,
-                                "maxsize": 512},
-                    "result": {"hits": 0, "misses": 0, "size": 0,
-                               "maxsize": 256},
-                    "memo": {"lane_geometry": {"hits": 9, "misses": 2,
-                                               "entries": 2,
-                                               "bytes": 4096},
-                             "lowered": {"hits": 5, "misses": 1,
-                                         "entries": 1, "bytes": 0}}}
+        exported = {"memo": {"lane_geometry": {"hits": 9, "misses": 2,
+                                               "entries": 2, "bytes": 4096,
+                                               "disk_hits": 0},
+                             "result": {"hits": 5, "misses": 1,
+                                        "entries": 1, "bytes": 0,
+                                        "disk_hits": 1}}}
 
         def fake_run(bench_file, *, quick=False, cache_stats_path=None):
             with open(cache_stats_path, "w", encoding="utf-8") as fh:
@@ -488,9 +486,10 @@ class TestBenchCompare:
         assert main(["bench-compare", "--baseline", base]) == 0
         out = capsys.readouterr().out
         assert ("memo lane_geometry (benchmark run): 9 hit(s), 2 miss(es), "
-                "2 entries, 4096 bytes") in out
-        assert ("memo lowered (benchmark run): 5 hit(s), 1 miss(es), "
-                "1 entries, 0 bytes") in out
+                "2 entries, 4096 bytes, 0 disk hit(s)") in out
+        assert ("memo result (benchmark run): 5 hit(s), 1 miss(es), "
+                "1 entries, 0 bytes, 1 disk hit(s)") in out
+        assert out.count("(benchmark run)") == 2
 
     def test_this_process_reports_live_memos(self, tmp_path, capsys):
         import repro.gpu.vector_executor  # noqa: F401  (registers its memo)

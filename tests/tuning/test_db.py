@@ -6,7 +6,9 @@ import os
 import pytest
 
 import repro
+from repro.core import memo as memo_module
 from repro.harness.runner import MeasurementProtocol
+from repro.tuning import db as db_module
 from repro.tuning.db import (
     TuningDB,
     TuningRecord,
@@ -94,9 +96,9 @@ class TestRoundtrip:
         assert got is not None
         assert got.config.params["block_shape"] == (4, 4, 4)
         assert got.speedup == pytest.approx(0.020 / 0.007)
-        info = db.info()
-        assert info["hits"] == 1 and info["misses"] == 1
-        assert info["disk_enabled"] is False
+        info = db.memo.cache_info()
+        assert info.hits == 1 and info.misses == 1
+        assert db.memo.disk is None
 
     def test_disk_survives_new_instance(self, tmp_path):
         db = TuningDB(disk_dir=str(tmp_path))
@@ -105,7 +107,7 @@ class TestRoundtrip:
         fresh = TuningDB(disk_dir=str(tmp_path))
         got = fresh.get(request)
         assert got is not None and got.score_ms == pytest.approx(0.007)
-        assert fresh.info()["disk_hits"] == 1
+        assert fresh.memo.cache_info().disk_hits == 1
 
     def test_schema_mismatch_invalidates_disk_record(self, tmp_path):
         db = TuningDB(disk_dir=str(tmp_path))
@@ -132,16 +134,17 @@ class TestRoundtrip:
         assert again.key_params == record.key_params
         assert again.score_ms == record.score_ms
 
-    def test_lru_eviction_in_memory(self):
-        db = TuningDB(maxsize=2, disk_dir=None)
+    def test_lru_eviction_in_memory(self, monkeypatch):
+        monkeypatch.setattr(memo_module, "MAX_ENTRIES", 2)
+        db = TuningDB(disk_dir=None)
         for L in (32, 48, 64):
             db.put(_request(params={"L": L}), _record(key_params={"L": L}))
-        assert db.info()["size"] == 2
+        assert db.memo.cache_info().entries == 2
         assert db.get(_request(params={"L": 32})) is None
 
 
 class TestDiskBudget:
-    def test_store_stays_within_byte_budget(self, tmp_path):
+    def test_store_stays_within_byte_budget(self, tmp_path, monkeypatch):
         # Learn one record's size, then give the store room for ~2.5 of
         # them: after five writes at most three files may remain (the
         # just-written entry is always exempt from eviction, so the store
@@ -152,13 +155,15 @@ class TestDiskBudget:
         [name] = os.listdir(records)
         size = os.path.getsize(os.path.join(records, name))
 
-        db = TuningDB(disk_dir=str(tmp_path), max_disk_bytes=int(size * 2.5))
+        monkeypatch.setattr(db_module, "TUNE_DISK_BUDGET", int(size * 2.5))
+        db = TuningDB(disk_dir=str(tmp_path))
         for L in (16, 24, 32, 40, 48):
             db.put(_request(params={"L": L}), _record(key_params={"L": L}))
         assert len(os.listdir(records)) <= 3
 
-    def test_zero_budget_disables_pruning(self, tmp_path):
-        db = TuningDB(disk_dir=str(tmp_path), max_disk_bytes=0)
+    def test_zero_budget_disables_pruning(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(db_module, "TUNE_DISK_BUDGET", 0)
+        db = TuningDB(disk_dir=str(tmp_path))
         for L in (16, 24, 32):
             db.put(_request(params={"L": L}), _record(key_params={"L": L}))
         assert len(os.listdir(os.path.join(str(tmp_path), "records"))) == 3
@@ -168,13 +173,11 @@ class TestDefaultDB:
     def test_configure_replaces_default(self, tmp_path):
         original = default_tuning_db()
         try:
-            db = configure_tuning_db(disk_dir=str(tmp_path), maxsize=4)
+            db = configure_tuning_db(disk_dir=str(tmp_path))
             assert default_tuning_db() is db
-            assert db.disk_dir == str(tmp_path) and db.maxsize == 4
+            assert db.disk_dir == str(tmp_path)
             memory_only = configure_tuning_db(disk=False)
             assert memory_only.disk_dir is None
         finally:
             configure_tuning_db(disk=original.disk_dir is not None,
-                                disk_dir=original.disk_dir,
-                                maxsize=original.maxsize,
-                                max_disk_bytes=original.max_disk_bytes)
+                                disk_dir=original.disk_dir)

@@ -102,9 +102,9 @@ class TestSearch:
         db = TuningDB(disk_dir=None)
         outcome = Tuner(wl, request, db=db, budget=8).search()
         assert outcome.record is not None
-        before = db.info()["hits"]
+        before = db.memo.cache_info().hits
         assert db.get(request, wl.tuning_space(request)) is not None
-        assert db.info()["hits"] == before + 1
+        assert db.memo.cache_info().hits == before + 1
 
     def test_invalid_strategy_and_budget_rejected(self):
         wl, request = _request()
@@ -191,8 +191,8 @@ class TestRunIntegration:
             cache = ResultCache()
             run_cached(request, cache=cache)
             run_cached(request, cache=cache)
-            info = cache.info()
-            assert info["hits"] == 0 and info["misses"] == 0
-            assert info["size"] == 0
+            info = cache.memo.cache_info()
+            assert info.hits == 0 and info.misses == 0
+            assert info.entries == 0
         finally:
             configure_tuning_db(disk=False)

@@ -1,4 +1,4 @@
-"""Tests for the request-level result cache (memory LRU + disk store)."""
+"""Tests for the request-level result cache (a memo with a disk tier)."""
 
 import json
 
@@ -7,22 +7,22 @@ import pytest
 
 from repro.harness.runner import MeasurementProtocol
 from repro.harness.sweep import sweep
-from repro.workloads import (
-    clear_result_cache,
-    get_workload,
-    result_cache_info,
-    run_cached,
-)
+from repro.core import memo as memo_module
+from repro.workloads import default_result_cache, get_workload, run_cached
 from repro.workloads.cache import DEFAULT_CACHE_DIR, ResultCache
 
 FAST = MeasurementProtocol(warmup=0, repeats=3)
 
 
+def _default_memo():
+    return default_result_cache().memo
+
+
 @pytest.fixture(autouse=True)
 def _clean_default_cache():
-    clear_result_cache()
+    _default_memo().clear()
     yield
-    clear_result_cache()
+    _default_memo().clear()
 
 
 def _stencil_request(**overrides):
@@ -36,11 +36,11 @@ class TestMemoryCache:
     def test_repeated_identical_requests_hit(self):
         request = _stencil_request()
         first = run_cached(request)
-        info = result_cache_info()
-        assert info["hits"] == 0 and info["misses"] == 1
+        info = _default_memo().cache_info()
+        assert info.hits == 0 and info.misses == 1
         second = run_cached(request)
-        info = result_cache_info()
-        assert info["hits"] == 1 and info["misses"] == 1
+        info = _default_memo().cache_info()
+        assert info.hits == 1 and info.misses == 1
         assert second.metrics == first.metrics
         assert second.request == request
 
@@ -48,8 +48,8 @@ class TestMemoryCache:
         run_cached(_stencil_request())
         run_cached(_stencil_request(params={"L": 32}))
         run_cached(_stencil_request(executor="sequential"))
-        info = result_cache_info()
-        assert info["hits"] == 0 and info["misses"] == 3
+        info = _default_memo().cache_info()
+        assert info.hits == 0 and info.misses == 3
 
     def test_cached_result_is_isolated_copy(self):
         request = _stencil_request()
@@ -60,21 +60,19 @@ class TestMemoryCache:
 
     def test_clear_resets_counters_and_entries(self):
         run_cached(_stencil_request())
-        clear_result_cache()
-        info = result_cache_info()
-        assert info == {"hits": 0, "misses": 0, "size": 0,
-                        "maxsize": info["maxsize"], "disk_hits": 0,
-                        "disk_enabled": False,
-                        "max_disk_bytes": info["max_disk_bytes"]}
+        _default_memo().clear()
+        assert _default_memo().cache_info() == (0, 0, 0, 0, 0)
+        assert default_result_cache().memo.disk is None
 
-    def test_lru_eviction(self):
-        cache = ResultCache(maxsize=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(memo_module, "MAX_ENTRIES", 2)
+        cache = ResultCache()
         for L in (32, 48, 64):
             run_cached(_stencil_request(params={"L": L}), cache=cache)
-        assert cache.info()["size"] == 2
+        assert cache.memo.cache_info().entries == 2
         # The oldest entry (L=32) was evicted: running it again misses.
         run_cached(_stencil_request(params={"L": 32}), cache=cache)
-        assert cache.info()["misses"] == 4
+        assert cache.memo.cache_info().misses == 4
 
 
 class TestDiskCache:
@@ -85,8 +83,8 @@ class TestDiskCache:
 
         fresh = ResultCache(disk_dir=disk)      # simulates a new process
         second = run_cached(request, cache=fresh)
-        info = fresh.info()
-        assert info["disk_hits"] == 1 and info["hits"] == 1
+        info = fresh.memo.cache_info()
+        assert info.disk_hits == 1 and info.hits == 1
         assert second.metrics == pytest.approx(first.metrics)
         assert second.verification.ran == first.verification.ran
         # Rehydrated results are export-shaped: plain-dict timing, no raw.
@@ -100,21 +98,21 @@ class TestDiskCache:
         cache = ResultCache(disk_dir=disk)
         request = _stencil_request()
         run_cached(request, cache=cache)
-        cache.clear()
+        cache.memo.clear()
         run_cached(request, cache=cache)
-        assert cache.info()["disk_hits"] == 1
+        assert cache.memo.cache_info().disk_hits == 1
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         disk = str(tmp_path / "cache")
         cache = ResultCache(disk_dir=disk)
         request = _stencil_request()
         run_cached(request, cache=cache)
-        path = cache._disk_path(request)
+        path = cache.memo.disk.path(request)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("{not json")
         fresh = ResultCache(disk_dir=disk)
         result = run_cached(request, cache=fresh)
-        assert fresh.info()["misses"] == 1
+        assert fresh.memo.cache_info().misses == 1
         assert result.metrics["bandwidth_gbs"] > 0
 
     def test_disk_key_is_stable_and_request_specific(self):
@@ -140,22 +138,22 @@ class TestSweepMemo:
         s = sweep(L=[32, 32, 48])
         results = s.run_workload("stencil", protocol=FAST, verify=False)
         assert [r.request.params["L"] for r in results] == [32, 32, 48]
-        info = result_cache_info()
-        assert info["hits"] == 1 and info["misses"] == 2
+        info = _default_memo().cache_info()
+        assert info.hits == 1 and info.misses == 2
         assert results[0].metrics == results[1].metrics
 
     def test_repeated_sweep_is_all_hits(self):
         s = sweep(L=[32, 48])
         s.run_workload("stencil", protocol=FAST, verify=False)
         s.run_workload("stencil", protocol=FAST, verify=False)
-        info = result_cache_info()
-        assert info["hits"] == 2 and info["misses"] == 2
+        info = _default_memo().cache_info()
+        assert info.hits == 2 and info.misses == 2
 
     def test_cache_false_forces_fresh_runs(self):
         s = sweep(L=[32, 32])
         s.run_workload("stencil", protocol=FAST, verify=False, cache=False)
-        info = result_cache_info()
-        assert info["hits"] == 0 and info["misses"] == 0
+        info = _default_memo().cache_info()
+        assert info.hits == 0 and info.misses == 0
 
     def test_unregistered_workload_instances_still_sweep(self):
         """run_workload must use the resolved instance, not re-resolve by
@@ -168,12 +166,12 @@ class TestSweepMemo:
         results = sweep(L=[16, 16]).run_workload(
             AdHocStencil(), protocol=FAST, verify=False)
         assert [r.request.workload for r in results] == ["adhoc-stencil"] * 2
-        assert result_cache_info()["hits"] == 1   # memo still applies
+        assert _default_memo().cache_info().hits == 1   # memo still applies
 
     def test_workers_preserve_sweep_order_with_cache(self):
         s = sweep(L=[64, 48, 32, 24], gpu=["h100", "mi300a"])
         sequential = s.run_workload("stencil", protocol=FAST, verify=False)
-        clear_result_cache()
+        _default_memo().clear()
         concurrent = s.run_workload("stencil", protocol=FAST, verify=False,
                                     workers=4)
         assert [(r.request.params["L"], r.request.gpu) for r in concurrent] \

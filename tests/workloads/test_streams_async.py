@@ -114,16 +114,15 @@ class TestAsyncFacade:
             == [r.metrics for r in sync_results]
 
     def test_run_workload_async_uses_the_result_cache(self):
-        from repro.workloads.cache import (clear_result_cache,
-                                           result_cache_info)
+        from repro.workloads.cache import default_result_cache
 
-        clear_result_cache()
+        memo = default_result_cache().memo
+        memo.clear()
         s = sweep(L=[20])
         asyncio.run(s.run_workload_async("stencil", verify=False))
         asyncio.run(s.run_workload_async("stencil", verify=False))
-        info = result_cache_info()
-        assert info["hits"] >= 1
-        clear_result_cache()
+        assert memo.cache_info().hits >= 1
+        memo.clear()
 
 
 class TestAsyncCacheParity:
@@ -186,33 +185,32 @@ class TestAsyncCacheParity:
                     *(asyncio.to_thread(runner, r) for r in reqs))
 
             results = asyncio.run(drive())
-        return workload.runs, cache.info(), results
+        return workload.runs, cache.memo.cache_info(), results
 
     @pytest.mark.parametrize("mode", ["sync", "threads", "async"])
     def test_duplicate_requests_run_once_in_every_mode(self, mode):
         runs, info, results = self._drive(mode)
         assert runs == 1, f"{mode}: duplicates must coalesce into one run"
-        assert info["misses"] == 1
-        assert info["hits"] == 2
+        assert info.misses == 1
+        assert info.hits == 2
         assert len({id(r) for r in results}) == 3  # every caller owns a clone
 
     def test_async_accounting_matches_sync(self):
         sync_runs, sync_info, _ = self._drive("sync")
         async_runs, async_info, _ = self._drive("async")
         assert async_runs == sync_runs
-        assert {k: async_info[k] for k in ("hits", "misses", "size")} == \
-            {k: sync_info[k] for k in ("hits", "misses", "size")}
+        assert async_info == sync_info
 
     def test_sweep_async_path_coalesces_duplicates(self):
-        from repro.workloads.cache import (clear_result_cache,
-                                           result_cache_info)
+        from repro.workloads.cache import default_result_cache
 
-        clear_result_cache()
+        memo = default_result_cache().memo
+        memo.clear()
         s = self._duplicate_sweep()
         results = asyncio.run(s.run_workload_async("stencil", workers=3,
                                                    verify=False))
-        info = result_cache_info()
-        assert info["misses"] == 1 and info["hits"] == 2
+        info = memo.cache_info()
+        assert info.misses == 1 and info.hits == 2
         assert len(results) == 3
         assert results[0].metrics == results[1].metrics == results[2].metrics
-        clear_result_cache()
+        memo.clear()
