@@ -112,6 +112,25 @@ def test_bench_workload_dispatch(benchmark):
     assert not result.verification.ran
 
 
+def test_bench_cli_dispatch(benchmark):
+    """A warm in-process ``repro lint --explain KV103``: command-table
+    lookup, the memoised one-command parser and a rule-doc print.
+
+    Guards what every in-process CLI command pays before its handler runs;
+    rebuilding the whole argparse tree per call costs about 2 ms.
+    """
+    import contextlib
+    import io
+
+    from repro.cli import main
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return main(["lint", "--explain", "KV103"])
+
+    assert benchmark(run) == 0
+
+
 def _stencil_executor_fixture(L):
     """Shared setup for the executor-throughput benchmarks."""
     from repro.core.layout import Layout, LayoutTensor

@@ -58,6 +58,17 @@ Subcommands
     any regression beyond the threshold.  ``--quick`` restricts the run to
     the fast executor/dispatch subset for the tier-1 pre-merge flow; the
     report ends with the compile/result cache hit counters.
+
+Dispatch
+--------
+One command table, :data:`COMMANDS`, holds each subcommand's name, help
+line, argument builder and handler; ``build_parser`` and ``main`` both
+read it.  ``main`` parses a command with a parser that holds only that
+subcommand, memoised per command name in the ``cli_parser`` memo, so a
+warm invocation does not rebuild argparse.  Everything else (no command,
+``--help``, ``--version``, an unknown command) goes through the full
+parser.  A ``ReproError`` from any handler prints ``<command>: <message>``
+on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -66,351 +77,64 @@ import argparse
 import inspect
 import json
 import sys
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from . import __version__
 from .backends import get_backend, list_backends
 from .core.errors import ConfigurationError, ReproError
+from .core.memo import Memo
 from .experiments import EXPERIMENTS, list_experiments, run_experiment
 from .gpu import get_gpu, list_gpus
 
-__all__ = ["main", "build_parser", "accepts_option"]
+__all__ = ["main", "build_parser", "accepts_option", "COMMANDS", "Command",
+           "command_parser"]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Construct the CLI argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments",
-        description="Regenerate the tables and figures of the Mojo GPU science-"
-                    "kernels paper on the simulated substrate.",
-    )
-    parser.add_argument("--version", action="version", version=f"repro {__version__}")
-    sub = parser.add_subparsers(dest="command")
+def _add_workload_target(p, *, precision: bool = True) -> None:
+    """The workload positional plus ``--gpu``/``--backend``/``--precision``."""
+    p.add_argument("workload", help="registered workload name "
+                                    "(see 'workloads')")
+    p.add_argument("--gpu", default="h100", help="simulated GPU (default h100)")
+    p.add_argument("--backend", default="mojo",
+                   help="backend/toolchain (default mojo)")
+    if precision:
+        p.add_argument("--precision", default=None,
+                       help="float32/float64 (default: the workload's)")
 
-    sub.add_parser("list", help="list available experiments")
 
-    run_p = sub.add_parser("run", help="run experiments and print their reports")
-    run_p.add_argument("ids", nargs="+",
-                       help="experiment ids (fig2..fig7, table2..table5) or 'all'")
-    run_p.add_argument("--full", action="store_true",
-                       help="run the full (non-quick) parameter sweeps")
-    run_p.add_argument("--verify", action="store_true",
-                       help="also run functional verification on the simulator")
-    run_p.add_argument("--markdown", action="store_true",
-                       help="emit markdown instead of plain text")
+def _add_executor(p) -> None:
+    """``--executor``, choosing from :data:`repro.workloads.EXECUTOR_MODES`."""
+    from .workloads import EXECUTOR_MODES
 
-    sub.add_parser("info", help="show simulated GPUs and backends")
+    p.add_argument("--executor", default="auto", choices=EXECUTOR_MODES,
+                   help="functional-simulator mode for verification "
+                        "launches (default auto: NumPy codegen where the "
+                        "kernel body allows, as for every shipped kernel, "
+                        "else lockstep vectorized or scalar; vectorized: "
+                        "never lower; lowered is an accepted alias of auto)")
 
-    wl_p = sub.add_parser("workloads",
-                          help="list registered workloads and their "
-                               "parameter schemas")
-    wl_p.add_argument("--json", action="store_true",
-                      help="emit the schemas as JSON")
 
-    b_p = sub.add_parser(
-        "bench",
-        help="run one workload through the unified Workload API")
-    b_p.add_argument("workload", help="registered workload name "
-                                      "(see 'workloads')")
-    b_p.add_argument("--gpu", default="h100", help="simulated GPU (default h100)")
-    b_p.add_argument("--backend", default="mojo",
-                     help="backend/toolchain (default mojo)")
-    b_p.add_argument("--precision", default=None,
-                     help="float32/float64 (default: the workload's)")
-    b_p.add_argument("--param", action="append", default=[], metavar="K=V",
-                     help="workload parameter override (repeatable)")
-    b_p.add_argument("--repeats", type=int, default=5,
-                     help="measurement repeats kept (default 5; ignored by "
-                          "single-evaluation workloads — see 'workloads')")
-    b_p.add_argument("--warmup", type=int, default=1,
-                     help="warm-up runs discarded (default 1; same caveat "
-                          "as --repeats)")
-    b_p.add_argument("--fast-math", action="store_true",
-                     help="enable the backend's fast-math lowering")
-    b_p.add_argument("--no-verify", action="store_true",
-                     help="skip functional verification")
-    b_p.add_argument("--executor", default="auto",
-                     choices=["auto", "vectorized", "sequential",
-                              "cooperative", "lowered"],
-                     help="functional-simulator mode for verification "
-                          "launches (default auto: NumPy codegen for "
-                          "vector-safe kernels, which covers all eight "
-                          "shipped kernels; lockstep vectorized where a "
-                          "body does not lower, scalar modes otherwise; "
-                          "lowered: same as auto; vectorized: never lower)")
-    b_p.add_argument("--optimize", default="none", metavar="PASSES",
-                     help="graph-compiler passes applied to captured device "
-                          "graphs: 'none' (default), 'all', or a "
-                          "comma-separated subset of elide,fuse,hoist")
-    b_p.add_argument("--streams", type=int, default=1, metavar="N",
-                     help="device streams for the verification pipeline "
-                          "(default 1; N>1 gives transfers/compute their own "
-                          "modelled timeline lanes so independent transfers "
-                          "overlap — numerics are identical)")
-    b_p.add_argument("--tuned", action="store_true",
-                     help="apply the tuning database's remembered launch "
-                          "configuration for this request (tune='cached'; "
-                          "a database miss runs untuned — use the 'tune' "
-                          "command to search and persist a winner first)")
-    b_p.add_argument("--tune-dir", default=None, metavar="PATH",
-                     help="tuning-database location consulted by --tuned "
-                          "(default .repro_tune/)")
-    b_p.add_argument("--no-cache", action="store_true",
-                     help="bypass the request-level result cache (use when "
-                          "iterating on workload code: cached results — "
-                          "including verification verdicts — assume the "
-                          "code is unchanged within a release)")
-    b_p.add_argument("--cache-dir", default=None, metavar="PATH",
-                     help="on-disk result-cache location (default "
-                          ".repro_cache/)")
-    b_p.add_argument("--retries", type=int, default=0, metavar="N",
-                     help="retry a failed run up to N times (exponential "
-                          "backoff with seeded jitter) and degrade along "
-                          "the executor/tuning fallback ladder (default 0: "
-                          "fail fast)")
-    b_p.add_argument("--timeout-ms", type=float, default=None, metavar="MS",
-                     help="wall-clock deadline per attempt; an expired run "
-                          "raises (or retries, with --retries)")
-    b_p.add_argument("--inject", default=None, metavar="PLAN.json",
-                     help="install a deterministic fault plan (JSON: seed + "
-                          "rules) for this invocation — chaos testing; see "
-                          "the README's resilience section for the format")
-    b_p.add_argument("--trace", default=None, metavar="TRACE.json",
-                     help="run under the tracing collector and write a "
-                          "Chrome/Perfetto trace of this invocation to "
-                          "PATH (bypasses the result cache: a cache hit "
-                          "performs no device work worth tracing)")
-    fmt = b_p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true",
-                     help="emit the uniform result schema as JSON")
-    fmt.add_argument("--markdown", action="store_true",
-                     help="emit a markdown table instead of plain text")
-
-    sw_p = sub.add_parser(
-        "sweep",
-        help="run a workload over a cartesian parameter sweep, with "
-             "optional retries, checkpointing and fault injection")
-    sw_p.add_argument("workload", help="registered workload name "
-                                       "(see 'workloads')")
-    sw_p.add_argument("--gpu", default="h100",
-                      help="simulated GPU (default h100)")
-    sw_p.add_argument("--backend", default="mojo",
-                      help="backend/toolchain (default mojo)")
-    sw_p.add_argument("--precision", default=None,
-                      help="float32/float64 (default: the workload's)")
-    sw_p.add_argument("--param", action="append", default=[],
-                      metavar="K=V1,V2,...",
-                      help="sweep axis (repeatable): comma-separated values "
-                           "form the cartesian product; a single value pins "
-                           "the parameter; request fields (gpu, backend, "
-                           "precision, executor, tune, ...) may be swept "
-                           "too; tuple values use 'x' separators "
-                           "(block_shape=512x1x1,8x4x4)")
-    sw_p.add_argument("--repeats", type=int, default=5,
-                      help="measurement repeats kept (default 5)")
-    sw_p.add_argument("--warmup", type=int, default=1,
-                      help="warm-up runs discarded (default 1)")
-    sw_p.add_argument("--no-verify", action="store_true",
-                      help="skip functional verification")
-    sw_p.add_argument("--executor", default="auto",
-                      choices=["auto", "vectorized", "sequential",
-                               "cooperative", "lowered"],
-                      help="functional-simulator mode (default auto: "
-                           "NumPy codegen where the kernel body allows, "
-                           "as for every shipped kernel, else vectorized "
-                           "or scalar; lowered: same as auto; vectorized: "
-                           "never lower)")
-    sw_p.add_argument("--workers", type=int, default=1, metavar="N",
-                      help="thread-pool width (default 1: sequential)")
-    sw_p.add_argument("--no-cache", action="store_true",
-                      help="bypass the request-level result cache")
-    sw_p.add_argument("--cache-dir", default=None, metavar="PATH",
-                      help="on-disk result-cache location (default "
-                           ".repro_cache/)")
-    sw_p.add_argument("--checkpoint", default=None, metavar="PATH",
-                      help="journal every finished request to a JSON-lines "
-                           "checkpoint file")
-    sw_p.add_argument("--resume", action="store_true",
-                      help="replay an existing checkpoint: completed "
-                           "requests are served from the journal, not "
-                           "re-run (without --resume the file is truncated)")
-    sw_p.add_argument("--on-error", default="raise",
-                      choices=["raise", "skip", "retry"],
-                      help="failed-request handling: raise (default), skip "
-                           "(record a FailureRecord and continue) or retry "
-                           "(retry + degradation ladder, then record)")
-    sw_p.add_argument("--retries", type=int, default=0, metavar="N",
-                      help="retry each failed request up to N times "
-                           "(implies the degradation ladder)")
-    sw_p.add_argument("--timeout-ms", type=float, default=None, metavar="MS",
-                      help="wall-clock deadline per attempt")
-    sw_p.add_argument("--inject", default=None, metavar="PLAN.json",
-                      help="install a deterministic fault plan for the "
-                           "whole sweep (chaos testing)")
-    sw_p.add_argument("--json", action="store_true",
-                      help="emit results, failures and the resilience "
-                           "summary as JSON")
-
-    t_p = sub.add_parser(
-        "tune",
-        help="search a workload's launch space and persist the winner")
-    t_p.add_argument("workload", help="registered workload name "
-                                      "(see 'workloads')")
-    t_p.add_argument("--gpu", default="h100", help="simulated GPU (default h100)")
-    t_p.add_argument("--backend", default="mojo",
-                     help="backend/toolchain (default mojo)")
-    t_p.add_argument("--precision", default=None,
-                     help="float32/float64 (default: the workload's)")
-    t_p.add_argument("--param", action="append", default=[], metavar="K=V",
-                     help="workload parameter override (repeatable); "
-                          "overrides of tuned knobs only seed the baseline")
-    t_p.add_argument("--budget", type=int, default=16,
-                     help="maximum measured configurations, baseline "
-                          "included (default 16)")
-    t_p.add_argument("--strategy", default="auto",
-                     choices=["auto", "exhaustive", "random"],
-                     help="search strategy (default auto: exhaustive when "
-                          "the pruned space fits the budget, seeded "
-                          "random + hill-climb otherwise)")
-    t_p.add_argument("--seed", type=int, default=2025,
-                     help="RNG seed for the random strategy (default 2025)")
-    t_p.add_argument("--no-prune", action="store_true",
-                     help="skip the occupancy/roofline pruning pass and "
-                          "consider every feasible candidate")
-    t_p.add_argument("--force", action="store_true",
-                     help="search even when the database already holds a "
-                          "record for this problem")
-    t_p.add_argument("--tune-dir", default=None, metavar="PATH",
-                     help="tuning-database location (default .repro_tune/)")
-    t_p.add_argument("--json", action="store_true",
-                     help="emit the search outcome (or the database hit) "
-                          "as JSON")
-
-    rep_p = sub.add_parser(
-        "report",
-        help="render experiment reports as one markdown document")
-    rep_p.add_argument("ids", nargs="*", default=[],
-                       help="experiment ids (default: all)")
-    rep_p.add_argument("--write", default=None, metavar="PATH",
-                       help="write the document to PATH (e.g. EXPERIMENTS.md) "
-                            "instead of stdout")
-    rep_p.add_argument("--full", action="store_true",
-                       help="run the full (non-quick) parameter sweeps")
-    rep_p.add_argument("--no-tuning", action="store_true",
-                       help="skip the tuned-vs-untuned portability section")
-    rep_p.add_argument("--no-graphopt", action="store_true",
-                       help="skip the graph-compiler speedup section")
-    rep_p.add_argument("--no-obs", action="store_true",
-                       help="skip the observability section (metrics "
-                            "counters and per-span modelled-vs-wall "
-                            "calibration errors)")
-
-    lint_p = sub.add_parser(
-        "lint",
-        help="statically verify kernels and race-check workload graphs")
-    lint_p.add_argument("workloads", nargs="*", default=[],
-                        help="workload names whose lint graphs to race-check "
-                             "(kernel verification always covers the whole "
-                             "registry)")
-    lint_p.add_argument("--all", action="store_true", dest="lint_all",
-                        help="lint every registered workload graph (the "
-                             "default when no workload is named; spelled out "
-                             "for the CI gate)")
-    lint_p.add_argument("--json", action="store_true",
-                        help="emit the report as JSON instead of text")
-    lint_p.add_argument("--no-graphs", action="store_true",
-                        help="verify kernels only, skip the graph race check")
-    lint_p.add_argument("--explain", default=None, metavar="RULE",
-                        help="print the documentation block of one rule id "
-                             "(e.g. KV103, GR204) and exit; exit 2 when the "
-                             "rule is unknown")
-    lint_p.add_argument("--max-warnings", type=int, default=None,
-                        metavar="N",
-                        help="fail (exit 1) when the report carries more "
-                             "than N warning-severity diagnostics — errors "
-                             "always fail regardless")
-
-    g_p = sub.add_parser(
-        "graph",
-        help="run the graph compiler over a workload's captured device "
-             "graph and report what the passes did")
-    g_p.add_argument("workload", nargs="?", default=None,
-                     help="registered workload name (see 'workloads')")
-    g_p.add_argument("--all", action="store_true", dest="graph_all",
-                     help="optimize every registered workload's graph")
-    g_p.add_argument("--passes", default="all", metavar="PASSES",
-                     help="pass pipeline: 'all' (default), 'none', or a "
-                          "comma-separated subset of elide,fuse,hoist")
-    g_p.add_argument("--bench", action="store_true",
-                     help="additionally time unfused/fused graph replays "
-                          "and vectorized/lowered kernel dispatch")
-    g_p.add_argument("--repeats", type=int, default=20, metavar="N",
-                     help="replay repeats per timing (min is reported; "
-                          "default 20)")
-    g_p.add_argument("--json", action="store_true",
-                     help="emit the per-workload reports as JSON")
-    g_p.add_argument("--output", default=None, metavar="PATH",
-                     help="also write the JSON payload to PATH (e.g. "
-                          "BENCH_graphopt.json with --bench)")
-
-    tr_p = sub.add_parser(
-        "trace",
-        help="run one workload under the tracing collector and export a "
-             "Chrome/Perfetto timeline")
-    tr_p.add_argument("workload", help="registered workload name "
-                                       "(see 'workloads')")
-    tr_p.add_argument("--gpu", default="h100",
-                      help="simulated GPU (default h100)")
-    tr_p.add_argument("--backend", default="mojo",
-                      help="backend/toolchain (default mojo)")
-    tr_p.add_argument("--param", action="append", default=[], metavar="K=V",
-                      help="workload parameter override (repeatable)")
-    tr_p.add_argument("--executor", default="auto",
-                      choices=["auto", "vectorized", "sequential",
-                               "cooperative", "lowered"],
-                      help="functional-simulator mode for verification "
-                           "launches (default auto: NumPy codegen where "
-                           "the kernel body allows, as for every shipped "
-                           "kernel, else vectorized or scalar; lowered: "
-                           "same as auto; vectorized: never lower)")
-    tr_p.add_argument("--optimize", default="none", metavar="PASSES",
-                      help="graph-compiler passes applied to captured "
-                           "device graphs ('none', 'all', or a subset of "
-                           "elide,fuse,hoist) — optimized replays appear "
-                           "as expanded graph slices on the timeline")
-    tr_p.add_argument("--streams", type=int, default=1, metavar="N",
-                      help="device streams (default 1); each stream is "
-                           "its own timeline lane in the trace")
-    tr_p.add_argument("--no-verify", action="store_true",
-                      help="skip functional verification")
-    tr_p.add_argument("--output", default=None, metavar="TRACE.json",
-                      help="write the Chrome trace to PATH (load in "
-                           "https://ui.perfetto.dev or chrome://tracing)")
-    tr_p.add_argument("--json", action="store_true",
-                      help="print the Chrome trace JSON to stdout instead "
-                           "of the span summary")
-
-    bench_p = sub.add_parser(
-        "bench-compare",
-        help="compare host-execution benchmarks against the stored baseline")
-    bench_p.add_argument("--baseline", default=None,
-                         help="baseline JSON (default benchmarks/baseline.json)")
-    bench_p.add_argument("--current", default=None,
-                         help="existing pytest-benchmark JSON export to check; "
-                              "omitted: run the benchmarks now")
-    bench_p.add_argument("--threshold", type=float, default=None,
-                         help="failure factor (default 2.0: fail when a "
-                              "benchmark is more than 2x slower)")
-    bench_p.add_argument("--update", action="store_true",
-                         help="write the measured stats as the new baseline "
-                              "instead of failing on regressions")
-    bench_p.add_argument("--quick", action="store_true",
-                         help="run only the fast benchmark subset (the "
-                              "executor/dispatch microbenchmarks) — suitable "
-                              "for the tier-1 pre-merge flow; baseline "
-                              "entries not exercised are reported as "
-                              "'missing' without failing")
-    return parser
+def _lint_args(p) -> None:
+    p.add_argument("workloads", nargs="*", default=[],
+                   help="workload names whose lint graphs to race-check "
+                        "(kernel verification always covers the whole "
+                        "registry)")
+    p.add_argument("--all", action="store_true", dest="lint_all",
+                   help="lint every registered workload graph (the "
+                        "default when no workload is named; spelled out "
+                        "for the CI gate)")
+    p.add_argument("--json", action="store_true",
+                   help="emit the report as JSON instead of text")
+    p.add_argument("--no-graphs", action="store_true",
+                   help="verify kernels only, skip the graph race check")
+    p.add_argument("--explain", default=None, metavar="RULE",
+                   help="print the documentation block of one rule id "
+                        "(e.g. KV103, GR204) and exit; exit 2 when the "
+                        "rule is unknown")
+    p.add_argument("--max-warnings", type=int, default=None, metavar="N",
+                   help="fail (exit 1) when the report carries more "
+                        "than N warning-severity diagnostics — errors "
+                        "always fail regardless")
 
 
 def _cmd_lint(args) -> int:
@@ -489,6 +213,27 @@ def _graph_bench(workload, passes: str, repeats: int) -> dict:
             continue
         bench[key] = best(probe.replay)
     return bench
+
+
+def _graph_args(p) -> None:
+    p.add_argument("workload", nargs="?", default=None,
+                   help="registered workload name (see 'workloads')")
+    p.add_argument("--all", action="store_true", dest="graph_all",
+                   help="optimize every registered workload's graph")
+    p.add_argument("--passes", default="all", metavar="PASSES",
+                   help="pass pipeline: 'all' (default), 'none', or a "
+                        "comma-separated subset of elide,fuse,hoist")
+    p.add_argument("--bench", action="store_true",
+                   help="additionally time unfused/fused graph replays "
+                        "and vectorized/lowered kernel dispatch")
+    p.add_argument("--repeats", type=int, default=20, metavar="N",
+                   help="replay repeats per timing (min is reported; "
+                        "default 20)")
+    p.add_argument("--json", action="store_true",
+                   help="emit the per-workload reports as JSON")
+    p.add_argument("--output", default=None, metavar="PATH",
+                   help="also write the JSON payload to PATH (e.g. "
+                        "BENCH_graphopt.json with --bench)")
 
 
 def _cmd_graph(args) -> int:
@@ -583,7 +328,7 @@ def _cmd_graph(args) -> int:
     return 0 if all_clean else 1
 
 
-def _cmd_list() -> int:
+def _cmd_list(args) -> int:
     print("experiments:")
     for key in list_experiments():
         print(f"  {key:8s} {EXPERIMENTS[key].DESCRIPTION}")
@@ -592,7 +337,7 @@ def _cmd_list() -> int:
     return 0
 
 
-def _cmd_info() -> int:
+def _cmd_info(args) -> int:
     print("Simulated GPUs (paper Table 1):")
     for name in list_gpus():
         spec = get_gpu(name)
@@ -627,31 +372,48 @@ def accepts_option(fn, name: str) -> bool:
                for p in parameters.values())
 
 
-def _cmd_run(ids: List[str], *, full: bool, verify: bool, markdown: bool) -> int:
+def _run_args(p) -> None:
+    p.add_argument("ids", nargs="+",
+                   help="experiment ids (fig2..fig7, table2..table5) or 'all'")
+    p.add_argument("--full", action="store_true",
+                   help="run the full (non-quick) parameter sweeps")
+    p.add_argument("--verify", action="store_true",
+                   help="also run functional verification on the simulator")
+    p.add_argument("--markdown", action="store_true",
+                   help="emit markdown instead of plain text")
+
+
+def _cmd_run(args) -> int:
+    ids = args.ids
     wanted = list_experiments() if any(i.lower() == "all" for i in ids) else ids
     status = 0
     for experiment_id in wanted:
-        options = {"quick": not full}
+        options = {"quick": not args.full}
         module = EXPERIMENTS.get(experiment_id.lower())
         if module is None:
             print(f"unknown experiment {experiment_id!r}; available: "
                   f"{', '.join(list_experiments())}", file=sys.stderr)
             return 2
-        if verify and accepts_option(module.run, "verify"):
+        if args.verify and accepts_option(module.run, "verify"):
             options["verify"] = True
         result = run_experiment(experiment_id, **options)
-        print(result.to_markdown() if markdown else result.to_text())
+        print(result.to_markdown() if args.markdown else result.to_text())
         print()
         if not result.all_passed:
             status = 1
     return status
 
 
-def _cmd_workloads(*, as_json: bool) -> int:
+def _workloads_args(p) -> None:
+    p.add_argument("--json", action="store_true",
+                   help="emit the schemas as JSON")
+
+
+def _cmd_workloads(args) -> int:
     from .workloads import get_workload, list_workloads
 
     schemas = [get_workload(name).describe() for name in list_workloads()]
-    if as_json:
+    if args.json:
         print(json.dumps(schemas, indent=2, default=str))
         return 0
     print("workloads:")
@@ -712,6 +474,70 @@ def _inject_scope(plan_path):
     from .resilience import FaultPlan, install_fault_plan
 
     return install_fault_plan(FaultPlan.load(plan_path))
+
+
+def _bench_args(p) -> None:
+    _add_workload_target(p)
+    p.add_argument("--param", action="append", default=[], metavar="K=V",
+                   help="workload parameter override (repeatable)")
+    p.add_argument("--repeats", type=int, default=5,
+                   help="measurement repeats kept (default 5; ignored by "
+                        "single-evaluation workloads — see 'workloads')")
+    p.add_argument("--warmup", type=int, default=1,
+                   help="warm-up runs discarded (default 1; same caveat "
+                        "as --repeats)")
+    p.add_argument("--fast-math", action="store_true",
+                   help="enable the backend's fast-math lowering")
+    p.add_argument("--no-verify", action="store_true",
+                   help="skip functional verification")
+    _add_executor(p)
+    p.add_argument("--optimize", default="none", metavar="PASSES",
+                   help="graph-compiler passes applied to captured device "
+                        "graphs: 'none' (default), 'all', or a "
+                        "comma-separated subset of elide,fuse,hoist")
+    p.add_argument("--streams", type=int, default=1, metavar="N",
+                   help="device streams for the verification pipeline "
+                        "(default 1; N>1 gives transfers/compute their own "
+                        "modelled timeline lanes so independent transfers "
+                        "overlap — numerics are identical)")
+    p.add_argument("--tuned", action="store_true",
+                   help="apply the tuning database's remembered launch "
+                        "configuration for this request (tune='cached'; "
+                        "a database miss runs untuned — use the 'tune' "
+                        "command to search and persist a winner first)")
+    p.add_argument("--tune-dir", default=None, metavar="PATH",
+                   help="tuning-database location consulted by --tuned "
+                        "(default .repro_tune/)")
+    p.add_argument("--no-cache", action="store_true",
+                   help="bypass the request-level result cache (use when "
+                        "iterating on workload code: cached results — "
+                        "including verification verdicts — assume the "
+                        "code is unchanged within a release)")
+    p.add_argument("--cache-dir", default=None, metavar="PATH",
+                   help="on-disk result-cache location (default "
+                        ".repro_cache/)")
+    p.add_argument("--retries", type=int, default=0, metavar="N",
+                   help="retry a failed run up to N times (exponential "
+                        "backoff with seeded jitter) and degrade along "
+                        "the executor/tuning fallback ladder (default 0: "
+                        "fail fast)")
+    p.add_argument("--timeout-ms", type=float, default=None, metavar="MS",
+                   help="wall-clock deadline per attempt; an expired run "
+                        "raises (or retries, with --retries)")
+    p.add_argument("--inject", default=None, metavar="PLAN.json",
+                   help="install a deterministic fault plan (JSON: seed + "
+                        "rules) for this invocation — chaos testing; see "
+                        "the README's resilience section for the format")
+    p.add_argument("--trace", default=None, metavar="TRACE.json",
+                   help="run under the tracing collector and write a "
+                        "Chrome/Perfetto trace of this invocation to "
+                        "PATH (bypasses the result cache: a cache hit "
+                        "performs no device work worth tracing)")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true",
+                     help="emit the uniform result schema as JSON")
+    fmt.add_argument("--markdown", action="store_true",
+                     help="emit a markdown table instead of plain text")
 
 
 def _cmd_bench(args) -> int:
@@ -850,6 +676,55 @@ def _parse_sweep_params(pairs: List[str]) -> dict:
     return axes
 
 
+def _sweep_args(p) -> None:
+    _add_workload_target(p)
+    p.add_argument("--param", action="append", default=[],
+                   metavar="K=V1,V2,...",
+                   help="sweep axis (repeatable): comma-separated values "
+                        "form the cartesian product; a single value pins "
+                        "the parameter; request fields (gpu, backend, "
+                        "precision, executor, tune, ...) may be swept "
+                        "too; tuple values use 'x' separators "
+                        "(block_shape=512x1x1,8x4x4)")
+    p.add_argument("--repeats", type=int, default=5,
+                   help="measurement repeats kept (default 5)")
+    p.add_argument("--warmup", type=int, default=1,
+                   help="warm-up runs discarded (default 1)")
+    p.add_argument("--no-verify", action="store_true",
+                   help="skip functional verification")
+    _add_executor(p)
+    p.add_argument("--workers", type=int, default=1, metavar="N",
+                   help="thread-pool width (default 1: sequential)")
+    p.add_argument("--no-cache", action="store_true",
+                   help="bypass the request-level result cache")
+    p.add_argument("--cache-dir", default=None, metavar="PATH",
+                   help="on-disk result-cache location (default "
+                        ".repro_cache/)")
+    p.add_argument("--checkpoint", default=None, metavar="PATH",
+                   help="journal every finished request to a JSON-lines "
+                        "checkpoint file")
+    p.add_argument("--resume", action="store_true",
+                   help="replay an existing checkpoint: completed "
+                        "requests are served from the journal, not "
+                        "re-run (without --resume the file is truncated)")
+    p.add_argument("--on-error", default="raise",
+                   choices=["raise", "skip", "retry"],
+                   help="failed-request handling: raise (default), skip "
+                        "(record a FailureRecord and continue) or retry "
+                        "(retry + degradation ladder, then record)")
+    p.add_argument("--retries", type=int, default=0, metavar="N",
+                   help="retry each failed request up to N times "
+                        "(implies the degradation ladder)")
+    p.add_argument("--timeout-ms", type=float, default=None, metavar="MS",
+                   help="wall-clock deadline per attempt")
+    p.add_argument("--inject", default=None, metavar="PLAN.json",
+                   help="install a deterministic fault plan for the "
+                        "whole sweep (chaos testing)")
+    p.add_argument("--json", action="store_true",
+                   help="emit results, failures and the resilience "
+                        "summary as JSON")
+
+
 def _cmd_sweep(args) -> int:
     from .harness.results import ResultTable
     from .harness.runner import MeasurementProtocol
@@ -943,6 +818,34 @@ def _cmd_sweep(args) -> int:
     return 0 if not failures and not verify_failed else 1
 
 
+def _tune_args(p) -> None:
+    _add_workload_target(p)
+    p.add_argument("--param", action="append", default=[], metavar="K=V",
+                   help="workload parameter override (repeatable); "
+                        "overrides of tuned knobs only seed the baseline")
+    p.add_argument("--budget", type=int, default=16,
+                   help="maximum measured configurations, baseline "
+                        "included (default 16)")
+    p.add_argument("--strategy", default="auto",
+                   choices=["auto", "exhaustive", "random"],
+                   help="search strategy (default auto: exhaustive when "
+                        "the pruned space fits the budget, seeded "
+                        "random + hill-climb otherwise)")
+    p.add_argument("--seed", type=int, default=2025,
+                   help="RNG seed for the random strategy (default 2025)")
+    p.add_argument("--no-prune", action="store_true",
+                   help="skip the occupancy/roofline pruning pass and "
+                        "consider every feasible candidate")
+    p.add_argument("--force", action="store_true",
+                   help="search even when the database already holds a "
+                        "record for this problem")
+    p.add_argument("--tune-dir", default=None, metavar="PATH",
+                   help="tuning-database location (default .repro_tune/)")
+    p.add_argument("--json", action="store_true",
+                   help="emit the search outcome (or the database hit) "
+                        "as JSON")
+
+
 def _cmd_tune(args) -> int:
     from .tuning import DEFAULT_TUNE_DIR, Tuner, TuningDB
     from .workloads import get_workload
@@ -1015,9 +918,26 @@ def _cmd_tune(args) -> int:
     return 0
 
 
-def _cmd_report(ids: List[str], *, write: Optional[str], full: bool,
-                tuning: bool = True, graphopt: bool = True,
-                obs: bool = True) -> int:
+def _report_args(p) -> None:
+    p.add_argument("ids", nargs="*", default=[],
+                   help="experiment ids (default: all)")
+    p.add_argument("--write", default=None, metavar="PATH",
+                   help="write the document to PATH (e.g. EXPERIMENTS.md) "
+                        "instead of stdout")
+    p.add_argument("--full", action="store_true",
+                   help="run the full (non-quick) parameter sweeps")
+    p.add_argument("--no-tuning", action="store_true",
+                   help="skip the tuned-vs-untuned portability section")
+    p.add_argument("--no-graphopt", action="store_true",
+                   help="skip the graph-compiler speedup section")
+    p.add_argument("--no-obs", action="store_true",
+                   help="skip the observability section (metrics "
+                        "counters and per-span modelled-vs-wall "
+                        "calibration errors)")
+
+
+def _cmd_report(args) -> int:
+    ids, full, write = args.ids, args.full, args.write
     if not ids or any(i.lower() == "all" for i in ids):
         wanted = list_experiments()
     else:
@@ -1028,7 +948,7 @@ def _cmd_report(ids: List[str], *, write: Optional[str], full: bool,
               f"{', '.join(list_experiments())}", file=sys.stderr)
         return 2
     collector = None
-    if obs:
+    if not args.no_obs:
         from .obs import TraceCollector, install_trace_collector
 
         # Trace the experiment runs themselves so the observability
@@ -1057,17 +977,17 @@ def _cmd_report(ids: List[str], *, write: Optional[str], full: bool,
     for result in results:
         lines.append("")
         lines.append(result.to_markdown())
-    if tuning:
+    if not args.no_tuning:
         from .tuning.report import tuning_report
 
         lines.append("")
         lines.append(tuning_report().to_markdown())
-    if graphopt:
+    if not args.no_graphopt:
         from .graphopt import graphopt_report
 
         lines.append("")
         lines.append(graphopt_report().to_markdown())
-    if obs:
+    if not args.no_obs:
         from .obs import observability_markdown
 
         lines.extend(observability_markdown(collector))
@@ -1089,6 +1009,29 @@ def _cmd_report(ids: List[str], *, write: Optional[str], full: bool,
 QUICK_BENCH_EXPR = ("executor or dispatch or vectorized or graph or tuned "
                     "or lint or fused or lowered or region or trace "
                     "or launch")
+
+
+def _trace_args(p) -> None:
+    _add_workload_target(p, precision=False)
+    p.add_argument("--param", action="append", default=[], metavar="K=V",
+                   help="workload parameter override (repeatable)")
+    _add_executor(p)
+    p.add_argument("--optimize", default="none", metavar="PASSES",
+                   help="graph-compiler passes applied to captured "
+                        "device graphs ('none', 'all', or a subset of "
+                        "elide,fuse,hoist) — optimized replays appear "
+                        "as expanded graph slices on the timeline")
+    p.add_argument("--streams", type=int, default=1, metavar="N",
+                   help="device streams (default 1); each stream is "
+                        "its own timeline lane in the trace")
+    p.add_argument("--no-verify", action="store_true",
+                   help="skip functional verification")
+    p.add_argument("--output", default=None, metavar="TRACE.json",
+                   help="write the Chrome trace to PATH (load in "
+                        "https://ui.perfetto.dev or chrome://tracing)")
+    p.add_argument("--json", action="store_true",
+                   help="print the Chrome trace JSON to stdout instead "
+                        "of the span summary")
 
 
 def _cmd_trace(args) -> int:
@@ -1172,21 +1115,6 @@ def _run_host_benchmarks(bench_file: str, *, quick: bool = False,
     return out.name
 
 
-def _cmd_bench_compare(*, baseline: Optional[str], current: Optional[str],
-                       threshold: Optional[float], update: bool,
-                       quick: bool = False) -> int:
-    from .core.errors import ConfigurationError
-    from .harness import benchcheck
-
-    try:
-        return _bench_compare_inner(benchcheck, baseline=baseline,
-                                    current=current, threshold=threshold,
-                                    update=update, quick=quick)
-    except ConfigurationError as exc:
-        print(f"bench-compare: {exc}", file=sys.stderr)
-        return 2
-
-
 def _print_cache_counters(stats: Optional[dict] = None,
                           origin: str = "this process") -> None:
     """Report every memo's counters.
@@ -1205,40 +1133,57 @@ def _print_cache_counters(stats: Optional[dict] = None,
               f"{info['bytes']} bytes, {info['disk_hits']} disk hit(s)")
 
 
-def _bench_compare_inner(benchcheck, *, baseline: Optional[str],
-                         current: Optional[str], threshold: Optional[float],
-                         update: bool, quick: bool = False) -> int:
-    import os
+def _bench_compare_args(p) -> None:
+    p.add_argument("--baseline", default=None,
+                   help="baseline JSON (default benchmarks/baseline.json)")
+    p.add_argument("--current", default=None,
+                   help="existing pytest-benchmark JSON export to check; "
+                        "omitted: run the benchmarks now")
+    p.add_argument("--threshold", type=float, default=None,
+                   help="failure factor (default 2.0: fail when a "
+                        "benchmark is more than 2x slower)")
+    p.add_argument("--update", action="store_true",
+                   help="write the measured stats as the new baseline "
+                        "instead of failing on regressions")
+    p.add_argument("--quick", action="store_true",
+                   help="run only the fast benchmark subset (the "
+                        "executor/dispatch microbenchmarks) — suitable "
+                        "for the tier-1 pre-merge flow; baseline "
+                        "entries not exercised are reported as "
+                        "'missing' without failing")
 
-    import json as json_mod
+
+def _cmd_bench_compare(args) -> int:
+    import os
     import tempfile
 
-    from .core.errors import ConfigurationError
+    from .harness import benchcheck
 
-    if update and quick:
+    if args.update and args.quick:
         # --update rewrites the whole baseline file; a quick-subset run
         # would silently drop the reference-benchmark entries from it.
         raise ConfigurationError(
             "--update requires the full benchmark run; drop --quick")
 
-    baseline_path = baseline or benchcheck.DEFAULT_BASELINE_PATH
-    threshold = threshold if threshold is not None else benchcheck.DEFAULT_THRESHOLD
+    baseline_path = args.baseline or benchcheck.DEFAULT_BASELINE_PATH
+    threshold = (args.threshold if args.threshold is not None
+                 else benchcheck.DEFAULT_THRESHOLD)
     cache_stats = None
     cache_origin = "this process"
-    if current is None:
+    if args.current is None:
         stats_file = tempfile.NamedTemporaryFile(prefix="repro-cache-stats-",
                                                  suffix=".json", delete=False)
         stats_file.close()
         current_path = _run_host_benchmarks(benchcheck.DEFAULT_BENCH_FILE,
-                                            quick=quick,
+                                            quick=args.quick,
                                             cache_stats_path=stats_file.name)
         try:
             current_stats = benchcheck.load_stats(current_path)
             try:
                 with open(stats_file.name, "r", encoding="utf-8") as fh:
-                    cache_stats = json_mod.load(fh)
+                    cache_stats = json.load(fh)
                 cache_origin = "benchmark run"
-            except (OSError, json_mod.JSONDecodeError):
+            except (OSError, json.JSONDecodeError):
                 cache_stats = None
         finally:
             for path in (current_path, stats_file.name):
@@ -1247,9 +1192,9 @@ def _bench_compare_inner(benchcheck, *, baseline: Optional[str],
                 except OSError:  # pragma: no cover - best-effort cleanup
                     pass
     else:
-        current_stats = benchcheck.load_stats(current)
+        current_stats = benchcheck.load_stats(args.current)
 
-    if update:
+    if args.update:
         benchcheck.write_baseline(baseline_path, current_stats)
         print(f"wrote {len(current_stats)} benchmark baselines to {baseline_path}")
         return 0
@@ -1257,7 +1202,7 @@ def _bench_compare_inner(benchcheck, *, baseline: Optional[str],
     baseline_stats = benchcheck.load_stats(baseline_path)
     rows = benchcheck.compare_benchmarks(baseline_stats, current_stats,
                                          threshold=threshold)
-    subset = " (--quick subset)" if quick else ""
+    subset = " (--quick subset)" if args.quick else ""
     print(f"bench-compare against {baseline_path} "
           f"(threshold {threshold:g}x){subset}:")
     for row in rows:
@@ -1271,69 +1216,95 @@ def _bench_compare_inner(benchcheck, *, baseline: Optional[str],
     return 0
 
 
+class Command(NamedTuple):
+    """One subcommand: its name, its ``--help`` line, the function that
+    adds its arguments and its handler (parsed args -> exit code)."""
+
+    name: str
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    handler: Callable[[argparse.Namespace], int]
+
+
+def _no_arguments(p) -> None:
+    """The argument builder of a command that takes none."""
+
+
+#: every subcommand, in ``--help`` order
+COMMANDS = {c.name: c for c in (
+    Command("list", "list available experiments", _no_arguments, _cmd_list),
+    Command("run", "run experiments and print their reports", _run_args,
+            _cmd_run),
+    Command("info", "show simulated GPUs and backends", _no_arguments,
+            _cmd_info),
+    Command("workloads", "list registered workloads and their parameter "
+            "schemas", _workloads_args, _cmd_workloads),
+    Command("bench", "run one workload through the unified Workload API",
+            _bench_args, _cmd_bench),
+    Command("sweep", "run a workload over a cartesian parameter sweep, with "
+            "optional retries, checkpointing and fault injection",
+            _sweep_args, _cmd_sweep),
+    Command("tune", "search a workload's launch space and persist the "
+            "winner", _tune_args, _cmd_tune),
+    Command("report", "render experiment reports as one markdown document",
+            _report_args, _cmd_report),
+    Command("lint", "statically verify kernels and race-check workload "
+            "graphs", _lint_args, _cmd_lint),
+    Command("graph", "run the graph compiler over a workload's captured "
+            "device graph and report what the passes did", _graph_args,
+            _cmd_graph),
+    Command("trace", "run one workload under the tracing collector and "
+            "export a Chrome/Perfetto timeline", _trace_args, _cmd_trace),
+    Command("bench-compare", "compare host-execution benchmarks against the "
+            "stored baseline", _bench_compare_args, _cmd_bench_compare),
+)}
+
+
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI argument parser: every command, or only the command *only*."""
+    parser = argparse.ArgumentParser(
+        prog="repro-experiments",
+        description="Regenerate the tables and figures of the Mojo GPU science-"
+                    "kernels paper on the simulated substrate.",
+    )
+    parser.add_argument("--version", action="version", version=f"repro {__version__}")
+    # a one-command parser still lists every command in its usage line, so
+    # its usage and error text read as the full parser's
+    sub = parser.add_subparsers(
+        dest="command",
+        metavar=None if only is None else "{" + ",".join(COMMANDS) + "}")
+    for command in COMMANDS.values():
+        if only is None or command.name == only:
+            command.add_arguments(sub.add_parser(command.name,
+                                                 help=command.help))
+    return parser
+
+
+#: one-command parsers by command name, each built once per process
+PARSER_MEMO = Memo("cli_parser")
+
+
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The memoised parser that holds only the command *name*."""
+    return PARSER_MEMO.get_or_compute(name, lambda: build_parser(name))
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command in (None, "list"):
-        return _cmd_list()
-    if args.command == "info":
-        return _cmd_info()
-    if args.command == "run":
-        return _cmd_run(args.ids, full=args.full, verify=args.verify,
-                        markdown=args.markdown)
-    if args.command == "workloads":
-        return _cmd_workloads(as_json=args.json)
-    if args.command == "bench":
-        try:
-            return _cmd_bench(args)
-        except ReproError as exc:
-            # exit 2 is the config-error contract; exit 1 is reserved for a
-            # failed verification (VerificationError inside the workload is
-            # already folded into the result by Workload.run)
-            print(f"bench: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "sweep":
-        try:
-            return _cmd_sweep(args)
-        except ReproError as exc:
-            print(f"sweep: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "tune":
-        try:
-            return _cmd_tune(args)
-        except ReproError as exc:
-            print(f"tune: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "report":
-        return _cmd_report(args.ids, write=args.write, full=args.full,
-                           tuning=not args.no_tuning,
-                           graphopt=not args.no_graphopt,
-                           obs=not args.no_obs)
-    if args.command == "trace":
-        try:
-            return _cmd_trace(args)
-        except ReproError as exc:
-            print(f"trace: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "lint":
-        try:
-            return _cmd_lint(args)
-        except ReproError as exc:
-            print(f"lint: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "graph":
-        try:
-            return _cmd_graph(args)
-        except ReproError as exc:
-            print(f"graph: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "bench-compare":
-        return _cmd_bench_compare(baseline=args.baseline, current=args.current,
-                                  threshold=args.threshold, update=args.update,
-                                  quick=args.quick)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        args = command_parser(argv[0]).parse_args(argv)
+    else:
+        args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command or "list"]
+    try:
+        return command.handler(args)
+    except ReproError as exc:
+        # exit 2 is the config-error contract; exit 1 is reserved for a
+        # failed check (a VerificationError inside a workload is already
+        # folded into its result by Workload.run)
+        print(f"{command.name}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

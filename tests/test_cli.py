@@ -5,7 +5,11 @@ import json
 
 import pytest
 
+from repro import __version__
+from repro import cli as cli_mod
 from repro.cli import accepts_option, build_parser, main
+from repro.core.errors import ConfigurationError
+from repro.core.memo import memo_infos
 
 
 class TestParser:
@@ -25,6 +29,8 @@ class TestMain:
         assert main([]) == 0
         out = capsys.readouterr().out
         assert "fig3" in out and "table5" in out
+        assert main(["list"]) == 0
+        assert capsys.readouterr().out == out
 
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -53,7 +59,7 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
-        assert "repro" in capsys.readouterr().out
+        assert capsys.readouterr().out == f"repro {__version__}\n"
 
 
 class TestVerifyDetection:
@@ -410,6 +416,7 @@ class TestBenchCompare:
             "test_bench_vectorized_babelstream_dot",
             "test_bench_vectorized_stencil_probe_replay",
             "test_bench_workload_dispatch",
+            "test_bench_cli_dispatch",
             *(f"test_bench_{mode}_{kernel}_launch"
               for mode in ("lowered", "vectorized")
               for kernel in ("fasten", "eri", "dot")),
@@ -547,3 +554,154 @@ class TestBenchExecutorAndCache:
         cached = json.loads(capsys.readouterr().out)
         assert cached["metrics"] == fresh["metrics"]
         assert sorted(cached) == sorted(fresh)
+
+
+#: ``repro --help`` at 80 columns, as printed before the command table
+TOP_LEVEL_HELP = """\
+usage: repro-experiments [-h] [--version]
+                         {list,run,info,workloads,bench,sweep,tune,report,lint,graph,trace,bench-compare}
+                         ...
+
+Regenerate the tables and figures of the Mojo GPU science-kernels paper on the
+simulated substrate.
+
+positional arguments:
+  {list,run,info,workloads,bench,sweep,tune,report,lint,graph,trace,bench-compare}
+    list                list available experiments
+    run                 run experiments and print their reports
+    info                show simulated GPUs and backends
+    workloads           list registered workloads and their parameter schemas
+    bench               run one workload through the unified Workload API
+    sweep               run a workload over a cartesian parameter sweep, with
+                        optional retries, checkpointing and fault injection
+    tune                search a workload's launch space and persist the
+                        winner
+    report              render experiment reports as one markdown document
+    lint                statically verify kernels and race-check workload
+                        graphs
+    graph               run the graph compiler over a workload's captured
+                        device graph and report what the passes did
+    trace               run one workload under the tracing collector and
+                        export a Chrome/Perfetto timeline
+    bench-compare       compare host-execution benchmarks against the stored
+                        baseline
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+TOP_LEVEL_USAGE = "".join(TOP_LEVEL_HELP.splitlines(True)[:3])
+
+#: one argv per subcommand: defaults, append options, nargs="*" positionals
+PARITY_ARGVS = [
+    ["list"],
+    ["run", "fig3", "table4", "--full", "--verify"],
+    ["info"],
+    ["workloads", "--json"],
+    ["bench", "stencil", "--param", "L=64", "--param", "seed=7",
+     "--executor", "lowered", "--markdown"],
+    ["sweep", "stencil", "--param", "L=16,32", "--on-error", "skip",
+     "--workers", "2"],
+    ["tune", "minibude", "--strategy", "random", "--no-prune"],
+    ["report"],
+    ["lint", "stencil", "babelstream", "--max-warnings", "0"],
+    ["graph", "--all", "--passes", "fuse"],
+    ["trace", "stencil", "--streams", "2"],
+    ["bench-compare", "--threshold", "3"],
+]
+
+
+def _outcome(capsys, call, argv):
+    """(exit code, stdout, stderr) of ``call(argv)``, SystemExit included."""
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestCommandTable:
+    def test_parity_argvs_cover_the_table(self):
+        assert [argv[0] for argv in PARITY_ARGVS] == list(cli_mod.COMMANDS)
+
+    @pytest.mark.parametrize("argv", PARITY_ARGVS, ids=lambda a: a[0])
+    def test_memoised_parser_matches_full_parser(self, argv):
+        memoised = cli_mod.command_parser(argv[0]).parse_args(argv)
+        assert memoised == build_parser().parse_args(argv)
+
+    def test_top_level_help_is_unchanged(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in (["--help"], ["-h", "bench"]):
+            assert _outcome(capsys, main, argv) == (0, TOP_LEVEL_HELP, "")
+
+    def test_unknown_command(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = _outcome(capsys, main, ["nosuch"])
+        assert (code, out) == (2, "")
+        assert err.startswith(TOP_LEVEL_USAGE)
+        assert "error: argument command: invalid choice: 'nosuch'" in err
+
+    @pytest.mark.parametrize("argv", [["bench", "stencil", "extra"],
+                                      ["list", "extra"],
+                                      ["bench", "stencil", "--executor", "x"]])
+    def test_one_command_parser_errors_read_as_the_full_parsers(
+            self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        full = _outcome(capsys, lambda a: build_parser().parse_args(a), argv)
+        assert full[0] == 2
+        assert _outcome(capsys, main, argv) == full
+
+    def test_append_defaults_do_not_leak_between_calls(self, capsys,
+                                                       monkeypatch):
+        seen = []
+        bench = cli_mod.COMMANDS["bench"]
+
+        def record(args):
+            seen.append(args)
+            return bench.handler(args)
+
+        monkeypatch.setitem(cli_mod.COMMANDS, "bench",
+                            bench._replace(handler=record))
+        model_only = ["--no-verify", "--no-cache", "--json"]
+        assert main(["bench", "stencil", "--param", "L=16", *model_only]) == 0
+        assert json.loads(capsys.readouterr().out)["request"]["params"]["L"] \
+            == 16
+        assert main(["bench", "stencil", *model_only]) == 0
+        assert json.loads(capsys.readouterr().out)["request"]["params"]["L"] \
+            != 16
+        assert seen[0].param == ["L=16"] and seen[1].param == []
+        parser = cli_mod.command_parser("bench")
+        assert parser.parse_args(["bench", "stencil"]).param == []
+
+    def test_parser_memo_misses_once_then_hits(self, capsys):
+        cli_mod.PARSER_MEMO.clear()
+        assert main(["info"]) == 0
+        info = memo_infos()["cli_parser"]
+        assert (info["misses"], info["hits"]) == (1, 0)
+        assert main(["info"]) == 0 and main(["info"]) == 0
+        info = memo_infos()["cli_parser"]
+        assert (info["misses"], info["hits"], info["entries"]) == (1, 2, 1)
+
+    @pytest.mark.parametrize("command", ["report", "run"])
+    def test_repro_error_exits_2_for_every_command(self, capsys, monkeypatch,
+                                                    command):
+        def fail(*args, **kwargs):
+            raise ConfigurationError("no such experiment model")
+
+        monkeypatch.setattr(cli_mod, "run_experiment", fail)
+        assert main([command, "fig5"]) == 2
+        assert capsys.readouterr().err == \
+            f"{command}: no such experiment model\n"
+
+    @pytest.mark.parametrize("name", ["bench", "sweep", "trace"])
+    def test_executor_option_reads_the_workload_modes(self, capsys, name):
+        from repro.workloads import EXECUTOR_MODES
+
+        parser = cli_mod.command_parser(name)
+        for mode in EXECUTOR_MODES:
+            argv = [name, "stencil", "--executor", mode]
+            assert parser.parse_args(argv).executor == mode
+        code, out, _ = _outcome(capsys, main, [name, "--help"])
+        assert code == 0 and "{" + ",".join(EXECUTOR_MODES) + "}" in out
+        assert "lowered is an accepted alias of auto" in " ".join(out.split())
