@@ -114,7 +114,7 @@ def test_bench_workload_dispatch(benchmark):
 
 def test_bench_cli_dispatch(benchmark):
     """A warm in-process ``repro lint --explain KV103``: command-table
-    lookup, the memoised one-command parser and a rule-doc print.
+    lookup, the memoised parser and a rule-doc print.
 
     Guards what every in-process CLI command pays before its handler runs;
     rebuilding the whole argparse tree per call costs about 2 ms.

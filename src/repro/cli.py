@@ -63,12 +63,10 @@ Dispatch
 --------
 One command table, :data:`COMMANDS`, holds each subcommand's name, help
 line, argument builder and handler; ``build_parser`` and ``main`` both
-read it.  ``main`` parses a command with a parser that holds only that
-subcommand, memoised per command name in the ``cli_parser`` memo, so a
-warm invocation does not rebuild argparse.  Everything else (no command,
-``--help``, ``--version``, an unknown command) goes through the full
-parser.  A ``ReproError`` from any handler prints ``<command>: <message>``
-on stderr and exits 2.
+read it.  ``main`` parses every argv with one parser, built on the first
+call and memoised in the ``cli_parser`` memo, so a warm invocation does
+not rebuild argparse.  A ``ReproError`` from any handler prints
+``<command>: <message>`` on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -86,8 +84,7 @@ from .core.memo import Memo
 from .experiments import EXPERIMENTS, list_experiments, run_experiment
 from .gpu import get_gpu, list_gpus
 
-__all__ = ["main", "build_parser", "accepts_option", "COMMANDS", "Command",
-           "command_parser"]
+__all__ = ["main", "build_parser", "accepts_option", "COMMANDS", "Command"]
 
 
 def _add_workload_target(p, *, precision: bool = True) -> None:
@@ -1260,42 +1257,29 @@ COMMANDS = {c.name: c for c in (
 )}
 
 
-def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI argument parser: every command, or only the command *only*."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI argument parser, one subparser per entry of :data:`COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the tables and figures of the Mojo GPU science-"
                     "kernels paper on the simulated substrate.",
     )
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
-    # a one-command parser still lists every command in its usage line, so
-    # its usage and error text read as the full parser's
-    sub = parser.add_subparsers(
-        dest="command",
-        metavar=None if only is None else "{" + ",".join(COMMANDS) + "}")
+    sub = parser.add_subparsers(dest="command")
     for command in COMMANDS.values():
-        if only is None or command.name == only:
-            command.add_arguments(sub.add_parser(command.name,
-                                                 help=command.help))
+        command.add_arguments(sub.add_parser(command.name, help=command.help))
     return parser
 
 
-#: one-command parsers by command name, each built once per process
+#: the parser ``main`` uses, built once per process
 PARSER_MEMO = Memo("cli_parser")
-
-
-def command_parser(name: str) -> argparse.ArgumentParser:
-    """The memoised parser that holds only the command *name*."""
-    return PARSER_MEMO.get_or_compute(name, lambda: build_parser(name))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in COMMANDS:
-        args = command_parser(argv[0]).parse_args(argv)
-    else:
-        args = build_parser().parse_args(argv)
+    # looked up by name on a miss, so a wrapped ``build_parser`` sees it
+    args = PARSER_MEMO.get_or_compute("all", build_parser).parse_args(argv)
     command = COMMANDS[args.command or "list"]
     try:
         return command.handler(args)

@@ -611,6 +611,11 @@ PARITY_ARGVS = [
 ]
 
 
+def _memoised_parser():
+    """The parser ``main`` parses with."""
+    return cli_mod.PARSER_MEMO.get_or_compute("all", build_parser)
+
+
 def _outcome(capsys, call, argv):
     """(exit code, stdout, stderr) of ``call(argv)``, SystemExit included."""
     try:
@@ -626,9 +631,16 @@ class TestCommandTable:
         assert [argv[0] for argv in PARITY_ARGVS] == list(cli_mod.COMMANDS)
 
     @pytest.mark.parametrize("argv", PARITY_ARGVS, ids=lambda a: a[0])
-    def test_memoised_parser_matches_full_parser(self, argv):
-        memoised = cli_mod.command_parser(argv[0]).parse_args(argv)
+    def test_memoised_parser_matches_a_fresh_parser(self, argv):
+        # the memoised parser has already parsed the earlier argvs
+        memoised = _memoised_parser().parse_args(argv)
         assert memoised == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [["--help"]] + [
+        [name, "--help"] for name in cli_mod.COMMANDS])
+    def test_help_renders_for_every_command(self, capsys, argv):
+        code, out, err = _outcome(capsys, main, argv)
+        assert (code, err) == (0, "") and out.startswith("usage: ")
 
     def test_top_level_help_is_unchanged(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
@@ -645,7 +657,7 @@ class TestCommandTable:
     @pytest.mark.parametrize("argv", [["bench", "stencil", "extra"],
                                       ["list", "extra"],
                                       ["bench", "stencil", "--executor", "x"]])
-    def test_one_command_parser_errors_read_as_the_full_parsers(
+    def test_memoised_parser_errors_read_as_a_fresh_parsers(
             self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
         full = _outcome(capsys, lambda a: build_parser().parse_args(a), argv)
@@ -671,7 +683,7 @@ class TestCommandTable:
         assert json.loads(capsys.readouterr().out)["request"]["params"]["L"] \
             != 16
         assert seen[0].param == ["L=16"] and seen[1].param == []
-        parser = cli_mod.command_parser("bench")
+        parser = _memoised_parser()
         assert parser.parse_args(["bench", "stencil"]).param == []
 
     def test_parser_memo_misses_once_then_hits(self, capsys):
@@ -698,7 +710,7 @@ class TestCommandTable:
     def test_executor_option_reads_the_workload_modes(self, capsys, name):
         from repro.workloads import EXECUTOR_MODES
 
-        parser = cli_mod.command_parser(name)
+        parser = _memoised_parser()
         for mode in EXECUTOR_MODES:
             argv = [name, "stencil", "--executor", mode]
             assert parser.parse_args(argv).executor == mode
