@@ -19,9 +19,9 @@ from repro.kernels.stencil import (
     StencilProblem,
     laplacian_kernel,
     laplacian_reference,
-    run_stencil,
     stencil_launch_config,
 )
+from repro.workloads import get_workload
 
 
 def diffusion_step_reference(u, alpha_dt, inv):
@@ -64,12 +64,14 @@ def simulate_on_device(L=16, steps=5, alpha_dt=1e-5):
 def figure3_view():
     """Effective bandwidth of the production-size stencil (Figure 3)."""
     print("\nEffective stencil bandwidth, Eq. 1 (L=512, FP64):")
+    stencil = get_workload("stencil")
+    request = stencil.make_request(precision="float64", params={"L": 512},
+                                   verify=False)
     results = {}
     for gpu, backends in (("h100", ("mojo", "cuda")), ("mi300a", ("mojo", "hip"))):
         for backend in backends:
-            res = run_stencil(L=512, precision="float64", backend=backend,
-                              gpu=gpu, iterations=5, verify=False)
-            results[f"{gpu}/{backend}"] = res.bandwidth_gbs
+            res = stencil.run(request.replace(gpu=gpu, backend=backend))
+            results[f"{gpu}/{backend}"] = res.metrics["bandwidth_gbs"]
     print(bar_chart(results, unit=" GB/s"))
 
 

@@ -20,11 +20,11 @@ from repro.kernels.hartreefock import (
     compute_schwarz,
     fock_direct_reference,
     make_helium_system,
-    run_hartreefock,
     run_hartreefock_functional,
     surviving_quadruple_fraction,
     symmetrize,
 )
+from repro.workloads import get_workload
 
 
 def build_small_fock(natoms=6, ngauss=3):
@@ -49,6 +49,7 @@ def table4_view():
     table = ResultTable(columns=["natoms", "survivors", "h100 mojo (ms)",
                                  "h100 cuda (ms)", "mi300a mojo (ms)",
                                  "mi300a hip (ms)"])
+    hartreefock = get_workload("hartreefock")
     for natoms in (64, 128, 256):
         system = make_helium_system(natoms, 3)
         survivors = surviving_quadruple_fraction(compute_schwarz(system))
@@ -57,9 +58,10 @@ def table4_view():
                                   ("h100", "cuda", "h100 cuda (ms)"),
                                   ("mi300a", "mojo", "mi300a mojo (ms)"),
                                   ("mi300a", "hip", "mi300a hip (ms)")):
-            res = run_hartreefock(natoms=natoms, ngauss=3, backend=backend,
-                                  gpu=gpu, verify=False)
-            row[col] = round(res.kernel_time_ms, 1)
+            res = hartreefock.run(hartreefock.make_request(
+                gpu=gpu, backend=backend, verify=False,
+                params={"natoms": natoms, "ngauss": 3}))
+            row[col] = round(res.metrics["kernel_time_ms"], 1)
         table.add_row(**row)
     print(table.to_text())
     print("\n(paper, a=256: Mojo 187 / CUDA 472 on H100; Mojo 25,266 / HIP 178 on MI300A)")

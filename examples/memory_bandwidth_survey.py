@@ -12,12 +12,9 @@ Run with:  python examples/memory_bandwidth_survey.py
 
 from repro.backends import get_backend, list_backends
 from repro.harness.plotting import Series, line_chart
-from repro.kernels.babelstream import (
-    BABELSTREAM_OPS,
-    BabelStreamBenchmark,
-    run_babelstream_functional,
-)
+from repro.kernels.babelstream import BABELSTREAM_OPS, run_babelstream_functional
 from repro.metrics.portability import arithmetic_mean_phi, efficiency
+from repro.workloads import get_workload
 
 
 def main() -> None:
@@ -27,13 +24,16 @@ def main() -> None:
         print(f"  {name}: max relative error {err:.2e}")
 
     print("\nModelled bandwidth at 2^25 elements (GB/s):")
+    babelstream = get_workload("babelstream")
+    request = babelstream.make_request(verify=False)
     results = {}
     for gpu in ("h100", "mi300a"):
         for backend in list_backends():
             if not get_backend(backend).supports(gpu):
                 continue
-            bench = BabelStreamBenchmark(backend=backend, gpu=gpu, num_times=3)
-            results[(gpu, backend)] = bench.run(verify=False).bandwidths_gbs
+            res = babelstream.run(request.replace(gpu=gpu, backend=backend))
+            results[(gpu, backend)] = {op: res.metrics[f"{op}_gbs"]
+                                       for op in BABELSTREAM_OPS}
 
     series = []
     for (gpu, backend), bandwidths in sorted(results.items()):

@@ -20,8 +20,8 @@ from repro.kernels.minibude import (
     make_deck,
     reference_energies,
     run_fasten_functional,
-    run_minibude,
 )
+from repro.workloads import get_workload
 
 
 def dock_small_complex():
@@ -51,13 +51,15 @@ def ppwi_sweep():
         ("mi300a/mojo", "mojo", "mi300a", False),
         ("mi300a/hip+fm", "hip", "mi300a", True),
     ]
+    minibude = get_workload("minibude")
     series = []
     for label, backend, gpu, fast_math in configs:
         s = Series(label)
         for ppwi in ppwis:
-            res = run_minibude(ppwi=ppwi, wgsize=64, backend=backend, gpu=gpu,
-                               fast_math=fast_math, verify=False)
-            s.add(ppwi, res.gflops)
+            res = minibude.run(minibude.make_request(
+                gpu=gpu, backend=backend, fast_math=fast_math, verify=False,
+                params={"ppwi": ppwi, "wgsize": 64}))
+            s.add(ppwi, res.metrics["gflops"])
         series.append(s)
     print(line_chart(series, title="miniBUDE bm1 GFLOP/s vs PPWI (wg=64)", unit=""))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..harness.compare import ratio_comparison
+from ..harness.compare import ratio_comparison, verification_comparison
 from ..harness.paper_data import FIGURE_EXPECTATIONS, TABLE5_EFFICIENCIES
 from ..harness.results import ExperimentResult, ResultTable
 from ..harness.runner import MeasurementProtocol
@@ -43,6 +43,7 @@ def run(*, quick: bool = True, iterations: int = 20, verify: bool = False) -> Ex
     workload = get_workload("stencil")
     protocol = MeasurementProtocol(warmup=1, repeats=max(iterations - 1, 1))
     efficiencies: Dict[Tuple[str, str], float] = {}
+    verified = []
     for gpu, baseline in PLATFORMS:
         requests = sweep(precision=["float32", "float64"], L=list(sizes),
                          block_shape=list(block_shapes)).requests(
@@ -50,6 +51,7 @@ def run(*, quick: bool = True, iterations: int = 20, verify: bool = False) -> Ex
             verify=verify)
         for request in requests:
             mojo = workload.run(request)
+            verified.append(mojo)
             base = workload.run(request.replace(backend=baseline,
                                                 verify=False))
             eff = mojo.primary_value / base.primary_value
@@ -74,6 +76,8 @@ def run(*, quick: bool = True, iterations: int = 20, verify: bool = False) -> Ex
             f"stencil efficiency {paper_key[0]} on {paper_key[1]}",
             efficiencies[key], paper[paper_key], rel_tol=0.15,
         ))
+    if verify:
+        result.add_comparison(verification_comparison(verified))
     result.notes.append(FIGURE_EXPECTATIONS["fig3"])
     return result
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..harness.compare import ratio_comparison
+from ..harness.compare import ratio_comparison, verification_comparison
 from ..harness.paper_data import FIGURE_EXPECTATIONS, TABLE5_EFFICIENCIES
 from ..harness.results import ExperimentResult, ResultTable
 from ..harness.runner import MeasurementProtocol
@@ -39,11 +39,13 @@ def run(*, n: int = 2 ** 25, precision: str = "float64", quick: bool = True,
     workload = get_workload("babelstream")
     protocol = MeasurementProtocol(warmup=1, repeats=4)
     efficiencies: Dict[Tuple[str, str], float] = {}
+    verified = []
     for gpu, baseline in PLATFORMS:
         request = workload.make_request(
             gpu=gpu, backend="mojo", precision=precision, params={"n": n},
             protocol=protocol, verify=verify)
         mojo = workload.run(request)
+        verified.append(mojo)
         base = workload.run(request.replace(backend=baseline, verify=False))
         for op in BABELSTREAM_OPS:
             eff = mojo.metrics[f"{op}_gbs"] / base.metrics[f"{op}_gbs"]
@@ -61,6 +63,8 @@ def run(*, n: int = 2 ** 25, precision: str = "float64", quick: bool = True,
         result.add_comparison(ratio_comparison(
             f"babelstream {op} efficiency on {gpu}", eff, expected, rel_tol=0.10,
         ))
+    if verify:
+        result.add_comparison(verification_comparison(verified))
     result.notes.append(FIGURE_EXPECTATIONS["fig4"])
     return result
 

@@ -10,11 +10,16 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..harness.compare import ordering_comparison, qualitative_comparison
+from ..harness.compare import (
+    ordering_comparison,
+    qualitative_comparison,
+    verification_comparison,
+)
 from ..harness.paper_data import FIGURE_EXPECTATIONS
 from ..harness.plotting import Series, series_to_csv
 from ..harness.results import ExperimentResult, ResultTable
-from ..kernels.minibude import DEFAULT_PPWI_SWEEP, run_minibude
+from ..kernels.minibude import DEFAULT_PPWI_SWEEP
+from ..workloads import get_workload
 
 EXPERIMENT_ID = "fig6"
 DESCRIPTION = "miniBUDE GFLOP/s on NVIDIA H100: Mojo vs CUDA (± fast-math)"
@@ -41,7 +46,9 @@ def run(*, quick: bool = True, verify: bool = False,
     ppwis = (1, 2, 4, 8, 32, 128) if quick else DEFAULT_PPWI_SWEEP
     wgsizes = (8, 64)
 
+    workload = get_workload("minibude")
     gflops: Dict[tuple, float] = {}
+    verified = []
     for wg in wgsizes:
         table = ResultTable(
             columns=["ppwi"] + [name for name, _, _ in _variants(baseline)],
@@ -50,13 +57,17 @@ def run(*, quick: bool = True, verify: bool = False,
         series = [Series(name) for name, _, _ in _variants(baseline)]
         for ppwi in ppwis:
             row = {"ppwi": ppwi}
+            request = workload.make_request(
+                gpu=gpu, params={"ppwi": ppwi, "wgsize": wg}, verify=False)
             for s, (name, backend, fast_math) in zip(series, _variants(baseline)):
-                res = run_minibude(ppwi=ppwi, wgsize=wg, backend=backend,
-                                   gpu=gpu, fast_math=fast_math, verify=verify)
-                verify = False  # only verify once per experiment
-                gflops[(name, ppwi, wg)] = res.gflops
-                row[name] = res.gflops
-                s.add(ppwi, res.gflops)
+                res = workload.run(request.replace(
+                    backend=backend, fast_math=fast_math, verify=verify))
+                if verify:
+                    verified.append(res)
+                    verify = False  # only verify once per experiment
+                gflops[(name, ppwi, wg)] = res.primary_value
+                row[name] = res.primary_value
+                s.add(ppwi, res.primary_value)
             table.add_row(**row)
         result.add_table(table)
         result.extra_text.append(series_to_csv(series, x_label="ppwi"))
@@ -81,6 +92,8 @@ def run(*, quick: bool = True, verify: bool = False,
             {name: gflops[(name, small_ppwi, 64)] for name, _, _ in _variants(baseline)},
             expected_order=[f"{baseline}_fastmath", baseline, "mojo"],
         ))
+    if verified:
+        result.add_comparison(verification_comparison(verified))
     result.notes.append(FIGURE_EXPECTATIONS["fig6" if gpu == GPU else "fig7"])
     return result
 

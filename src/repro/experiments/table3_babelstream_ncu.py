@@ -10,12 +10,12 @@ registers.
 from __future__ import annotations
 
 from ..backends import get_backend
-from ..core.kernel import LaunchConfig
 from ..harness.compare import qualitative_comparison, ratio_comparison
 from ..harness.paper_data import TABLE3_BABELSTREAM_NCU
 from ..harness.results import ExperimentResult, ResultTable
-from ..kernels.babelstream import BabelStreamBenchmark, babelstream_kernel_model
+from ..kernels.babelstream import babelstream_op_config
 from ..profiling.ncu import NcuReport
+from ..workloads import get_workload
 
 EXPERIMENT_ID = "table3"
 DESCRIPTION = "BabelStream: Mojo vs CUDA ncu profiling metrics (H100)"
@@ -35,12 +35,12 @@ def run(*, gpu: str = "h100", n: int = 2 ** 25, quick: bool = True) -> Experimen
     )
 
     counters = {}
+    tb_size = get_workload("babelstream").default_params()["tb_size"]
     for backend in ("mojo", "cuda"):
-        bench = BabelStreamBenchmark(n=n, precision="float64", backend=backend,
-                                     gpu=gpu, num_times=3)
         for op in OPERATIONS:
-            launch = bench.launch_for(op)
-            model = bench.model_for(op)
+            model, launch = babelstream_op_config(
+                op, n=n, precision="float64", tb_size=tb_size,
+                backend=backend, gpu=gpu)
             run_ = get_backend(backend).time(model, gpu, launch)
             c = report.add_run(f"{op}/{backend}", run_)
             counters[(op, backend)] = c

@@ -10,10 +10,14 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..harness.compare import ordering_comparison, qualitative_comparison, ratio_comparison
+from ..harness.compare import (
+    qualitative_comparison,
+    ratio_comparison,
+    verification_comparison,
+)
 from ..harness.paper_data import TABLE4_HARTREE_FOCK_MS, TEXT_RATIOS
 from ..harness.results import ExperimentResult, ResultTable
-from ..kernels.hartreefock import run_hartreefock
+from ..workloads import get_workload
 
 EXPERIMENT_ID = "table4"
 DESCRIPTION = "Hartree-Fock kernel wall-clock times: Mojo vs CUDA and HIP"
@@ -34,17 +38,23 @@ def run(*, quick: bool = True, verify: bool = False) -> ExperimentResult:
         title="Kernel execution duration (ms)",
     )
 
+    workload = get_workload("hartreefock")
     measured: Dict[Tuple[int, int, str, str], float] = {}
+    verified = []
     for natoms, ngauss in rows:
+        request = workload.make_request(
+            params={"natoms": natoms, "ngauss": ngauss}, verify=False)
         values = {}
         surviving = None
         for gpu, backend in COLUMNS:
-            res = run_hartreefock(natoms=natoms, ngauss=ngauss, backend=backend,
-                                  gpu=gpu, verify=verify)
-            verify = False
-            measured[(natoms, ngauss, gpu, backend)] = res.kernel_time_ms
-            values[f"{gpu}_{backend}_ms"] = res.kernel_time_ms
-            surviving = res.surviving_fraction
+            res = workload.run(request.replace(gpu=gpu, backend=backend,
+                                               verify=verify))
+            if verify:
+                verified.append(res)
+                verify = False  # only verify once per experiment
+            measured[(natoms, ngauss, gpu, backend)] = res.primary_value
+            values[f"{gpu}_{backend}_ms"] = res.primary_value
+            surviving = res.metrics["surviving_fraction"]
         table.add_row(natoms=natoms, ngauss=ngauss,
                       surviving_fraction=surviving, **values)
     result.add_table(table)
@@ -83,6 +93,8 @@ def run(*, quick: bool = True, verify: bool = False) -> ExperimentResult:
                 key(gpu, backend), paper_value, rel_tol=abs_tol,
                 detail=f"absolute times are model-scale; ±{abs_tol:.0%} band",
             ))
+    if verified:
+        result.add_comparison(verification_comparison(verified))
     result.notes.append(
         "Surviving-quadruple fractions come from the synthetic helium lattice's "
         "Schwarz bounds; the paper's original decks are not redistributed."

@@ -12,11 +12,9 @@ from typing import Dict, List
 from ..harness.compare import ratio_comparison
 from ..harness.paper_data import TABLE5_PHI
 from ..harness.results import ExperimentResult, ResultTable
-from ..kernels.babelstream import BABELSTREAM_OPS, BabelStreamBenchmark
-from ..kernels.hartreefock import run_hartreefock
-from ..kernels.minibude import run_minibude
-from ..kernels.stencil import run_stencil
+from ..kernels.babelstream import BABELSTREAM_OPS
 from ..metrics.portability import PortabilityResult, efficiency, portability_from_entries
+from ..workloads import get_workload
 
 EXPERIMENT_ID = "table5"
 DESCRIPTION = "Mojo performance portability metric (Eq. 4) across workloads"
@@ -24,18 +22,25 @@ DESCRIPTION = "Mojo performance portability metric (Eq. 4) across workloads"
 PLATFORMS = (("h100", "cuda"), ("mi300a", "hip"))
 
 
+def _runs(name: str, baseline: str, *, baseline_fast_math: bool = False,
+          **fields):
+    """The Mojo and vendor-baseline results of one configuration."""
+    workload = get_workload(name)
+    request = workload.make_request(backend="mojo", verify=False, **fields)
+    return workload.run(request), workload.run(request.replace(
+        backend=baseline, fast_math=baseline_fast_math))
+
+
 def _stencil_samples(quick: bool) -> List[Dict]:
     samples = []
     for gpu, baseline in PLATFORMS:
         for precision in ("float32", "float64"):
-            mojo = run_stencil(L=512, precision=precision, backend="mojo",
-                               gpu=gpu, iterations=3, verify=False)
-            base = run_stencil(L=512, precision=precision, backend=baseline,
-                               gpu=gpu, iterations=3, verify=False)
+            mojo, base = _runs("stencil", baseline, gpu=gpu,
+                               precision=precision, params={"L": 512})
             samples.append({
                 "configuration": "fp32" if precision == "float32" else "fp64",
                 "platform": gpu,
-                "efficiency": efficiency(mojo.bandwidth_gbs, base.bandwidth_gbs),
+                "efficiency": efficiency(mojo.primary_value, base.primary_value),
             })
     return samples
 
@@ -43,14 +48,13 @@ def _stencil_samples(quick: bool) -> List[Dict]:
 def _babelstream_samples(quick: bool) -> List[Dict]:
     samples = []
     for gpu, baseline in PLATFORMS:
-        mojo = BabelStreamBenchmark(backend="mojo", gpu=gpu, num_times=3).run(verify=False)
-        base = BabelStreamBenchmark(backend=baseline, gpu=gpu, num_times=3).run(verify=False)
+        mojo, base = _runs("babelstream", baseline, gpu=gpu)
         for op in BABELSTREAM_OPS:
             samples.append({
                 "configuration": op,
                 "platform": gpu,
-                "efficiency": efficiency(mojo.bandwidths_gbs[op],
-                                         base.bandwidths_gbs[op]),
+                "efficiency": efficiency(mojo.metrics[f"{op}_gbs"],
+                                         base.metrics[f"{op}_gbs"]),
             })
     return samples
 
@@ -60,14 +64,12 @@ def _minibude_samples(quick: bool) -> List[Dict]:
     configs = ((8, 8, "PPWI=8 wg=8"), (4, 64, "PPWI=4 wg=64"))
     for gpu, baseline in PLATFORMS:
         for ppwi, wg, label in configs:
-            mojo = run_minibude(ppwi=ppwi, wgsize=wg, backend="mojo", gpu=gpu,
-                                verify=False)
-            base = run_minibude(ppwi=ppwi, wgsize=wg, backend=baseline, gpu=gpu,
-                                fast_math=True, verify=False)
+            mojo, base = _runs("minibude", baseline, baseline_fast_math=True,
+                               gpu=gpu, params={"ppwi": ppwi, "wgsize": wg})
             samples.append({
                 "configuration": label,
                 "platform": gpu,
-                "efficiency": efficiency(mojo.gflops, base.gflops),
+                "efficiency": efficiency(mojo.primary_value, base.primary_value),
             })
     return samples
 
@@ -78,14 +80,12 @@ def _hartreefock_samples(quick: bool) -> List[Dict]:
            ((1024, 6), (256, 3), (128, 3), (64, 3))
     for gpu, baseline in PLATFORMS:
         for natoms, ngauss in rows:
-            mojo = run_hartreefock(natoms=natoms, ngauss=ngauss, backend="mojo",
-                                   gpu=gpu, verify=False)
-            base = run_hartreefock(natoms=natoms, ngauss=ngauss, backend=baseline,
-                                   gpu=gpu, verify=False)
+            mojo, base = _runs("hartreefock", baseline, gpu=gpu,
+                               params={"natoms": natoms, "ngauss": ngauss})
             samples.append({
                 "configuration": f"a={natoms} ngauss={ngauss}",
                 "platform": gpu,
-                "efficiency": efficiency(mojo.kernel_time_ms, base.kernel_time_ms,
+                "efficiency": efficiency(mojo.primary_value, base.primary_value,
                                          higher_is_better=False),
             })
     return samples

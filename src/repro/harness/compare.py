@@ -13,7 +13,7 @@ from ..core.errors import ConfigurationError
 from .results import Comparison
 
 __all__ = ["ratio_comparison", "ordering_comparison", "qualitative_comparison",
-           "within_band"]
+           "verification_comparison", "within_band"]
 
 
 def within_band(measured: float, expected: float, *, rel_tol: float = 0.25) -> bool:
@@ -68,3 +68,19 @@ def qualitative_comparison(label: str, passed: bool, *, detail: str = "") -> Com
     """Record a free-form qualitative check."""
     return Comparison(label=label, measured=1.0 if passed else 0.0, paper=1.0,
                       kind="qualitative", passed=passed, detail=detail)
+
+
+def verification_comparison(results: Sequence) -> Comparison:
+    """One check that every functionally verified run in *results* passed.
+
+    *results* are the :class:`~repro.workloads.base.WorkloadResult` objects
+    an experiment ran with ``verify=True``.  ``Workload.run`` folds a
+    verification failure into ``result.verification`` instead of raising,
+    so this is the check that makes ``--verify`` fail the experiment.
+    """
+    failed = [r.verification.detail for r in results
+              if not r.verification.passed]
+    return qualitative_comparison(
+        "functional verification on the simulator",
+        bool(results) and not failed,
+        detail="; ".join(failed) or f"{len(results)} verified run(s)")

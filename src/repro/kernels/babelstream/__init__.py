@@ -23,9 +23,7 @@ from .metrics import arrays_moved, operation_bandwidth_gbs, operation_bytes
 from .reference import BabelStreamArrays, expected_values, verify_arrays, verify_dot
 from .runner import (
     DEFAULT_SIZE,
-    BabelStreamBenchmark,
-    BabelStreamResult,
-    run_babelstream,
+    babelstream_op_config,
     run_babelstream_functional,
 )
 
@@ -36,6 +34,5 @@ __all__ = [
     "mul_kernel", "triad_kernel",
     "arrays_moved", "operation_bandwidth_gbs", "operation_bytes",
     "BabelStreamArrays", "expected_values", "verify_arrays", "verify_dot",
-    "DEFAULT_SIZE", "BabelStreamBenchmark", "BabelStreamResult",
-    "run_babelstream", "run_babelstream_functional",
+    "DEFAULT_SIZE", "babelstream_op_config", "run_babelstream_functional",
 ]

@@ -1,29 +1,23 @@
-"""High-level BabelStream benchmark runner.
+"""Per-operation launches and functional verification for BabelStream.
 
-Mirrors the BabelStream driver: allocate three vectors, run each kernel
-``num_times`` and report the best/mean bandwidth per operation (Eq. 2).
-Functional correctness is established by running the device kernels on a
-reduced vector through the simulator and comparing against the scalar-replay
-verification used by the original benchmark.
+The benchmark itself (timing model, Eq. 2 bandwidth, measurement samples)
+is :meth:`repro.workloads.babelstream.BabelStreamWorkload._run`.  This
+module holds the model and launch of each operation as the BabelStream
+driver runs it (:func:`babelstream_op_config`, shared with Table 3), and the
+functional run of the device kernels on a reduced vector, checked against
+the scalar-replay verification of the original benchmark.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, Optional, Tuple
 
 from ...backends import get_backend
 from ...core.device import DeviceContext
 from ...core.dtypes import DType, dtype_from_any
-from ...core.intrinsics import ceildiv
-from ...core.kernel import LaunchConfig
-from ...gpu.specs import get_gpu
-from ...gpu.timing import TimingBreakdown
+from ...core.kernel import KernelModel, LaunchConfig
 from .kernels import (
-    BABELSTREAM_OPS,
     SCALAR,
     START_A,
     START_B,
@@ -35,34 +29,34 @@ from .kernels import (
     mul_kernel,
     triad_kernel,
 )
-from .metrics import operation_bandwidth_gbs
 from .reference import BabelStreamArrays, verify_arrays, verify_dot
 
-__all__ = ["BabelStreamResult", "BabelStreamBenchmark", "run_babelstream",
-           "run_babelstream_functional"]
+__all__ = ["babelstream_op_config", "run_babelstream_functional"]
 
 #: default vector size from the paper: 2^25 elements
 DEFAULT_SIZE = 2 ** 25
 
 
-@dataclass
-class BabelStreamResult:
-    """Per-operation results of one BabelStream configuration."""
+def babelstream_op_config(op: str, *, n: int, precision: str, tb_size: int,
+                          backend, gpu) -> Tuple[KernelModel, LaunchConfig]:
+    """Kernel model and launch of one operation as the driver runs it.
 
-    n: int
-    precision: str
-    backend: str
-    gpu: str
-    tb_size: int
-    bandwidths_gbs: Dict[str, float]
-    kernel_times_ms: Dict[str, float]
-    timings: Dict[str, TimingBreakdown]
-    verified: bool
-    verification_errors: Dict[str, float] = field(default_factory=dict)
-    samples_gbs: Dict[str, List[float]] = field(default_factory=dict)
-
-    def bandwidth(self, op: str) -> float:
-        return self.bandwidths_gbs[op.lower()]
+    Copy/Mul/Add/Triad launch one thread per element.  Dot's block count is
+    the *backend's* grid heuristic (the vendor baselines size it from the
+    multiprocessor count), and each of its threads reduces
+    ``n / total_threads`` elements.
+    """
+    if op == "dot":
+        blocks = get_backend(backend).dot_num_blocks(gpu, n, tb_size)
+        launch = LaunchConfig.make(blocks, tb_size)
+        per_thread = n / launch.total_threads
+    else:
+        launch = LaunchConfig.for_elements(n, tb_size)
+        per_thread = 1.0
+    model = babelstream_kernel_model(op, n=n, precision=precision,
+                                     elements_per_thread=per_thread,
+                                     tb_size=tb_size)
+    return model, launch
 
 
 def run_babelstream_functional(
@@ -156,107 +150,3 @@ def run_babelstream_functional(
     errors = verify_arrays(host, num_iterations)
     errors["dot"] = verify_dot(dot_value, host)
     return errors
-
-
-class BabelStreamBenchmark:
-    """Benchmark object mirroring the BabelStream driver structure."""
-
-    def __init__(self, *, n: int = DEFAULT_SIZE, precision: str = "float64",
-                 backend: str = "mojo", gpu: str = "h100",
-                 tb_size: int = 1024, num_times: int = 100,
-                 jitter: float = 0.01, seed: int = 2025,
-                 fast_math: bool = False, warmup: int = 1,
-                 executor: str = "auto", streams: int = 1):
-        self.n = int(n)
-        self.precision = precision
-        self.backend = get_backend(backend)
-        self.spec = get_gpu(gpu)
-        self.tb_size = int(tb_size)
-        self.num_times = int(num_times)
-        self.jitter = float(jitter)
-        self.seed = int(seed)
-        self.fast_math = bool(fast_math)
-        #: iterations discarded before sample collection (the BabelStream
-        #: driver's first timing is traditionally treated as warm-up)
-        self.warmup = int(warmup)
-        #: functional-simulator mode used for verification launches
-        self.executor = executor
-        #: device streams used by the verification pipeline
-        self.streams = int(streams)
-
-    # ------------------------------------------------------------------ model
-    def launch_for(self, op: str) -> LaunchConfig:
-        if op == "dot":
-            blocks = self.backend.dot_num_blocks(self.spec, self.n, self.tb_size)
-            return LaunchConfig.make(blocks, self.tb_size)
-        return LaunchConfig.for_elements(self.n, self.tb_size)
-
-    def model_for(self, op: str):
-        launch = self.launch_for(op)
-        if op == "dot":
-            elements_per_thread = self.n / launch.total_threads
-        else:
-            elements_per_thread = 1.0
-        return babelstream_kernel_model(
-            op, n=self.n, precision=self.precision,
-            elements_per_thread=elements_per_thread, tb_size=self.tb_size,
-        )
-
-    # -------------------------------------------------------------------- run
-    def run(self, *, verify: bool = True,
-            pipeline_sink: Optional[dict] = None) -> BabelStreamResult:
-        verification_errors: Dict[str, float] = {}
-        verified = False
-        if verify:
-            verification_errors = run_babelstream_functional(
-                precision=self.precision, gpu=self.spec.name,
-                executor=self.executor, streams=self.streams,
-                pipeline_sink=pipeline_sink)
-            verified = True
-
-        bandwidths: Dict[str, float] = {}
-        times: Dict[str, float] = {}
-        timings: Dict[str, TimingBreakdown] = {}
-        samples: Dict[str, List[float]] = {}
-        rng = np.random.default_rng(self.seed)
-
-        for op in BABELSTREAM_OPS:
-            launch = self.launch_for(op)
-            model = self.model_for(op)
-            run = self.backend.time(model, self.spec, launch,
-                                    fast_math=self.fast_math)
-            t_s = run.timing.kernel_time_s
-            bw = operation_bandwidth_gbs(op, self.n, self.precision, t_s)
-            bandwidths[op] = bw
-            times[op] = run.timing.kernel_time_ms
-            timings[op] = run.timing
-            samples[op] = [
-                bw * max(1.0 + rng.normal(0.0, self.jitter), 0.5)
-                for _ in range(max(self.num_times - self.warmup, 0))
-            ]
-
-        return BabelStreamResult(
-            n=self.n,
-            precision=self.precision,
-            backend=self.backend.name,
-            gpu=self.spec.name,
-            tb_size=self.tb_size,
-            bandwidths_gbs=bandwidths,
-            kernel_times_ms=times,
-            timings=timings,
-            verified=verified,
-            verification_errors=verification_errors,
-            samples_gbs=samples,
-        )
-
-
-def run_babelstream(**kwargs) -> BabelStreamResult:
-    """Convenience wrapper: build a :class:`BabelStreamBenchmark` and run it.
-
-    .. deprecated::
-        Thin shim kept for existing callers; prefer
-        ``repro.workloads.get_workload("babelstream")`` with a
-        :class:`~repro.workloads.RunRequest`.
-    """
-    verify = kwargs.pop("verify", True)
-    return BabelStreamBenchmark(**kwargs).run(verify=verify)

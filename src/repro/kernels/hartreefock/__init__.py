@@ -31,9 +31,7 @@ from .reference import (
     verify_fock,
 )
 from .runner import (
-    HartreeFockResult,
     compute_schwarz,
-    run_hartreefock,
     run_hartreefock_functional,
     surviving_quadruple_fraction,
 )
@@ -47,6 +45,6 @@ __all__ = [
     "hartree_fock_kernel", "hartree_fock_kernel_model",
     "eri_tensor", "fock_direct_reference", "fock_quadruple_reference",
     "symmetrize", "verify_fock",
-    "HartreeFockResult", "compute_schwarz", "run_hartreefock",
-    "run_hartreefock_functional", "surviving_quadruple_fraction",
+    "compute_schwarz", "run_hartreefock_functional",
+    "surviving_quadruple_fraction",
 ]

@@ -13,14 +13,15 @@ Three execution paths with very different cost envelopes meet here:
   evaluated at all, so ``natoms=1024`` costs no more than ``natoms=64``
   beyond the Schwarz-bound computation.
 
-The benchmark engine itself lives in :mod:`repro.workloads.hartreefock`;
-:func:`run_hartreefock` remains as a thin deprecated shim over it.
+The benchmark itself is
+:meth:`repro.workloads.hartreefock.HartreeFockWorkload._run`; this module
+holds the setup it shares with the tuner (:func:`compute_schwarz`,
+:func:`surviving_quadruple_fraction`) and the functional verification path.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -30,7 +31,6 @@ from ...core.dtypes import DType
 from ...core.kernel import LaunchConfig
 from ...core.layout import Layout
 from ...core.memo import Memo
-from ...gpu.timing import TimingBreakdown
 from .basis import HeSystem, make_helium_system, triangular_pairs
 from .eri import pair_schwarz, schwarz_identical_basis
 from .kernel import (
@@ -40,7 +40,7 @@ from .kernel import (
 )
 from .reference import fock_quadruple_reference, verify_fock
 
-__all__ = ["HartreeFockResult", "run_hartreefock", "run_hartreefock_functional",
+__all__ = ["compute_schwarz", "run_hartreefock_functional",
            "surviving_quadruple_fraction"]
 
 #: block size used by the proxy's GPU ports
@@ -49,22 +49,6 @@ DEFAULT_BLOCK_SIZE = 256
 #: systems at or above this size use the distance-interpolated Schwarz bounds
 #: when counting surviving quadruples for the timing model
 APPROX_SCHWARZ_NATOMS = 512
-
-
-@dataclass
-class HartreeFockResult:
-    """Result of one Hartree–Fock configuration."""
-
-    natoms: int
-    ngauss: int
-    backend: str
-    gpu: str
-    kernel_time_ms: float
-    nquads: int
-    surviving_fraction: float
-    verified: bool
-    max_rel_error: float
-    timing: TimingBreakdown
 
 
 #: memo behind :func:`compute_schwarz`
@@ -189,18 +173,3 @@ def run_hartreefock_functional(natoms: int = 4, ngauss: int = 3, *,
                                         schwarz=schwarz if schwarz_tol > 0 else None)
     err = verify_fock(fock, expected)
     return fock, err
-
-
-def run_hartreefock(**kwargs) -> HartreeFockResult:
-    """Benchmark one Hartree–Fock configuration (Table 4).
-
-    .. deprecated::
-        Thin shim over the unified Workload API; prefer
-        ``repro.workloads.get_workload("hartreefock")`` with a
-        :class:`~repro.workloads.RunRequest`.  The benchmark engine lives in
-        :func:`repro.workloads.hartreefock.bench_hartreefock` and keeps this
-        function's exact signature and semantics.
-    """
-    from ...workloads.hartreefock import bench_hartreefock
-
-    return bench_hartreefock(**kwargs)

@@ -17,10 +17,8 @@ from .reference import reference_energies, verify_energies
 from .runner import (
     DEFAULT_PPWI_SWEEP,
     DEFAULT_WGSIZES,
-    MiniBudeResult,
     minibude_launch_config,
     run_fasten_functional,
-    run_minibude,
 )
 
 __all__ = [
@@ -29,6 +27,6 @@ __all__ = [
     "fasten_kernel", "fasten_kernel_model",
     "gflops", "ops_per_workitem", "total_ops",
     "reference_energies", "verify_energies",
-    "DEFAULT_PPWI_SWEEP", "DEFAULT_WGSIZES", "MiniBudeResult",
-    "minibude_launch_config", "run_fasten_functional", "run_minibude",
+    "DEFAULT_PPWI_SWEEP", "DEFAULT_WGSIZES",
+    "minibude_launch_config", "run_fasten_functional",
 ]

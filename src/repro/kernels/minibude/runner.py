@@ -1,14 +1,15 @@
-"""High-level runner for the miniBUDE workload (Figures 6 and 7).
+"""Launch geometry and functional verification for miniBUDE (Figures 6-7).
 
-The benchmark engine itself lives in :mod:`repro.workloads.minibude`;
-:func:`run_minibude` remains as a thin deprecated shim over it.
+The benchmark itself (timing model, Eq. 3 GFLOP/s) is
+:meth:`repro.workloads.minibude.MiniBudeWorkload._run`; this module holds
+the launch configuration it shares with the tuner and the device-kernel run
+it verifies on a reduced deck.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -17,37 +18,17 @@ from ...core.dtypes import DType
 from ...core.errors import ConfigurationError
 from ...core.intrinsics import ceildiv
 from ...core.kernel import LaunchConfig
-from ...gpu.timing import TimingBreakdown
 from .deck import Deck
 from .kernel import fasten_kernel, fasten_kernel_model
 from .reference import verify_energies
 
-__all__ = ["MiniBudeResult", "run_minibude", "run_fasten_functional",
-           "minibude_launch_config", "DEFAULT_PPWI_SWEEP", "DEFAULT_WGSIZES"]
+__all__ = ["run_fasten_functional", "minibude_launch_config",
+           "DEFAULT_PPWI_SWEEP", "DEFAULT_WGSIZES"]
 
 #: PPWI sweep used in Figures 6-7
 DEFAULT_PPWI_SWEEP = (1, 2, 4, 8, 16, 32, 64, 128)
 #: work-group sizes used in Figures 6-7
 DEFAULT_WGSIZES = (8, 64)
-
-
-@dataclass
-class MiniBudeResult:
-    """Result of one miniBUDE configuration."""
-
-    ppwi: int
-    wgsize: int
-    nposes: int
-    natlig: int
-    natpro: int
-    backend: str
-    gpu: str
-    fast_math: bool
-    kernel_time_ms: float
-    gflops: float
-    verified: bool
-    max_rel_error: float
-    timing: TimingBreakdown
 
 
 def minibude_launch_config(nposes: int, ppwi: int, wgsize: int) -> LaunchConfig:
@@ -110,18 +91,3 @@ def run_fasten_functional(deck: Deck, *, ppwi: int = 2, wgsize: int = 8,
         pipeline_sink["pipeline"] = ctx.pipeline_breakdown()
     err = verify_energies(energies, deck)
     return energies, err
-
-
-def run_minibude(**kwargs) -> MiniBudeResult:
-    """Benchmark one miniBUDE configuration (bm1 by default).
-
-    .. deprecated::
-        Thin shim over the unified Workload API; prefer
-        ``repro.workloads.get_workload("minibude")`` with a
-        :class:`~repro.workloads.RunRequest`.  The benchmark engine lives in
-        :func:`repro.workloads.minibude.bench_minibude` and keeps this
-        function's exact signature and semantics.
-    """
-    from ...workloads.minibude import bench_minibude
-
-    return bench_minibude(**kwargs)

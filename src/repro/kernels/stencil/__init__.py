@@ -8,17 +8,11 @@ from .metrics import (
 )
 from .problem import StencilProblem
 from .reference import laplacian_reference, verify_laplacian
-from .runner import (
-    StencilResult,
-    run_stencil,
-    stencil_launch_config,
-    verify_stencil_kernel,
-)
+from .runner import stencil_launch_config, verify_stencil_kernel
 
 __all__ = [
     "laplacian_kernel", "stencil_kernel_model",
     "effective_bandwidth_gbs", "effective_fetch_bytes", "effective_write_bytes",
     "StencilProblem", "laplacian_reference", "verify_laplacian",
-    "StencilResult", "run_stencil", "stencil_launch_config",
-    "verify_stencil_kernel",
+    "stencil_launch_config", "verify_stencil_kernel",
 ]

@@ -1,58 +1,28 @@
-"""High-level runner for the seven-point stencil workload.
+"""Launch geometry and functional verification for the stencil workload.
 
-Combines the problem setup, the device kernel (functional verification), the
-vectorized reference and the backend timing model into one call that returns
-everything Figure 3 and Table 2 need.
-
-The benchmark engine itself lives in :mod:`repro.workloads.stencil`;
-:func:`run_stencil` remains as a thin deprecated shim over it.
+The benchmark itself (timing model, Eq. 1 bandwidth, measurement samples)
+is :meth:`repro.workloads.stencil.StencilWorkload._run`; this module holds
+the launch configuration it shares with the tuner and the device-kernel
+verification it runs on a reduced grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional, Tuple
 
 from ...core.device import DeviceContext
 from ...core.intrinsics import ceildiv
 from ...core.kernel import LaunchConfig
 from ...core.layout import Layout
-from ...gpu.timing import TimingBreakdown
 from .kernel import laplacian_kernel, stencil_kernel_model
 from .problem import StencilProblem
 from .reference import verify_laplacian
 
-__all__ = ["StencilResult", "run_stencil", "verify_stencil_kernel",
-           "stencil_launch_config"]
+__all__ = ["verify_stencil_kernel", "stencil_launch_config"]
 
 #: problem sizes at or below this edge length are verified with the
 #: thread-level functional simulator (larger sizes use the NumPy reference)
 FUNCTIONAL_VERIFY_MAX_L = 34
-
-
-@dataclass
-class StencilResult:
-    """Result of one stencil benchmark configuration."""
-
-    L: int
-    precision: str
-    backend: str
-    gpu: str
-    block_shape: Tuple[int, int, int]
-    kernel_time_ms: float
-    bandwidth_gbs: float
-    verified: bool
-    max_rel_error: float
-    timing: TimingBreakdown
-    samples_gbs: List[float] = field(default_factory=list)
-
-    @property
-    def mean_bandwidth_gbs(self) -> float:
-        if not self.samples_gbs:
-            return self.bandwidth_gbs
-        return float(np.mean(self.samples_gbs))
 
 
 def stencil_launch_config(L: int, block_shape: Tuple[int, int, int]) -> LaunchConfig:
@@ -114,18 +84,3 @@ def verify_stencil_kernel(L: int = 18, precision: str = "float64",
         pipeline_sink["pipeline"] = ctx.pipeline_breakdown()
 
     return verify_laplacian(result, u_host, invhx2, invhy2, invhz2, invhxyz2)
-
-
-def run_stencil(**kwargs) -> StencilResult:
-    """Benchmark one stencil configuration.
-
-    .. deprecated::
-        Thin shim over the unified Workload API; prefer
-        ``repro.workloads.get_workload("stencil")`` with a
-        :class:`~repro.workloads.RunRequest`.  The benchmark engine lives in
-        :func:`repro.workloads.stencil.bench_stencil` and keeps this
-        function's exact signature and semantics.
-    """
-    from ...workloads.stencil import bench_stencil
-
-    return bench_stencil(**kwargs)

@@ -1,20 +1,27 @@
-"""Unified-API adapter for the BabelStream workload.
-
-Wraps :class:`repro.kernels.babelstream.runner.BabelStreamBenchmark` (the
-engine shared with the legacy ``run_babelstream`` shim) behind the
-:class:`~repro.workloads.base.Workload` protocol.
-"""
+"""Unified-API adapter for the BabelStream workload."""
 
 from __future__ import annotations
 
+import numpy as np
+
+from ..backends import get_backend
+from ..gpu.specs import get_gpu
 from ..kernels.babelstream.kernels import BABELSTREAM_OPS
+from ..kernels.babelstream.metrics import operation_bandwidth_gbs
 from ..kernels.babelstream.reference import expected_values
 from ..kernels.babelstream.runner import (
     DEFAULT_SIZE,
-    BabelStreamBenchmark,
+    babelstream_op_config,
     run_babelstream_functional,
 )
-from .base import ParamSpec, RunRequest, Verification, Workload, WorkloadResult
+from .base import (
+    NOT_VERIFIED,
+    ParamSpec,
+    RunRequest,
+    Verification,
+    Workload,
+    WorkloadResult,
+)
 from .provenance import build_provenance
 
 __all__ = ["BabelStreamWorkload"]
@@ -54,14 +61,10 @@ class BabelStreamWorkload(Workload):
 
     def tuning_model(self, request: RunRequest):
         """Triad (the primary metric's kernel) model + launch for the pruner."""
-        from ..core.kernel import LaunchConfig
-        from ..kernels.babelstream.kernels import babelstream_kernel_model
-
         p = self.validate_params(request.params)
-        model = babelstream_kernel_model("triad", n=p["n"],
-                                         precision=request.precision,
-                                         tb_size=p["tb_size"])
-        return model, LaunchConfig.for_elements(p["n"], p["tb_size"])
+        return babelstream_op_config(
+            "triad", n=p["n"], precision=request.precision,
+            tb_size=p["tb_size"], backend=request.backend, gpu=request.gpu)
 
     def tuning_probe(self, request: RunRequest):
         """Capture the Copy→Mul→Add→Triad sweep on a reduced vector length.
@@ -130,37 +133,49 @@ class BabelStreamWorkload(Workload):
         return max(errors.values())
 
     def _run(self, request: RunRequest) -> WorkloadResult:
-        p = request.params
-        bench = BabelStreamBenchmark(
-            n=p["n"], precision=request.precision, backend=request.backend,
-            gpu=request.gpu, tb_size=p["tb_size"],
-            num_times=request.protocol.repeats + request.protocol.warmup,
-            warmup=request.protocol.warmup,
-            jitter=p["jitter"], seed=p["seed"],
-            fast_math=request.fast_math, executor=request.executor,
-            streams=request.streams,
-        )
-        sink: dict = {}
-        result = bench.run(verify=request.verify, pipeline_sink=sink)
+        """Verify on a reduced vector, then model each operation (Eq. 2).
 
-        metrics = {f"{op}_gbs": result.bandwidths_gbs[op]
-                   for op in BABELSTREAM_OPS}
-        metrics["kernel_time_ms"] = sum(result.kernel_times_ms.values())
+        Mirrors the BabelStream driver: every operation's bandwidth comes
+        from the backend timing model, and seeded jitter gives one sample
+        per protocol repeat.
+        """
+        p = request.params
+        n, precision = p["n"], request.precision
+        spec = get_gpu(request.gpu)
+        be = get_backend(request.backend)
+        sink: dict = {}
+        verification = NOT_VERIFIED
+        if request.verify:
+            errors = run_babelstream_functional(
+                precision=precision, gpu=spec.name, executor=request.executor,
+                streams=request.streams, pipeline_sink=sink)
+            verification = Verification(ran=True, passed=True,
+                                        max_rel_error=max(errors.values()))
+
+        metrics, timing, samples = {}, {}, {}
+        rng = np.random.default_rng(p["seed"])
+        for op in BABELSTREAM_OPS:
+            model, launch = babelstream_op_config(
+                op, n=n, precision=precision, tb_size=p["tb_size"],
+                backend=be, gpu=spec)
+            run = be.time(model, spec, launch, fast_math=request.fast_math)
+            bw = operation_bandwidth_gbs(op, n, precision,
+                                         run.timing.kernel_time_s)
+            metrics[f"{op}_gbs"] = bw
+            timing[op] = run.timing
+            samples[f"{op}_gbs"] = [
+                bw * max(1.0 + rng.normal(0.0, p["jitter"]), 0.5)
+                for _ in range(request.protocol.repeats)]
+        metrics["kernel_time_ms"] = sum(t.kernel_time_ms
+                                        for t in timing.values())
         # Profiling counters for the primary-metric kernel (triad).
         metrics.update(self.counter_metrics(request))
-        max_err = (max(result.verification_errors.values())
-                   if result.verification_errors else float("nan"))
-        timing = self._timing_with_pipeline(dict(result.timings), sink)
         return WorkloadResult(
             request=request,
             metrics=metrics,
             primary_metric=self.primary_metric,
-            verification=Verification(ran=result.verified,
-                                      passed=result.verified,
-                                      max_rel_error=max_err),
-            timing=timing,
-            samples={f"{op}_gbs": list(result.samples_gbs[op])
-                     for op in BABELSTREAM_OPS},
+            verification=verification,
+            timing=self._timing_with_pipeline(timing, sink),
+            samples=samples,
             provenance=build_provenance(request, sampling=self.sampling),
-            raw=result,
         )

@@ -22,7 +22,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core.errors import ConfigurationError, VerificationError
 from ..core.memo import Memo
@@ -34,6 +34,7 @@ __all__ = [
     "ParamSpec",
     "RunRequest",
     "Verification",
+    "NOT_VERIFIED",
     "WorkloadResult",
     "Workload",
     "DEFAULT_PROTOCOL",
@@ -289,6 +290,11 @@ class Verification:
                 "max_rel_error": err, "detail": self.detail}
 
 
+#: the verification of a run whose request asked for none
+NOT_VERIFIED = Verification(ran=False, passed=False,
+                            max_rel_error=float("nan"))
+
+
 @dataclass
 class WorkloadResult:
     """Uniform result of one workload run.
@@ -298,8 +304,6 @@ class WorkloadResult:
     GFLOP/s for miniBUDE, kernel time for Hartree–Fock).  ``timing`` maps a
     kernel label (``"kernel"`` for single-kernel workloads, the operation
     name for BabelStream) to its :class:`~repro.gpu.timing.TimingBreakdown`.
-    ``raw`` keeps the legacy per-kernel result object for callers migrating
-    off the old ``run_*`` surface.
     """
 
     request: RunRequest
@@ -309,7 +313,6 @@ class WorkloadResult:
     timing: Dict[str, object] = field(default_factory=dict)
     samples: Dict[str, List[float]] = field(default_factory=dict)
     provenance: Dict[str, object] = field(default_factory=dict)
-    raw: object = None
 
     @property
     def workload(self) -> str:
@@ -464,7 +467,7 @@ class Workload:
                               sink: Mapping[str, object]) -> Dict[str, object]:
         """Attach the verification pipeline breakdown captured in *sink*.
 
-        Adapters pass a ``pipeline_sink`` dict into their bench engine; when
+        Adapters pass a ``pipeline_sink`` dict into their verifier; when
         verification ran, it holds the device context's overlap-aware
         :class:`~repro.core.device.PipelineTiming` under ``"pipeline"``,
         exported uniformly as the ``"verify_pipeline"`` timing entry.

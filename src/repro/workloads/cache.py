@@ -12,8 +12,7 @@ gets a disk tier under ``<disk_dir>/results/``, keyed by a digest of the
 request's canonical JSON, which survives process boundaries and makes
 repeated CLI ``bench`` invocations near-free.  Disk hits are rehydrated into
 a :class:`WorkloadResult` whose ``timing`` entries are the plain exported
-dicts and whose ``raw`` legacy payload is ``None`` (both are documented as
-export-shaped for cached results).
+dicts (documented as export-shaped for cached results).
 
 What this module adds to the memo is what only it knows: the request
 digest, the result codec, the caller-isolating clone, and the rule that
@@ -114,8 +113,8 @@ def _clone(result: WorkloadResult) -> WorkloadResult:
 
     Top-level containers (metrics, timing, samples, provenance) are fresh
     dicts/lists so caller-side mutation cannot poison the cache; the request,
-    verification, timing breakdown objects and legacy ``raw`` payload are
-    shared (frozen or treated as read-only).
+    verification and timing breakdown objects are shared (frozen or treated
+    as read-only).
     """
     out = copy.copy(result)
     out.metrics = dict(result.metrics)
@@ -128,8 +127,8 @@ def _clone(result: WorkloadResult) -> WorkloadResult:
 def _result_from_export(request: RunRequest, payload: Dict) -> WorkloadResult:
     """Rehydrate a :class:`WorkloadResult` from its ``as_dict()`` export.
 
-    ``timing`` values stay as the exported dicts and ``raw`` is ``None`` —
-    the export schema is the contract for cached results.
+    ``timing`` values stay as the exported dicts — the export schema is the
+    contract for cached results.
     """
     v = payload.get("verification", {})
     return WorkloadResult(
@@ -145,7 +144,6 @@ def _result_from_export(request: RunRequest, payload: Dict) -> WorkloadResult:
         timing=dict(payload.get("timing", {})),
         samples={k: list(s) for k, s in payload.get("samples", {}).items()},
         provenance=dict(payload.get("provenance", {})),
-        raw=None,
     )
 
 

@@ -1,12 +1,6 @@
-"""Unified-API adapter for the Hartree–Fock workload.
-
-The benchmark engine (:func:`bench_hartreefock`) lives here; the legacy
-:func:`repro.kernels.hartreefock.runner.run_hartreefock` is a thin shim.
-"""
+"""Unified-API adapter for the Hartree–Fock workload."""
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ..backends import get_backend
 from ..gpu.specs import get_gpu
@@ -19,17 +13,23 @@ from ..kernels.hartreefock.reference import fock_quadruple_reference
 from ..kernels.hartreefock.runner import (
     APPROX_SCHWARZ_NATOMS,
     DEFAULT_BLOCK_SIZE,
-    HartreeFockResult,
     compute_schwarz,
     run_hartreefock_functional,
     surviving_quadruple_fraction,
 )
 from ..core.kernel import LaunchConfig
 from ..core.memo import Memo
-from .base import ParamSpec, RunRequest, Verification, Workload, WorkloadResult
+from .base import (
+    NOT_VERIFIED,
+    ParamSpec,
+    RunRequest,
+    Verification,
+    Workload,
+    WorkloadResult,
+)
 from .provenance import build_provenance
 
-__all__ = ["HartreeFockWorkload", "bench_hartreefock"]
+__all__ = ["HartreeFockWorkload"]
 
 #: memo behind :func:`_screened_system`
 SURVIVORS_MEMO = Memo("surviving_fraction")
@@ -51,62 +51,6 @@ def _screened_system(natoms: int, ngauss: int, spacing: float,
 
     return system, SURVIVORS_MEMO.get_or_compute((system.key, schwarz_tol),
                                                  count)
-
-
-def bench_hartreefock(
-    *,
-    natoms: int = 256,
-    ngauss: int = 3,
-    backend: str = "mojo",
-    gpu: str = "h100",
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    spacing: float = 3.0,
-    schwarz_tol: float = SCHWARZ_TOLERANCE,
-    verify: bool = True,
-    verify_natoms: int = 4,
-    fast_math: bool = False,
-    executor: str = "auto",
-    streams: int = 1,
-    pipeline_sink: Optional[dict] = None,
-) -> HartreeFockResult:
-    """Benchmark one Hartree–Fock configuration (Table 4).
-
-    The surviving-quadruple fraction is computed from the system's actual
-    Schwarz bounds and drives the per-thread resource model; timing comes
-    from the backend model; functional verification runs a reduced system
-    through the simulator.
-    """
-    spec = get_gpu(gpu)
-    be = get_backend(backend)
-
-    verified = False
-    max_rel_error = float("nan")
-    if verify:
-        _, max_rel_error = run_hartreefock_functional(
-            verify_natoms, ngauss, gpu=gpu, executor=executor,
-            streams=streams, pipeline_sink=pipeline_sink)
-        verified = True
-
-    system, survivors = _screened_system(natoms, ngauss, spacing,
-                                         schwarz_tol)
-
-    model = hartree_fock_kernel_model(natoms=natoms, ngauss=ngauss,
-                                      surviving_fraction=survivors)
-    launch = LaunchConfig.for_elements(system.nquads, block_size)
-    run = be.time(model, spec, launch, fast_math=fast_math)
-
-    return HartreeFockResult(
-        natoms=natoms,
-        ngauss=ngauss,
-        backend=be.name,
-        gpu=spec.name,
-        kernel_time_ms=run.timing.kernel_time_ms,
-        nquads=system.nquads,
-        surviving_fraction=survivors,
-        verified=verified,
-        max_rel_error=max_rel_error,
-        timing=run.timing,
-    )
 
 
 class HartreeFockWorkload(Workload):
@@ -236,30 +180,44 @@ class HartreeFockWorkload(Workload):
         return err
 
     def _run(self, request: RunRequest) -> WorkloadResult:
+        """Verify a ``verify_natoms`` system, then model the requested one.
+
+        The surviving-quadruple fraction comes from the system's actual
+        Schwarz bounds and drives the per-thread resource model; the kernel
+        time comes from the backend model, so no ERI is evaluated here.
+        """
         p = request.params
+        natoms, ngauss = p["natoms"], p["ngauss"]
+        spec = get_gpu(request.gpu)
+        be = get_backend(request.backend)
         sink: dict = {}
-        result = bench_hartreefock(
-            natoms=p["natoms"], ngauss=p["ngauss"], backend=request.backend,
-            gpu=request.gpu, block_size=p["block_size"], spacing=p["spacing"],
-            schwarz_tol=p["schwarz_tol"], verify=request.verify,
-            verify_natoms=p["verify_natoms"], fast_math=request.fast_math,
-            executor=request.executor,
-            streams=request.streams, pipeline_sink=sink,
-        )
-        timing = self._timing_with_pipeline({"kernel": result.timing}, sink)
+        verification = NOT_VERIFIED
+        if request.verify:
+            _, err = run_hartreefock_functional(
+                p["verify_natoms"], ngauss, gpu=request.gpu,
+                executor=request.executor, streams=request.streams,
+                pipeline_sink=sink)
+            verification = Verification(ran=True, passed=True,
+                                        max_rel_error=err)
+
+        system, survivors = _screened_system(natoms, ngauss, p["spacing"],
+                                             p["schwarz_tol"])
+        model = hartree_fock_kernel_model(natoms=natoms, ngauss=ngauss,
+                                          surviving_fraction=survivors)
+        run = be.time(model, spec,
+                      LaunchConfig.for_elements(system.nquads,
+                                                p["block_size"]),
+                      fast_math=request.fast_math)
         return WorkloadResult(
             request=request,
             metrics={
-                "kernel_time_ms": result.kernel_time_ms,
-                "nquads": float(result.nquads),
-                "surviving_fraction": result.surviving_fraction,
+                "kernel_time_ms": run.timing.kernel_time_ms,
+                "nquads": float(system.nquads),
+                "surviving_fraction": survivors,
                 **self.counter_metrics(request),
             },
             primary_metric=self.primary_metric,
-            verification=Verification(ran=result.verified,
-                                      passed=result.verified,
-                                      max_rel_error=result.max_rel_error),
-            timing=timing,
+            verification=verification,
+            timing=self._timing_with_pipeline({"kernel": run.timing}, sink),
             provenance=build_provenance(request, sampling=self.sampling),
-            raw=result,
         )

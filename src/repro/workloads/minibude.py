@@ -1,106 +1,34 @@
-"""Unified-API adapter for the miniBUDE workload.
-
-The benchmark engine (:func:`bench_minibude`) lives here; the legacy
-:func:`repro.kernels.minibude.runner.run_minibude` is a thin shim over it.
-"""
+"""Unified-API adapter for the miniBUDE workload."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..backends import get_backend
-from ..core.errors import ConfigurationError
 from ..gpu.specs import get_gpu
 from ..kernels.minibude.deck import (
     BM1_NATLIG,
     BM1_NATPRO,
     BM1_NPOSES,
     BM1_NTYPES,
-    Deck,
     make_deck,
 )
 from ..kernels.minibude.kernel import fasten_kernel_model
 from ..kernels.minibude.metrics import gflops
 from ..kernels.minibude.reference import reference_energies
 from ..kernels.minibude.runner import (
-    MiniBudeResult,
     minibude_launch_config,
     run_fasten_functional,
 )
-from .base import ParamSpec, RunRequest, Verification, Workload, WorkloadResult
+from .base import (
+    NOT_VERIFIED,
+    ParamSpec,
+    RunRequest,
+    Verification,
+    Workload,
+    WorkloadResult,
+)
 from .provenance import build_provenance
 
-__all__ = ["MiniBudeWorkload", "bench_minibude"]
-
-
-def bench_minibude(
-    *,
-    ppwi: int = 1,
-    wgsize: int = 64,
-    nposes: int = BM1_NPOSES,
-    backend: str = "mojo",
-    gpu: str = "h100",
-    fast_math: bool = False,
-    deck: Optional[Deck] = None,
-    verify: bool = True,
-    verify_poses: int = 64,
-    seed: int = 2025,
-    executor: str = "auto",
-    streams: int = 1,
-    pipeline_sink: Optional[dict] = None,
-) -> MiniBudeResult:
-    """Benchmark one miniBUDE configuration (bm1 by default).
-
-    Functional verification runs the device kernel on a reduced deck; the
-    reported GFLOP/s for the requested configuration comes from Eq. 3 applied
-    to the modelled kernel time.  ``streams``/``pipeline_sink`` shape the
-    verification pipeline (see
-    :func:`~repro.kernels.minibude.runner.run_fasten_functional`).
-    """
-    spec = get_gpu(gpu)
-    be = get_backend(backend)
-    # Only the deck's shape enters the model, so bm1 is never generated.
-    if deck is None:
-        if nposes <= 0:
-            raise ConfigurationError("nposes must be positive")
-        natlig, natpro, ntypes = BM1_NATLIG, BM1_NATPRO, BM1_NTYPES
-    else:
-        natlig, natpro, ntypes = deck.natlig, deck.natpro, deck.ntypes
-        nposes = deck.nposes
-
-    verified = False
-    max_rel_error = float("nan")
-    if verify:
-        small = make_deck(natlig=min(natlig, 8), natpro=min(natpro, 32),
-                          ntypes=ntypes,
-                          nposes=verify_poses, seed=seed, name="verify")
-        _, max_rel_error = run_fasten_functional(
-            small, ppwi=min(ppwi, 2), wgsize=min(wgsize, 8), gpu=gpu,
-            executor=executor, streams=streams, pipeline_sink=pipeline_sink)
-        verified = True
-
-    model = fasten_kernel_model(ppwi=ppwi, natlig=natlig, natpro=natpro,
-                                wgsize=wgsize)
-    launch = minibude_launch_config(nposes, ppwi, wgsize)
-    run = be.time(model, spec, launch, fast_math=fast_math)
-    time_s = run.timing.kernel_time_s
-    achieved = gflops(ppwi, natlig, natpro, nposes, time_s)
-
-    return MiniBudeResult(
-        ppwi=ppwi,
-        wgsize=wgsize,
-        nposes=nposes,
-        natlig=natlig,
-        natpro=natpro,
-        backend=be.name,
-        gpu=spec.name,
-        fast_math=run.fast_math,
-        kernel_time_ms=run.timing.kernel_time_ms,
-        gflops=achieved,
-        verified=verified,
-        max_rel_error=max_rel_error,
-        timing=run.timing,
-    )
+__all__ = ["MiniBudeWorkload"]
 
 
 class MiniBudeWorkload(Workload):
@@ -229,29 +157,44 @@ class MiniBudeWorkload(Workload):
         return err
 
     def _run(self, request: RunRequest) -> WorkloadResult:
+        """Verify on a reduced deck, then model the bm1 shape (Eq. 3).
+
+        Only the deck's shape enters the timing model, so the bm1 deck is
+        never generated; functional verification runs the device kernel on
+        a ``verify_poses`` deck no larger than 8 ligand x 32 protein atoms.
+        """
         p = request.params
+        ppwi, wgsize, nposes = p["ppwi"], p["wgsize"], p["nposes"]
+        spec = get_gpu(request.gpu)
+        be = get_backend(request.backend)
         sink: dict = {}
-        result = bench_minibude(
-            ppwi=p["ppwi"], wgsize=p["wgsize"], nposes=p["nposes"],
-            backend=request.backend, gpu=request.gpu,
-            fast_math=request.fast_math, verify=request.verify,
-            verify_poses=p["verify_poses"], seed=p["seed"],
-            executor=request.executor,
-            streams=request.streams, pipeline_sink=sink,
-        )
-        timing = self._timing_with_pipeline({"kernel": result.timing}, sink)
+        verification = NOT_VERIFIED
+        if request.verify:
+            small = make_deck(natlig=8, natpro=32, ntypes=BM1_NTYPES,
+                              nposes=p["verify_poses"], seed=p["seed"],
+                              name="verify")
+            _, err = run_fasten_functional(
+                small, ppwi=min(ppwi, 2), wgsize=min(wgsize, 8),
+                gpu=request.gpu, executor=request.executor,
+                streams=request.streams, pipeline_sink=sink)
+            verification = Verification(ran=True, passed=True,
+                                        max_rel_error=err)
+
+        model = fasten_kernel_model(ppwi=ppwi, natlig=BM1_NATLIG,
+                                    natpro=BM1_NATPRO, wgsize=wgsize)
+        run = be.time(model, spec,
+                      minibude_launch_config(nposes, ppwi, wgsize),
+                      fast_math=request.fast_math)
         return WorkloadResult(
             request=request,
             metrics={
-                "gflops": result.gflops,
-                "kernel_time_ms": result.kernel_time_ms,
+                "gflops": gflops(ppwi, BM1_NATLIG, BM1_NATPRO, nposes,
+                                 run.timing.kernel_time_s),
+                "kernel_time_ms": run.timing.kernel_time_ms,
                 **self.counter_metrics(request),
             },
             primary_metric=self.primary_metric,
-            verification=Verification(ran=result.verified,
-                                      passed=result.verified,
-                                      max_rel_error=result.max_rel_error),
-            timing=timing,
+            verification=verification,
+            timing=self._timing_with_pipeline({"kernel": run.timing}, sink),
             provenance=build_provenance(request, sampling=self.sampling),
-            raw=result,
         )

@@ -1,12 +1,6 @@
-"""Unified-API adapter for the seven-point stencil workload.
-
-The benchmark engine (:func:`bench_stencil`) lives here; the legacy
-:func:`repro.kernels.stencil.runner.run_stencil` is a thin shim over it.
-"""
+"""Unified-API adapter for the seven-point stencil workload."""
 
 from __future__ import annotations
-
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -18,82 +12,20 @@ from ..kernels.stencil.problem import StencilProblem
 from ..kernels.stencil.reference import laplacian_reference
 from ..kernels.stencil.runner import (
     FUNCTIONAL_VERIFY_MAX_L,
-    StencilResult,
     stencil_launch_config,
     verify_stencil_kernel,
 )
-from .base import ParamSpec, RunRequest, Verification, Workload, WorkloadResult
+from .base import (
+    NOT_VERIFIED,
+    ParamSpec,
+    RunRequest,
+    Verification,
+    Workload,
+    WorkloadResult,
+)
 from .provenance import build_provenance
 
-__all__ = ["StencilWorkload", "bench_stencil"]
-
-
-def bench_stencil(
-    *,
-    L: int = 512,
-    precision: str = "float64",
-    backend: str = "mojo",
-    gpu: str = "h100",
-    block_shape: Tuple[int, int, int] = (512, 1, 1),
-    iterations: int = 100,
-    warmup: int = 1,
-    jitter: float = 0.02,
-    seed: int = 2025,
-    verify: bool = True,
-    fast_math: bool = False,
-    executor: str = "auto",
-    streams: int = 1,
-    pipeline_sink: Optional[dict] = None,
-) -> StencilResult:
-    """Benchmark one stencil configuration.
-
-    Functional verification runs on a reduced grid (the numerics of the
-    kernel do not depend on ``L``); the reported bandwidth for the requested
-    ``L`` comes from the backend timing model, evaluated per Eq. 1.  The
-    ``iterations``/``jitter`` parameters produce the per-run samples that give
-    Figure 3 its measurement spread (seeded, hence reproducible).
-    ``streams``/``pipeline_sink`` shape the verification pipeline (see
-    :func:`~repro.kernels.stencil.runner.verify_stencil_kernel`).
-    """
-    spec = get_gpu(gpu)
-    be = get_backend(backend)
-
-    max_rel_error = float("nan")
-    verified = False
-    if verify:
-        verify_l = min(L, FUNCTIONAL_VERIFY_MAX_L)
-        max_rel_error = verify_stencil_kernel(verify_l, precision, gpu,
-                                              block_shape=(8, 4, 4),
-                                              executor=executor,
-                                              streams=streams,
-                                              pipeline_sink=pipeline_sink)
-        verified = True
-
-    model = stencil_kernel_model(L=L, precision=precision)
-    launch = stencil_launch_config(L, block_shape)
-    run = be.time(model, spec, launch, fast_math=fast_math)
-    time_s = run.timing.kernel_time_s
-    bandwidth = effective_bandwidth_gbs(L, precision, time_s)
-
-    rng = np.random.default_rng(seed)
-    samples = []
-    for i in range(max(iterations - warmup, 0)):
-        noise = 1.0 + rng.normal(0.0, jitter)
-        samples.append(bandwidth * max(noise, 0.5))
-
-    return StencilResult(
-        L=L,
-        precision=precision,
-        backend=be.name,
-        gpu=spec.name,
-        block_shape=tuple(block_shape),
-        kernel_time_ms=run.timing.kernel_time_ms,
-        bandwidth_gbs=bandwidth,
-        verified=verified,
-        max_rel_error=max_rel_error,
-        timing=run.timing,
-        samples_gbs=samples,
-    )
+__all__ = ["StencilWorkload"]
 
 
 class StencilWorkload(Workload):
@@ -199,32 +131,46 @@ class StencilWorkload(Workload):
                                      precision, gpu)
 
     def _run(self, request: RunRequest) -> WorkloadResult:
+        """Verify on a reduced grid, then model the requested ``L`` (Eq. 1).
+
+        The kernel's numerics do not depend on ``L``, so the device kernel
+        is verified on at most a ``FUNCTIONAL_VERIFY_MAX_L``-edge grid; the
+        bandwidth comes from the backend timing model, and seeded jitter
+        gives one sample per protocol repeat (Figure 3's spread).
+        """
         p = request.params
-        proto = request.protocol
+        L, precision = p["L"], request.precision
+        spec = get_gpu(request.gpu)
+        be = get_backend(request.backend)
         sink: dict = {}
-        result = bench_stencil(
-            L=p["L"], precision=request.precision, backend=request.backend,
-            gpu=request.gpu, block_shape=p["block_shape"],
-            iterations=proto.repeats + proto.warmup, warmup=proto.warmup,
-            jitter=p["jitter"], seed=p["seed"], verify=request.verify,
-            fast_math=request.fast_math, executor=request.executor,
-            streams=request.streams, pipeline_sink=sink,
-        )
-        timing = self._timing_with_pipeline({"kernel": result.timing}, sink)
+        verification = NOT_VERIFIED
+        if request.verify:
+            err = verify_stencil_kernel(
+                min(L, FUNCTIONAL_VERIFY_MAX_L), precision, request.gpu,
+                block_shape=(8, 4, 4), executor=request.executor,
+                streams=request.streams, pipeline_sink=sink)
+            verification = Verification(ran=True, passed=True,
+                                        max_rel_error=err)
+
+        run = be.time(stencil_kernel_model(L=L, precision=precision), spec,
+                      stencil_launch_config(L, p["block_shape"]),
+                      fast_math=request.fast_math)
+        bandwidth = effective_bandwidth_gbs(L, precision,
+                                            run.timing.kernel_time_s)
+        rng = np.random.default_rng(p["seed"])
+        samples = [bandwidth * max(1.0 + rng.normal(0.0, p["jitter"]), 0.5)
+                   for _ in range(request.protocol.repeats)]
         return WorkloadResult(
             request=request,
             metrics={
-                "bandwidth_gbs": result.bandwidth_gbs,
-                "mean_bandwidth_gbs": result.mean_bandwidth_gbs,
-                "kernel_time_ms": result.kernel_time_ms,
+                "bandwidth_gbs": bandwidth,
+                "mean_bandwidth_gbs": float(np.mean(samples)),
+                "kernel_time_ms": run.timing.kernel_time_ms,
                 **self.counter_metrics(request),
             },
             primary_metric=self.primary_metric,
-            verification=Verification(ran=result.verified,
-                                      passed=result.verified,
-                                      max_rel_error=result.max_rel_error),
-            timing=timing,
-            samples={"bandwidth_gbs": list(result.samples_gbs)},
+            verification=verification,
+            timing=self._timing_with_pipeline({"kernel": run.timing}, sink),
+            samples={"bandwidth_gbs": samples},
             provenance=build_provenance(request, sampling=self.sampling),
-            raw=result,
         )

@@ -1,10 +1,15 @@
 """Integration tests: every paper table/figure experiment runs and passes
 its shape checks against the paper's reported results."""
 
+import importlib
+
 import pytest
 
-from repro.core.errors import ConfigurationError
+from repro.cli import main
+from repro.core.errors import ConfigurationError, VerificationError
 from repro.experiments import EXPERIMENTS, list_experiments, run_experiment
+
+VERIFY_CHECK = "functional verification on the simulator"
 
 
 class TestRegistry:
@@ -85,3 +90,45 @@ class TestRendering:
         assert "fig5" in result.to_text()
         assert result.to_markdown().startswith("## fig5")
         assert result.to_json()
+
+
+class TestVerification:
+    """``verify=True`` adds one check that every verified run passed."""
+
+    #: experiments that accept ``verify`` -> (workload module, verifier)
+    VERIFIERS = {
+        "fig3": ("stencil", "verify_stencil_kernel"),
+        "fig4": ("babelstream", "run_babelstream_functional"),
+        "table4": ("hartreefock", "run_hartreefock_functional"),
+        "fig6": ("minibude", "run_fasten_functional"),
+        "fig7": ("minibude", "run_fasten_functional"),
+    }
+
+    @pytest.mark.parametrize("experiment", sorted(VERIFIERS))
+    def test_failed_verification_fails_the_experiment(self, monkeypatch,
+                                                      capsys, experiment):
+        module, verifier = self.VERIFIERS[experiment]
+
+        def broken(*args, **kwargs):
+            raise VerificationError("injected mismatch")
+
+        monkeypatch.setattr(
+            importlib.import_module(f"repro.workloads.{module}"), verifier,
+            broken)
+        result = run_experiment(experiment, verify=True)
+        failed = [c for c in result.comparisons if not c.passed]
+        assert [c.label for c in failed] == [VERIFY_CHECK]
+        assert "injected mismatch" in failed[0].detail
+        assert main(["run", experiment, "--verify"]) == 1
+        assert f"[MISMATCH] {VERIFY_CHECK}" in capsys.readouterr().out
+
+    def test_passing_verification_is_one_check(self):
+        result = run_experiment("table4", verify=True)
+        assert result.all_passed
+        checks = [c for c in result.comparisons if c.label == VERIFY_CHECK]
+        assert len(checks) == 1 and checks[0].detail == "1 verified run(s)"
+
+    def test_no_check_without_verify(self):
+        for experiment in self.VERIFIERS:
+            labels = [c.label for c in run_experiment(experiment).comparisons]
+            assert VERIFY_CHECK not in labels

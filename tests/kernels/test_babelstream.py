@@ -11,17 +11,30 @@ from repro.kernels.babelstream import (
     START_B,
     START_C,
     BabelStreamArrays,
-    BabelStreamBenchmark,
     arrays_moved,
     babelstream_kernel_model,
+    babelstream_op_config,
     expected_values,
     operation_bandwidth_gbs,
     operation_bytes,
-    run_babelstream,
     run_babelstream_functional,
     verify_arrays,
     verify_dot,
 )
+from repro.harness.runner import MeasurementProtocol
+from repro.workloads import get_workload
+
+
+def bench(backend, gpu, *, verify=False):
+    """One BabelStream run at the paper's 2^25 elements (two samples)."""
+    workload = get_workload("babelstream")
+    return workload.run(workload.make_request(
+        backend=backend, gpu=gpu, verify=verify,
+        protocol=MeasurementProtocol(warmup=1, repeats=2)))
+
+
+def bandwidths(result):
+    return {op: result.metrics[f"{op}_gbs"] for op in BABELSTREAM_OPS}
 
 
 class TestHostReference:
@@ -127,47 +140,50 @@ class TestMetrics:
 
 class TestBenchmark:
     def test_run_reports_all_operations(self):
-        res = run_babelstream(backend="cuda", gpu="h100", num_times=3, verify=False)
-        assert set(res.bandwidths_gbs) == set(BABELSTREAM_OPS)
-        assert all(v > 0 for v in res.bandwidths_gbs.values())
+        res = bench("cuda", "h100")
+        assert set(res.timing) == set(BABELSTREAM_OPS)
+        assert all(v > 0 for v in bandwidths(res).values())
 
     def test_bandwidths_below_peak(self):
-        res = run_babelstream(backend="cuda", gpu="h100", num_times=3, verify=False)
-        assert all(v <= 3900 for v in res.bandwidths_gbs.values())
+        res = bench("cuda", "h100")
+        assert all(v <= 3900 for v in bandwidths(res).values())
 
     def test_mojo_beats_cuda_on_streaming_ops(self):
-        mojo = run_babelstream(backend="mojo", gpu="h100", num_times=3, verify=False)
-        cuda = run_babelstream(backend="cuda", gpu="h100", num_times=3, verify=False)
+        mojo = bandwidths(bench("mojo", "h100"))
+        cuda = bandwidths(bench("cuda", "h100"))
         for op in ("copy", "mul", "add", "triad"):
-            assert mojo.bandwidths_gbs[op] >= cuda.bandwidths_gbs[op]
+            assert mojo[op] >= cuda[op]
 
     def test_mojo_loses_dot_on_h100(self):
-        mojo = run_babelstream(backend="mojo", gpu="h100", num_times=3, verify=False)
-        cuda = run_babelstream(backend="cuda", gpu="h100", num_times=3, verify=False)
-        ratio = mojo.bandwidths_gbs["dot"] / cuda.bandwidths_gbs["dot"]
+        mojo = bandwidths(bench("mojo", "h100"))
+        cuda = bandwidths(bench("cuda", "h100"))
+        ratio = mojo["dot"] / cuda["dot"]
         assert 0.70 < ratio < 0.88           # paper: 0.78
 
     def test_mojo_matches_hip_on_mi300a(self):
-        mojo = run_babelstream(backend="mojo", gpu="mi300a", num_times=3, verify=False)
-        hip = run_babelstream(backend="hip", gpu="mi300a", num_times=3, verify=False)
+        mojo = bandwidths(bench("mojo", "mi300a"))
+        hip = bandwidths(bench("hip", "mi300a"))
         for op in BABELSTREAM_OPS:
-            assert mojo.bandwidths_gbs[op] == pytest.approx(hip.bandwidths_gbs[op],
-                                                            rel=0.06)
+            assert mojo[op] == pytest.approx(hip[op], rel=0.06)
 
     def test_add_and_triad_move_more_bytes_than_copy(self):
-        res = run_babelstream(backend="cuda", gpu="h100", num_times=3, verify=False)
+        timing = bench("cuda", "h100").timing
         # add/triad move 3 arrays so their kernel time is longer than copy's
-        assert res.kernel_times_ms["add"] > res.kernel_times_ms["copy"]
-        assert res.kernel_times_ms["triad"] > res.kernel_times_ms["copy"]
+        assert timing["add"].kernel_time_ms > timing["copy"].kernel_time_ms
+        assert timing["triad"].kernel_time_ms > timing["copy"].kernel_time_ms
 
     def test_with_verification(self):
-        res = run_babelstream(backend="mojo", gpu="h100", num_times=3, verify=True)
-        assert res.verified
-        assert max(res.verification_errors.values()) < 1e-10
+        res = bench("mojo", "h100", verify=True)
+        assert res.verification.ran and res.verification.passed
+        assert res.verification.max_rel_error < 1e-10
 
     def test_benchmark_launch_configs(self):
-        bench = BabelStreamBenchmark(backend="cuda", gpu="h100")
-        copy_launch = bench.launch_for("copy")
-        dot_launch = bench.launch_for("dot")
-        assert copy_launch.total_threads >= bench.n
-        assert dot_launch.num_blocks == 4 * 132
+        def launch(op, backend):
+            return babelstream_op_config(op, n=2 ** 25, precision="float64",
+                                         tb_size=1024, backend=backend,
+                                         gpu="h100")[1]
+
+        assert launch("copy", "cuda").total_threads >= 2 ** 25
+        assert launch("dot", "cuda").num_blocks == 4 * 132
+        # the portable backend sizes Dot's grid from the element count
+        assert launch("dot", "mojo").num_blocks == 4096

@@ -21,13 +21,20 @@ from repro.kernels.hartreefock import (
     hartree_fock_kernel_model,
     make_helium_system,
     pair_schwarz,
-    run_hartreefock,
     run_hartreefock_functional,
     surviving_quadruple_fraction,
     symmetrize,
     triangular_pairs,
     verify_fock,
 )
+from repro.workloads import get_workload
+
+
+def bench(backend, gpu, *, verify=False, **params):
+    """One Hartree-Fock run through the workload API."""
+    workload = get_workload("hartreefock")
+    return workload.run(workload.make_request(
+        backend=backend, gpu=gpu, verify=verify, params=params))
 from repro.kernels.hartreefock.eri import schwarz_identical_basis
 
 
@@ -255,31 +262,26 @@ class TestRunner:
         assert m6.atomics == m3.atomics == 3.0
 
     def test_table4_shape_h100(self):
-        mojo = run_hartreefock(natoms=64, ngauss=3, backend="mojo", gpu="h100",
-                               verify=False)
-        cuda = run_hartreefock(natoms=64, ngauss=3, backend="cuda", gpu="h100",
-                               verify=False)
-        speedup = cuda.kernel_time_ms / mojo.kernel_time_ms
+        mojo = bench("mojo", "h100", natoms=64, ngauss=3)
+        cuda = bench("cuda", "h100", natoms=64, ngauss=3)
+        speedup = cuda.primary_value / mojo.primary_value
         assert 1.5 < speedup < 3.5            # paper: ~2.5x
 
     def test_table4_shape_mi300a(self):
-        mojo = run_hartreefock(natoms=64, ngauss=3, backend="mojo", gpu="mi300a",
-                               verify=False)
-        hip = run_hartreefock(natoms=64, ngauss=3, backend="hip", gpu="mi300a",
-                              verify=False)
-        assert mojo.kernel_time_ms > 20 * hip.kernel_time_ms
+        mojo = bench("mojo", "mi300a", natoms=64, ngauss=3)
+        hip = bench("hip", "mi300a", natoms=64, ngauss=3)
+        assert mojo.primary_value > 20 * hip.primary_value
 
     def test_time_grows_with_system_size(self):
-        t64 = run_hartreefock(natoms=64, ngauss=3, backend="cuda", gpu="h100",
-                              verify=False).kernel_time_ms
-        t128 = run_hartreefock(natoms=128, ngauss=3, backend="cuda", gpu="h100",
-                               verify=False).kernel_time_ms
+        t64 = bench("cuda", "h100", natoms=64, ngauss=3).primary_value
+        t128 = bench("cuda", "h100", natoms=128, ngauss=3).primary_value
         assert t128 > 3 * t64
 
     def test_runner_with_verification(self):
-        res = run_hartreefock(natoms=64, ngauss=3, backend="cuda", gpu="h100",
-                              verify=True, verify_natoms=3)
-        assert res.verified and res.max_rel_error < 1e-10
+        res = bench("cuda", "h100", natoms=64, ngauss=3, verify=True,
+                    verify_natoms=3)
+        assert res.verification.ran and res.verification.passed
+        assert res.verification.max_rel_error < 1e-10
 
 
 class TestBatchedERI:

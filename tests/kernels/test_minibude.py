@@ -17,10 +17,18 @@ from repro.kernels.minibude import (
     ops_per_workitem,
     reference_energies,
     run_fasten_functional,
-    run_minibude,
     total_ops,
     verify_energies,
 )
+from repro.workloads import get_workload
+
+
+def bench(backend, gpu, *, fast_math=False, verify=False, **params):
+    """One miniBUDE run (bm1 shape) through the workload API."""
+    workload = get_workload("minibude")
+    return workload.run(workload.make_request(
+        backend=backend, gpu=gpu, fast_math=fast_math, verify=verify,
+        params=params))
 
 
 class TestDeck:
@@ -155,58 +163,51 @@ class TestLaunchAndModel:
 
 class TestRunner:
     def test_run_minibude_basic(self):
-        res = run_minibude(ppwi=2, wgsize=64, backend="cuda", gpu="h100",
-                           fast_math=True, verify=False)
-        assert res.gflops > 0
-        assert res.fast_math is True
-        assert res.nposes == 65536
+        res = bench("cuda", "h100", ppwi=2, wgsize=64, fast_math=True)
+        assert res.primary_value > 0
+        assert res.request.fast_math is True
+        assert "fast-math" in " ".join(res.timing["kernel"].notes)
+        assert res.request.params["nposes"] == 65536
 
     def test_fast_math_improves_cuda(self):
-        fm = run_minibude(ppwi=2, wgsize=64, backend="cuda", gpu="h100",
-                          fast_math=True, verify=False)
-        nofm = run_minibude(ppwi=2, wgsize=64, backend="cuda", gpu="h100",
-                            fast_math=False, verify=False)
-        assert fm.gflops > nofm.gflops
+        fm = bench("cuda", "h100", ppwi=2, wgsize=64, fast_math=True)
+        nofm = bench("cuda", "h100", ppwi=2, wgsize=64)
+        assert fm.primary_value > nofm.primary_value
 
     def test_mojo_between_cuda_variants_on_h100(self):
-        mojo = run_minibude(ppwi=2, wgsize=64, backend="mojo", gpu="h100", verify=False)
-        fm = run_minibude(ppwi=2, wgsize=64, backend="cuda", gpu="h100",
-                          fast_math=True, verify=False)
-        nofm = run_minibude(ppwi=2, wgsize=64, backend="cuda", gpu="h100",
-                            fast_math=False, verify=False)
-        assert nofm.gflops <= mojo.gflops <= fm.gflops
+        mojo = bench("mojo", "h100", ppwi=2, wgsize=64)
+        fm = bench("cuda", "h100", ppwi=2, wgsize=64, fast_math=True)
+        nofm = bench("cuda", "h100", ppwi=2, wgsize=64)
+        assert nofm.primary_value <= mojo.primary_value <= fm.primary_value
 
     def test_mojo_below_hip_on_mi300a(self):
-        mojo = run_minibude(ppwi=2, wgsize=64, backend="mojo", gpu="mi300a", verify=False)
-        hip = run_minibude(ppwi=2, wgsize=64, backend="hip", gpu="mi300a",
-                           fast_math=False, verify=False)
-        assert mojo.gflops < hip.gflops
+        mojo = bench("mojo", "mi300a", ppwi=2, wgsize=64)
+        hip = bench("hip", "mi300a", ppwi=2, wgsize=64)
+        assert mojo.primary_value < hip.primary_value
 
     def test_wg64_beats_wg8(self):
-        wg8 = run_minibude(ppwi=2, wgsize=8, backend="cuda", gpu="h100",
-                           fast_math=True, verify=False)
-        wg64 = run_minibude(ppwi=2, wgsize=64, backend="cuda", gpu="h100",
-                            fast_math=True, verify=False)
-        assert wg64.gflops > wg8.gflops
+        wg8 = bench("cuda", "h100", ppwi=2, wgsize=8, fast_math=True)
+        wg64 = bench("cuda", "h100", ppwi=2, wgsize=64, fast_math=True)
+        assert wg64.primary_value > wg8.primary_value
 
     def test_throughput_rises_then_falls_with_ppwi(self):
-        values = [run_minibude(ppwi=p, wgsize=64, backend="cuda", gpu="h100",
-                               fast_math=True, verify=False).gflops
+        values = [bench("cuda", "h100", ppwi=p, wgsize=64,
+                        fast_math=True).primary_value
                   for p in (1, 8, 128)]
         assert values[1] > values[0]          # ILP gain
         assert values[2] < values[1]          # register-pressure loss
 
     def test_run_with_functional_verification(self):
-        res = run_minibude(ppwi=2, wgsize=8, backend="mojo", gpu="h100",
-                           verify=True, verify_poses=16)
-        assert res.verified and res.max_rel_error < 2e-3
+        res = bench("mojo", "h100", ppwi=2, wgsize=8, verify=True,
+                    verify_poses=16)
+        assert res.verification.ran and res.verification.passed
+        assert res.verification.max_rel_error < 2e-3
 
     def test_default_deck_is_not_generated(self, monkeypatch):
-        """Without a deck only the bm1 shape is used; results match the
-        generated bm1 deck exactly."""
-        kwargs = dict(ppwi=4, wgsize=64, backend="mojo", gpu="h100",
-                      verify=True, verify_poses=16, seed=11)
-        given = run_minibude(deck=make_bm1(4096, seed=11), **kwargs)
+        """Only the bm1 shape enters the model: the run generates no
+        full-size deck, and its GFLOP/s are those of a generated bm1 deck's
+        shape."""
+        deck = make_bm1(4096, seed=11)
         check = Deck.__post_init__
 
         def only_verify_decks(deck):
@@ -214,9 +215,13 @@ class TestRunner:
             check(deck)
 
         monkeypatch.setattr(Deck, "__post_init__", only_verify_decks)
-        shaped = run_minibude(nposes=4096, **kwargs)
-        assert shaped == given
+        res = bench("mojo", "h100", ppwi=4, wgsize=64, verify=True,
+                    verify_poses=16, seed=11, nposes=4096)
+        assert res.verification.passed
+        assert res.primary_value == gflops(
+            4, deck.natlig, deck.natpro, deck.nposes,
+            res.timing["kernel"].kernel_time_s)
 
     def test_non_positive_pose_count_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_minibude(nposes=0, verify=False)
+            bench("mojo", "h100", nposes=0)

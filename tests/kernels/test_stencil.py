@@ -10,12 +10,23 @@ from repro.kernels.stencil import (
     effective_fetch_bytes,
     effective_write_bytes,
     laplacian_reference,
-    run_stencil,
     stencil_kernel_model,
     stencil_launch_config,
     verify_laplacian,
     verify_stencil_kernel,
 )
+from repro.harness.runner import MeasurementProtocol
+from repro.workloads import get_workload
+
+
+def bench(backend, gpu, *, precision="float64", repeats=2, verify=False,
+          **params):
+    """One stencil run at the paper's L=512 through the workload API."""
+    workload = get_workload("stencil")
+    return workload.run(workload.make_request(
+        backend=backend, gpu=gpu, precision=precision, verify=verify,
+        params={"L": 512, **params},
+        protocol=MeasurementProtocol(warmup=1, repeats=repeats)))
 
 
 class TestStencilProblem:
@@ -146,39 +157,34 @@ class TestMetrics:
 
 class TestRunner:
     def test_run_produces_sensible_bandwidth(self):
-        res = run_stencil(L=512, backend="cuda", gpu="h100", iterations=5,
-                          verify=False)
-        assert 500 < res.bandwidth_gbs < 3900
-        assert res.kernel_time_ms > 0
-        assert len(res.samples_gbs) == 4
+        res = bench("cuda", "h100", repeats=4)
+        assert 500 < res.metrics["bandwidth_gbs"] < 3900
+        assert res.metrics["kernel_time_ms"] > 0
+        assert len(res.samples["bandwidth_gbs"]) == 4
 
     def test_run_with_verification(self):
-        res = run_stencil(L=512, backend="mojo", gpu="h100", iterations=3,
-                          verify=True)
-        assert res.verified and res.max_rel_error < 1e-10
+        res = bench("mojo", "h100", verify=True)
+        assert res.verification.ran and res.verification.passed
+        assert res.verification.max_rel_error < 1e-10
 
     def test_mojo_slower_than_cuda_on_h100(self):
-        mojo = run_stencil(L=512, backend="mojo", gpu="h100", verify=False, iterations=3)
-        cuda = run_stencil(L=512, backend="cuda", gpu="h100", verify=False, iterations=3)
-        ratio = mojo.bandwidth_gbs / cuda.bandwidth_gbs
+        mojo = bench("mojo", "h100")
+        cuda = bench("cuda", "h100")
+        ratio = mojo.primary_value / cuda.primary_value
         assert 0.80 < ratio < 0.95           # paper: ~87%
 
     def test_mojo_matches_hip_on_mi300a(self):
-        mojo = run_stencil(L=512, backend="mojo", gpu="mi300a", verify=False, iterations=3)
-        hip = run_stencil(L=512, backend="hip", gpu="mi300a", verify=False, iterations=3)
-        assert mojo.bandwidth_gbs == pytest.approx(hip.bandwidth_gbs, rel=0.05)
+        mojo = bench("mojo", "mi300a")
+        hip = bench("hip", "mi300a")
+        assert mojo.primary_value == pytest.approx(hip.primary_value, rel=0.05)
 
     def test_samples_are_reproducible(self):
-        a = run_stencil(L=512, backend="mojo", gpu="h100", verify=False,
-                        iterations=5, seed=1)
-        b = run_stencil(L=512, backend="mojo", gpu="h100", verify=False,
-                        iterations=5, seed=1)
-        assert a.samples_gbs == b.samples_gbs
+        a = bench("mojo", "h100", repeats=4, seed=1)
+        b = bench("mojo", "h100", repeats=4, seed=1)
+        assert a.samples == b.samples
 
     def test_fp32_has_higher_bandwidth_than_fp64_time(self):
-        fp32 = run_stencil(L=512, precision="float32", backend="cuda", gpu="h100",
-                           verify=False, iterations=3)
-        fp64 = run_stencil(L=512, precision="float64", backend="cuda", gpu="h100",
-                           verify=False, iterations=3)
+        fp32 = bench("cuda", "h100", precision="float32")
+        fp64 = bench("cuda", "h100", precision="float64")
         # Same cell count, half the bytes: FP32 must be faster in time.
-        assert fp32.kernel_time_ms < fp64.kernel_time_ms
+        assert fp32.metrics["kernel_time_ms"] < fp64.metrics["kernel_time_ms"]

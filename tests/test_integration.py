@@ -68,13 +68,17 @@ class TestCrossWorkloadPortability:
         assert verify_stencil_kernel(L=10, gpu="mi300a") < 1e-12
 
     def test_memory_bound_parity_on_amd_gap_on_nvidia(self):
-        from repro.kernels.stencil import run_stencil
-        h_mojo = run_stencil(L=512, backend="mojo", gpu="h100", verify=False, iterations=3)
-        h_cuda = run_stencil(L=512, backend="cuda", gpu="h100", verify=False, iterations=3)
-        a_mojo = run_stencil(L=512, backend="mojo", gpu="mi300a", verify=False, iterations=3)
-        a_hip = run_stencil(L=512, backend="hip", gpu="mi300a", verify=False, iterations=3)
-        assert h_mojo.bandwidth_gbs < h_cuda.bandwidth_gbs
-        assert a_mojo.bandwidth_gbs == pytest.approx(a_hip.bandwidth_gbs, rel=0.05)
+        from repro.workloads import get_workload
+        stencil = get_workload("stencil")
+        request = stencil.make_request(params={"L": 512}, verify=False)
+
+        def bandwidth(backend, gpu):
+            return stencil.run(request.replace(backend=backend,
+                                               gpu=gpu)).primary_value
+
+        assert bandwidth("mojo", "h100") < bandwidth("cuda", "h100")
+        assert bandwidth("mojo", "mi300a") == pytest.approx(
+            bandwidth("hip", "mi300a"), rel=0.05)
 
     def test_vendor_baseline_selection(self):
         assert vendor_baseline_for("h100").name == "cuda"

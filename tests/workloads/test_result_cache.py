@@ -1,5 +1,6 @@
 """Tests for the request-level result cache (a memo with a disk tier)."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -87,11 +88,34 @@ class TestDiskCache:
         assert info.disk_hits == 1 and info.hits == 1
         assert second.metrics == pytest.approx(first.metrics)
         assert second.verification.ran == first.verification.ran
-        # Rehydrated results are export-shaped: plain-dict timing, no raw.
-        assert second.raw is None
         payload = second.as_dict()
         assert payload["metrics"]["bandwidth_gbs"] == pytest.approx(
             first.metrics["bandwidth_gbs"])
+
+    @pytest.mark.parametrize("name, params", [
+        ("stencil", {"L": 48}),
+        ("babelstream", {"n": 2 ** 16}),
+        ("minibude", {"ppwi": 2, "wgsize": 8, "nposes": 1024}),
+        ("hartreefock", {"natoms": 16}),
+    ])
+    def test_miss_memory_hit_and_disk_hit_agree(self, tmp_path, name, params):
+        # One request run three ways returns one schema.  A disk hit's
+        # timing entries stay export-shaped dicts; as_dict() hides that.
+        disk = str(tmp_path / "cache")
+        request = get_workload(name).make_request(params=params,
+                                                  protocol=FAST)
+        cache = ResultCache(disk_dir=disk)
+        miss = run_cached(request, cache=cache)
+        memory_hit = run_cached(request, cache=cache)
+        fresh = ResultCache(disk_dir=disk)
+        disk_hit = run_cached(request, cache=fresh)
+        assert cache.memo.cache_info()[:2] == (1, 1)
+        assert fresh.memo.cache_info().disk_hits == 1
+        assert miss.verification.ran and miss.verification.passed
+        fields = [f.name for f in dataclasses.fields(miss)]
+        for result in (memory_hit, disk_hit):
+            assert [f.name for f in dataclasses.fields(result)] == fields
+            assert result.as_dict() == miss.as_dict()
 
     def test_disk_entries_survive_clear(self, tmp_path):
         disk = str(tmp_path / "cache")
