@@ -5,14 +5,22 @@ kernel — its layout, parallelism and synchronisation structure — can prove
 properties before anything runs.  This package is that layer for the
 simulated substrate:
 
+:mod:`~repro.analysis.kernel_ir`
+    The kernel front end: parses each ``@kernel`` body once and runs one
+    abstract interpretation of it (a taint in ``UNIFORM`` / ``GUARDED`` /
+    ``LANE`` times a symbolic value), recording accesses, guard masks,
+    ``compress_lanes`` clamps, barriers and lane-dependent control flow.
+    The verifier, the region analysis and the lowering tier all read this
+    one IR, so they agree on what a guard means.
+
 :mod:`~repro.analysis.verifier`
-    Parses each ``@kernel`` body with :mod:`ast` and walks it against a
-    model of the SIMT intrinsic surface (``thread_idx`` / ``barrier`` /
-    ``shared_array`` / the lane helpers / atomics).  It *infers* whether a
-    body is safe for lockstep (vectorized) execution instead of trusting
-    the hand-set ``vector_safe`` flag, and reports barrier divergence,
-    shared-memory races between barriers, unguarded lane-dependent tensor
-    indexing and non-SIMT-safe Python constructs.
+    Reads the IR against a model of the SIMT intrinsic surface
+    (``thread_idx`` / ``barrier`` / ``shared_array`` / the lane helpers /
+    atomics).  It *infers* whether a body is safe for lockstep (vectorized)
+    execution instead of trusting the hand-set ``vector_safe`` flag, and
+    reports barrier divergence, shared-memory races between barriers,
+    unguarded lane-dependent tensor indexing and non-SIMT-safe Python
+    constructs.
 
 :mod:`~repro.analysis.racecheck`
     A happens-before analysis over enqueued device operations (a captured
@@ -22,14 +30,13 @@ simulated substrate:
     compute-sanitizer's racecheck.
 
 :mod:`~repro.analysis.regions` / :mod:`~repro.analysis.symexpr`
-    Symbolic access-region analysis: an abstract interpreter over kernel
-    ASTs computes per-buffer-parameter read/write regions as affine
-    interval expressions in the launch intrinsics, concretizable against
-    an actual launch and buffer shapes.  Feeds region-precision race
-    verdicts (``GR201`` suppression, ``GR204`` partial overlaps), proven
-    out-of-bounds findings (``KV106``) and KV103 discharge, cover-set
-    fusion legality for the graph compiler, and exact byte traffic for
-    the tuning roofline.
+    Symbolic access-region analysis: per-buffer-parameter read/write
+    regions, read off the IR as affine interval expressions in the launch
+    intrinsics, concretizable against an actual launch and buffer shapes.
+    Feeds region-precision race verdicts (``GR201`` suppression, ``GR204``
+    partial overlaps), proven out-of-bounds findings (``KV106``) and KV103
+    discharge, cover-set fusion legality for the graph compiler, and exact
+    byte traffic for the tuning roofline.
 
 :mod:`~repro.analysis.lint`
     Orchestration for the ``repro lint`` CLI and the CI gate: verify every

@@ -227,7 +227,7 @@ def run_lint(workloads: Optional[Sequence[str]] = None, *,
     """The full ``repro lint`` pass: every kernel, then the workload graphs.
 
     *workloads* filters the graph population only — kernel verification is
-    cheap (one memoised AST walk each) and always runs over the whole
+    cheap (one memoised kernel IR each) and always runs over the whole
     registry, so a narrowed lint cannot hide a broken kernel.
     """
     report = lint_kernels()

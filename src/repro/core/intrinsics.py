@@ -52,13 +52,14 @@ __all__ = [
     "SIMT_MODEL",
 ]
 
-#: Static model of the SIMT intrinsic surface, consumed by the kernel
-#: verifier (:mod:`repro.analysis.verifier`).  Groups name the *semantic
-#: role* each intrinsic plays in a lockstep (vectorized) evaluation — what
-#: produces lane-varying values, what reduces them back to uniform ones,
-#: what bounds them, and what synchronises.  New intrinsics must join a
-#: group here (or a new group the verifier learns), otherwise the analysis
-#: treats them as opaque calls.
+#: Static model of the SIMT intrinsic surface, read by the kernel front end
+#: (:mod:`repro.analysis.kernel_ir`, whose IR the verifier, the region
+#: analysis and the lowering tier share) and by the executor's
+#: cooperative-mode check.  Groups name the *semantic role* each intrinsic
+#: plays in a lockstep (vectorized) evaluation — what produces lane-varying
+#: values, what reduces them back to uniform ones, what bounds them, and what
+#: synchronises.  New intrinsics must join a group here (or a new group the
+#: front end learns), otherwise the analysis treats them as opaque calls.
 SIMT_MODEL = {
     # module-level proxies whose components differ per lane
     "lane_index_sources": ("thread_idx", "block_idx"),
@@ -71,7 +72,8 @@ SIMT_MODEL = {
     # constructs that bound lane-varying values (select/compact)
     "lane_guards": ("compress_lanes", "lane_where"),
     # predicated memory accessors (safe at any in-mask index)
-    "masked_accessors": ("masked_gather", "masked_store"),
+    "masked_reads": ("masked_gather",),
+    "masked_writes": ("masked_store",),
     # block shared-memory allocators
     "shared_allocators": ("shared_array", "stack_allocation"),
     # block-level synchronisation

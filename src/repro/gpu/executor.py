@@ -219,35 +219,25 @@ def _iter_dim3(extent: Dim3):
                 yield Dim3(x, y, z)
 
 
-#: calls that make a kernel body synchronise or share memory per block
-_BLOCK_CALLS = frozenset({"barrier", "shared_array", "stack_allocation"})
-
-
 def kernel_uses_barrier(kern: Kernel) -> bool:
     """Does the kernel body call ``barrier`` or allocate shared memory?
 
-    Decided on the parsed body shared with the static analyses
-    (:func:`repro.analysis.verifier.kernel_ast`): a call whose callee name
-    (``barrier(...)``, ``intrinsics.shared_array(...)``) is one of
-    ``barrier`` / ``shared_array`` / ``stack_allocation``.  Docstrings and
-    comments do not count; unknown source does (cooperative is the safe
-    mode).  Cached on the underlying function object.
+    Decided on the parsed body the static analyses share
+    (:func:`repro.analysis.kernel_ir.kernel_ir`): a call anywhere in the
+    body to one of ``SIMT_MODEL``'s barrier calls or shared allocators.
+    Docstrings and comments do not count; unknown source does (cooperative
+    is the safe mode).  Cached on the underlying function object.
     """
     fn = kern.fn if isinstance(kern, Kernel) else kern
     cached = getattr(fn, "_repro_uses_barrier", None)
     if cached is not None:
         return cached
-    from ..analysis.verifier import kernel_ast
+    from ..analysis.kernel_ir import BLOCK_CALLS, callee, kernel_ir
 
-    fdef = kernel_ast(fn)
-    if fdef is None:
-        uses = True  # be safe: unknown source -> cooperative
-    else:
-        uses = any(
-            isinstance(node, ast.Call)
-            and (getattr(node.func, "id", None) in _BLOCK_CALLS
-                 or getattr(node.func, "attr", None) in _BLOCK_CALLS)
-            for node in ast.walk(fdef))
+    ir = kernel_ir(fn)
+    uses = ir is None or any(  # unknown source: cooperative
+        isinstance(node, ast.Call) and callee(node) in BLOCK_CALLS
+        for node in ast.walk(ir.fndef))
     try:
         fn._repro_uses_barrier = uses
     except (AttributeError, TypeError):  # pragma: no cover - exotic callables
@@ -261,7 +251,7 @@ def _resolve_mode(kern: Kernel, args: Sequence, launch: LaunchConfig,
 
     ``"auto"`` and ``"lowered"`` honour the kernel's declared flag only, so
     the default path never analyses anything; an explicit ``"vectorized"``
-    is worth an inference pass (memoised, one AST walk per kernel body).
+    is worth an inference pass (memoised, one IR per kernel body).
     """
     if mode in ("auto", "lowered", "vectorized"):
         if not kernel_vector_safe(kern, infer=(mode == "vectorized")):

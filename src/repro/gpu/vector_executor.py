@@ -89,7 +89,7 @@ def kernel_vector_safe(kern, *, infer: bool = False) -> bool:
     verifier can positively prove its body lockstep-safe — the
     inference-backed path the explicit ``mode="vectorized"`` request uses.
     Verification is memoised on the function object, so neither path costs
-    more than one AST walk per kernel body, ever.
+    more than one IR build per kernel body, ever.
     """
     if isinstance(kern, Kernel):
         declared = kern.declared_vector_safe

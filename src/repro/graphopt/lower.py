@@ -6,12 +6,13 @@ body statement by statement: every intrinsic read goes through a
 thread-local proxy, every tensor subscript through ``LayoutTensor`` index
 resolution, every loop iteration re-runs its statements on small arrays.
 This module goes one step further, the way the paper's MLIR stack lowers
-its parametric kernels to target code: the body is rewritten — via AST
-analysis of the one memoised parse
-(:func:`repro.analysis.verifier.kernel_ast`), not execution — into NumPy
-source, compiled with ``exec`` into a synthetic module, and dispatched by
-the executor: every ``auto`` (or ``lowered``) launch of a declared
-vector-safe kernel tries this tier first.
+its parametric kernels to target code: the body is rewritten — from the
+kernel IR the verifier and the region analysis also read
+(:func:`repro.analysis.kernel_ir.kernel_ir`: the memoised parse plus one
+abstract interpretation of it), not execution — into NumPy source,
+compiled with ``exec`` into a synthetic module, and dispatched by the
+executor: every ``auto`` (or ``lowered``) launch of a declared vector-safe
+kernel tries this tier first.
 
 The contract mirrors a real compiler's legality checking: lowering is a
 *best-effort specialisation*.  ``lower_launch`` returns a compiled entry
@@ -27,11 +28,13 @@ the property suite hold the tier to bitwise equality.
 
 One emitter, two index rules:
 
-* **slices** — when every lane index is *affine* in the launch axes
-  (``i = block_dim.x * block_idx.x + thread_idx.x``), guard masks are
-  conjunctions of lane comparisons with static bounds, ``compress_lanes``
-  tightens ranges and every access is ``t[i +/- c, ...]``, the body becomes
-  whole-array slicing (stencil, Copy/Mul/Add/Triad);
+* **slices** — when every lane index is a launch axis's global index
+  (``i = block_dim.x * block_idx.x + thread_idx.x``), every guard mask is an
+  exact conjunction of lane comparisons, ``compress_lanes`` tightens ranges
+  and every access is ``t[i +/- c, ...]``, the body becomes whole-array
+  slicing (stencil, Copy/Mul/Add/Triad).  The rule reads the axis names,
+  masks, clamps and early ``any_lane`` guards off the IR and concretises
+  the masks' bounds with the scalar arguments and the launch;
 * **gathers** — otherwise intrinsics become the interpreter's own lane
   index arrays, tensor accesses gathers/scatters through its offset
   arithmetic, and ``any_lane`` / ``compress_lanes`` / ``lane_where`` /
@@ -79,7 +82,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.verifier import kernel_ast
+from ..analysis.kernel_ir import assigned_names, kernel_ir
+from ..analysis.symexpr import Interval, launch_env
 from ..core import atomics as _atomics
 from ..core import intrinsics as _intrinsics
 from ..core.dtypes import dtype_from_any
@@ -102,8 +106,6 @@ class LoweringUnsupported(Exception):
     """The kernel body falls outside the lowerable subset (internal)."""
 
 
-#: intrinsic names whose attributes form affine lane-index expressions
-_AXIS_INTRINSICS = ("thread_idx", "block_idx", "block_dim")
 _AXES = ("x", "y", "z")
 
 
@@ -121,15 +123,6 @@ class _Axis:
         new_lo = self.lo if lo is None else max(self.lo, lo)
         new_hi = self.hi if hi is None else min(self.hi, hi)
         return _Axis(self.axis, new_lo, max(new_hi, new_lo))
-
-
-class _Mask:
-    """A guard mask: per-lane-variable half-open bounds."""
-
-    __slots__ = ("bounds",)
-
-    def __init__(self, bounds: Dict[str, Tuple[Optional[int], Optional[int]]]):
-        self.bounds = bounds
 
 
 class _Tensor:
@@ -161,44 +154,6 @@ def _axis_extents(launch: LaunchConfig) -> Dict[str, int]:
 
 
 # --------------------------------------------------------------------- match
-def _intrinsic_component(node) -> Optional[Tuple[str, str]]:
-    """``thread_idx.x`` -> ("thread_idx", "x"), else None."""
-    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-            and node.value.id in _AXIS_INTRINSICS and node.attr in _AXES:
-        return node.value.id, node.attr
-    return None
-
-
-def _match_axis_expr(node) -> str:
-    """Match the global-linear-index idiom; returns the axis letter.
-
-    Accepts ``thread_idx.A + block_idx.A * block_dim.A`` with the addition
-    and the multiplication operands in either order.
-    """
-    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
-        raise _fail("lane index is not of the form thread_idx + block_idx*block_dim")
-    sides = (node.left, node.right)
-    thread = next((s for s in sides
-                   if (_intrinsic_component(s) or ("", ""))[0] == "thread_idx"),
-                  None)
-    mult = next((s for s in sides
-                 if isinstance(s, ast.BinOp) and isinstance(s.op, ast.Mult)),
-                None)
-    if thread is None or mult is None:
-        raise _fail("lane index is not of the form thread_idx + block_idx*block_dim")
-    axis = _intrinsic_component(thread)[1]
-    parts = {}
-    for s in (mult.left, mult.right):
-        comp = _intrinsic_component(s)
-        if comp is None:
-            raise _fail("lane-index multiplication has a non-intrinsic operand")
-        parts[comp[0]] = comp[1]
-    if set(parts) != {"block_idx", "block_dim"} \
-            or parts["block_idx"] != axis or parts["block_dim"] != axis:
-        raise _fail("lane-index terms mix launch axes")
-    return axis
-
-
 def _eval_static(node, env) -> float:
     """Numerically evaluate a scalar expression from constants and scalar args."""
     if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
@@ -231,108 +186,6 @@ def _static_int(node, env) -> int:
     if int(value) != value:
         raise _fail(f"bound expression evaluates to non-integer {value}")
     return int(value)
-
-
-def _merge_bounds(into: Dict, frm: Dict) -> None:
-    for var, (lo, hi) in frm.items():
-        old_lo, old_hi = into.get(var, (None, None))
-        if lo is not None:
-            old_lo = lo if old_lo is None else max(old_lo, lo)
-        if hi is not None:
-            old_hi = hi if old_hi is None else min(old_hi, hi)
-        into[var] = (old_lo, old_hi)
-
-
-def _match_mask(node, env) -> _Mask:
-    """Match a conjunction of lane-variable comparisons into a :class:`_Mask`."""
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
-        bounds: Dict[str, Tuple[Optional[int], Optional[int]]] = {}
-        _merge_bounds(bounds, _match_mask(node.left, env).bounds)
-        _merge_bounds(bounds, _match_mask(node.right, env).bounds)
-        return _Mask(bounds)
-    if isinstance(node, ast.Compare) and len(node.ops) == 1:
-        op = node.ops[0]
-        left, right = node.left, node.comparators[0]
-        if isinstance(left, ast.Name) and isinstance(env.get(left.id), _Axis):
-            var, bound_node, flip = left.id, right, False
-        elif isinstance(right, ast.Name) \
-                and isinstance(env.get(right.id), _Axis):
-            var, bound_node, flip = right.id, left, True
-        else:
-            raise _fail("comparison does not involve a lane index")
-        bound = _static_int(bound_node, env)
-        if flip:  # "bound OP var" -> invert the operator direction
-            op = {ast.Lt: ast.Gt, ast.Gt: ast.Lt,
-                  ast.LtE: ast.GtE, ast.GtE: ast.LtE}.get(type(op), type(op))()
-        if isinstance(op, ast.Lt):
-            return _Mask({var: (None, bound)})
-        if isinstance(op, ast.LtE):
-            return _Mask({var: (None, bound + 1)})
-        if isinstance(op, ast.Gt):
-            return _Mask({var: (bound + 1, None)})
-        if isinstance(op, ast.GtE):
-            return _Mask({var: (bound, None)})
-        raise _fail("unsupported comparison operator in guard mask")
-    raise _fail("guard mask is not a conjunction of lane comparisons")
-
-
-def _is_guard_return(stmt, env) -> bool:
-    """Match ``if not any_lane(m): return`` (lowered slices are pre-masked)."""
-    if not (isinstance(stmt, ast.If) and not stmt.orelse
-            and len(stmt.body) == 1 and isinstance(stmt.body[0], ast.Return)
-            and stmt.body[0].value is None):
-        return False
-    test = stmt.test
-    if not (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)):
-        return False
-    call = test.operand
-    return (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-            and call.func.id == "any_lane" and len(call.args) == 1
-            and isinstance(call.args[0], ast.Name)
-            and isinstance(env.get(call.args[0].id), _Mask))
-
-
-def _match_compress(stmt, env) -> Optional[Tuple[List[str], str]]:
-    """Match ``i[, j, k] = compress_lanes(m, i[, j, k])`` -> (vars, mask)."""
-    if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
-        return None
-    value = stmt.value
-    if not (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
-            and value.func.id == "compress_lanes"):
-        return None
-    target = stmt.targets[0]
-    if isinstance(target, ast.Name):
-        names = [target.id]
-    elif isinstance(target, ast.Tuple) \
-            and all(isinstance(e, ast.Name) for e in target.elts):
-        names = [e.id for e in target.elts]
-    else:
-        raise _fail("compress_lanes target is not a name tuple")
-    if len(value.args) != len(names) + 1:
-        raise _fail("compress_lanes arity does not match its targets")
-    mask_node, var_nodes = value.args[0], value.args[1:]
-    if not (isinstance(mask_node, ast.Name)
-            and isinstance(env.get(mask_node.id), _Mask)):
-        raise _fail("compress_lanes mask is not a known guard mask")
-    for name, node in zip(names, var_nodes):
-        if not (isinstance(node, ast.Name) and node.id == name
-                and isinstance(env.get(name), _Axis)):
-            raise _fail("compress_lanes operands must be the lane indices "
-                        "being reassigned")
-    return names, mask_node.id
-
-
-def _apply_compress(names: Sequence[str], mask_name: str, env) -> None:
-    mask: _Mask = env[mask_name]
-    if not set(mask.bounds) <= set(names):
-        raise _fail("guard mask constrains a lane index that is not "
-                    "being compressed")
-    axes = [env[n].axis for n in names]
-    if len(set(axes)) != len(axes):
-        raise _fail("compress_lanes operands share a launch axis")
-    for name in names:
-        lo, hi = mask.bounds.get(name, (None, None))
-        env[name] = env[name].tightened(lo, hi)
 
 
 # ------------------------------------------------------------------- codegen
@@ -603,15 +456,6 @@ def _reachable_seqs(values) -> List[_Seq]:
     return out
 
 
-def _assigned_names(body) -> set:
-    names = set()
-    for node in body:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
-                names.add(sub.id)
-    return names
-
-
 class _BodyLowerer:
     """Lower one kernel body's statements into NumPy source lines.
 
@@ -627,9 +471,11 @@ class _BodyLowerer:
     """
 
     def __init__(self, fn, env: Dict, launch: LaunchConfig, rule: str,
-                 per_block: bool, ns: Dict, n: int = 0):
+                 per_block: bool, ns: Dict, n: int = 0, ir=None):
         self.globals = getattr(fn, "__globals__", {})
         self.rule = rule
+        self.ir = ir                # the kernel IR the slice rule reads
+        self.launch = launch
         self.extents = _axis_extents(launch)
         #: (store components, tensor index, [reads the stored tensor]) while
         #: a slice-rule store's right-hand side is evaluated
@@ -1024,35 +870,94 @@ class _BodyLowerer:
 
     # ---------------------------------------------------------- slice rule
     def _slice_stmt(self, stmt) -> bool:
-        env = self.env
+        """One statement under the slice rule, read off the kernel IR."""
+        env, ir = self.env, self.ir
         if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant) \
                 and isinstance(stmt.value.value, str):
             return False        # docstring
-        if _is_guard_return(stmt, env):
-            return False        # empty lane sets give empty slices: a no-op
+        if stmt in ir.early_guards:
+            # ``if not any_lane(m): return``: lowered slices are pre-masked
+            # and empty lane sets give empty slices, so the guard is a no-op
+            self._mask_bounds(ir.early_guards[stmt])
+            return False
         if isinstance(stmt, ast.Return) and stmt.value is None:
             return True
-        compress = _match_compress(stmt, env) \
-            if isinstance(stmt, ast.Assign) else None
-        if compress is not None:
-            _apply_compress(compress[0], compress[1], env)
+        if stmt in ir.clamps:
+            self._compress(*ir.clamps[stmt])
             return False
         if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
             raise _fail(f"unsupported statement {ast.dump(stmt)[:60]}")
         target = stmt.targets[0]
         if isinstance(target, ast.Name):
-            try:
-                axis = _match_axis_expr(stmt.value)
-            except LoweringUnsupported:
-                env[target.id] = _match_mask(stmt.value, env)
-            else:
+            if stmt in ir.axes:
+                axis = ir.axes[stmt][1]
                 env[target.id] = _Axis(axis, 0, self.extents[axis])
+            else:
+                self._mask_bounds(ir.masks.get(stmt))
+                env[target.id] = _Poison("is a guard mask")
         elif isinstance(target, ast.Subscript) \
                 and isinstance(target.value, ast.Name):
             self._slice_store(target, stmt.value)
         else:
             raise _fail("unsupported assignment target")
         return False
+
+    def _mask_bounds(self, mask) -> Dict[str, Tuple[Optional[int],
+                                                   Optional[int]]]:
+        """An exact IR guard mask over lane indices as integer bounds.
+
+        Each bound is concretised with the scalar arguments and the launch;
+        a mask that dropped a conjunct, constrains a non-lane name or has a
+        bound that is not one integer is refused.
+        """
+        if mask is None or not mask.exact:
+            raise _fail("guard mask is not a conjunction of lane comparisons")
+        values = launch_env(self.launch)
+        for name, v in self.env.items():
+            if isinstance(v, _Const) and _const_type(v.value) is not None:
+                values[name] = Interval(float(v.value), float(v.value))
+        out = {}
+        for name, pairs in mask.bounds.items():
+            if not isinstance(self.env.get(name), _Axis):
+                raise _fail("comparison does not involve a lane index")
+            lo, hi = None, None
+            for plo, phi in pairs:
+                if plo is not None:
+                    v = self._bound(plo, values)
+                    lo = v if lo is None else max(lo, v)
+                if phi is not None:
+                    v = self._bound(phi, values)
+                    hi = v if hi is None else min(hi, v)
+            out[name] = (lo, hi)
+        return out
+
+    @staticmethod
+    def _bound(expr, values) -> int:
+        iv = expr.interval(values)
+        if iv is None or not iv.finite or not iv.point \
+                or int(iv.lo) != iv.lo:
+            raise _fail("guard bound is not a static integer")
+        return int(iv.lo)
+
+    def _compress(self, targets, operands, mask) -> None:
+        """``i[, j, k] = compress_lanes(m, i[, j, k])`` tightens the axes."""
+        names = [getattr(t, "id", None) for t in targets]
+        if len(operands) != len(names) or not all(
+                isinstance(o, ast.Name) and o.id == name
+                and isinstance(self.env.get(name), _Axis)
+                for o, name in zip(operands, names)):
+            raise _fail("compress_lanes operands must be the lane indices "
+                        "being reassigned")
+        bounds = self._mask_bounds(mask)
+        if not set(bounds) <= set(names):
+            raise _fail("guard mask constrains a lane index that is not "
+                        "being compressed")
+        axes = [self.env[name].axis for name in names]
+        if len(set(axes)) != len(axes):
+            raise _fail("compress_lanes operands share a launch axis")
+        for name in names:
+            self.env[name] = self.env[name].tightened(*bounds.get(
+                name, (None, None)))
 
     def _slice_store(self, target: ast.Subscript, value) -> None:
         env = self.env
@@ -1640,7 +1545,7 @@ class _BodyLowerer:
         return False
 
     def _if_runtime(self, test, node) -> bool:
-        assigned = _assigned_names(node.body + node.orelse)
+        assigned = assigned_names(node.body + node.orelse)
         for name in sorted(assigned):
             cur = self.env.get(name)
             if isinstance(cur, _Const) and _const_type(cur.value):
@@ -2020,11 +1925,12 @@ def _arg_signature(args: Sequence) -> Tuple:
 
 
 def _bind_params(fn, args: Sequence, indices: Sequence[int],
-                 tensors: Dict[int, _Tensor]) -> Tuple[Dict, ast.FunctionDef]:
-    """Bind *fn*'s parameters to combined-arg symbols."""
-    fdef = kernel_ast(fn)
-    if not isinstance(fdef, ast.FunctionDef):
+                 tensors: Dict[int, _Tensor]):
+    """Bind *fn*'s parameters to combined-arg symbols: (env, kernel IR)."""
+    ir = kernel_ir(fn)
+    if ir is None or not isinstance(ir.fndef, ast.FunctionDef):
         raise _fail("kernel source is unavailable")
+    fdef = ir.fndef
     params = [p.arg for p in fdef.args.args]
     if len(params) != len(indices) or fdef.args.vararg or fdef.args.kwarg \
             or fdef.args.kwonlyargs:
@@ -2043,7 +1949,7 @@ def _bind_params(fn, args: Sequence, indices: Sequence[int],
             env[pname] = _Const(a, f"_s{idx}")
         else:
             raise _fail(f"unsupported argument type {type(a).__name__}")
-    return env, fdef
+    return env, ir
 
 
 def _fused_parts(kern) -> Optional[Tuple]:
@@ -2129,9 +2035,9 @@ def _generate_rule(kern, args: Sequence, launch: LaunchConfig,
     tensors: Dict[int, _Tensor] = {}
     funcs, calls, axis_arrays, n, shared = [], [], [], 0, 0
     for k, (fn, indices) in enumerate(_kernel_parts(kern, args)):
-        env, fdef = _bind_params(fn, args, indices, tensors)
-        low = _BodyLowerer(fn, env, launch, rule, per_block, ns, n)
-        low.run(fdef.body)
+        env, ir = _bind_params(fn, args, indices, tensors)
+        low = _BodyLowerer(fn, env, launch, rule, per_block, ns, n, ir)
+        low.run(ir.fndef.body)
         if not gathers and not low.lines:
             raise _fail("kernel body lowered to no stores")
         if per_block and launch.grid_dim.total > 1 and low.reads & low.writes:

@@ -47,6 +47,16 @@ def unguarded_oob(a, c, n):
     c[i] = a[i] * 2.0
 
 
+def loop_carried_lane_index(a, c, n):
+    """KV103: a raw lane index reaches the accesses around a loop."""
+    x = 0
+    y = 0
+    for k in range(2):
+        y = x
+        x = thread_idx.x + block_idx.x * block_dim.x
+    c[y] = a[y]
+
+
 def simt_unsafe_print(a, n):
     """KV104: ``print`` has no per-lane semantics in the SIMT model."""
     i = thread_idx.x

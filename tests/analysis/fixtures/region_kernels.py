@@ -12,6 +12,8 @@ living in a real file so :func:`inspect.getsource` works.
 * :func:`tile_scale` touches exactly ``[lo, hi)`` of its buffer: two
   launches on different streams are provably disjoint (GR201 suppressed)
   or partially overlapping (GR204) purely by their scalar arguments.
+* :func:`guarded_accumulate` reads ``a[i]`` once through an augmented
+  assignment, so its read traffic is exactly one element per lane.
 """
 
 from repro.core.intrinsics import any_lane, compress_lanes, global_idx
@@ -41,3 +43,15 @@ def tile_scale(buf, lo, hi):
         return
     i = compress_lanes(m, i)
     buf[i] = buf[i] * 2.0
+
+
+def guarded_accumulate(a, out, n):
+    """``s += a[i]`` reads each guarded element of *a* exactly once."""
+    i = global_idx().x
+    m = i < n
+    if not any_lane(m):
+        return
+    i = compress_lanes(m, i)
+    s = 0.0
+    s += a[i]
+    out[i] = s

@@ -102,6 +102,16 @@ class TestKernelRegions:
             for box in region.reads + region.writes:
                 assert box == ((0, 999),)
 
+    def test_augmented_assignment_reads_once(self):
+        # ``s += a[i]`` loads each guarded element of ``a`` exactly once
+        n = 1000
+        kern = Kernel(fx.guarded_accumulate)
+        ctx, a, c = _buffers(n)
+        lr = concretize_launch(kern, (a.tensor(), c.tensor(), n),
+                               LaunchConfig.for_elements(n, 128))
+        assert lr.read_bytes == 8 * n
+        assert lr.write_bytes == 8 * n
+
     def test_exact_traffic(self):
         kern = Kernel(fx.guarded_copy)
         ctx, a, c = _buffers(1000)

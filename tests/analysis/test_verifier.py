@@ -34,6 +34,7 @@ def _rules(kern):
     ("divergent_barrier", "KV101"),
     ("shared_memory_race", "KV102"),
     ("unguarded_oob", "KV103"),
+    ("loop_carried_lane_index", "KV103"),
     ("simt_unsafe_print", "KV104"),
     ("data_dependent_while", "KV105"),
 ])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import verifier
+from repro.analysis import kernel_ir
 from repro.core.device import DeviceContext
 from repro.core.dtypes import DType
 from repro.core.errors import LayoutError
@@ -449,10 +449,10 @@ class TestMemos:
 
     def test_unlowerable_body_is_parsed_once(self, monkeypatch):
         parses = []
-        real_parse = verifier._parse_kernel
-        monkeypatch.setattr(verifier, "_parse_kernel",
+        real_parse = kernel_ir._parse_kernel
+        monkeypatch.setattr(kernel_ir, "_parse_kernel",
                             lambda fn: parses.append(fn) or real_parse(fn))
-        verifier.KERNEL_AST_MEMO.clear()
+        kernel_ir.IR_MEMO.clear()
         for n in (64, 128, 256):        # three launch shapes, one parse
             data = np.zeros(n)
             a = LayoutTensor(DType.float64, Layout.row_major(n), data)
@@ -460,7 +460,7 @@ class TestMemos:
                                           LaunchConfig.for_elements(n, 64))
             assert res.mode == "vectorized"
         # all three lowering attempts (and the verifier's flag cross-check)
-        # share the one parse
+        # share the one parse, held by the kernel IR
         assert parses == [_parse_once_probe.fn]
-        info = verifier.KERNEL_AST_MEMO.cache_info()
+        info = kernel_ir.IR_MEMO.cache_info()
         assert info.misses == 1 and info.hits >= 2
