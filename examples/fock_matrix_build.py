@@ -15,6 +15,7 @@ Run with:  python examples/fock_matrix_build.py
 
 import numpy as np
 
+from repro.core.device import DeviceContext
 from repro.harness.results import ResultTable
 from repro.kernels.hartreefock import (
     compute_schwarz,
@@ -29,7 +30,8 @@ from repro.workloads import get_workload
 
 def build_small_fock(natoms=6, ngauss=3):
     print(f"building the two-electron Fock matrix for He{natoms} (ngauss={ngauss}):")
-    fock_device, err = run_hartreefock_functional(natoms, ngauss, spacing=2.5)
+    fock_device, err = run_hartreefock_functional(
+        DeviceContext("h100"), natoms, ngauss, spacing=2.5)
     print(f"  device kernel vs host quadruple accumulation: max error {err:.2e}")
 
     system = make_helium_system(natoms, ngauss, spacing=2.5)

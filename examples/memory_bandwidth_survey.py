@@ -11,6 +11,7 @@ Run with:  python examples/memory_bandwidth_survey.py
 """
 
 from repro.backends import get_backend, list_backends
+from repro.core.device import DeviceContext
 from repro.harness.plotting import Series, line_chart
 from repro.kernels.babelstream import BABELSTREAM_OPS, run_babelstream_functional
 from repro.metrics.portability import arithmetic_mean_phi, efficiency
@@ -19,7 +20,8 @@ from repro.workloads import get_workload
 
 def main() -> None:
     print("Functional verification of the five device kernels (reduced size):")
-    errors = run_babelstream_functional(n=1024, tb_size=32, dot_blocks=4)
+    errors = run_babelstream_functional(DeviceContext("h100"), n=1024,
+                                        tb_size=32, dot_blocks=4)
     for name, err in errors.items():
         print(f"  {name}: max relative error {err:.2e}")
 

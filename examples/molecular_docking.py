@@ -15,6 +15,7 @@ Run with:  python examples/molecular_docking.py
 
 import numpy as np
 
+from repro.core.device import DeviceContext
 from repro.harness.plotting import Series, line_chart
 from repro.kernels.minibude import (
     make_deck,
@@ -29,7 +30,8 @@ def dock_small_complex():
     deck = make_deck(natlig=8, natpro=64, ntypes=16, nposes=128, seed=42,
                      name="demo-complex")
     print(f"docking {deck}")
-    energies, err = run_fasten_functional(deck, ppwi=2, wgsize=8)
+    energies, err = run_fasten_functional(DeviceContext("h100"), deck,
+                                          ppwi=2, wgsize=8)
     print(f"  device kernel vs reference: max relative error {err:.2e}")
 
     best = np.argsort(energies)[:5]

@@ -929,8 +929,7 @@ def _report_args(p) -> None:
                    help="skip the graph-compiler speedup section")
     p.add_argument("--no-obs", action="store_true",
                    help="skip the observability section (metrics "
-                        "counters and per-span modelled-vs-wall "
-                        "calibration errors)")
+                        "counters and per-span wall and modelled times)")
 
 
 def _cmd_report(args) -> int:
@@ -949,7 +948,7 @@ def _cmd_report(args) -> int:
         from .obs import TraceCollector, install_trace_collector
 
         # Trace the experiment runs themselves so the observability
-        # section can report per-span modelled-vs-wall calibration error.
+        # section can list per-span wall and modelled times.
         collector = TraceCollector()
         with install_trace_collector(collector):
             results = [run_experiment(i, quick=not full) for i in wanted]
@@ -1072,9 +1071,8 @@ def _cmd_trace(args) -> int:
               f"{len(collector.contexts)} device context(s), "
               f"{len(events)} trace event(s) on {len(tracks)} track(s)")
         for row in modelled_vs_wall(collector):
-            print(f"  {row['name']}: wall {row['wall_ms']:.3f} ms, "
-                  f"modelled {row['modelled_ms']:.3f} ms "
-                  f"({row['error_pct']:+.1f}% host overhead)")
+            print(f"  {row['name']:<16} wall {row['wall_ms']:10.3f} ms  "
+                  f"modelled {row['modelled_ms']:10.3f} ms")
         if args.output:
             print(f"wrote Chrome trace to {args.output} "
                   "(load in https://ui.perfetto.dev or chrome://tracing)")

@@ -1,17 +1,21 @@
-"""Per-operation launches and functional verification for BabelStream.
+"""Per-operation launches and the device program of BabelStream.
 
 The benchmark itself (timing model, Eq. 2 bandwidth, measurement samples)
 is :meth:`repro.workloads.babelstream.BabelStreamWorkload._run`.  This
 module holds the model and launch of each operation as the BabelStream
-driver runs it (:func:`babelstream_op_config`, shared with Table 3), and the
-functional run of the device kernels on a reduced vector, checked against
-the scalar-replay verification of the original benchmark.
+driver runs it (:func:`babelstream_op_config`, shared with Table 3), the
+one device program (:func:`enqueue_babelstream`) that verification and the
+tuning probe both enqueue, and the functional run of the device kernels on
+a reduced vector, checked against the scalar-replay verification of the
+original benchmark.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from ...backends import get_backend
 from ...core.device import DeviceContext
@@ -31,7 +35,8 @@ from .kernels import (
 )
 from .reference import BabelStreamArrays, verify_arrays, verify_dot
 
-__all__ = ["babelstream_op_config", "run_babelstream_functional"]
+__all__ = ["babelstream_op_config", "enqueue_babelstream",
+           "run_babelstream_functional"]
 
 #: default vector size from the paper: 2^25 elements
 DEFAULT_SIZE = 2 ** 25
@@ -59,94 +64,93 @@ def babelstream_op_config(op: str, *, n: int, precision: str, tb_size: int,
     return model, launch
 
 
-def run_babelstream_functional(
-    *,
-    n: int = 4096,
-    precision: str = "float64",
-    gpu: str = "h100",
-    tb_size: int = 64,
-    num_iterations: int = 2,
-    dot_blocks: int = 4,
-    executor: str = "auto",
-    streams: int = 1,
-    pipeline_sink: Optional[dict] = None,
-) -> Dict[str, float]:
-    """Run the five device kernels through the functional simulator.
+def enqueue_babelstream(ctx: DeviceContext, *, n: int, precision: str,
+                        tb_size: int, executor: str = "auto",
+                        streams: int = 1, iterations: int = 1,
+                        dot_blocks: int = 0,
+                        downloads: Tuple[str, ...] = ("a",),
+                        ) -> Dict[str, Optional[np.ndarray]]:
+    """Fill a/b/c, run *iterations* kernel sweeps, download on *ctx*.
 
-    Uses a reduced vector size (the numerics do not depend on ``n``) and
-    returns the verification errors.  Raises on any mismatch.  ``executor``
-    selects the simulator mode for all five launches (``"auto"`` lowers
-    Copy/Mul/Add/Triad to NumPy slicing and Dot to NumPy over a
-    (block, lane) axis; ``"vectorized"`` runs the lockstep interpreter).
-    ``streams > 1`` puts the initial memsets on their own streams and
-    event-orders the kernel stream behind them; the kernels themselves are
-    data-dependent on each other and stay FIFO on one stream, so the
-    numerics are identical for any stream count.  *pipeline_sink* receives
-    the context's :class:`~repro.core.device.PipelineTiming` under
-    ``"pipeline"`` when given.
+    Each sweep is Copy→Mul→Add→Triad over the shared a/b/c buffers, back
+    to back on one stream: the adjacency the graph compiler's fusion pass
+    targets.  With ``dot_blocks`` every sweep ends with Dot into that many
+    partial sums, downloaded as ``"dot_sums"`` after each sweep.
+    ``streams > 1`` puts the fills on their own lanes, event-ordered
+    before the kernel stream; the kernels depend on each other and stay
+    FIFO on one stream.  Returns ``{label: download}`` for *downloads*
+    (and ``"dot_sums"``): arrays on an eager context, None under
+    ``ctx.capture``.
     """
     dtype = dtype_from_any(precision)
-    ctx = DeviceContext(gpu)
     pool, compute = ctx.upload_pipeline(streams, prefix="init")
     lanes = itertools.cycle(pool)
-    a_buf = ctx.enqueue_create_buffer(dtype, n, label="a")
-    b_buf = ctx.enqueue_create_buffer(dtype, n, label="b")
-    c_buf = ctx.enqueue_create_buffer(dtype, n, label="c")
-    a_buf.fill(START_A, stream=next(lanes))
-    b_buf.fill(START_B, stream=next(lanes))
-    c_buf.fill(START_C, stream=next(lanes))
-    a, b, c = a_buf.tensor(), b_buf.tensor(), c_buf.tensor()
+    bufs = {}
+    for label, start in (("a", START_A), ("b", START_B), ("c", START_C)):
+        bufs[label] = ctx.enqueue_create_buffer(dtype, n, label=label)
+        bufs[label].fill(start, stream=next(lanes))
+    a, b, c = (buf.tensor() for buf in bufs.values())
     ctx.fan_in(pool, compute, prefix="init")
 
     launch = LaunchConfig.for_elements(n, tb_size)
-    dot_sums = ctx.enqueue_create_buffer(DType.float64, dot_blocks, label="dot_sums")
-    dot_launch = LaunchConfig.make(dot_blocks, tb_size)
-
-    def op_model(op, elements_per_thread=1.0):
-        return babelstream_kernel_model(op, n=n, precision=precision,
-                                        elements_per_thread=elements_per_thread,
-                                        tb_size=tb_size)
-
-    dot_value = 0.0
-    for _ in range(num_iterations):
-        ctx.enqueue_function(copy_kernel, a, c, n,
-                             grid_dim=launch.grid_dim, block_dim=launch.block_dim,
-                             mode=executor, model=op_model("copy"),
-                             stream=compute)
-        ctx.enqueue_function(mul_kernel, b, c, SCALAR, n,
-                             grid_dim=launch.grid_dim, block_dim=launch.block_dim,
-                             mode=executor, model=op_model("mul"),
-                             stream=compute)
-        ctx.enqueue_function(add_kernel, a, b, c, n,
-                             grid_dim=launch.grid_dim, block_dim=launch.block_dim,
-                             mode=executor, model=op_model("add"),
-                             stream=compute)
-        ctx.enqueue_function(triad_kernel, a, b, c, SCALAR, n,
-                             grid_dim=launch.grid_dim, block_dim=launch.block_dim,
-                             mode=executor, model=op_model("triad"),
-                             stream=compute)
-        dot_sums.fill(0.0, stream=compute)
-        dot_tensor = dot_sums.tensor()
+    sweep = (("copy", copy_kernel, (a, c, n)),
+             ("mul", mul_kernel, (b, c, SCALAR, n)),
+             ("add", add_kernel, (a, b, c, n)),
+             ("triad", triad_kernel, (a, b, c, SCALAR, n)))
+    out: Dict[str, Optional[np.ndarray]] = {}
+    if dot_blocks:
+        dot_sums = ctx.enqueue_create_buffer(DType.float64, dot_blocks,
+                                             label="dot_sums")
+        dot_launch = LaunchConfig.make(dot_blocks, tb_size)
         # Dot needs its barriers honoured: a "sequential" opt-out means
         # "scalar", which for a barrier kernel is the cooperative pool.
         dot_mode = "cooperative" if executor == "sequential" else executor
-        ctx.enqueue_function(dot_kernel, a, b, dot_tensor, n, tb_size,
-                             grid_dim=dot_launch.grid_dim,
-                             block_dim=dot_launch.block_dim, mode=dot_mode,
-                             model=op_model("dot", n / dot_launch.total_threads),
-                             stream=compute)
-        ctx.synchronize()
-        dot_value = float(dot_sums.copy_to_host(stream=compute).sum())
+    for _ in range(iterations):
+        for op, kern, args in sweep:
+            ctx.enqueue_function(
+                kern, *args, grid_dim=launch.grid_dim,
+                block_dim=launch.block_dim, mode=executor,
+                model=babelstream_kernel_model(op, n=n, precision=precision,
+                                               tb_size=tb_size),
+                stream=compute)
+        if dot_blocks:
+            dot_sums.fill(0.0, stream=compute)
+            ctx.enqueue_function(
+                dot_kernel, a, b, dot_sums.tensor(), n, tb_size,
+                grid_dim=dot_launch.grid_dim, block_dim=dot_launch.block_dim,
+                mode=dot_mode,
+                model=babelstream_kernel_model(
+                    "dot", n=n, precision=precision, tb_size=tb_size,
+                    elements_per_thread=n / dot_launch.total_threads),
+                stream=compute)
+            out["dot_sums"] = dot_sums.copy_to_host(stream=compute)
+    for label in downloads:
+        out[label] = bufs[label].copy_to_host(stream=compute)
+    return out
 
+
+def run_babelstream_functional(ctx: DeviceContext, *, n: int = 4096,
+                               precision: str = "float64", tb_size: int = 64,
+                               num_iterations: int = 2, dot_blocks: int = 4,
+                               executor: str = "auto", streams: int = 1,
+                               ) -> Dict[str, float]:
+    """Run :func:`enqueue_babelstream` with Dot on *ctx* and verify it.
+
+    Uses a reduced vector size (the numerics do not depend on ``n``) and
+    returns the verification errors.  Raises on any mismatch.  Numerics
+    are identical for any executor and stream count; *ctx*'s timeline
+    holds the modelled pipeline afterwards.
+    """
+    out = enqueue_babelstream(ctx, n=n, precision=precision, tb_size=tb_size,
+                              executor=executor, streams=streams,
+                              iterations=num_iterations,
+                              dot_blocks=dot_blocks,
+                              downloads=("a", "b", "c"))
+    ctx.synchronize()
     # Mirror the device state into the host reference container for the
     # standard scalar-replay verification.
     host = BabelStreamArrays(n, precision)
-    host.a = a_buf.copy_to_host(stream=compute)
-    host.b = b_buf.copy_to_host(stream=compute)
-    host.c = c_buf.copy_to_host(stream=compute)
-    if pipeline_sink is not None:
-        pipeline_sink["pipeline"] = ctx.pipeline_breakdown()
-    host.scalar = host.a.dtype.type(SCALAR)
+    host.a, host.b, host.c = out["a"], out["b"], out["c"]
     errors = verify_arrays(host, num_iterations)
-    errors["dot"] = verify_dot(dot_value, host)
+    errors["dot"] = verify_dot(float(out["dot_sums"].sum()), host)
     return errors

@@ -3,8 +3,8 @@
 Three execution paths with very different cost envelopes meet here:
 
 * functional verification (:func:`run_hartreefock_functional`) drives the
-  device kernel thread-by-thread through the simulator — use only for the
-  small ``verify_natoms`` systems;
+  device kernel through the simulator — use only for the small
+  ``verify_natoms`` systems;
 * the expected Fock matrix comes from the *batched* ERI reference
   (:func:`~repro.kernels.hartreefock.reference.fock_quadruple_reference`),
   which vectorises everything except the ``ngauss^4`` primitive loop and
@@ -16,7 +16,9 @@ Three execution paths with very different cost envelopes meet here:
 The benchmark itself is
 :meth:`repro.workloads.hartreefock.HartreeFockWorkload._run`; this module
 holds the setup it shares with the tuner (:func:`compute_schwarz`,
-:func:`surviving_quadruple_fraction`) and the functional verification path.
+:func:`surviving_quadruple_fraction`), the one device program
+(:func:`enqueue_hartreefock`) that verification and the lint capture both
+enqueue, and the functional verification path.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from .kernel import (
 )
 from .reference import fock_quadruple_reference, verify_fock
 
-__all__ = ["compute_schwarz", "run_hartreefock_functional",
-           "surviving_quadruple_fraction"]
+__all__ = ["compute_schwarz", "enqueue_hartreefock",
+           "run_hartreefock_functional", "surviving_quadruple_fraction"]
 
 #: block size used by the proxy's GPU ports
 DEFAULT_BLOCK_SIZE = 256
@@ -109,67 +111,69 @@ def surviving_quadruple_fraction(schwarz: np.ndarray,
     return surviving / total
 
 
-def run_hartreefock_functional(natoms: int = 4, ngauss: int = 3, *,
-                               gpu: str = "h100",
-                               block_size: int = 16,
-                               spacing: float = 2.5,
-                               schwarz_tol: float = 0.0,
-                               executor: str = "auto",
-                               streams: int = 1,
-                               pipeline_sink: Optional[dict] = None,
-                               ) -> Tuple[np.ndarray, float]:
-    """Run the device kernel functionally on a small system and verify it.
+def enqueue_hartreefock(ctx: DeviceContext, system: HeSystem,
+                        schwarz: np.ndarray, *, block_size: int = 16,
+                        schwarz_tol: float = 0.0, executor: str = "auto",
+                        streams: int = 1) -> Optional[np.ndarray]:
+    """Upload *system*, launch the ERI kernel and download the Fock matrix.
 
-    Returns ``(fock, max_rel_error)`` against the host quadruple reference.
-    ``schwarz_tol=0`` disables screening so every quadruple is exercised.
-    ``executor`` selects the simulator mode (``"auto"`` runs the kernel as
-    generated NumPy code, ``"vectorized"`` on the lockstep interpreter);
-    ``streams > 1`` spreads the six input uploads round-robin
-    over that many H2D streams with the kernel event-ordered behind them
-    (identical numerics, overlapped modelled pipeline).  *pipeline_sink*
-    receives the context's :class:`~repro.core.device.PipelineTiming` under
-    ``"pipeline"`` when given.
+    Returns the flat Fock download: an array on an eager context, None
+    under ``ctx.capture``.  The inputs are read-only tensors; only the
+    zero-initialised Fock matrix is written.  ``streams > 1`` spreads the
+    six uploads round-robin over that many H2D streams with the kernel
+    event-ordered behind them (identical numerics, overlapped modelled
+    pipeline).
     """
-    system = make_helium_system(natoms, ngauss, spacing=spacing)
-    schwarz = compute_schwarz(system)
-    nquads = system.nquads
-
-    ctx = DeviceContext(gpu)
-    n = system.natoms
+    n, ngauss = system.natoms, system.ngauss
     pool, compute = ctx.upload_pipeline(streams)
     lanes = itertools.cycle(pool)
 
-    def make_tensor(data, shape, label, dtype=DType.float64):
+    def upload(data, shape, label, mut=False):
         flat = np.asarray(data, dtype=np.float64).reshape(-1)
-        buf = ctx.enqueue_create_buffer(dtype, flat.size, label=label)
+        buf = ctx.enqueue_create_buffer(DType.float64, flat.size, label=label)
         buf.copy_from_host(flat, stream=next(lanes))
-        return buf, buf.tensor(Layout.row_major(*shape), bounds_check=False)
+        return buf.tensor(Layout.row_major(*shape), mut=mut, bounds_check=False)
 
-    _, schwarz_t = make_tensor(schwarz, (len(schwarz),), "schwarz")
-    _, xpnt_t = make_tensor(system.xpnt, (ngauss,), "xpnt")
-    _, coef_t = make_tensor(system.coef, (ngauss,), "coef")
-    _, geom_t = make_tensor(system.geometry, (n, 3), "geom")
-    _, dens_t = make_tensor(system.dens, (n, n), "dens")
-    fock_buf, fock_t = make_tensor(np.zeros((n, n)), (n, n), "fock")
+    schwarz_t = upload(schwarz, (len(schwarz),), "schwarz")
+    xpnt_t = upload(system.xpnt, (ngauss,), "xpnt")
+    coef_t = upload(system.coef, (ngauss,), "coef")
+    geom_t = upload(system.geometry, (n, 3), "geom")
+    dens_t = upload(system.dens, (n, n), "dens")
+    fock_t = upload(np.zeros((n, n)), (n, n), "fock", mut=True)
 
-    launch = LaunchConfig.for_elements(nquads, block_size)
+    launch = LaunchConfig.for_elements(system.nquads, block_size)
     ctx.fan_in(pool, compute, prefix="uploads")
     survivors = (surviving_quadruple_fraction(schwarz, schwarz_tol)
                  if schwarz_tol > 0 else 1.0)
     ctx.enqueue_function(
-        hartree_fock_kernel, ngauss, n, nquads, schwarz_t, schwarz_tol,
+        hartree_fock_kernel, ngauss, n, system.nquads, schwarz_t, schwarz_tol,
         xpnt_t, coef_t, geom_t, dens_t, fock_t,
         grid_dim=launch.grid_dim, block_dim=launch.block_dim, mode=executor,
         model=hartree_fock_kernel_model(natoms=n, ngauss=ngauss,
                                         surviving_fraction=survivors),
         stream=compute,
     )
-    ctx.synchronize()
+    return fock_t.device_buffer.copy_to_host(stream=compute)
 
-    fock = fock_buf.copy_to_host(stream=compute).reshape(n, n)
-    if pipeline_sink is not None:
-        pipeline_sink["pipeline"] = ctx.pipeline_breakdown()
+
+def run_hartreefock_functional(ctx: DeviceContext, natoms: int = 4,
+                               ngauss: int = 3, *, block_size: int = 16,
+                               spacing: float = 2.5, schwarz_tol: float = 0.0,
+                               executor: str = "auto", streams: int = 1,
+                               ) -> Tuple[np.ndarray, float]:
+    """Run :func:`enqueue_hartreefock` on *ctx* for a small system, verify it.
+
+    Returns ``(fock, max_rel_error)`` against the host quadruple reference.
+    ``schwarz_tol=0`` disables screening so every quadruple is exercised.
+    *ctx*'s timeline holds the modelled pipeline afterwards.
+    """
+    system = make_helium_system(natoms, ngauss, spacing=spacing)
+    schwarz = compute_schwarz(system)
+    fock = enqueue_hartreefock(ctx, system, schwarz, block_size=block_size,
+                               schwarz_tol=schwarz_tol, executor=executor,
+                               streams=streams)
+    ctx.synchronize()
+    fock = fock.reshape(system.natoms, system.natoms)
     expected = fock_quadruple_reference(system, schwarz_tol=schwarz_tol,
                                         schwarz=schwarz if schwarz_tol > 0 else None)
-    err = verify_fock(fock, expected)
-    return fock, err
+    return fock, verify_fock(fock, expected)

@@ -21,8 +21,9 @@ Layout of the exported trace:
 
 The two timebases are intentionally distinct — host tracks show where the
 process spent wall time, device tracks show where the *model* says the GPU
-would have spent it; the per-span ``modelled_ms``/``wall_ms`` pair in
-``args`` is the calibration signal.
+would have spent it.  The per-span ``modelled_ms``/``wall_ms`` pair in
+``args`` sits side by side and is never subtracted: the simulator's wall
+clock is not GPU time.
 
 The emitted object keeps the standard ``traceEvents`` key and adds a
 ``metrics`` key (a registry snapshot) — extra top-level keys are legal in
@@ -192,31 +193,17 @@ def write_chrome_trace(path: str, collector: TraceCollector, *,
 
 
 def modelled_vs_wall(collector: TraceCollector) -> List[Dict[str, Any]]:
-    """Per-span calibration rows: wall vs modelled duration and % error.
+    """Per-span rows of host wall time beside modelled device time.
 
-    Only spans that attributed a modelled duration appear; ``error_pct`` is
-    ``(wall - modelled) / modelled`` — positive when the host was slower
-    than the model predicted (host overhead), the signal ROADMAP item 4's
-    calibrated timing models will consume.
+    Only spans that attributed a nonzero modelled duration appear (an
+    empty drain models none).  The two are different quantities: the
+    simulator's wall clock is not GPU time, so they are reported side by
+    side and never subtracted.
     """
-    rows: List[Dict[str, Any]] = []
-    for span in collector.spans:
-        if span.modelled_ms is None or span.wall_ms is None:
-            continue
-        modelled = span.modelled_ms
-        if modelled <= 0:
-            # An empty drain (nothing pending) models zero time; there is
-            # no calibration signal in dividing by it.
-            continue
-        error_pct = (span.wall_ms - modelled) / modelled * 100.0
-        rows.append({
-            "span_id": span.span_id,
-            "name": span.name,
-            "wall_ms": span.wall_ms,
-            "modelled_ms": modelled,
-            "error_pct": error_pct,
-        })
-    return rows
+    return [{"span_id": span.span_id, "name": span.name,
+             "wall_ms": span.wall_ms, "modelled_ms": span.modelled_ms}
+            for span in collector.spans
+            if span.modelled_ms and span.wall_ms is not None]
 
 
 def observability_markdown(
@@ -254,17 +241,16 @@ def observability_markdown(
             total = len(rows)
             if total > 20:
                 # A full report traces hundreds of runs; show the spans
-                # where the timing model is furthest off.
-                rows = sorted(rows, key=lambda r: abs(r["error_pct"]),
+                # that took the most host time.
+                rows = sorted(rows, key=lambda r: r["wall_ms"],
                               reverse=True)[:20]
-                lines.append(f"Top 20 of {total} spans by |error|.")
+                lines.append(f"Top 20 of {total} spans by wall time.")
                 lines.append("")
-            lines.append("| span | wall (ms) | modelled (ms) | error |")
-            lines.append("|---|---:|---:|---:|")
+            lines.append("| span | wall (ms) | modelled (ms) |")
+            lines.append("|---|---:|---:|")
             for row in rows:
-                lines.append(
-                    f"| `{row['name']}` | {row['wall_ms']:.3f} | "
-                    f"{row['modelled_ms']:.3f} | {row['error_pct']:+.1f}% |")
+                lines.append(f"| `{row['name']}` | {row['wall_ms']:.3f} | "
+                             f"{row['modelled_ms']:.3f} |")
         else:
             lines.append("No spans carried a modelled duration.")
     return lines

@@ -6,7 +6,8 @@ half of that story: nested spans (``workload.run`` → ``tuning.resolve`` →
 ``resilience.attempt[n]`` → ``device.drain`` / ``graph.replay``) with ids,
 parents, and *two* durations each — the wall-clock time the host actually
 spent, and the modelled device time the analytic timing model predicted.
-The gap between the two is the calibration signal ROADMAP item 4 needs.
+They are different quantities and are reported side by side, never
+subtracted.
 
 Collection is **off by default** and follows the exact switch pattern of
 :class:`~repro.resilience.faults.FaultInjector`: the hot paths read one

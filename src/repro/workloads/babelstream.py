@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..backends import get_backend
+from ..core.device import DeviceContext
 from ..gpu.specs import get_gpu
 from ..kernels.babelstream.kernels import BABELSTREAM_OPS
 from ..kernels.babelstream.metrics import operation_bandwidth_gbs
@@ -12,6 +13,7 @@ from ..kernels.babelstream.reference import expected_values
 from ..kernels.babelstream.runner import (
     DEFAULT_SIZE,
     babelstream_op_config,
+    enqueue_babelstream,
     run_babelstream_functional,
 )
 from .base import (
@@ -67,70 +69,25 @@ class BabelStreamWorkload(Workload):
             tb_size=p["tb_size"], backend=request.backend, gpu=request.gpu)
 
     def tuning_probe(self, request: RunRequest):
-        """Capture the Copy→Mul→Add→Triad sweep on a reduced vector length.
+        """Capture one Copy→Mul→Add→Triad sweep on a reduced vector length.
 
-        The four streaming kernels run back-to-back on the same stream over
-        the shared a/b/c buffers — exactly the adjacency the graph
-        compiler's fusion pass targets, so an ``optimize``-carrying request
-        (or ``repro graph babelstream``) exercises real multi-kernel
-        fusion rather than a single-launch degenerate.
+        Four back-to-back kernels over shared buffers: an
+        ``optimize``-carrying request (or ``repro graph babelstream``)
+        exercises real multi-kernel fusion.
         """
-        from ..core.device import DeviceContext
-        from ..core.dtypes import dtype_from_any
-        from ..core.kernel import LaunchConfig
-        from ..kernels.babelstream.kernels import (
-            SCALAR,
-            START_A,
-            START_B,
-            START_C,
-            add_kernel,
-            babelstream_kernel_model,
-            copy_kernel,
-            mul_kernel,
-            triad_kernel,
-        )
-
         p = self.validate_params(request.params)
-        n = min(p["n"], self.TUNING_PROBE_N)
-        dtype = dtype_from_any(request.precision)
-        launch = LaunchConfig.for_elements(n, p["tb_size"])
         ctx = DeviceContext(request.gpu)
-        a_buf = ctx.enqueue_create_buffer(dtype, n, label="a")
-        b_buf = ctx.enqueue_create_buffer(dtype, n, label="b")
-        c_buf = ctx.enqueue_create_buffer(dtype, n, label="c")
-        a, b, c = a_buf.tensor(), b_buf.tensor(), c_buf.tensor()
-
-        def model(op):
-            return babelstream_kernel_model(op, n=n,
-                                            precision=request.precision,
-                                            tb_size=p["tb_size"])
-
-        sweep = (("copy", copy_kernel, (a, c, n)),
-                 ("mul", mul_kernel, (b, c, SCALAR, n)),
-                 ("add", add_kernel, (a, b, c, n)),
-                 ("triad", triad_kernel, (a, b, c, SCALAR, n)))
         with ctx.capture(f"tune-{self.name}") as graph:
-            a_buf.fill(START_A)
-            b_buf.fill(START_B)
-            c_buf.fill(START_C)
-            for op, kern, args in sweep:
-                ctx.enqueue_function(
-                    kern, *args,
-                    grid_dim=launch.grid_dim, block_dim=launch.block_dim,
-                    mode=request.executor, model=model(op),
-                )
-            a_buf.copy_to_host()
+            enqueue_babelstream(ctx, n=min(p["n"], self.TUNING_PROBE_N),
+                                precision=request.precision,
+                                tb_size=p["tb_size"],
+                                executor=request.executor)
         return self._maybe_optimize(graph, request)
 
     def reference(self, *, num_iterations: int = 2):
         """Scalar-replay expected values of a/b/c after *num_iterations*."""
         a, b, c = expected_values(num_iterations)
         return {"a": a, "b": b, "c": c}
-
-    def verify(self, *, precision: str = "float64", gpu: str = "h100") -> float:
-        """Functional run of all five device kernels; max relative error."""
-        errors = run_babelstream_functional(precision=precision, gpu=gpu)
-        return max(errors.values())
 
     def _run(self, request: RunRequest) -> WorkloadResult:
         """Verify on a reduced vector, then model each operation (Eq. 2).
@@ -143,14 +100,15 @@ class BabelStreamWorkload(Workload):
         n, precision = p["n"], request.precision
         spec = get_gpu(request.gpu)
         be = get_backend(request.backend)
-        sink: dict = {}
-        verification = NOT_VERIFIED
+        verification, pipeline = NOT_VERIFIED, {}
         if request.verify:
+            ctx = DeviceContext(spec)
             errors = run_babelstream_functional(
-                precision=precision, gpu=spec.name, executor=request.executor,
-                streams=request.streams, pipeline_sink=sink)
+                ctx, precision=precision, executor=request.executor,
+                streams=request.streams)
             verification = Verification(ran=True, passed=True,
                                         max_rel_error=max(errors.values()))
+            pipeline["verify_pipeline"] = ctx.pipeline_breakdown()
 
         metrics, timing, samples = {}, {}, {}
         rng = np.random.default_rng(p["seed"])
@@ -175,7 +133,7 @@ class BabelStreamWorkload(Workload):
             metrics=metrics,
             primary_metric=self.primary_metric,
             verification=verification,
-            timing=self._timing_with_pipeline(timing, sink),
+            timing={**timing, **pipeline},
             samples=samples,
             provenance=build_provenance(request, sampling=self.sampling),
         )

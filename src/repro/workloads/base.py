@@ -3,7 +3,7 @@
 The paper's portability story is that the *same* four science kernels run
 unchanged across GPUs and backends.  This module gives the reproduction the
 API to match: a :class:`Workload` base class (name, description, declared
-parameter schema, ``reference()``/``verify()``/``run()``), a frozen
+parameter schema, ``reference()``/``run()``), a frozen
 :class:`RunRequest` naming one configuration (workload, gpu, backend,
 precision, params, measurement protocol, fast-math), and a uniform
 :class:`WorkloadResult` (metrics dict, verification outcome, timing
@@ -174,8 +174,8 @@ class RunRequest:
     fast_math: bool = False
     verify: bool = True
     #: functional-simulator mode for verification launches (see
-    #: :data:`EXECUTOR_MODES`); ``"auto"`` keeps today's behaviour for
-    #: kernels that are not vector-safe and lockstep for the ones that are
+    #: :data:`EXECUTOR_MODES`); ``"auto"`` lowers each launch to NumPy code
+    #: first and falls back to lockstep, then scalar, execution
     executor: str = "auto"
     #: device streams the verification pipeline uses (``1``: everything on
     #: the default stream; more overlap the modelled H2D/compute/D2H lanes)
@@ -376,12 +376,13 @@ class Workload:
     """Base class every science workload adapter implements.
 
     Subclasses define ``name``, ``description``, ``params`` (a tuple of
-    :class:`ParamSpec`), the primary metric, and the three protocol methods:
+    :class:`ParamSpec`), the primary metric, and the two protocol methods:
 
     * :meth:`reference` — the host (NumPy) reference computation;
-    * :meth:`verify` — functional verification through the simulator,
-      returning the maximum relative error;
-    * :meth:`_run` — execute one validated :class:`RunRequest`.
+    * :meth:`_run` — execute one validated :class:`RunRequest`; with
+      ``request.verify`` it runs the kernel's device program
+      (``repro.kernels.<kernel>.runner``) on a fresh context and reports
+      that context's pipeline as the ``"verify_pipeline"`` timing entry.
     """
 
     name: str = ""
@@ -460,22 +461,6 @@ class Workload:
             "sampling": self.sampling,
             "params": [spec.describe() for spec in self.params],
         }
-
-    # ------------------------------------------------------------------ timing
-    @staticmethod
-    def _timing_with_pipeline(timing: Dict[str, object],
-                              sink: Mapping[str, object]) -> Dict[str, object]:
-        """Attach the verification pipeline breakdown captured in *sink*.
-
-        Adapters pass a ``pipeline_sink`` dict into their verifier; when
-        verification ran, it holds the device context's overlap-aware
-        :class:`~repro.core.device.PipelineTiming` under ``"pipeline"``,
-        exported uniformly as the ``"verify_pipeline"`` timing entry.
-        """
-        pipeline = sink.get("pipeline")
-        if pipeline is not None:
-            timing["verify_pipeline"] = pipeline
-        return timing
 
     # ----------------------------------------------------------------- tuning
     def tuning_space(self, request: RunRequest):
@@ -560,10 +545,6 @@ class Workload:
     # --------------------------------------------------------------- protocol
     def reference(self, **params):
         """Host reference computation (NumPy), for small problem sizes."""
-        raise NotImplementedError
-
-    def verify(self, **params) -> float:
-        """Functional verification; returns the max relative error."""
         raise NotImplementedError
 
     def _run(self, request: RunRequest) -> WorkloadResult:

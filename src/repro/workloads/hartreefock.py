@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from ..backends import get_backend
+from ..core.device import DeviceContext
 from ..gpu.specs import get_gpu
 from ..kernels.hartreefock.basis import make_helium_system
 from ..kernels.hartreefock.kernel import (
@@ -14,6 +15,7 @@ from ..kernels.hartreefock.runner import (
     APPROX_SCHWARZ_NATOMS,
     DEFAULT_BLOCK_SIZE,
     compute_schwarz,
+    enqueue_hartreefock,
     run_hartreefock_functional,
     surviving_quadruple_fraction,
 )
@@ -107,64 +109,17 @@ class HartreeFockWorkload(Workload):
                                                 p["block_size"])
 
     def lint_graph(self):
-        """Two-stream upload → fan-in → ERI kernel → D2H capture (tiny system).
+        """Two-stream capture of :func:`enqueue_hartreefock` (tiny system).
 
-        Mirrors
-        :func:`~repro.kernels.hartreefock.runner.run_hartreefock_functional`
-        with ``streams=2``: the six input uploads round-robin over two H2D
-        lanes with the kernel event-ordered behind all of them, so the race
-        detector checks the workload's real fan-in structure.
+        The six input uploads round-robin over two H2D lanes with the
+        kernel event-ordered behind all of them, so the race detector
+        checks the workload's real fan-in structure.
         """
-        import itertools
-
-        import numpy as np
-
-        from ..core.device import DeviceContext
-        from ..core.dtypes import DType
-        from ..core.kernel import LaunchConfig
-        from ..core.layout import Layout
-        from ..kernels.hartreefock.basis import make_helium_system
-        from ..kernels.hartreefock.kernel import (
-            hartree_fock_kernel,
-            hartree_fock_kernel_model,
-        )
-        from ..kernels.hartreefock.runner import compute_schwarz
-
-        natoms, ngauss = 2, 3
-        system = make_helium_system(natoms, ngauss, spacing=2.5)
-        schwarz = compute_schwarz(system)
-        n = system.natoms
+        system = make_helium_system(2, 3, spacing=2.5)
         ctx = DeviceContext("h100")
-        pool, compute = ctx.upload_pipeline(2)
-        lanes = itertools.cycle(pool)
-
-        def upload(data, shape, label, mut=False):
-            flat = np.asarray(data, dtype=np.float64).reshape(-1)
-            buf = ctx.enqueue_create_buffer(DType.float64, flat.size,
-                                            label=label)
-            buf.copy_from_host(flat, stream=next(lanes))
-            return buf, buf.tensor(Layout.row_major(*shape), mut=mut,
-                                   bounds_check=False)
-
-        launch = LaunchConfig.for_elements(system.nquads, 16)
         with ctx.capture(f"lint-{self.name}") as graph:
-            _, schwarz_t = upload(schwarz, (len(schwarz),), "schwarz")
-            _, xpnt_t = upload(system.xpnt, (ngauss,), "xpnt")
-            _, coef_t = upload(system.coef, (ngauss,), "coef")
-            _, geom_t = upload(system.geometry, (n, 3), "geom")
-            _, dens_t = upload(system.dens, (n, n), "dens")
-            fock_buf, fock_t = upload(np.zeros((n, n)), (n, n), "fock",
-                                      mut=True)
-            ctx.fan_in(pool, compute, prefix="uploads")
-            ctx.enqueue_function(
-                hartree_fock_kernel, ngauss, n, system.nquads, schwarz_t,
-                0.0, xpnt_t, coef_t, geom_t, dens_t, fock_t,
-                grid_dim=launch.grid_dim, block_dim=launch.block_dim,
-                model=hartree_fock_kernel_model(natoms=n, ngauss=ngauss,
-                                                surviving_fraction=1.0),
-                stream=compute,
-            )
-            fock_buf.copy_to_host(stream=compute)
+            enqueue_hartreefock(ctx, system, compute_schwarz(system),
+                                streams=2)
         return graph
 
     def reference(self, *, natoms: int = 4, ngauss: int = 3,
@@ -172,12 +127,6 @@ class HartreeFockWorkload(Workload):
         """Batched-ERI reference Fock matrix for a small helium system."""
         system = make_helium_system(natoms, ngauss, spacing=spacing)
         return fock_quadruple_reference(system)
-
-    def verify(self, *, natoms: int = 4, ngauss: int = 3,
-               gpu: str = "h100") -> float:
-        """Device-kernel functional verification; max relative error."""
-        _, err = run_hartreefock_functional(natoms, ngauss, gpu=gpu)
-        return err
 
     def _run(self, request: RunRequest) -> WorkloadResult:
         """Verify a ``verify_natoms`` system, then model the requested one.
@@ -190,15 +139,15 @@ class HartreeFockWorkload(Workload):
         natoms, ngauss = p["natoms"], p["ngauss"]
         spec = get_gpu(request.gpu)
         be = get_backend(request.backend)
-        sink: dict = {}
-        verification = NOT_VERIFIED
+        verification, pipeline = NOT_VERIFIED, {}
         if request.verify:
+            ctx = DeviceContext(spec)
             _, err = run_hartreefock_functional(
-                p["verify_natoms"], ngauss, gpu=request.gpu,
-                executor=request.executor, streams=request.streams,
-                pipeline_sink=sink)
+                ctx, p["verify_natoms"], ngauss, executor=request.executor,
+                streams=request.streams)
             verification = Verification(ran=True, passed=True,
                                         max_rel_error=err)
+            pipeline["verify_pipeline"] = ctx.pipeline_breakdown()
 
         system, survivors = _screened_system(natoms, ngauss, p["spacing"],
                                              p["schwarz_tol"])
@@ -218,6 +167,6 @@ class HartreeFockWorkload(Workload):
             },
             primary_metric=self.primary_metric,
             verification=verification,
-            timing=self._timing_with_pipeline({"kernel": run.timing}, sink),
+            timing={"kernel": run.timing, **pipeline},
             provenance=build_provenance(request, sampling=self.sampling),
         )

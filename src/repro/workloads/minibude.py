@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from ..backends import get_backend
+from ..core.device import DeviceContext
 from ..gpu.specs import get_gpu
 from ..kernels.minibude.deck import (
     BM1_NATLIG,
@@ -15,6 +16,7 @@ from ..kernels.minibude.kernel import fasten_kernel_model
 from ..kernels.minibude.metrics import gflops
 from ..kernels.minibude.reference import reference_energies
 from ..kernels.minibude.runner import (
+    enqueue_fasten,
     minibude_launch_config,
     run_fasten_functional,
 )
@@ -85,59 +87,17 @@ class MiniBudeWorkload(Workload):
                                              p["wgsize"])
 
     def lint_graph(self):
-        """Two-stream upload → fan-in → fasten → D2H capture on a tiny deck.
+        """Two-stream capture of :func:`enqueue_fasten` on a tiny deck.
 
-        Mirrors :func:`~repro.kernels.minibude.runner.run_fasten_functional`
-        with ``streams=2``, so the race detector sees the workload's real
-        event-edge structure (every upload lane fanned into the compute
-        stream) rather than a single-stream degenerate.
+        The race detector sees the workload's real event-edge structure
+        (every upload lane fanned into the compute stream) rather than a
+        single-stream degenerate.
         """
-        import itertools
-
-        from ..core.device import DeviceContext
-        from ..core.dtypes import DType
-        from ..kernels.minibude.deck import make_deck
-        from ..kernels.minibude.kernel import fasten_kernel, fasten_kernel_model
-        from ..kernels.minibude.runner import minibude_launch_config
-
         deck = make_deck(natlig=4, natpro=8, ntypes=2, nposes=32, seed=2025,
                          name="lint")
-        ppwi, wgsize = 2, 8
-        launch = minibude_launch_config(deck.nposes, ppwi, wgsize)
         ctx = DeviceContext("h100")
-        pool, compute = ctx.upload_pipeline(2)
-        lanes = itertools.cycle(pool)
-
-        def upload(data, label):
-            buf = ctx.enqueue_create_buffer(DType.float32, data.size,
-                                            label=label)
-            buf.copy_from_host(data, stream=next(lanes))
-            return buf
-
         with ctx.capture(f"lint-{self.name}") as graph:
-            protein = upload(deck.protein_flat(), "protein")
-            ligand = upload(deck.ligand_flat(), "ligand")
-            forcefield = upload(deck.forcefield_flat(), "forcefield")
-            transforms = [upload(t, f"t{i}")
-                          for i, t in enumerate(deck.transforms())]
-            etot_buf = ctx.enqueue_create_buffer(DType.float32, deck.nposes,
-                                                 label="etotals")
-            ctx.fan_in(pool, compute, prefix="uploads")
-            ctx.enqueue_function(
-                fasten_kernel, ppwi, deck.natlig, deck.natpro,
-                protein.tensor(mut=False, bounds_check=False),
-                ligand.tensor(mut=False, bounds_check=False),
-                *[t.tensor(mut=False, bounds_check=False)
-                  for t in transforms],
-                etot_buf.tensor(bounds_check=False),
-                forcefield.tensor(mut=False, bounds_check=False),
-                deck.nposes,
-                grid_dim=launch.grid_dim, block_dim=launch.block_dim,
-                model=fasten_kernel_model(ppwi=ppwi, natlig=deck.natlig,
-                                          natpro=deck.natpro, wgsize=wgsize),
-                stream=compute,
-            )
-            etot_buf.copy_to_host(stream=compute)
+            enqueue_fasten(ctx, deck, streams=2)
         return graph
 
     def reference(self, *, natlig: int = 8, natpro: int = 32,
@@ -146,15 +106,6 @@ class MiniBudeWorkload(Workload):
         deck = make_deck(natlig=natlig, natpro=natpro, ntypes=4,
                          nposes=nposes, seed=seed, name="reference")
         return reference_energies(deck)
-
-    def verify(self, *, ppwi: int = 2, wgsize: int = 8,
-               verify_poses: int = 64, seed: int = 2025,
-               gpu: str = "h100") -> float:
-        """Device-kernel functional verification on a reduced deck."""
-        deck = make_deck(natlig=8, natpro=32, ntypes=4, nposes=verify_poses,
-                         seed=seed, name="verify")
-        _, err = run_fasten_functional(deck, ppwi=ppwi, wgsize=wgsize, gpu=gpu)
-        return err
 
     def _run(self, request: RunRequest) -> WorkloadResult:
         """Verify on a reduced deck, then model the bm1 shape (Eq. 3).
@@ -167,18 +118,18 @@ class MiniBudeWorkload(Workload):
         ppwi, wgsize, nposes = p["ppwi"], p["wgsize"], p["nposes"]
         spec = get_gpu(request.gpu)
         be = get_backend(request.backend)
-        sink: dict = {}
-        verification = NOT_VERIFIED
+        verification, pipeline = NOT_VERIFIED, {}
         if request.verify:
             small = make_deck(natlig=8, natpro=32, ntypes=BM1_NTYPES,
                               nposes=p["verify_poses"], seed=p["seed"],
                               name="verify")
+            ctx = DeviceContext(spec)
             _, err = run_fasten_functional(
-                small, ppwi=min(ppwi, 2), wgsize=min(wgsize, 8),
-                gpu=request.gpu, executor=request.executor,
-                streams=request.streams, pipeline_sink=sink)
+                ctx, small, ppwi=min(ppwi, 2), wgsize=min(wgsize, 8),
+                executor=request.executor, streams=request.streams)
             verification = Verification(ran=True, passed=True,
                                         max_rel_error=err)
+            pipeline["verify_pipeline"] = ctx.pipeline_breakdown()
 
         model = fasten_kernel_model(ppwi=ppwi, natlig=BM1_NATLIG,
                                     natpro=BM1_NATPRO, wgsize=wgsize)
@@ -195,6 +146,6 @@ class MiniBudeWorkload(Workload):
             },
             primary_metric=self.primary_metric,
             verification=verification,
-            timing=self._timing_with_pipeline({"kernel": run.timing}, sink),
+            timing={"kernel": run.timing, **pipeline},
             provenance=build_provenance(request, sampling=self.sampling),
         )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..backends import get_backend
+from ..core.device import DeviceContext
 from ..gpu.specs import get_gpu
 from ..kernels.stencil.kernel import stencil_kernel_model
 from ..kernels.stencil.metrics import effective_bandwidth_gbs
@@ -12,6 +13,7 @@ from ..kernels.stencil.problem import StencilProblem
 from ..kernels.stencil.reference import laplacian_reference
 from ..kernels.stencil.runner import (
     FUNCTIONAL_VERIFY_MAX_L,
+    enqueue_stencil,
     stencil_launch_config,
     verify_stencil_kernel,
 )
@@ -87,35 +89,13 @@ class StencilWorkload(Workload):
 
     def tuning_probe(self, request: RunRequest):
         """Capture the H2D → kernel → D2H pipeline on a reduced grid."""
-        from ..core.device import DeviceContext
-        from ..core.layout import Layout
-        from ..kernels.stencil.kernel import laplacian_kernel
-
         p = self.validate_params(request.params)
-        L = min(p["L"], self.TUNING_PROBE_L)
-        problem = StencilProblem(L, request.precision)
-        invhx2, invhy2, invhz2, invhxyz2 = problem.inverse_spacing_squared
-        u_host = problem.initial_field().reshape(-1)
-        layout = Layout.row_major(L, L, L)
-        launch = stencil_launch_config(L, p["block_shape"])
-
+        problem = StencilProblem(min(p["L"], self.TUNING_PROBE_L),
+                                 request.precision)
         ctx = DeviceContext(request.gpu)
-        u_buf = ctx.enqueue_create_buffer(problem.dtype, problem.num_cells,
-                                          label="u")
-        f_buf = ctx.enqueue_create_buffer(problem.dtype, problem.num_cells,
-                                          label="f")
-        u = u_buf.tensor(layout, mut=False, bounds_check=False)
-        f = f_buf.tensor(layout, mut=True, bounds_check=False)
         with ctx.capture(f"tune-{self.name}") as graph:
-            u_buf.copy_from_host(u_host)
-            ctx.enqueue_function(
-                laplacian_kernel, f, u, L, L, L,
-                invhx2, invhy2, invhz2, invhxyz2,
-                grid_dim=launch.grid_dim, block_dim=launch.block_dim,
-                mode=request.executor,
-                model=stencil_kernel_model(L=L, precision=request.precision),
-            )
-            f_buf.copy_to_host()
+            enqueue_stencil(ctx, problem, p["block_shape"],
+                            executor=request.executor, markers=False)
         return self._maybe_optimize(graph, request)
 
     def reference(self, *, L: int = 32, precision: str = "float64"):
@@ -123,12 +103,6 @@ class StencilWorkload(Workload):
         problem = StencilProblem(L, precision)
         u = problem.initial_field()
         return laplacian_reference(u, *problem.inverse_spacing_squared)
-
-    def verify(self, *, L: int = 18, precision: str = "float64",
-               gpu: str = "h100") -> float:
-        """Device-kernel functional verification; returns max relative error."""
-        return verify_stencil_kernel(min(L, FUNCTIONAL_VERIFY_MAX_L),
-                                     precision, gpu)
 
     def _run(self, request: RunRequest) -> WorkloadResult:
         """Verify on a reduced grid, then model the requested ``L`` (Eq. 1).
@@ -142,15 +116,15 @@ class StencilWorkload(Workload):
         L, precision = p["L"], request.precision
         spec = get_gpu(request.gpu)
         be = get_backend(request.backend)
-        sink: dict = {}
-        verification = NOT_VERIFIED
+        verification, pipeline = NOT_VERIFIED, {}
         if request.verify:
+            ctx = DeviceContext(spec)
             err = verify_stencil_kernel(
-                min(L, FUNCTIONAL_VERIFY_MAX_L), precision, request.gpu,
-                block_shape=(8, 4, 4), executor=request.executor,
-                streams=request.streams, pipeline_sink=sink)
+                ctx, min(L, FUNCTIONAL_VERIFY_MAX_L), precision,
+                executor=request.executor, streams=request.streams)
             verification = Verification(ran=True, passed=True,
                                         max_rel_error=err)
+            pipeline["verify_pipeline"] = ctx.pipeline_breakdown()
 
         run = be.time(stencil_kernel_model(L=L, precision=precision), spec,
                       stencil_launch_config(L, p["block_shape"]),
@@ -170,7 +144,7 @@ class StencilWorkload(Workload):
             },
             primary_metric=self.primary_metric,
             verification=verification,
-            timing=self._timing_with_pipeline({"kernel": run.timing}, sink),
+            timing={"kernel": run.timing, **pipeline},
             samples={"bandwidth_gbs": samples},
             provenance=build_provenance(request, sampling=self.sampling),
         )

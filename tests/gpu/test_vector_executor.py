@@ -394,14 +394,14 @@ class TestBabelStreamParity:
 
 
 class TestMiniBudeParity:
-    def test_three_mode_bit_and_counter_parity(self):
+    def test_three_mode_bit_and_counter_parity(self, ctx):
         from repro.kernels.minibude import make_deck
         from repro.kernels.minibude.runner import run_fasten_functional
 
         deck = make_deck(natlig=6, natpro=24, ntypes=4, nposes=32, seed=5)
         energies = {}
         for mode in ("sequential", "cooperative", "vectorized"):
-            e, err = run_fasten_functional(deck, ppwi=2, wgsize=8,
+            e, err = run_fasten_functional(ctx, deck, ppwi=2, wgsize=8,
                                            executor=mode)
             energies[mode] = e
             assert err < 2e-3

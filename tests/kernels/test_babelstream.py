@@ -85,19 +85,19 @@ class TestHostReference:
 
 
 class TestDeviceKernels:
-    def test_functional_run_verifies(self):
-        errors = run_babelstream_functional(n=256, tb_size=16, dot_blocks=2,
+    def test_functional_run_verifies(self, ctx):
+        errors = run_babelstream_functional(ctx, n=256, tb_size=16, dot_blocks=2,
                                             num_iterations=2)
         assert max(errors.values()) < 1e-10
 
-    def test_functional_run_float32(self):
-        errors = run_babelstream_functional(n=128, precision="float32",
+    def test_functional_run_float32(self, ctx):
+        errors = run_babelstream_functional(ctx, n=128, precision="float32",
                                             tb_size=16, dot_blocks=2)
         assert max(errors.values()) < 1e-5
 
-    def test_functional_run_on_amd(self):
-        errors = run_babelstream_functional(n=128, tb_size=16, dot_blocks=2,
-                                            gpu="mi300a")
+    def test_functional_run_on_amd(self, amd_ctx):
+        errors = run_babelstream_functional(amd_ctx, n=128, tb_size=16,
+                                            dot_blocks=2)
         assert max(errors.values()) < 1e-10
 
 

@@ -207,17 +207,18 @@ class TestFockBuild:
 
 
 class TestDeviceKernel:
-    def test_device_kernel_matches_host_reference(self):
-        fock, err = run_hartreefock_functional(4, 3)
+    def test_device_kernel_matches_host_reference(self, ctx):
+        fock, err = run_hartreefock_functional(ctx, 4, 3)
         assert err < 1e-10
         assert fock.shape == (4, 4)
 
-    def test_device_kernel_ngauss6(self):
-        fock, err = run_hartreefock_functional(3, 6)
+    def test_device_kernel_ngauss6(self, ctx):
+        fock, err = run_hartreefock_functional(ctx, 3, 6)
         assert err < 1e-10
 
-    def test_device_kernel_with_screening(self):
-        fock, err = run_hartreefock_functional(4, 3, schwarz_tol=SCHWARZ_TOLERANCE)
+    def test_device_kernel_with_screening(self, ctx):
+        fock, err = run_hartreefock_functional(ctx, 4, 3,
+                                               schwarz_tol=SCHWARZ_TOLERANCE)
         assert err < 1e-10
 
 

@@ -107,17 +107,17 @@ class TestEnergyMetric:
 
 
 class TestDeviceKernelVsReference:
-    def test_small_deck_matches_reference(self):
+    def test_small_deck_matches_reference(self, ctx):
         deck = make_deck(natlig=6, natpro=20, ntypes=8, nposes=32, seed=11)
-        energies, err = run_fasten_functional(deck, ppwi=2, wgsize=8)
+        energies, err = run_fasten_functional(ctx, deck, ppwi=2, wgsize=8)
         assert err < 2e-3
         assert energies.shape == (32,)
         assert np.any(energies != 0.0)
 
-    def test_ppwi_does_not_change_energies(self):
+    def test_ppwi_does_not_change_energies(self, ctx):
         deck = make_deck(natlig=4, natpro=12, ntypes=6, nposes=16, seed=5)
-        e1, _ = run_fasten_functional(deck, ppwi=1, wgsize=4)
-        e2, _ = run_fasten_functional(deck, ppwi=4, wgsize=4)
+        e1, _ = run_fasten_functional(ctx, deck, ppwi=1, wgsize=4)
+        e2, _ = run_fasten_functional(ctx, deck, ppwi=4, wgsize=4)
         np.testing.assert_allclose(e1, e2, rtol=1e-5)
 
     def test_reference_energies_deterministic(self):

@@ -110,16 +110,16 @@ class TestReference:
 
 
 class TestDeviceKernel:
-    def test_matches_reference_float64(self):
-        err = verify_stencil_kernel(L=10, precision="float64")
+    def test_matches_reference_float64(self, ctx):
+        err = verify_stencil_kernel(ctx, L=10, precision="float64")
         assert err < 1e-12
 
-    def test_matches_reference_float32(self):
-        err = verify_stencil_kernel(L=10, precision="float32")
+    def test_matches_reference_float32(self, ctx):
+        err = verify_stencil_kernel(ctx, L=10, precision="float32")
         assert err < 1e-5
 
-    def test_non_cubic_block_shape(self):
-        err = verify_stencil_kernel(L=12, block_shape=(4, 2, 2))
+    def test_non_cubic_block_shape(self, ctx):
+        err = verify_stencil_kernel(ctx, L=12, block_shape=(4, 2, 2))
         assert err < 1e-12
 
 

@@ -62,10 +62,10 @@ class TestListing1Workflow:
 class TestCrossWorkloadPortability:
     """The paper's headline claims, checked through the public API."""
 
-    def test_same_kernel_source_runs_on_both_vendors(self):
+    def test_same_kernel_source_runs_on_both_vendors(self, ctx, amd_ctx):
         from repro.kernels.stencil import verify_stencil_kernel
-        assert verify_stencil_kernel(L=10, gpu="h100") < 1e-12
-        assert verify_stencil_kernel(L=10, gpu="mi300a") < 1e-12
+        assert verify_stencil_kernel(ctx, L=10) < 1e-12
+        assert verify_stencil_kernel(amd_ctx, L=10) < 1e-12
 
     def test_memory_bound_parity_on_amd_gap_on_nvidia(self):
         from repro.workloads import get_workload

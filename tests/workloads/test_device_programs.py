@@ -19,7 +19,6 @@ purpose with
 from __future__ import annotations
 
 import json
-import math
 import sys
 from pathlib import Path
 
