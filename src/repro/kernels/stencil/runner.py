@@ -54,8 +54,8 @@ def enqueue_stencil(ctx: DeviceContext, problem: StencilProblem,
     layout = Layout.row_major(L, L, L)
     u_buf = ctx.enqueue_create_buffer(problem.dtype, problem.num_cells, label="u")
     f_buf = ctx.enqueue_create_buffer(problem.dtype, problem.num_cells, label="f")
-    h2d, compute, d2h = (ctx.stream(name) if streams > 1 else ctx.default_stream
-                         for name in ("h2d", "compute", "d2h"))
+    h2d, compute, d2h = (ctx.stream(s) if streams > 1 else ctx.default_stream
+                         for s in ("h2d", "compute", "d2h"))
     markers = markers or streams > 1
 
     u_buf.copy_from_host(problem.initial_field(), stream=h2d)

@@ -86,8 +86,8 @@ class TestHostReference:
 
 class TestDeviceKernels:
     def test_functional_run_verifies(self, ctx):
-        errors = run_babelstream_functional(ctx, n=256, tb_size=16, dot_blocks=2,
-                                            num_iterations=2)
+        errors = run_babelstream_functional(ctx, n=256, tb_size=16,
+                                            dot_blocks=2, num_iterations=2)
         assert max(errors.values()) < 1e-10
 
     def test_functional_run_float32(self, ctx):
