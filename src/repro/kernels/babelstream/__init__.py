@@ -1,11 +1,5 @@
 """BabelStream memory-bandwidth workload (Copy, Mul, Add, Triad, Dot)."""
 
-from .conjugate_gradient import (
-    CGResult,
-    conjugate_gradient,
-    estimate_cg_iteration_time,
-    poisson_operator,
-)
 from .kernels import (
     BABELSTREAM_OPS,
     SCALAR,
@@ -28,7 +22,6 @@ from .runner import (
 )
 
 __all__ = [
-    "CGResult", "conjugate_gradient", "estimate_cg_iteration_time", "poisson_operator",
     "BABELSTREAM_OPS", "SCALAR", "START_A", "START_B", "START_C",
     "add_kernel", "babelstream_kernel_model", "copy_kernel", "dot_kernel",
     "mul_kernel", "triad_kernel",

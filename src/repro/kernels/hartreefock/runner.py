@@ -33,6 +33,7 @@ from ...core.dtypes import DType
 from ...core.kernel import LaunchConfig
 from ...core.layout import Layout
 from ...core.memo import Memo
+from ..expected import expected_output
 from .basis import HeSystem, make_helium_system, triangular_pairs
 from .eri import pair_schwarz, schwarz_identical_basis
 from .kernel import (
@@ -42,7 +43,7 @@ from .kernel import (
 )
 from .reference import fock_quadruple_reference, verify_fock
 
-__all__ = ["compute_schwarz", "enqueue_hartreefock",
+__all__ = ["compute_schwarz", "enqueue_hartreefock", "expected_fock",
            "run_hartreefock_functional", "surviving_quadruple_fraction"]
 
 #: block size used by the proxy's GPU ports
@@ -111,6 +112,25 @@ def surviving_quadruple_fraction(schwarz: np.ndarray,
     return surviving / total
 
 
+def expected_fock(system: HeSystem,
+                  schwarz_tol: Optional[float] = None) -> np.ndarray:
+    """Host reference Fock matrix of *system*, read-only.
+
+    ``schwarz_tol=None`` accumulates every quadruple; a tolerance screens
+    with :func:`compute_schwarz` bounds.  Memoised on ``(system.key,
+    schwarz_tol)`` in the ``reference`` memo (:mod:`repro.kernels.expected`);
+    a hand-built system is computed fresh on every call.
+    """
+    def build():
+        if schwarz_tol is None:
+            return fock_quadruple_reference(system)
+        return fock_quadruple_reference(system, schwarz_tol=schwarz_tol,
+                                        schwarz=compute_schwarz(system))
+
+    key = None if system.key is None else (system.key, schwarz_tol)
+    return expected_output("hartreefock", key, build)
+
+
 def enqueue_hartreefock(ctx: DeviceContext, system: HeSystem,
                         schwarz: np.ndarray, *, block_size: int = 16,
                         schwarz_tol: float = 0.0, executor: str = "auto",
@@ -163,8 +183,9 @@ def run_hartreefock_functional(ctx: DeviceContext, natoms: int = 4,
                                ) -> Tuple[np.ndarray, float]:
     """Run :func:`enqueue_hartreefock` on *ctx* for a small system, verify it.
 
-    Returns ``(fock, max_rel_error)`` against the host quadruple reference.
-    ``schwarz_tol=0`` disables screening so every quadruple is exercised.
+    Returns ``(fock, max_rel_error)`` against the host quadruple reference
+    (:func:`expected_fock`).  ``schwarz_tol=0`` disables screening so every
+    quadruple is exercised.
     *ctx*'s timeline holds the modelled pipeline afterwards.
     """
     system = make_helium_system(natoms, ngauss, spacing=spacing)
@@ -174,6 +195,5 @@ def run_hartreefock_functional(ctx: DeviceContext, natoms: int = 4,
                                streams=streams)
     ctx.synchronize()
     fock = fock.reshape(system.natoms, system.natoms)
-    expected = fock_quadruple_reference(system, schwarz_tol=schwarz_tol,
-                                        schwarz=schwarz if schwarz_tol > 0 else None)
+    expected = expected_fock(system, schwarz_tol if schwarz_tol > 0 else None)
     return fock, verify_fock(fock, expected)

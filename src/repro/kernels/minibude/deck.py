@@ -15,7 +15,7 @@ inside the kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +49,10 @@ class Deck:
     poses:
         ``(6, nposes)`` float32 array of pose transforms: three rotation
         angles followed by three translations.
+    key:
+        ``(natlig, natpro, ntypes, nposes, seed)`` when built by
+        :func:`make_deck`, whose arrays are read-only; None for a
+        hand-built or :meth:`subset` deck.
     """
 
     protein: np.ndarray
@@ -56,6 +60,8 @@ class Deck:
     forcefield: np.ndarray
     poses: np.ndarray
     name: str = "synthetic"
+    key: Optional[tuple] = field(default=None, init=False, compare=False,
+                                 repr=False)
 
     def __post_init__(self):
         for label, arr, cols in (("protein", self.protein, 4),
@@ -121,7 +127,11 @@ class Deck:
 
 def make_deck(*, natlig: int, natpro: int, ntypes: int, nposes: int,
               seed: int = 2025, name: str = "synthetic") -> Deck:
-    """Generate a synthetic deck with the given dimensions."""
+    """Generate a synthetic deck with the given dimensions.
+
+    The deck's arrays are read-only and its :attr:`~Deck.key` records the
+    dimensions and seed that determine them (not *name*).
+    """
     if min(natlig, natpro, ntypes, nposes) <= 0:
         raise ConfigurationError("all deck dimensions must be positive")
     rng = np.random.default_rng(seed)
@@ -150,8 +160,12 @@ def make_deck(*, natlig: int, natpro: int, ntypes: int, nposes: int,
     trans = rng.uniform(-5.0, 5.0, size=(3, nposes))
     poses = np.concatenate([angles, trans], axis=0).astype(np.float32)
 
-    return Deck(protein=protein, ligand=ligand, forcefield=forcefield,
+    deck = Deck(protein=protein, ligand=ligand, forcefield=forcefield,
                 poses=poses, name=name)
+    for array in (protein, ligand, forcefield, poses):
+        array.flags.writeable = False
+    deck.key = (natlig, natpro, ntypes, nposes, seed)
+    return deck
 
 
 def make_bm1(nposes: int = BM1_NPOSES, *, seed: int = 2025) -> Deck:

@@ -101,15 +101,14 @@ def reference_energies(deck: Deck, *, pose_chunk: int = 256) -> np.ndarray:
     return energies.astype(np.float32)
 
 
-def verify_energies(computed: np.ndarray, deck: Deck, *, rtol: float = 2e-3,
-                    pose_chunk: int = 256) -> float:
-    """Compare computed pose energies against the reference.
+def verify_energies(computed: np.ndarray, expected: np.ndarray, *,
+                    rtol: float = 2e-3) -> float:
+    """Compare computed pose energies against the *expected* ones.
 
     Returns the maximum relative error; raises :class:`VerificationError`
     beyond *rtol* (float32 accumulation order differs between the per-thread
     kernel and the vectorised reference, hence the loose default tolerance).
     """
-    expected = reference_energies(deck, pose_chunk=pose_chunk)
     computed = np.asarray(computed, dtype=np.float32)
     if computed.shape != expected.shape:
         raise VerificationError(

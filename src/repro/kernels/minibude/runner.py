@@ -19,12 +19,13 @@ from ...core.dtypes import DType
 from ...core.errors import ConfigurationError
 from ...core.intrinsics import ceildiv
 from ...core.kernel import LaunchConfig
+from ..expected import expected_output
 from .deck import Deck
 from .kernel import fasten_kernel, fasten_kernel_model
-from .reference import verify_energies
+from .reference import reference_energies, verify_energies
 
-__all__ = ["enqueue_fasten", "run_fasten_functional", "minibude_launch_config",
-           "DEFAULT_PPWI_SWEEP", "DEFAULT_WGSIZES"]
+__all__ = ["enqueue_fasten", "expected_energies", "run_fasten_functional",
+           "minibude_launch_config", "DEFAULT_PPWI_SWEEP", "DEFAULT_WGSIZES"]
 
 #: PPWI sweep used in Figures 6-7
 DEFAULT_PPWI_SWEEP = (1, 2, 4, 8, 16, 32, 64, 128)
@@ -82,16 +83,27 @@ def enqueue_fasten(ctx: DeviceContext, deck: Deck, *, ppwi: int = 2,
     return etot_buf.copy_to_host(stream=compute)
 
 
+def expected_energies(deck: Deck) -> np.ndarray:
+    """Reference pose energies of *deck*, read-only.
+
+    Memoised on :attr:`Deck.key` in the ``reference`` memo
+    (:mod:`repro.kernels.expected`); a deck without a key is computed fresh
+    on every call.
+    """
+    return expected_output("minibude", deck.key,
+                           lambda: reference_energies(deck))
+
+
 def run_fasten_functional(ctx: DeviceContext, deck: Deck, *, ppwi: int = 2,
                           wgsize: int = 8, executor: str = "auto",
                           streams: int = 1) -> Tuple[np.ndarray, float]:
     """Run :func:`enqueue_fasten` on *ctx* and verify the energies.
 
     Returns ``(energies, max_rel_error)`` after verifying against the
-    vectorised reference.  Intended for reduced decks.  *ctx*'s timeline
-    holds the modelled pipeline afterwards.
+    vectorised reference (:func:`expected_energies`).  Intended for
+    reduced decks.  *ctx*'s timeline holds the modelled pipeline afterwards.
     """
     energies = enqueue_fasten(ctx, deck, ppwi=ppwi, wgsize=wgsize,
                               executor=executor, streams=streams)
     ctx.synchronize()
-    return energies, verify_energies(energies, deck)
+    return energies, verify_energies(energies, expected_energies(deck))

@@ -17,6 +17,8 @@ import numpy as np
 from ...core.dtypes import DType, dtype_from_any
 from ...core.errors import ConfigurationError
 from ...core.memo import Memo
+from ..expected import expected_output
+from .reference import laplacian_reference
 
 __all__ = ["StencilProblem", "FIELD_MEMO"]
 
@@ -80,6 +82,12 @@ class StencilProblem:
         invhxyz2 = -2.0 * (invhx2 + invhy2 + invhz2)
         return (invhx2, invhy2, invhz2, invhxyz2)
 
+    @property
+    def key(self) -> Tuple[int, float, str]:
+        """``(L, extent, dtype)``: what the initial field and the expected
+        Laplacian are memoised by."""
+        return (self.L, self.extent, self.dtype.name)
+
     # --------------------------------------------------------------- fields
     def initial_field(self) -> np.ndarray:
         """Quadratic input field ``u(x, y, z) = x^2 + y^2 + z^2``.
@@ -88,8 +96,19 @@ class StencilProblem:
         value for every interior cell.  Memoised (:data:`FIELD_MEMO`); the
         returned array is read-only.
         """
-        return FIELD_MEMO.get_or_compute(
-            (self.L, self.extent, self.dtype.name), self._build_field)
+        return FIELD_MEMO.get_or_compute(self.key, self._build_field)
+
+    def expected_laplacian(self) -> np.ndarray:
+        """Host reference Laplacian of :meth:`initial_field`.
+
+        Boundary cells are zero, as in the device kernel's output buffer.
+        Memoised by :attr:`key` in the ``reference`` memo
+        (:mod:`repro.kernels.expected`); the returned array is read-only.
+        """
+        return expected_output(
+            "stencil", self.key,
+            lambda: laplacian_reference(self.initial_field(),
+                                        *self.inverse_spacing_squared))
 
     def _build_field(self) -> np.ndarray:
         np_dtype = self.dtype.to_numpy()

@@ -33,22 +33,21 @@ def laplacian_reference(u: np.ndarray, invhx2: float, invhy2: float,
     return f
 
 
-def verify_laplacian(result: np.ndarray, u: np.ndarray, invhx2: float,
-                     invhy2: float, invhz2: float, invhxyz2: float,
-                     *, rtol: float = None) -> float:
-    """Check *result* against the reference; returns the max relative error.
+def verify_laplacian(result: np.ndarray, expected: np.ndarray, *,
+                     rtol: float = None) -> float:
+    """Check *result* against the *expected* Laplacian on interior cells.
 
-    Raises :class:`VerificationError` when the error exceeds *rtol*
-    (defaults to 1e-5 for float32 inputs, 1e-10 for float64).
+    Returns the max relative error.  Raises :class:`VerificationError`
+    when the error exceeds *rtol* (defaults to 1e-5 for float32, 1e-10 for
+    float64 expected values).
     """
-    expected = laplacian_reference(u, invhx2, invhy2, invhz2, invhxyz2)
     interior = (slice(1, -1),) * 3
     exp_i = expected[interior]
     res_i = np.asarray(result)[interior]
     scale = np.maximum(np.abs(exp_i), 1.0)
     err = float(np.max(np.abs(res_i - exp_i) / scale))
     if rtol is None:
-        rtol = 1e-5 if u.dtype == np.float32 else 1e-10
+        rtol = 1e-5 if expected.dtype == np.float32 else 1e-10
     if err > rtol:
         raise VerificationError(
             f"stencil verification failed: max relative error {err:.3e} > {rtol:.1e}",

@@ -81,7 +81,8 @@ def verify_stencil_kernel(ctx: DeviceContext, L: int = 18,
                           executor: str = "auto", streams: int = 1) -> float:
     """Run :func:`enqueue_stencil` on *ctx* for a small grid and verify it.
 
-    Returns the maximum relative error against the NumPy reference.
+    Returns the maximum relative error against the NumPy reference
+    (:meth:`StencilProblem.expected_laplacian`, memoised per grid).
     Numerics are identical for any executor and stream count; *ctx*'s
     timeline holds the modelled pipeline afterwards.
     """
@@ -89,5 +90,5 @@ def verify_stencil_kernel(ctx: DeviceContext, L: int = 18,
     f = enqueue_stencil(ctx, problem, block_shape, executor=executor,
                         streams=streams)
     ctx.synchronize()
-    return verify_laplacian(f.reshape(problem.shape), problem.initial_field(),
-                            *problem.inverse_spacing_squared)
+    return verify_laplacian(f.reshape(problem.shape),
+                            problem.expected_laplacian())

@@ -9,9 +9,10 @@ recovery strategy:
 * **across steps**: when a step keeps failing, the run degrades along a
   deterministic ladder — first ``tune="off"`` (a corrupt or infeasible
   tuning-database winner must never kill a run the default geometry can
-  serve), then executor fallback ``auto`` / ``lowered`` → ``vectorized →
-  cooperative → sequential`` (every mode is bit-identical to the others,
-  so a degraded result is still *the* result).
+  serve), then executor fallback ``auto → vectorized → cooperative →
+  sequential`` (``lowered`` is an alias of ``auto`` and falls back the
+  same way; every mode is bit-identical to the others, so a degraded
+  result is still *the* result).
 
 Every result produced here carries a structured
 ``provenance["resilience"]`` record: how many attempts ran, whether and

@@ -10,12 +10,12 @@ from ..kernels.hartreefock.kernel import (
     SCHWARZ_TOLERANCE,
     hartree_fock_kernel_model,
 )
-from ..kernels.hartreefock.reference import fock_quadruple_reference
 from ..kernels.hartreefock.runner import (
     APPROX_SCHWARZ_NATOMS,
     DEFAULT_BLOCK_SIZE,
     compute_schwarz,
     enqueue_hartreefock,
+    expected_fock,
     run_hartreefock_functional,
     surviving_quadruple_fraction,
 )
@@ -124,9 +124,10 @@ class HartreeFockWorkload(Workload):
 
     def reference(self, *, natoms: int = 4, ngauss: int = 3,
                   spacing: float = 2.5):
-        """Batched-ERI reference Fock matrix for a small helium system."""
-        system = make_helium_system(natoms, ngauss, spacing=spacing)
-        return fock_quadruple_reference(system)
+        """Batched-ERI reference Fock matrix for a small helium system
+        (unscreened, memoised, read-only)."""
+        return expected_fock(make_helium_system(natoms, ngauss,
+                                                spacing=spacing))
 
     def _run(self, request: RunRequest) -> WorkloadResult:
         """Verify a ``verify_natoms`` system, then model the requested one.

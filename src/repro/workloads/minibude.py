@@ -14,9 +14,9 @@ from ..kernels.minibude.deck import (
 )
 from ..kernels.minibude.kernel import fasten_kernel_model
 from ..kernels.minibude.metrics import gflops
-from ..kernels.minibude.reference import reference_energies
 from ..kernels.minibude.runner import (
     enqueue_fasten,
+    expected_energies,
     minibude_launch_config,
     run_fasten_functional,
 )
@@ -102,10 +102,11 @@ class MiniBudeWorkload(Workload):
 
     def reference(self, *, natlig: int = 8, natpro: int = 32,
                   nposes: int = 64, seed: int = 2025):
-        """Vectorised reference energies for a reduced random deck."""
+        """Vectorised reference energies for a reduced random deck
+        (memoised, read-only)."""
         deck = make_deck(natlig=natlig, natpro=natpro, ntypes=4,
                          nposes=nposes, seed=seed, name="reference")
-        return reference_energies(deck)
+        return expected_energies(deck)
 
     def _run(self, request: RunRequest) -> WorkloadResult:
         """Verify on a reduced deck, then model the bm1 shape (Eq. 3).

@@ -10,7 +10,6 @@ from ..gpu.specs import get_gpu
 from ..kernels.stencil.kernel import stencil_kernel_model
 from ..kernels.stencil.metrics import effective_bandwidth_gbs
 from ..kernels.stencil.problem import StencilProblem
-from ..kernels.stencil.reference import laplacian_reference
 from ..kernels.stencil.runner import (
     FUNCTIONAL_VERIFY_MAX_L,
     enqueue_stencil,
@@ -99,10 +98,9 @@ class StencilWorkload(Workload):
         return self._maybe_optimize(graph, request)
 
     def reference(self, *, L: int = 32, precision: str = "float64"):
-        """NumPy Laplacian of the standard initial field on an ``L^3`` grid."""
-        problem = StencilProblem(L, precision)
-        u = problem.initial_field()
-        return laplacian_reference(u, *problem.inverse_spacing_squared)
+        """NumPy Laplacian of the standard initial field on an ``L^3`` grid
+        (memoised, read-only)."""
+        return StencilProblem(L, precision).expected_laplacian()
 
     def _run(self, request: RunRequest) -> WorkloadResult:
         """Verify on a reduced grid, then model the requested ``L`` (Eq. 1).

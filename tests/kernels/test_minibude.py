@@ -127,10 +127,10 @@ class TestDeviceKernelVsReference:
 
     def test_verify_energies_detects_corruption(self):
         deck = make_deck(natlig=4, natpro=12, ntypes=6, nposes=16, seed=5)
-        energies = reference_energies(deck).copy()
+        energies = reference_energies(deck)
         energies[3] += 100.0
         with pytest.raises(Exception):
-            verify_energies(energies, deck)
+            verify_energies(energies, reference_energies(deck))
 
     def test_reference_chunking_invariance(self):
         deck = make_deck(natlig=4, natpro=12, ntypes=6, nposes=64, seed=5)
