@@ -1,9 +1,11 @@
-"""Golden snapshots of the quick-mode experiments that run through
-``Workload.run``: no modelled number may move when the run path changes.
+"""Golden snapshots of every quick-mode experiment and of the report:
+no modelled number may move when the run path changes.
 
 Each ``tests/golden/experiments/<id>.json`` is ``ExperimentResult.to_json()``
 of ``run_experiment(<id>, quick=True)``.  Strings, bools, ints and ``None``
-must match exactly; floats to at most 1e-12 relative.
+must match exactly; floats to at most 1e-12 relative.  The committed
+``EXPERIMENTS.md`` pins the rendered report: every section up to the
+tuned-Φ table must come out byte for byte.
 """
 
 import json
@@ -12,9 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import run_experiment
+from repro.cli import main
+from repro.experiments import list_experiments, run_experiment
 
-GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "experiments"
+ROOT = Path(__file__).resolve().parents[2]
+GOLDEN = ROOT / "tests" / "golden" / "experiments"
 
 #: relative tolerance for float leaves
 REL_TOL = 1e-12
@@ -44,8 +48,7 @@ def assert_matches(actual, expected, path="$"):
             f"{path}: {actual!r} != {expected!r}"
 
 
-@pytest.mark.parametrize("experiment",
-                         ["table3", "table4", "table5", "fig6", "fig7"])
+@pytest.mark.parametrize("experiment", list_experiments())
 def test_quick_run_matches_golden(experiment):
     expected = json.loads((GOLDEN / f"{experiment}.json").read_text())
     actual = json.loads(run_experiment(experiment, quick=True).to_json())
@@ -59,3 +62,14 @@ def test_float_nudge_is_caught():
     row["h100_mojo_ms"] *= 1 + 1e-9
     with pytest.raises(AssertionError, match="h100_mojo_ms"):
         assert_matches(actual, expected)
+
+
+def test_report_is_a_prefix_of_the_committed_document(capsys):
+    # Without the graph-compiler and observability sections (host wall
+    # times) the report is deterministic, and it is exactly the start of
+    # the committed document.
+    assert main(["report", "--no-graphopt", "--no-obs"]) == 0
+    out = capsys.readouterr().out
+    assert "## Tuned performance portability" in out
+    committed = (ROOT / "EXPERIMENTS.md").read_bytes()
+    assert committed.startswith(out.encode("utf-8"))
