@@ -72,6 +72,7 @@ not rebuild argparse.  A ``ReproError`` from any handler prints
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import sys
@@ -82,6 +83,7 @@ from .backends import get_backend, list_backends
 from .core.errors import ConfigurationError, ReproError
 from .core.memo import Memo
 from .experiments import EXPERIMENTS, list_experiments, run_experiment
+from .experiments.driver import result_scope
 from .gpu import get_gpu, list_gpus
 
 __all__ = ["main", "build_parser", "accepts_option", "COMMANDS", "Command"]
@@ -380,24 +382,33 @@ def _run_args(p) -> None:
                    help="emit markdown instead of plain text")
 
 
+def _experiment_ids(ids: List[str]) -> List[str]:
+    """Registry ids for *ids*: every experiment when empty or ``all`` is
+    given, otherwise each id matched case-insensitively.  Raises before
+    anything runs when an id is unknown."""
+    if not ids or any(i.lower() == "all" for i in ids):
+        return list_experiments()
+    unknown = [i for i in ids if i.lower() not in EXPERIMENTS]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown experiment(s) {unknown}; available: "
+            f"{', '.join(list_experiments())}")
+    return [i.lower() for i in ids]
+
+
 def _cmd_run(args) -> int:
-    ids = args.ids
-    wanted = list_experiments() if any(i.lower() == "all" for i in ids) else ids
     status = 0
-    for experiment_id in wanted:
-        options = {"quick": not args.full}
-        module = EXPERIMENTS.get(experiment_id.lower())
-        if module is None:
-            print(f"unknown experiment {experiment_id!r}; available: "
-                  f"{', '.join(list_experiments())}", file=sys.stderr)
-            return 2
-        if args.verify and accepts_option(module.run, "verify"):
-            options["verify"] = True
-        result = run_experiment(experiment_id, **options)
-        print(result.to_markdown() if args.markdown else result.to_text())
-        print()
-        if not result.all_passed:
-            status = 1
+    with result_scope():
+        for experiment_id in _experiment_ids(args.ids):
+            options = {"quick": not args.full}
+            if args.verify and accepts_option(EXPERIMENTS[experiment_id].run,
+                                              "verify"):
+                options["verify"] = True
+            result = run_experiment(experiment_id, **options)
+            print(result.to_markdown() if args.markdown else result.to_text())
+            print()
+            if not result.all_passed:
+                status = 1
     return status
 
 
@@ -464,8 +475,6 @@ def _resilient_runner(workload, retries: int, timeout_ms):
 
 def _inject_scope(plan_path):
     """Context manager installing a fault plan from a JSON file (or a no-op)."""
-    import contextlib
-
     if plan_path is None:
         return contextlib.nullcontext()
     from .resilience import FaultPlan, install_fault_plan
@@ -933,26 +942,18 @@ def _report_args(p) -> None:
 
 
 def _cmd_report(args) -> int:
-    ids, full, write = args.ids, args.full, args.write
-    if not ids or any(i.lower() == "all" for i in ids):
-        wanted = list_experiments()
-    else:
-        wanted = ids
-    unknown = [i for i in wanted if i.lower() not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment(s) {unknown}; available: "
-              f"{', '.join(list_experiments())}", file=sys.stderr)
-        return 2
+    full, write = args.full, args.write
+    wanted = _experiment_ids(args.ids)
     collector = None
+    tracing = contextlib.nullcontext()
     if not args.no_obs:
         from .obs import TraceCollector, install_trace_collector
 
         # Trace the experiment runs themselves so the observability
         # section can list per-span wall and modelled times.
         collector = TraceCollector()
-        with install_trace_collector(collector):
-            results = [run_experiment(i, quick=not full) for i in wanted]
-    else:
+        tracing = install_trace_collector(collector)
+    with tracing, result_scope():
         results = [run_experiment(i, quick=not full) for i in wanted]
 
     lines = [

@@ -1,16 +1,18 @@
 """One experiment module per table/figure of the paper's evaluation.
 
 Every module exposes ``run(**options) -> ExperimentResult`` plus module
-constants ``EXPERIMENT_ID`` and ``DESCRIPTION``.  The registry below maps the
-paper artifact identifiers to those runners for the CLI and the benchmark
-suite.
+constants ``EXPERIMENT_ID`` and ``DESCRIPTION``; it holds its axes and its
+paper checks, and :mod:`.driver` runs the points.  The registry below maps
+the paper artifact identifiers to those runners for the CLI and the
+benchmark suite.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import List
 
 from ..core.errors import ConfigurationError
+from ..harness.compare import verification_comparison
 from ..harness.results import ExperimentResult
 from . import (
     fig2_roofline,
@@ -24,8 +26,9 @@ from . import (
     table4_hartreefock,
     table5_portability,
 )
+from .driver import result_scope
 
-__all__ = ["EXPERIMENTS", "run_experiment", "list_experiments", "run_all"]
+__all__ = ["EXPERIMENTS", "run_experiment", "list_experiments"]
 
 #: experiment id -> module
 EXPERIMENTS = {
@@ -51,15 +54,19 @@ def list_experiments() -> List[str]:
 
 
 def run_experiment(experiment_id: str, **options) -> ExperimentResult:
-    """Run one experiment by id (e.g. ``"fig3"`` or ``"table4"``)."""
+    """Run one experiment by id (e.g. ``"fig3"`` or ``"table4"``).
+
+    Runs inside the caller's :func:`~.driver.result_scope`, or a fresh one.
+    When the experiment read verified results, its last check is that all
+    of them passed.
+    """
     key = experiment_id.lower()
     if key not in EXPERIMENTS:
         raise ConfigurationError(
             f"unknown experiment {experiment_id!r}; available: {list_experiments()}"
         )
-    return EXPERIMENTS[key].run(**options)
-
-
-def run_all(**options) -> Dict[str, ExperimentResult]:
-    """Run every experiment; returns a dict keyed by experiment id."""
-    return {key: module.run(**options) for key, module in EXPERIMENTS.items()}
+    with result_scope() as verified:
+        result = EXPERIMENTS[key].run(**options)
+    if verified:
+        result.add_comparison(verification_comparison(verified))
+    return result

@@ -33,26 +33,21 @@ EXPECTED_REGION = {
 }
 
 
-def _workload_runs(gpu: str = "h100"):
-    """(name, model, launch) triples for the four workloads on *gpu*."""
-    stencil_model = stencil_kernel_model(L=512, precision="float64")
-    stencil_launch = stencil_launch_config(512, (512, 1, 1))
-
-    triad_model = babelstream_kernel_model("triad", n=2 ** 25, precision="float64")
-    triad_launch = LaunchConfig.for_elements(2 ** 25, 1024)
-
-    bude_model = fasten_kernel_model(ppwi=2, natlig=26, natpro=938, wgsize=64)
-    bude_launch = minibude_launch_config(65536, 2, 64)
-
-    hf_model = hartree_fock_kernel_model(natoms=64, ngauss=3,
-                                         surviving_fraction=0.4)
-    hf_launch = LaunchConfig.for_elements(64 * 65 // 2 * (64 * 65 // 2 + 1) // 2, 256)
-
+def _workload_runs():
+    """(name, model, launch) of the four workloads at the Figure 2 sizes."""
+    hf_pairs = 64 * 65 // 2
     return [
-        ("seven_point_stencil", stencil_model, stencil_launch),
-        ("babelstream_triad", triad_model, triad_launch),
-        ("minibude_fasten", bude_model, bude_launch),
-        ("hartree_fock_eri", hf_model, hf_launch),
+        ("seven_point_stencil", stencil_kernel_model(L=512, precision="float64"),
+         stencil_launch_config(512, (512, 1, 1))),
+        ("babelstream_triad",
+         babelstream_kernel_model("triad", n=2 ** 25, precision="float64"),
+         LaunchConfig.for_elements(2 ** 25, 1024)),
+        ("minibude_fasten",
+         fasten_kernel_model(ppwi=2, natlig=26, natpro=938, wgsize=64),
+         minibude_launch_config(65536, 2, 64)),
+        ("hartree_fock_eri",
+         hartree_fock_kernel_model(natoms=64, ngauss=3, surviving_fraction=0.4),
+         LaunchConfig.for_elements(hf_pairs * (hf_pairs + 1) // 2, 256)),
     ]
 
 
@@ -68,10 +63,8 @@ def run(*, gpu: str = "h100", backend: str = "cuda", quick: bool = True) -> Expe
         title=f"Roofline points on {roofline.spec.full_name} ({be.display_name})",
     )
 
-    classifications = {}
-    for name, model, launch in _workload_runs(gpu):
-        fast_math = be.fast_math_available
-        run_ = be.time(model, gpu, launch, fast_math=fast_math)
+    for name, model, launch in _workload_runs():
+        run_ = be.time(model, gpu, launch, fast_math=be.fast_math_available)
         counters = collect_counters(run_)
         point = roofline.place(
             name,
@@ -81,7 +74,11 @@ def run(*, gpu: str = "h100", backend: str = "cuda", quick: bool = True) -> Expe
             precision=model.dtype.name,
         )
         region = classify_workload(point, roofline)
-        classifications[name] = region
+        expected = EXPECTED_REGION[name]
+        result.add_comparison(qualitative_comparison(
+            f"{name} is {expected}", region == expected,
+            detail=f"classified as {region}",
+        ))
         table.add_row(
             workload=name,
             precision=model.dtype.name,
@@ -92,23 +89,9 @@ def run(*, gpu: str = "h100", backend: str = "cuda", quick: bool = True) -> Expe
             region=region,
         )
     result.add_table(table)
-
-    for name, expected in EXPECTED_REGION.items():
-        result.add_comparison(qualitative_comparison(
-            f"{name} is {expected}",
-            classifications[name] == expected,
-            detail=f"classified as {classifications[name]}",
-        ))
     result.notes.append(FIGURE_EXPECTATIONS["fig2"])
     result.notes.append(
         f"ridge point at {roofline.ridge_point('float64'):.2f} FLOP/byte (FP64)"
     )
     return result
 
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

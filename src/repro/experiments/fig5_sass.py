@@ -57,10 +57,3 @@ def run(*, n: int = 2 ** 25, gpu: str = "h100", quick: bool = True) -> Experimen
     result.notes.append(FIGURE_EXPECTATIONS["fig5"])
     return result
 
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

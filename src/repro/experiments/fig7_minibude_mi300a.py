@@ -17,11 +17,3 @@ def run(*, quick: bool = True, verify: bool = False) -> ExperimentResult:
     """Regenerate Figure 7."""
     return _run_minibude_figure(quick=quick, verify=verify, gpu="mi300a",
                                 baseline="hip")
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(quick=False).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -9,61 +9,42 @@ Mojo/CUDA duration ratio matches the ~0.87 bandwidth efficiency.
 
 from __future__ import annotations
 
-from ..backends import get_backend
 from ..harness.compare import qualitative_comparison, ratio_comparison
 from ..harness.paper_data import TABLE2_STENCIL_NCU
 from ..harness.results import ExperimentResult, ResultTable
 from ..kernels.stencil import stencil_kernel_model, stencil_launch_config
-from ..profiling.ncu import NcuReport
+from .driver import ncu_table
 
 EXPERIMENT_ID = "table2"
 DESCRIPTION = "Seven-point stencil: Mojo vs CUDA ncu profiling metrics (H100)"
 
 #: the two profiled configurations of Table 2
-CONFIGS = (
-    {"precision": "float64", "L": 512, "block": (512, 1, 1)},
-    {"precision": "float32", "L": 1024, "block": (1024, 1, 1)},
-)
+CONFIGS = (("float64", 512, (512, 1, 1)), ("float32", 1024, (1024, 1, 1)))
 
 
 def run(*, gpu: str = "h100", quick: bool = True) -> ExperimentResult:
     """Regenerate Table 2."""
     result = ExperimentResult(EXPERIMENT_ID, DESCRIPTION)
-    report = NcuReport(title="Seven-Point Stencil Mojo vs CUDA NCU Profiling Metrics")
     table = ResultTable(
         columns=["precision", "L", "backend", "duration_ms", "compute_sm_pct",
                  "memory_pct", "l1_ai", "l2_ai", "dram_ai", "registers",
                  "ldg", "stg"],
         title="Simulated ncu metrics",
     )
-
-    runs = {}
-    for cfg in CONFIGS:
-        model = stencil_kernel_model(L=cfg["L"], precision=cfg["precision"])
-        launch = stencil_launch_config(cfg["L"], cfg["block"])
-        for backend in ("mojo", "cuda"):
-            run_ = get_backend(backend).time(model, gpu, launch)
-            label = f"{cfg['precision']}/{backend}"
-            counters = report.add_run(label, run_)
-            runs[(cfg["precision"], backend)] = counters
-            table.add_row(
-                precision=cfg["precision"], L=cfg["L"], backend=backend,
-                duration_ms=counters.duration_ms,
-                compute_sm_pct=counters.compute_throughput_pct,
-                memory_pct=counters.memory_throughput_pct,
-                l1_ai=counters.l1_arithmetic_intensity,
-                l2_ai=counters.l2_arithmetic_intensity,
-                dram_ai=counters.dram_arithmetic_intensity,
-                registers=counters.registers_per_thread,
-                ldg=counters.load_global_per_thread,
-                stg=counters.store_global_per_thread,
-            )
-    result.add_table(table)
-    result.extra_text.append(report.to_text())
+    runs = []
+    for precision, L, block in CONFIGS:
+        model = stencil_kernel_model(L=L, precision=precision)
+        launch = stencil_launch_config(L, block)
+        runs += [(f"{precision}/{backend}", backend, model, launch,
+                  {"precision": precision, "L": L})
+                 for backend in ("mojo", "cuda")]
+    counters = ncu_table(
+        result, table, "Seven-Point Stencil Mojo vs CUDA NCU Profiling Metrics",
+        gpu, runs)
 
     for precision in ("float64", "float32"):
-        mojo = runs[(precision, "mojo")]
-        cuda = runs[(precision, "cuda")]
+        mojo = counters[f"{precision}/mojo"]
+        cuda = counters[f"{precision}/cuda"]
         paper_mojo = TABLE2_STENCIL_NCU[(precision, "mojo")]
         paper_cuda = TABLE2_STENCIL_NCU[(precision, "cuda")]
 
@@ -102,11 +83,3 @@ def run(*, gpu: str = "h100", quick: bool = True) -> ExperimentResult:
              and mojo.store_global_per_thread == cuda.store_global_per_thread == 1),
         ))
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -9,13 +9,12 @@ registers.
 
 from __future__ import annotations
 
-from ..backends import get_backend
 from ..harness.compare import qualitative_comparison, ratio_comparison
 from ..harness.paper_data import TABLE3_BABELSTREAM_NCU
 from ..harness.results import ExperimentResult, ResultTable
 from ..kernels.babelstream import babelstream_op_config
-from ..profiling.ncu import NcuReport
 from ..workloads import get_workload
+from .driver import ncu_table
 
 EXPERIMENT_ID = "table3"
 DESCRIPTION = "BabelStream: Mojo vs CUDA ncu profiling metrics (H100)"
@@ -27,35 +26,24 @@ OPERATIONS = ("copy", "mul", "add", "dot")
 def run(*, gpu: str = "h100", n: int = 2 ** 25, quick: bool = True) -> ExperimentResult:
     """Regenerate Table 3."""
     result = ExperimentResult(EXPERIMENT_ID, DESCRIPTION)
-    report = NcuReport(title="BabelStream Mojo vs CUDA NCU Profiling Metrics")
     table = ResultTable(
         columns=["operation", "backend", "duration_ms", "compute_sm_pct",
                  "memory_pct", "registers", "ldg", "stg"],
         title=f"Simulated ncu metrics ({n} x float64)",
     )
-
-    counters = {}
     tb_size = get_workload("babelstream").default_params()["tb_size"]
-    for backend in ("mojo", "cuda"):
-        for op in OPERATIONS:
-            model, launch = babelstream_op_config(
-                op, n=n, precision="float64", tb_size=tb_size,
-                backend=backend, gpu=gpu)
-            run_ = get_backend(backend).time(model, gpu, launch)
-            c = report.add_run(f"{op}/{backend}", run_)
-            counters[(op, backend)] = c
-            table.add_row(operation=op, backend=backend,
-                          duration_ms=c.duration_ms,
-                          compute_sm_pct=c.compute_throughput_pct,
-                          memory_pct=c.memory_throughput_pct,
-                          registers=c.registers_per_thread,
-                          ldg=c.load_global_per_thread,
-                          stg=c.store_global_per_thread)
-    result.add_table(table)
-    result.extra_text.append(report.to_text())
+    runs = [(f"{op}/{backend}", backend,
+             *babelstream_op_config(op, n=n, precision="float64",
+                                    tb_size=tb_size, backend=backend,
+                                    gpu=gpu),
+             {"operation": op})
+            for backend in ("mojo", "cuda") for op in OPERATIONS]
+    counters = ncu_table(
+        result, table, "BabelStream Mojo vs CUDA NCU Profiling Metrics", gpu,
+        runs)
 
     for op in ("copy", "mul", "add"):
-        mojo, cuda = counters[(op, "mojo")], counters[(op, "cuda")]
+        mojo, cuda = counters[f"{op}/mojo"], counters[f"{op}/cuda"]
         paper_ratio = (TABLE3_BABELSTREAM_NCU[(op, "mojo")]["duration_ms"]
                        / TABLE3_BABELSTREAM_NCU[(op, "cuda")]["duration_ms"])
         result.add_comparison(ratio_comparison(
@@ -66,7 +54,7 @@ def run(*, gpu: str = "h100", n: int = 2 ** 25, quick: bool = True) -> Experimen
             f"{op}: Mojo is at least as fast as CUDA",
             mojo.duration_ms <= cuda.duration_ms * 1.005,
         ))
-    mojo_dot, cuda_dot = counters[("dot", "mojo")], counters[("dot", "cuda")]
+    mojo_dot, cuda_dot = counters["dot/mojo"], counters["dot/cuda"]
     result.add_comparison(qualitative_comparison(
         "dot: Mojo is slower than CUDA",
         mojo_dot.duration_ms > cuda_dot.duration_ms,
@@ -84,11 +72,3 @@ def run(*, gpu: str = "h100", n: int = 2 ** 25, quick: bool = True) -> Experimen
         rel_tol=0.20,
     ))
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run().to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -8,24 +8,17 @@ orders of magnitude on MI300A.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
-from ..harness.compare import (
-    qualitative_comparison,
-    ratio_comparison,
-    verification_comparison,
-)
+from ..harness.compare import qualitative_comparison, ratio_comparison
 from ..harness.paper_data import TABLE4_HARTREE_FOCK_MS, TEXT_RATIOS
 from ..harness.results import ExperimentResult, ResultTable
 from ..workloads import get_workload
+from .driver import PLATFORMS, run_pair
 
 EXPERIMENT_ID = "table4"
 DESCRIPTION = "Hartree-Fock kernel wall-clock times: Mojo vs CUDA and HIP"
 
 #: (natoms, ngauss) rows of Table 4, largest first as in the paper
 ROWS = ((1024, 6), (256, 3), (128, 3), (64, 3))
-#: columns of Table 4
-COLUMNS = (("h100", "mojo"), ("h100", "cuda"), ("mi300a", "mojo"), ("mi300a", "hip"))
 
 
 def run(*, quick: bool = True, verify: bool = False) -> ExperimentResult:
@@ -39,29 +32,22 @@ def run(*, quick: bool = True, verify: bool = False) -> ExperimentResult:
     )
 
     workload = get_workload("hartreefock")
-    measured: Dict[Tuple[int, int, str, str], float] = {}
-    verified = []
     for natoms, ngauss in rows:
-        request = workload.make_request(
-            params={"natoms": natoms, "ngauss": ngauss}, verify=False)
         values = {}
-        surviving = None
-        for gpu, backend in COLUMNS:
-            res = workload.run(request.replace(gpu=gpu, backend=backend,
-                                               verify=verify))
-            if verify:
-                verified.append(res)
-                verify = False  # only verify once per experiment
-            measured[(natoms, ngauss, gpu, backend)] = res.primary_value
-            values[f"{gpu}_{backend}_ms"] = res.primary_value
-            surviving = res.metrics["surviving_fraction"]
+        for gpu, baseline in PLATFORMS:
+            request = workload.make_request(
+                gpu=gpu, params={"natoms": natoms, "ngauss": ngauss},
+                verify=verify)
+            verify = False  # only verify once per experiment
+            mojo, base = run_pair(request, baseline)
+            values[f"{gpu}_mojo_ms"] = mojo.primary_value
+            values[f"{gpu}_{baseline}_ms"] = base.primary_value
         table.add_row(natoms=natoms, ngauss=ngauss,
-                      surviving_fraction=surviving, **values)
-    result.add_table(table)
+                      surviving_fraction=base.metrics["surviving_fraction"],
+                      **values)
 
-    # Shape checks per row.
-    for natoms, ngauss in rows:
-        key = lambda gpu, backend: measured[(natoms, ngauss, gpu, backend)]
+        # Shape checks per row.
+        key = lambda gpu, backend: values[f"{gpu}_{backend}_ms"]
         label = f"a={natoms} ngauss={ngauss}"
         if (natoms, ngauss) != (1024, 6):
             result.add_comparison(ratio_comparison(
@@ -80,31 +66,20 @@ def run(*, quick: bool = True, verify: bool = False) -> ExperimentResult:
             key("mi300a", "mojo") > 10.0 * key("mi300a", "hip"),
             detail=f"{key('mi300a', 'mojo'):,.0f} vs {key('mi300a', 'hip'):,.0f} ms",
         ))
-        paper_row = TABLE4_HARTREE_FOCK_MS.get((natoms, ngauss), {})
         # The paper itself reports "abnormal behaviour" for the 512/1024-atom
         # cases, so the largest row gets a wider absolute band.
         abs_tol = 4.0 if (natoms, ngauss) == (1024, 6) else 2.0
-        for gpu, backend in COLUMNS:
-            paper_value = paper_row.get((gpu, backend))
-            if paper_value is None:
-                continue
-            result.add_comparison(ratio_comparison(
-                f"{label}: {backend} on {gpu} duration (ms)",
-                key(gpu, backend), paper_value, rel_tol=abs_tol,
-                detail=f"absolute times are model-scale; ±{abs_tol:.0%} band",
-            ))
-    if verified:
-        result.add_comparison(verification_comparison(verified))
+        paper_row = TABLE4_HARTREE_FOCK_MS[(natoms, ngauss)]
+        for (gpu, backend), paper_value in paper_row.items():
+            if paper_value is not None:
+                result.add_comparison(ratio_comparison(
+                    f"{label}: {backend} on {gpu} duration (ms)",
+                    key(gpu, backend), paper_value, rel_tol=abs_tol,
+                    detail=f"absolute times are model-scale; ±{abs_tol:.0%} band",
+                ))
+    result.add_table(table)
     result.notes.append(
         "Surviving-quadruple fractions come from the synthetic helium lattice's "
         "Schwarz bounds; the paper's original decks are not redistributed."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(quick=False).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

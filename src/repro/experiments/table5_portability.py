@@ -13,123 +13,70 @@ from ..harness.compare import ratio_comparison
 from ..harness.paper_data import TABLE5_PHI
 from ..harness.results import ExperimentResult, ResultTable
 from ..kernels.babelstream import BABELSTREAM_OPS
-from ..metrics.portability import PortabilityResult, efficiency, portability_from_entries
+from ..metrics.portability import efficiency, portability_from_entries
 from ..workloads import get_workload
+from .driver import PLATFORMS, run_pair
+from .table4_hartreefock import ROWS as HARTREE_FOCK_ROWS
 
 EXPERIMENT_ID = "table5"
 DESCRIPTION = "Mojo performance portability metric (Eq. 4) across workloads"
 
-PLATFORMS = (("h100", "cuda"), ("mi300a", "hip"))
 
-
-def _runs(name: str, baseline: str, *, baseline_fast_math: bool = False,
-          **fields):
-    """The Mojo and vendor-baseline results of one configuration."""
-    workload = get_workload(name)
-    request = workload.make_request(backend="mojo", verify=False, **fields)
-    return workload.run(request), workload.run(request.replace(
-        backend=baseline, fast_math=baseline_fast_math))
-
-
-def _stencil_samples(quick: bool) -> List[Dict]:
-    samples = []
-    for gpu, baseline in PLATFORMS:
-        for precision in ("float32", "float64"):
-            mojo, base = _runs("stencil", baseline, gpu=gpu,
-                               precision=precision, params={"L": 512})
-            samples.append({
-                "configuration": "fp32" if precision == "float32" else "fp64",
-                "platform": gpu,
-                "efficiency": efficiency(mojo.primary_value, base.primary_value),
-            })
-    return samples
-
-
-def _babelstream_samples(quick: bool) -> List[Dict]:
-    samples = []
-    for gpu, baseline in PLATFORMS:
-        mojo, base = _runs("babelstream", baseline, gpu=gpu)
-        for op in BABELSTREAM_OPS:
-            samples.append({
-                "configuration": op,
-                "platform": gpu,
-                "efficiency": efficiency(mojo.metrics[f"{op}_gbs"],
-                                         base.metrics[f"{op}_gbs"]),
-            })
-    return samples
-
-
-def _minibude_samples(quick: bool) -> List[Dict]:
-    samples = []
-    configs = ((8, 8, "PPWI=8 wg=8"), (4, 64, "PPWI=4 wg=64"))
-    for gpu, baseline in PLATFORMS:
-        for ppwi, wg, label in configs:
-            mojo, base = _runs("minibude", baseline, baseline_fast_math=True,
-                               gpu=gpu, params={"ppwi": ppwi, "wgsize": wg})
-            samples.append({
-                "configuration": label,
-                "platform": gpu,
-                "efficiency": efficiency(mojo.primary_value, base.primary_value),
-            })
-    return samples
-
-
-def _hartreefock_samples(quick: bool) -> List[Dict]:
-    samples = []
-    rows = ((256, 3), (128, 3), (64, 3)) if quick else \
-           ((1024, 6), (256, 3), (128, 3), (64, 3))
-    for gpu, baseline in PLATFORMS:
-        for natoms, ngauss in rows:
-            mojo, base = _runs("hartreefock", baseline, gpu=gpu,
-                               params={"natoms": natoms, "ngauss": ngauss})
-            samples.append({
-                "configuration": f"a={natoms} ngauss={ngauss}",
-                "platform": gpu,
-                "efficiency": efficiency(mojo.primary_value, base.primary_value,
-                                         higher_is_better=False),
-            })
-    return samples
+def _configurations(quick: bool) -> List[tuple]:
+    """The sampled configurations, one per row: workload, request fields,
+    configuration label, compared metric, baseline fast-math, higher is
+    better."""
+    hartree_fock = HARTREE_FOCK_ROWS[1:] if quick else HARTREE_FOCK_ROWS
+    return [
+        *(("stencil", {"precision": f"float{bits}", "params": {"L": 512}},
+           f"fp{bits}", "bandwidth_gbs", False, True) for bits in (32, 64)),
+        *(("babelstream", {}, op, f"{op}_gbs", False, True)
+          for op in BABELSTREAM_OPS),
+        *(("minibude", {"params": {"ppwi": ppwi, "wgsize": wg}},
+           f"PPWI={ppwi} wg={wg}", "gflops", True, True)
+          for ppwi, wg in ((8, 8), (4, 64))),
+        *(("hartreefock", {"params": {"natoms": natoms, "ngauss": ngauss}},
+           f"a={natoms} ngauss={ngauss}", "kernel_time_ms", False, False)
+          for natoms, ngauss in hartree_fock),
+    ]
 
 
 def run(*, quick: bool = True) -> ExperimentResult:
     """Regenerate Table 5."""
     result = ExperimentResult(EXPERIMENT_ID, DESCRIPTION)
-    workloads = {
-        "stencil": _stencil_samples(quick),
-        "babelstream": _babelstream_samples(quick),
-        "minibude": _minibude_samples(quick),
-        "hartreefock": _hartreefock_samples(quick),
-    }
+    samples: Dict[str, List[Dict]] = {}
+    for gpu, baseline in PLATFORMS:
+        for name, fields, label, metric, fast_math, higher_is_better in \
+                _configurations(quick):
+            request = get_workload(name).make_request(
+                gpu=gpu, verify=False, **fields)
+            mojo, base = run_pair(request, baseline, fast_math=fast_math)
+            samples.setdefault(name, []).append({
+                "configuration": label,
+                "platform": gpu,
+                "efficiency": efficiency(mojo.metrics[metric],
+                                         base.metrics[metric],
+                                         higher_is_better=higher_is_better),
+            })
 
     table = ResultTable(
         columns=["workload", "configuration", "platform", "efficiency"],
         title="Mojo efficiency vs vendor baseline, and per-workload Φ",
     )
-    phis = {}
-    for name, samples in workloads.items():
-        portability: PortabilityResult = portability_from_entries(name, samples)
-        phis[name] = portability.phi
+    for name, entries in samples.items():
+        portability = portability_from_entries(name, entries)
         for row in portability.to_rows():
             table.add_row(**row)
-    result.add_table(table)
-
-    # The paper's Φ tolerances: the Hartree-Fock Φ mixes >1 and ~0 efficiencies
-    # (the paper itself calls it misleading), so it gets a wider band.
-    for name, phi in phis.items():
+        # The paper's Φ tolerances: the Hartree-Fock Φ mixes >1 and ~0
+        # efficiencies (the paper itself calls it misleading), so it gets a
+        # wider band.
         tol = 0.35 if name in ("minibude", "hartreefock") else 0.15
         result.add_comparison(ratio_comparison(
-            f"Φ({name})", phi, TABLE5_PHI[name], rel_tol=tol,
+            f"Φ({name})", portability.phi, TABLE5_PHI[name], rel_tol=tol,
         ))
+    result.add_table(table)
     result.notes.append(
         "Φ uses the arithmetic-mean 'application efficiency' definition of Eq. 4; "
         "the harmonic-mean variant is available via PortabilityResult.phi_harmonic."
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run(quick=False).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -25,7 +25,7 @@ from .paper_data import (
 )
 from .plotting import Series, bar_chart, line_chart, series_to_csv
 from .results import Comparison, ExperimentResult, ResultTable
-from .runner import BenchmarkRunner, Measurement, MeasurementProtocol
+from .runner import MeasurementProtocol
 from .sweep import Sweep, sweep
 
 __all__ = [
@@ -37,6 +37,6 @@ __all__ = [
     "TABLE5_PHI", "TEXT_RATIOS",
     "Series", "bar_chart", "line_chart", "series_to_csv",
     "Comparison", "ExperimentResult", "ResultTable",
-    "BenchmarkRunner", "Measurement", "MeasurementProtocol",
+    "MeasurementProtocol",
     "Sweep", "sweep",
 ]

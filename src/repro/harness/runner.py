@@ -1,41 +1,17 @@
-"""Benchmark execution protocol (warm-up, repeats, timing collection).
+"""Measurement protocol: warm-up runs discarded, repeats kept.
 
-The workload runners already model kernel durations; this module provides the
-measurement protocol around *host-side* execution used by the examples and
-the pytest benchmarks: run a callable with warm-up iterations discarded and
-repeated measurements summarised per the paper's methodology.
-
-What to measure with what
--------------------------
-Three execution substrates coexist in this repository, with very different
-performance envelopes; this runner only ever times the first two:
-
-* **Vectorized references** (``repro.kernels.*.reference``, e.g. the batched
-  ERI engine behind ``fock_quadruple_reference``) — NumPy-speed whole-problem
-  numerics.  The right choice for timing real host work at realistic sizes.
-* **Functional simulation** (:mod:`repro.gpu.executor`) — one Python call per
-  simulated GPU thread.  Only meaningful to *benchmark* as a guard on the
-  simulator's own overhead (see ``benchmarks/test_host_execution.py``); keep
-  grids small (≤ ~10^5 threads).
-* **The timing model** (:mod:`repro.gpu.timing`) — produces *predicted*
-  device durations analytically.  Never wall-clock it for paper numbers; its
-  host cost is bounded by the memoised compile pipeline
-  (:func:`repro.core.compiler.compile_kernel`).
-
-Regressions in these measured paths are guarded by ``benchmarks/baseline.json``
-via ``python -m repro bench-compare`` (see :mod:`repro.harness.benchcheck`).
+Every :class:`~repro.workloads.base.RunRequest` carries one; the sampled
+workloads (stencil, BabelStream) draw ``repeats`` seeded jitter samples
+around the modelled figure of merit.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
 
 from ..core.errors import ConfigurationError
-from ..metrics.statistics import RunStatistics, summarize
 
-__all__ = ["MeasurementProtocol", "Measurement", "BenchmarkRunner"]
+__all__ = ["MeasurementProtocol"]
 
 
 @dataclass(frozen=True)
@@ -51,69 +27,3 @@ class MeasurementProtocol:
                 "warmup must be >= 0 and repeats >= 1 "
                 f"(got warmup={self.warmup}, repeats={self.repeats})"
             )
-
-
-@dataclass
-class Measurement:
-    """Result of measuring one callable.
-
-    The derived statistics are computed once per measurement on first access
-    (the samples are fixed once the protocol finishes); appending further
-    samples by hand invalidates nothing, so do that before reading them.
-    """
-
-    name: str
-    samples_s: List[float] = field(default_factory=list)
-    result: object = None
-    _stats: Optional[RunStatistics] = field(default=None, init=False,
-                                            repr=False, compare=False)
-    _best_s: Optional[float] = field(default=None, init=False,
-                                     repr=False, compare=False)
-
-    @property
-    def statistics(self) -> RunStatistics:
-        if self._stats is None:
-            self._stats = summarize(self.samples_s)
-        return self._stats
-
-    @property
-    def best_s(self) -> float:
-        if self._best_s is None:
-            self._best_s = min(self.samples_s)
-        return self._best_s
-
-    @property
-    def mean_s(self) -> float:
-        return self.statistics.mean
-
-
-class BenchmarkRunner:
-    """Runs callables under a fixed measurement protocol."""
-
-    def __init__(self, protocol: Optional[MeasurementProtocol] = None):
-        self.protocol = protocol or MeasurementProtocol()
-        self.measurements: List[Measurement] = []
-
-    def measure(self, name: str, fn: Callable[[], object]) -> Measurement:
-        """Measure ``fn`` (its return value from the last repeat is kept)."""
-        proto = self.protocol
-        for _ in range(proto.warmup):
-            fn()
-        samples = []
-        result = None
-        for _ in range(proto.repeats):
-            start = time.perf_counter()
-            result = fn()
-            samples.append(time.perf_counter() - start)
-        measurement = Measurement(name=name, samples_s=samples, result=result)
-        self.measurements.append(measurement)
-        return measurement
-
-    def report(self) -> str:
-        """Plain-text summary of all measurements."""
-        lines = ["host-side measurements (seconds):"]
-        for m in self.measurements:
-            s = m.statistics
-            lines.append(f"  {m.name}: mean={s.mean:.4f} min={s.minimum:.4f} "
-                         f"max={s.maximum:.4f} (n={s.count})")
-        return "\n".join(lines)

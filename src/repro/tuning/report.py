@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..core.errors import ReproError
+from ..experiments.driver import PLATFORMS
 from ..harness.results import ResultTable
 from ..harness.runner import MeasurementProtocol
 from ..metrics.portability import arithmetic_mean_phi
@@ -27,9 +29,6 @@ from .db import TuningDB
 from .tuner import Tuner
 
 __all__ = ["TuningReportRow", "TuningReport", "tuning_report"]
-
-#: (gpu, vendor-baseline backend) pairs of the paper's evaluation
-PLATFORMS = (("h100", "cuda"), ("mi300a", "hip"))
 
 #: tuning-sensitive representative configuration per workload (sizes where
 #: launch choice matters and the analytic path stays fast)
@@ -121,11 +120,6 @@ class TuningReport:
         }
 
 
-def _measure_untuned(workload, request) -> float:
-    result = workload.run(request)
-    return float(result.metrics["kernel_time_ms"])
-
-
 def tuning_report(*, budget: int = 8, db: Optional[TuningDB] = None,
                   workloads: Optional[List[str]] = None) -> TuningReport:
     """Compute tuned and untuned Φ for the paper's workload/platform matrix."""
@@ -145,9 +139,12 @@ def tuning_report(*, budget: int = 8, db: Optional[TuningDB] = None,
                     gpu=gpu, backend=backend, params=dict(params),
                     verify=False,
                     protocol=MeasurementProtocol(warmup=0, repeats=1))
-                untuned[backend] = _measure_untuned(workload, request)
                 outcome = Tuner(workload, request, db=db, budget=budget,
                                 probe=False).search()
+                # the search's baseline is this very request, untuned
+                if not outcome.baseline.ok:
+                    raise ReproError(outcome.baseline.error)
+                untuned[backend] = outcome.baseline.measured_ms
                 tuned[backend] = (outcome.record.score_ms
                                   if outcome.record is not None
                                   else untuned[backend])

@@ -1,10 +1,9 @@
-"""Tests for sweeps, text plotting and the host-side benchmark runner."""
+"""Tests for sweeps, text plotting and the transcribed paper data."""
 
 import pytest
 
 from repro.core.errors import ConfigurationError
 from repro.harness.plotting import Series, bar_chart, line_chart, series_to_csv
-from repro.harness.runner import BenchmarkRunner, MeasurementProtocol
 from repro.harness.sweep import Sweep, sweep
 from repro.harness.paper_data import (
     TABLE2_STENCIL_NCU,
@@ -89,28 +88,6 @@ class TestPlotting:
         assert csv.splitlines()[1] == "1,2.0"
 
 
-class TestBenchmarkRunner:
-    def test_measure_collects_repeats(self):
-        runner = BenchmarkRunner(MeasurementProtocol(warmup=1, repeats=3))
-        calls = []
-        m = runner.measure("noop", lambda: calls.append(1) or 42)
-        assert len(calls) == 4               # 1 warmup + 3 repeats
-        assert len(m.samples_s) == 3
-        assert m.result == 42
-        assert m.best_s <= m.mean_s
-
-    def test_report_text(self):
-        runner = BenchmarkRunner(MeasurementProtocol(warmup=0, repeats=2))
-        runner.measure("thing", lambda: None)
-        assert "thing" in runner.report()
-
-    def test_invalid_protocol(self):
-        with pytest.raises(ConfigurationError):
-            MeasurementProtocol(warmup=-1)
-        with pytest.raises(ConfigurationError):
-            MeasurementProtocol(repeats=0)
-
-
 class TestPaperData:
     """Sanity checks on the transcribed paper values."""
 
@@ -193,12 +170,3 @@ class TestSweepCountAndWorkers:
 
         with pytest.raises(ZeroDivisionError):
             s.run(fn, workers=2)
-
-
-class TestMeasurementCaching:
-    def test_statistics_computed_once(self):
-        runner = BenchmarkRunner(MeasurementProtocol(warmup=0, repeats=3))
-        m = runner.measure("noop", lambda: None)
-        assert m.statistics is m.statistics     # same cached object
-        assert m.best_s == min(m.samples_s)
-        assert m.mean_s == pytest.approx(m.statistics.mean)

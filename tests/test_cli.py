@@ -54,6 +54,15 @@ class TestMain:
     def test_run_unknown_experiment(self, capsys):
         assert main(["run", "fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+        # a valid id before an unknown one runs nothing
+        assert main(["run", "FIG5", "bogus", "fig98"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "['bogus', 'fig98']" in err
+
+    def test_run_ids_match_case_insensitively(self, capsys):
+        assert main(["run", "FIG5"]) == 0
+        assert "fig5" in capsys.readouterr().out
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

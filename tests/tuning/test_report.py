@@ -4,8 +4,10 @@ import math
 
 import pytest
 
+from repro.core.errors import ReproError
 from repro.tuning.db import TuningDB
 from repro.tuning.report import PLATFORMS, tuning_report
+from repro.workloads.base import Workload
 
 
 @pytest.fixture(scope="module")
@@ -47,3 +49,13 @@ class TestTuningReport:
         payload = stencil_report.as_dict()
         assert payload["budget"] == 6
         assert {"untuned", "tuned"} == set(payload["phi"]["stencil"])
+
+
+def test_failed_untuned_run_raises(monkeypatch):
+    def broken(self, request):
+        raise ReproError("injected launch failure")
+
+    monkeypatch.setattr(Workload, "run", broken)
+    with pytest.raises(ReproError, match="injected launch failure"):
+        tuning_report(budget=2, workloads=["stencil"],
+                      db=TuningDB(disk_dir=None))

@@ -84,6 +84,12 @@ class TestRunRequest:
         assert payload["workload"] == "stencil"
         assert payload["protocol"] == {"warmup": 2, "repeats": 9}
 
+    def test_invalid_protocol(self):
+        with pytest.raises(ConfigurationError):
+            MeasurementProtocol(warmup=-1)
+        with pytest.raises(ConfigurationError):
+            MeasurementProtocol(repeats=0)
+
 
 class TestAdapters:
     @pytest.mark.parametrize("name", ["stencil", "babelstream", "minibude",
