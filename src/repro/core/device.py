@@ -55,6 +55,7 @@ amortises host-side launch overhead across sweep repeats.
 from __future__ import annotations
 
 import itertools
+import mmap
 import sys
 import weakref
 from dataclasses import dataclass, field
@@ -90,7 +91,10 @@ class DeviceBuffer:
         self._allocation: Allocation = ctx._tracker.allocate(
             self.count, self.dtype, label=self.label
         )
-        self.array = np.zeros(self.count, dtype=self.dtype.to_numpy())
+        np_dtype = self.dtype.to_numpy()
+        self.array = (np.zeros(self.count, dtype=np_dtype)
+                      if ctx._capture is None
+                      else _graph_array(np_dtype, self.count))
         self._freed = False
 
     # ------------------------------------------------------------ properties
@@ -118,11 +122,17 @@ class DeviceBuffer:
             raise DeviceError(
                 f"host array has {src.size} elements, buffer holds {self.count}"
             )
-        if not self.ctx.eager or self.ctx._capture is not None:
-            # Snapshot only when the write is deferred (lazy queue / graph
-            # capture): the caller may mutate their array before it runs.
-            # Eager copies execute immediately, so the extra O(n) host copy
-            # would be pure waste on the default path.
+        if self.ctx._capture is not None:
+            # A graph replays its captured upload source for as long as it
+            # lives: snapshot it into graph-owned memory.
+            snapshot = _graph_array(src.dtype, src.size)
+            snapshot[...] = src
+            src = snapshot
+        elif not self.ctx.eager:
+            # Snapshot only when the write is deferred: the caller may
+            # mutate their array before it runs.  Eager copies execute
+            # immediately, so the extra O(n) host copy would be pure waste
+            # on the default path.
             src = src.copy()
 
         def work() -> None:
@@ -468,6 +478,8 @@ class DeviceGraph:
         #: event into its constituent operations without re-simulating.
         self._trace_schedule: Dict[str, List[dict]] = {}
         self._makespan_ms = 0.0
+        self._serial_ms = 0.0
+        self._operations = 0
         self._kernels = 0
         self.replays = 0
         #: labels whose H2D upload was hoisted out of the replay loop by the
@@ -516,9 +528,31 @@ class DeviceGraph:
         return self._kernels
 
     @property
+    def nbytes(self) -> int:
+        """Bytes the graph holds: its live buffers plus the host sources
+        snapshotted at capture."""
+        return (sum(buf.nbytes for buf in self._buffers)
+                + sum(getattr(src, "nbytes", 0)
+                      for _, src in self._h2d_specs.values()))
+
+    @property
     def makespan_ms(self) -> float:
         """Cached critical-path duration of one replay."""
         return self._makespan_ms
+
+    @property
+    def pipeline(self) -> PipelineTiming:
+        """The :class:`PipelineTiming` of one replay, fixed at compile.
+
+        Equal to :meth:`DeviceContext.pipeline_breakdown` of a fresh eager
+        context that enqueued the captured sequence: per-lane busy time,
+        the makespan, the serial sum in capture order and the operation
+        count including event markers.
+        """
+        return PipelineTiming(elapsed_ms=self._makespan_ms,
+                              serial_ms=self._serial_ms,
+                              lanes=dict(self._lane_busy_ms),
+                              operations=self._operations)
 
     @property
     def input_labels(self) -> Tuple[str, ...]:
@@ -541,6 +575,8 @@ class DeviceGraph:
         busy: Dict[str, float] = {}
         buffers: Dict[int, DeviceBuffer] = {}
         streams: Dict[str, Stream] = {}
+        serial = 0.0
+        operations = 0
         ctx = self.ctx
         for op in self._ops:
             meta = op.meta or {}
@@ -549,6 +585,7 @@ class DeviceGraph:
                 # for inspection/provenance but contributes no replay step,
                 # no makespan time and no live-buffer requirement.
                 continue
+            operations += 1
             streams[op.stream.name] = op.stream
             for buf in op.buffers:
                 buffers[id(buf)] = buf
@@ -626,6 +663,7 @@ class DeviceGraph:
                      "start_ms": start, "duration_ms": duration})
             clocks[op.stream.name] = start + duration
             busy[op.stream.name] = busy.get(op.stream.name, 0.0) + duration
+            serial += duration
         self._steps = steps
         self._buffers = tuple(buffers.values())
         self._streams = tuple(streams.values()) or (ctx.default_stream,)
@@ -634,6 +672,8 @@ class DeviceGraph:
         self._lane_busy_ms = busy
         self._lane_end_ms = dict(clocks)
         self._makespan_ms = max(clocks.values(), default=0.0)
+        self._serial_ms = serial
+        self._operations = operations
         self._compiled = True
 
     # --------------------------------------------------------------- replay
@@ -706,15 +746,26 @@ class DeviceGraph:
             sources[label] = src
 
         outputs: Dict[str, np.ndarray] = {}
+        # Transfers reach the fault sites of the eager path, in its order;
+        # kernel thunks reach the launch sites themselves.
+        injector = _faults._ACTIVE
         for kind, payload in self._steps:
             if kind == "kernel":
                 payload()
             elif kind == "h2d":
                 buf, label, captured = payload
+                if injector is not None:
+                    injector.fail_transfer("h2d", label)
                 buf.array[...] = sources.get(label, captured)
+                if injector is not None:
+                    injector.corrupt_transfer("h2d", label, buf.array)
             elif kind == "d2h":
                 buf, = payload
-                outputs[buf.label] = buf.array.copy()
+                if injector is not None:
+                    injector.fail_transfer("d2h", buf.label)
+                out = outputs[buf.label] = buf.array.copy()
+                if injector is not None:
+                    injector.corrupt_transfer("d2h", buf.label, out)
             else:  # memset
                 buf, value = payload
                 buf.array[...] = value
@@ -1166,6 +1217,19 @@ class DeviceContext:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DeviceContext({self.spec.name}, eager={self.eager})"
+
+
+def _graph_array(dtype, count: int) -> np.ndarray:
+    """A zeroed array in an anonymous mapping of its own.
+
+    For memory a captured graph owns (its buffers and upload snapshots),
+    which lives across every replay.  Long-lived arrays inside the host
+    allocator's heap pin its top, so the transient arrays of each replay
+    are handed back to the OS and faulted in again on the next; a mapping
+    of their own keeps them out of the heap.
+    """
+    nbytes = max(int(count) * np.dtype(dtype).itemsize, 1)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype, count=count)
 
 
 def _referenced_buffers(args: Sequence) -> Tuple[DeviceBuffer, ...]:

@@ -7,7 +7,7 @@ key so the work is paid once:
 
 * **Bounded.**  Least-recently-used entries are evicted once the memo holds
   more than :data:`MAX_ENTRIES` entries or more than :data:`MAX_BYTES` bytes
-  of NumPy array data.  A single value larger than the byte bound is
+  of NumPy array data (or of a value's ``nbytes``).  A single value larger than the byte bound is
   returned but not stored.
 * **Read-only results.**  A stored ``ndarray``, or every ``ndarray`` field
   of a stored dataclass, is made read-only before the first caller sees
@@ -101,7 +101,9 @@ class DiskTier:
 def _freeze(value: Any) -> int:
     """Make *value* (an array) or its array fields (a dataclass) read-only.
 
-    Returns the bytes made read-only; any other value counts 0 bytes.
+    Returns the bytes made read-only.  Any other value counts its
+    ``nbytes`` attribute (a captured device graph's buffers, which replays
+    keep writing) or 0 bytes, and is left as it is.
     """
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
@@ -109,7 +111,7 @@ def _freeze(value: Any) -> int:
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         fields = (getattr(value, f.name) for f in dataclasses.fields(value))
         return sum(_freeze(v) for v in fields if isinstance(v, np.ndarray))
-    return 0
+    return int(getattr(value, "nbytes", 0))
 
 
 class Memo:

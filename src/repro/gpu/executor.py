@@ -269,6 +269,15 @@ def _resolve_mode(kern: Kernel, args: Sequence, launch: LaunchConfig,
     return mode, None
 
 
+def _enter_launch(name: str) -> None:
+    """The ``launch`` / ``latency`` fault sites every launch reaches first,
+    eager or replayed."""
+    injector = _faults._ACTIVE
+    if injector is not None:
+        injector.fail_launch("launch", name)
+        injector.inject_latency("latency", name)
+
+
 def _run_lowered(entry: Callable, name: str, args: Sequence):
     """Run a lowered entry behind the ``launch.lowered`` fault sites; returns
     its ``(barriers, atomics, shared bytes per block)``."""
@@ -318,10 +327,7 @@ class KernelExecutor:
         """
         if not isinstance(kern, Kernel):
             kern = Kernel(kern)
-        injector = _faults._ACTIVE
-        if injector is not None:
-            injector.fail_launch("launch", kern.name)
-            injector.inject_latency("latency", kern.name)
+        _enter_launch(kern.name)
         launch.validate()
         total = launch.total_threads
         if total > self.max_total_threads:
@@ -373,7 +379,9 @@ class KernelExecutor:
         resolution (including lowering) are paid once here, and the returned
         thunk only performs the kernel's functional work.  Used by
         :meth:`repro.core.device.DeviceGraph.replay` to amortise launch
-        overhead across repeats; the thunk reports no counters or timings.
+        overhead across repeats; the thunk reports no counters or timings,
+        and reaches the same fault sites, in the same order, as
+        :meth:`launch`.
         """
         if not isinstance(kern, Kernel):
             kern = Kernel(kern)
@@ -384,15 +392,16 @@ class KernelExecutor:
                 f"the simulator limit of {self.max_total_threads}"
             )
         mode, entry = _resolve_mode(kern, args, launch, mode)
+        name = kern.name
         if entry is not None:
-            name = kern.name
-
             def thunk() -> None:
+                _enter_launch(name)
                 _run_lowered(entry, name, args)
         elif mode == "vectorized":
             per_block = kernel_uses_barrier(kern)
 
             def thunk() -> None:
+                _enter_launch(name)
                 run_vectorized(kern, args, launch, ExecutionCounters(),
                                per_block=per_block)
         else:

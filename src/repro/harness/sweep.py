@@ -245,8 +245,8 @@ class Sweep:
 
         The coroutine counterpart of :meth:`run_workload`, built on the
         workloads' ``run_async`` thread façade: at most *workers* requests
-        execute concurrently (each on its own worker thread with its own
-        device context — no mutable state is shared), and the result list
+        execute concurrently (each on its own worker thread; replays of one
+        verification program are serialised), and the result list
         follows sweep order regardless of completion order
         (``asyncio.gather`` preserves argument order).  The resilience
         keywords (``checkpoint``/``resume``/``on_error``/``retry``/

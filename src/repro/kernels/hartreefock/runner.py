@@ -18,7 +18,7 @@ The benchmark itself is
 holds the setup it shares with the tuner (:func:`compute_schwarz`,
 :func:`surviving_quadruple_fraction`), the one device program
 (:func:`enqueue_hartreefock`) that verification and the lint capture both
-enqueue, and the functional verification path.
+enqueue, and the comparison every verification of it shares.
 """
 
 from __future__ import annotations
@@ -44,10 +44,15 @@ from .kernel import (
 from .reference import fock_quadruple_reference, verify_fock
 
 __all__ = ["compute_schwarz", "enqueue_hartreefock", "expected_fock",
-           "run_hartreefock_functional", "surviving_quadruple_fraction"]
+           "fock_error", "run_hartreefock_functional",
+           "surviving_quadruple_fraction"]
 
 #: block size used by the proxy's GPU ports
 DEFAULT_BLOCK_SIZE = 256
+
+#: block size and atom spacing of the verification run
+VERIFY_BLOCK_SIZE = 16
+VERIFY_SPACING = 2.5
 
 #: systems at or above this size use the distance-interpolated Schwarz bounds
 #: when counting surviving quadruples for the timing model
@@ -176,24 +181,31 @@ def enqueue_hartreefock(ctx: DeviceContext, system: HeSystem,
     return fock_t.device_buffer.copy_to_host(stream=compute)
 
 
+def fock_error(system: HeSystem, schwarz_tol: float,
+               fock: np.ndarray) -> Tuple[np.ndarray, float]:
+    """``(fock, max_rel_error)`` of a flat Fock download against
+    :func:`expected_fock` (unscreened when *schwarz_tol* is 0)."""
+    fock = fock.reshape(system.natoms, system.natoms)
+    expected = expected_fock(system, schwarz_tol if schwarz_tol > 0 else None)
+    return fock, verify_fock(fock, expected)
+
+
 def run_hartreefock_functional(ctx: DeviceContext, natoms: int = 4,
-                               ngauss: int = 3, *, block_size: int = 16,
-                               spacing: float = 2.5, schwarz_tol: float = 0.0,
+                               ngauss: int = 3, *,
+                               block_size: int = VERIFY_BLOCK_SIZE,
+                               spacing: float = VERIFY_SPACING,
+                               schwarz_tol: float = 0.0,
                                executor: str = "auto", streams: int = 1,
                                ) -> Tuple[np.ndarray, float]:
     """Run :func:`enqueue_hartreefock` on *ctx* for a small system, verify it.
 
-    Returns ``(fock, max_rel_error)`` against the host quadruple reference
-    (:func:`expected_fock`).  ``schwarz_tol=0`` disables screening so every
-    quadruple is exercised.
+    Returns ``(fock, max_rel_error)`` (:func:`fock_error`).
+    ``schwarz_tol=0`` disables screening so every quadruple is exercised.
     *ctx*'s timeline holds the modelled pipeline afterwards.
     """
     system = make_helium_system(natoms, ngauss, spacing=spacing)
-    schwarz = compute_schwarz(system)
-    fock = enqueue_hartreefock(ctx, system, schwarz, block_size=block_size,
-                               schwarz_tol=schwarz_tol, executor=executor,
-                               streams=streams)
+    fock = enqueue_hartreefock(ctx, system, compute_schwarz(system),
+                               block_size=block_size, schwarz_tol=schwarz_tol,
+                               executor=executor, streams=streams)
     ctx.synchronize()
-    fock = fock.reshape(system.natoms, system.natoms)
-    expected = expected_fock(system, schwarz_tol if schwarz_tol > 0 else None)
-    return fock, verify_fock(fock, expected)
+    return fock_error(system, schwarz_tol, fock)

@@ -4,13 +4,13 @@ The benchmark itself (timing model, Eq. 3 GFLOP/s) is
 :meth:`repro.workloads.minibude.MiniBudeWorkload._run`.  This module holds
 the launch configuration it shares with the tuner, the one device program
 (:func:`enqueue_fasten`) that verification and the lint capture both
-enqueue, and the verification that runs it on a reduced deck.
+enqueue, and the comparison every verification of it shares.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from .deck import Deck
 from .kernel import fasten_kernel, fasten_kernel_model
 from .reference import reference_energies, verify_energies
 
-__all__ = ["enqueue_fasten", "expected_energies", "run_fasten_functional",
+__all__ = ["enqueue_fasten", "expected_energies", "fasten_error",
+           "fasten_inputs", "run_fasten_functional",
            "minibude_launch_config", "DEFAULT_PPWI_SWEEP", "DEFAULT_WGSIZES"]
 
 #: PPWI sweep used in Figures 6-7
@@ -42,6 +43,15 @@ def minibude_launch_config(nposes: int, ppwi: int, wgsize: int) -> LaunchConfig:
     threads = nposes // ppwi
     blocks = ceildiv(threads, wgsize)
     return LaunchConfig.make(blocks, wgsize)
+
+
+def fasten_inputs(deck: Deck) -> Dict[str, np.ndarray]:
+    """The host sources :func:`enqueue_fasten` uploads, by buffer label
+    (``protein``, ``ligand``, ``forcefield``, ``t0`` ... ``t5``)."""
+    inputs = {"protein": deck.protein_flat(), "ligand": deck.ligand_flat(),
+              "forcefield": deck.forcefield_flat()}
+    inputs.update((f"t{i}", t) for i, t in enumerate(deck.transforms()))
+    return inputs
 
 
 def enqueue_fasten(ctx: DeviceContext, deck: Deck, *, ppwi: int = 2,
@@ -64,17 +74,16 @@ def enqueue_fasten(ctx: DeviceContext, deck: Deck, *, ppwi: int = 2,
         buf.copy_from_host(data, stream=next(lanes))
         return buf.tensor(mut=False, bounds_check=False)
 
-    protein = upload(deck.protein_flat(), "protein")
-    ligand = upload(deck.ligand_flat(), "ligand")
-    forcefield = upload(deck.forcefield_flat(), "forcefield")
-    transforms = [upload(t, f"t{i}") for i, t in enumerate(deck.transforms())]
+    inputs = {label: upload(data, label)
+              for label, data in fasten_inputs(deck).items()}
+    transforms = [inputs[f"t{i}"] for i in range(6)]
     etot_buf = ctx.enqueue_create_buffer(DType.float32, deck.nposes, label="etotals")
 
     ctx.fan_in(pool, compute, prefix="uploads")
     ctx.enqueue_function(
-        fasten_kernel, ppwi, deck.natlig, deck.natpro, protein, ligand,
-        *transforms, etot_buf.tensor(bounds_check=False), forcefield,
-        deck.nposes,
+        fasten_kernel, ppwi, deck.natlig, deck.natpro, inputs["protein"],
+        inputs["ligand"], *transforms, etot_buf.tensor(bounds_check=False),
+        inputs["forcefield"], deck.nposes,
         grid_dim=launch.grid_dim, block_dim=launch.block_dim, mode=executor,
         model=fasten_kernel_model(ppwi=ppwi, natlig=deck.natlig,
                                   natpro=deck.natpro, wgsize=wgsize),
@@ -94,16 +103,22 @@ def expected_energies(deck: Deck) -> np.ndarray:
                            lambda: reference_energies(deck))
 
 
+def fasten_error(deck: Deck, energies: np.ndarray) -> float:
+    """Max relative error of an energies download against
+    :func:`expected_energies`."""
+    return verify_energies(energies, expected_energies(deck))
+
+
 def run_fasten_functional(ctx: DeviceContext, deck: Deck, *, ppwi: int = 2,
                           wgsize: int = 8, executor: str = "auto",
                           streams: int = 1) -> Tuple[np.ndarray, float]:
     """Run :func:`enqueue_fasten` on *ctx* and verify the energies.
 
-    Returns ``(energies, max_rel_error)`` after verifying against the
-    vectorised reference (:func:`expected_energies`).  Intended for
-    reduced decks.  *ctx*'s timeline holds the modelled pipeline afterwards.
+    Returns ``(energies, max_rel_error)`` (:func:`fasten_error`).  Intended
+    for reduced decks.  *ctx*'s timeline holds the modelled pipeline
+    afterwards.
     """
     energies = enqueue_fasten(ctx, deck, ppwi=ppwi, wgsize=wgsize,
                               executor=executor, streams=streams)
     ctx.synchronize()
-    return energies, verify_energies(energies, expected_energies(deck))
+    return energies, fasten_error(deck, energies)

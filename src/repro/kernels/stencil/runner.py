@@ -4,7 +4,7 @@ The benchmark itself (timing model, Eq. 1 bandwidth, measurement samples)
 is :meth:`repro.workloads.stencil.StencilWorkload._run`.  This module holds
 the launch configuration it shares with the tuner, the one device program
 (:func:`enqueue_stencil`) that verification and the tuning probe both
-enqueue, and the verification that runs it on a reduced grid.
+enqueue, and the comparison every verification of it shares.
 """
 
 from __future__ import annotations
@@ -21,11 +21,14 @@ from .kernel import laplacian_kernel, stencil_kernel_model
 from .problem import StencilProblem
 from .reference import verify_laplacian
 
-__all__ = ["enqueue_stencil", "verify_stencil_kernel", "stencil_launch_config"]
+__all__ = ["enqueue_stencil", "stencil_error", "verify_stencil_kernel",
+           "stencil_launch_config"]
 
 #: problem sizes at or below this edge length are verified with the
 #: thread-level functional simulator (larger sizes use the NumPy reference)
 FUNCTIONAL_VERIFY_MAX_L = 34
+#: thread-block shape of the verification launch
+VERIFY_BLOCK_SHAPE = (8, 4, 4)
 
 
 def stencil_launch_config(L: int, block_shape: Tuple[int, int, int]) -> LaunchConfig:
@@ -75,20 +78,25 @@ def enqueue_stencil(ctx: DeviceContext, problem: StencilProblem,
     return f_buf.copy_to_host(stream=d2h)
 
 
+def stencil_error(problem: StencilProblem, f: np.ndarray) -> float:
+    """Max relative error of a flat ``f`` download against the reference
+    (:meth:`StencilProblem.expected_laplacian`, memoised per grid)."""
+    return verify_laplacian(f.reshape(problem.shape),
+                            problem.expected_laplacian())
+
+
 def verify_stencil_kernel(ctx: DeviceContext, L: int = 18,
                           precision: str = "float64",
-                          block_shape: Tuple[int, int, int] = (8, 4, 4),
+                          block_shape: Tuple[int, int, int] = VERIFY_BLOCK_SHAPE,
                           executor: str = "auto", streams: int = 1) -> float:
     """Run :func:`enqueue_stencil` on *ctx* for a small grid and verify it.
 
-    Returns the maximum relative error against the NumPy reference
-    (:meth:`StencilProblem.expected_laplacian`, memoised per grid).
-    Numerics are identical for any executor and stream count; *ctx*'s
-    timeline holds the modelled pipeline afterwards.
+    Returns the maximum relative error (:func:`stencil_error`).  Numerics
+    are identical for any executor and stream count; *ctx*'s timeline
+    holds the modelled pipeline afterwards.
     """
     problem = StencilProblem(L, precision)
     f = enqueue_stencil(ctx, problem, block_shape, executor=executor,
                         streams=streams)
     ctx.synchronize()
-    return verify_laplacian(f.reshape(problem.shape),
-                            problem.expected_laplacian())
+    return stencil_error(problem, f)

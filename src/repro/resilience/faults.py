@@ -18,11 +18,12 @@ Injection sites wired into the existing layers
 ``corrupt.h2d``     flip the first element of the device buffer after H2D
 ``corrupt.d2h``     flip the first element of the host destination after D2H
 ``launch``          raise :class:`LaunchError` at :meth:`KernelExecutor.launch`
+                    and at every graph-replay kernel step
 ``launch.vectorized`` raise :class:`LaunchError` inside ``run_vectorized``
-                    (covers graph-replay thunks, which bypass ``launch``)
 ``launch.lowered``  raise :class:`LaunchError` before a lowered entry runs,
                     in ``launch`` and in graph-replay thunks alike
 ``latency``         sleep ``latency_ms`` inside :meth:`KernelExecutor.launch`
+                    and at every graph-replay kernel step
 ``latency.vectorized`` sleep inside ``run_vectorized``
 ``latency.lowered`` sleep before a lowered entry runs
 ``diskstore.read``  make one JSON store read report a miss (torn read)

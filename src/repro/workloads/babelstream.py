@@ -12,9 +12,13 @@ from ..kernels.babelstream.metrics import operation_bandwidth_gbs
 from ..kernels.babelstream.reference import expected_values
 from ..kernels.babelstream.runner import (
     DEFAULT_SIZE,
+    VERIFY_DOT_BLOCKS,
+    VERIFY_ITERATIONS,
+    VERIFY_N,
+    VERIFY_TB_SIZE,
+    babelstream_errors,
     babelstream_op_config,
     enqueue_babelstream,
-    run_babelstream_functional,
 )
 from .base import (
     NOT_VERIFIED,
@@ -102,13 +106,18 @@ class BabelStreamWorkload(Workload):
         be = get_backend(request.backend)
         verification, pipeline = NOT_VERIFIED, {}
         if request.verify:
-            ctx = DeviceContext(spec)
-            errors = run_babelstream_functional(
-                ctx, precision=precision, executor=request.executor,
-                streams=request.streams)
+            out, pipeline["verify_pipeline"] = self._replay_verification(
+                request, (VERIFY_N, VERIFY_ITERATIONS),
+                (VERIFY_TB_SIZE, VERIFY_DOT_BLOCKS),
+                lambda ctx: enqueue_babelstream(
+                    ctx, n=VERIFY_N, precision=precision,
+                    tb_size=VERIFY_TB_SIZE, executor=request.executor,
+                    streams=request.streams, iterations=VERIFY_ITERATIONS,
+                    dot_blocks=VERIFY_DOT_BLOCKS, downloads=("a", "b", "c")))
+            errors = babelstream_errors(out, n=VERIFY_N, precision=precision,
+                                        num_iterations=VERIFY_ITERATIONS)
             verification = Verification(ran=True, passed=True,
                                         max_rel_error=max(errors.values()))
-            pipeline["verify_pipeline"] = ctx.pipeline_breakdown()
 
         metrics, timing, samples = {}, {}, {}
         rng = np.random.default_rng(p["seed"])

@@ -380,9 +380,10 @@ class Workload:
 
     * :meth:`reference` — the host (NumPy) reference computation;
     * :meth:`_run` — execute one validated :class:`RunRequest`; with
-      ``request.verify`` it runs the kernel's device program
-      (``repro.kernels.<kernel>.runner``) on a fresh context and reports
-      that context's pipeline as the ``"verify_pipeline"`` timing entry.
+      ``request.verify`` it replays the kernel's device program
+      (``repro.kernels.<kernel>.runner``), captured once per program key
+      (:meth:`_replay_verification`), and reports the program's pipeline
+      as the ``"verify_pipeline"`` timing entry.
     """
 
     name: str = ""
@@ -550,6 +551,29 @@ class Workload:
     def _run(self, request: RunRequest) -> WorkloadResult:
         raise NotImplementedError
 
+    def _replay_verification(self, request: RunRequest, problem_key,
+                             knobs: tuple, enqueue, **bindings):
+        """Replay *request*'s verification program; ``(downloads, pipeline)``.
+
+        ``enqueue(ctx)`` is captured once per program key — this workload,
+        *problem_key*, the gpu, precision, executor (``"lowered"`` counts
+        as ``"auto"``), stream count and the verify launch *knobs* — and
+        replayed with *bindings* as H2D sources
+        (:func:`repro.kernels.program.replay_program`).  A None
+        *problem_key* captures a program for this run only.
+        """
+        from ..gpu.specs import get_gpu
+        from ..kernels.program import replay_program
+
+        spec = get_gpu(request.gpu)
+        key = None
+        if problem_key is not None:
+            executor = ("auto" if request.executor == "lowered"
+                        else request.executor)
+            key = (self.name, problem_key, spec.name, request.precision,
+                   executor, request.streams, knobs)
+        return replay_program(key, spec, enqueue, **bindings)
+
     def counter_metrics(self, request: RunRequest) -> Dict[str, float]:
         """``counter_*`` profiling-counter metrics for *request*'s kernel.
 
@@ -607,7 +631,7 @@ class Workload:
         process metrics registry; when a
         :class:`~repro.obs.trace.TraceCollector` is installed the run is
         additionally wrapped in a ``workload.run`` span (with nested
-        ``tuning.resolve`` / ``device.drain`` / ``graph.replay`` children)
+        ``tuning.resolve`` / ``graph.replay`` children)
         — the disabled path never touches the collector.
         """
         start_s = time.perf_counter()
@@ -661,9 +685,9 @@ class Workload:
         """Asynchronous façade over :meth:`run`.
 
         The run executes on a worker thread (``asyncio.to_thread``) so an
-        event loop can multiplex many requests concurrently; every run
-        builds its own :class:`~repro.core.device.DeviceContext` and stream
-        set, so concurrent requests share no mutable device state.
+        event loop can multiplex many requests concurrently; replays of one
+        verification program are serialised, so concurrent requests never
+        share device buffers mid-run.
         """
         import asyncio
 

@@ -13,10 +13,12 @@ from ..kernels.hartreefock.kernel import (
 from ..kernels.hartreefock.runner import (
     APPROX_SCHWARZ_NATOMS,
     DEFAULT_BLOCK_SIZE,
+    VERIFY_BLOCK_SIZE,
+    VERIFY_SPACING,
     compute_schwarz,
     enqueue_hartreefock,
     expected_fock,
-    run_hartreefock_functional,
+    fock_error,
     surviving_quadruple_fraction,
 )
 from ..core.kernel import LaunchConfig
@@ -142,13 +144,17 @@ class HartreeFockWorkload(Workload):
         be = get_backend(request.backend)
         verification, pipeline = NOT_VERIFIED, {}
         if request.verify:
-            ctx = DeviceContext(spec)
-            _, err = run_hartreefock_functional(
-                ctx, p["verify_natoms"], ngauss, executor=request.executor,
-                streams=request.streams)
+            small = make_helium_system(p["verify_natoms"], ngauss,
+                                       spacing=VERIFY_SPACING)
+            out, pipeline["verify_pipeline"] = self._replay_verification(
+                request, small.key, (VERIFY_BLOCK_SIZE,),
+                lambda ctx: enqueue_hartreefock(
+                    ctx, small, compute_schwarz(small),
+                    block_size=VERIFY_BLOCK_SIZE, executor=request.executor,
+                    streams=request.streams))
+            _, err = fock_error(small, 0.0, out["fock"])
             verification = Verification(ran=True, passed=True,
                                         max_rel_error=err)
-            pipeline["verify_pipeline"] = ctx.pipeline_breakdown()
 
         system, survivors = _screened_system(natoms, ngauss, p["spacing"],
                                              p["schwarz_tol"])

@@ -17,8 +17,9 @@ from ..kernels.minibude.metrics import gflops
 from ..kernels.minibude.runner import (
     enqueue_fasten,
     expected_energies,
+    fasten_error,
+    fasten_inputs,
     minibude_launch_config,
-    run_fasten_functional,
 )
 from .base import (
     NOT_VERIFIED,
@@ -124,13 +125,18 @@ class MiniBudeWorkload(Workload):
             small = make_deck(natlig=8, natpro=32, ntypes=BM1_NTYPES,
                               nposes=p["verify_poses"], seed=p["seed"],
                               name="verify")
-            ctx = DeviceContext(spec)
-            _, err = run_fasten_functional(
-                ctx, small, ppwi=min(ppwi, 2), wgsize=min(wgsize, 8),
-                executor=request.executor, streams=request.streams)
-            verification = Verification(ran=True, passed=True,
-                                        max_rel_error=err)
-            pipeline["verify_pipeline"] = ctx.pipeline_breakdown()
+            knobs = (min(ppwi, 2), min(wgsize, 8))
+            # one program per deck shape; each request binds its own deck
+            shape = None if small.key is None else small.key[:4]
+            out, pipeline["verify_pipeline"] = self._replay_verification(
+                request, shape, knobs,
+                lambda ctx: enqueue_fasten(
+                    ctx, small, ppwi=knobs[0], wgsize=knobs[1],
+                    executor=request.executor, streams=request.streams),
+                **fasten_inputs(small))
+            verification = Verification(
+                ran=True, passed=True,
+                max_rel_error=fasten_error(small, out["etotals"]))
 
         model = fasten_kernel_model(ppwi=ppwi, natlig=BM1_NATLIG,
                                     natpro=BM1_NATPRO, wgsize=wgsize)

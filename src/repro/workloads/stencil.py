@@ -12,9 +12,10 @@ from ..kernels.stencil.metrics import effective_bandwidth_gbs
 from ..kernels.stencil.problem import StencilProblem
 from ..kernels.stencil.runner import (
     FUNCTIONAL_VERIFY_MAX_L,
+    VERIFY_BLOCK_SHAPE,
     enqueue_stencil,
+    stencil_error,
     stencil_launch_config,
-    verify_stencil_kernel,
 )
 from .base import (
     NOT_VERIFIED,
@@ -116,13 +117,16 @@ class StencilWorkload(Workload):
         be = get_backend(request.backend)
         verification, pipeline = NOT_VERIFIED, {}
         if request.verify:
-            ctx = DeviceContext(spec)
-            err = verify_stencil_kernel(
-                ctx, min(L, FUNCTIONAL_VERIFY_MAX_L), precision,
-                executor=request.executor, streams=request.streams)
-            verification = Verification(ran=True, passed=True,
-                                        max_rel_error=err)
-            pipeline["verify_pipeline"] = ctx.pipeline_breakdown()
+            problem = StencilProblem(min(L, FUNCTIONAL_VERIFY_MAX_L),
+                                     precision)
+            out, pipeline["verify_pipeline"] = self._replay_verification(
+                request, problem.key, VERIFY_BLOCK_SHAPE,
+                lambda ctx: enqueue_stencil(
+                    ctx, problem, VERIFY_BLOCK_SHAPE,
+                    executor=request.executor, streams=request.streams))
+            verification = Verification(
+                ran=True, passed=True,
+                max_rel_error=stencil_error(problem, out["f"]))
 
         run = be.time(stencil_kernel_model(L=L, precision=precision), spec,
                       stencil_launch_config(L, p["block_shape"]),

@@ -95,13 +95,13 @@ class TestRendering:
 class TestVerification:
     """``verify=True`` adds one check that every verified run passed."""
 
-    #: experiments that accept ``verify`` -> (workload module, verifier)
+    #: experiments that accept ``verify`` -> (workload module, comparison)
     VERIFIERS = {
-        "fig3": ("stencil", "verify_stencil_kernel"),
-        "fig4": ("babelstream", "run_babelstream_functional"),
-        "table4": ("hartreefock", "run_hartreefock_functional"),
-        "fig6": ("minibude", "run_fasten_functional"),
-        "fig7": ("minibude", "run_fasten_functional"),
+        "fig3": ("stencil", "stencil_error"),
+        "fig4": ("babelstream", "babelstream_errors"),
+        "table4": ("hartreefock", "fock_error"),
+        "fig6": ("minibude", "fasten_error"),
+        "fig7": ("minibude", "fasten_error"),
     }
 
     @pytest.mark.parametrize("experiment", sorted(VERIFIERS))

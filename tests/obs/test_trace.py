@@ -142,10 +142,12 @@ class TestWorkloadIntegration:
         # the analytic device time is attributed to the run span
         assert run_span.modelled_ms is not None and run_span.modelled_ms > 0
         assert run_span.wall_ms > 0
-        # device drains nest under the run
-        drains = [s for s in collector.spans if s.name == "device.drain"]
-        assert drains
-        assert all(s.parent_id is not None for s in drains)
+        # the verification program's replay nests under the run and
+        # models the program's makespan
+        replays = [s for s in collector.spans if s.name == "graph.replay"]
+        assert [s.parent_id for s in replays] == [run_span.span_id]
+        assert replays[0].modelled_ms == \
+            result.timing["verify_pipeline"].elapsed_ms
 
     def test_contexts_registered_while_tracing(self, stencil):
         with install_trace_collector() as collector:
