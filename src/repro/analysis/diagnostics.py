@@ -49,13 +49,6 @@ class Diagnostic:
                 f"expected one of {Severity.ALL}"
             )
 
-    @property
-    def location(self) -> str:
-        """``file:line`` when known, else the subject name."""
-        if self.source and self.line is not None:
-            return f"{self.source}:{self.line}"
-        return self.subject
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "rule": self.rule,

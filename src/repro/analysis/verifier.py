@@ -99,11 +99,6 @@ class VerifierResult:
     #: body-rule findings (KV101-KV105); KV100 is added by :func:`lint_kernel`
     diagnostics: Tuple[Diagnostic, ...]
 
-    @property
-    def confirmed(self) -> bool:
-        """True when the verifier positively proved lockstep safety."""
-        return self.inferred is True
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "kernel": self.kernel,

@@ -454,23 +454,9 @@ def _parse_param_overrides(pairs: List[str]) -> dict:
     return params
 
 
-def _resilient_runner(workload, retries: int, timeout_ms):
-    """``Workload.run``, or its retry/deadline/degradation wrapper.
-
-    Shared by ``bench`` and ``sweep``: ``--retries 0`` with no timeout is
-    exactly the plain run path (no wrapper, no resilience provenance).
-    """
-    if retries <= 0 and timeout_ms is None:
-        return workload.run, None
-    from .resilience import RetryPolicy, run_resilient
-
-    retry = RetryPolicy(max_attempts=retries + 1) if retries > 0 else None
-
-    def runner(request):
-        return run_resilient(workload, request, retry=retry,
-                             timeout_ms=timeout_ms)
-
-    return runner, retry
+def _retry_attempts(retries: int):
+    """``--retries N`` as an attempt count for the resilience layer."""
+    return retries + 1 if retries > 0 else None
 
 
 def _inject_scope(plan_path):
@@ -569,7 +555,10 @@ def _cmd_bench(args) -> int:
         tune="cached" if args.tuned else "off",
         optimize=args.optimize,
     )
-    runner, _ = _resilient_runner(workload, args.retries, args.timeout_ms)
+    from .resilience import resilient_runner
+
+    runner = resilient_runner(workload, _retry_attempts(args.retries),
+                              args.timeout_ms)
     cache_note = "disabled (--no-cache)"
     with _inject_scope(args.inject):
         if args.trace:
@@ -735,7 +724,6 @@ def _cmd_sweep(args) -> int:
     from .harness.results import ResultTable
     from .harness.runner import MeasurementProtocol
     from .harness.sweep import sweep as make_sweep
-    from .resilience import RetryPolicy
     from .workloads import get_workload
     from .workloads.cache import DEFAULT_CACHE_DIR, configure_result_cache
 
@@ -762,13 +750,12 @@ def _cmd_sweep(args) -> int:
     for key in list(base):
         if key in axes:
             del base[key]
-    retry = RetryPolicy(max_attempts=args.retries + 1) if args.retries > 0 \
-        else None
     with _inject_scope(args.inject) as injector:
         results = s.run_workload(
             workload, workers=args.workers if args.workers > 1 else None,
             cache=cache, checkpoint=args.checkpoint, resume=args.resume,
-            on_error=args.on_error, retry=retry, timeout_ms=args.timeout_ms,
+            on_error=args.on_error, retry=_retry_attempts(args.retries),
+            timeout_ms=args.timeout_ms,
             **base)
 
     completed = [r for r in results if getattr(r, "ok", True)]
@@ -806,7 +793,7 @@ def _cmd_sweep(args) -> int:
                 table.add_row(**r.to_row())
             print(table.to_text())
         for f in failures:
-            print(f"FAILED [{f.stage}] {f.request.get('params')}: "
+            print(f"FAILED {f.request.get('params')}: "
                   f"{f.error_type}: {f.message}")
         notes = [f"{len(completed)}/{len(results)} completed"]
         if retried:

@@ -370,12 +370,6 @@ class Stream:
         self.ctx.synchronize()
         return self
 
-    @property
-    def busy_ms(self) -> float:
-        """Total modelled time of executed operations on this lane."""
-        return sum(e.modelled_time_ms for e in self.ctx.timeline
-                   if e.stream == self.name)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Stream({self.name!r}, clock={self._clock_ms:.3f}ms)"
 
@@ -971,12 +965,6 @@ class DeviceContext:
         """Allocate a device buffer of *count* elements of *dtype*."""
         return DeviceBuffer(self, dtype, count, label=label)
 
-    def create_tensor(self, dtype, layout: Layout, *, mut: bool = True,
-                      label: str = "") -> LayoutTensor:
-        """Allocate a buffer and wrap it in a :class:`LayoutTensor`."""
-        buf = self.enqueue_create_buffer(dtype, layout.size, label=label)
-        return buf.tensor(layout, mut=mut)
-
     # ---------------------------------------------------------------- launch
     def enqueue_function(
         self,
@@ -1161,10 +1149,6 @@ class DeviceContext:
     def kernel_time_ms(self) -> float:
         """Sum of modelled kernel times on the timeline."""
         return sum(e.modelled_time_ms for e in self.timeline if e.kind == "kernel")
-
-    @property
-    def kernels_launched(self) -> int:
-        return sum(1 for e in self.timeline if e.kind == "kernel")
 
     @property
     def elapsed_ms(self) -> float:

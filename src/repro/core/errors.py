@@ -21,7 +21,6 @@ __all__ = [
     "VerificationError",
     "AnalysisError",
     "DeadlineExceeded",
-    "CircuitOpenError",
 ]
 
 
@@ -93,16 +92,3 @@ class DeadlineExceeded(ReproError):
     def __init__(self, message: str, *, timeout_ms=None):
         super().__init__(message)
         self.timeout_ms = timeout_ms
-
-
-class CircuitOpenError(ReproError):
-    """Raised when a circuit breaker refuses a run for a tripped key.
-
-    The breaker trips per ``(workload, gpu, backend)`` after repeated
-    failures (see :class:`~repro.resilience.CircuitBreaker`); ``key``
-    identifies the configuration that is being protected.
-    """
-
-    def __init__(self, message: str, *, key=None):
-        super().__init__(message)
-        self.key = key

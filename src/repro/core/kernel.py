@@ -141,9 +141,6 @@ class KernelModel:
         )
         return per_thread * active_threads
 
-    def total_atomics(self, active_threads: int) -> float:
-        return self.atomics * active_threads
-
     def arithmetic_intensity(self) -> float:
         """FLOPs per byte of global traffic (per thread, DRAM level)."""
         b = self.bytes_per_thread()

@@ -141,57 +141,10 @@ class Sweep:
                     params[name] = value
             yield wl.make_request(params=params, **fields)
 
-    @staticmethod
-    def _resilience_bundle(checkpoint, resume, on_error, retry, timeout_ms,
-                           breaker):
-        """Build the :class:`SweepResilience` bundle, or None when unused.
-
-        All-default keyword arguments mean the sweep runs exactly as it
-        always has — no wrapper layers, no journal, no behaviour change.
-        """
-        if checkpoint is None and on_error == "raise" and retry is None \
-                and timeout_ms is None and breaker is None:
-            return None
-        from ..resilience import CheckpointJournal, SweepResilience
-
-        journal = None
-        if checkpoint is not None:
-            journal = checkpoint if isinstance(checkpoint, CheckpointJournal) \
-                else CheckpointJournal(checkpoint, resume=resume)
-        return SweepResilience(on_error=on_error, journal=journal,
-                               retry=retry, timeout_ms=timeout_ms,
-                               breaker=breaker)
-
-    def _workload_plan(self, workload, cache: bool, base: Dict[str, object],
-                       resilience=None):
-        """Shared setup for the sync/async workload runners.
-
-        Resolves the workload, materialises the sweep's requests, and picks
-        the per-request runner — memoised through the request-level result
-        cache unless ``cache=False``.  The runner closes over the resolved
-        instance: ``run_cached`` must not re-resolve by name, or sweeps over
-        unregistered ``Workload`` instances break.  With a
-        :class:`~repro.resilience.SweepResilience` bundle the runner is
-        wrapped twice: retries/deadline/degradation *inside* the cache (a
-        recovered result is memoised like any other) and checkpoint/circuit
-        breaker/failure capture *outside* it.
-        """
-        from ..workloads import get_workload  # cycle-break, as in requests()
-        from ..workloads.cache import run_cached
-
-        wl = get_workload(workload)
-        reqs = list(self.requests(wl, **base))
-        core = wl.run if resilience is None else resilience.wrap_run(wl)
-        runner = (lambda r: run_cached(r, workload=wl, runner=core)) \
-            if cache else core
-        if resilience is not None:
-            runner = resilience.wrap_request(wl, runner)
-        return runner, reqs
-
     def run_workload(self, workload, *, workers: Optional[int] = None,
                      cache: bool = True, checkpoint=None, resume: bool = True,
                      on_error: str = "raise", retry=None,
-                     timeout_ms: Optional[float] = None, breaker=None,
+                     timeout_ms: Optional[float] = None,
                      **base) -> List[object]:
         """Run a registered workload over every configuration.
 
@@ -220,13 +173,36 @@ class Sweep:
         * ``retry`` — a :class:`~repro.resilience.RetryPolicy` or attempt
           count applied to every request; ``timeout_ms`` bounds each
           attempt with a :class:`~repro.resilience.Deadline`.
-        * ``breaker`` — a :class:`~repro.resilience.CircuitBreaker`;
-          requests whose ``(workload, gpu, backend)`` circuit is open fail
-          fast instead of running.
+
+        Retries, the deadline and the degradation ladder run *inside* the
+        result cache (a recovered result is memoised like any other); the
+        checkpoint journal and failure capture run *outside* it.
         """
-        resilience = self._resilience_bundle(checkpoint, resume, on_error,
-                                             retry, timeout_ms, breaker)
-        runner, reqs = self._workload_plan(workload, cache, base, resilience)
+        from ..workloads import get_workload  # cycle-break, as in requests()
+        from ..workloads.cache import run_cached
+
+        wl = get_workload(workload)
+        reqs = list(self.requests(wl, **base))
+        resilience = None
+        if checkpoint is not None or on_error != "raise" or retry is not None \
+                or timeout_ms is not None:
+            from ..resilience import (CheckpointJournal, SweepResilience,
+                                      resilient_runner)
+
+            if checkpoint is not None \
+                    and not isinstance(checkpoint, CheckpointJournal):
+                checkpoint = CheckpointJournal(checkpoint, resume=resume)
+            resilience = SweepResilience(on_error=on_error,
+                                         journal=checkpoint, retry=retry)
+            core = resilient_runner(wl, resilience.retry, timeout_ms)
+        else:
+            core = wl.run
+        # The runner closes over the resolved instance: run_cached must not
+        # re-resolve by name, or sweeps over unregistered workloads break.
+        runner = (lambda r: run_cached(r, workload=wl, runner=core)) \
+            if cache else core
+        if resilience is not None:
+            runner = resilience.wrap_request(runner)
         if workers is None or workers <= 1:
             return [runner(r) for r in reqs]
         from concurrent.futures import ThreadPoolExecutor
@@ -234,38 +210,6 @@ class Sweep:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(runner, r) for r in reqs]
             return [f.result() for f in futures]
-
-    async def run_workload_async(self, workload, *, workers: int = 4,
-                                 cache: bool = True, checkpoint=None,
-                                 resume: bool = True, on_error: str = "raise",
-                                 retry=None,
-                                 timeout_ms: Optional[float] = None,
-                                 breaker=None, **base) -> List[object]:
-        """Asynchronously run a registered workload over every configuration.
-
-        The coroutine counterpart of :meth:`run_workload`, built on the
-        workloads' ``run_async`` thread façade: at most *workers* requests
-        execute concurrently (each on its own worker thread; replays of one
-        verification program are serialised), and the result list
-        follows sweep order regardless of completion order
-        (``asyncio.gather`` preserves argument order).  The resilience
-        keywords (``checkpoint``/``resume``/``on_error``/``retry``/
-        ``timeout_ms``/``breaker``) behave exactly as in
-        :meth:`run_workload`; the journal and breaker are thread-safe, so
-        concurrent requests share them correctly.
-        """
-        import asyncio
-
-        resilience = self._resilience_bundle(checkpoint, resume, on_error,
-                                             retry, timeout_ms, breaker)
-        runner, reqs = self._workload_plan(workload, cache, base, resilience)
-        gate = asyncio.Semaphore(max(int(workers), 1))
-
-        async def one(request):
-            async with gate:
-                return await asyncio.to_thread(runner, request)
-
-        return list(await asyncio.gather(*(one(r) for r in reqs)))
 
 
 def sweep(**parameters: Iterable[object]) -> Sweep:

@@ -119,11 +119,6 @@ class StencilProblem:
         xx, yy, zz = np.meshgrid(x, y, z, indexing="ij")
         return (xx * xx + yy * yy + zz * zz).astype(np_dtype)
 
-    @property
-    def expected_interior_value(self) -> float:
-        """Analytic Laplacian of the initial field (constant 6.0)."""
-        return 6.0
-
     # --------------------------------------------------------------- sizing
     def memory_footprint_bytes(self) -> int:
         """Device bytes required (input + output field)."""

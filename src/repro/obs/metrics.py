@@ -2,7 +2,7 @@
 
 Every subsystem in the reproduction already counts things — memo hits
 and misses (compile, result cache, tuning database, ...), fault firings,
-retry attempts, breaker trips, graph-compiler rewrites, lint diagnostics —
+retry attempts, graph-compiler rewrites, lint diagnostics —
 but until now each count lived in its own ad-hoc dict.  This registry gives
 them one process-wide home with a stable catalog, a :func:`snapshot` dict
 for JSON surfaces (``repro trace --json``, CI asserts) and a Prometheus
@@ -49,9 +49,6 @@ __all__ = [
 COUNTER_CATALOG: Tuple[str, ...] = (
     "fault_injections_fired_total",
     "retry_attempts_total",
-    "breaker_open_total",
-    "breaker_half_open_total",
-    "breaker_closed_total",
     "degradation_steps_total",
     "graphopt_ops_elided_total",
     "graphopt_ops_fused_total",
@@ -75,9 +72,6 @@ LATENCY_BUCKETS_MS: Tuple[float, ...] = (
 _HELP = {
     "fault_injections_fired_total": "FaultInjector rules that actually fired",
     "retry_attempts_total": "re-attempts after a retryable failure",
-    "breaker_open_total": "CircuitBreaker closed/half-open -> open transitions",
-    "breaker_half_open_total": "CircuitBreaker open -> half-open probe admissions",
-    "breaker_closed_total": "CircuitBreaker half-open -> closed recoveries",
     "degradation_steps_total": "degradation-ladder steps taken past the first",
     "graphopt_ops_elided_total": "graph-compiler ops elided by transfer passes",
     "graphopt_ops_fused_total": "graph-compiler fusion rewrites emitted",

@@ -1,13 +1,11 @@
-"""Profiler substrate: ncu-style reports, rocprof CSV, SASS comparisons."""
+"""Profiler substrate: ncu-style reports, SASS comparisons."""
 
 from .counters import CounterSet, collect_counters
 from .ncu import NcuReport, format_metric_table
-from .rocprof import RocprofReport
 from .sass import SassComparison, compare_sass
 
 __all__ = [
     "CounterSet", "collect_counters",
     "NcuReport", "format_metric_table",
-    "RocprofReport",
     "SassComparison", "compare_sass",
 ]

@@ -31,9 +31,6 @@ class NcuReport:
         self.entries.append((label, counters))
         return counters
 
-    def add_counters(self, label: str, counters: CounterSet) -> None:
-        self.entries.append((label, counters))
-
     # ------------------------------------------------------------------ query
     @property
     def labels(self) -> List[str]:

@@ -6,11 +6,13 @@ Four pieces, each usable alone and composed by the sweep harness:
   injection wired into the device/executor/diskstore layers (off by
   default, zero-overhead when disabled);
 * :mod:`~repro.resilience.policy` — :class:`RetryPolicy` (exponential
-  backoff with seeded jitter), :class:`Deadline` (per-run wall-clock
-  budget), :class:`CircuitBreaker` (per-configuration failure isolation);
+  backoff with seeded jitter) and :class:`Deadline` (per-run wall-clock
+  budget);
 * :mod:`~repro.resilience.degrade` — :func:`run_resilient`, the
   retry-then-degrade wrapper around ``Workload.run`` (executor ladder,
-  tuned→untuned fallback, ``provenance["resilience"]`` records);
+  tuned→untuned fallback, ``provenance["resilience"]`` records), and
+  :func:`resilient_runner`, the one place ``repro bench`` and
+  ``Sweep.run_workload`` get their per-request runner from;
 * :mod:`~repro.resilience.checkpoint` — journaled sweep checkpointing,
   :class:`FailureRecord` collection and the :class:`SweepResilience`
   bundle behind ``Sweep.run_workload(..., checkpoint=..., on_error=...)``.
@@ -23,7 +25,7 @@ from .checkpoint import (
     SweepResilience,
     request_digest,
 )
-from .degrade import degradation_ladder, run_resilient
+from .degrade import degradation_ladder, resilient_runner, run_resilient
 from .faults import (
     FAULT_SITES,
     FaultEvent,
@@ -33,7 +35,7 @@ from .faults import (
     active_injector,
     install_fault_plan,
 )
-from .policy import CircuitBreaker, Deadline, RetryPolicy
+from .policy import Deadline, RetryPolicy
 
 __all__ = [
     "FAULT_SITES",
@@ -43,10 +45,10 @@ __all__ = [
     "FaultRule",
     "active_injector",
     "install_fault_plan",
-    "CircuitBreaker",
     "Deadline",
     "RetryPolicy",
     "run_resilient",
+    "resilient_runner",
     "degradation_ladder",
     "CheckpointJournal",
     "FailureRecord",

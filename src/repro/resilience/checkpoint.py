@@ -13,10 +13,10 @@ come back as :class:`FailureRecord` entries in the result list, preserving
 sweep order, so callers can always line results up with configurations.
 
 :class:`SweepResilience` bundles the per-sweep wiring — journal, retry
-policy, per-attempt deadline, circuit breaker, on-error mode — and is what
+policy, on-error mode — and is what
 :meth:`repro.harness.sweep.Sweep.run_workload` builds from its resilience
-keyword arguments.  Thread-safe throughout: the sync ``workers=N`` pool and
-``run_workload_async`` share one journal and one breaker.
+keyword arguments.  Thread-safe throughout: the ``workers=N`` pool shares
+one journal.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..core.errors import CircuitOpenError, ConfigurationError, ReproError
-from .degrade import run_resilient
-from .policy import CircuitBreaker, RetryPolicy
+from ..core.errors import ConfigurationError, ReproError
+from .policy import RetryPolicy
 
 __all__ = ["FailureRecord", "CheckpointJournal", "SweepResilience",
            "request_digest", "ON_ERROR_MODES"]
@@ -69,7 +68,6 @@ class FailureRecord:
     request: Dict[str, object]
     error_type: str
     message: str
-    stage: str = "run"  # "run" | "circuit-open"
     attempts: int = 1
     ok: bool = field(default=False, init=False)
 
@@ -80,7 +78,6 @@ class FailureRecord:
             "request": self.request,
             "error_type": self.error_type,
             "message": self.message,
-            "stage": self.stage,
             "attempts": self.attempts,
         }
 
@@ -92,13 +89,12 @@ class FailureRecord:
             request=dict(payload.get("request", {})),
             error_type=str(payload.get("error_type", "")),
             message=str(payload.get("message", "")),
-            stage=str(payload.get("stage", "run")),
             attempts=int(payload.get("attempts", 1)),
         )
 
     @classmethod
     def from_exception(cls, request, exc: BaseException, *,
-                       digest: str = "", stage: str = "run",
+                       digest: str = "",
                        attempts: int = 1) -> "FailureRecord":
         return cls(
             workload=request.workload,
@@ -106,7 +102,6 @@ class FailureRecord:
             request=request.as_dict(),
             error_type=type(exc).__name__,
             message=str(exc),
-            stage=stage,
             attempts=attempts,
         )
 
@@ -235,22 +230,16 @@ class CheckpointJournal:
 class SweepResilience:
     """The per-sweep bundle of resilience mechanisms.
 
-    Built by ``Sweep.run_workload`` from its keyword arguments; wraps the
-    sweep's per-request runner in two layers:
-
-    * :meth:`wrap_run` — the *inner* runner (what the result cache calls on
-      a miss): retries, per-attempt deadline and the degradation ladder via
-      :func:`~repro.resilience.degrade.run_resilient`;
-    * :meth:`wrap_request` — the *outer* runner: checkpoint-journal lookup,
-      circuit-breaker admission, failure capture per the ``on_error`` mode.
+    Built by ``Sweep.run_workload`` from its keyword arguments.  ``retry``
+    is the policy the sweep's inner runner
+    (:func:`~repro.resilience.degrade.resilient_runner`) retries under;
+    :meth:`wrap_request` is the *outer* runner: checkpoint-journal lookup
+    and failure capture per the ``on_error`` mode.
     """
 
     def __init__(self, *, on_error: str = "raise",
                  journal: Optional[CheckpointJournal] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 timeout_ms: Optional[float] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 degrade: bool = True):
+                 retry: Optional[RetryPolicy] = None):
         if on_error not in ON_ERROR_MODES:
             raise ConfigurationError(
                 f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}")
@@ -261,26 +250,9 @@ class SweepResilience:
         self.on_error = on_error
         self.journal = journal
         self.retry = retry
-        self.timeout_ms = None if timeout_ms is None else float(timeout_ms)
-        self.breaker = breaker
-        self.degrade = degrade
-        self.failures: List[FailureRecord] = []
-        self._lock = threading.Lock()
 
-    def wrap_run(self, workload) -> Callable:
-        """The inner runner: ``Workload.run`` under retry/deadline/ladder."""
-        if self.retry is None and self.timeout_ms is None:
-            return workload.run
-
-        def resilient(request):
-            return run_resilient(workload, request, retry=self.retry,
-                                 timeout_ms=self.timeout_ms,
-                                 degrade=self.degrade)
-
-        return resilient
-
-    def wrap_request(self, workload, runner: Callable) -> Callable:
-        """The outer runner: checkpoint + breaker + on-error handling."""
+    def wrap_request(self, runner: Callable) -> Callable:
+        """The outer runner: checkpoint + on-error handling."""
 
         def wrapped(request):
             digest = request_digest(request)
@@ -288,37 +260,22 @@ class SweepResilience:
                 stored = self.journal.get(request)
                 if stored is not None:
                     return stored
-            key = (workload.name, request.gpu, request.backend)
-            if self.breaker is not None and not self.breaker.allow(key):
-                exc = CircuitOpenError(
-                    f"circuit open for {key!r}", key=key)
-                return self._failed(request, exc, digest,
-                                    stage="circuit-open", raise_exc=exc)
             try:
                 result = runner(request)
             except ReproError as exc:
-                if self.breaker is not None:
-                    self.breaker.record_failure(key)
                 return self._failed(request, exc, digest)
-            if self.breaker is not None:
-                self.breaker.record_success(key)
             if self.journal is not None:
                 self.journal.record_success(request, result, digest=digest)
             return result
 
         return wrapped
 
-    def _failed(self, request, exc, digest: str, *, stage: str = "run",
-                raise_exc=None):
-        attempts = 1
-        if self.retry is not None and stage == "run":
-            attempts = self.retry.max_attempts
+    def _failed(self, request, exc, digest: str):
+        attempts = 1 if self.retry is None else self.retry.max_attempts
         failure = FailureRecord.from_exception(request, exc, digest=digest,
-                                               stage=stage, attempts=attempts)
-        with self._lock:
-            self.failures.append(failure)
+                                               attempts=attempts)
         if self.journal is not None:
             self.journal.record_failure(failure)
         if self.on_error == "raise":
-            raise (raise_exc if raise_exc is not None else exc)
+            raise exc
         return failure

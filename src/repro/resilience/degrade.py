@@ -29,7 +29,7 @@ from ..obs import metrics as _obs_metrics
 from ..obs import trace as _trace
 from .policy import Deadline, RetryPolicy
 
-__all__ = ["run_resilient", "degradation_ladder"]
+__all__ = ["run_resilient", "resilient_runner", "degradation_ladder"]
 
 #: executor fallback chain: key = the mode a step ran with, value = the
 #: modes to try next (in order) when that step keeps failing
@@ -158,6 +158,22 @@ def run_resilient(workload, request, *,
         return fallback_result
     assert last_error is not None
     raise last_error
+
+
+def resilient_runner(workload, retry=None, timeout_ms: Optional[float] = None):
+    """``workload.run``, or :func:`run_resilient` over it.
+
+    With neither *retry* nor *timeout_ms* set this is exactly the plain run
+    path: no wrapper, no ``provenance["resilience"]`` record.
+    """
+    if retry is None and timeout_ms is None:
+        return workload.run
+
+    def run(request):
+        return run_resilient(workload, request, retry=retry,
+                             timeout_ms=timeout_ms)
+
+    return run
 
 
 def _as_policy(retry) -> RetryPolicy:

@@ -1,6 +1,6 @@
-"""Retry, deadline and circuit-breaker policies for workload runs.
+"""Retry and deadline policies for workload runs.
 
-Three small, composable mechanisms, all deterministic:
+Two small, composable mechanisms, both deterministic:
 
 * :class:`RetryPolicy` — bounded attempts with exponential backoff and
   *seeded* jitter (the delay for attempt *i* is a pure function of the
@@ -8,10 +8,7 @@ Three small, composable mechanisms, all deterministic:
 * :class:`Deadline` — a wall-clock budget for one run, enforced by joining
   a worker thread (the simulator has no preemption points, so a hung
   candidate is abandoned rather than interrupted) and surfaced as
-  :class:`DeadlineExceeded`;
-* :class:`CircuitBreaker` — per-key failure counting with an open/half-open
-  cooldown cycle, so sweeps stop hammering a configuration that keeps
-  dying (keyed by ``(workload, gpu, backend)`` in the sweep integration).
+  :class:`DeadlineExceeded`.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import time
 from typing import Callable, Dict, Optional, Tuple
 
 from ..core.errors import (
-    CircuitOpenError,
     ConfigurationError,
     DeadlineExceeded,
     DeviceError,
@@ -31,7 +27,7 @@ from ..core.errors import (
 )
 from ..obs import metrics as _obs_metrics
 
-__all__ = ["RetryPolicy", "Deadline", "CircuitBreaker"]
+__all__ = ["RetryPolicy", "Deadline"]
 
 
 class RetryPolicy:
@@ -174,100 +170,3 @@ class Deadline:
         if "error" in box:
             raise box["error"]  # type: ignore[misc]
         return box.get("value")
-
-
-class CircuitBreaker:
-    """Per-key failure isolation with an open/half-open cooldown cycle.
-
-    ``threshold`` consecutive failures for one key open its circuit:
-    :meth:`allow` returns False (and :meth:`check` raises
-    :class:`CircuitOpenError`) until ``cooldown_s`` has passed, after which
-    exactly one probe run is let through (half-open).  A success closes the
-    circuit and clears the count; a failure re-opens it for another
-    cooldown.  Thread-safe; keys are arbitrary hashables.
-    """
-
-    def __init__(self, threshold: int = 3, *, cooldown_s: float = 30.0,
-                 clock: Callable[[], float] = time.monotonic):
-        if threshold < 1:
-            raise ConfigurationError(
-                f"breaker threshold must be >= 1, got {threshold}")
-        if cooldown_s < 0:
-            raise ConfigurationError("breaker cooldown_s must be >= 0")
-        self.threshold = int(threshold)
-        self.cooldown_s = float(cooldown_s)
-        self._clock = clock
-        self._lock = threading.Lock()
-        # key -> [consecutive failures, opened-at timestamp or None, probing]
-        self._states: Dict[object, list] = {}
-
-    def _state(self, key):
-        state = self._states.get(key)
-        if state is None:
-            state = [0, None, False]
-            self._states[key] = state
-        return state
-
-    def allow(self, key) -> bool:
-        """True when a run for *key* may proceed right now."""
-        with self._lock:
-            failures, opened_at, probing = self._state(key)
-            if opened_at is None:
-                return True
-            if probing:
-                return False  # one half-open probe at a time
-            if self._clock() - opened_at >= self.cooldown_s:
-                self._state(key)[2] = True  # half-open: admit one probe
-                _obs_metrics.inc("breaker_half_open_total")
-                return True
-            return False
-
-    def check(self, key) -> None:
-        """Raise :class:`CircuitOpenError` when *key*'s circuit is open."""
-        if not self.allow(key):
-            raise CircuitOpenError(
-                f"circuit open for {key!r}: {self.threshold} consecutive "
-                f"failure(s); retry after the {self.cooldown_s:g} s cooldown",
-                key=key,
-            )
-
-    def record_success(self, key) -> None:
-        with self._lock:
-            was_open = self._state(key)[1] is not None
-            self._states[key] = [0, None, False]
-        if was_open:
-            # Only real recoveries count as a closed transition — a routine
-            # success on an already-closed circuit is not a state change.
-            _obs_metrics.inc("breaker_closed_total")
-
-    def record_failure(self, key) -> None:
-        with self._lock:
-            state = self._state(key)
-            was_open = state[1] is not None and not state[2]
-            state[0] += 1
-            state[2] = False
-            if state[0] >= self.threshold:
-                state[1] = self._clock()
-                opened = not was_open  # closed/half-open -> open
-            else:
-                opened = False
-        if opened:
-            _obs_metrics.inc("breaker_open_total")
-
-    def state(self, key) -> str:
-        """``"closed"``, ``"open"`` or ``"half-open"`` for *key*."""
-        with self._lock:
-            failures, opened_at, probing = self._state(key)
-            if opened_at is None:
-                return "closed"
-            if probing or self._clock() - opened_at >= self.cooldown_s:
-                return "half-open"
-            return "open"
-
-    def info(self) -> Dict[str, Dict[str, object]]:
-        """Snapshot of every tracked key's failure count and state."""
-        with self._lock:
-            keys = list(self._states)
-        return {str(key): {"failures": self._states[key][0],
-                           "state": self.state(key)}
-                for key in keys}

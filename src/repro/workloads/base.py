@@ -681,33 +681,6 @@ class Workload:
             result.provenance["tuning"] = tuning_info
         return result
 
-    async def run_async(self, request: RunRequest) -> WorkloadResult:
-        """Asynchronous façade over :meth:`run`.
-
-        The run executes on a worker thread (``asyncio.to_thread``) so an
-        event loop can multiplex many requests concurrently; replays of one
-        verification program are serialised, so concurrent requests never
-        share device buffers mid-run.
-        """
-        import asyncio
-
-        return await asyncio.to_thread(self.run, request)
-
-    def run_resilient(self, request: RunRequest, *, retry=None,
-                      timeout_ms=None, degrade: bool = True) -> WorkloadResult:
-        """Run with retries, a per-attempt deadline and degradation.
-
-        Façade over :func:`repro.resilience.run_resilient`: *retry* is a
-        :class:`~repro.resilience.RetryPolicy` or an attempt count,
-        *timeout_ms* bounds each attempt, and ``degrade`` enables the
-        tuned→untuned and executor fallback ladder.  The returned result
-        carries a ``provenance["resilience"]`` record.
-        """
-        from ..resilience import run_resilient
-
-        return run_resilient(self, request, retry=retry,
-                             timeout_ms=timeout_ms, degrade=degrade)
-
     def _fold_verification_failure(self, request: RunRequest,
                                    exc: VerificationError) -> WorkloadResult:
         # Re-run without verification so the folded result still carries

@@ -195,8 +195,8 @@ def run_cached(request: RunRequest, *,
     Concurrent callers holding the *same* request coalesce into one run
     (single-flight): exactly one computes and stores, the rest read the
     stored result — so the hit/miss accounting is identical whether
-    duplicates arrive sequentially (``Sweep.run_workload``), on a thread
-    pool (``workers=N``) or through ``Sweep.run_workload_async``.
+    duplicates arrive sequentially (``Sweep.run_workload``) or on a thread
+    pool (``workers=N``).
 
     Requests with ``tune != "off"`` are **never memoised**: their outcome
     depends on the mutable tuning database, and serving a result cached

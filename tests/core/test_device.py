@@ -126,7 +126,6 @@ class TestDeviceContext:
         kinds = [e.kind for e in ctx.timeline]
         assert kinds.count("kernel") == 1
         assert "h2d" in kinds and "d2h" in kinds
-        assert ctx.kernels_launched == 1
 
     def test_modelled_time_recorded_with_model(self, ctx):
         n = 1024
@@ -147,7 +146,8 @@ class TestDeviceContext:
         assert ctx.memory_summary["bytes_in_use"] == before
 
     def test_create_tensor_convenience(self, ctx):
-        t = ctx.create_tensor(DType.float64, Layout.row_major(4, 4))
+        t = ctx.enqueue_create_buffer(DType.float64, 16).tensor(
+            Layout.row_major(4, 4))
         t[1, 1] = 3.0
         assert t[1, 1] == 3.0
 

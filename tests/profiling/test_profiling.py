@@ -1,4 +1,4 @@
-"""Tests for the profiling substrate (counters, ncu, rocprof, sass)."""
+"""Tests for the profiling substrate (counters, ncu, sass)."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.kernels.babelstream import babelstream_kernel_model
 from repro.kernels.stencil import stencil_kernel_model, stencil_launch_config
 from repro.profiling import (
     NcuReport,
-    RocprofReport,
     SassComparison,
     collect_counters,
     compare_sass,
@@ -91,21 +90,6 @@ class TestNcuReport:
     def test_format_metric_table(self):
         blob = format_metric_table([self._report(), self._report()])
         assert blob.count("ncu metric") == 2
-
-
-class TestRocprof:
-    def test_rows_and_csv(self):
-        report = RocprofReport()
-        run = get_backend("hip").time(
-            stencil_kernel_model(L=512, precision="float64"), "mi300a",
-            stencil_launch_config(512, (512, 1, 1)))
-        row = report.add_run(run)
-        assert row["Backend"] == "hip"
-        assert row["DurationNs"] > 0
-        csv = report.to_csv()
-        assert csv.splitlines()[0].startswith("KernelName,")
-        assert len(csv.splitlines()) == 2
-        assert len(report) == 1
 
 
 class TestSassComparison:

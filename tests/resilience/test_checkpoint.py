@@ -125,10 +125,6 @@ class TestSweepResilience:
         with pytest.raises(ConfigurationError):
             SweepResilience(on_error="explode")
 
-    def test_wrap_run_is_identity_without_retry_or_timeout(self, stencil):
-        bundle = SweepResilience(on_error="skip")
-        assert bundle.wrap_run(stencil) == stencil.run
-
     def test_retry_mode_defaults_a_policy(self):
         bundle = SweepResilience(on_error="retry")
         assert isinstance(bundle.retry, RetryPolicy)

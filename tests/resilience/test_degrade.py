@@ -9,6 +9,7 @@ from repro.resilience import (
     RetryPolicy,
     degradation_ladder,
     install_fault_plan,
+    resilient_runner,
     run_resilient,
 )
 
@@ -172,12 +173,17 @@ class TestRunResilient:
         assert not result.verification.passed
         assert len(record["history"]) == record["attempts"]
 
+    def test_runner_is_plain_run_without_retry_or_timeout(self, stencil):
+        assert resilient_runner(stencil) == stencil.run
+        assert resilient_runner(stencil, retry=2) != stencil.run
+        assert resilient_runner(stencil, timeout_ms=1e3) != stencil.run
+
     def test_workload_facade(self, stencil):
         request = stencil_request(stencil)
         plan = FaultPlan(rules=(
             FaultRule(site="transfer.h2d", indices=(0,)),))
         with install_fault_plan(plan):
-            result = stencil.run_resilient(request, retry=3)
+            result = run_resilient(stencil, request, retry=3)
         assert result.provenance["resilience"]["retried"]
         assert result.verification.passed
 

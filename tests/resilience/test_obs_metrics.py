@@ -2,16 +2,14 @@
 
 Chaos runs must be *accountable*: the process-wide counters
 (``fault_injections_fired_total``, ``retry_attempts_total``,
-``degradation_steps_total``, the breaker transitions) have to agree exactly
-with the journaled per-attempt history each resilient run attaches to its
-result provenance.
+``degradation_steps_total``) have to agree exactly with the journaled
+per-attempt history each resilient run attaches to its result provenance.
 """
 
 import pytest
 
 from repro.obs.metrics import registry, reset_metrics
 from repro.resilience import (
-    CircuitBreaker,
     FaultPlan,
     FaultRule,
     RetryPolicy,
@@ -95,38 +93,3 @@ class TestResilientRunCounters:
                                    retry=RETRY)
         assert result.verification.passed
         assert_counters_match_journal(result, injector)
-
-
-class TestBreakerCounters:
-    def test_full_open_probe_close_cycle(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(threshold=2, cooldown_s=10.0,
-                                 clock=lambda: clock[0])
-        key = "h100/mojo"
-        assert breaker.allow(key)
-        breaker.record_failure(key)
-        assert registry().counter("breaker_open_total") == 0.0
-        breaker.record_failure(key)  # threshold crossed: closed -> open
-        assert registry().counter("breaker_open_total") == 1.0
-        assert not breaker.allow(key)
-        clock[0] = 11.0
-        assert breaker.allow(key)    # probe admitted: open -> half-open
-        assert registry().counter("breaker_half_open_total") == 1.0
-        breaker.record_success(key)  # probe succeeded: half-open -> closed
-        assert registry().counter("breaker_closed_total") == 1.0
-
-    def test_failed_probe_reopens(self):
-        clock = [0.0]
-        breaker = CircuitBreaker(threshold=1, cooldown_s=5.0,
-                                 clock=lambda: clock[0])
-        breaker.record_failure("k")
-        clock[0] = 6.0
-        assert breaker.allow("k")
-        breaker.record_failure("k")  # half-open probe failed: re-open
-        assert registry().counter("breaker_open_total") == 2.0
-        assert registry().counter("breaker_closed_total") == 0.0
-
-    def test_success_without_open_counts_nothing(self):
-        breaker = CircuitBreaker(threshold=3)
-        breaker.record_success("k")
-        assert registry().counter("breaker_closed_total") == 0.0

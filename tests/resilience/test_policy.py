@@ -1,17 +1,16 @@
-"""Retry, deadline and circuit-breaker policy units."""
+"""Retry and deadline policy units."""
 
 import time
 
 import pytest
 
 from repro.core.errors import (
-    CircuitOpenError,
     ConfigurationError,
     DeadlineExceeded,
     DeviceError,
     LaunchError,
 )
-from repro.resilience import CircuitBreaker, Deadline, RetryPolicy
+from repro.resilience import Deadline, RetryPolicy
 
 
 class TestRetryPolicy:
@@ -142,71 +141,3 @@ class TestDeadline:
         with pytest.raises(DeadlineExceeded) as err:
             Deadline(30.0).run(time.sleep, 5.0)
         assert err.value.timeout_ms == 30.0
-
-
-class TestCircuitBreaker:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(threshold=0)
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(cooldown_s=-1)
-
-    def test_opens_after_threshold_consecutive_failures(self):
-        breaker = CircuitBreaker(threshold=2, cooldown_s=1000)
-        key = ("stencil", "h100", "mojo")
-        assert breaker.allow(key)
-        breaker.record_failure(key)
-        assert breaker.allow(key)
-        breaker.record_failure(key)
-        assert not breaker.allow(key)
-        assert breaker.state(key) == "open"
-        with pytest.raises(CircuitOpenError) as err:
-            breaker.check(key)
-        assert err.value.key == key
-
-    def test_success_resets_the_count(self):
-        breaker = CircuitBreaker(threshold=2, cooldown_s=1000)
-        breaker.record_failure("k")
-        breaker.record_success("k")
-        breaker.record_failure("k")
-        assert breaker.allow("k")
-        assert breaker.state("k") == "closed"
-
-    def test_half_open_admits_exactly_one_probe(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, cooldown_s=10, clock=clock)
-        breaker.record_failure("k")
-        assert not breaker.allow("k")
-        clock.now += 11
-        assert breaker.state("k") == "half-open"
-        assert breaker.allow("k")       # the probe
-        assert not breaker.allow("k")   # everyone else keeps waiting
-
-    def test_probe_success_closes_probe_failure_reopens(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, cooldown_s=10, clock=clock)
-        breaker.record_failure("k")
-        clock.now += 11
-        assert breaker.allow("k")
-        breaker.record_success("k")
-        assert breaker.state("k") == "closed"
-        assert breaker.allow("k")
-
-        breaker.record_failure("k")
-        clock.now += 11
-        assert breaker.allow("k")
-        breaker.record_failure("k")
-        assert not breaker.allow("k")
-        assert breaker.state("k") == "open"
-
-    def test_keys_are_isolated(self):
-        breaker = CircuitBreaker(threshold=1, cooldown_s=1000)
-        breaker.record_failure(("stencil", "h100", "mojo"))
-        assert not breaker.allow(("stencil", "h100", "mojo"))
-        assert breaker.allow(("stencil", "mi300a", "mojo"))
-
-    def test_info_snapshot(self):
-        breaker = CircuitBreaker(threshold=2, cooldown_s=1000)
-        breaker.record_failure("k")
-        info = breaker.info()
-        assert info["k"] == {"failures": 1, "state": "closed"}

@@ -1,6 +1,4 @@
-"""Tests for the stream-aware request surface and the async workload façade."""
-
-import asyncio
+"""Tests for the stream-aware request surface and result-cache parity."""
 
 import pytest
 
@@ -89,52 +87,15 @@ class TestStreamParity:
         assert "verify_pipeline" not in result.timing
 
 
-class TestAsyncFacade:
-    def test_run_async_matches_run(self):
-        wl = get_workload("stencil")
-        request = wl.make_request(params=QUICK["stencil"])
-        sync_result = wl.run(request)
-        async_result = asyncio.run(wl.run_async(request))
-        assert async_result.metrics == sync_result.metrics
-        assert async_result.request == request
-
-    def test_sweep_run_workload_async_preserves_order(self):
-        s = sweep(L=[16, 24, 32])
-        results = asyncio.run(s.run_workload_async(
-            "stencil", workers=3, cache=False, verify=False))
-        assert [r.request.params["L"] for r in results] == [16, 24, 32]
-        assert all(r.metrics["bandwidth_gbs"] > 0 for r in results)
-
-    def test_async_results_match_sync_sweep(self):
-        s = sweep(L=[16, 24], streams=[2])
-        sync_results = s.run_workload("stencil", cache=False, verify=False)
-        async_results = asyncio.run(s.run_workload_async(
-            "stencil", workers=2, cache=False, verify=False))
-        assert [r.metrics for r in async_results] \
-            == [r.metrics for r in sync_results]
-
-    def test_run_workload_async_uses_the_result_cache(self):
-        from repro.workloads.cache import default_result_cache
-
-        memo = default_result_cache().memo
-        memo.clear()
-        s = sweep(L=[20])
-        asyncio.run(s.run_workload_async("stencil", verify=False))
-        asyncio.run(s.run_workload_async("stencil", verify=False))
-        assert memo.cache_info().hits >= 1
-        memo.clear()
-
-
 class TestAsyncCacheParity:
-    """ISSUE-5 satellite: the async sweep path must show the same result-
-    cache hit/miss behaviour and accounting as the sync path.
+    """Duplicate sweep points cost one workload run however they are driven.
 
     The historical divergence was duplicate sweep points: run sequentially
-    they cost one workload run (miss) plus hits, but run concurrently —
-    async workers or a thread pool — every duplicate missed *before* any
-    of them stored, so the workload ran redundantly and the counters
-    disagreed with the sync path.  ``run_cached`` now single-flights
-    identical requests, making the accounting identical everywhere.
+    they cost one workload run (miss) plus hits, but run concurrently on a
+    thread pool every duplicate missed *before* any of them stored, so the
+    workload ran redundantly and the counters disagreed with the
+    sequential path.  ``run_cached`` single-flights identical requests,
+    making the accounting identical everywhere.
     """
 
     class _Counting:
@@ -173,21 +134,15 @@ class TestAsyncCacheParity:
         reqs = list(s.requests(workload._inner, verify=False))
         if mode == "sync":
             results = [runner(r) for r in reqs]
-        elif mode == "threads":
+        else:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=3) as pool:
                 results = [f.result()
                            for f in [pool.submit(runner, r) for r in reqs]]
-        else:
-            async def drive():
-                return await asyncio.gather(
-                    *(asyncio.to_thread(runner, r) for r in reqs))
-
-            results = asyncio.run(drive())
         return workload.runs, cache.memo.cache_info(), results
 
-    @pytest.mark.parametrize("mode", ["sync", "threads", "async"])
+    @pytest.mark.parametrize("mode", ["sync", "threads"])
     def test_duplicate_requests_run_once_in_every_mode(self, mode):
         runs, info, results = self._drive(mode)
         assert runs == 1, f"{mode}: duplicates must coalesce into one run"
@@ -195,20 +150,13 @@ class TestAsyncCacheParity:
         assert info.hits == 2
         assert len({id(r) for r in results}) == 3  # every caller owns a clone
 
-    def test_async_accounting_matches_sync(self):
-        sync_runs, sync_info, _ = self._drive("sync")
-        async_runs, async_info, _ = self._drive("async")
-        assert async_runs == sync_runs
-        assert async_info == sync_info
-
-    def test_sweep_async_path_coalesces_duplicates(self):
+    def test_threaded_sweep_coalesces_duplicates(self):
         from repro.workloads.cache import default_result_cache
 
         memo = default_result_cache().memo
         memo.clear()
         s = self._duplicate_sweep()
-        results = asyncio.run(s.run_workload_async("stencil", workers=3,
-                                                   verify=False))
+        results = s.run_workload("stencil", workers=3, verify=False)
         info = memo.cache_info()
         assert info.misses == 1 and info.hits == 2
         assert len(results) == 3

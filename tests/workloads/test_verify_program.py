@@ -40,7 +40,8 @@ from repro.kernels.stencil.runner import (
     enqueue_stencil,
     verify_stencil_kernel,
 )
-from repro.resilience import FaultPlan, FaultRule, install_fault_plan
+from repro.resilience import (FaultPlan, FaultRule, install_fault_plan,
+                              run_resilient)
 from repro.resilience.faults import FaultInjector
 from repro.workloads import get_workload
 
@@ -204,7 +205,7 @@ def test_failed_upload_mid_replay_leaves_no_residue(name, index):
     wl.run(other)                                   # buffers hold `other`
     plan = FaultPlan(rules=(FaultRule(site="transfer.h2d", indices=(index,)),))
     with install_fault_plan(plan) as injector:
-        recovered = wl.run_resilient(request, retry=2)
+        recovered = run_resilient(wl, request, retry=2)
     assert injector.stats()["fired"] == {"transfer.h2d": 1}
     assert recovered.provenance["resilience"]["attempts"] == 2
     assert recovered.verification.passed
