@@ -97,6 +97,7 @@ class TestResilientSweep:
 
         assert CheckpointJournal(path).summary()["completed"] == 3
 
+
 class TestCheckpointedSweep:
     def test_interrupted_sweep_resumes_without_rerunning(self, stencil,
                                                          tmp_path,
