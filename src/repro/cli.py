@@ -19,11 +19,11 @@ Subcommands
     functional-simulator mode.
 ``sweep <workload>``
     Run a parameter sweep (``--param L=16,32,64`` axes) through
-    ``Sweep.run_workload`` with the resilience layer exposed: ``--retries``
-    / ``--timeout-ms`` / ``--on-error`` wrap every configuration in the
-    retry + degradation machinery, ``--checkpoint``/``--resume`` journal
-    finished requests so an interrupted sweep picks up where it stopped,
-    and ``--inject`` installs a deterministic fault plan for chaos runs.
+    ``Sweep.run_workload``: ``--checkpoint``/``--resume`` journal finished
+    requests so a resumed sweep serves them and re-runs only the failed
+    ones, ``--on-error skip`` records a failure and carries on, and
+    ``--inject`` installs a deterministic fault plan for chaos runs (it
+    bypasses the result cache, in ``bench`` too).
 ``tune <workload>``
     Search the workload's launch space (block shapes, work-group sizes,
     fast-math) for one request and persist the winner in the tuning
@@ -454,11 +454,6 @@ def _parse_param_overrides(pairs: List[str]) -> dict:
     return params
 
 
-def _retry_attempts(retries: int):
-    """``--retries N`` as an attempt count for the resilience layer."""
-    return retries + 1 if retries > 0 else None
-
-
 def _inject_scope(plan_path):
     """Context manager installing a fault plan from a JSON file (or a no-op)."""
     if plan_path is None:
@@ -508,18 +503,12 @@ def _bench_args(p) -> None:
     p.add_argument("--cache-dir", default=None, metavar="PATH",
                    help="on-disk result-cache location (default "
                         ".repro_cache/)")
-    p.add_argument("--retries", type=int, default=0, metavar="N",
-                   help="retry a failed run up to N times (exponential "
-                        "backoff with seeded jitter) and degrade along "
-                        "the executor/tuning fallback ladder (default 0: "
-                        "fail fast)")
-    p.add_argument("--timeout-ms", type=float, default=None, metavar="MS",
-                   help="wall-clock deadline per attempt; an expired run "
-                        "raises (or retries, with --retries)")
     p.add_argument("--inject", default=None, metavar="PLAN.json",
                    help="install a deterministic fault plan (JSON: seed + "
                         "rules) for this invocation — chaos testing; see "
-                        "the README's resilience section for the format")
+                        "the README's resilience section for the format "
+                        "(bypasses the result cache: a faulted run must "
+                        "neither read nor store a verdict)")
     p.add_argument("--trace", default=None, metavar="TRACE.json",
                    help="run under the tracing collector and write a "
                         "Chrome/Perfetto trace of this invocation to "
@@ -555,10 +544,6 @@ def _cmd_bench(args) -> int:
         tune="cached" if args.tuned else "off",
         optimize=args.optimize,
     )
-    from .resilience import resilient_runner
-
-    runner = resilient_runner(workload, _retry_attempts(args.retries),
-                              args.timeout_ms)
     cache_note = "disabled (--no-cache)"
     with _inject_scope(args.inject):
         if args.trace:
@@ -569,16 +554,21 @@ def _cmd_bench(args) -> int:
             # device activity, so tracing always runs the workload.
             collector = TraceCollector()
             with install_trace_collector(collector):
-                result = runner(request)
+                result = workload.run(request)
             write_chrome_trace(args.trace, collector,
                                metrics_snapshot=snapshot())
             cache_note = "bypassed (--trace)"
+        elif args.inject:
+            # A faulted verdict must not reach the disk store, and a stored
+            # clean one would hide the faults.
+            result = workload.run(request)
+            cache_note = "bypassed (--inject)"
         elif args.no_cache:
-            result = runner(request)
+            result = workload.run(request)
         elif args.tuned:
             # Tuned results depend on the mutable tuning database, so the
             # request-level result cache does not memoise them (run_cached).
-            result = run_cached(request, workload=workload, runner=runner)
+            result = run_cached(request, workload=workload)
             cache_note = "bypassed (tuned request)"
         else:
             # A disk-backed cache keyed by the frozen request makes repeated
@@ -586,8 +576,7 @@ def _cmd_bench(args) -> int:
             # cache object is fresh per invocation, so the only possible
             # outcomes are a disk hit or a miss that populates the store.
             cache = ResultCache(disk_dir=args.cache_dir or DEFAULT_CACHE_DIR)
-            result = run_cached(request, cache=cache, workload=workload,
-                                runner=runner)
+            result = run_cached(request, cache=cache, workload=workload)
             cache_note = ("hit (disk)" if cache.memo.cache_info().disk_hits
                           else "miss (stored)")
 
@@ -630,14 +619,6 @@ def _cmd_bench(args) -> int:
             else:
                 print(f"tuning: not applied ({tuning.get('reason', '?')}) — "
                       "run 'repro tune' to search and persist a winner")
-        resilience = result.provenance.get("resilience")
-        if resilience is not None:
-            ran = resilience["ran"]
-            note = f"{resilience['attempts']} attempt(s)"
-            if resilience["degraded"]:
-                note += (f", degraded to executor={ran['executor']} "
-                         f"tune={ran['tune']}")
-            print(f"resilience: {note}")
         print(f"result cache: {cache_note}")
         if args.trace:
             print(f"trace: wrote {args.trace} "
@@ -703,21 +684,17 @@ def _sweep_args(p) -> None:
                         "requests are served from the journal, not "
                         "re-run (without --resume the file is truncated)")
     p.add_argument("--on-error", default="raise",
-                   choices=["raise", "skip", "retry"],
-                   help="failed-request handling: raise (default), skip "
-                        "(record a FailureRecord and continue) or retry "
-                        "(retry + degradation ladder, then record)")
-    p.add_argument("--retries", type=int, default=0, metavar="N",
-                   help="retry each failed request up to N times "
-                        "(implies the degradation ladder)")
-    p.add_argument("--timeout-ms", type=float, default=None, metavar="MS",
-                   help="wall-clock deadline per attempt")
+                   choices=["raise", "skip"],
+                   help="failed-request handling: raise (default) or skip "
+                        "(record a FailureRecord and continue; --resume "
+                        "re-runs it)")
     p.add_argument("--inject", default=None, metavar="PLAN.json",
                    help="install a deterministic fault plan for the "
-                        "whole sweep (chaos testing)")
+                        "whole sweep (chaos testing; bypasses the result "
+                        "cache)")
     p.add_argument("--json", action="store_true",
-                   help="emit results, failures and the resilience "
-                        "summary as JSON")
+                   help="emit results, failures and the sweep summary as "
+                        "JSON")
 
 
 def _cmd_sweep(args) -> int:
@@ -734,7 +711,7 @@ def _cmd_sweep(args) -> int:
             "sweep needs at least one --param axis (K=V1,V2,...)")
     s = make_sweep(**axes)
 
-    if args.no_cache:
+    if args.no_cache or args.inject:
         cache = False
     else:
         cache = True
@@ -750,28 +727,26 @@ def _cmd_sweep(args) -> int:
     for key in list(base):
         if key in axes:
             del base[key]
+    journal = None
+    if args.checkpoint:
+        from .resilience import CheckpointJournal
+
+        journal = CheckpointJournal(args.checkpoint, resume=args.resume)
     with _inject_scope(args.inject) as injector:
         results = s.run_workload(
             workload, workers=args.workers if args.workers > 1 else None,
-            cache=cache, checkpoint=args.checkpoint, resume=args.resume,
-            on_error=args.on_error, retry=_retry_attempts(args.retries),
-            timeout_ms=args.timeout_ms,
-            **base)
+            cache=cache, checkpoint=journal, on_error=args.on_error, **base)
 
     completed = [r for r in results if getattr(r, "ok", True)]
     failures = [r for r in results if not getattr(r, "ok", True)]
-    retried = sum(1 for r in completed
-                  if r.provenance.get("resilience", {}).get("retried"))
-    degraded = sum(1 for r in completed
-                   if r.provenance.get("resilience", {}).get("degraded"))
+    resumed = journal.served if journal is not None else 0
     verify_failed = sum(1 for r in completed
                         if r.verification.ran and not r.verification.passed)
     summary = {
         "configurations": len(results),
         "completed": len(completed),
         "failures": len(failures),
-        "retried": retried,
-        "degraded": degraded,
+        "resumed": resumed,
         "verification_failures": verify_failed,
     }
     if injector is not None:
@@ -796,10 +771,8 @@ def _cmd_sweep(args) -> int:
             print(f"FAILED {f.request.get('params')}: "
                   f"{f.error_type}: {f.message}")
         notes = [f"{len(completed)}/{len(results)} completed"]
-        if retried:
-            notes.append(f"{retried} retried")
-        if degraded:
-            notes.append(f"{degraded} degraded")
+        if resumed:
+            notes.append(f"{resumed} resumed")
         if verify_failed:
             notes.append(f"{verify_failed} failed verification")
         if injector is not None:
@@ -1225,7 +1198,7 @@ COMMANDS = {c.name: c for c in (
     Command("bench", "run one workload through the unified Workload API",
             _bench_args, _cmd_bench),
     Command("sweep", "run a workload over a cartesian parameter sweep, with "
-            "optional retries, checkpointing and fault injection",
+            "optional checkpointing and fault injection",
             _sweep_args, _cmd_sweep),
     Command("tune", "search a workload's launch space and persist the "
             "winner", _tune_args, _cmd_tune),

@@ -20,7 +20,6 @@ __all__ = [
     "DTypeError",
     "VerificationError",
     "AnalysisError",
-    "DeadlineExceeded",
 ]
 
 
@@ -81,14 +80,3 @@ class AnalysisError(ReproError):
     ``repro lint`` CLI reports the same findings without raising.
     """
 
-
-class DeadlineExceeded(ReproError):
-    """Raised when a run exceeds its :class:`~repro.resilience.Deadline`.
-
-    ``timeout_ms`` carries the budget that was exhausted so retry policies
-    and failure records can report it without parsing the message.
-    """
-
-    def __init__(self, message: str, *, timeout_ms=None):
-        super().__init__(message)
-        self.timeout_ms = timeout_ms

@@ -8,7 +8,8 @@ Sweeps speak the unified Workload API directly: :meth:`Sweep.requests` turns
 each configuration into a validated ``RunRequest`` (``gpu``/``backend``/
 ``precision``/``fast_math``/``verify`` keys become request fields, the rest
 workload params) and :meth:`Sweep.run_workload` executes them, so sweeping a
-new workload needs no per-kernel glue.
+new workload needs no per-kernel glue.  A checkpointed sweep journals every
+finished request and, resumed, re-runs only the ones that failed.
 """
 
 from __future__ import annotations
@@ -143,9 +144,7 @@ class Sweep:
 
     def run_workload(self, workload, *, workers: Optional[int] = None,
                      cache: bool = True, checkpoint=None, resume: bool = True,
-                     on_error: str = "raise", retry=None,
-                     timeout_ms: Optional[float] = None,
-                     **base) -> List[object]:
+                     on_error: str = "raise", **base) -> List[object]:
         """Run a registered workload over every configuration.
 
         Returns one ``WorkloadResult`` per configuration, in sweep order
@@ -158,51 +157,35 @@ class Sweep:
         configurations — are answered without re-running the workload.
         Pass ``cache=False`` to force fresh runs.
 
-        Resilience (all off by default — the plain path is unchanged):
+        Recovery (off by default — the plain path is unchanged) is the
+        checkpoint journal, outside the result cache
+        (:func:`~repro.resilience.checkpointed`):
 
         * ``checkpoint=path`` journals every finished request to a
           JSON-lines file; with ``resume=True`` (default) an existing
-          journal is replayed and completed requests are **not re-run**.
+          journal is replayed: completed requests are **not re-run**,
+          failed ones (including failed verifications) are.
           ``checkpoint`` also accepts a ready
           :class:`~repro.resilience.CheckpointJournal`.
-        * ``on_error`` — ``"raise"`` propagates the first failure (today's
-          behaviour); ``"skip"`` and ``"retry"`` convert a failed request
-          into a :class:`~repro.resilience.FailureRecord` in the result
-          list (``"retry"`` first retries under *retry*, defaulting to
-          three attempts, with the degradation ladder).
-        * ``retry`` — a :class:`~repro.resilience.RetryPolicy` or attempt
-          count applied to every request; ``timeout_ms`` bounds each
-          attempt with a :class:`~repro.resilience.Deadline`.
-
-        Retries, the deadline and the degradation ladder run *inside* the
-        result cache (a recovered result is memoised like any other); the
-        checkpoint journal and failure capture run *outside* it.
+        * ``on_error`` — ``"raise"`` propagates the first failure;
+          ``"skip"`` turns a failed request into a
+          :class:`~repro.resilience.FailureRecord` in the result list.
         """
         from ..workloads import get_workload  # cycle-break, as in requests()
         from ..workloads.cache import run_cached
 
         wl = get_workload(workload)
         reqs = list(self.requests(wl, **base))
-        resilience = None
-        if checkpoint is not None or on_error != "raise" or retry is not None \
-                or timeout_ms is not None:
-            from ..resilience import (CheckpointJournal, SweepResilience,
-                                      resilient_runner)
+        # The runner closes over the resolved instance: run_cached must not
+        # re-resolve by name, or sweeps over unregistered workloads break.
+        runner = (lambda r: run_cached(r, workload=wl)) if cache else wl.run
+        if checkpoint is not None or on_error != "raise":
+            from ..resilience import CheckpointJournal, checkpointed
 
             if checkpoint is not None \
                     and not isinstance(checkpoint, CheckpointJournal):
                 checkpoint = CheckpointJournal(checkpoint, resume=resume)
-            resilience = SweepResilience(on_error=on_error,
-                                         journal=checkpoint, retry=retry)
-            core = resilient_runner(wl, resilience.retry, timeout_ms)
-        else:
-            core = wl.run
-        # The runner closes over the resolved instance: run_cached must not
-        # re-resolve by name, or sweeps over unregistered workloads break.
-        runner = (lambda r: run_cached(r, workload=wl, runner=core)) \
-            if cache else core
-        if resilience is not None:
-            runner = resilience.wrap_request(runner)
+            runner = checkpointed(runner, checkpoint, on_error=on_error)
         if workers is None or workers <= 1:
             return [runner(r) for r in reqs]
         from concurrent.futures import ThreadPoolExecutor

@@ -10,8 +10,7 @@ argues performance portability through *observable* per-phase breakdowns:
 * :mod:`~repro.obs.export` — Chrome/Perfetto ``trace.json`` export merging
   host spans with the per-stream modelled device timelines;
 * :mod:`~repro.obs.metrics` — the process-wide counters/gauges/histograms
-  registry with a stable zero-filled catalog, :func:`snapshot` and
-  Prometheus text exposition.
+  registry with a stable zero-filled catalog and :func:`snapshot`.
 
 Surfaces: ``repro trace <workload>``, ``repro bench --trace`` and the
 ``repro report`` observability section.
@@ -28,7 +27,6 @@ from .metrics import (
     HISTOGRAM_CATALOG,
     MetricsRegistry,
     registry,
-    render_prometheus,
     reset_metrics,
     snapshot,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "modelled_vs_wall",
     "observability_markdown",
     "registry",
-    "render_prometheus",
     "reset_metrics",
     "snapshot",
     "span",

@@ -2,19 +2,16 @@
 
 Every subsystem in the reproduction already counts things — memo hits
 and misses (compile, result cache, tuning database, ...), fault firings,
-retry attempts, graph-compiler rewrites, lint diagnostics —
-but until now each count lived in its own ad-hoc dict.  This registry gives
-them one process-wide home with a stable catalog, a :func:`snapshot` dict
-for JSON surfaces (``repro trace --json``, CI asserts) and a Prometheus
-text exposition ready for the future ``repro serve``.
+graph-compiler rewrites, lint diagnostics — and this registry gives them
+one process-wide home with a stable catalog and a :func:`snapshot` dict
+for JSON surfaces (``repro trace --json``, CI asserts).
 
 Design points:
 
 * **Catalogued and zero-filled.**  Every counter and histogram the stack
   can emit is declared in :data:`COUNTER_CATALOG` / :data:`HISTOGRAM_CATALOG`
-  and appears in every snapshot even when it never fired — a dashboard (or
-  a CI assert) can rely on the full schema being present from the first
-  scrape.
+  and appears in every snapshot even when it never fired — a CI assert
+  can rely on the full schema being present from the first snapshot.
 * **Labelled children.**  ``inc("lint_diagnostics_total", rule="KV103")``
   bumps both the bare catalog counter and a labelled child series
   (``lint_diagnostics_total{rule="KV103"}``); the bare name is always the
@@ -29,7 +26,7 @@ Design points:
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
     "COUNTER_CATALOG",
@@ -41,15 +38,12 @@ __all__ = [
     "set_gauge",
     "snapshot",
     "reset_metrics",
-    "render_prometheus",
     "registry",
 ]
 
 #: every counter the stack can emit, zero-filled in every snapshot
 COUNTER_CATALOG: Tuple[str, ...] = (
     "fault_injections_fired_total",
-    "retry_attempts_total",
-    "degradation_steps_total",
     "graphopt_ops_elided_total",
     "graphopt_ops_fused_total",
     "lint_diagnostics_total",
@@ -69,27 +63,13 @@ LATENCY_BUCKETS_MS: Tuple[float, ...] = (
     250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
 )
 
-_HELP = {
-    "fault_injections_fired_total": "FaultInjector rules that actually fired",
-    "retry_attempts_total": "re-attempts after a retryable failure",
-    "degradation_steps_total": "degradation-ladder steps taken past the first",
-    "graphopt_ops_elided_total": "graph-compiler ops elided by transfer passes",
-    "graphopt_ops_fused_total": "graph-compiler fusion rewrites emitted",
-    "lint_diagnostics_total": "static-analysis diagnostics (label: rule)",
-    "memo_hits_total": "Memo lookups served from memory or disk (label: memo)",
-    "memo_misses_total": "Memo lookups that found nothing (label: memo)",
-    "memo_disk_hits_total": "Memo hits read from the disk tier (label: memo)",
-    "workload_run_latency_ms": "Workload.run wall latency (label: workload)",
-}
-
-
 def _series_key(name: str, labels: Dict[str, Any]) -> str:
     inner = ",".join(f'{k}="{labels[k]}"' for k in sorted(labels))
     return f"{name}{{{inner}}}"
 
 
 class _Histogram:
-    """Fixed-bucket cumulative histogram (Prometheus semantics)."""
+    """Fixed-bucket cumulative histogram."""
 
     __slots__ = ("bounds", "buckets", "count", "total", "min", "max")
 
@@ -204,38 +184,6 @@ class MetricsRegistry:
                 "histograms": histograms,
             }
 
-    def render_prometheus(self) -> str:
-        """Prometheus text exposition format 0.0.4."""
-        with self._lock:
-            lines: List[str] = []
-            for name in sorted(set(self._counters) | {
-                    key.split("{", 1)[0] for key in self._counter_series}):
-                help_text = _HELP.get(name, name)
-                lines.append(f"# HELP {name} {help_text}")
-                lines.append(f"# TYPE {name} counter")
-                lines.append(f"{name} {self._counters.get(name, 0.0):g}")
-                for key in sorted(self._counter_series):
-                    if key.split("{", 1)[0] == name:
-                        lines.append(f"{key} {self._counter_series[key]:g}")
-            for key in sorted(self._gauges):
-                name = key.split("{", 1)[0]
-                lines.append(f"# TYPE {name} gauge")
-                lines.append(f"{key} {self._gauges[key]:g}")
-            for name in sorted(self._histograms):
-                help_text = _HELP.get(name, name)
-                hist = self._histograms[name]
-                lines.append(f"# HELP {name} {help_text}")
-                lines.append(f"# TYPE {name} histogram")
-                running = 0
-                for bound, slot in zip(hist.bounds, hist.buckets):
-                    running += slot
-                    lines.append(f'{name}_bucket{{le="{bound:g}"}} {running}')
-                lines.append(
-                    f'{name}_bucket{{le="+Inf"}} {running + hist.buckets[-1]}')
-                lines.append(f"{name}_sum {hist.total:g}")
-                lines.append(f"{name}_count {hist.count}")
-            return "\n".join(lines) + "\n"
-
 
 # ---------------------------------------------------------------------------
 # The process-wide default registry (instrumented sites call the functions)
@@ -268,6 +216,3 @@ def snapshot() -> Dict[str, Any]:
 def reset_metrics() -> None:
     _REGISTRY.reset()
 
-
-def render_prometheus() -> str:
-    return _REGISTRY.render_prometheus()

@@ -2,8 +2,8 @@
 
 The paper explains *where time goes* per ``(gpu, backend)`` — its NCU and
 rocprof tables are observability artifacts.  This module provides the host
-half of that story: nested spans (``workload.run`` → ``tuning.resolve`` →
-``resilience.attempt[n]`` → ``device.drain`` / ``graph.replay``) with ids,
+half of that story: nested spans (``workload.run`` → ``tuning.resolve`` → ``device.drain`` /
+``graph.replay``) with ids,
 parents, and *two* durations each — the wall-clock time the host actually
 spent, and the modelled device time the analytic timing model predicted.
 They are different quantities and are reported side by side, never

@@ -1,31 +1,25 @@
-"""Resilience layer: deterministic chaos, recovery policies, checkpoints.
+"""Resilience layer: deterministic fault injection and journaled sweeps.
 
-Four pieces, each usable alone and composed by the sweep harness:
+The simulator is deterministic, so a failed run fails again when re-run
+unchanged; there is no retry loop.  Two pieces remain, each usable alone:
 
 * :mod:`~repro.resilience.faults` — seedable, deterministic fault
   injection wired into the device/executor/diskstore layers (off by
-  default, zero-overhead when disabled);
-* :mod:`~repro.resilience.policy` — :class:`RetryPolicy` (exponential
-  backoff with seeded jitter) and :class:`Deadline` (per-run wall-clock
-  budget);
-* :mod:`~repro.resilience.degrade` — :func:`run_resilient`, the
-  retry-then-degrade wrapper around ``Workload.run`` (executor ladder,
-  tuned→untuned fallback, ``provenance["resilience"]`` records), and
-  :func:`resilient_runner`, the one place ``repro bench`` and
-  ``Sweep.run_workload`` get their per-request runner from;
-* :mod:`~repro.resilience.checkpoint` — journaled sweep checkpointing,
-  :class:`FailureRecord` collection and the :class:`SweepResilience`
-  bundle behind ``Sweep.run_workload(..., checkpoint=..., on_error=...)``.
+  default, zero-overhead when disabled), the test instrument that proves
+  verification catches a bad download;
+* :mod:`~repro.resilience.checkpoint` — journaled sweep checkpointing and
+  :class:`FailureRecord` collection behind
+  ``Sweep.run_workload(..., checkpoint=..., on_error=...)``: a resumed
+  sweep serves journaled results and re-runs only the failed requests.
 """
 
 from .checkpoint import (
     ON_ERROR_MODES,
     CheckpointJournal,
     FailureRecord,
-    SweepResilience,
+    checkpointed,
     request_digest,
 )
-from .degrade import degradation_ladder, resilient_runner, run_resilient
 from .faults import (
     FAULT_SITES,
     FaultEvent,
@@ -35,7 +29,6 @@ from .faults import (
     active_injector,
     install_fault_plan,
 )
-from .policy import Deadline, RetryPolicy
 
 __all__ = [
     "FAULT_SITES",
@@ -45,14 +38,9 @@ __all__ = [
     "FaultRule",
     "active_injector",
     "install_fault_plan",
-    "Deadline",
-    "RetryPolicy",
-    "run_resilient",
-    "resilient_runner",
-    "degradation_ladder",
     "CheckpointJournal",
     "FailureRecord",
-    "SweepResilience",
+    "checkpointed",
     "request_digest",
     "ON_ERROR_MODES",
 ]

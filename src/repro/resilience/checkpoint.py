@@ -5,18 +5,18 @@ A long sweep should survive interruption and partial failure.  The
 finished request, keyed by the same canonical request digest the on-disk
 result cache uses.  Resuming a sweep replays the journal — completed
 requests are answered from their recorded result export without re-running,
-previously *failed* requests get a fresh chance — and a torn tail line
-(the process died mid-write) is skipped, never fatal.
+previously *failed* requests (a raised error or a failed verification) get
+a fresh chance — and a torn tail line (the process died mid-write) is
+skipped, never fatal.
 
-Failures that a sweep is told to survive (``on_error="skip"|"retry"``)
-come back as :class:`FailureRecord` entries in the result list, preserving
-sweep order, so callers can always line results up with configurations.
+Failures that a sweep is told to survive (``on_error="skip"``) come back
+as :class:`FailureRecord` entries in the result list, preserving sweep
+order, so callers can always line results up with configurations.
 
-:class:`SweepResilience` bundles the per-sweep wiring — journal, retry
-policy, on-error mode — and is what
-:meth:`repro.harness.sweep.Sweep.run_workload` builds from its resilience
-keyword arguments.  Thread-safe throughout: the ``workers=N`` pool shares
-one journal.
+:func:`checkpointed` is the per-request wrapper
+:meth:`repro.harness.sweep.Sweep.run_workload` builds from its
+``checkpoint`` / ``on_error`` keyword arguments.  Thread-safe throughout:
+the ``workers=N`` pool shares one journal.
 """
 
 from __future__ import annotations
@@ -27,17 +27,16 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..core.errors import ConfigurationError, ReproError
-from .policy import RetryPolicy
+from ..core.errors import ConfigurationError, ReproError, VerificationError
 
-__all__ = ["FailureRecord", "CheckpointJournal", "SweepResilience",
+__all__ = ["FailureRecord", "CheckpointJournal", "checkpointed",
            "request_digest", "ON_ERROR_MODES"]
 
 #: schema tag written with every journal line; bump to invalidate old files
 _JOURNAL_SCHEMA = "repro.sweep-checkpoint/v1"
 
-#: how run_workload treats a request that still fails after its retries
-ON_ERROR_MODES = ("raise", "skip", "retry")
+#: how run_workload treats a request that fails
+ON_ERROR_MODES = ("raise", "skip")
 
 
 def request_digest(request) -> str:
@@ -54,7 +53,7 @@ def request_digest(request) -> str:
 
 @dataclass
 class FailureRecord:
-    """One request a resilient sweep gave up on.
+    """One request a sweep could not complete.
 
     Takes a result's place in the sweep-ordered output list, so it mirrors
     the identification fields a caller would read off a result.  ``ok`` is
@@ -68,7 +67,6 @@ class FailureRecord:
     request: Dict[str, object]
     error_type: str
     message: str
-    attempts: int = 1
     ok: bool = field(default=False, init=False)
 
     def as_dict(self) -> Dict[str, object]:
@@ -78,7 +76,6 @@ class FailureRecord:
             "request": self.request,
             "error_type": self.error_type,
             "message": self.message,
-            "attempts": self.attempts,
         }
 
     @classmethod
@@ -89,20 +86,16 @@ class FailureRecord:
             request=dict(payload.get("request", {})),
             error_type=str(payload.get("error_type", "")),
             message=str(payload.get("message", "")),
-            attempts=int(payload.get("attempts", 1)),
         )
 
     @classmethod
-    def from_exception(cls, request, exc: BaseException, *,
-                       digest: str = "",
-                       attempts: int = 1) -> "FailureRecord":
+    def from_exception(cls, request, exc: BaseException) -> "FailureRecord":
         return cls(
             workload=request.workload,
-            digest=digest or request_digest(request),
+            digest=request_digest(request),
             request=request.as_dict(),
             error_type=type(exc).__name__,
             message=str(exc),
-            attempts=attempts,
         )
 
 
@@ -122,6 +115,8 @@ class CheckpointJournal:
         self._completed: Dict[str, dict] = {}
         self._failed: Dict[str, dict] = {}
         self.skipped_lines = 0
+        #: requests answered from the journal instead of being run
+        self.served = 0
         if resume:
             self._load()
         elif os.path.exists(self.path):
@@ -167,8 +162,9 @@ class CheckpointJournal:
         digest = request_digest(request)
         with self._lock:
             entry = self._completed.get(digest)
-        if entry is None:
-            return None
+            if entry is None:
+                return None
+            self.served += 1
         return _result_from_export(request, entry.get("result", {}))
 
     @property
@@ -190,9 +186,8 @@ class CheckpointJournal:
                     "skipped_lines": self.skipped_lines}
 
     # -------------------------------------------------------------- recording
-    def record_success(self, request, result, *,
-                       digest: Optional[str] = None) -> None:
-        digest = digest or request_digest(request)
+    def record_success(self, request, result) -> None:
+        digest = request_digest(request)
         entry = {
             "schema": _JOURNAL_SCHEMA,
             "status": "ok",
@@ -227,55 +222,42 @@ class CheckpointJournal:
             os.fsync(fh.fileno())
 
 
-class SweepResilience:
-    """The per-sweep bundle of resilience mechanisms.
+def checkpointed(runner: Callable, journal: Optional[CheckpointJournal] = None,
+                 *, on_error: str = "raise") -> Callable:
+    """*runner* wrapped with checkpoint-journal lookup and failure capture.
 
-    Built by ``Sweep.run_workload`` from its keyword arguments.  ``retry``
-    is the policy the sweep's inner runner
-    (:func:`~repro.resilience.degrade.resilient_runner`) retries under;
-    :meth:`wrap_request` is the *outer* runner: checkpoint-journal lookup
-    and failure capture per the ``on_error`` mode.
+    A request the *journal* holds as completed is answered from it without
+    running.  A request that raises a :class:`ReproError` is journaled as
+    failed; ``on_error="skip"`` returns it as a :class:`FailureRecord`,
+    ``"raise"`` re-raises.  A result whose verification failed is returned
+    as is but journaled as failed, so a resumed sweep re-runs it.
     """
+    if on_error not in ON_ERROR_MODES:
+        raise ConfigurationError(
+            f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}")
 
-    def __init__(self, *, on_error: str = "raise",
-                 journal: Optional[CheckpointJournal] = None,
-                 retry: Optional[RetryPolicy] = None):
-        if on_error not in ON_ERROR_MODES:
-            raise ConfigurationError(
-                f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}")
-        if retry is not None and not isinstance(retry, RetryPolicy):
-            retry = RetryPolicy(max_attempts=int(retry))
-        if retry is None and on_error == "retry":
-            retry = RetryPolicy()
-        self.on_error = on_error
-        self.journal = journal
-        self.retry = retry
+    def run(request):
+        if journal is not None:
+            stored = journal.get(request)
+            if stored is not None:
+                return stored
+        try:
+            result = runner(request)
+        except ReproError as exc:
+            failure = FailureRecord.from_exception(request, exc)
+            if journal is not None:
+                journal.record_failure(failure)
+            if on_error == "raise":
+                raise
+            return failure
+        if journal is not None:
+            verdict = result.verification
+            if verdict.ran and not verdict.passed:
+                journal.record_failure(FailureRecord.from_exception(
+                    request, VerificationError(
+                        verdict.detail or "verification failed")))
+            else:
+                journal.record_success(request, result)
+        return result
 
-    def wrap_request(self, runner: Callable) -> Callable:
-        """The outer runner: checkpoint + on-error handling."""
-
-        def wrapped(request):
-            digest = request_digest(request)
-            if self.journal is not None:
-                stored = self.journal.get(request)
-                if stored is not None:
-                    return stored
-            try:
-                result = runner(request)
-            except ReproError as exc:
-                return self._failed(request, exc, digest)
-            if self.journal is not None:
-                self.journal.record_success(request, result, digest=digest)
-            return result
-
-        return wrapped
-
-    def _failed(self, request, exc, digest: str):
-        attempts = 1 if self.retry is None else self.retry.max_attempts
-        failure = FailureRecord.from_exception(request, exc, digest=digest,
-                                               attempts=attempts)
-        if self.journal is not None:
-            self.journal.record_failure(failure)
-        if self.on_error == "raise":
-            raise exc
-        return failure
+    return run

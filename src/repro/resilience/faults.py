@@ -39,7 +39,8 @@ suite's zero-overhead test).  Install one for a scope with::
 
 Injected exceptions are ordinary :class:`DeviceError` / :class:`LaunchError`
 instances carrying ``injected=True`` and an ``[fault-injection]`` marker, so
-every retry/degradation path exercises exactly the production error route.
+sweep failure capture and checkpoint journaling see exactly the production
+error route.
 """
 
 from __future__ import annotations
@@ -224,9 +225,9 @@ class FaultInjector:
 
     Thread-safe: per-site occurrence counters and the fired-event log are
     guarded by one lock.  The decision for occurrence *i* of a site depends
-    only on ``(plan.seed, site, i)`` and the rule list, so a retried
+    only on ``(plan.seed, site, i)`` and the rule list, so a repeated
     operation — which arrives as a *later* occurrence — sees a fresh
-    decision, exactly like real transient faults.
+    decision.
     """
 
     def __init__(self, plan: FaultPlan):

@@ -22,14 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..core.errors import DeadlineExceeded, ReproError
+from ..core.errors import ReproError
 
-__all__ = ["ProbeResult", "run_probe", "DEFAULT_PROBE_TIMEOUT_MS"]
-
-#: wall-clock budget per candidate probe (capture + all replays); generous —
-#: it exists to stop a *hung* candidate from stalling the whole search, not
-#: to disqualify a slow one
-DEFAULT_PROBE_TIMEOUT_MS = 30_000.0
+__all__ = ["ProbeResult", "run_probe"]
 
 
 @dataclass(frozen=True)
@@ -58,34 +53,13 @@ class ProbeResult:
         }
 
 
-def run_probe(workload, request, *, repeats: int = 2,
-              timeout_ms: Optional[float] = DEFAULT_PROBE_TIMEOUT_MS,
-              ) -> Optional[ProbeResult]:
+def run_probe(workload, request, *, repeats: int = 2) -> Optional[ProbeResult]:
     """Capture the workload's probe pipeline once and replay it *repeats* times.
 
     Returns None when the workload declares no probe.  A candidate whose
     capture or replay raises yields ``ok=False`` with the error message —
     the tuner treats that as a disqualified candidate rather than a crash.
-    The whole probe (capture + replays) runs under a
-    :class:`~repro.resilience.Deadline` of *timeout_ms* (None disables it):
-    a candidate that *hangs* the functional simulator is recorded as a
-    failed candidate instead of stalling ``repro tune`` forever.
     """
-    if timeout_ms is not None:
-        from ..resilience import Deadline
-
-        try:
-            return Deadline(timeout_ms).run(_probe_inline, workload, request,
-                                            repeats)
-        except DeadlineExceeded as exc:
-            return ProbeResult(makespan_ms=float("inf"), replays=0,
-                               operations=0, kernels=0, ok=False,
-                               error=str(exc))
-    return _probe_inline(workload, request, repeats)
-
-
-def _probe_inline(workload, request, repeats: int) -> Optional[ProbeResult]:
-    """The unbounded probe body (capture once, replay *repeats* times)."""
     try:
         graph = workload.tuning_probe(request)
     except ReproError as exc:

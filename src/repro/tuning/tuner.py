@@ -33,7 +33,7 @@ from .model import (
     estimate_candidate,
     prune_space,
 )
-from .probe import DEFAULT_PROBE_TIMEOUT_MS, ProbeResult, run_probe
+from .probe import ProbeResult, run_probe
 from .space import TuningConfig, TuningSpace
 
 __all__ = ["Evaluation", "TuningOutcome", "Tuner", "STRATEGIES",
@@ -135,8 +135,7 @@ class Tuner:
                  keep_ratio: float = DEFAULT_KEEP_RATIO,
                  prune: bool = True,
                  probe: bool = True,
-                 probe_repeats: int = 2,
-                 probe_timeout_ms: Optional[float] = DEFAULT_PROBE_TIMEOUT_MS):
+                 probe_repeats: int = 2):
         if strategy not in STRATEGIES:
             raise ConfigurationError(
                 f"unknown tuning strategy {strategy!r}; expected one of "
@@ -163,9 +162,6 @@ class Tuner:
         self.prune = prune
         self.probe = probe
         self.probe_repeats = int(probe_repeats)
-        #: wall-clock budget per candidate probe; a candidate that hangs the
-        #: functional simulator is disqualified instead of stalling the search
-        self.probe_timeout_ms = probe_timeout_ms
 
     # ------------------------------------------------------------ measurement
     def _measure(self, config: TuningConfig,
@@ -187,8 +183,7 @@ class Tuner:
         probe = None
         if self.probe:
             probe = run_probe(self.workload, tuned,
-                              repeats=self.probe_repeats,
-                              timeout_ms=self.probe_timeout_ms)
+                              repeats=self.probe_repeats)
             if probe is not None and not probe.ok:
                 measured = float("inf")
         return Evaluation(config=config, modelled_ms=modelled,

@@ -179,8 +179,7 @@ def configure_result_cache(*, disk_dir: Optional[str] = None,
 
 def run_cached(request: RunRequest, *,
                cache: Optional[ResultCache] = None,
-               workload=None,
-               runner=None) -> WorkloadResult:
+               workload=None) -> WorkloadResult:
     """Run *request* through its workload, memoised by request.
 
     Uses the module default cache unless an explicit :class:`ResultCache`
@@ -188,9 +187,6 @@ def run_cached(request: RunRequest, *,
     :class:`~repro.workloads.base.Workload` instance (required when it is
     not in the registry — e.g. an ad-hoc subclass driven through a sweep);
     otherwise the request's workload name is resolved through the registry.
-    *runner* replaces ``workload.run`` as the miss-path computation — the
-    resilience layer passes its retry/deadline/degradation wrapper here so
-    cached sweeps recover from faults without bypassing the memo.
 
     Concurrent callers holding the *same* request coalesce into one run
     (single-flight): exactly one computes and stores, the rest read the
@@ -206,12 +202,11 @@ def run_cached(request: RunRequest, *,
 
     target = cache if cache is not None else _default_cache
     wl = workload if workload is not None else get_workload(request.workload)
-    run = runner if runner is not None else wl.run
     if request.tune != "off":
-        return run(request)
+        return wl.run(request)
     with target.memo.single_flight(request):
         result = target.get(request)
         if result is None:
-            result = run(request)
+            result = wl.run(request)
             target.put(request, result)
     return result

@@ -70,9 +70,22 @@ def test_context_creation_never_registers():
     DeviceContext("h100")
 
 
-def test_resilient_run_never_consults_collector(stencil):
-    from repro.resilience import run_resilient
+def test_resilient_run_never_consults_collector(stencil, tmp_path):
+    # a checkpointed sweep under a fault plan: failure capture, journal
+    # writes and the resume lookup all stay off the span machinery
+    from repro.harness.sweep import sweep
+    from repro.resilience import (CheckpointJournal, FaultPlan, FaultRule,
+                                  install_fault_plan)
 
-    request = stencil.make_request(params={"L": 18}, protocol=FAST)
-    result = run_resilient(stencil, request, retry=2)
-    assert result.provenance["resilience"]["attempts"] == 1
+    path = str(tmp_path / "sweep.jsonl")
+    plan = FaultPlan(rules=(FaultRule(site="transfer.h2d", indices=(0,)),))
+    with install_fault_plan(plan):
+        first = sweep(L=[18, 20]).run_workload(
+            stencil, cache=False, protocol=FAST, on_error="skip",
+            checkpoint=path)
+    assert not first[0].ok and first[1].verification.passed
+    journal = CheckpointJournal(path)
+    resumed = sweep(L=[18, 20]).run_workload(
+        stencil, cache=False, protocol=FAST, checkpoint=journal)
+    assert journal.served == 1
+    assert all(r.verification.passed for r in resumed)

@@ -124,7 +124,7 @@ class TestObservabilityMarkdown:
         reset_metrics()
         from repro.obs.metrics import inc, observe
 
-        inc("retry_attempts_total", 2)
+        inc("fault_injections_fired_total", 2)
         observe("workload_run_latency_ms", 4.0)
         collector = TraceCollector()
         with collector.span("workload.run") as sp:
@@ -132,7 +132,7 @@ class TestObservabilityMarkdown:
         lines = observability_markdown(collector)
         text = "\n".join(lines)
         assert "## Observability" in text
-        assert "| `retry_attempts_total` | 2 |" in text
+        assert "| `fault_injections_fired_total` | 2 |" in text
         assert "workload_run_latency_ms`: n=1" in text
         assert "### Modelled vs wall time per span" in text
         assert "| `workload.run` |" in text

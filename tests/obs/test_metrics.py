@@ -9,7 +9,6 @@ from repro.obs.metrics import (
     LATENCY_BUCKETS_MS,
     MetricsRegistry,
     registry,
-    render_prometheus,
     reset_metrics,
     snapshot,
 )
@@ -81,31 +80,13 @@ class TestRegistry:
 
     def test_reset_restores_zero_filled_catalog(self):
         reg = MetricsRegistry()
-        reg.inc("retry_attempts_total", 5, site="x")
+        reg.inc("fault_injections_fired_total", 5, site="x")
         reg.observe("workload_run_latency_ms", 1.0)
         reg.reset()
         snap = reg.snapshot()
-        assert snap["counters"]["retry_attempts_total"] == 0.0
-        assert 'retry_attempts_total{site="x"}' not in snap["counters"]
+        assert snap["counters"]["fault_injections_fired_total"] == 0.0
+        assert 'fault_injections_fired_total{site="x"}' not in snap["counters"]
         assert snap["histograms"]["workload_run_latency_ms"]["count"] == 0
-
-
-class TestPrometheusExposition:
-    def test_render_counters_and_histograms(self):
-        reg = MetricsRegistry()
-        reg.inc("fault_injections_fired_total", site="launch")
-        reg.observe("workload_run_latency_ms", 3.0)
-        text = reg.render_prometheus()
-        assert "# TYPE fault_injections_fired_total counter" in text
-        assert "fault_injections_fired_total 1" in text
-        assert 'fault_injections_fired_total{site="launch"} 1' in text
-        assert "# TYPE workload_run_latency_ms histogram" in text
-        assert 'workload_run_latency_ms_bucket{le="+Inf"} 1' in text
-        assert "workload_run_latency_ms_count 1" in text
-        assert text.endswith("\n")
-
-    def test_module_level_render(self):
-        assert "# TYPE retry_attempts_total counter" in render_prometheus()
 
 
 class TestInstrumentedSites:

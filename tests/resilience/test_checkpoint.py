@@ -8,8 +8,7 @@ from repro.core.errors import ConfigurationError, LaunchError
 from repro.resilience import (
     CheckpointJournal,
     FailureRecord,
-    RetryPolicy,
-    SweepResilience,
+    checkpointed,
     request_digest,
 )
 from repro.workloads.cache import ResultCache
@@ -32,11 +31,10 @@ class TestFailureRecord:
     def test_from_exception_and_round_trip(self, stencil):
         request = stencil_request(stencil)
         record = FailureRecord.from_exception(
-            request, LaunchError("kernel died"), attempts=3)
+            request, LaunchError("kernel died"))
         assert record.ok is False
         assert record.workload == "stencil"
         assert record.error_type == "LaunchError"
-        assert record.attempts == 3
         assert record.digest == request_digest(request)
         again = FailureRecord.from_dict(record.as_dict())
         assert again.as_dict() == record.as_dict()
@@ -121,15 +119,8 @@ class TestCheckpointJournal:
 
 
 class TestSweepResilience:
-    def test_on_error_validated(self):
+    def test_on_error_validated(self, stencil):
         with pytest.raises(ConfigurationError):
-            SweepResilience(on_error="explode")
-
-    def test_retry_mode_defaults_a_policy(self):
-        bundle = SweepResilience(on_error="retry")
-        assert isinstance(bundle.retry, RetryPolicy)
-
-    def test_int_retry_coerced(self):
-        bundle = SweepResilience(retry=4)
-        assert isinstance(bundle.retry, RetryPolicy)
-        assert bundle.retry.max_attempts == 4
+            checkpointed(stencil.run, on_error="explode")
+        with pytest.raises(ConfigurationError):
+            checkpointed(stencil.run, on_error="retry")

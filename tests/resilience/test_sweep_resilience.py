@@ -1,4 +1,4 @@
-"""End-to-end chaos: resilient sweeps and checkpoint resume."""
+"""End-to-end chaos: faulted sweeps, journaled failures and resume."""
 
 import json
 
@@ -7,10 +7,10 @@ import pytest
 from repro.core.errors import DeviceError
 from repro.harness.sweep import sweep
 from repro.resilience import (
+    CheckpointJournal,
     FailureRecord,
     FaultPlan,
     FaultRule,
-    RetryPolicy,
     install_fault_plan,
     request_digest,
 )
@@ -23,8 +23,6 @@ CHAOS_PLAN = FaultPlan(seed=7, rules=(
     FaultRule(site="corrupt.d2h", indices=(1,)),
 ))
 
-RETRY = RetryPolicy(max_attempts=3, sleep=lambda s: None)
-
 
 def chaos_sweep():
     return sweep(L=[18, 20, 22])
@@ -35,24 +33,38 @@ def run_clean(stencil):
                                       protocol=FAST)
 
 
+def assert_matches_clean(results, clean):
+    assert len(results) == len(clean) == 3
+    for survived, reference in zip(results, clean):
+        assert survived.verification.passed
+        assert survived.metrics == reference.metrics
+        assert survived.samples == reference.samples
+
+
 class TestResilientSweep:
-    def test_chaos_sweep_is_bit_identical_to_clean(self, stencil):
+    def test_chaos_sweep_is_bit_identical_to_clean(self, stencil, tmp_path):
+        # inject -> journal -> resume: the faulted requests are journaled as
+        # failed, and a resume without the plan re-runs only those
+        path = str(tmp_path / "chaos.jsonl")
         clean = run_clean(stencil)
         with install_fault_plan(CHAOS_PLAN) as injector:
             chaotic = chaos_sweep().run_workload(
                 stencil, cache=False, verify=True, protocol=FAST,
-                on_error="retry", retry=RETRY)
-        assert injector.stats()["total_fired"] == 3
-        assert len(chaotic) == len(clean) == 3
-        for survived, reference in zip(chaotic, clean):
-            assert survived.verification.passed
-            assert survived.metrics == reference.metrics
-            assert survived.samples == reference.samples
-        assert sum(1 for r in chaotic
-                   if r.provenance.get("resilience", {}).get("retried")) >= 1
+                on_error="skip", checkpoint=path)
+        assert injector.stats()["total_fired"] >= 2
+        assert any(isinstance(r, FailureRecord) or not r.verification.passed
+                   for r in chaotic)
+        journal = CheckpointJournal(path)
+        journaled_ok = journal.summary()["completed"]
+        assert journaled_ok < 3
+        resumed = chaos_sweep().run_workload(
+            stencil, cache=False, verify=True, protocol=FAST,
+            checkpoint=journal)
+        assert journal.served == journaled_ok
+        assert_matches_clean(resumed, clean)
 
     def test_on_error_skip_keeps_sweep_order(self, stencil):
-        # one unretried fault on the second configuration's H2D: that slot
+        # one fault on the second configuration's H2D: that slot
         # becomes a FailureRecord, the neighbours complete normally
         plan = FaultPlan(rules=(
             FaultRule(site="transfer.h2d", indices=(1,)),))
@@ -80,22 +92,42 @@ class TestResilientSweep:
         for result in plain:
             assert "resilience" not in result.provenance
 
-    def test_threaded_sweep_with_retries_and_checkpoint(self, stencil,
-                                                        tmp_path):
+    def test_threaded_sweep_with_checkpoint_and_resume(self, stencil,
+                                                      tmp_path):
         path = str(tmp_path / "threaded.jsonl")
         clean = run_clean(stencil)
         with install_fault_plan(CHAOS_PLAN):
-            chaotic = chaos_sweep().run_workload(
+            chaos_sweep().run_workload(
                 stencil, workers=2, cache=False, verify=True, protocol=FAST,
-                on_error="retry", retry=RETRY, checkpoint=path)
-        assert len(chaotic) == 3
-        for survived, reference in zip(chaotic, clean):
-            assert survived.verification.passed
-            assert survived.metrics == reference.metrics
-
-        from repro.resilience import CheckpointJournal
-
+                on_error="skip", checkpoint=path)
+        resumed = chaos_sweep().run_workload(
+            stencil, workers=2, cache=False, verify=True, protocol=FAST,
+            checkpoint=path)
+        assert_matches_clean(resumed, clean)
         assert CheckpointJournal(path).summary()["completed"] == 3
+
+    def test_failed_verification_is_journaled_as_failed(self, stencil,
+                                                        tmp_path):
+        path = str(tmp_path / "corrupt.jsonl")
+        plan = FaultPlan(rules=(FaultRule(site="corrupt.d2h", indices=(1,)),))
+        with install_fault_plan(plan):
+            results = chaos_sweep().run_workload(
+                stencil, cache=False, verify=True, protocol=FAST,
+                on_error="skip", checkpoint=path)
+        # the wrong answer stays in the results, where callers read it ...
+        assert results[1].verification.ran
+        assert not results[1].verification.passed
+        # ... but the journal holds it as failed, so a resume re-runs it
+        journal = CheckpointJournal(path)
+        assert journal.summary()["completed"] == 2
+        [failure] = journal.failures()
+        assert failure.error_type == "VerificationError"
+        assert failure.digest == request_digest(results[1].request)
+        resumed = chaos_sweep().run_workload(
+            stencil, cache=False, verify=True, protocol=FAST,
+            checkpoint=journal)
+        assert journal.served == 2
+        assert_matches_clean(resumed, run_clean(stencil))
 
 
 class TestCheckpointedSweep:
@@ -103,10 +135,8 @@ class TestCheckpointedSweep:
                                                          tmp_path,
                                                          monkeypatch):
         path = str(tmp_path / "sweep.jsonl")
-        with install_fault_plan(CHAOS_PLAN):
-            first = chaos_sweep().run_workload(
-                stencil, cache=False, verify=True, protocol=FAST,
-                on_error="retry", retry=RETRY, checkpoint=path)
+        first = chaos_sweep().run_workload(
+            stencil, cache=False, verify=True, protocol=FAST, checkpoint=path)
         assert all(r.verification.passed for r in first)
 
         calls = []
@@ -165,8 +195,6 @@ class TestCheckpointedSweep:
                 stencil, cache=False, verify=True, protocol=FAST,
                 on_error="skip", checkpoint=path)
         assert isinstance(results[1], FailureRecord)
-
-        from repro.resilience import CheckpointJournal
 
         journal = CheckpointJournal(path)
         assert journal.summary()["completed"] == 2

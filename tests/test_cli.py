@@ -2,6 +2,7 @@
 
 import functools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -565,6 +566,44 @@ class TestBenchExecutorAndCache:
         assert sorted(cached) == sorted(fresh)
 
 
+class TestFaultInjectionCli:
+    def test_bench_inject_bypasses_the_result_cache(self, capsys, tmp_path):
+        plan = tmp_path / "corrupt.json"
+        plan.write_text(json.dumps(
+            {"seed": 1, "rules": [{"site": "corrupt.d2h", "indices": [0]}]}))
+        argv = ["bench", "stencil", "--param", "L=18", "--repeats", "1",
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv + ["--inject", str(plan)]) == 1
+        out = capsys.readouterr().out
+        assert "verification: FAILED" in out
+        assert "result cache: bypassed (--inject)" in out
+        # the faulted verdict was never stored: a clean run is a miss
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "verification: passed" in out
+        assert "result cache: miss (stored)" in out
+
+    def test_sweep_inject_then_resume(self, capsys, tmp_path):
+        journal = str(tmp_path / "sweep.jsonl")
+        cache = tmp_path / "cache"
+        argv = ["sweep", "stencil", "--param", "L=18,20,22", "--repeats", "1",
+                "--checkpoint", journal, "--json"]
+        plan = str(Path(__file__).resolve().parents[1] / "examples"
+                   / "fault_plan.json")
+        assert main(argv + ["--inject", plan, "--on-error", "skip",
+                            "--cache-dir", str(cache)]) == 1
+        first = json.loads(capsys.readouterr().out)["summary"]
+        assert first["faults"]["total_fired"] >= 2
+        assert first["failures"] + first["verification_failures"] >= 1
+        assert not cache.exists()           # --inject bypassed the cache
+        clean_entries = sum(
+            1 for line in open(journal) if json.loads(line)["status"] == "ok")
+        assert main(argv + ["--resume", "--no-cache"]) == 0
+        second = json.loads(capsys.readouterr().out)["summary"]
+        assert second["failures"] == second["verification_failures"] == 0
+        assert second["resumed"] == clean_entries
+
+
 #: ``repro --help`` at 80 columns, as printed before the command table
 TOP_LEVEL_HELP = """\
 usage: repro-experiments [-h] [--version]
@@ -582,7 +621,7 @@ positional arguments:
     workloads           list registered workloads and their parameter schemas
     bench               run one workload through the unified Workload API
     sweep               run a workload over a cartesian parameter sweep, with
-                        optional retries, checkpointing and fault injection
+                        optional checkpointing and fault injection
     tune                search a workload's launch space and persist the
                         winner
     report              render experiment reports as one markdown document
