@@ -462,7 +462,8 @@ def test_bench_vectorized_eri_launch(benchmark):
 
 def test_bench_lowered_dot_launch(benchmark):
     """Dot through the lowering tier: every block at once on a (block,
-    lane) axis (at least 2x ``vectorized``)."""
+    lane) axis, the grid-stride trips on a leading axis (at least 10x
+    ``vectorized``)."""
     _bench_science_launch(benchmark, "dot", "lowered")
 
 

@@ -702,7 +702,7 @@ def _cmd_sweep(args) -> int:
     from .harness.runner import MeasurementProtocol
     from .harness.sweep import sweep as make_sweep
     from .workloads import get_workload
-    from .workloads.cache import DEFAULT_CACHE_DIR, configure_result_cache
+    from .workloads.cache import DEFAULT_CACHE_DIR, ResultCache
 
     workload = get_workload(args.workload)
     axes = _parse_sweep_params(args.param)
@@ -711,12 +711,10 @@ def _cmd_sweep(args) -> int:
             "sweep needs at least one --param axis (K=V1,V2,...)")
     s = make_sweep(**axes)
 
-    if args.no_cache or args.inject:
-        cache = False
-    else:
-        cache = True
-        configure_result_cache(disk=True,
-                               disk_dir=args.cache_dir or DEFAULT_CACHE_DIR)
+    # A disk-backed cache local to this invocation, as in ``bench``: the
+    # process-wide default cache is left as it was.
+    cache = False if args.no_cache or args.inject else ResultCache(
+        disk_dir=args.cache_dir or DEFAULT_CACHE_DIR)
     base = dict(
         gpu=args.gpu, backend=args.backend, precision=args.precision,
         verify=not args.no_verify, executor=args.executor,

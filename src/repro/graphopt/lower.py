@@ -50,7 +50,28 @@ One emitter, two index rules:
   shared memory (:func:`repro.gpu.executor.kernel_uses_barrier`) run every
   block at once on a ``(block, lane)`` axis: shared arrays become
   ``(blocks, size)``, a ``while any_lane(...)`` test is evaluated per block
-  and blocks whose loop has ended keep their state.
+  and blocks whose loop has ended keep their state.  Two forms there need
+  no Python loop:
+
+  - **trip axis** — a grid-stride loop ``while any_lane(i < n): …;
+    i = i + s`` with static ``n`` and ``s > 0`` runs on a ``(trips, blocks,
+    lanes)`` index array (:meth:`_BodyLowerer._while_trips`): each gather,
+    and its bounds check, runs once per chunk of trips, not once per trip.
+    A trip a block does not run gathers index 0 and adds ``-0.0``, the
+    exact IEEE "no add"; a lane masked off inside a running block keeps
+    the ``+0.0`` term the interpreter adds;
+  - **prefix slices** — a ``masked_store`` into shared memory guarded by
+    ``thread_idx.x < s`` with static ``s`` (one-dimensional blocks), whose
+    value combines gathers under the same guard, is one slice assignment
+    ``sh[:, :s] = sh[:, :s] + sh[:, s:2*s]`` instead of a broadcast mask
+    and a compressed scatter (:meth:`_BodyLowerer._prefix_store`).
+
+  Fold order: :func:`_fold` stacks the rows C-contiguously and sums them
+  with ``np.add.reduce(rows, axis=0, initial=-0.0)``, whose inner loop runs
+  along the lanes, so each lane adds its rows one by one.  NumPy sums a
+  reduction that collapses to one contiguous column pairwise, so a single
+  lane (or non-contiguous rows) folds with ``np.add.accumulate`` instead;
+  the emitter never reduces along the contiguous axis.
 
 Everything else — break/continue, augmented stores, atomics other than
 ``fetch_add``, helpers that read thread state, stores into immutable
@@ -253,17 +274,30 @@ class _Dyn:
     """A runtime value: *src* is its expression or variable in the generated
     code, *dtype*/*weak* its NumPy type (``weak`` = a Python scalar in the
     interpreter, ``None`` = unknown or mixed), *lanes* whether it varies per
-    lane and *axes* the loop (or ``"B"`` block) axes it carries."""
+    lane and *axes* the loop (or ``"B"`` block) axes it carries.
 
-    __slots__ = ("src", "dtype", "weak", "lanes", "axes")
+    Per-block bodies on one-dimensional blocks also track prefix facts:
+    *tid* is ``c`` when the value is ``thread_idx.x + c``, *below* is ``s``
+    when it is the mask ``thread_idx.x < s`` (clipped to the block), and
+    *head* is ``s`` when *src* holds only the first ``s`` lanes of every
+    block (a prefix slice, see :meth:`_BodyLowerer._prefix_store`)."""
+
+    __slots__ = ("src", "dtype", "weak", "lanes", "axes", "tid", "below",
+                 "head")
 
     def __init__(self, src: str, dtype, weak, lanes: bool,
-                 axes=frozenset()):
+                 axes=frozenset(), tid=None, below=None, head=None):
         self.src = src
         self.dtype = dtype
         self.weak = weak
         self.lanes = lanes
         self.axes = axes
+        self.tid = tid
+        self.below = below
+        self.head = head
+
+    def untagged(self) -> "_Dyn":
+        return _Dyn(self.src, self.dtype, self.weak, self.lanes, self.axes)
 
     @property
     def type(self):
@@ -307,17 +341,23 @@ class _Poison:
 
 
 class _Frame:
-    """One axis-form loop: its axis position, trip count, the bindings that
-    existed on entry, and the accumulators it folds on exit."""
+    """One axis-form loop: its axis position, trip count (an int, or the
+    source of a runtime count), the bindings that existed on entry, the
+    accumulators it folds on exit, the entry bindings it rebinds to
+    constants and, for a grid-stride trip axis, *live*: the ``(trips,
+    blocks, 1)`` mask of the trips each block runs."""
 
-    __slots__ = ("depth", "trip", "names", "seqs", "accums")
+    __slots__ = ("depth", "trip", "names", "seqs", "accums", "live",
+                 "rebound")
 
-    def __init__(self, depth: int, trip: int, names, seqs):
+    def __init__(self, depth: int, trip, names, seqs):
         self.depth = depth
         self.trip = trip
         self.names = names
         self.seqs = seqs
         self.accums: Dict = {}
+        self.live: Optional[str] = None
+        self.rebound: set = set()
 
 
 _MISSING = object()
@@ -335,6 +375,11 @@ _WEAK_DTYPE = {"b": np.dtype(bool), "i": np.dtype(np.int64),
                "f": np.dtype(np.float64)}
 #: result types of operations and helper calls on sample operands
 TYPES_MEMO = Memo("lower_types")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(
+        value, (bool, np.bool_))
 
 
 def _const_type(value):
@@ -390,31 +435,42 @@ def _fold(init, terms, p, ext, dtype):
     """Fold ``acc = acc + term`` over an axis-form loop nest, in order.
 
     *terms* carry the loop axes ``p .. p+len(ext)`` (C order = iteration
-    order) in front of the lane axis; every iteration adds its terms in
-    statement order.  The sums run from the initial row in that order
-    (``np.add.accumulate`` along many short columns, or row by row), i.e.
-    exactly the interpreter's sequential additions.
+    order) in front of the lane axes; every iteration adds its terms in
+    statement order.  The rows (the initial value, then one per term per
+    iteration) are stacked on a leading axis of a C-contiguous array and
+    summed row by row with ``np.add.reduce(rows, axis=0)``: the inner loop
+    runs along the lanes, so each lane's sum is the interpreter's
+    sequential one.  The reduction starts from ``initial=-0.0``, the one
+    value whose addition changes nothing (NumPy's default start, ``+0.0``,
+    would turn a sum of ``-0.0`` rows into ``+0.0``).  With a single lane
+    NumPy collapses the reduction to one contiguous reduce, which it sums
+    pairwise, so then (or for rows that are not C-contiguous) the fold runs
+    ``np.add.accumulate``, which is sequential for any shape.
     """
+    r, n = len(ext), math.prod(ext)
     nd = max(np.ndim(t) for t in terms)
     shapes = [(1,) * (nd - np.ndim(t)) + np.shape(t) for t in terms]
     ishape = (1,) * (nd - np.ndim(init)) + np.shape(init)
     full = np.broadcast_shapes(*shapes, ishape)
-    batch, lanes, r = full[:p], full[-1], len(ext)
-    n = int(np.prod(ext))
-    rows = np.empty(batch + (n * len(terms) + 1, lanes), dtype)
-    rows[..., 0, :] = np.reshape(init, ishape[:p] + ishape[-1:])
+    batch, tail = full[:p], full[p + r:]
+    rows = np.empty((n * len(terms) + 1,) + batch + tail, dtype)
+    rows[0] = np.reshape(init, ishape[:p] + ishape[p + r:])
     for j, (t, shape) in enumerate(zip(terms, shapes)):
-        t = np.reshape(t, shape[:p + r] + shape[-1:])
-        rows[..., 1 + j::len(terms), :] = np.broadcast_to(
-            t, batch + tuple(ext) + (lanes,)).reshape(batch + (n, lanes))
-    if rows[..., 0, :].size <= rows.shape[p]:
-        out = np.add.accumulate(rows, axis=p)[..., -1, :]
-    else:   # few long rows: add them one by one (the same sums, in order)
-        rows = np.moveaxis(rows, p, 0)
-        out = rows[0].copy()
-        for row in rows[1:]:
-            np.add(out, row, out=out)
-    return out.reshape(batch + (1,) * (nd - 1 - p) + (lanes,)) if p else out
+        t = np.broadcast_to(np.reshape(t, shape), batch + tuple(ext) + tail)
+        if p:
+            t = np.moveaxis(t, tuple(range(p, p + r)), tuple(range(r)))
+        rows[1 + j::len(terms)] = t.reshape((n,) + batch + tail)
+    if rows[0].size > 1 and rows.flags.c_contiguous:
+        out = np.add.reduce(rows, axis=0, initial=-0.0)
+    else:
+        out = np.add.accumulate(rows, axis=0)[-1]
+    return out.reshape(batch + (1,) * r + tail) if p else out
+
+
+def _tuple_src(items) -> str:
+    """Source of a tuple of ints and generated-code expressions."""
+    return "(" + ", ".join(map(str, items)) + ("," if len(items) == 1
+                                               else "") + ")"
 
 
 def _probe(f, arg_types):
@@ -491,6 +547,7 @@ class _BodyLowerer:
         self.scope = 0
         self.scopes = itertools.count(1)
         self.merge_mask: Optional[str] = None   # per-block while mask
+        self.head: Optional[int] = None     # prefix store being lowered
         self.per_block = per_block
         self.shared: Dict[str, _SharedArr] = {}
         self.shared_seq = 0
@@ -517,6 +574,9 @@ class _BodyLowerer:
         one_block = gd.total == 1
         geom["thread_idx"] = {a: _Dyn(f"_t{a}", int64, False, True)
                               for a in _AXES}
+        if self.per_block and bd.y == bd.z == 1:
+            # one-dimensional blocks: lane l of a block is thread_idx.x == l
+            geom["thread_idx"]["x"].tid = 0
         geom["block_idx"] = {
             a: _Const(0) if one_block else
             _Dyn(f"_b{a}", int64, True, False, frozenset("B"))
@@ -577,7 +637,8 @@ class _BodyLowerer:
         target = name or self._new()
         if v.src != target:
             self.emit(f"{target} = {v.src}")
-        return _Dyn(target, v.dtype, v.weak, v.lanes, v.axes)
+        return _Dyn(target, v.dtype, v.weak, v.lanes, v.axes, v.tid,
+                    v.below, v.head)
 
     @staticmethod
     def lanes_of(*vals) -> bool:
@@ -720,11 +781,28 @@ class _BodyLowerer:
         if sym == "**" and any(isinstance(v, _Dyn) and v.axes and v.weak
                                is not False for v in (a, b)):
             raise _fail("Python power in the axis form")
+        head = self._head_of(a, b)
         arith = sym not in ("&", "|", "^")
         sa, sb = self._operands([a, b], arith)
         rt = _result_type(fn, ta, tb)
-        return _Dyn(f"({sa} {sym} {sb})", rt[0], rt[1],
-                    self.lanes_of(a, b), self.axes_of(a, b))
+        out = _Dyn(f"({sa} {sym} {sb})", rt[0], rt[1],
+                   self.lanes_of(a, b), self.axes_of(a, b), head=head)
+        if isinstance(a, _Dyn) and a.tid is not None \
+                and isinstance(b, _Const) and _is_int(b.value):
+            c = int(b.value)
+            if sym in ("+", "-"):
+                out.tid = a.tid + c if sym == "+" else a.tid - c
+            elif sym in ("<", "<="):
+                out.below = min(max(c + (sym == "<=") - a.tid, 0), self.tpb)
+        return out
+
+    def _head_of(self, *vals) -> Optional[int]:
+        """Inside a prefix store every lane operand must be a prefix slice
+        of the store's length; outside one, no operand is."""
+        lanes = [v for v in vals if isinstance(v, _Dyn) and v.lanes]
+        if any(v.head != self.head for v in lanes):
+            raise _fail("prefix slice meets a whole-block lane value")
+        return self.head if lanes else None
 
     def _e_Compare(self, node):
         if len(node.ops) != 1 or type(node.ops[0]) not in _CMPOPS:
@@ -829,9 +907,27 @@ class _BodyLowerer:
                  for s, st in zip(srcs, t.strides)]
         return " + ".join(f"({x})" for x in terms)
 
+    def _live_index(self, comps) -> List:
+        """Inside a grid-stride trip axis, a block's trips past its own
+        count gather index 0: the interpreter never runs them, so they must
+        not reach a bounds check (their terms fold as ``-0.0``)."""
+        live = next((f.live for f in self.frames if f.live), None)
+        if live is None:
+            return comps
+        out = []
+        for c in comps:
+            if self.is_array(c):
+                if c.dtype is None or c.dtype.kind not in "iu":
+                    raise _fail("trip-axis index of a non-integer type")
+                c = self.temp(_Dyn(f"np.where({live}, {c.src}, 0)", c.dtype,
+                                   False, c.lanes, c.axes | {0}))
+            out.append(c)
+        return out
+
     def _load(self, t: "_Tensor", comps):
         self.loads += 1
         self.reads.add(t.index)
+        comps = self._live_index(comps)
         if not any(self.is_array(c) for c in comps):
             off = self._offset(t, comps, True)
             if t.dtype == np.float64:
@@ -860,6 +956,7 @@ class _BodyLowerer:
 
     def _shared_load(self, sh: _SharedArr, comps):
         self.loads += 1
+        comps = self._live_index(comps)
         lanes = self.lanes_of(*comps)
         return _Dyn(self._shared_index(sh, comps), sh.dtype, False, lanes,
                     self.axes_of(*comps) | frozenset("B"))
@@ -1042,8 +1139,10 @@ class _BodyLowerer:
         ref = f"np.{name}" if getattr(np, name, None) is f else \
             self.const_src(_Const(f))
         rt = _result_type(f, *types_)
+        # ufuncs and np.where are elementwise: a prefix slice stays one
         return _Dyn(f"{ref}({', '.join(srcs)})", rt[0], False,
-                    self.lanes_of(*args), self.axes_of(*args))
+                    self.lanes_of(*args), self.axes_of(*args),
+                    head=self._head_of(*args))
 
     def _scalar_builtin(self, f, args):
         if all(isinstance(a, _Const) for a in args):
@@ -1142,15 +1241,21 @@ class _BodyLowerer:
                     self.scope)
 
     def _h_masked_gather(self, node, kw):
-        args = [self.ev(a) for a in node.args]
-        if "other" in kw:
-            args.append(self.ev(kw.pop("other")))
+        head, self.head = self.head, None
+        try:
+            args = [self.ev(a) for a in node.args]
+            if "other" in kw:
+                args.append(self.ev(kw.pop("other")))
+        finally:
+            self.head = head
         if kw or len(args) not in (3, 4):
             raise _fail("masked_gather arguments")
         target, index, mask = args[:3]
         other = args[3] if len(args) == 4 else _Const(0.0)
         if not (isinstance(mask, _Dyn) and mask.lanes):
             raise _fail("masked_gather with a uniform mask")
+        if head is not None:
+            return self._prefix_gather(target, index, mask, other)
         mask = self.temp(mask)
         safe = self.temp(_Dyn(f"np.where({mask.src}, {self.src(index)}, 0)",
                               np.dtype(np.int64), False, True,
@@ -1166,9 +1271,71 @@ class _BodyLowerer:
         return _Dyn(f"np.where({mask.src}, {loaded.src}, {self.src(other)})",
                     rt[0], False, True, self.axes_of(loaded, mask, other))
 
+    @staticmethod
+    def _prefix_slice(target, index, s: int) -> str:
+        """``sh[:, c:c+s]``: lanes ``0 .. s`` of ``sh[thread_idx.x + c]``."""
+        c = getattr(index, "tid", None)
+        if not isinstance(target, _SharedArr) or c is None or c < 0 \
+                or c + s > target.size:
+            raise _fail("access is not a prefix slice of a shared array")
+        return f"{target.src}[:, {c}:{c + s}]"
+
+    def _prefix_gather(self, target, index, mask, other):
+        """``masked_gather(sh, tid + c, tid < s)`` in a prefix store: the
+        slice ``sh[:, c:c+s]`` (the lanes the mask keeps)."""
+        s = self.head
+        src = self._prefix_slice(target, index, s)
+        if mask.below != s or _result_type(
+                np.where, mask.type, (target.dtype, False),
+                self.vtype(other))[0] != target.dtype:
+            raise _fail("gather is not under the store's prefix guard")
+        self.loads += 1
+        return _Dyn(src, target.dtype, False, True, frozenset("B"), head=s)
+
+    def _prefix_store(self, node) -> bool:
+        """``masked_store(sh, tid + c, value, tid < s)`` with static ``s``
+        in straight-line per-block code, as one slice assignment::
+
+            sh[:, c:c+s] = <value over the first s lanes>
+
+        where every lane operand of *value* is a prefix gather
+        (:meth:`_prefix_gather`).  The interpreter's broadcast mask and
+        compressed scatter store the same elements; False when the
+        statement has another shape (it then lowers as a scatter)."""
+        if not self.per_block or self.scope or self.frames \
+                or self.merge_mask is not None or len(node.args) != 4:
+            return False
+        try:
+            mask = self._pure(lambda: self.ev(node.args[3]))
+        except LoweringUnsupported:
+            return False
+        s = getattr(mask, "below", None)
+        if not s:
+            return False
+
+        def emit():
+            target = self.ev(node.args[0])
+            index = self.ev(node.args[1])
+            self.head = s
+            try:
+                value = self.ev(node.args[2])
+            finally:
+                self.head = None
+            dest = self._prefix_slice(target, index, s)
+            if self.lanes_of(value) and value.head != s:
+                raise _fail("stored value is not a prefix slice")
+            self.emit(f"{dest} = {self.src(value)}")
+        try:
+            self._attempt(emit)
+        except LoweringUnsupported:
+            return False
+        return True
+
     def _h_masked_store(self, node, kw):
         if kw:
             raise _fail("masked_store keywords")
+        if self._prefix_store(node):
+            return None
         target, index, value, mask = [self.ev(a) for a in node.args]
         self._no_side_effects("masked_store")
         if not (isinstance(mask, _Dyn) and mask.lanes):
@@ -1420,10 +1587,14 @@ class _BodyLowerer:
         self.store(("n", name), value)
 
     def store(self, key, value) -> None:
-        if self.frames and not isinstance(value, _Const) \
-                and self._outer_frame(key) is not None:
-            raise _fail("a binding from outside an axis-form loop is "
-                        "reassigned inside it")
+        frame = self._outer_frame(key) if self.frames else None
+        if frame is not None:
+            if not isinstance(value, _Const):
+                raise _fail("a binding from outside an axis-form loop is "
+                            "reassigned inside it")
+            # a constant is the same every iteration, but no longer the
+            # value an accumulator starts its fold from
+            frame.rebound.add(key)
         if self.merge_mask is not None and isinstance(value, _Dyn) \
                 and isinstance(self._get(key, None), _Dyn):
             value = self._merge(self._get(key), value)
@@ -1480,13 +1651,25 @@ class _BodyLowerer:
         elif acc["inner"] is not inner:
             raise _fail("accumulator updated from two loop bodies")
         term = self.temp(self.ev(value.right))
-        self.vtype(term)
+        t = self.vtype(term)
+        if frame.live is not None:
+            # a trip the block does not run adds the exact IEEE no-op
+            zero = {"f": "-0.0", "i": "0", "u": "0"}.get(
+                getattr(t[0], "kind", None))
+            if zero is None:
+                raise _fail("trip-axis accumulator of a non-numeric type")
+            term = self.temp(_Dyn(
+                f"np.where({frame.live}, {self.src(term)}, {zero})", t[0],
+                t[1], self.lanes_of(term),
+                self.axes_of(term) | {frame.depth, "B"}))
         acc["terms"].append(term)
         return True
 
     def _fold_frame(self, frame: _Frame) -> None:
         for acc in frame.accums.values():
             init, terms = acc["init"], acc["terms"]
+            if acc["key"] in frame.rebound:
+                raise _fail("accumulator is reassigned inside its loop")
             t = self.vtype(init)
             for _ in range(2):
                 for term in terms:
@@ -1498,9 +1681,18 @@ class _BodyLowerer:
             lanes = self.lanes_of(init, *terms)
             axes = self.axes_of(init, *terms) - frozenset(
                 range(frame.depth, frame.depth + len(acc["ext"])))
+            if frame.live is not None:
+                # folded once per chunk of trips from the variable itself,
+                # which a launch with no trips leaves at its initial value
+                if self.src(init) != name or self.vtype(init)[0] != t[0]:
+                    raise _fail("trip-axis accumulator is not a stable "
+                                "variable of one dtype")
+                if self.vtype(init) != t:
+                    t = (t[0], None)
             self.emit(f"{name} = _fold({self.src(init)}, "
                       f"({''.join(x.src + ', ' for x in terms)}), "
-                      f"{frame.depth}, {acc['ext']!r}, {t[0].name!r})")
+                      f"{frame.depth}, {_tuple_src(acc['ext'])}, "
+                      f"{t[0].name!r})")
             if not lanes and not axes:
                 self.emit(f"{name} = {name}.item()" if t[1] else
                           f"{name} = {name}[0]")
@@ -1578,10 +1770,13 @@ class _BodyLowerer:
             if all(v is old for v in vals):
                 continue
             first = vals[0]
-            if all(v is first for v in vals) or all(
-                    isinstance(v, _Dyn) and v.same_type(first)
-                    and v.src == first.src for v in vals):
+            if all(v is first for v in vals):
                 self._set(key, first)
+            elif all(isinstance(v, _Dyn) and v.same_type(first)
+                     and v.src == first.src for v in vals):
+                # one variable, assigned on both branches: only its type
+                # is known to agree
+                self._set(key, first.untagged())
             elif key[0] == "n" or old is not _MISSING:
                 self._set(key, _Poison("differs between branches"))
         return False
@@ -1683,13 +1878,13 @@ class _BodyLowerer:
         del self.axis_arrays[naxes:]
 
     def _for_axis(self, node, var: str, trip: int) -> bool:
+        if self.per_block or self.merge_mask is not None:
+            raise _fail("axis form in a per-block body")
         extent = trip * self.lane_bound
         for f in self.frames:
             extent *= f.trip
         if extent > AXIS_BUDGET:
             raise _OverBudget("axis form exceeds the budget")
-        if self.per_block or self.merge_mask is not None:
-            raise _fail("axis form in a per-block body")
         live = {k for k, v in self.env.items() if not isinstance(v, _Poison)}
         frame = _Frame(len(self.frames), trip, live,
                        {id(s) for s in _reachable_seqs(
@@ -1732,11 +1927,94 @@ class _BodyLowerer:
         if test.lanes:
             raise _fail("while on a lane array")
         if test.axes:
-            return self._while_per_block(node)
+            try:
+                return self._attempt(lambda: self._while_trips(node))
+            except LoweringUnsupported:
+                return self._while_per_block(node)
 
         def prepare():
             return f"while {self.ev(node.test).src}:"
         self._runtime_loop(prepare, node.body, False, set())
+        return False
+
+    def _while_trips(self, node) -> bool:
+        """A per-block grid-stride loop on a leading trip axis::
+
+            while any_lane(i < n):      # n a static int
+                ...                     # no stores, barriers or returns
+                i = i + s               # s a static positive int
+
+        Block ``b`` runs ``T_b = ceil((n - min_lanes i) / s)`` trips (the
+        test is monotone in the trip), so trip ``k`` sees ``i + k*s`` on a
+        ``(trips, blocks, lanes)`` array, the body runs once over it and
+        ``live[k, b] = k < T_b`` is the loop test itself.  Accumulators fold
+        along the trip axis in iteration order (:func:`_fold`); a trip the
+        block does not run adds ``-0.0`` and gathers index 0 instead of
+        its own.  Trips run in chunks that keep the arrays within
+        :data:`AXIS_BUDGET` elements, and ``i`` leaves the loop at
+        ``i + T_b*s``, as in the interpreter.
+        """
+        *body, step = node.body
+        test = node.test
+        cmp = test.args[0] if isinstance(test, ast.Call) and len(
+            test.args) == 1 and not test.keywords else None
+        if not (body and isinstance(cmp, ast.Compare)
+                and isinstance(cmp.left, ast.Name) and len(cmp.ops) == 1
+                and isinstance(cmp.ops[0], (ast.Lt, ast.LtE))):
+            raise _fail("while test is not any_lane(i < n)")
+        var = cmp.left.id
+        incr = _increment(step, var)
+        if incr is None or var in assigned_names(body):
+            raise _fail("grid-stride loop does not end in i = i + s")
+        fn = self._pure(lambda: self.ev(test.func))
+        bound = self._pure(lambda: self.ev(cmp.comparators[0]))
+        stride = self._pure(lambda: self.ev(incr))
+        i0 = self.env.get(var)
+        if not (isinstance(fn, _Const) and fn.value is _intrinsics.any_lane
+                and isinstance(bound, _Const) and _is_int(bound.value)
+                and isinstance(stride, _Const) and _is_int(stride.value)
+                and stride.value > 0 and isinstance(i0, _Dyn) and i0.lanes
+                and getattr(i0.dtype, "kind", None) == "i"
+                and i0.axes <= {"B"}):
+            raise _fail("grid-stride loop is not lane-affine with a "
+                        "uniform stride")
+        limit = int(bound.value) + isinstance(cmp.ops[0], ast.LtE)
+        stride = int(stride.value)
+        for name in sorted(_accumulated(body) & set(self.env)):
+            self._stabilise(("n", name))
+        i0 = self.temp(i0)
+        trips, c, k = (self._new("_trips"), self._new("_chunk"),
+                       self._new("_trip"))
+        chunk = max(1, AXIS_BUDGET // self.lane_bound)
+        self.emit(f"{trips} = max(0, -((int({i0.src}.min()) - {limit}) "
+                  f"// {stride}))")
+        self.emit(f"for {c} in range(0, {trips}, {chunk}):")
+        self.indent += 1
+        self.emit(f"{k} = np.arange({c}, min({c} + {chunk}, {trips}))"
+                  ".reshape(-1, 1, 1)")
+        names = {n for n, v in self.env.items() if not isinstance(v, _Poison)}
+        frame = _Frame(0, f"len({k})", names, {id(s) for s in _reachable_seqs(
+            list(self.env.values()))})
+        self.env[var] = self.temp(_Dyn(f"({i0.src} + {k} * {stride})",
+                                       i0.dtype, False, True,
+                                       i0.axes | {0}))
+        frame.live = self.temp(self.ev(test)).src
+        self.frames.append(frame)
+        scope, self.scope = self.scope, next(self.scopes)
+        try:
+            self.run(body)
+        finally:
+            self.frames.pop()
+            self.scope = scope
+        self._fold_frame(frame)
+        self.indent -= 1
+        for name, v in list(self.env.items()):
+            if name not in names and not isinstance(v, _Poison):
+                self.env[name] = _Poison("is local to a trip-axis loop")
+        self.env[var] = _Dyn(
+            f"({i0.src} + {stride} * np.maximum(0, -(({i0.src}.min(axis=-1, "
+            f"keepdims=True) - {limit}) // {stride})))", i0.dtype, False,
+            True, i0.axes)
         return False
 
     def _while_per_block(self, node) -> bool:
@@ -1869,6 +2147,8 @@ class _BodyLowerer:
         return True
 
     def _stabilise(self, key) -> None:
+        """Materialise a loop-carried binding into its stable variable; its
+        prefix facts hold for one iteration only, so they are dropped."""
         v, name = self._get(key), self._stable(key)
         if isinstance(v, _Const):
             t = _const_type(v.value)
@@ -1877,7 +2157,27 @@ class _BodyLowerer:
             v = _Dyn(self.const_src(v), t[0], t[1], False)
         if not isinstance(v, _Dyn):
             raise _fail("a non-numeric binding is rebound inside a loop")
-        self._set(key, self.temp(v, name))
+        self._set(key, self.temp(v.untagged(), name))
+
+
+def _increment(stmt, var: str):
+    """The ``s`` of ``var = var + s``, else None."""
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
+            and isinstance(stmt.targets[0], ast.Name) \
+            and stmt.targets[0].id == var and isinstance(stmt.value, ast.BinOp) \
+            and isinstance(stmt.value.op, ast.Add) \
+            and isinstance(stmt.value.left, ast.Name) \
+            and stmt.value.left.id == var:
+        return stmt.value.right
+    return None
+
+
+def _accumulated(body) -> set:
+    """Names a statement list updates as ``x = x + e``."""
+    return {node.targets[0].id for stmt in body for node in ast.walk(stmt)
+            if isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and _increment(node, node.targets[0].id) is not None}
 
 
 #: names whose use inside a helper means it reads per-thread kernel state,

@@ -143,7 +143,7 @@ class Sweep:
             yield wl.make_request(params=params, **fields)
 
     def run_workload(self, workload, *, workers: Optional[int] = None,
-                     cache: bool = True, checkpoint=None, resume: bool = True,
+                     cache=True, checkpoint=None, resume: bool = True,
                      on_error: str = "raise", **base) -> List[object]:
         """Run a registered workload over every configuration.
 
@@ -155,7 +155,9 @@ class Sweep:
         request-level result cache (:mod:`repro.workloads.cache`), so
         repeated sweep points — and repeated sweeps over overlapping
         configurations — are answered without re-running the workload.
-        Pass ``cache=False`` to force fresh runs.
+        ``cache`` is ``True`` (the process-wide default cache), a
+        :class:`~repro.workloads.cache.ResultCache` to use instead, or
+        ``False`` to force fresh runs.
 
         Recovery (off by default — the plain path is unchanged) is the
         checkpoint journal, outside the result cache
@@ -178,7 +180,9 @@ class Sweep:
         reqs = list(self.requests(wl, **base))
         # The runner closes over the resolved instance: run_cached must not
         # re-resolve by name, or sweeps over unregistered workloads break.
-        runner = (lambda r: run_cached(r, workload=wl)) if cache else wl.run
+        target = None if cache is True else cache
+        runner = (lambda r: run_cached(r, cache=target, workload=wl)) \
+            if cache else wl.run
         if checkpoint is not None or on_error != "raise":
             from ..resilience import CheckpointJournal, checkpointed
 

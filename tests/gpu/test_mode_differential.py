@@ -12,7 +12,10 @@ lowers.  One larger input per kernel checks ``auto`` against
 ``vectorized`` beyond the lowering tier's loop-axis budget, a stencil launch
 whose lane chunks span many blocks runs through the memoised one-chunk and
 the transient multi-chunk lane geometry, and an out-of-range launch must
-raise the same exception class in both.
+raise the same exception, with the same message, in both.  One fixture
+kernel that is not shipped, a grid-stride reduction whose trip count
+differs between lanes and between blocks (one block runs no trip at all),
+holds the lowering tier's trip axis and prefix slices to the same rules.
 
 The one stated tolerance: the Hartree–Fock kernel's scalar path evaluates
 the Boys function with ``math.erf`` per thread where the lane path uses a
@@ -29,11 +32,21 @@ import pytest
 
 from repro.core.dtypes import DType
 from repro.core.errors import LayoutError
-from repro.core.kernel import LaunchConfig
+from repro.core.intrinsics import (
+    any_lane,
+    barrier,
+    block_dim,
+    block_idx,
+    masked_gather,
+    masked_store,
+    shared_array,
+    thread_idx,
+)
+from repro.core.kernel import LaunchConfig, kernel
 from repro.core.layout import Layout, LayoutTensor
 from repro.gpu import vector_executor
 from repro.gpu.executor import KernelExecutor
-from repro.graphopt import lower_launch
+from repro.graphopt import lower_launch, lower_source
 from repro.kernels.babelstream.kernels import (
     SCALAR,
     add_kernel,
@@ -128,6 +141,50 @@ def _eri(ex, mode, checked=False, natoms=4):
     return {"fock": fock.ptr}, {"hartree_fock_kernel": res}
 
 
+@kernel(name="ragged_stride_kernel", vector_safe=True)
+def ragged_stride_kernel(a, sums, n, stride, spread):
+    """A grid-stride sum whose trip count differs between lanes and blocks.
+
+    Lane ``t`` of block ``b`` starts at ``b * spread + 3 * t``, so lanes of
+    one block leave the loop on different trips and a block starting past
+    ``n`` runs none.  The sum starts at ``-0.0``: a block with no trip must
+    store ``-0.0``, which only an exact "no add" for the trips it does not
+    run preserves.  A shared-memory tree reduction finishes each block.
+    """
+    sh = shared_array(block_dim.x, DType.float64, key="sh")
+    tid = thread_idx.x
+    i = block_idx.x * spread + tid * 3
+    acc = -0.0
+    while any_lane(i < n):
+        m = i < n
+        acc = acc + masked_gather(a, i, m) * 2.0
+        i = i + stride
+    sh[tid] = acc
+    offset = block_dim.x // 2
+    while offset > 0:
+        barrier()
+        m = tid < offset
+        masked_store(sh, tid, masked_gather(sh, tid, m)
+                     + masked_gather(sh, tid + offset, m), m)
+        offset //= 2
+    barrier()
+    masked_store(sums, block_idx.x, sh[0], tid == 0)
+
+
+def _ragged(ex, mode, checked=False):
+    # 4 blocks of 8 lanes: block b starts at [50b, 50b + 21]; with n = 140
+    # blocks 0-2 run 9, 6 and 3 trips (some of their lanes one trip fewer)
+    # and block 3 runs none
+    n, stride, spread = 140, 16, 50
+    rng = np.random.default_rng(41)
+    a = _tensor(rng.normal(size=n), checked=checked)
+    sums = _tensor(np.zeros(4), checked=checked)
+    res = ex.launch(ragged_stride_kernel, (a, sums, n, stride, spread),
+                    LaunchConfig.make(4, 8),
+                    mode="cooperative" if mode == "sequential" else mode)
+    return {"sums": sums.ptr}, {"ragged_stride_kernel": res}
+
+
 #: kernel family -> (driver, the tier ``auto`` must pick per kernel)
 CASES = {
     "stencil": (_stencil, {"laplacian_kernel": "lowered"}),
@@ -138,6 +195,7 @@ CASES = {
                                    "dot_kernel": "lowered"}),
     "minibude": (_fasten, {"fasten_kernel": "lowered"}),
     "hartreefock": (_eri, {"hartree_fock_kernel": "lowered"}),
+    "ragged": (_ragged, {"ragged_stride_kernel": "lowered"}),
 }
 
 
@@ -243,12 +301,25 @@ def test_stencil_tuning_probe_geometry_auto_matches_vectorized():
 
 def test_out_of_range_launch_raises_like_the_interpreter():
     # n exceeds the bounds-checked inputs: the grid-stride gathers run off
-    # the end of `a` and `b`
+    # the end of `a` and `b`, in the lowered code on the trip axis
     errors = {}
     for mode in ("auto", "vectorized"):
         args, launch = _dot_launch(n=4096, tb=64, blocks=4, size=4000)
         assert lower_launch(dot_kernel, args, launch) is not None
+        assert "_trips" in lower_source(dot_kernel, args, launch)
         with pytest.raises(Exception) as info:
             KernelExecutor().launch(dot_kernel, args, launch, mode=mode)
-        errors[mode] = type(info.value)
-    assert errors["auto"] is errors["vectorized"] is LayoutError
+        errors[mode] = (type(info.value), str(info.value))
+    assert errors["auto"] == errors["vectorized"]
+    assert errors["auto"][0] is LayoutError
+
+
+def test_ragged_grid_stride_lowers_to_trip_axis_and_prefix_slices():
+    outputs, _ = _ragged(KernelExecutor(), "auto", checked=True)
+    # the block that runs no trip keeps its -0.0
+    assert np.signbit(outputs["sums"][3]) and outputs["sums"][3] == 0.0
+    args = (_tensor(np.zeros(140)), _tensor(np.zeros(4)), 140, 16, 50)
+    source = lower_source(ragged_stride_kernel, args,
+                          LaunchConfig.make(4, 8))
+    assert "_trips" in source and "while" not in source
+    assert "_sh1[:, 0:4] = (_sh1[:, 0:4] + _sh1[:, 4:8])" in source

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import kernel_ir
 from repro.core.device import DeviceContext
@@ -21,7 +23,7 @@ from repro.core.intrinsics import (
     shared_array,
     thread_idx,
 )
-from repro.core.kernel import LaunchConfig, kernel
+from repro.core.kernel import Kernel, LaunchConfig, kernel
 from repro.core.layout import Layout, LayoutTensor
 from repro.gpu import vector_executor
 from repro.gpu.executor import KernelExecutor
@@ -125,6 +127,50 @@ def _block_max_tree(x, block_out, tb, n):
         stride //= 2
     barrier()
     masked_store(block_out, block_idx.x, buf[0], t == 0)
+
+
+def _ragged_unmasked_body(b, ends, sums, n, stride):
+    """A grid-stride sum with an unmasked gather ``b[i]``: in bounds on the
+    trips each block runs, out of bounds past them; ``i`` is stored after
+    the loop, where each block left it.  The static verifier cannot confirm
+    the unmasked gather, so the kernel stays out of the ``repro lint``
+    registry (a bare :class:`Kernel`, not the decorator)."""
+    sh = shared_array(block_dim.x, DType.float64, key="sh")
+    tid = thread_idx.x
+    i = block_idx.x * 50 + tid * 3
+    acc = 0.0
+    while any_lane(i < n):
+        acc = acc + b[i]
+        i = i + stride
+    ends[block_idx.x * block_dim.x + tid] = i
+    sh[tid] = acc
+    barrier()
+    masked_store(sums, block_idx.x, sh[0] + sh[1], tid == 0)
+
+
+_ragged_unmasked = Kernel(_ragged_unmasked_body, name="_ragged_unmasked",
+                          vector_safe=True)
+
+
+def _reset_sums_body(out, a, n):
+    """``x`` restarts every iteration (and ``y`` ends on a constant): the
+    last iteration's values, not sums over the loop."""
+    i = block_dim.x * block_idx.x + thread_idx.x
+    m = i < n
+    if not any_lane(m):
+        return
+    i = compress_lanes(m, i)
+    x = 1.0
+    y = 0.0
+    for k in range(4):
+        x = 0.0
+        x = x + a[k]
+        y = y + a[k]
+        y = 5.0
+    out[i] = x + y
+
+
+_reset_sums = Kernel(_reset_sums_body, name="_reset_sums", vector_safe=True)
 
 
 def _scale2d_tensors(f_layout):
@@ -358,6 +404,137 @@ class TestGenericKernels:
                             LaunchConfig.make(4, 32))
         assert res.counters.barriers == 6 * 128
         assert res.shared_bytes_per_block == 32 * 4
+
+
+    def test_accumulator_rebound_inside_its_loop_is_not_folded(self):
+        a = np.array([1.0, 2.0, 3.0, 4.0])
+
+        def make_args():
+            out = np.zeros(8)
+            return ((LayoutTensor(DType.float64, Layout.row_major(8), out),
+                     LayoutTensor(DType.float64, Layout.row_major(4), a,
+                                  mut=False), 8), [out])
+        self._compare(_reset_sums, make_args, LaunchConfig.make(1, 8))
+        args, (out,) = make_args()
+        KernelExecutor().launch(_reset_sums, args, LaunchConfig.make(1, 8))
+        assert (out == 9.0).all()
+
+    def test_block_tree_reduction_stores_prefix_slices(self):
+        x = np.zeros(128, dtype=np.float32)
+        f32 = DType.float32
+        args = (LayoutTensor(f32, Layout.row_major(128), x, mut=False),
+                LayoutTensor(f32, Layout.row_major(4), np.zeros(4, np.float32)),
+                32, 120)
+        source = lower_source(_block_max_tree, args, LaunchConfig.make(4, 32))
+        assert "_sh1[:, 0:16] = np.maximum(_sh1[:, 0:16], _sh1[:, 16:32])" \
+            in source
+        # all five rounds (16, 8, 4, 2, 1) are slice stores
+        assert source.count("] = np.maximum(_sh1[:, 0:") == 5
+
+    @staticmethod
+    def _ragged_args(size):
+        b = np.random.default_rng(8).normal(size=size)
+        ends, sums = np.zeros(32, dtype=np.int64), np.zeros(4)
+        return ((LayoutTensor(DType.float64, Layout.row_major(size), b,
+                              mut=False, bounds_check=True),
+                 LayoutTensor(DType.int64, Layout.row_major(32), ends),
+                 LayoutTensor(DType.float64, Layout.row_major(4), sums),
+                 140, 16), [ends, sums])
+
+    # the unmasked gather is what the static verifier cannot confirm
+    @pytest.mark.filterwarnings("ignore:kernel '_ragged_unmasked'")
+    def test_grid_stride_trips_past_a_block_gather_nothing(self):
+        # blocks 0-2 run 9, 6 and 3 trips and read b up to index 153;
+        # block 3 runs none.  On the trip axis every block spans 9 trips,
+        # whose indices reach 249: those must not be bounds-checked
+        launch = LaunchConfig.make(4, 8)
+        self._compare(_ragged_unmasked, lambda: self._ragged_args(154),
+                      launch)
+        args, (ends, _) = self._ragged_args(154)
+        KernelExecutor().launch(_ragged_unmasked, args, launch)
+        starts = np.arange(4)[:, None] * 50 + np.arange(8) * 3
+        trips = np.array([[9], [6], [3], [0]])
+        assert ends.tolist() == (starts + 16 * trips).ravel().tolist()
+        assert "_trips" in lower_source(_ragged_unmasked, args, launch)
+
+    @pytest.mark.filterwarnings("ignore:kernel '_ragged_unmasked'")
+    def test_grid_stride_gather_out_of_bounds_raises_like_the_interpreter(
+            self):
+        errors = {}
+        for mode in ("auto", "vectorized"):
+            args, _ = self._ragged_args(150)
+            with pytest.raises(LayoutError) as info:
+                KernelExecutor().launch(_ragged_unmasked, args,
+                                        LaunchConfig.make(4, 8), mode=mode)
+            errors[mode] = str(info.value)
+        assert errors["auto"] == errors["vectorized"]
+
+
+def _sequential(init, rows, dtype):
+    """The interpreter's fold: one addition per row, in order, per lane."""
+    out = np.empty(rows.shape[1:], dtype)
+    for lane in np.ndindex(out.shape):
+        acc = dtype.type(init[lane])
+        for row in rows:
+            acc = dtype.type(acc + row[lane])
+        out[lane] = acc
+    return out
+
+
+class TestFold:
+    """``_fold`` adds every lane's rows one by one, in iteration order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(lanes=st.sampled_from([(1,), (2,), (3,), (4, 5)]),
+           ext=st.sampled_from([(1,), (7,), (200,), (3, 70), (130,)]),
+           nterms=st.integers(1, 3),
+           dtype=st.sampled_from([np.float64, np.float32]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_a_sequential_python_sum(self, lanes, ext, nterms, dtype,
+                                             seed):
+        dtype = np.dtype(dtype)
+        rng = np.random.default_rng(seed)
+
+        def values(shape):
+            # magnitudes over 16 decades, signed zeros included: any other
+            # summation order rounds differently
+            out = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, shape)
+            out[rng.random(shape) < 0.05] = -0.0
+            return out.astype(dtype)
+
+        init = values(lanes)
+        terms = [values(ext + lanes) for _ in range(nterms)]
+        # iteration-major, then statement order: the interpreter's additions
+        rows = np.stack(terms, axis=len(ext)).reshape((-1,) + lanes)
+        got = lower_mod._fold(init, tuple(terms), 0, ext, dtype.name)
+        assert got.dtype == dtype
+        assert got.tobytes() == _sequential(init, rows, dtype).tobytes()
+
+    def test_one_lane_over_128_rows_is_not_summed_pairwise(self):
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(1000, 1)) * 10.0 ** rng.integers(-8, 9,
+                                                                 (1000, 1))
+        expected = _sequential(np.zeros(1), rows, np.dtype(np.float64))
+        # NumPy's own reduction of one long column is pairwise: different
+        assert np.add.reduce(rows, axis=0).tobytes() != expected.tobytes()
+        got = lower_mod._fold(0.0, (rows,), 0, (1000,), "float64")
+        assert got.tobytes() == expected.tobytes()
+
+    def test_all_negative_zero_rows_stay_negative_zero(self):
+        rows = np.full((6, 3), -0.0)
+        got = lower_mod._fold(-0.0, (rows,), 0, (6,), "float64")
+        assert np.signbit(got).all() and (got == 0.0).all()
+
+    def test_batch_axes_before_the_loop_axes(self):
+        rng = np.random.default_rng(6)
+        terms = rng.normal(size=(2, 150, 3))
+        got = lower_mod._fold(np.zeros((2, 1, 3)), (terms,), 1, (150,),
+                              "float64")
+        assert got.shape == (2, 1, 3)
+        for b in range(2):
+            expected = _sequential(np.zeros(3), terms[b],
+                                   np.dtype(np.float64))
+            assert got[b, 0].tobytes() == expected.tobytes()
 
 
 class TestSpecialisationKey:

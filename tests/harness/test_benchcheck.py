@@ -202,6 +202,17 @@ class TestRepoBaseline:
         lowered = stats[f"test_bench_lowered_{kernel}_launch"]["min"]
         assert vectorized >= 2.0 * lowered
 
+    def test_lowered_dot_launch_baseline_beats_vectorized_10x(self):
+        """Dot's grid-stride loop runs on a trip axis and its tree
+        reduction as prefix slices, so the lowered launch has no Python
+        loop left: at least 10x the lockstep engine, from one run."""
+        import os
+        root = os.path.join(os.path.dirname(__file__), "..", "..")
+        stats = load_stats(os.path.join(root, "benchmarks", "baseline.json"))
+        vectorized = stats["test_bench_vectorized_dot_launch"]["min"]
+        lowered = stats["test_bench_lowered_dot_launch"]["min"]
+        assert vectorized >= 10.0 * lowered
+
     def test_trace_disabled_dispatch_baseline_within_2x(self):
         """ISSUE-10 acceptance: the tracing-instrumented (but disabled)
         workload-dispatch baseline stays within 2x of the plain dispatch

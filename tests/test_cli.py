@@ -586,15 +586,19 @@ class TestFaultInjectionCli:
     def test_sweep_inject_then_resume(self, capsys, tmp_path):
         journal = str(tmp_path / "sweep.jsonl")
         cache = tmp_path / "cache"
-        argv = ["sweep", "stencil", "--param", "L=18,20,22", "--repeats", "1",
-                "--checkpoint", journal, "--json"]
-        plan = str(Path(__file__).resolve().parents[1] / "examples"
-                   / "fault_plan.json")
-        assert main(argv + ["--inject", plan, "--on-error", "skip",
+        argv = ["sweep", "stencil", "--param", "L=18,20,22,24", "--repeats",
+                "1", "--checkpoint", journal, "--json"]
+        plan = Path(__file__).resolve().parents[1] / "examples" \
+            / "fault_plan.json"
+        assert main(argv + ["--inject", str(plan), "--on-error", "skip",
                             "--cache-dir", str(cache)]) == 1
         first = json.loads(capsys.readouterr().out)["summary"]
-        assert first["faults"]["total_fired"] >= 2
-        assert first["failures"] + first["verification_failures"] >= 1
+        # every rule of the committed plan fires (as the CI chaos smoke
+        # asserts): an upload, a launch and a download check fail
+        sites = {r["site"] for r in json.loads(plan.read_text())["rules"]}
+        assert sites <= set(first["faults"]["fired"]), first["faults"]
+        assert first["failures"] == 2
+        assert first["verification_failures"] == 1
         assert not cache.exists()           # --inject bypassed the cache
         clean_entries = sum(
             1 for line in open(journal) if json.loads(line)["status"] == "ok")
@@ -602,6 +606,22 @@ class TestFaultInjectionCli:
         second = json.loads(capsys.readouterr().out)["summary"]
         assert second["failures"] == second["verification_failures"] == 0
         assert second["resumed"] == clean_entries
+
+    def test_sweep_cache_dir_leaves_the_default_cache_alone(self, capsys,
+                                                            tmp_path):
+        from repro.workloads.cache import default_result_cache
+
+        before = default_result_cache()
+        disk_dir = before.disk_dir
+        cache = tmp_path / "cache"
+        argv = ["sweep", "stencil", "--param", "L=18", "--repeats", "1",
+                "--no-verify", "--cache-dir", str(cache)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert default_result_cache() is before
+        assert default_result_cache().disk_dir == disk_dir
+        # the invocation's own cache stored the point on disk
+        assert list((cache / "results").glob("*.json"))
 
 
 #: ``repro --help`` at 80 columns, as printed before the command table
