@@ -70,8 +70,8 @@ One emitter, two index rules:
   with ``np.add.reduce(rows, axis=0, initial=-0.0)``, whose inner loop runs
   along the lanes, so each lane adds its rows one by one.  NumPy sums a
   reduction that collapses to one contiguous column pairwise, so a single
-  lane (or non-contiguous rows) folds with ``np.add.accumulate`` instead;
-  the emitter never reduces along the contiguous axis.
+  lane folds with ``np.add.accumulate`` instead; the emitter never reduces
+  along the contiguous axis.
 
 Everything else — break/continue, augmented stores, atomics other than
 ``fetch_add``, helpers that read thread state, stores into immutable
@@ -277,16 +277,14 @@ class _Dyn:
     lane and *axes* the loop (or ``"B"`` block) axes it carries.
 
     Per-block bodies on one-dimensional blocks also track prefix facts:
-    *tid* is ``c`` when the value is ``thread_idx.x + c``, *below* is ``s``
-    when it is the mask ``thread_idx.x < s`` (clipped to the block), and
-    *head* is ``s`` when *src* holds only the first ``s`` lanes of every
-    block (a prefix slice, see :meth:`_BodyLowerer._prefix_store`)."""
+    *tid* is ``c`` when the value is ``thread_idx.x + c`` and *below* is
+    ``s`` when it is the mask ``thread_idx.x < s`` (clipped to the block);
+    :meth:`_BodyLowerer._prefix_store` reads them."""
 
-    __slots__ = ("src", "dtype", "weak", "lanes", "axes", "tid", "below",
-                 "head")
+    __slots__ = ("src", "dtype", "weak", "lanes", "axes", "tid", "below")
 
     def __init__(self, src: str, dtype, weak, lanes: bool,
-                 axes=frozenset(), tid=None, below=None, head=None):
+                 axes=frozenset(), tid=None, below=None):
         self.src = src
         self.dtype = dtype
         self.weak = weak
@@ -294,7 +292,6 @@ class _Dyn:
         self.axes = axes
         self.tid = tid
         self.below = below
-        self.head = head
 
     def untagged(self) -> "_Dyn":
         return _Dyn(self.src, self.dtype, self.weak, self.lanes, self.axes)
@@ -343,12 +340,10 @@ class _Poison:
 class _Frame:
     """One axis-form loop: its axis position, trip count (an int, or the
     source of a runtime count), the bindings that existed on entry, the
-    accumulators it folds on exit, the entry bindings it rebinds to
-    constants and, for a grid-stride trip axis, *live*: the ``(trips,
-    blocks, 1)`` mask of the trips each block runs."""
+    accumulators it folds on exit and, for a grid-stride trip axis, *live*:
+    the ``(trips, blocks, 1)`` mask of the trips each block runs."""
 
-    __slots__ = ("depth", "trip", "names", "seqs", "accums", "live",
-                 "rebound")
+    __slots__ = ("depth", "trip", "names", "seqs", "accums", "live")
 
     def __init__(self, depth: int, trip, names, seqs):
         self.depth = depth
@@ -357,7 +352,6 @@ class _Frame:
         self.seqs = seqs
         self.accums: Dict = {}
         self.live: Optional[str] = None
-        self.rebound: set = set()
 
 
 _MISSING = object()
@@ -444,8 +438,8 @@ def _fold(init, terms, p, ext, dtype):
     value whose addition changes nothing (NumPy's default start, ``+0.0``,
     would turn a sum of ``-0.0`` rows into ``+0.0``).  With a single lane
     NumPy collapses the reduction to one contiguous reduce, which it sums
-    pairwise, so then (or for rows that are not C-contiguous) the fold runs
-    ``np.add.accumulate``, which is sequential for any shape.
+    pairwise, so then the fold runs ``np.add.accumulate``, which is
+    sequential for any shape.
     """
     r, n = len(ext), math.prod(ext)
     nd = max(np.ndim(t) for t in terms)
@@ -460,7 +454,7 @@ def _fold(init, terms, p, ext, dtype):
         if p:
             t = np.moveaxis(t, tuple(range(p, p + r)), tuple(range(r)))
         rows[1 + j::len(terms)] = t.reshape((n,) + batch + tail)
-    if rows[0].size > 1 and rows.flags.c_contiguous:
+    if rows[0].size > 1:
         out = np.add.reduce(rows, axis=0, initial=-0.0)
     else:
         out = np.add.accumulate(rows, axis=0)[-1]
@@ -547,7 +541,6 @@ class _BodyLowerer:
         self.scope = 0
         self.scopes = itertools.count(1)
         self.merge_mask: Optional[str] = None   # per-block while mask
-        self.head: Optional[int] = None     # prefix store being lowered
         self.per_block = per_block
         self.shared: Dict[str, _SharedArr] = {}
         self.shared_seq = 0
@@ -638,7 +631,7 @@ class _BodyLowerer:
         if v.src != target:
             self.emit(f"{target} = {v.src}")
         return _Dyn(target, v.dtype, v.weak, v.lanes, v.axes, v.tid,
-                    v.below, v.head)
+                    v.below)
 
     @staticmethod
     def lanes_of(*vals) -> bool:
@@ -781,12 +774,11 @@ class _BodyLowerer:
         if sym == "**" and any(isinstance(v, _Dyn) and v.axes and v.weak
                                is not False for v in (a, b)):
             raise _fail("Python power in the axis form")
-        head = self._head_of(a, b)
         arith = sym not in ("&", "|", "^")
         sa, sb = self._operands([a, b], arith)
         rt = _result_type(fn, ta, tb)
         out = _Dyn(f"({sa} {sym} {sb})", rt[0], rt[1],
-                   self.lanes_of(a, b), self.axes_of(a, b), head=head)
+                   self.lanes_of(a, b), self.axes_of(a, b))
         if isinstance(a, _Dyn) and a.tid is not None \
                 and isinstance(b, _Const) and _is_int(b.value):
             c = int(b.value)
@@ -795,14 +787,6 @@ class _BodyLowerer:
             elif sym in ("<", "<="):
                 out.below = min(max(c + (sym == "<=") - a.tid, 0), self.tpb)
         return out
-
-    def _head_of(self, *vals) -> Optional[int]:
-        """Inside a prefix store every lane operand must be a prefix slice
-        of the store's length; outside one, no operand is."""
-        lanes = [v for v in vals if isinstance(v, _Dyn) and v.lanes]
-        if any(v.head != self.head for v in lanes):
-            raise _fail("prefix slice meets a whole-block lane value")
-        return self.head if lanes else None
 
     def _e_Compare(self, node):
         if len(node.ops) != 1 or type(node.ops[0]) not in _CMPOPS:
@@ -1139,10 +1123,8 @@ class _BodyLowerer:
         ref = f"np.{name}" if getattr(np, name, None) is f else \
             self.const_src(_Const(f))
         rt = _result_type(f, *types_)
-        # ufuncs and np.where are elementwise: a prefix slice stays one
         return _Dyn(f"{ref}({', '.join(srcs)})", rt[0], False,
-                    self.lanes_of(*args), self.axes_of(*args),
-                    head=self._head_of(*args))
+                    self.lanes_of(*args), self.axes_of(*args))
 
     def _scalar_builtin(self, f, args):
         if all(isinstance(a, _Const) for a in args):
@@ -1241,21 +1223,15 @@ class _BodyLowerer:
                     self.scope)
 
     def _h_masked_gather(self, node, kw):
-        head, self.head = self.head, None
-        try:
-            args = [self.ev(a) for a in node.args]
-            if "other" in kw:
-                args.append(self.ev(kw.pop("other")))
-        finally:
-            self.head = head
+        args = [self.ev(a) for a in node.args]
+        if "other" in kw:
+            args.append(self.ev(kw.pop("other")))
         if kw or len(args) not in (3, 4):
             raise _fail("masked_gather arguments")
         target, index, mask = args[:3]
         other = args[3] if len(args) == 4 else _Const(0.0)
         if not (isinstance(mask, _Dyn) and mask.lanes):
             raise _fail("masked_gather with a uniform mask")
-        if head is not None:
-            return self._prefix_gather(target, index, mask, other)
         mask = self.temp(mask)
         safe = self.temp(_Dyn(f"np.where({mask.src}, {self.src(index)}, 0)",
                               np.dtype(np.int64), False, True,
@@ -1280,17 +1256,44 @@ class _BodyLowerer:
             raise _fail("access is not a prefix slice of a shared array")
         return f"{target.src}[:, {c}:{c + s}]"
 
-    def _prefix_gather(self, target, index, mask, other):
-        """``masked_gather(sh, tid + c, tid < s)`` in a prefix store: the
-        slice ``sh[:, c:c+s]`` (the lanes the mask keeps)."""
-        s = self.head
+    def _prefix_value(self, node, s: int):
+        """The stored value of a prefix store over the first *s* lanes:
+        ufuncs and binary operators over prefix gathers
+        ``masked_gather(sh, tid + c, tid < s)`` (each the slice
+        ``sh[:, c:c+s]``, the lanes the mask keeps) and values that do not
+        vary per lane."""
+        if isinstance(node, ast.BinOp):
+            sym, fn = _BINOPS.get(type(node.op), (None, None))
+            if sym is None:
+                raise _fail("unsupported binary operator")
+            return self._arith(sym, fn, self._prefix_value(node.left, s),
+                               self._prefix_value(node.right, s))
+        f = self._pure(lambda: self.ev(node.func)) \
+            if isinstance(node, ast.Call) else None
+        f = f.value if isinstance(f, _Const) else None
+        if isinstance(f, np.ufunc) and not node.keywords:
+            return self._numpy_call(f, [self._prefix_value(a, s)
+                                        for a in node.args])
+        if f is not _intrinsics.masked_gather:
+            v = self._pure(lambda: self.ev(node))
+            if isinstance(v, _Dyn) and v.lanes:
+                raise _fail("prefix store of a whole-block lane value")
+            return v
+        args = node.args + [k.value for k in node.keywords
+                            if k.arg == "other"]
+        if len(args) != len(node.args) + len(node.keywords) \
+                or len(args) not in (3, 4):
+            raise _fail("masked_gather arguments")
+        target, index, mask, *other = [self._pure(lambda a=a: self.ev(a))
+                                       for a in args]
         src = self._prefix_slice(target, index, s)
-        if mask.below != s or _result_type(
+        if getattr(mask, "below", None) != s or _result_type(
                 np.where, mask.type, (target.dtype, False),
-                self.vtype(other))[0] != target.dtype:
+                self.vtype(other[0] if other else _Const(0.0)))[0] \
+                != target.dtype:
             raise _fail("gather is not under the store's prefix guard")
         self.loads += 1
-        return _Dyn(src, target.dtype, False, True, frozenset("B"), head=s)
+        return _Dyn(src, target.dtype, False, True, frozenset("B"))
 
     def _prefix_store(self, node) -> bool:
         """``masked_store(sh, tid + c, value, tid < s)`` with static ``s``
@@ -1298,10 +1301,10 @@ class _BodyLowerer:
 
             sh[:, c:c+s] = <value over the first s lanes>
 
-        where every lane operand of *value* is a prefix gather
-        (:meth:`_prefix_gather`).  The interpreter's broadcast mask and
-        compressed scatter store the same elements; False when the
-        statement has another shape (it then lowers as a scatter)."""
+        where *value* combines prefix gathers (:meth:`_prefix_value`).  The
+        interpreter's broadcast mask and compressed scatter store the same
+        elements; False when the statement has another shape (it then
+        lowers as a scatter)."""
         if not self.per_block or self.scope or self.frames \
                 or self.merge_mask is not None or len(node.args) != 4:
             return False
@@ -1314,16 +1317,9 @@ class _BodyLowerer:
             return False
 
         def emit():
-            target = self.ev(node.args[0])
-            index = self.ev(node.args[1])
-            self.head = s
-            try:
-                value = self.ev(node.args[2])
-            finally:
-                self.head = None
-            dest = self._prefix_slice(target, index, s)
-            if self.lanes_of(value) and value.head != s:
-                raise _fail("stored value is not a prefix slice")
+            dest = self._prefix_slice(self.ev(node.args[0]),
+                                      self.ev(node.args[1]), s)
+            value = self._prefix_value(node.args[2], s)
             self.emit(f"{dest} = {self.src(value)}")
         try:
             self._attempt(emit)
@@ -1587,14 +1583,12 @@ class _BodyLowerer:
         self.store(("n", name), value)
 
     def store(self, key, value) -> None:
-        frame = self._outer_frame(key) if self.frames else None
-        if frame is not None:
-            if not isinstance(value, _Const):
-                raise _fail("a binding from outside an axis-form loop is "
-                            "reassigned inside it")
-            # a constant is the same every iteration, but no longer the
-            # value an accumulator starts its fold from
-            frame.rebound.add(key)
+        # the body is lowered once for all iterations: even a constant
+        # (``c = c + 1`` of a constant ``c``) would be bound once, not once
+        # per iteration
+        if self.frames and self._outer_frame(key) is not None:
+            raise _fail("a binding from outside an axis-form loop is "
+                        "reassigned inside it")
         if self.merge_mask is not None and isinstance(value, _Dyn) \
                 and isinstance(self._get(key, None), _Dyn):
             value = self._merge(self._get(key), value)
@@ -1668,8 +1662,6 @@ class _BodyLowerer:
     def _fold_frame(self, frame: _Frame) -> None:
         for acc in frame.accums.values():
             init, terms = acc["init"], acc["terms"]
-            if acc["key"] in frame.rebound:
-                raise _fail("accumulator is reassigned inside its loop")
             t = self.vtype(init)
             for _ in range(2):
                 for term in terms:
@@ -1941,7 +1933,8 @@ class _BodyLowerer:
         """A per-block grid-stride loop on a leading trip axis::
 
             while any_lane(i < n):      # n a static int
-                ...                     # no stores, barriers or returns
+                ...                     # no stores, barriers, returns
+                                        # or loops
                 i = i + s               # s a static positive int
 
         Block ``b`` runs ``T_b = ceil((n - min_lanes i) / s)`` trips (the
@@ -1952,8 +1945,15 @@ class _BodyLowerer:
         block does not run adds ``-0.0`` and gathers index 0 instead of
         its own.  Trips run in chunks that keep the arrays within
         :data:`AXIS_BUDGET` elements, and ``i`` leaves the loop at
-        ``i + T_b*s``, as in the interpreter.
+        ``i + T_b*s``, as in the interpreter.  A name bound before the loop
+        may change inside it only as an accumulator (``x = x + e``); any
+        other rebinding, even to a constant, refuses the form.
         """
+        if self.frames or self.merge_mask is not None:
+            raise _fail("trip axis inside another loop")
+        if any(isinstance(n, (ast.While, ast.For))
+               for stmt in node.body for n in ast.walk(stmt)):
+            raise _fail("loop inside a grid-stride loop")
         *body, step = node.body
         test = node.test
         cmp = test.args[0] if isinstance(test, ast.Call) and len(

@@ -15,7 +15,9 @@ the transient multi-chunk lane geometry, and an out-of-range launch must
 raise the same exception, with the same message, in both.  One fixture
 kernel that is not shipped, a grid-stride reduction whose trip count
 differs between lanes and between blocks (one block runs no trip at all),
-holds the lowering tier's trip axis and prefix slices to the same rules.
+holds the lowering tier's trip axis and prefix slices to the same rules;
+a variant that rebinds constants from before the loop inside it must not
+take the trip axis.
 
 The one stated tolerance: the Hartree–Fock kernel's scalar path evaluates
 the Boys function with ``math.erf`` per thread where the lane path uses a
@@ -185,6 +187,49 @@ def _ragged(ex, mode, checked=False):
     return {"sums": sums.ptr}, {"ragged_stride_kernel": res}
 
 
+@kernel(name="ragged_rebound_kernel", vector_safe=True)
+def ragged_rebound_kernel(a, sums, flags, counts, n, stride, spread, size):
+    """The grid-stride sum with two bindings from before the loop rebound
+    inside it: ``flag = 1.0`` (a block that runs no trip keeps ``0.5``)
+    and ``c += 1`` (once per trip, not once).  Lanes of a block start one
+    apart, so they all run the block's trip count, which ``c`` needs in
+    the scalar modes, where each thread counts its own trips.
+    """
+    sh = shared_array(block_dim.x, DType.float64, key="sh")
+    tid = thread_idx.x
+    i = block_idx.x * spread + tid
+    acc = -0.0
+    flag = 0.5
+    c = 0
+    while any_lane(i < n):
+        acc = acc + masked_gather(a, i, i < n) * 2.0
+        flag = 1.0
+        c += 1
+        i = i + stride
+    g = block_idx.x * block_dim.x + tid
+    sh[tid] = acc
+    barrier()
+    m = g < size
+    masked_store(sums, g, sh[tid], m)
+    masked_store(flags, g, flag, m)
+    masked_store(counts, g, c, m)
+
+
+def _ragged_rebound(ex, mode, checked=False):
+    # block b's lanes start at [50b, 50b + 7]: with n = 140 and stride 16
+    # blocks 0-3 run 9, 6, 3 and 0 trips on every lane
+    rng = np.random.default_rng(43)
+    a = _tensor(rng.normal(size=140), checked=checked)
+    sums, flags, counts = (_tensor(np.zeros(32), checked=checked)
+                           for _ in range(3))
+    res = ex.launch(ragged_rebound_kernel,
+                    (a, sums, flags, counts, 140, 16, 50, 32),
+                    LaunchConfig.make(4, 8),
+                    mode="cooperative" if mode == "sequential" else mode)
+    return ({"sums": sums.ptr, "flags": flags.ptr, "counts": counts.ptr},
+            {"ragged_rebound_kernel": res})
+
+
 #: kernel family -> (driver, the tier ``auto`` must pick per kernel)
 CASES = {
     "stencil": (_stencil, {"laplacian_kernel": "lowered"}),
@@ -196,6 +241,10 @@ CASES = {
     "minibude": (_fasten, {"fasten_kernel": "lowered"}),
     "hartreefock": (_eri, {"hartree_fock_kernel": "lowered"}),
     "ragged": (_ragged, {"ragged_stride_kernel": "lowered"}),
+    # neither the trip axis nor the per-block loop takes the rebound
+    # constants: the lowering tier refuses the kernel
+    "ragged-rebound": (_ragged_rebound,
+                       {"ragged_rebound_kernel": "vectorized"}),
 }
 
 

@@ -173,6 +173,47 @@ def _reset_sums_body(out, a, n):
 _reset_sums = Kernel(_reset_sums_body, name="_reset_sums", vector_safe=True)
 
 
+def _loop_counter_body(out, a, n):
+    """``c += 1`` and ``d = d * 2.0`` of constants in a static loop: a new
+    constant every iteration, which an array axis would bind only once."""
+    i = block_dim.x * block_idx.x + thread_idx.x
+    m = i < n
+    if not any_lane(m):
+        return
+    i = compress_lanes(m, i)
+    c = 0
+    d = 1.0
+    for k in range(4):
+        c += 1
+        d = d * 2.0
+    out[i] = a[i] + c + d
+
+
+_loop_counter = Kernel(_loop_counter_body, name="_loop_counter",
+                       vector_safe=True)
+
+
+def _nested_stride_body(a, sums, n, stride):
+    """A grid-stride loop inside another grid-stride loop."""
+    sh = shared_array(block_dim.x, DType.float64, key="sh")
+    tid = thread_idx.x
+    i = block_idx.x * block_dim.x + tid
+    acc = 0.0
+    while any_lane(i < n):
+        j = tid
+        while any_lane(j < n):
+            acc = acc + masked_gather(a, j, j < n)
+            j = j + stride
+        i = i + stride
+    sh[tid] = acc
+    barrier()
+    masked_store(sums, block_idx.x, sh[0], tid == 0)
+
+
+_nested_stride = Kernel(_nested_stride_body, name="_nested_stride",
+                        vector_safe=True)
+
+
 def _scale2d_tensors(f_layout):
     u = LayoutTensor(DType.float64, Layout.row_major(4, 6),
                      np.arange(24.0), mut=False)
@@ -405,7 +446,6 @@ class TestGenericKernels:
         assert res.counters.barriers == 6 * 128
         assert res.shared_bytes_per_block == 32 * 4
 
-
     def test_accumulator_rebound_inside_its_loop_is_not_folded(self):
         a = np.array([1.0, 2.0, 3.0, 4.0])
 
@@ -418,6 +458,19 @@ class TestGenericKernels:
         args, (out,) = make_args()
         KernelExecutor().launch(_reset_sums, args, LaunchConfig.make(1, 8))
         assert (out == 9.0).all()
+
+    def test_constant_updated_every_iteration_is_not_bound_once(self):
+        a = np.arange(8.0)
+
+        def make_args():
+            out = np.zeros(8)
+            return ((LayoutTensor(DType.float64, Layout.row_major(8), out),
+                     LayoutTensor(DType.float64, Layout.row_major(8), a,
+                                  mut=False), 8), [out])
+        self._compare(_loop_counter, make_args, LaunchConfig.make(1, 8))
+        args, (out,) = make_args()
+        KernelExecutor().launch(_loop_counter, args, LaunchConfig.make(1, 8))
+        assert out.tolist() == (a + 4 + 16).tolist()
 
     def test_block_tree_reduction_stores_prefix_slices(self):
         x = np.zeros(128, dtype=np.float32)
@@ -468,6 +521,27 @@ class TestGenericKernels:
                                         LaunchConfig.make(4, 8), mode=mode)
             errors[mode] = str(info.value)
         assert errors["auto"] == errors["vectorized"]
+
+    def test_nested_grid_stride_loop_is_refused_and_runs_vectorized(self):
+        def make_args():
+            sums = np.zeros(4)
+            return ((LayoutTensor(DType.float64, Layout.row_major(40),
+                                  np.arange(40.0), mut=False),
+                     LayoutTensor(DType.float64, Layout.row_major(4), sums),
+                     40, 16), [sums])
+        launch = LaunchConfig.make(4, 8)
+        args, _ = make_args()
+        report = lowering_report(_nested_stride, args, launch)
+        assert report == {
+            "kernel": "_nested_stride", "lowered": False,
+            "reason": "runtime while inside an axis-form or per-block loop"}
+        runs = {}
+        for mode in ("auto", "vectorized"):
+            args, (sums,) = make_args()
+            res = KernelExecutor().launch(_nested_stride, args, launch,
+                                          mode=mode)
+            runs[mode] = (res.mode, sums.tobytes())
+        assert runs["auto"] == ("vectorized", runs["vectorized"][1])
 
 
 def _sequential(init, rows, dtype):
