@@ -567,8 +567,8 @@ def _cmd_bench(args) -> int:
             result = workload.run(request)
         elif args.tuned:
             # Tuned results depend on the mutable tuning database, so the
-            # request-level result cache does not memoise them (run_cached).
-            result = run_cached(request, workload=workload)
+            # request-level result cache never memoises them.
+            result = workload.run(request)
             cache_note = "bypassed (tuned request)"
         else:
             # A disk-backed cache keyed by the frozen request makes repeated

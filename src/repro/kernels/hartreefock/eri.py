@@ -14,12 +14,23 @@ For normalised primitives with exponents ``a, b, c, d`` centred at
               * F0(rho |P-Q|^2)
 
 where ``F0`` is the zeroth Boys function.
+
+:func:`contracted_eri` is the scalar oracle: a plain loop over primitive
+quartets on ``math.erf``.  :func:`contracted_eri_batch` is the one
+vectorised primitive-quartet loop; the reference Fock builds, the Schwarz
+bounds (:func:`pair_schwarz`) and the identical-basis Schwarz table
+(:func:`schwarz_identical_basis`) all evaluate through it.  Its Boys
+function calls :func:`_erf`, erf's Taylor series about the nearest of 193
+centres 1/32 apart, built at import from ``math.erf``, so NumPy is the only
+dependency.  Against ``math.erf`` (glibc) on 10^6 random points in [0, 6],
+10^5 points over [0, 7] and log-spaced points in [1e-300, 1], ``_erf`` is
+at most 3 ulp off (5.9e-16 relative).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -57,36 +68,66 @@ def boys_f0_array(t: np.ndarray) -> np.ndarray:
     return np.where(t < _F0_SMALL, small, large)
 
 
-#: the vectorised erf in use, resolved by the first :func:`_erf` call
-_erf_impl = None
+#: column ``k`` of :data:`_ERF_TAYLOR` expands erf about ``k * _ERF_STEP``
+_ERF_STEP = 1.0 / 32.0
+#: smallest double whose ``math.erf`` is exactly 1.0
+_ERF_ONE = 5.921587195794507
+
+
+def _erf_taylor() -> np.ndarray:
+    """Taylor coefficients of erf about the centres ``a = k * _ERF_STEP``.
+
+    The centres run from 0 to 6.0 (``k = 0 .. 192``) and each expansion
+    keeps 8 terms.  Entry ``[n, k]`` is the coefficient of ``u**n`` in
+    ``erf(a + u * _ERF_STEP)``.  Row 0 is ``math.erf(a)``.  The rest follow
+    exactly from ``erf' = 2/sqrt(pi) g`` with ``g(x) = exp(-x^2)``:
+    ``g' = -2 x g`` gives ``(m + 1) g_{m+1} = -2 a g_m - 2 g_{m-1}`` for the
+    Taylor coefficients of ``g`` about ``a``.  Nothing is fitted, and the
+    power-of-two scaling by ``_ERF_STEP**n`` is exact.
+    """
+    a = np.arange(193) * _ERF_STEP
+    table = np.empty((8, len(a)))
+    table[0] = [math.erf(v) for v in a]
+    g = np.array([math.exp(-v * v) for v in a])
+    g_prev = np.zeros_like(g)
+    for n in range(1, len(table)):
+        table[n] = 2.0 / math.sqrt(math.pi) * g / n * _ERF_STEP ** n
+        g, g_prev = (-2.0 * a * g - 2.0 * g_prev) / n, g
+    table.flags.writeable = False
+    return table
+
+
+_ERF_TAYLOR = _erf_taylor()
 
 
 def _erf(x: np.ndarray) -> np.ndarray:
-    """Vectorised error function (SciPy when available).
+    """Vectorised error function: a Taylor polynomial about the nearest centre.
 
-    ``scipy.special`` is imported on the first call rather than with this
-    module: it is a large import that only Boys evaluations need.
+    ``|x| / _ERF_STEP`` splits exactly into its nearest integer ``k`` and a
+    remainder ``|u| <= 1/2``; centre 0 carries erf's odd series, so tiny
+    arguments keep full relative accuracy.  From :data:`_ERF_ONE` on, the
+    last centre is used with ``u = 0``, which gives exactly
+    ``math.erf(6.0) == 1.0``.  Only elementwise multiplies and adds touch
+    the values, so the bits do not depend on the array's size or shape.
+    The sign is copied back, so ``_erf(-x)`` is exactly ``-_erf(x)``.
+    The coefficients are gathered one power at a time into one reused
+    buffer.  A single gather of whole table columns, or a fresh array per
+    power, measured slower in the 16-atom reference Fock build: fresh
+    temporaries there fault in new pages.
     """
-    global _erf_impl
-    if _erf_impl is None:
-        try:  # SciPy gives the exact vectorised erf
-            from scipy.special import erf as _erf_impl
-        except ImportError:  # pragma: no cover - exercised only without SciPy
-            _erf_impl = _erf_rational
-    return _erf_impl(x)
-
-
-def _erf_rational(x: np.ndarray) -> np.ndarray:
-    """Abramowitz & Stegun 7.1.26 rational approximation of erf.
-
-    Absolute error below 1.5e-7, sufficient for Schwarz screening.
-    """
-    sign = np.sign(x)
     ax = np.abs(x)
-    t = 1.0 / (1.0 + 0.3275911 * ax)
-    poly = t * (0.254829592 + t * (-0.284496736 + t * (1.421413741 +
-               t * (-1.453152027 + t * 1.061405429))))
-    return sign * (1.0 - poly * np.exp(-ax * ax))
+    t = np.where(ax >= _ERF_ONE, _ERF_TAYLOR.shape[1] - 1.0,
+                 ax * (1.0 / _ERF_STEP))
+    k = np.rint(t)
+    u = t - k
+    k = k.astype(np.intp)
+    # mode="clip" gives a NaN a valid index; its u keeps the NaN
+    r = _ERF_TAYLOR[-1].take(k, mode="clip")
+    c = np.empty_like(r)
+    for coef in _ERF_TAYLOR[-2::-1]:
+        r *= u
+        r += coef.take(k, out=c, mode="clip")
+    return np.copysign(r, x)
 
 
 def contracted_eri(
@@ -196,47 +237,20 @@ def contracted_eri_batch(
 
 def pair_schwarz(positions: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray,
                  xpnt: np.ndarray, coef: np.ndarray, *,
-                 chunk: int = 65536, approximate: bool = False) -> np.ndarray:
+                 chunk: int = 8192) -> np.ndarray:
     """Schwarz bounds ``sqrt((ij|ij))`` for a list of basis-function pairs.
 
-    ``approximate=True`` keeps only the dominant (most diffuse) primitive,
-    which is accurate enough for the *counting* use of screening in the
-    timing model and keeps the 1024-atom case cheap.
+    Evaluated through :func:`contracted_eri_batch` in chunks of *chunk*
+    pairs, which bounds the memory of its primitive-pair intermediates.
     """
     positions = np.asarray(positions, dtype=np.float64)
-    xpnt = np.asarray(xpnt, dtype=np.float64)
-    coef = np.asarray(coef, dtype=np.float64)
-    if approximate:
-        keep = int(np.argmax(np.abs(coef)))
-        xpnt = xpnt[keep:keep + 1]
-        coef = coef[keep:keep + 1]
-    ngauss = len(xpnt)
-
-    out = np.empty(len(pair_i), dtype=np.float64)
+    eri = np.empty(len(pair_i), dtype=np.float64)
     for start in range(0, len(pair_i), chunk):
-        stop = min(start + chunk, len(pair_i))
-        a_pos = positions[pair_i[start:stop]]
-        b_pos = positions[pair_j[start:stop]]
-        rab2 = np.einsum("ij,ij->i", a_pos - b_pos, a_pos - b_pos)
-
-        eri = np.zeros(stop - start, dtype=np.float64)
-        for ib in range(ngauss):
-            for jb in range(ngauss):
-                aij = xpnt[ib] + xpnt[jb]
-                dij = coef[ib] * coef[jb] * np.exp(-xpnt[ib] * xpnt[jb] / aij * rab2)
-                pij = (xpnt[ib] * a_pos + xpnt[jb] * b_pos) / aij
-                for kb in range(ngauss):
-                    for lb in range(ngauss):
-                        akl = xpnt[kb] + xpnt[lb]
-                        dkl = coef[kb] * coef[lb] * np.exp(
-                            -xpnt[kb] * xpnt[lb] / akl * rab2)
-                        pkl = (xpnt[kb] * a_pos + xpnt[lb] * b_pos) / akl
-                        rpq2 = np.einsum("ij,ij->i", pij - pkl, pij - pkl)
-                        aijkl = aij * akl / (aij + akl)
-                        prefac = TWO_PI_POW_2_5 / (aij * akl * np.sqrt(aij + akl))
-                        eri += dij * dkl * prefac * boys_f0_array(aijkl * rpq2)
-        out[start:stop] = np.sqrt(np.maximum(eri, 0.0))
-    return out
+        a_pos = positions[pair_i[start:start + chunk]]
+        b_pos = positions[pair_j[start:start + chunk]]
+        eri[start:start + chunk] = contracted_eri_batch(a_pos, b_pos, a_pos,
+                                                        b_pos, xpnt, coef)
+    return np.sqrt(np.maximum(eri, 0.0))
 
 
 def schwarz_identical_basis(rab2: np.ndarray, xpnt: np.ndarray, coef: np.ndarray,
@@ -248,32 +262,14 @@ def schwarz_identical_basis(rab2: np.ndarray, xpnt: np.ndarray, coef: np.ndarray
     centre distance, so it can be tabulated exactly on a distance grid and
     interpolated.  This keeps the 1024-atom case (half a million pairs with
     1296 primitive products each) inexpensive without giving up accuracy.
+    The table is :func:`contracted_eri_batch` on pairs along one axis.
     """
     rab2 = np.asarray(rab2, dtype=np.float64)
     if rab2.size == 0:
         return np.zeros(0, dtype=np.float64)
-    r2max = float(np.max(rab2))
-    grid = np.linspace(0.0, r2max, samples)
-    xpnt = np.asarray(xpnt, dtype=np.float64)
-    coef = np.asarray(coef, dtype=np.float64)
-    ngauss = len(xpnt)
-
-    eri = np.zeros_like(grid)
-    for ib in range(ngauss):
-        for jb in range(ngauss):
-            aij = xpnt[ib] + xpnt[jb]
-            dij = coef[ib] * coef[jb] * np.exp(-xpnt[ib] * xpnt[jb] / aij * grid)
-            # Centre of the (i, j) product along the A-B axis, as a fraction.
-            fij = xpnt[jb] / aij
-            for kb in range(ngauss):
-                for lb in range(ngauss):
-                    akl = xpnt[kb] + xpnt[lb]
-                    dkl = coef[kb] * coef[lb] * np.exp(
-                        -xpnt[kb] * xpnt[lb] / akl * grid)
-                    fkl = xpnt[lb] / akl
-                    rpq2 = (fij - fkl) ** 2 * grid
-                    aijkl = aij * akl / (aij + akl)
-                    prefac = TWO_PI_POW_2_5 / (aij * akl * np.sqrt(aij + akl))
-                    eri += dij * dkl * prefac * boys_f0_array(aijkl * rpq2)
-    table = np.sqrt(np.maximum(eri, 0.0))
-    return np.interp(rab2, grid, table)
+    grid = np.linspace(0.0, float(np.max(rab2)), samples)
+    a_pos = np.zeros((samples, 3))
+    b_pos = np.zeros((samples, 3))
+    b_pos[:, 0] = np.sqrt(grid)
+    eri = contracted_eri_batch(a_pos, b_pos, a_pos, b_pos, xpnt, coef)
+    return np.interp(rab2, grid, np.sqrt(np.maximum(eri, 0.0)))

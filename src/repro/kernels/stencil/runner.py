@@ -40,8 +40,8 @@ def stencil_launch_config(L: int, block_shape: Tuple[int, int, int]) -> LaunchCo
 
 def enqueue_stencil(ctx: DeviceContext, problem: StencilProblem,
                     block_shape: Tuple[int, int, int], *,
-                    executor: str = "auto", streams: int = 1,
-                    markers: bool = True) -> Optional[np.ndarray]:
+                    executor: str = "auto",
+                    streams: int = 1) -> Optional[np.ndarray]:
     """Upload the initial field, launch the Laplacian, download ``f``.
 
     Returns the flat ``f`` download: an array on an eager context, None
@@ -49,9 +49,8 @@ def enqueue_stencil(ctx: DeviceContext, problem: StencilProblem,
     and the download their own lanes (``h2d``, ``compute``, ``d2h``),
     ordered by the ``uploads`` and ``kernel-done`` events.  The three
     phases are strictly dependent, so they still serialise: the lanes
-    expose the pipeline structure rather than overlap.  On one stream
-    ``markers=False`` leaves the two events out, so the capture is the
-    bare upload, kernel and download.
+    expose the pipeline structure rather than overlap.  One stream records
+    no events: the capture is the bare upload, kernel and download.
     """
     L = problem.L
     layout = Layout.row_major(L, L, L)
@@ -59,10 +58,9 @@ def enqueue_stencil(ctx: DeviceContext, problem: StencilProblem,
     f_buf = ctx.enqueue_create_buffer(problem.dtype, problem.num_cells, label="f")
     h2d, compute, d2h = (ctx.stream(s) if streams > 1 else ctx.default_stream
                          for s in ("h2d", "compute", "d2h"))
-    markers = markers or streams > 1
 
     u_buf.copy_from_host(problem.initial_field(), stream=h2d)
-    if markers:
+    if streams > 1:
         compute.wait(ctx.event("uploads").record(h2d))
     launch = stencil_launch_config(L, block_shape)
     ctx.enqueue_function(
@@ -73,7 +71,7 @@ def enqueue_stencil(ctx: DeviceContext, problem: StencilProblem,
         model=stencil_kernel_model(L=L, precision=problem.precision),
         stream=compute,
     )
-    if markers:
+    if streams > 1:
         d2h.wait(ctx.event("kernel-done").record(compute))
     return f_buf.copy_to_host(stream=d2h)
 

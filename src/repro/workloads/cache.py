@@ -26,14 +26,13 @@ import copy
 import hashlib
 import json
 import os
-import threading
 from typing import Dict, Optional
 
 from ..core.memo import DiskTier, Memo
 from .base import RunRequest, Verification, WorkloadResult
 
 __all__ = ["ResultCache", "run_cached", "default_result_cache",
-           "configure_result_cache", "DEFAULT_CACHE_DIR", "CACHE_DISK_BUDGET"]
+           "DEFAULT_CACHE_DIR", "CACHE_DISK_BUDGET"]
 
 #: default on-disk store location (created lazily, only when disk caching
 #: is enabled)
@@ -148,33 +147,11 @@ def _result_from_export(request: RunRequest, payload: Dict) -> WorkloadResult:
 
 
 _default_cache = ResultCache()
-_default_lock = threading.Lock()
 
 
 def default_result_cache() -> ResultCache:
     """The process-wide default result cache used by :func:`run_cached`."""
     return _default_cache
-
-
-def configure_result_cache(*, disk_dir: Optional[str] = None,
-                           disk: Optional[bool] = None) -> ResultCache:
-    """Replace the default cache.
-
-    ``disk=True`` enables the on-disk store at *disk_dir* (default
-    ``.repro_cache/``); ``disk=False`` disables it.  Returns the new default
-    cache, whose memo starts empty.
-    """
-    global _default_cache
-    with _default_lock:
-        current = _default_cache.disk_dir
-        if disk is None:
-            new_dir = disk_dir if disk_dir is not None else current
-        elif disk:
-            new_dir = disk_dir or current or DEFAULT_CACHE_DIR
-        else:
-            new_dir = None
-        _default_cache = ResultCache(disk_dir=new_dir)
-        return _default_cache
 
 
 def run_cached(request: RunRequest, *,

@@ -95,7 +95,7 @@ class StencilWorkload(Workload):
         ctx = DeviceContext(request.gpu)
         with ctx.capture(f"tune-{self.name}") as graph:
             enqueue_stencil(ctx, problem, p["block_shape"],
-                            executor=request.executor, markers=False)
+                            executor=request.executor)
         return self._maybe_optimize(graph, request)
 
     def reference(self, *, L: int = 32, precision: str = "float64"):

@@ -116,7 +116,7 @@ class TestBoysFunction:
     def test_array_matches_scalar(self):
         ts = np.array([0.0, 1e-13, 0.5, 3.0, 50.0])
         np.testing.assert_allclose(boys_f0_array(ts),
-                                   [boys_f0(t) for t in ts], rtol=1e-6)
+                                   [boys_f0(t) for t in ts], rtol=1e-14)
 
 
 class TestERI:
@@ -164,7 +164,7 @@ class TestERI:
             direct = math.sqrt(contracted_eri(s.geometry[i], s.geometry[j],
                                               s.geometry[i], s.geometry[j],
                                               s.xpnt, s.coef))
-            assert bounds[ij] == pytest.approx(direct, rel=1e-6)
+            assert bounds[ij] == pytest.approx(direct, rel=1e-13)
 
     def test_interpolated_schwarz_matches_exact(self):
         s = make_helium_system(6, 3, spacing=2.5)
