@@ -683,3 +683,29 @@ def test_bench_traced_stencil_run(benchmark):
 
     collector = benchmark(run)
     assert any(s.name == "workload.run" for s in collector.spans)
+
+
+def test_bench_graph_replay_run_breakdown(benchmark):
+    """10,000 untraced replays of a small graph, then one breakdown.
+
+    Untraced replays of one graph in a row share a single timeline entry,
+    which ``pipeline_breakdown()`` expands into the replays' events when it
+    reads them; this guards the replay path and that expansion.
+    """
+    from repro.core.device import DeviceContext
+
+    ctx = DeviceContext("h100")
+    buf = ctx.enqueue_create_buffer(DType.float64, 64, label="x")
+    with ctx.capture("small") as graph:
+        buf.copy_from_host(np.zeros(64))
+        buf.copy_to_host()
+
+    def run():
+        ctx.reset_timeline()
+        for _ in range(10_000):
+            graph.replay()
+        return ctx.pipeline_breakdown()
+
+    breakdown = benchmark(run)
+    assert breakdown.operations == 10_000
+    assert breakdown.elapsed_ms == ctx.elapsed_ms > 0.0

@@ -49,7 +49,14 @@ a replayable :class:`DeviceGraph`::
 
 Replay skips all per-enqueue Python work (argument normalisation, launch
 validation, modelled-time prediction, per-op bookkeeping), which is what
-amortises host-side launch overhead across sweep repeats.
+amortises host-side launch overhead across sweep repeats.  A replay's place
+on the timeline is fixed at compile too: untraced replays of one graph in a
+row are held as one run entry (the graph's shape, first start, first replay
+number and count), so a long replay loop keeps constant memory.
+:attr:`DeviceContext.timeline` and the timing summaries expand runs when
+read, into the same events a replay used to append one by one.  A traced
+replay appends its events, which carry the compile-time op schedule for
+the trace exporter.
 """
 
 from __future__ import annotations
@@ -59,7 +66,8 @@ import mmap
 import sys
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -238,8 +246,10 @@ class StreamEvent:
 
     ``start_ms``/``end_ms`` place the operation on its stream's lane of the
     modelled timeline; ``modelled_time_ms`` is its duration.  Slotted: a
-    context keeps one per executed operation and graph replay, so the
-    timeline's memory grows with the number of replays a run makes.
+    context keeps one per executed operation and traced graph replay.
+    Untraced replays of one graph in a row share a single :class:`_ReplayRun`
+    entry instead, which :attr:`DeviceContext.timeline` expands into these
+    events when read, so a long replay loop keeps constant memory.
     """
 
     kind: str                      # "kernel" | "h2d" | "d2h" | "memset" | "event" | "graph"
@@ -250,6 +260,73 @@ class StreamEvent:
     stream: str = "default"
     start_ms: float = 0.0
     end_ms: float = 0.0
+
+
+class _GraphShape(NamedTuple):
+    """What one replay of a compiled graph puts on the timeline."""
+
+    name: str
+    makespan_ms: float
+    operations: int
+    kernels: int
+    #: ``(stream, busy_ms, end_offset_ms)`` per stream the graph uses
+    lanes: Tuple[Tuple[str, float, float], ...]
+
+
+class _ReplayRun:
+    """Untraced replays of one graph in a row, held as one timeline entry.
+
+    Stands for ``count`` replays numbered from ``first_replay``, each with
+    one summary event per lane of ``shape``.  The first starts at
+    ``first_start``; each later one starts where the one before ended, at
+    ``start + makespan_ms``, which is how :meth:`DeviceGraph.replay`
+    advances the clocks.  :meth:`events` repeats that recurrence, so the
+    expanded events are bit for bit the ones a replay used to append.
+    """
+
+    __slots__ = ("shape", "first_start", "last_start", "first_replay",
+                 "count")
+    kind = "graph"
+
+    def __init__(self, shape: _GraphShape, start: float, replay: int):
+        self.shape = shape
+        self.first_start = start
+        self.last_start = start
+        self.first_replay = replay
+        self.count = 1
+
+    def extends(self, shape: _GraphShape, start: float, replay: int) -> bool:
+        """Whether a replay of *shape* at *start* continues this run."""
+        return (shape is self.shape
+                and replay == self.first_replay + self.count
+                and start == self.last_start + shape.makespan_ms)
+
+    def events(self) -> Iterator["StreamEvent"]:
+        name, makespan, operations, kernels, lanes = self.shape
+        start = self.first_start
+        for replay in range(self.first_replay, self.first_replay + self.count):
+            details = {"operations": operations, "kernels": kernels,
+                       "replay": replay}
+            for stream, busy, end in lanes:
+                yield StreamEvent("graph", name, busy, None, details,
+                                  stream=stream, start_ms=start,
+                                  end_ms=start + end)
+            start = start + makespan
+
+    def durations(self, stream: Optional[str] = None) -> Iterator[float]:
+        """``modelled_time_ms`` of each expanded event in order, or of
+        *stream*'s events only."""
+        busy = tuple(b for s, b, _ in self.shape.lanes if stream in (None, s))
+        if not busy:
+            return iter(())
+        return itertools.chain.from_iterable(
+            itertools.repeat(busy, self.count))
+
+    @property
+    def end_ms(self) -> float:
+        """The latest ``end_ms`` of the expanded events: the last replay's,
+        since a replay never starts before the one before it."""
+        return max(self.last_start + end for _, _, end in self.shape.lanes)
 
 
 class Event:
@@ -450,7 +527,7 @@ class DeviceGraph:
     recorded operations — H2D sources may be rebound by buffer label — and
     returns the D2H outputs keyed by buffer label.  The modelled cost of a
     replay is the graph's cached critical-path makespan, recorded on the
-    timeline as a single ``"graph"`` event.
+    timeline as one ``"graph"`` event per stream the graph uses.
     """
 
     _ids = itertools.count(1)
@@ -466,11 +543,11 @@ class DeviceGraph:
         self._streams: Tuple[Stream, ...] = ()
         self._event_offsets: List[Tuple[Event, float]] = []
         self._lane_busy_ms: Dict[str, float] = {}
-        self._lane_end_ms: Dict[str, float] = {}
         #: per-stream op schedule (kind/name/start/duration), recorded once
         #: at compile time so trace export can expand a replay's summary
         #: event into its constituent operations without re-simulating.
         self._trace_schedule: Dict[str, List[dict]] = {}
+        self._shape: Optional[_GraphShape] = None
         self._makespan_ms = 0.0
         self._serial_ms = 0.0
         self._operations = 0
@@ -662,12 +739,15 @@ class DeviceGraph:
         self._buffers = tuple(buffers.values())
         self._streams = tuple(streams.values()) or (ctx.default_stream,)
         # busy = sum of op durations per lane (wait-induced idle excluded);
-        # end = the lane's completion offset including that idle
+        # clocks = the lane's completion offset including that idle
         self._lane_busy_ms = busy
-        self._lane_end_ms = dict(clocks)
         self._makespan_ms = max(clocks.values(), default=0.0)
         self._serial_ms = serial
         self._operations = operations
+        self._shape = _GraphShape(
+            self.name, self._makespan_ms, len(steps), self._kernels,
+            tuple((s.name, busy.get(s.name, 0.0), clocks.get(s.name, 0.0))
+                  for s in self._streams))
         self._compiled = True
 
     # --------------------------------------------------------------- replay
@@ -707,7 +787,7 @@ class DeviceGraph:
             # A replay is ordered after previously enqueued work, exactly
             # like any other submission — drain the queue so the graph sees
             # up-to-date buffer contents.
-            self.ctx.synchronize()
+            self.ctx._drain()
         unknown = set(bindings) - set(self._h2d_specs)
         if unknown:
             pinned = unknown & self._pinned
@@ -769,27 +849,34 @@ class DeviceGraph:
         end = start + self._makespan_ms
         for ev, offset in self._event_offsets:
             ev._timestamp_ms = start + offset
-        details = {"operations": len(self._steps), "kernels": self._kernels,
-                   "replay": self.replays}
+        # A graph completes as a unit: every lane's clock advances to its end.
+        for s in self._streams:
+            s._clock_ms = end
         # One summary event per captured stream, so per-lane accounting
         # (ctx.lanes / pipeline_breakdown) stays truthful for multi-stream
         # graphs: modelled time is the lane's *busy* time (wait idle
         # excluded, keeping serial_ms honest), end_ms its true completion
-        # offset (keeping elapsed_ms = makespan).  Every lane's clock still
-        # advances to the graph's end — a graph completes as a unit.
-        for s in self._streams:
-            det = details
-            if collector is not None:
-                # Traced replays carry the compile-time op schedule so the
-                # exporter can expand the summary slice; untraced replays
-                # share one details dict and pay nothing extra.
-                det = dict(details,
-                           schedule=self._trace_schedule.get(s.name, ()))
-            self.ctx.timeline.append(StreamEvent(
-                "graph", self.name, self._lane_busy_ms.get(s.name, 0.0),
-                None, det, stream=s.name, start_ms=start,
-                end_ms=start + self._lane_end_ms.get(s.name, 0.0)))
-            s._clock_ms = end
+        # offset (keeping elapsed_ms = makespan).
+        timeline = self.ctx._timeline
+        if collector is None:
+            # Untraced: extend the run of this graph's replays, or start one.
+            last = timeline[-1] if timeline else None
+            if (type(last) is _ReplayRun
+                    and last.extends(self._shape, start, self.replays)):
+                last.last_start = start
+                last.count += 1
+            else:
+                timeline.append(_ReplayRun(self._shape, start, self.replays))
+            return outputs
+        # Traced replays carry the compile-time op schedule so the exporter
+        # can expand the summary slice.
+        details = {"operations": len(self._steps), "kernels": self._kernels,
+                   "replay": self.replays}
+        for stream, busy, lane_end in self._shape.lanes:
+            timeline.append(StreamEvent(
+                "graph", self.name, busy, None,
+                dict(details, schedule=self._trace_schedule.get(stream, ())),
+                stream=stream, start_ms=start, end_ms=start + lane_end))
         return outputs
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -887,7 +974,8 @@ class DeviceContext:
         #: events recorded on this context, invalidated by reset_timeline()
         #: (weak: an event dropped by the caller should not be kept alive)
         self._recorded_events: "weakref.WeakSet[Event]" = weakref.WeakSet()
-        self.timeline: List[StreamEvent] = []
+        #: executed events and runs of untraced graph replays, in order
+        self._timeline: List[object] = []
         collector = _trace._ACTIVE
         if collector is not None:
             # Traced runs register every context they create so the export
@@ -1094,7 +1182,7 @@ class DeviceContext:
             op.event._timestamp_ms = start
         event = StreamEvent(op.kind, op.name, duration, execution, details,
                             stream=op.stream.name, start_ms=start, end_ms=end)
-        self.timeline.append(event)
+        self._timeline.append(event)
         return event
 
     def synchronize(self) -> List[StreamEvent]:
@@ -1106,6 +1194,10 @@ class DeviceContext:
         even when an operation raises — matching a real queue, where
         submitted work is consumed exactly once.
         """
+        self._drain()
+        return self.timeline
+
+    def _drain(self) -> None:
         if self._capture is not None:
             raise DeviceError("cannot synchronize during device-graph capture")
         collector = _trace._ACTIVE
@@ -1113,7 +1205,7 @@ class DeviceContext:
             pending, self._pending = self._pending, []
             for op in pending:
                 self._execute(op)
-            return self.timeline
+            return
         with collector.span("device.drain", device=self.spec.name,
                             operations=len(self._pending)) as sp:
             pending, self._pending = self._pending, []
@@ -1121,7 +1213,6 @@ class DeviceContext:
             for op in pending:
                 modelled += self._execute(op).modelled_time_ms
             sp.set_modelled(modelled)
-        return self.timeline
 
     @property
     def pending_operations(self) -> int:
@@ -1146,9 +1237,41 @@ class DeviceContext:
         return self._tracker.summary()
 
     @property
+    def timeline(self) -> List[StreamEvent]:
+        """The executed timeline: one :class:`StreamEvent` per operation and
+        one per stream of each graph replay, in execution order.
+
+        A new list on every read; runs of untraced replays are expanded
+        into their events here.
+        """
+        return list(self._events())
+
+    def _events(self) -> Iterator[StreamEvent]:
+        for entry in self._timeline:
+            if type(entry) is _ReplayRun:
+                yield from entry.events()
+            else:
+                yield entry
+
+    def adopt_timeline(self, other: "DeviceContext") -> None:
+        """Append *other*'s executed timeline to this context's."""
+        self._timeline.extend(other._timeline)
+
+    def _durations(self, stream: Optional[str] = None) -> Iterator[float]:
+        """``modelled_time_ms`` of each timeline event in order (of
+        *stream*'s events only, when given), without expanding runs into
+        events."""
+        for entry in self._timeline:
+            if type(entry) is _ReplayRun:
+                yield from entry.durations(stream)
+            elif stream is None or entry.stream == stream:
+                yield entry.modelled_time_ms
+
+    @property
     def kernel_time_ms(self) -> float:
         """Sum of modelled kernel times on the timeline."""
-        return sum(e.modelled_time_ms for e in self.timeline if e.kind == "kernel")
+        return sum(e.modelled_time_ms for e in self._timeline
+                   if e.kind == "kernel")
 
     @property
     def elapsed_ms(self) -> float:
@@ -1159,28 +1282,36 @@ class DeviceContext:
         overlap; event waits re-serialise exactly the dependencies the
         caller declared.
         """
-        return max((e.end_ms for e in self.timeline), default=0.0)
+        return max((e.end_ms for e in self._timeline), default=0.0)
 
     @property
     def serial_time_ms(self) -> float:
         """Sum of all executed operations' modelled durations."""
-        return sum(e.modelled_time_ms for e in self.timeline)
+        return sum(self._durations())
 
     @property
     def lanes(self) -> Dict[str, List[StreamEvent]]:
         """The executed timeline grouped into per-stream lanes."""
         out: Dict[str, List[StreamEvent]] = {}
-        for e in self.timeline:
+        for e in self._events():
             out.setdefault(e.stream, []).append(e)
         return out
 
     def pipeline_breakdown(self) -> PipelineTiming:
         """Overlap-aware :class:`PipelineTiming` of the executed timeline."""
-        lanes = {name: sum(e.modelled_time_ms for e in events)
-                 for name, events in self.lanes.items()}
-        return PipelineTiming(elapsed_ms=self.elapsed_ms,
-                              serial_ms=self.serial_time_ms,
-                              lanes=lanes, operations=len(self.timeline))
+        streams: Dict[str, None] = {}      # in order of first appearance
+        operations = 0
+        for e in self._timeline:
+            if type(e) is _ReplayRun:
+                streams.update(dict.fromkeys(s for s, _, _ in e.shape.lanes))
+                operations += e.count * len(e.shape.lanes)
+            else:
+                streams[e.stream] = None
+                operations += 1
+        return PipelineTiming(
+            elapsed_ms=self.elapsed_ms, serial_ms=self.serial_time_ms,
+            lanes={name: sum(self._durations(name)) for name in streams},
+            operations=operations)
 
     def reset_timeline(self) -> None:
         """Clear the executed timeline and rewind the stream clocks.
@@ -1191,7 +1322,7 @@ class DeviceContext:
         timeline, so waiting on them (or reading ``elapsed_ms``) raises
         until they are recorded again.
         """
-        self.timeline.clear()
+        self._timeline.clear()
         for s in self._streams.values():
             s._clock_ms = 0.0
         for ev in self._recorded_events:

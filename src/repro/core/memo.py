@@ -5,10 +5,13 @@ tuning winners are pure functions of their keys and are requested over and
 over by sweeps, reports and tuning.  A :class:`Memo` stores them by value
 key so the work is paid once:
 
-* **Bounded.**  Least-recently-used entries are evicted once the memo holds
-  more than :data:`MAX_ENTRIES` entries or more than :data:`MAX_BYTES` bytes
-  of NumPy array data (or of a value's ``nbytes``).  A single value larger than the byte bound is
-  returned but not stored.
+* **Bounded.**  A memo evicts its least-recently-used entry once it holds
+  more than :data:`MAX_ENTRIES` entries.  Bytes of NumPy array data (or of
+  a value's ``nbytes``) have one budget for the whole process: once all
+  live memos together hold more than :data:`MAX_BYTES`, the
+  least-recently-used entries holding bytes are evicted, whichever memo
+  holds them.  A single value larger than the budget is returned but not
+  stored.
 * **Read-only results.**  A stored ``ndarray``, or every ``ndarray`` field
   of a stored dataclass, is made read-only before the first caller sees
   it, so a hit and a miss return the same kind of object and no caller can
@@ -22,22 +25,24 @@ key so the work is paid once:
   reads the disk, and :meth:`Memo.put` writes through.  Entries survive the
   process; a corrupt one is quarantined and reads as a miss.
 * **Observable.**  :meth:`Memo.cache_info` reports hits, misses, entries,
-  bytes and disk hits; every lookup also bumps the process metrics counters
-  ``memo_hits_total`` / ``memo_misses_total`` / ``memo_disk_hits_total``
-  under a ``memo=<name>`` label, and :func:`memo_infos` reports every live
-  memo at once.
+  bytes and disk hits, and :func:`memo_infos` reports every live memo at
+  once with its share of the byte budget.  A lookup only counts on its
+  memo; the process metrics registry reads the counts from the live memos
+  when asked, as the ``memo_hits_total`` / ``memo_misses_total`` /
+  ``memo_disk_hits_total`` series under a ``memo=<name>`` label.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import os
 import threading
 import weakref
 from collections import OrderedDict
-from typing import (Any, Callable, Dict, Hashable, Iterator, NamedTuple,
-                    Optional)
+from typing import (Any, Callable, Dict, Hashable, Iterator, List,
+                    NamedTuple, Optional, Tuple)
 
 import numpy as np
 
@@ -49,13 +54,20 @@ __all__ = ["Memo", "MemoInfo", "DiskTier", "MAX_ENTRIES", "MAX_BYTES",
 
 #: most entries one memo keeps
 MAX_ENTRIES = 256
-#: most NumPy array bytes one memo keeps
+#: most NumPy array bytes all live memos keep together
 MAX_BYTES = 64 << 20
 
 
 #: every live memo, for :func:`memo_infos` (weak: a dropped memo leaves it)
 _REGISTRY: "weakref.WeakSet[Memo]" = weakref.WeakSet()
 _REGISTRY_LOCK = threading.Lock()
+#: serialises evictions for the byte budget; taken before a memo's lock,
+#: never while one is held
+_BUDGET_LOCK = threading.Lock()
+#: last-use stamps, process-wide: each store or hit takes the next one
+_CLOCK = itertools.count()
+#: the metrics counters a memo's (hits, misses, disk hits) publish as
+_COUNTERS = ("memo_hits_total", "memo_misses_total", "memo_disk_hits_total")
 
 #: marks a lookup that found nothing (``None`` is a storable value)
 _MISSING = object()
@@ -121,13 +133,18 @@ class Memo:
         self.name = name
         self.disk = disk
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Hashable, tuple]" = OrderedDict()
+        #: key -> [value, bytes, last-use stamp], least recently used first
+        self._entries: "OrderedDict[Hashable, list]" = OrderedDict()
         #: key -> [lock, callers holding or waiting on it]; guarded by _lock
         self._flights: Dict[Hashable, list] = {}
         self._bytes = 0
+        #: lookups since creation; cache_info() counts from the last clear()
+        #: and the metrics registry from its last reset()
         self._hits = 0
         self._misses = 0
         self._disk_hits = 0
+        self._cleared = (0, 0, 0)
+        self._published = (0, 0, 0)
         with _REGISTRY_LOCK:
             _REGISTRY.add(self)
 
@@ -159,12 +176,9 @@ class Memo:
                 with self._lock:
                     self._hits += 1
                     self._disk_hits += 1
-                _obs_metrics.inc("memo_hits_total", memo=self.name)
-                _obs_metrics.inc("memo_disk_hits_total", memo=self.name)
                 return value
         with self._lock:
             self._misses += 1
-        _obs_metrics.inc("memo_misses_total", memo=self.name)
         return default
 
     def put(self, key: Hashable, value: Any) -> None:
@@ -202,8 +216,8 @@ class Memo:
             if entry is None:
                 return _MISSING
             self._entries.move_to_end(key)
+            entry[2] = next(_CLOCK)
             self._hits += 1
-        _obs_metrics.inc("memo_hits_total", memo=self.name)
         return entry[0]
 
     def _store(self, key: Hashable, value: Any) -> None:
@@ -214,37 +228,106 @@ class Memo:
                 self._bytes -= old[1]
             if size > MAX_BYTES:
                 return
-            self._entries[key] = (value, size)
+            self._entries[key] = [value, size, next(_CLOCK)]
             self._bytes += size
-            while (len(self._entries) > MAX_ENTRIES
-                   or self._bytes > MAX_BYTES):
-                _, (_, evicted) = self._entries.popitem(last=False)
-                self._bytes -= evicted
+            while len(self._entries) > MAX_ENTRIES:
+                _, evicted = self._entries.popitem(last=False)
+                self._bytes -= evicted[1]
+        if size:
+            _enforce_budget()
+
+    def _oldest_sized(self) -> Optional[Tuple[int, Hashable]]:
+        """``(stamp, key)`` of the least recently used entry holding bytes."""
+        with self._lock:
+            for key, entry in self._entries.items():
+                if entry[1]:
+                    return entry[2], key
+        return None
+
+    def _evict(self, key: Hashable, stamp: int) -> None:
+        """Drop *key*, unless it was used again since it carried *stamp*."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry[2] == stamp:
+                del self._entries[key]
+                self._bytes -= entry[1]
+
+    def _counts(self) -> Tuple[int, int, int]:
+        return self._hits, self._misses, self._disk_hits
 
     def cache_info(self) -> MemoInfo:
         with self._lock:
-            return MemoInfo(self._hits, self._misses, len(self._entries),
-                            self._bytes, self._disk_hits)
+            hits, misses, disk_hits = (
+                now - then for now, then in zip(self._counts(), self._cleared))
+            return MemoInfo(hits, misses, len(self._entries), self._bytes,
+                            disk_hits)
 
     def clear(self) -> None:
         """Drop every memory entry and zero the counters (disk is kept)."""
         with self._lock:
             self._entries.clear()
             self._bytes = 0
-            self._hits = 0
-            self._misses = 0
-            self._disk_hits = 0
+            self._cleared = self._counts()
 
 
-def memo_infos() -> Dict[str, Dict[str, int]]:
-    """:meth:`Memo.cache_info` of every live memo as a JSON-ready dict,
-    keyed and sorted by name; live memos that share a name are summed."""
+def _live_memos() -> List[Memo]:
     with _REGISTRY_LOCK:
-        memos = list(_REGISTRY)
+        return list(_REGISTRY)
+
+
+def _enforce_budget() -> None:
+    """Evict least-recently-used entries holding bytes, from any live memo,
+    until all live memos together hold at most :data:`MAX_BYTES`."""
+    with _BUDGET_LOCK:
+        memos = _live_memos()
+        while sum(memo._bytes for memo in memos) > MAX_BYTES:
+            victim = None
+            for memo in memos:
+                found = memo._oldest_sized()
+                if found is not None and (victim is None
+                                          or found[0] < victim[0]):
+                    victim = (found[0], found[1], memo)
+            if victim is None:
+                return
+            stamp, key, memo = victim
+            memo._evict(key, stamp)
+
+
+def memo_infos() -> Dict[str, Dict[str, float]]:
+    """:meth:`Memo.cache_info` of every live memo as a JSON-ready dict,
+    keyed and sorted by name; live memos that share a name are summed.
+    ``share`` is the fraction of :data:`MAX_BYTES` the memos hold."""
     totals: Dict[str, list] = {}
-    for memo in memos:
+    for memo in _live_memos():
         info = memo.cache_info()
         total = totals.setdefault(memo.name, [0] * len(info))
         for i, count in enumerate(info):
             total[i] += count
-    return {name: MemoInfo(*totals[name])._asdict() for name in sorted(totals)}
+    infos = {}
+    for name in sorted(totals):
+        info = MemoInfo(*totals[name])._asdict()
+        info["share"] = info["bytes"] / MAX_BYTES
+        infos[name] = info
+    return infos
+
+
+def _published_counts() -> List[_obs_metrics.Series]:
+    """``(counter, labels, count)`` of every live memo's lookups since the
+    last metrics reset, for the metrics registry."""
+    series = []
+    for memo in _live_memos():
+        with memo._lock:
+            counts = zip(memo._counts(), memo._published)
+        for name, (now, then) in zip(_COUNTERS, counts):
+            if now != then:
+                series.append((name, {"memo": memo.name}, float(now - then)))
+    return series
+
+
+def _restart_published() -> None:
+    for memo in _live_memos():
+        with memo._lock:
+            memo._published = memo._counts()
+
+
+_obs_metrics.registry().attach(_published_counts, _restart_published)

@@ -224,12 +224,17 @@ def contracted_eri_batch(
             ket.append((akl, dkl, pkl))
 
     eri = np.zeros(pos_a.shape[0], dtype=np.float64)
+    # One buffer each for the per-quartet temporaries, not a fresh (N, 3)
+    # array per primitive quartet.
+    dpq = np.empty_like(pos_a)
+    rpq2 = np.empty_like(eri)
     for aij, dij, pij in bra:
         for akl, dkl, pkl in ket:
-            dpq = pij - pkl
-            rpq2 = np.einsum("ij,ij->i", dpq, dpq)
+            np.subtract(pij, pkl, out=dpq)
+            np.einsum("ij,ij->i", dpq, dpq, out=rpq2)
             aijkl = aij * akl / (aij + akl)
-            f0t = boys_f0_array(aijkl * rpq2)
+            rpq2 *= aijkl
+            f0t = boys_f0_array(rpq2)
             prefac = TWO_PI_POW_2_5 / (aij * akl * math.sqrt(aij + akl))
             eri += dij * dkl * prefac * f0t
     return eri

@@ -63,6 +63,6 @@ def _replay(graph: DeviceGraph, bindings) -> Dict[str, np.ndarray]:
     outputs = graph.replay(**bindings)
     if _trace._ACTIVE is not None:
         # the collector registers the fresh context and exports its tracks
-        DeviceContext(ctx.spec).timeline.extend(ctx.timeline)
+        DeviceContext(ctx.spec).adopt_timeline(ctx)
     ctx.reset_timeline()
     return outputs

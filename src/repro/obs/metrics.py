@@ -21,12 +21,16 @@ Design points:
   the instrumented-dispatch benchmark guards the cost.  Tests that need
   exact counts snapshot before/after and diff, or call
   :func:`reset_metrics`.
+* **Counted where they happen.**  Counts bumped far more often than that
+  stay with their owner and are read on demand: the memos count their own
+  hits, misses and disk hits, and :meth:`MetricsRegistry.attach` publishes
+  them as the ``memo_*_total{memo=...}`` series.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "COUNTER_CATALOG",
@@ -62,6 +66,10 @@ LATENCY_BUCKETS_MS: Tuple[float, ...] = (
     0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
     250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
 )
+
+#: ``(name, labels, count)`` of one counter series kept outside a registry
+Series = Tuple[str, Dict[str, Any], float]
+
 
 def _series_key(name: str, labels: Dict[str, Any]) -> str:
     inner = ",".join(f'{k}="{labels[k]}"' for k in sorted(labels))
@@ -118,7 +126,21 @@ class MetricsRegistry:
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, _Histogram] = {}
         self._histogram_series: Dict[str, _Histogram] = {}
+        self._sources: List[Tuple[Callable[[], Iterable[Series]],
+                                  Callable[[], None]]] = []
         self.reset()
+
+    def attach(self, read: Callable[[], Iterable[Series]],
+               restart: Callable[[], None]) -> None:
+        """Publish labelled counter series that another module keeps.
+
+        *read* returns ``(name, labels, count)`` per series, counted since
+        the last call of *restart*.  :meth:`counter` and :meth:`snapshot`
+        add them to the labelled children and to the bare counter of each
+        name; :meth:`reset` calls *restart*.
+        """
+        with self._lock:
+            self._sources.append((read, restart))
 
     def reset(self) -> None:
         """Zero every counter/histogram and drop labelled children."""
@@ -128,6 +150,20 @@ class MetricsRegistry:
             self._gauges = {}
             self._histograms = {name: _Histogram() for name in HISTOGRAM_CATALOG}
             self._histogram_series = {}
+            sources = list(self._sources)
+        for _, restart in sources:
+            restart()
+
+    def _published(self) -> Dict[str, float]:
+        """The attached series, plus their sums under each bare name."""
+        with self._lock:
+            sources = list(self._sources)
+        out: Dict[str, float] = {}
+        for read, _ in sources:
+            for name, labels, count in read():
+                for key in (name, _series_key(name, labels)):
+                    out[key] = out.get(key, 0.0) + count
+        return out
 
     # ------------------------------------------------------------- mutation
     def inc(self, name: str, amount: float = 1.0, **labels: Any) -> None:
@@ -163,16 +199,20 @@ class MetricsRegistry:
     # -------------------------------------------------------------- reading
     def counter(self, name: str, **labels: Any) -> float:
         key = _series_key(name, labels) if labels else name
+        published = self._published().get(key, 0.0)
         with self._lock:
             if labels:
-                return self._counter_series.get(key, 0.0)
-            return self._counters.get(key, 0.0)
+                return self._counter_series.get(key, 0.0) + published
+            return self._counters.get(key, 0.0) + published
 
     def snapshot(self) -> Dict[str, Any]:
         """One JSON-ready dict: full catalog zero-filled plus children."""
+        published = self._published()
         with self._lock:
             counters = dict(self._counters)
             counters.update(self._counter_series)
+            for key, count in published.items():
+                counters[key] = counters.get(key, 0.0) + count
             histograms = {name: h.as_dict()
                           for name, h in self._histograms.items()}
             histograms.update({key: h.as_dict()

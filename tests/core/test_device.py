@@ -636,3 +636,102 @@ class TestDeviceGraph:
             second.copy_from_host(np.ones(1 << 18))
             second.copy_to_host()
         assert graph.makespan_ms == pytest.approx(serial.makespan_ms)
+
+
+class TestReplayRuns:
+    """Untraced replays of one graph in a row are kept as one run entry."""
+
+    @staticmethod
+    def _two_stream_graph(ctx, name="pipe", n=256):
+        up, down = ctx.stream(f"{name}-up"), ctx.stream(f"{name}-down")
+        buf = ctx.enqueue_create_buffer(DType.float64, n, label=name)
+        with ctx.capture(name) as graph:
+            buf.copy_from_host(np.zeros(n), stream=up)
+            down.wait(ctx.event(f"{name}-done").record(up))
+            buf.copy_to_host(stream=down)
+        return graph
+
+    @staticmethod
+    def _rows(ctx):
+        return [(e.kind, e.name, e.stream, e.modelled_time_ms, e.start_ms,
+                 e.end_ms, {k: v for k, v in e.details.items()
+                            if k != "schedule"})
+                for e in ctx.timeline]
+
+    def _drive(self, traced):
+        from repro.obs.trace import install_trace_collector
+
+        ctx = DeviceContext("h100")
+        a = self._two_stream_graph(ctx, "a")
+        b = self._two_stream_graph(ctx, "b", n=1024)
+        extra = ctx.enqueue_create_buffer(DType.float64, 64, label="extra")
+        steps = [a.replay, a.replay, b.replay, a.replay, b.replay, b.replay,
+                 lambda: extra.fill(1.0), a.replay, a.replay]
+        for step in steps:
+            if traced:
+                with install_trace_collector():
+                    step()
+            else:
+                step()
+        return ctx
+
+    def test_runs_expand_to_the_events_traced_replays_append(self):
+        # a traced replay appends its events directly: the untraced runs
+        # must expand to the same events, bit for bit
+        untraced, traced = self._drive(False), self._drive(True)
+        assert self._rows(untraced) == self._rows(traced)
+        assert untraced.elapsed_ms == traced.elapsed_ms
+        assert untraced.serial_time_ms == traced.serial_time_ms
+        assert (untraced.pipeline_breakdown().as_dict()
+                == traced.pipeline_breakdown().as_dict())
+
+    def test_untraced_replays_retain_constant_memory(self, ctx):
+        import gc
+        import tracemalloc
+
+        graph = self._two_stream_graph(ctx)
+        tracemalloc.start()
+        try:
+            for _ in range(1000):
+                graph.replay()
+            gc.collect()
+            after_1k = tracemalloc.get_traced_memory()[0]
+            for _ in range(9000):
+                graph.replay()
+            gc.collect()
+            after_10k = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after_10k - after_1k < 64 * 1024
+        # the expanded timeline is the replay recurrence, exactly
+        start, ends, busy = 0.0, [], {}
+        for _ in range(10000):
+            for stream, lane_busy, lane_end in graph._shape.lanes:
+                ends.append(start + lane_end)
+                busy.setdefault(stream, []).append(lane_busy)
+            start = start + graph.makespan_ms
+        breakdown = ctx.pipeline_breakdown()
+        assert ctx.elapsed_ms == breakdown.elapsed_ms == max(ends)
+        assert breakdown.lanes == {s: sum(v) for s, v in busy.items()}
+        assert breakdown.operations == 20000
+        assert [e.details["replay"] for e in ctx.timeline[-2:]] == [10000] * 2
+
+    def test_reset_timeline_drops_runs(self, ctx):
+        graph = self._two_stream_graph(ctx)
+        graph.replay()
+        graph.replay()
+        ctx.reset_timeline()
+        assert ctx.timeline == [] and ctx.elapsed_ms == 0.0
+        graph.replay()
+        assert [(e.start_ms, e.details["replay"]) for e in ctx.timeline] \
+            == [(0.0, 3), (0.0, 3)]
+
+    def test_adopt_timeline_copies_the_executed_timeline(self, ctx):
+        graph = self._two_stream_graph(ctx)
+        graph.replay()
+        graph.replay()
+        other = DeviceContext("h100")
+        other.adopt_timeline(ctx)
+        rows = self._rows(ctx)
+        ctx.reset_timeline()
+        assert self._rows(other) == rows and len(rows) == 4

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import memo as memo_module
 from repro.core.memo import DiskTier, Memo
-from repro.obs import registry
+from repro.obs import registry, reset_metrics
 
 
 class TestMemo:
@@ -248,7 +248,8 @@ class TestRegistry:
         infos = memo_module.memo_infos()
         assert infos["registry-test"] == {"hits": 0, "misses": 1,
                                           "entries": 1, "bytes": 16,
-                                          "disk_hits": 0}
+                                          "disk_hits": 0,
+                                          "share": 16 / memo_module.MAX_BYTES}
         assert list(infos) == sorted(infos)
         del memo
         gc.collect()
@@ -260,4 +261,79 @@ class TestRegistry:
         second.get_or_compute(1, lambda: 1)
         second.get_or_compute(1, lambda: 1)
         assert memo_module.memo_infos()["shared-test"] == {
-            "hits": 1, "misses": 2, "entries": 2, "bytes": 0, "disk_hits": 0}
+            "hits": 1, "misses": 2, "entries": 2, "bytes": 0, "disk_hits": 0,
+            "share": 0.0}
+
+
+class TestByteBudget:
+    def test_memos_share_one_byte_budget(self, monkeypatch):
+        monkeypatch.setattr(memo_module, "MAX_BYTES", 800)
+        first, second = Memo("budget-a"), Memo("budget-b")
+        for key in range(5):                    # 10 x 80 bytes: the budget
+            first.get_or_compute(key, lambda: np.zeros(10))
+            second.get_or_compute(key, lambda: np.zeros(10))
+        first.get_or_compute(0, lambda: np.ones(10))      # refresh a0
+        second.get_or_compute(5, lambda: np.zeros(10))    # evicts b0
+        first.get_or_compute(5, lambda: np.zeros(10))     # evicts a1
+        infos = memo_module.memo_infos()
+        assert infos["budget-a"]["bytes"] + infos["budget-b"]["bytes"] <= 800
+        assert sum(info["bytes"] for info in infos.values()) <= 800
+        assert infos["budget-a"]["share"] == infos["budget-b"]["share"] == 0.5
+        assert [k for k in range(6) if first.get(k) is not None] \
+            == [0, 2, 3, 4, 5]
+        assert [k for k in range(6) if second.get(k) is not None] \
+            == [1, 2, 3, 4, 5]
+        assert not first.get(0).any()           # the refreshed entry
+        # entries without bytes are never evicted for the budget
+        first.get_or_compute("none", lambda: None)
+        second.get_or_compute(6, lambda: np.zeros(10))
+        assert first.get("none", "gone") is None
+
+    def test_concurrent_stores_keep_the_budget(self, monkeypatch):
+        monkeypatch.setattr(memo_module, "MAX_BYTES", 4000)
+        memos = [Memo(f"budget-{n}") for n in range(3)]
+        threads, rounds = 8, 200
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def worker(offset):
+                for i in range(rounds):
+                    memo = memos[(i + offset) % len(memos)]
+                    memo.get_or_compute((offset, i % 40),
+                                        lambda: np.zeros(10 + i % 7))
+
+            pool = [threading.Thread(target=worker, args=(n,))
+                    for n in range(threads)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in pool)
+        finally:
+            sys.setswitchinterval(switch)
+        for memo in memos:     # no lost update to a memo's byte count
+            assert memo.cache_info().bytes == sum(
+                entry[1] for entry in memo._entries.values())
+        assert sum(m.cache_info().bytes for m in memos) <= 4000
+
+
+class TestPublishedCounters:
+    def test_registry_reads_the_memo_counts_and_honours_reset(self):
+        memo = Memo("published-test")
+        reg = registry()
+        reset_metrics()
+        memo.get_or_compute(1, lambda: 1)
+        memo.get_or_compute(1, lambda: 1)
+        assert reg.counter("memo_hits_total", memo="published-test") == 1.0
+        assert reg.counter("memo_misses_total", memo="published-test") == 1.0
+        reset_metrics()
+        assert reg.counter("memo_hits_total", memo="published-test") == 0.0
+        memo.get_or_compute(1, lambda: 1)
+        memo.clear()                    # zeroes cache_info, not the metric
+        assert memo.cache_info().hits == 0
+        counters = reg.snapshot()["counters"]
+        assert counters['memo_hits_total{memo="published-test"}'] == 1.0
+        assert 'memo_misses_total{memo="published-test"}' not in counters
+        assert counters["memo_hits_total"] == sum(
+            v for k, v in counters.items()
+            if k.startswith("memo_hits_total{"))

@@ -166,6 +166,23 @@ class TestERI:
                                               s.xpnt, s.coef))
             assert bounds[ij] == pytest.approx(direct, rel=1e-13)
 
+    @pytest.mark.parametrize("natoms, digest", [
+        (4, "753c09830cbd6822cf9b7e428ce59f3c4a883a4d28520ae87c8256d7f8eac1e2"),
+        (32, "1297bb52d5379ee623cc27abbdeaf1df287aeb5843e3ca967df364f586213d44"),
+        (96, "efd20cc80605a01e405f61bc0dbb37fdff5b4f72cb9f6ff66236c8b473e9ca56"),
+    ])
+    def test_pair_schwarz_bits_are_pinned(self, natoms, digest):
+        # sha256 of the bounds' bytes as computed with a fresh temporary
+        # per primitive quartet; the reused buffers must not move a bit
+        import hashlib
+
+        s = make_helium_system(natoms, 3)
+        pair_i, pair_j = triangular_pairs(natoms)
+        for chunk in (8192, 1000):
+            bounds = pair_schwarz(s.geometry, pair_i, pair_j, s.xpnt, s.coef,
+                                  chunk=chunk)
+            assert hashlib.sha256(bounds.tobytes()).hexdigest() == digest
+
     def test_interpolated_schwarz_matches_exact(self):
         s = make_helium_system(6, 3, spacing=2.5)
         exact = compute_schwarz(s, approximate=False)

@@ -247,11 +247,11 @@ def test_replays_keep_memory_bounded(monkeypatch):
     monkeypatch.setattr(DeviceGraph, "replay", spy)
     wl.run(request)
     monkeypatch.setattr(DeviceGraph, "replay", replay)
-    timeline = graphs[0].ctx.timeline
-    length = len(timeline)
+    ctx = graphs[0].ctx
+    length = len(ctx.timeline)
     for _ in range(2000):
         wl.run(request)
-    assert len(timeline) == length
+    assert len(ctx.timeline) == length
     info = memo_infos()["program"]
     assert info["entries"] == 1
     # the memo's byte bound sees the program's buffers and snapshots
