@@ -475,19 +475,19 @@ def test_bench_vectorized_dot_launch(benchmark):
 def test_bench_lint_vector_safe_hot_path(benchmark):
     """Launch-path vector-safety resolution must stay attribute-read cheap.
 
-    Every vectorized dispatch consults ``kernel_vector_safe``; the static
-    analyser must only ever run behind the opt-in surfaces (``strict=``,
-    ``capture(check=True)``, ``repro lint``), so a declared kernel's hot
-    path is a couple of attribute reads.  A thousand resolutions per
-    round keeps the timing above clock noise; a regression here means
-    analysis leaked into the launch path.
+    Every dispatch consults ``kernel_vector_safe``, which reads the static
+    verifier's verdict; the kernel keeps it after the first resolution, so
+    every later one is an ``isinstance`` check and an attribute read.  A
+    thousand resolutions per round keeps the timing above clock noise; a
+    regression here means analysis (or a memo lookup) leaked into the
+    launch path.
     """
     from repro.gpu.vector_executor import kernel_vector_safe
 
     def run():
         ok = True
         for _ in range(1000):
-            ok &= kernel_vector_safe(laplacian_kernel, infer=True)
+            ok &= kernel_vector_safe(laplacian_kernel)
         return ok
 
     assert benchmark(run) is True

@@ -16,11 +16,11 @@ simulated substrate:
 :mod:`~repro.analysis.verifier`
     Reads the IR against a model of the SIMT intrinsic surface
     (``thread_idx`` / ``barrier`` / ``shared_array`` / the lane helpers /
-    atomics).  It *infers* whether a body is safe for lockstep (vectorized)
-    execution instead of trusting the hand-set ``vector_safe`` flag, and
-    reports barrier divergence, shared-memory races between barriers,
-    unguarded lane-dependent tensor indexing and non-SIMT-safe Python
-    constructs.
+    atomics).  It *proves* whether a body is safe for lockstep (vectorized
+    or lowered) execution — the one verdict the executor and the fuse pass
+    dispatch on — and reports barrier divergence, shared-memory races
+    between barriers, unguarded lane-dependent tensor indexing and
+    non-SIMT-safe Python constructs.
 
 :mod:`~repro.analysis.racecheck`
     A happens-before analysis over enqueued device operations (a captured
@@ -48,8 +48,9 @@ simulated substrate:
     parsed from the analysis module docstrings (``repro lint --explain``).
 
 Analysis runs at decoration time (``@kernel(strict=True)``), capture time
-(``ctx.capture(check=True)``) or lint time — never on the hot launch /
-replay path, so the unused-path overhead is zero.
+(``ctx.capture(check=True)``), lint time, or at a kernel's first launch
+resolution, which verifies its body once (memoised per function) and keeps
+the verdict on the kernel — never again on the hot launch / replay path.
 """
 
 from .diagnostics import Diagnostic, LintReport, Severity

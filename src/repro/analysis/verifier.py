@@ -12,10 +12,6 @@ what a guard means.
 
 Rules
 -----
-``KV100`` flag/inference mismatch — ``vector_safe=True`` declared but the
-verifier cannot confirm the body is lockstep-safe (error), or the source is
-unavailable for analysis (warning).
-
 ``KV101`` barrier divergence — a ``barrier()`` reachable only under a
 lane-dependent branch, or a lane-guarded ``return`` that lets some lanes
 skip a later barrier.
@@ -44,10 +40,13 @@ lies outside it.  Fired at graph-lint time, where the shipped launch and
 buffer shapes are known; the same concretization discharges ``KV103``
 warnings whose access is proven in-bounds under every observed launch.
 
-Verification is memoised on the underlying function object, so
-decoration-time checks (``@kernel(strict=True)``) and the launch-path
-``kernel_vector_safe`` consultation read one IR, built once per kernel
-body.
+The verdict (:attr:`VerifierResult.inferred`) is the one answer to
+"may this body run in lockstep?": the executor's mode resolution and the
+graph compiler's fuse pass both read it, through
+:func:`~repro.gpu.vector_executor.kernel_vector_safe`.  A fused kernel's
+verdict is its parts'.  Verification is memoised on the underlying function
+object, so decoration-time checks (``@kernel(strict=True)``) and the
+launch path read one IR, built once per kernel body.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from .kernel_ir import (UNIFORM, LANE, Access, KernelIR, kernel_ir,
                         underlying_fn)
 
 __all__ = [
-    "RULE_FLAG_MISMATCH",
     "RULE_BARRIER_DIVERGENCE",
     "RULE_SHARED_RACE",
     "RULE_UNGUARDED_INDEX",
@@ -70,12 +68,10 @@ __all__ = [
     "RULE_DATA_DEPENDENT_WHILE",
     "RULE_OOB_ACCESS",
     "VerifierResult",
-    "infer_vector_safe",
     "lint_kernel",
     "verify_kernel",
 ]
 
-RULE_FLAG_MISMATCH = "KV100"
 RULE_BARRIER_DIVERGENCE = "KV101"
 RULE_SHARED_RACE = "KV102"
 RULE_UNGUARDED_INDEX = "KV103"
@@ -90,20 +86,17 @@ class VerifierResult:
 
     kernel: str
     source: str
-    #: the hand-set ``vector_safe`` flag (None when never declared)
-    declared: Optional[bool]
     #: the verifier's verdict (None when the source is unavailable)
     inferred: Optional[bool]
     #: why the body cannot run in lockstep (empty when inferred is True)
     reasons: Tuple[str, ...]
-    #: body-rule findings (KV101-KV105); KV100 is added by :func:`lint_kernel`
+    #: body-rule findings (KV101-KV105)
     diagnostics: Tuple[Diagnostic, ...]
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "kernel": self.kernel,
             "source": self.source,
-            "declared": self.declared,
             "inferred": self.inferred,
             "reasons": list(self.reasons),
             "diagnostics": [d.as_dict() for d in self.diagnostics],
@@ -268,12 +261,19 @@ def verify_kernel(kern) -> VerifierResult:
 
 def _verify(kern, fn) -> VerifierResult:
     name = getattr(kern, "name", None) or getattr(fn, "__name__", "<kernel>")
-    declared = _declared_flag(kern, fn)
+    parts = getattr(fn, "_repro_fused_parts", None)
+    if parts is not None:
+        # A fused kernel's own body only sequences its parts' calls.
+        results = [verify_kernel(part) for part, _ in parts]
+        return VerifierResult(
+            kernel=name, source="",
+            inferred=all(r.inferred is True for r in results),
+            reasons=tuple(x for r in results for x in r.reasons),
+            diagnostics=tuple(d for r in results for d in r.diagnostics))
     ir = kernel_ir(fn)
     if ir is None:
-        return VerifierResult(kernel=name, source="", declared=declared,
-                              inferred=None, reasons=(
-                                  "source unavailable for analysis",),
+        return VerifierResult(kernel=name, source="", inferred=None,
+                              reasons=("source unavailable for analysis",),
                               diagnostics=())
     found, reasons = _body_rules(ir)
     if not ir.analyzable:  # pragma: no cover - pathological bodies
@@ -282,47 +282,11 @@ def _verify(kern, fn) -> VerifierResult:
                              message=message, source=ir.source, line=line,
                              category="kernel")
                   for rule, line, message in found)
-    return VerifierResult(kernel=name, source=ir.source, declared=declared,
+    return VerifierResult(kernel=name, source=ir.source,
                           inferred=not reasons and not diags,
                           reasons=tuple(reasons), diagnostics=diags)
 
 
-def infer_vector_safe(kern) -> Optional[bool]:
-    """The verifier's lockstep-safety verdict (None = source unavailable)."""
-    return verify_kernel(kern).inferred
-
-
 def lint_kernel(kern) -> List[Diagnostic]:
-    """Body-rule diagnostics plus the declared-flag consistency check.
-
-    A ``vector_safe=True`` declaration the verifier refutes is a KV100
-    error; a declaration it cannot analyse at all is a KV100 warning.
-    """
-    result = verify_kernel(kern)
-    diags = list(result.diagnostics)
-    if result.declared:
-        if result.inferred is False:
-            reasons = "; ".join(result.reasons) or "body rules failed"
-            diags.append(Diagnostic(
-                rule=RULE_FLAG_MISMATCH, severity=Severity.ERROR,
-                subject=result.kernel,
-                message=f"declared vector_safe=True but the verifier "
-                        f"cannot confirm lockstep safety: {reasons}",
-                source=result.source, category="kernel"))
-        elif result.inferred is None:
-            diags.append(Diagnostic(
-                rule=RULE_FLAG_MISMATCH, severity=Severity.WARNING,
-                subject=result.kernel,
-                message="declared vector_safe=True but the body source is "
-                        "unavailable for verification",
-                source=result.source, category="kernel"))
-    return diags
-
-
-def _declared_flag(kern, fn) -> Optional[bool]:
-    declared = getattr(kern, "declared_vector_safe", None)
-    if declared is not None:
-        return declared
-    if hasattr(fn, "_repro_vector_safe"):
-        return bool(fn._repro_vector_safe)
-    return None
+    """The body-rule diagnostics of one kernel."""
+    return list(verify_kernel(kern).diagnostics)

@@ -178,42 +178,6 @@ def _cmd_lint(args) -> int:
     return 0
 
 
-def _graph_bench(workload, passes: str, repeats: int) -> dict:
-    """Best-of-*repeats* replay timings for one workload's captured graph.
-
-    ``unfused_replay_s``/``fused_replay_s`` replay the lint capture before
-    and after the requested pass pipeline; ``vectorized_replay_s``/
-    ``lowered_replay_s`` replay executor-mode variants of the tuning probe
-    (absent for workloads that declare no request-shaped probe).
-    """
-    import time
-
-    from .graphopt import optimize_graph
-
-    def best(fn) -> float:
-        fn()                                    # warm caches/codegen
-        samples = []
-        for _ in range(max(repeats, 1)):
-            t0 = time.perf_counter()
-            fn()
-            samples.append(time.perf_counter() - t0)
-        return min(samples)
-
-    bench: dict = {}
-    graph = workload.lint_graph()
-    if graph is not None:
-        optimized, _ = optimize_graph(graph, passes)
-        bench["unfused_replay_s"] = best(graph.replay)
-        bench["fused_replay_s"] = best(optimized.replay)
-    for mode, key in (("vectorized", "vectorized_replay_s"),
-                      ("lowered", "lowered_replay_s")):
-        probe = workload.tuning_probe(workload.make_request(executor=mode))
-        if probe is None:
-            continue
-        bench[key] = best(probe.replay)
-    return bench
-
-
 def _graph_args(p) -> None:
     p.add_argument("workload", nargs="?", default=None,
                    help="registered workload name (see 'workloads')")
@@ -244,7 +208,8 @@ def _cmd_graph(args) -> int:
     """
     from .analysis.diagnostics import Severity
     from .analysis.racecheck import analyze_graph, op_elided
-    from .graphopt import lowering_report, optimize_graph, parse_passes
+    from .graphopt import (lowering_report, optimize_graph, parse_passes,
+                           replay_timings)
     from .workloads import get_workload, list_workloads
 
     if args.graph_all and args.workload:
@@ -279,8 +244,8 @@ def _cmd_graph(args) -> int:
                  "lint_diagnostics": [d.as_dict() for d in diags],
                  "lowering": lowering}
         if args.bench:
-            entry["bench"] = _graph_bench(workload, args.passes,
-                                          args.repeats)
+            entry["bench"] = replay_timings(workload, args.passes,
+                                            args.repeats)
         entries.append(entry)
 
     payload = {"schema": "repro.graphopt-report/v1",

@@ -221,48 +221,40 @@ class Kernel:
     model_builder:
         Optional callable ``(**problem_params) -> KernelModel`` describing the
         kernel's resource usage for a given problem configuration.
-    vector_safe:
-        Declares that the body is written in the SIMT-generic style (lane
-        helpers from :mod:`repro.core.intrinsics`, no scalar-only control
-        flow), so the executor's lockstep ``vectorized`` mode may evaluate a
-        whole lane set per call.  Defaults to False: plain per-thread kernels
-        keep the scalar executors.  The flag is also cached on the underlying
-        function object so re-wraps of the same callable agree.
     strict:
         When True the static kernel verifier (:mod:`repro.analysis`) runs at
         construction time and any error-severity diagnostic raises
-        :class:`~repro.core.errors.AnalysisError`.  Off by default — the
-        launch path never pays for analysis unless asked.
+        :class:`~repro.core.errors.AnalysisError`.  Off by default; the
+        launch path verifies a body at most once, for :attr:`vector_safe`.
     """
 
     def __init__(self, fn: Callable, name: Optional[str] = None,
                  model_builder: Optional[Callable[..., KernelModel]] = None,
-                 vector_safe: Optional[bool] = None, strict: bool = False):
+                 strict: bool = False):
         if not callable(fn):
             raise LaunchError("Kernel requires a callable kernel body")
         self.fn = fn
         self.name = name or fn.__name__
         self.model_builder = model_builder
-        #: the caller's declaration, tri-state: None = never declared (the
-        #: verifier may then infer), True/False = hand-set here or on the
-        #: underlying function by an earlier wrap
-        if vector_safe is None and hasattr(fn, "_repro_vector_safe"):
-            self.declared_vector_safe: Optional[bool] = \
-                bool(fn._repro_vector_safe)
-        else:
-            self.declared_vector_safe = \
-                None if vector_safe is None else bool(vector_safe)
-        if vector_safe is None:
-            vector_safe = bool(getattr(fn, "_repro_vector_safe", False))
-        self.vector_safe = bool(vector_safe)
-        if self.vector_safe:
-            try:
-                fn._repro_vector_safe = True
-            except (AttributeError, TypeError):  # pragma: no cover
-                pass
         functools.update_wrapper(self, fn)
         if strict:
             self._verify_strict()
+
+    @functools.cached_property
+    def vector_safe(self) -> bool:
+        """May the lockstep executors (``vectorized`` / ``lowered``) run it?
+
+        True exactly when the static verifier proves the body lockstep-safe
+        (:func:`repro.analysis.verifier.verify_kernel` ``.inferred is
+        True``): SIMT-generic code written with the lane helpers of
+        :mod:`repro.core.intrinsics`.  Verification is memoised per function
+        and the verdict is kept on the kernel after the first read, so every
+        later resolution on the launch path is one attribute read.
+        """
+        # Local import: the analysis package is a consumer of this module.
+        from ..analysis.verifier import verify_kernel
+
+        return verify_kernel(self).inferred is True
 
     def _verify_strict(self) -> None:
         # Local import: the analysis package is a consumer of this module.
@@ -293,15 +285,12 @@ class Kernel:
 
 def kernel(fn: Optional[Callable] = None, *, name: Optional[str] = None,
            model: Optional[Callable[..., KernelModel]] = None,
-           vector_safe: Optional[bool] = None, strict: bool = False):
+           strict: bool = False):
     """Decorator turning a per-thread function into a :class:`Kernel`.
 
     Usable bare (``@kernel``) or with options (``@kernel(model=...)``).
-    ``vector_safe=True`` marks the body as SIMT-generic (see :class:`Kernel`),
-    which lets the executor's lockstep ``vectorized`` mode run it; an
-    explicit ``vector_safe=False`` forces the scalar executors even when the
-    underlying function carries a cached vector-safe marking from an earlier
-    wrap.  The default (``None``) inherits the function's marking.
+    Whether the lockstep executors may run the body is the static
+    verifier's verdict (:attr:`Kernel.vector_safe`), not an option.
     ``strict=True`` runs the static verifier at decoration time and raises
     :class:`~repro.core.errors.AnalysisError` on any error diagnostic.
 
@@ -311,8 +300,7 @@ def kernel(fn: Optional[Callable] = None, *, name: Optional[str] = None,
     """
 
     def wrap(f: Callable) -> Kernel:
-        k = Kernel(f, name=name, model_builder=model,
-                   vector_safe=vector_safe, strict=strict)
+        k = Kernel(f, name=name, model_builder=model, strict=strict)
         _REGISTRY[k.name] = k
         return k
 

@@ -6,14 +6,15 @@ its own ``thread_idx`` / ``block_idx``).  Four execution modes exist:
 
 ``vectorized``
     Lockstep array-level execution (:mod:`repro.gpu.vector_executor`) for
-    kernels declared ``vector_safe``: ``thread_idx`` / ``block_idx`` resolve
+    kernels the static verifier proves lockstep-safe
+    (:func:`kernel_vector_safe`): ``thread_idx`` / ``block_idx`` resolve
     to NumPy index arrays and each statement of the body executes for an
     entire lane set at once — the whole grid (chunked) for barrier-free
     kernels, one block per lane set for kernels with barriers / shared
     memory.  Divergence is expressed through the lane helpers
     (``any_lane`` / ``compress_lanes`` / ``lane_where`` / ``masked_store``)
     and atomics take their ``np.add.at``-backed lane-vector form.  The
-    default for vector-safe kernels whose body does not lower.
+    default for proven kernels whose body does not lower.
 
 ``sequential``
     Threads of a block run one after another in a plain Python loop.  Correct
@@ -41,18 +42,20 @@ its own ``thread_idx`` / ``block_idx``).  Four execution modes exist:
     The entry returns its barrier and atomic counts and shared bytes per
     block; results, counters and exceptions match ``vectorized``.
 
-Mode selection is codegen-first: ``mode="auto"`` (the default) tries the
-lowering tier for every launch of a declared vector-safe kernel and runs
-``vectorized`` when the body falls outside the lowerable subset; any other
-kernel runs ``cooperative`` when :func:`kernel_uses_barrier` detects
-barriers / shared memory and ``sequential`` otherwise.  ``mode="lowered"``
-is accepted and resolves exactly like ``auto``.  An explicit
-``mode="vectorized"`` never lowers, also accepts kernels the static
-verifier infers vector-safe, and falls back to the appropriate scalar mode
-for the rest (vector safety is a property of the kernel body, not of the
-request).  :meth:`KernelExecutor.launch` and
-:meth:`KernelExecutor.instantiate` share one resolver, and the
-:class:`ExecutionResult` reports the mode that actually ran.
+Mode selection is codegen-first and reads one verdict, the static
+verifier's (:func:`kernel_vector_safe`, kept on the kernel after the first
+resolution): ``mode="auto"`` (the default) tries the lowering tier for
+every launch of a proven kernel and runs ``vectorized`` when the body falls
+outside the lowerable subset; any other kernel runs ``cooperative`` when
+:func:`kernel_uses_barrier` detects barriers / shared memory and
+``sequential`` otherwise.  ``mode="lowered"`` is accepted and resolves
+exactly like ``auto``.  An explicit ``mode="vectorized"`` never lowers and
+falls back to the appropriate scalar mode for unproven kernels (vector
+safety is a property of the kernel body, not of the request);
+``mode="sequential"`` / ``mode="cooperative"`` force the scalar engines.
+:meth:`KernelExecutor.launch` and :meth:`KernelExecutor.instantiate` share
+one resolver, and the :class:`ExecutionResult` reports the mode that
+actually ran.
 
 Execution-mode / performance envelope
 -------------------------------------
@@ -226,7 +229,8 @@ def kernel_uses_barrier(kern: Kernel) -> bool:
     (:func:`repro.analysis.kernel_ir.kernel_ir`): a call anywhere in the
     body to one of ``SIMT_MODEL``'s barrier calls or shared allocators.
     Docstrings and comments do not count; unknown source does (cooperative
-    is the safe mode).  Cached on the underlying function object.
+    is the safe mode).  A fused kernel (:mod:`repro.graphopt.passes`) takes
+    the fact from its parts.  Cached on the underlying function object.
     """
     fn = kern.fn if isinstance(kern, Kernel) else kern
     cached = getattr(fn, "_repro_uses_barrier", None)
@@ -234,10 +238,14 @@ def kernel_uses_barrier(kern: Kernel) -> bool:
         return cached
     from ..analysis.kernel_ir import BLOCK_CALLS, callee, kernel_ir
 
-    ir = kernel_ir(fn)
-    uses = ir is None or any(  # unknown source: cooperative
-        isinstance(node, ast.Call) and callee(node) in BLOCK_CALLS
-        for node in ast.walk(ir.fndef))
+    parts = getattr(fn, "_repro_fused_parts", None)
+    if parts is not None:
+        uses = any(kernel_uses_barrier(part) for part, _ in parts)
+    else:
+        ir = kernel_ir(fn)
+        uses = ir is None or any(  # unknown source: cooperative
+            isinstance(node, ast.Call) and callee(node) in BLOCK_CALLS
+            for node in ast.walk(ir.fndef))
     try:
         fn._repro_uses_barrier = uses
     except (AttributeError, TypeError):  # pragma: no cover - exotic callables
@@ -249,42 +257,41 @@ def _resolve_mode(kern: Kernel, args: Sequence, launch: LaunchConfig,
                   mode: str) -> Tuple[str, Optional[Callable]]:
     """The mode a launch runs in, plus its compiled entry when it lowers.
 
-    ``"auto"`` and ``"lowered"`` honour the kernel's declared flag only, so
-    the default path never analyses anything; an explicit ``"vectorized"``
-    is worth an inference pass (memoised, one IR per kernel body).
+    One rule for ``auto``, ``lowered`` and ``vectorized``: a kernel the
+    static verifier proves lockstep-safe (:func:`kernel_vector_safe`)
+    lowers, or runs ``vectorized`` when that is requested or lowering
+    declines; any other kernel runs ``cooperative`` or ``sequential``.
     """
-    if mode in ("auto", "lowered", "vectorized"):
-        if not kernel_vector_safe(kern, infer=(mode == "vectorized")):
-            return ("cooperative" if kernel_uses_barrier(kern)
-                    else "sequential"), None
-        if mode == "vectorized":
-            return mode, None
-        # Lazy import: graphopt's legality queries consume this module.
-        from ..graphopt.lower import lower_launch
-
-        entry = lower_launch(kern, args, launch)
-        return ("vectorized", None) if entry is None else ("lowered", entry)
-    if mode not in ("sequential", "cooperative"):
+    if mode in ("sequential", "cooperative"):
+        return mode, None
+    if mode not in ("auto", "lowered", "vectorized"):
         raise LaunchError(f"unknown execution mode {mode!r}")
-    return mode, None
+    if not kernel_vector_safe(kern):
+        return ("cooperative" if kernel_uses_barrier(kern)
+                else "sequential"), None
+    if mode == "vectorized":
+        return mode, None
+    # Lazy import: graphopt's legality queries consume this module.
+    from ..graphopt.lower import lower_launch
+
+    entry = lower_launch(kern, args, launch)
+    return ("vectorized", None) if entry is None else ("lowered", entry)
 
 
 def _enter_launch(name: str) -> None:
-    """The ``launch`` / ``latency`` fault sites every launch reaches first,
-    eager or replayed."""
+    """The ``launch`` fault site every launch reaches first, eager or
+    replayed."""
     injector = _faults._ACTIVE
     if injector is not None:
         injector.fail_launch("launch", name)
-        injector.inject_latency("latency", name)
 
 
 def _run_lowered(entry: Callable, name: str, args: Sequence):
-    """Run a lowered entry behind the ``launch.lowered`` fault sites; returns
+    """Run a lowered entry behind the ``launch.lowered`` fault site; returns
     its ``(barriers, atomics, shared bytes per block)``."""
     injector = _faults._ACTIVE
     if injector is not None:
         injector.fail_launch("launch.lowered", name)
-        injector.inject_latency("latency.lowered", name)
     return entry(*args)
 
 

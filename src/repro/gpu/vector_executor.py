@@ -2,14 +2,14 @@
 
 The scalar executors in :mod:`repro.gpu.executor` pay one Python call per
 simulated thread, which caps functional simulation at roughly 10^5 threads
-per second.  This module evaluates a *vector-safe* kernel body (see
-:class:`repro.core.kernel.Kernel` and the lane helpers in
-:mod:`repro.core.intrinsics`) once per **lane set** instead: ``thread_idx`` /
-``block_idx`` resolve to NumPy index arrays carrying one element per lane,
-so every statement of the body executes for all lanes at once as array
-operations — the data-centric lockstep execution of per-thread code that
-Ziogas et al. and MIRGE use to reclaim array-level throughput without giving
-up per-thread semantics.
+per second.  This module evaluates a *vector-safe* kernel body (one the
+static verifier proves lockstep-safe, :func:`kernel_vector_safe`, written
+with the lane helpers in :mod:`repro.core.intrinsics`) once per **lane
+set** instead: ``thread_idx`` / ``block_idx`` resolve to NumPy index arrays
+carrying one element per lane, so every statement of the body executes for
+all lanes at once as array operations — the data-centric lockstep execution
+of per-thread code that Ziogas et al. and MIRGE use to reclaim array-level
+throughput without giving up per-thread semantics.
 
 Two lane-set granularities exist:
 
@@ -33,8 +33,9 @@ Masked divergence (``if`` guards, predicated accumulation) is expressed in
 the kernel body through the lane helpers (``any_lane`` + ``compress_lanes``
 for top-level guards, ``lane_where`` / ``masked_store`` for predicated
 branches); atomics take the ``np.add.at``-backed lane-vector form in
-:mod:`repro.core.atomics`.  Kernels that are not vector-safe fall back to the
-scalar executors automatically — see :meth:`KernelExecutor.launch`.
+:mod:`repro.core.atomics`.  Kernels the verifier does not prove vector-safe
+fall back to the scalar executors automatically — see
+:meth:`KernelExecutor.launch`.
 """
 
 from __future__ import annotations
@@ -75,61 +76,19 @@ def _single_chunk(bd: Dim3, gd: Dim3) -> bool:
     return bd.total * gd.total <= VECTOR_CHUNK_LANES
 
 
-def kernel_vector_safe(kern, *, infer: bool = False) -> bool:
-    """True when *kern* is safe for lockstep execution.
+def kernel_vector_safe(kern) -> bool:
+    """True when the static verifier proves *kern* safe for lockstep execution.
 
-    A hand-set declaration (``vector_safe=`` on the kernel, or the cached
-    ``_repro_vector_safe`` marking on the function) decides directly — but a
-    ``True`` declaration is cross-checked against the static verifier's
-    verdict, and a refuted declaration warns once per kernel (``repro
-    lint`` reports the same disagreement as a ``KV100`` error).  The
-    runtime still honours the flag so a deliberate override keeps working.
-
-    With ``infer=True`` an *undeclared* kernel is also accepted when the
-    verifier can positively prove its body lockstep-safe — the
-    inference-backed path the explicit ``mode="vectorized"`` request uses.
-    Verification is memoised on the function object, so neither path costs
-    more than one IR build per kernel body, ever.
+    The one verdict every dispatch decision reads (the executor's mode
+    resolution and the fuse pass alike): :attr:`Kernel.vector_safe
+    <repro.core.kernel.Kernel.vector_safe>`, kept on the kernel after the
+    first resolution.  A plain callable pays one memoised verifier lookup.
     """
     if isinstance(kern, Kernel):
-        declared = kern.declared_vector_safe
-        if declared is None and kern.vector_safe:
-            declared = True             # constructor-derived marking
-    else:
-        declared = (bool(kern._repro_vector_safe)
-                    if hasattr(kern, "_repro_vector_safe") else None)
-    if declared is not None:
-        if declared:
-            _warn_if_refuted(kern)
-        return declared
-    if not infer:
-        return False
-    from ..analysis.verifier import infer_vector_safe
-
-    return infer_vector_safe(kern) is True
-
-
-def _warn_if_refuted(kern) -> None:
-    """Warn (once per kernel body) when inference refutes a declared flag."""
-    fn = getattr(kern, "fn", kern)
-    if getattr(fn, "_repro_flag_warned", False):
-        return
+        return kern.vector_safe
     from ..analysis.verifier import verify_kernel
 
-    result = verify_kernel(kern)
-    try:
-        fn._repro_flag_warned = True
-    except (AttributeError, TypeError):  # pragma: no cover - builtins
-        return
-    if result.inferred is False:
-        import warnings
-
-        reasons = "; ".join(result.reasons) or "body rules failed"
-        warnings.warn(
-            f"kernel {result.kernel!r} declares vector_safe=True but the "
-            f"static verifier cannot confirm it ({reasons}); the flag is "
-            f"honoured — run `repro lint` for the full diagnostics",
-            RuntimeWarning, stacklevel=3)
+    return verify_kernel(kern).inferred is True
 
 
 class LaneDim3:
@@ -334,11 +293,10 @@ def run_vectorized(kern, args, launch, counters, *, per_block: bool) -> int:
     injector = _faults._ACTIVE
     if injector is not None:
         # Graph-replay thunks call run_vectorized directly, bypassing
-        # KernelExecutor.launch — these sites cover that path too.
+        # KernelExecutor.launch — this site covers that path too.
         name = kern.name if isinstance(kern, Kernel) else \
             getattr(fn, "__name__", "kernel")
         injector.fail_launch("launch.vectorized", name)
-        injector.inject_latency("latency.vectorized", name)
     bd, gd = launch.block_dim, launch.grid_dim
     tpb = bd.total
     max_shared = 0

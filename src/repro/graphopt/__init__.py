@@ -18,7 +18,7 @@ Entry points
 from .lower import (LoweringUnsupported, lower_launch, lower_source,
                     lowering_report)
 from .passes import GraphOptReport, PASS_NAMES, optimize_graph, parse_passes
-from .report import GraphOptBenchReport, graphopt_report
+from .report import GraphOptBenchReport, graphopt_report, replay_timings
 
 __all__ = [
     "GraphOptBenchReport",
@@ -31,4 +31,5 @@ __all__ = [
     "lowering_report",
     "optimize_graph",
     "parse_passes",
+    "replay_timings",
 ]

@@ -11,8 +11,8 @@ kernel IR the verifier and the region analysis also read
 (:func:`repro.analysis.kernel_ir.kernel_ir`: the memoised parse plus one
 abstract interpretation of it), not execution — into NumPy source,
 compiled with ``exec`` into a synthetic module, and dispatched by the
-executor: every ``auto`` (or ``lowered``) launch of a declared vector-safe
-kernel tries this tier first.
+executor: every ``auto`` (or ``lowered``) launch of a kernel the verifier
+proves vector-safe tries this tier first.
 
 The contract mirrors a real compiler's legality checking: lowering is a
 *best-effort specialisation*.  ``lower_launch`` returns a compiled entry

@@ -18,9 +18,10 @@ canonical order ``elide -> fuse -> hoist``:
     Merge runs of *adjacent* vector-safe kernels on one stream that share a
     buffer and an identical launch into a single fused kernel, so a replay
     pays one lane-set sweep (one state bind, one geometry fetch, one thunk)
-    instead of N.  Legality comes from the PR-7 analyses: both bodies must
-    be lockstep-safe (:func:`~repro.gpu.vector_executor.kernel_vector_safe`,
-    inference allowed) and barrier-free, the follower must carry no event
+    instead of N.  Legality comes from the static analyses: both bodies
+    must be proven lockstep-safe
+    (:func:`~repro.gpu.vector_executor.kernel_vector_safe`, the verdict the
+    executor dispatches on) and barrier-free, the follower must carry no event
     waits (the leader's waits transfer to the fused op), and the launch must
     fit a single lane chunk (:func:`~repro.gpu.vector_executor.single_chunk`)
     — chunked execution interleaves part bodies per chunk, which is not
@@ -227,8 +228,7 @@ def _fusable_kernel(op) -> bool:
     launch = meta.get("launch")
     if kern is None or launch is None or not single_chunk(launch):
         return False
-    return kernel_vector_safe(kern, infer=True) \
-        and not kernel_uses_barrier(kern)
+    return kernel_vector_safe(kern) and not kernel_uses_barrier(kern)
 
 
 def _same_launch(a, b) -> bool:
@@ -297,13 +297,10 @@ def _build_fused_kernel(part_ops: Sequence) -> Tuple[Kernel, tuple]:
     name = "fused(" + "+".join(k.name for k in kernels) + ")"
     fused_fn.__name__ = fused_fn.__qualname__ = name
     # The wrapper's own source (this loop) is meaningless to the static
-    # analyses; record the facts fusion legality already established so the
-    # verifier is neither consulted nor warned about, and hang the part
-    # table where the lowering tier finds it.
-    fused_fn._repro_flag_warned = True
-    fused_fn._repro_uses_barrier = False
+    # analyses: the part table is where the verifier, the barrier check,
+    # the region analysis and the lowering tier read the parts' facts.
     fused_fn._repro_fused_parts = specs
-    return Kernel(fused_fn, name=name, vector_safe=True), tuple(combined)
+    return Kernel(fused_fn, name=name), tuple(combined)
 
 
 def _union_accesses(part_ops: Sequence) -> Tuple[tuple, tuple, tuple]:

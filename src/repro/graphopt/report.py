@@ -18,7 +18,8 @@ from typing import Dict, List, Optional
 from ..harness.results import ResultTable
 from .passes import optimize_graph
 
-__all__ = ["GraphOptReportRow", "GraphOptBenchReport", "graphopt_report"]
+__all__ = ["GraphOptReportRow", "GraphOptBenchReport", "graphopt_report",
+           "replay_timings"]
 
 
 @dataclass
@@ -135,6 +136,28 @@ def _best(fn, repeats: int) -> float:
     return min(samples)
 
 
+def replay_timings(workload, passes: str,
+                   repeats: int) -> Dict[str, float]:
+    """Best-of-*repeats* replay times for one workload's graphs, in seconds.
+
+    ``unfused_replay_s`` / ``fused_replay_s`` replay the lint capture before
+    and after the *passes* pipeline; ``vectorized_replay_s`` /
+    ``lowered_replay_s`` replay executor-mode variants of the tuning probe.
+    A key is absent when the workload has no such graph.
+    """
+    timings: Dict[str, float] = {}
+    graph = workload.lint_graph()
+    if graph is not None:
+        optimized, _ = optimize_graph(graph, passes)
+        timings["unfused_replay_s"] = _best(graph.replay, repeats)
+        timings["fused_replay_s"] = _best(optimized.replay, repeats)
+    for mode in ("vectorized", "lowered"):
+        probe = workload.tuning_probe(workload.make_request(executor=mode))
+        if probe is not None:
+            timings[f"{mode}_replay_s"] = _best(probe.replay, repeats)
+    return timings
+
+
 def graphopt_report(workload_names=None, *,
                     repeats: int = 10) -> GraphOptBenchReport:
     """Measure fused/lowered speedups for the registered workloads."""
@@ -142,18 +165,10 @@ def graphopt_report(workload_names=None, *,
 
     report = GraphOptBenchReport(repeats=repeats)
     for name in (workload_names or list_workloads()):
-        workload = get_workload(name)
-        row = GraphOptReportRow(workload=name)
-        graph = workload.lint_graph()
-        if graph is not None:
-            optimized, _ = optimize_graph(graph, "all")
-            row.unfused_s = _best(graph.replay, repeats)
-            row.fused_s = _best(optimized.replay, repeats)
-        for mode, attr in (("vectorized", "vectorized_s"),
-                           ("lowered", "lowered_s")):
-            probe = workload.tuning_probe(
-                workload.make_request(executor=mode, verify=False))
-            if probe is not None:
-                setattr(row, attr, _best(probe.replay, repeats))
-        report.rows.append(row)
+        timings = replay_timings(get_workload(name), "all", repeats)
+        report.rows.append(GraphOptReportRow(
+            workload=name, unfused_s=timings.get("unfused_replay_s"),
+            fused_s=timings.get("fused_replay_s"),
+            vectorized_s=timings.get("vectorized_replay_s"),
+            lowered_s=timings.get("lowered_replay_s")))
     return report

@@ -46,7 +46,7 @@ SCALAR = 0.4
 BABELSTREAM_OPS = ("copy", "mul", "add", "triad", "dot")
 
 
-@kernel(name="copy_kernel", vector_safe=True, strict=True)
+@kernel(name="copy_kernel", strict=True)
 def copy_kernel(a, c, n):
     """``c[i] = a[i]``"""
     i = block_dim.x * block_idx.x + thread_idx.x
@@ -57,7 +57,7 @@ def copy_kernel(a, c, n):
     c[i] = a[i]
 
 
-@kernel(name="mul_kernel", vector_safe=True, strict=True)
+@kernel(name="mul_kernel", strict=True)
 def mul_kernel(b, c, scalar, n):
     """``b[i] = scalar * c[i]``"""
     i = block_dim.x * block_idx.x + thread_idx.x
@@ -68,7 +68,7 @@ def mul_kernel(b, c, scalar, n):
     b[i] = scalar * c[i]
 
 
-@kernel(name="add_kernel", vector_safe=True, strict=True)
+@kernel(name="add_kernel", strict=True)
 def add_kernel(a, b, c, n):
     """``c[i] = a[i] + b[i]``"""
     i = block_dim.x * block_idx.x + thread_idx.x
@@ -79,7 +79,7 @@ def add_kernel(a, b, c, n):
     c[i] = a[i] + b[i]
 
 
-@kernel(name="triad_kernel", vector_safe=True, strict=True)
+@kernel(name="triad_kernel", strict=True)
 def triad_kernel(a, b, c, scalar, n):
     """``a[i] = b[i] + scalar * c[i]``"""
     i = block_dim.x * block_idx.x + thread_idx.x
@@ -90,7 +90,7 @@ def triad_kernel(a, b, c, scalar, n):
     a[i] = b[i] + scalar * c[i]
 
 
-@kernel(name="dot_kernel", vector_safe=True, strict=True)
+@kernel(name="dot_kernel", strict=True)
 def dot_kernel(a, b, block_sums, n, tb_size):
     """Grid-stride dot product with a block shared-memory tree reduction.
 

@@ -75,7 +75,7 @@ def decode_pair_array(idx) -> tuple:
     return row, col
 
 
-@kernel(name="hartree_fock_kernel", vector_safe=True, strict=True)
+@kernel(name="hartree_fock_kernel", strict=True)
 def hartree_fock_kernel(ngauss, natoms, nquads, schwarz, schwarz_tol,
                         xpnt, coef, geom, dens, fock):
     """Accumulate the two-electron part of the Fock matrix for one quadruple.

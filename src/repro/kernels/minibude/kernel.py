@@ -40,7 +40,7 @@ HBTYPE_E = 69
 HALF = 0.5
 
 
-@kernel(name="fasten_kernel", vector_safe=True, strict=True)
+@kernel(name="fasten_kernel", strict=True)
 def fasten_kernel(ppwi, natlig, natpro, protein, ligand,
                   t0, t1, t2, t3, t4, t5,
                   etotals, forcefield, num_transforms):

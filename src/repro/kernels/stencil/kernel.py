@@ -17,7 +17,7 @@ from ...core.kernel import KernelModel, MemoryPattern, kernel
 __all__ = ["laplacian_kernel", "stencil_kernel_model"]
 
 
-@kernel(name="laplacian_kernel", vector_safe=True, strict=True)
+@kernel(name="laplacian_kernel", strict=True)
 def laplacian_kernel(f, u, nx, ny, nz, invhx2, invhy2, invhz2, invhxyz2):
     """Seven-point stencil: ``f = Laplacian(u)`` on interior cells.
 

@@ -22,10 +22,6 @@ Injection sites wired into the existing layers
 ``launch.vectorized`` raise :class:`LaunchError` inside ``run_vectorized``
 ``launch.lowered``  raise :class:`LaunchError` before a lowered entry runs,
                     in ``launch`` and in graph-replay thunks alike
-``latency``         sleep ``latency_ms`` inside :meth:`KernelExecutor.launch`
-                    and at every graph-replay kernel step
-``latency.vectorized`` sleep inside ``run_vectorized``
-``latency.lowered`` sleep before a lowered entry runs
 ``diskstore.read``  make one JSON store read report a miss (torn read)
 ================== =========================================================
 
@@ -49,7 +45,6 @@ import contextlib
 import hashlib
 import json
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -75,9 +70,6 @@ FAULT_SITES = (
     "launch",
     "launch.vectorized",
     "launch.lowered",
-    "latency",
-    "latency.vectorized",
-    "latency.lowered",
     "diskstore.read",
 )
 
@@ -91,7 +83,7 @@ class FaultRule:
     per injector) or a seeded ``probability`` draw per occurrence.
     ``max_faults`` caps how often the rule may fire; ``match`` restricts the
     rule to operations whose label contains the substring (e.g. a buffer
-    label); ``latency_ms`` is the sleep for the latency sites.
+    label).
     """
 
     site: str
@@ -99,7 +91,6 @@ class FaultRule:
     indices: Optional[Tuple[int, ...]] = None
     max_faults: Optional[int] = None
     match: str = ""
-    latency_ms: float = 0.0
 
     def __post_init__(self):
         if self.site not in FAULT_SITES:
@@ -118,8 +109,6 @@ class FaultRule:
                 raise ConfigurationError("fault indices must be >= 0")
         if self.max_faults is not None and self.max_faults < 1:
             raise ConfigurationError("max_faults must be >= 1")
-        if self.latency_ms < 0:
-            raise ConfigurationError("latency_ms must be >= 0")
 
     def as_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {"site": self.site}
@@ -131,14 +120,11 @@ class FaultRule:
             out["max_faults"] = self.max_faults
         if self.match:
             out["match"] = self.match
-        if self.latency_ms:
-            out["latency_ms"] = self.latency_ms
         return out
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "FaultRule":
-        known = {"site", "probability", "indices", "max_faults", "match",
-                 "latency_ms"}
+        known = {"site", "probability", "indices", "max_faults", "match"}
         unknown = set(payload) - known
         if unknown:
             raise ConfigurationError(
@@ -207,7 +193,7 @@ class FaultEvent:
     site: str
     index: int
     key: str
-    kind: str  # "error" | "corrupt" | "latency" | "miss"
+    kind: str  # "error" | "corrupt" | "miss"
 
 
 def _draw(seed: int, site: str, index: int) -> float:
@@ -297,13 +283,6 @@ class FaultInjector:
             )
             exc.injected = True
             raise exc
-
-    def inject_latency(self, site: str, name: str, *,
-                       sleep=time.sleep) -> None:
-        """Hook for the ``latency`` / ``latency.*`` sites (sleeps)."""
-        rule = self.decide(site, name, kind="latency")
-        if rule is not None and rule.latency_ms > 0:
-            sleep(rule.latency_ms / 1e3)
 
     def corrupt_read(self, path: str) -> bool:
         """Hook for ``diskstore.read``; True turns the read into a miss."""

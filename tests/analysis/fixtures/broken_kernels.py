@@ -9,7 +9,7 @@ which do not register.
 
 The verifier reads source via :func:`inspect.getsource`, so these bodies
 must live in a real file — defining them inline in a REPL or ``-c``
-string would put the verifier on its unanalyzable (KV100-warning) path
+string would put the verifier on its unanalyzable (source-less) path
 instead of exercising the rules.
 """
 
@@ -74,11 +74,11 @@ def data_dependent_while(a, n):
 
 
 def lying_flag(a, n):
-    """KV100 when declared ``vector_safe=True``: the body is lane-guarded.
+    """Refuted for lockstep execution: the body is lane-guarded.
 
     The body itself is clean (the guard exempts the index from KV103), but
     a lane-dependent ``if`` around the store means lockstep execution
-    would run both sides — the verifier refutes the declared flag.
+    would run both sides — the verifier refutes lockstep safety.
     """
     i = thread_idx.x
     if i < n:

@@ -281,10 +281,10 @@ class TestDeterministicReports:
                               subject="b", message="w1", line=9))
         report.add(Diagnostic(rule="GR201", severity=Severity.ERROR,
                               subject="z", message="race", line=2))
-        report.add(Diagnostic(rule="KV100", severity=Severity.WARNING,
+        report.add(Diagnostic(rule="KV101", severity=Severity.WARNING,
                               subject="a", message="w0", line=1))
         rules = [d.rule for d in report.sorted_diagnostics()]
-        assert rules == ["GR201", "KV100", "KV103"]   # severity, then rule
+        assert rules == ["GR201", "KV101", "KV103"]   # severity, then rule
 
     def test_as_dict_is_stable_under_insertion_order(self):
         d1 = Diagnostic(rule="KV103", severity=Severity.WARNING,
@@ -299,4 +299,4 @@ class TestDeterministicReports:
     def test_rule_counts_zero_fill_the_catalog(self):
         counts = LintReport().rule_counts()
         assert counts["KV106"] == 0 and counts["GR204"] == 0
-        assert set(counts) >= {"KV100", "KV103", "GR201", "GR204", "KV106"}
+        assert set(counts) >= {"KV101", "KV103", "GR201", "GR204", "KV106"}

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import importlib.util
 import pathlib
-import warnings
 
 import pytest
 
-from repro.analysis import Severity, lint_kernel, verify_kernel
+from repro.analysis import lint_kernel, verify_kernel
 from repro.analysis.lint import shipped_kernels
-from repro.analysis.verifier import infer_vector_safe
 from repro.core.errors import AnalysisError
 from repro.core.kernel import Kernel
 
@@ -43,22 +41,13 @@ def test_fixture_fires_exactly_its_rule(fn_name, rule):
     assert _rules(kern) == [rule]
 
 
-def test_lying_flag_fires_kv100_only():
-    # the body is clean on its own, but the declared vector_safe=True is
-    # refuted by the lane-guarded store — only the flag-mismatch rule fires
-    kern = Kernel(broken.lying_flag, vector_safe=True)
-    diags = lint_kernel(kern)
-    assert _rules(kern) == ["KV100"]
-    assert all(d.severity == Severity.ERROR for d in diags)
-
-
 def test_guarded_clean_has_no_diagnostics():
     kern = Kernel(broken.guarded_clean)
     assert _rules(kern) == []
     # the lane-dependent if still blocks positive vector-safety inference —
     # the executors' scalar fallback for undeclared guarded kernels depends
     # on this staying False
-    assert infer_vector_safe(kern) is False
+    assert verify_kernel(kern).inferred is False
 
 
 def test_verify_result_is_memoised():
@@ -91,19 +80,6 @@ def test_shipped_kernels_verify_clean_and_inferred_safe():
     for name, kern in kernels.items():
         assert _rules(kern) == [], f"{name} has diagnostics"
     for name in SHIPPED:
-        result = verify_kernel(kernels[name])
-        # every shipped kernel declares vector_safe=True and the analyser
-        # independently confirms it — the flag is verified, not trusted
-        assert result.declared is True, name
-        assert result.inferred is True, name
-
-
-def test_refuted_flag_warns_once_on_dispatch():
-    from repro.gpu.vector_executor import kernel_vector_safe
-
-    kern = Kernel(broken.lying_flag, vector_safe=True, name="lying_warn")
-    with pytest.warns(RuntimeWarning, match="vector_safe=True"):
-        assert kernel_vector_safe(kern) is True  # declaration still wins
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        kernel_vector_safe(kern)  # second resolution is silent
+        # the verifier proves every shipped kernel lockstep-safe: that
+        # proof, not a declaration, is what lets them lower
+        assert verify_kernel(kernels[name]).inferred is True, name

@@ -241,7 +241,7 @@ def _docstring_mentions_barrier(out, n):
         out[i] = float(i)
 
 
-@kernel(vector_safe=True)
+@kernel
 def _vector_docstring_mentions_barrier(out, n):
     """Lockstep-safe, and still without any barrier() call."""
     i = block_idx.x * block_dim.x + thread_idx.x

@@ -143,7 +143,7 @@ def _eri(ex, mode, checked=False, natoms=4):
     return {"fock": fock.ptr}, {"hartree_fock_kernel": res}
 
 
-@kernel(name="ragged_stride_kernel", vector_safe=True)
+@kernel(name="ragged_stride_kernel")
 def ragged_stride_kernel(a, sums, n, stride, spread):
     """A grid-stride sum whose trip count differs between lanes and blocks.
 
@@ -187,7 +187,7 @@ def _ragged(ex, mode, checked=False):
     return {"sums": sums.ptr}, {"ragged_stride_kernel": res}
 
 
-@kernel(name="ragged_rebound_kernel", vector_safe=True)
+@kernel(name="ragged_rebound_kernel")
 def ragged_rebound_kernel(a, sums, flags, counts, n, stride, spread, size):
     """The grid-stride sum with two bindings from before the loop rebound
     inside it: ``flag = 1.0`` (a block that runs no trip keeps ``0.5``)

@@ -14,6 +14,8 @@ contracts the vectorized engine must honour for every science kernel:
   accumulated Fock matrix).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -91,7 +93,7 @@ class TestLaneHelpers:
 # Mode selection and fallback
 # ---------------------------------------------------------------------------
 
-@kernel(vector_safe=True)
+@kernel
 def _vec_iota(out, n):
     i = block_idx.x * block_dim.x + thread_idx.x
     m = i < n
@@ -108,25 +110,97 @@ def _scalar_iota(out, n):
         out[i] = i
 
 
+@kernel
+def _guarded_block_copy(out, n):
+    """Barrier and shared memory, then a lane-dependent ``if``: refuted."""
+    sh = shared_array(block_dim.x, DType.float64, key="sh")
+    t = thread_idx.x
+    i = block_idx.x * block_dim.x + t
+    sh[t] = i
+    barrier()
+    if i < n:
+        out[i] = sh[t]
+
+
+def _undeclared_block_sums(x, sums, n):
+    """A per-block shared-memory tree sum the verifier proves lockstep-safe."""
+    buf = shared_array(block_dim.x, DType.float64, key="buf")
+    t = thread_idx.x
+    g = block_dim.x * block_idx.x + t
+    buf[t] = masked_gather(x, g, g < n, 0.0)
+    stride = block_dim.x // 2
+    while stride > 0:
+        barrier()
+        m = t < stride
+        masked_store(buf, t, masked_gather(buf, t, m)
+                     + masked_gather(buf, t + stride, m), m)
+        stride //= 2
+    barrier()
+    masked_store(sums, block_idx.x, buf[0], t == 0)
+
+
 class TestModeSelection:
     def test_vector_safe_flag_round_trips(self):
         assert kernel_vector_safe(_vec_iota) is True
         assert kernel_vector_safe(_scalar_iota) is False
         assert _vec_iota.vector_safe is True
 
-    def test_explicit_false_overrides_sticky_function_marking(self):
+    def test_two_wraps_of_one_function_agree(self):
         from repro.core.kernel import Kernel
 
-        # Re-wrapping the underlying function inherits the marking ...
-        assert Kernel(_vec_iota.fn).vector_safe is True
-        # ... but an explicit opt-out must win over the cached attribute.
-        assert Kernel(_vec_iota.fn, vector_safe=False).vector_safe is False
-        out = np.zeros(8)
-        result = KernelExecutor().launch(
-            Kernel(_vec_iota.fn, vector_safe=False), (out, 8),
-            LaunchConfig.make(1, 8))
-        assert result.mode == "sequential"
-        np.testing.assert_array_equal(out, np.arange(8.0))
+        for fn, verdict in ((_vec_iota.fn, True), (_scalar_iota.fn, False)):
+            wraps = (Kernel(fn), Kernel(fn, name="again"))
+            assert [kernel_vector_safe(k) for k in wraps] == [verdict] * 2
+        modes = set()
+        for kern in (Kernel(_vec_iota.fn), Kernel(_vec_iota.fn, name="again")):
+            out = np.zeros(8)
+            modes.add(KernelExecutor().launch(kern, (out, 8),
+                                              LaunchConfig.make(1, 8)).mode)
+            np.testing.assert_array_equal(out, np.arange(8.0))
+        assert modes == {"vectorized"}
+
+    @pytest.mark.parametrize("kern, scalar_mode", [
+        (_scalar_iota, "sequential"), (_guarded_block_copy, "cooperative")])
+    def test_refuted_kernel_runs_scalar_under_auto_and_vectorized(
+            self, kern, scalar_mode):
+        assert kernel_vector_safe(kern) is False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mode in ("auto", "vectorized"):
+                out = np.zeros(32)
+                result = KernelExecutor().launch(kern, (out, 30),
+                                                 LaunchConfig.make(2, 16),
+                                                 mode=mode)
+                assert result.mode == scalar_mode
+                np.testing.assert_array_equal(out[:30], np.arange(30.0))
+                assert not out[30:].any()
+
+    def test_undeclared_proven_kernel_lowers_under_auto(self):
+        # a plain function: no decorator, no option — the verifier's proof
+        # alone sends it down the lowering tier
+        x = np.random.default_rng(5).normal(size=60)
+
+        def make_args():
+            sums = np.zeros(4)
+            return ((LayoutTensor(DType.float64, Layout.row_major(60), x,
+                                  mut=False),
+                     LayoutTensor(DType.float64, Layout.row_major(4), sums),
+                     60), sums)
+
+        runs = {}
+        for mode in ("auto", "vectorized"):
+            args, sums = make_args()
+            runs[mode] = (KernelExecutor().launch(
+                _undeclared_block_sums, args, LaunchConfig.make(4, 16),
+                mode=mode), sums.tobytes())
+        (auto, auto_out), (vec, vec_out) = runs["auto"], runs["vectorized"]
+        assert (auto.mode, vec.mode) == ("lowered", "vectorized")
+        assert auto_out == vec_out
+        assert auto.counters.as_dict() == vec.counters.as_dict()
+        assert auto.shared_bytes_per_block == vec.shared_bytes_per_block == 128
+        np.testing.assert_allclose(np.frombuffer(auto_out),
+                                   [x[b * 16:b * 16 + 16].sum()
+                                    for b in range(4)])
 
     def test_auto_picks_vectorized_for_vector_safe(self):
         out = np.zeros(32)
@@ -203,14 +277,14 @@ class TestChunking:
 _SEEN = []
 
 
-@kernel(vector_safe=True)
+@kernel
 def _record_lanes(out):
     _SEEN.append((thread_idx.x, thread_idx.y, thread_idx.z,
                   block_idx.x, block_idx.y, block_idx.z))
     out[0] = 1.0
 
 
-@kernel(vector_safe=True)
+@kernel
 def _record_block_lanes(out):
     barrier()
     _SEEN.append((thread_idx.x, thread_idx.y, thread_idx.z))

@@ -26,7 +26,7 @@ from repro.core.intrinsics import (
 from repro.core.kernel import Kernel, LaunchConfig, kernel
 from repro.core.layout import Layout, LayoutTensor
 from repro.gpu import vector_executor
-from repro.gpu.executor import KernelExecutor
+from repro.gpu.executor import ExecutionCounters, KernelExecutor
 from repro.graphopt import lower as lower_mod
 from repro.graphopt import lower_launch, lower_source, lowering_report
 from repro.kernels.babelstream.kernels import (
@@ -48,7 +48,7 @@ from repro.kernels.stencil.runner import stencil_launch_config
 N = 1 << 10
 
 
-@kernel(name="_inplace_scale", vector_safe=True, strict=True)
+@kernel(name="_inplace_scale", strict=True)
 def _inplace_scale(a, scalar, n):
     """``a[i] = scalar * a[i]`` — the store target is also read."""
     i = block_dim.x * block_idx.x + thread_idx.x
@@ -59,7 +59,7 @@ def _inplace_scale(a, scalar, n):
     a[i] = scalar * a[i]
 
 
-@kernel(name="_scale2d", vector_safe=True, strict=True)
+@kernel(name="_scale2d", strict=True)
 def _scale2d(f, u, nx, ny):
     """``f[i, j] = 2 * u[i, j]`` over a 2-D launch."""
     i = block_dim.x * block_idx.x + thread_idx.x
@@ -71,7 +71,7 @@ def _scale2d(f, u, nx, ny):
     f[i, j] = 2.0 * u[i, j]
 
 
-@kernel(name="_shift_double", vector_safe=True)
+@kernel(name="_shift_double")
 def _shift_double(a, n):
     """``a[i] = 2 * a[i - 1]``: each lane reads its left neighbour's store."""
     i = block_dim.x * block_idx.x + thread_idx.x
@@ -82,7 +82,7 @@ def _shift_double(a, n):
     a[i] = 2.0 * a[i - 1]
 
 
-@kernel(name="_parse_once_probe", vector_safe=True)
+@kernel(name="_parse_once_probe")
 def _parse_once_probe(a, n):
     """Outside the lowerable subset (an augmented store): always falls back."""
     i = block_dim.x * block_idx.x + thread_idx.x
@@ -93,7 +93,7 @@ def _parse_once_probe(a, n):
     a[i] += 1.0
 
 
-@kernel(name="_row_sums", vector_safe=True, strict=True)
+@kernel(name="_row_sums", strict=True)
 def _row_sums(out, table, weights, n, nrows, ncols):
     """``out[i] = sum_r sum_c w[c] * table[r, c] * i`` via accumulators."""
     i = block_dim.x * block_idx.x + thread_idx.x
@@ -110,7 +110,7 @@ def _row_sums(out, table, weights, n, nrows, ncols):
     out[i] = total
 
 
-@kernel(name="_block_max_tree", vector_safe=True, strict=True)
+@kernel(name="_block_max_tree", strict=True)
 def _block_max_tree(x, block_out, tb, n):
     """A shared-memory tree reduction (maximum) per block."""
     buf = shared_array(tb, DType.float32, key="buf")
@@ -148,8 +148,7 @@ def _ragged_unmasked_body(b, ends, sums, n, stride):
     masked_store(sums, block_idx.x, sh[0] + sh[1], tid == 0)
 
 
-_ragged_unmasked = Kernel(_ragged_unmasked_body, name="_ragged_unmasked",
-                          vector_safe=True)
+_ragged_unmasked = Kernel(_ragged_unmasked_body, name="_ragged_unmasked")
 
 
 def _reset_sums_body(out, a, n):
@@ -170,7 +169,7 @@ def _reset_sums_body(out, a, n):
     out[i] = x + y
 
 
-_reset_sums = Kernel(_reset_sums_body, name="_reset_sums", vector_safe=True)
+_reset_sums = Kernel(_reset_sums_body, name="_reset_sums")
 
 
 def _loop_counter_body(out, a, n):
@@ -189,8 +188,7 @@ def _loop_counter_body(out, a, n):
     out[i] = a[i] + c + d
 
 
-_loop_counter = Kernel(_loop_counter_body, name="_loop_counter",
-                       vector_safe=True)
+_loop_counter = Kernel(_loop_counter_body, name="_loop_counter")
 
 
 def _nested_stride_body(a, sums, n, stride):
@@ -210,8 +208,7 @@ def _nested_stride_body(a, sums, n, stride):
     masked_store(sums, block_idx.x, sh[0], tid == 0)
 
 
-_nested_stride = Kernel(_nested_stride_body, name="_nested_stride",
-                        vector_safe=True)
+_nested_stride = Kernel(_nested_stride_body, name="_nested_stride")
 
 
 def _scale2d_tensors(f_layout):
@@ -494,33 +491,60 @@ class TestGenericKernels:
                  LayoutTensor(DType.float64, Layout.row_major(4), sums),
                  140, 16), [ends, sums])
 
-    # the unmasked gather is what the static verifier cannot confirm
-    @pytest.mark.filterwarnings("ignore:kernel '_ragged_unmasked'")
+    @staticmethod
+    def _ragged_direct(size, launch):
+        """``_ragged_unmasked`` through the lowered entry and through the
+        lockstep interpreter, called directly (the verifier refutes the
+        unmasked gather, so the executor would run it ``cooperative``):
+        ``{path: (output bytes, barriers, atomics, shared bytes)}`` and the
+        lowered run's ``(args, outputs)``."""
+        runs = {}
+        args, outputs = TestGenericKernels._ragged_args(size)
+        entry = lower_launch(_ragged_unmasked, args, launch)
+        assert entry is not None
+        barriers, atomics, shared = entry(*args)
+        runs["lowered"] = ([o.tobytes() for o in outputs], barriers, atomics,
+                           shared)
+        lowered = (args, outputs)
+        args, outputs = TestGenericKernels._ragged_args(size)
+        counters = ExecutionCounters()
+        shared = vector_executor.run_vectorized(_ragged_unmasked, args, launch,
+                                                counters, per_block=True)
+        assert counters.threads_run == launch.total_threads
+        assert counters.blocks_run == launch.num_blocks
+        runs["vectorized"] = ([o.tobytes() for o in outputs],
+                              counters.barriers, counters.atomics, shared)
+        return runs, lowered
+
     def test_grid_stride_trips_past_a_block_gather_nothing(self):
         # blocks 0-2 run 9, 6 and 3 trips and read b up to index 153;
         # block 3 runs none.  On the trip axis every block spans 9 trips,
         # whose indices reach 249: those must not be bounds-checked
         launch = LaunchConfig.make(4, 8)
-        self._compare(_ragged_unmasked, lambda: self._ragged_args(154),
-                      launch)
-        args, (ends, _) = self._ragged_args(154)
-        KernelExecutor().launch(_ragged_unmasked, args, launch)
+        runs, (args, (ends, _)) = self._ragged_direct(154, launch)
+        assert runs["lowered"] == runs["vectorized"]
         starts = np.arange(4)[:, None] * 50 + np.arange(8) * 3
         trips = np.array([[9], [6], [3], [0]])
         assert ends.tolist() == (starts + 16 * trips).ravel().tolist()
         assert "_trips" in lower_source(_ragged_unmasked, args, launch)
 
-    @pytest.mark.filterwarnings("ignore:kernel '_ragged_unmasked'")
     def test_grid_stride_gather_out_of_bounds_raises_like_the_interpreter(
             self):
+        launch = LaunchConfig.make(4, 8)
         errors = {}
-        for mode in ("auto", "vectorized"):
-            args, _ = self._ragged_args(150)
-            with pytest.raises(LayoutError) as info:
-                KernelExecutor().launch(_ragged_unmasked, args,
-                                        LaunchConfig.make(4, 8), mode=mode)
-            errors[mode] = str(info.value)
-        assert errors["auto"] == errors["vectorized"]
+        args, _ = self._ragged_args(150)
+        entry = lower_launch(_ragged_unmasked, args, launch)
+        assert entry is not None
+        with pytest.raises(LayoutError) as info:
+            entry(*args)
+        errors["lowered"] = str(info.value)
+        args, _ = self._ragged_args(150)
+        with pytest.raises(LayoutError) as info:
+            vector_executor.run_vectorized(_ragged_unmasked, args, launch,
+                                           ExecutionCounters(),
+                                           per_block=True)
+        errors["vectorized"] = str(info.value)
+        assert errors["lowered"] == errors["vectorized"]
 
     def test_nested_grid_stride_loop_is_refused_and_runs_vectorized(self):
         def make_args():

@@ -9,6 +9,9 @@ from repro.core.device import DeviceContext, DeviceError
 from repro.core.dtypes import DType
 from repro.core.errors import ConfigurationError
 from repro.core.kernel import LaunchConfig
+from repro.analysis import verify_kernel
+from repro.gpu.executor import (KernelExecutor, kernel_uses_barrier,
+                                kernel_vector_safe)
 from repro.graphopt import PASS_NAMES, optimize_graph, parse_passes
 from repro.kernels.babelstream.kernels import (
     SCALAR,
@@ -58,6 +61,14 @@ class TestFusion:
                  if op.kind == "kernel" and not (op.meta or {}).get("elided")]
         assert len(fused) == 1
         assert fused[0].meta["mode"] == "lowered"
+        # the fused kernel's verdict and barrier fact are its parts'
+        meta = fused[0].meta
+        assert verify_kernel(meta["kern"]).inferred is True
+        assert kernel_vector_safe(meta["kern"])
+        assert not kernel_uses_barrier(meta["kern"])
+        result = KernelExecutor().launch(meta["kern"], meta["args"],
+                                         meta["launch"])
+        assert result.mode == "lowered"
 
     def test_tombstones_carry_provenance(self, stream_capture):
         ctx, graph, bufs = stream_capture
