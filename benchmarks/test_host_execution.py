@@ -493,6 +493,27 @@ def test_bench_lint_vector_safe_hot_path(benchmark):
     assert benchmark(run) is True
 
 
+def test_bench_plain_callable_dispatch_resolution(benchmark):
+    """A plain callable resolves as cheaply as a decorated kernel.
+
+    ``launch``/``instantiate`` accept an undecorated body; it runs as one
+    :class:`Kernel` kept on the function (``as_kernel``), so its verdict is
+    computed once.  A regression here means each launch wraps the function
+    afresh and pays a verifier lookup again.
+    """
+    from repro.gpu.vector_executor import kernel_vector_safe
+
+    body = laplacian_kernel.fn
+
+    def run():
+        ok = True
+        for _ in range(1000):
+            ok &= kernel_vector_safe(body)
+        return ok
+
+    assert benchmark(run) is True
+
+
 def test_bench_region_analysis_memoised(benchmark):
     """Memoised region concretization must stay dict-lookup cheap.
 

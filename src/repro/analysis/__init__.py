@@ -47,22 +47,34 @@ simulated substrate:
     The rule catalog: every ``KVxxx`` / ``GRxxx`` id with its doc block,
     parsed from the analysis module docstrings (``repro lint --explain``).
 
-Analysis runs at decoration time (``@kernel(strict=True)``), capture time
-(``ctx.capture(check=True)``), lint time, or at a kernel's first launch
-resolution, which verifies its body once (memoised per function) and keeps
-the verdict on the kernel — never again on the hot launch / replay path.
+Analysis runs at a kernel's first launch resolution (an eager launch,
+``instantiate`` or the close of a ``ctx.capture``), which verifies its body
+once (memoised per function) and keeps the verdict on the kernel — never
+again on the hot launch / replay path.  That verdict also holds a
+``@kernel(strict=True)`` kernel's error diagnostics, which stop it there,
+before any lane runs; decoration verifies nothing.  Graph race checks run at
+capture time (``ctx.capture(check=True)``), and ``repro lint`` runs
+everything.
+
+The names below resolve on first access (:mod:`repro._lazy`), so the launch
+path's verifier import does not load the region analysis or the race
+detector.
 """
 
-from .diagnostics import Diagnostic, LintReport, Severity
-from .lint import (discharge_proven, lint_graphs, lint_kernels, run_lint,
-                   shipped_kernels)
-from .racecheck import analyze_graph, analyze_ops
-from .regions import (LaunchRegions, RegionSummary, TensorSpec,
-                      bounds_diagnostics, concretize_launch, covers,
-                      kernel_regions, launch_traffic, region_conflict)
-from .rules import rule_catalog, rule_doc
-from .symexpr import Interval, launch_env
-from .verifier import VerifierResult, lint_kernel, verify_kernel
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".diagnostics": ("Diagnostic", "LintReport", "Severity"),
+    ".lint": ("discharge_proven", "lint_graphs", "lint_kernels", "run_lint",
+              "shipped_kernels"),
+    ".racecheck": ("analyze_graph", "analyze_ops"),
+    ".regions": ("LaunchRegions", "RegionSummary", "TensorSpec",
+                 "bounds_diagnostics", "concretize_launch", "covers",
+                 "kernel_regions", "launch_traffic", "region_conflict"),
+    ".rules": ("rule_catalog", "rule_doc"),
+    ".symexpr": ("Interval", "launch_env"),
+    ".verifier": ("VerifierResult", "lint_kernel", "verify_kernel"),
+})
 
 __all__ = [
     "Diagnostic",

@@ -45,8 +45,9 @@ The verdict (:attr:`VerifierResult.inferred`) is the one answer to
 graph compiler's fuse pass both read it, through
 :func:`~repro.gpu.vector_executor.kernel_vector_safe`.  A fused kernel's
 verdict is its parts'.  Verification is memoised on the underlying function
-object, so decoration-time checks (``@kernel(strict=True)``) and the
-launch path read one IR, built once per kernel body.
+object, so ``repro lint`` and the launch path (where a
+``@kernel(strict=True)`` kernel's errors stop it) read one IR, built once
+per kernel body.
 """
 
 from __future__ import annotations

@@ -63,10 +63,16 @@ Dispatch
 --------
 One command table, :data:`COMMANDS`, holds each subcommand's name, help
 line, argument builder and handler; ``build_parser`` and ``main`` both
-read it.  ``main`` parses every argv with one parser, built on the first
-call and memoised in the ``cli_parser`` memo, so a warm invocation does
-not rebuild argparse.  A ``ReproError`` from any handler prints
-``<command>: <message>`` on stderr and exits 2.
+read it.  ``main`` calls ``build_parser`` on every invocation; it returns
+one parser, built on the first call and memoised in the ``cli_parser``
+memo, so a warm invocation does not rebuild argparse.  A ``ReproError``
+from any handler prints ``<command>: <message>`` on stderr and exits 2.
+
+This module imports no subsystem at its top: each handler imports what
+its command runs when it is dispatched, so ``import repro.cli`` loads
+neither NumPy nor any kernel, and ``bench stencil`` imports the stencil
+workload alone (:mod:`repro.workloads` imports a workload's module on its
+first lookup).
 """
 
 from __future__ import annotations
@@ -79,12 +85,8 @@ import sys
 from typing import Callable, List, NamedTuple, Optional
 
 from . import __version__
-from .backends import get_backend, list_backends
 from .core.errors import ConfigurationError, ReproError
 from .core.memo import Memo
-from .experiments import EXPERIMENTS, list_experiments, run_experiment
-from .experiments.driver import result_scope
-from .gpu import get_gpu, list_gpus
 
 __all__ = ["main", "build_parser", "accepts_option", "COMMANDS", "Command"]
 
@@ -103,7 +105,7 @@ def _add_workload_target(p, *, precision: bool = True) -> None:
 
 def _add_executor(p) -> None:
     """``--executor``, choosing from :data:`repro.workloads.EXECUTOR_MODES`."""
-    from .workloads import EXECUTOR_MODES
+    from .workloads.base import EXECUTOR_MODES
 
     p.add_argument("--executor", default="auto", choices=EXECUTOR_MODES,
                    help="functional-simulator mode for verification "
@@ -293,6 +295,10 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_list(args) -> int:
+    from .backends import list_backends
+    from .experiments import EXPERIMENTS, list_experiments
+    from .gpu.specs import list_gpus
+
     print("experiments:")
     for key in list_experiments():
         print(f"  {key:8s} {EXPERIMENTS[key].DESCRIPTION}")
@@ -302,6 +308,9 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_info(args) -> int:
+    from .backends import get_backend, list_backends
+    from .gpu.specs import get_gpu, list_gpus
+
     print("Simulated GPUs (paper Table 1):")
     for name in list_gpus():
         spec = get_gpu(name)
@@ -351,6 +360,8 @@ def _experiment_ids(ids: List[str]) -> List[str]:
     """Registry ids for *ids*: every experiment when empty or ``all`` is
     given, otherwise each id matched case-insensitively.  Raises before
     anything runs when an id is unknown."""
+    from .experiments import EXPERIMENTS, list_experiments
+
     if not ids or any(i.lower() == "all" for i in ids):
         return list_experiments()
     unknown = [i for i in ids if i.lower() not in EXPERIMENTS]
@@ -362,6 +373,9 @@ def _experiment_ids(ids: List[str]) -> List[str]:
 
 
 def _cmd_run(args) -> int:
+    from .experiments import EXPERIMENTS, run_experiment
+    from .experiments.driver import result_scope
+
     status = 0
     with result_scope():
         for experiment_id in _experiment_ids(args.ids):
@@ -865,6 +879,9 @@ def _report_args(p) -> None:
 
 
 def _cmd_report(args) -> int:
+    from .experiments import run_experiment
+    from .experiments.driver import result_scope
+
     full, write = args.full, args.write
     wanted = _experiment_ids(args.ids)
     collector = None
@@ -1180,7 +1197,15 @@ COMMANDS = {c.name: c for c in (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser, one subparser per entry of :data:`COMMANDS`."""
+    """The CLI argument parser, one subparser per entry of :data:`COMMANDS`.
+
+    Built on the first call and memoised in :data:`PARSER_MEMO`; ``main``
+    calls it on every invocation.
+    """
+    return PARSER_MEMO.get_or_compute("all", _new_parser)
+
+
+def _new_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the tables and figures of the Mojo GPU science-"
@@ -1200,8 +1225,7 @@ PARSER_MEMO = Memo("cli_parser")
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    # looked up by name on a miss, so a wrapped ``build_parser`` sees it
-    args = PARSER_MEMO.get_or_compute("all", build_parser).parse_args(argv)
+    args = build_parser().parse_args(argv)
     command = COMMANDS[args.command or "list"]
     try:
         return command.handler(args)

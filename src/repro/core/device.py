@@ -79,7 +79,7 @@ from ..resilience import faults as _faults
 from .dtypes import DType, dtype_from_any
 from .errors import DeviceError, LaunchError
 from .intrinsics import Dim3
-from .kernel import Kernel, KernelModel, LaunchConfig
+from .kernel import KernelModel, LaunchConfig, as_kernel
 from .layout import Layout, LayoutTensor
 
 __all__ = ["DeviceBuffer", "DeviceContext", "DeviceGraph", "Event",
@@ -1071,8 +1071,7 @@ class DeviceContext:
         precomputed timing breakdown) is supplied, the modelled kernel time is
         recorded on the timeline, which examples use to report bandwidths.
         """
-        if not isinstance(kern, Kernel):
-            kern = Kernel(kern)
+        kern = as_kernel(kern)
         launch = LaunchConfig.make(grid_dim, block_dim)
         stream = self._resolve_stream(stream)
         buffers = _referenced_buffers(args)

@@ -75,8 +75,10 @@ class VerificationError(ReproError):
 class AnalysisError(ReproError):
     """Raised when static analysis rejects a kernel or device graph.
 
-    Only opt-in entry points raise it — ``@kernel(strict=True)`` at
-    decoration time and ``ctx.capture(check=True)`` at capture time; the
-    ``repro lint`` CLI reports the same findings without raising.
+    Only opt-in checks raise it — a ``@kernel(strict=True)`` kernel with
+    error diagnostics at its first launch resolution (eager launch,
+    ``instantiate`` or graph capture, before any lane runs), and
+    ``ctx.capture(check=True)`` at capture time; the ``repro lint`` CLI
+    reports the same findings without raising.
     """
 

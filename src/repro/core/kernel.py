@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .dtypes import DType, dtype_from_any
 from .errors import AnalysisError, LaunchError
@@ -29,6 +29,8 @@ from .intrinsics import Dim3, ceildiv
 
 __all__ = [
     "Kernel",
+    "KernelVerdict",
+    "as_kernel",
     "kernel",
     "registered_kernels",
     "LaunchConfig",
@@ -208,6 +210,17 @@ class LaunchConfig:
         return f"grid={self.grid_dim} block={self.block_dim}"
 
 
+class KernelVerdict(NamedTuple):
+    """The static verifier's verdict on one kernel, as the launch path reads
+    it (:attr:`Kernel.verdict`)."""
+
+    #: may the lockstep executors (``vectorized`` / ``lowered``) run it?
+    vector_safe: bool
+    #: the error diagnostics that stop a ``strict=True`` kernel from running
+    #: (always empty for a kernel that is not strict)
+    strict_errors: Tuple[object, ...]
+
+
 class Kernel:
     """A device kernel: per-thread function plus metadata.
 
@@ -222,10 +235,13 @@ class Kernel:
         Optional callable ``(**problem_params) -> KernelModel`` describing the
         kernel's resource usage for a given problem configuration.
     strict:
-        When True the static kernel verifier (:mod:`repro.analysis`) runs at
-        construction time and any error-severity diagnostic raises
-        :class:`~repro.core.errors.AnalysisError`.  Off by default; the
-        launch path verifies a body at most once, for :attr:`vector_safe`.
+        When True the kernel never runs unless the static kernel verifier
+        (:mod:`repro.analysis`) finds no error-severity diagnostic: its
+        first launch resolution (eager launch, ``instantiate`` or a graph
+        capture) raises :class:`~repro.core.errors.AnalysisError` instead,
+        before any lane runs.  Decoration itself verifies nothing, so
+        importing a kernel module costs no analysis; ``repro lint`` reports
+        the same findings.
     """
 
     def __init__(self, fn: Callable, name: Optional[str] = None,
@@ -236,36 +252,39 @@ class Kernel:
         self.fn = fn
         self.name = name or fn.__name__
         self.model_builder = model_builder
+        self.strict = bool(strict)
         functools.update_wrapper(self, fn)
-        if strict:
-            self._verify_strict()
 
     @functools.cached_property
-    def vector_safe(self) -> bool:
-        """May the lockstep executors (``vectorized`` / ``lowered``) run it?
+    def verdict(self) -> KernelVerdict:
+        """The verifier's verdict, read by every launch resolution.
 
-        True exactly when the static verifier proves the body lockstep-safe
-        (:func:`repro.analysis.verifier.verify_kernel` ``.inferred is
-        True``): SIMT-generic code written with the lane helpers of
-        :mod:`repro.core.intrinsics`.  Verification is memoised per function
-        and the verdict is kept on the kernel after the first read, so every
-        later resolution on the launch path is one attribute read.
+        ``vector_safe`` is True exactly when the static verifier proves the
+        body lockstep-safe (:func:`repro.analysis.verifier.verify_kernel`
+        ``.inferred is True``): SIMT-generic code written with the lane
+        helpers of :mod:`repro.core.intrinsics`.  ``strict_errors`` holds a
+        strict kernel's error diagnostics.  Both come from one memoised
+        verification, and the kernel keeps the verdict after the first
+        read, so every later resolution is one attribute read.
         """
         # Local import: the analysis package is a consumer of this module.
         from ..analysis.verifier import verify_kernel
 
-        return verify_kernel(self).inferred is True
+        result = verify_kernel(self)
+        errors = tuple(d for d in result.diagnostics
+                       if d.severity == "error") if self.strict else ()
+        return KernelVerdict(result.inferred is True, errors)
 
-    def _verify_strict(self) -> None:
-        # Local import: the analysis package is a consumer of this module.
-        from ..analysis.verifier import lint_kernel
+    @property
+    def vector_safe(self) -> bool:
+        """May the lockstep executors run it? (:attr:`verdict`)"""
+        return self.verdict.vector_safe
 
-        errors = [d for d in lint_kernel(self) if d.severity == "error"]
-        if errors:
-            findings = "\n".join(f"  {d}" for d in errors)
-            raise AnalysisError(
-                f"kernel {self.name!r} failed strict verification:\n{findings}"
-            )
+    def strict_error(self) -> AnalysisError:
+        """The error a launch of this unsound strict kernel raises."""
+        findings = "\n".join(f"  {d}" for d in self.verdict.strict_errors)
+        return AnalysisError(
+            f"kernel {self.name!r} failed strict verification:\n{findings}")
 
     def __call__(self, *args, **kwargs):
         """Invoke the per-thread body directly (used by the executor)."""
@@ -283,6 +302,28 @@ class Kernel:
         return f"Kernel({self.name})"
 
 
+def as_kernel(fn: Callable) -> Kernel:
+    """*fn* itself when it is a :class:`Kernel`, else the one kernel every
+    launch of the plain callable *fn* runs as.
+
+    The kernel is kept on the function, so its :attr:`~Kernel.verdict` is
+    computed once however often the callable is launched, and it lives as
+    long as the function does (a module-level map would keep every
+    function alive through its kernel).  A callable that takes no
+    attributes is wrapped afresh on each call.
+    """
+    if isinstance(fn, Kernel):
+        return fn
+    kern = getattr(fn, "_repro_kernel", None)
+    if kern is None or kern.fn is not fn:
+        kern = Kernel(fn)
+        try:
+            fn._repro_kernel = kern
+        except (AttributeError, TypeError):
+            pass
+    return kern
+
+
 def kernel(fn: Optional[Callable] = None, *, name: Optional[str] = None,
            model: Optional[Callable[..., KernelModel]] = None,
            strict: bool = False):
@@ -291,8 +332,9 @@ def kernel(fn: Optional[Callable] = None, *, name: Optional[str] = None,
     Usable bare (``@kernel``) or with options (``@kernel(model=...)``).
     Whether the lockstep executors may run the body is the static
     verifier's verdict (:attr:`Kernel.vector_safe`), not an option.
-    ``strict=True`` runs the static verifier at decoration time and raises
-    :class:`~repro.core.errors.AnalysisError` on any error diagnostic.
+    With ``strict=True`` a body with any error diagnostic never runs: its
+    first launch resolution raises :class:`~repro.core.errors.AnalysisError`
+    (decoration verifies nothing).
 
     Decorated kernels join the registry behind
     :func:`registered_kernels`, which is the population ``repro lint``

@@ -38,13 +38,12 @@ import contextlib
 import dataclasses
 import itertools
 import os
+import sys
 import threading
 import weakref
 from collections import OrderedDict
 from typing import (Any, Callable, Dict, Hashable, Iterator, List,
                     NamedTuple, Optional, Tuple)
-
-import numpy as np
 
 from ..obs import metrics as _obs_metrics
 from .diskstore import read_json_entry, write_json_entry
@@ -115,14 +114,17 @@ def _freeze(value: Any) -> int:
 
     Returns the bytes made read-only.  Any other value counts its
     ``nbytes`` attribute (a captured device graph's buffers, which replays
-    keep writing) or 0 bytes, and is left as it is.
+    keep writing) or 0 bytes, and is left as it is.  NumPy is not imported
+    here: until something else has imported it, no value is an array.
     """
-    if isinstance(value, np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, np.ndarray):
         value.flags.writeable = False
         return value.nbytes
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         fields = (getattr(value, f.name) for f in dataclasses.fields(value))
-        return sum(_freeze(v) for v in fields if isinstance(v, np.ndarray))
+        return sum(_freeze(v) for v in fields
+                   if np is not None and isinstance(v, np.ndarray))
     return int(getattr(value, "nbytes", 0))
 
 

@@ -43,8 +43,9 @@ its own ``thread_idx`` / ``block_idx``).  Four execution modes exist:
     block; results, counters and exceptions match ``vectorized``.
 
 Mode selection is codegen-first and reads one verdict, the static
-verifier's (:func:`kernel_vector_safe`, kept on the kernel after the first
-resolution): ``mode="auto"`` (the default) tries the lowering tier for
+verifier's (:attr:`Kernel.verdict <repro.core.kernel.Kernel.verdict>`, kept
+on the kernel after the first resolution; a ``strict=True`` kernel with
+error diagnostics is refused there in every mode): ``mode="auto"`` (the default) tries the lowering tier for
 every launch of a proven kernel and runs ``vectorized`` when the body falls
 outside the lowerable subset; any other kernel runs ``cooperative`` when
 :func:`kernel_uses_barrier` detects barriers / shared memory and
@@ -101,7 +102,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import LaunchError
 from ..core.intrinsics import Dim3, ThreadState, bind_thread_state
-from ..core.kernel import Kernel, LaunchConfig
+from ..core.kernel import Kernel, LaunchConfig, as_kernel
 from ..resilience import faults as _faults
 from .vector_executor import kernel_vector_safe, run_vectorized
 
@@ -257,16 +258,22 @@ def _resolve_mode(kern: Kernel, args: Sequence, launch: LaunchConfig,
                   mode: str) -> Tuple[str, Optional[Callable]]:
     """The mode a launch runs in, plus its compiled entry when it lowers.
 
-    One rule for ``auto``, ``lowered`` and ``vectorized``: a kernel the
-    static verifier proves lockstep-safe (:func:`kernel_vector_safe`)
+    Every mode first reads the kernel's verdict (:attr:`Kernel.verdict
+    <repro.core.kernel.Kernel.verdict>`): a ``strict=True`` kernel with
+    error diagnostics raises :class:`~repro.core.errors.AnalysisError`
+    here, so it never runs.  Then one rule for ``auto``, ``lowered`` and
+    ``vectorized``: a kernel the static verifier proves lockstep-safe
     lowers, or runs ``vectorized`` when that is requested or lowering
     declines; any other kernel runs ``cooperative`` or ``sequential``.
     """
+    vector_safe, strict_errors = kern.verdict
+    if strict_errors:
+        raise kern.strict_error()
     if mode in ("sequential", "cooperative"):
         return mode, None
     if mode not in ("auto", "lowered", "vectorized"):
         raise LaunchError(f"unknown execution mode {mode!r}")
-    if not kernel_vector_safe(kern):
+    if not vector_safe:
         return ("cooperative" if kernel_uses_barrier(kern)
                 else "sequential"), None
     if mode == "vectorized":
@@ -332,8 +339,7 @@ class KernelExecutor:
             resolved as described in the module docstring.  The returned
             result reports the mode that ran.
         """
-        if not isinstance(kern, Kernel):
-            kern = Kernel(kern)
+        kern = as_kernel(kern)
         _enter_launch(kern.name)
         launch.validate()
         total = launch.total_threads
@@ -390,8 +396,7 @@ class KernelExecutor:
         and reaches the same fault sites, in the same order, as
         :meth:`launch`.
         """
-        if not isinstance(kern, Kernel):
-            kern = Kernel(kern)
+        kern = as_kernel(kern)
         launch.validate()
         if launch.total_threads > self.max_total_threads:
             raise LaunchError(

@@ -46,7 +46,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..core.intrinsics import Dim3, bind_thread_state
-from ..core.kernel import Kernel
+from ..core.kernel import Kernel, as_kernel
 from ..core.memo import Memo
 from ..resilience import faults as _faults
 
@@ -80,15 +80,14 @@ def kernel_vector_safe(kern) -> bool:
     """True when the static verifier proves *kern* safe for lockstep execution.
 
     The one verdict every dispatch decision reads (the executor's mode
-    resolution and the fuse pass alike): :attr:`Kernel.vector_safe
-    <repro.core.kernel.Kernel.vector_safe>`, kept on the kernel after the
-    first resolution.  A plain callable pays one memoised verifier lookup.
+    resolution and the fuse pass alike): :attr:`Kernel.verdict
+    <repro.core.kernel.Kernel.verdict>`, kept on the kernel after the
+    first resolution.  A plain callable reads the verdict of the one
+    kernel it runs as (:func:`~repro.core.kernel.as_kernel`).
     """
-    if isinstance(kern, Kernel):
-        return kern.vector_safe
-    from ..analysis.verifier import verify_kernel
-
-    return verify_kernel(kern).inferred is True
+    if not isinstance(kern, Kernel):
+        kern = as_kernel(kern)
+    return kern.verdict.vector_safe
 
 
 class LaneDim3:

@@ -13,12 +13,20 @@ Entry points
 * ``lower_launch(kern, args, launch)`` -> compiled entry or ``None``
 * ``RunRequest(optimize="all")`` opts a workload's captured graphs in
 * ``repro graph <workload> --passes ...`` inspects what the passes did
+
+The names below resolve on first access (:mod:`repro._lazy`): the
+executor's ``auto`` dispatch imports the lowering tier without the passes.
 """
 
-from .lower import (LoweringUnsupported, lower_launch, lower_source,
-                    lowering_report)
-from .passes import GraphOptReport, PASS_NAMES, optimize_graph, parse_passes
-from .report import GraphOptBenchReport, graphopt_report, replay_timings
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".lower": ("LoweringUnsupported", "lower_launch", "lower_source",
+               "lowering_report"),
+    ".passes": ("GraphOptReport", "PASS_NAMES", "optimize_graph",
+                "parse_passes"),
+    ".report": ("GraphOptBenchReport", "graphopt_report", "replay_timings"),
+})
 
 __all__ = [
     "GraphOptBenchReport",

@@ -13,8 +13,15 @@ science kernels of the paper.
 Every workload accepts the same frozen :class:`RunRequest` and returns the
 same :class:`WorkloadResult` shape, so sweeps, the CLI ``bench`` command and
 the figure experiments drive all kernels uniformly.
+
+The registry names the four built-ins from the start but imports a
+workload's module (and its kernels) only when it is first looked up, so
+``get_workload("stencil")`` never imports miniBUDE, BabelStream or
+Hartree–Fock.  The workload classes below resolve on first access
+(:mod:`repro._lazy`).
 """
 
+from .._lazy import lazy_exports
 from .base import (
     DEFAULT_PROTOCOL,
     EXECUTOR_MODES,
@@ -33,10 +40,13 @@ from .registry import (
     register_workload,
     unregister_workload,
 )
-from .babelstream import BabelStreamWorkload
-from .hartreefock import HartreeFockWorkload
-from .minibude import MiniBudeWorkload
-from .stencil import StencilWorkload
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".babelstream": ("BabelStreamWorkload",),
+    ".hartreefock": ("HartreeFockWorkload",),
+    ".minibude": ("MiniBudeWorkload",),
+    ".stencil": ("StencilWorkload",),
+})
 
 __all__ = [
     "ParamSpec", "RunRequest", "Verification", "Workload", "WorkloadResult",
@@ -48,11 +58,6 @@ __all__ = [
     "run_workload",
     "ResultCache", "run_cached", "default_result_cache",
 ]
-
-register_workload(StencilWorkload(), "laplacian")
-register_workload(BabelStreamWorkload(), "stream")
-register_workload(MiniBudeWorkload(), "bude")
-register_workload(HartreeFockWorkload(), "hf")
 
 
 def run_workload(request: RunRequest) -> WorkloadResult:

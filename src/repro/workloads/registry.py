@@ -8,7 +8,9 @@ and dispatch workloads through it, so adding a workload is one
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import importlib
+import threading
+from typing import Dict, NamedTuple, Tuple, Union
 
 from ..core.errors import ConfigurationError
 from .base import Workload
@@ -16,7 +18,19 @@ from .base import Workload
 __all__ = ["register_workload", "get_workload", "list_workloads",
            "unregister_workload"]
 
-_REGISTRY: Dict[str, Workload] = {}
+
+class _Builtin(NamedTuple):
+    """A built-in workload registered by name; its module is imported, and
+    the workload made, on the first :func:`get_workload` that reaches it."""
+
+    name: str
+    module: str
+    cls: str
+
+
+_REGISTRY: Dict[str, Union[Workload, _Builtin]] = {}
+#: one built-in is made at a time, so concurrent first lookups share it
+_LOAD_LOCK = threading.Lock()
 
 
 def register_workload(workload: Workload, *aliases: str,
@@ -53,15 +67,12 @@ def register_workload(workload: Workload, *aliases: str,
 
 def unregister_workload(name: str) -> None:
     """Remove a workload (and any aliases pointing at it)."""
-    workload = get_workload(name)
+    workload = _entry(name)
     for key in [k for k, v in _REGISTRY.items() if v is workload]:
         del _REGISTRY[key]
 
 
-def get_workload(name) -> Workload:
-    """Look up a workload by name; passes Workload instances through."""
-    if isinstance(name, Workload):
-        return name
+def _entry(name) -> Union[Workload, _Builtin]:
     try:
         return _REGISTRY[str(name).lower()]
     except KeyError:
@@ -71,6 +82,41 @@ def get_workload(name) -> Workload:
         ) from None
 
 
+def get_workload(name) -> Workload:
+    """Look up a workload by name; passes Workload instances through.
+
+    A built-in workload's module is imported on its first lookup.
+    """
+    if isinstance(name, Workload):
+        return name
+    entry = _entry(name)
+    if not isinstance(entry, _Builtin):
+        return entry
+    with _LOAD_LOCK:
+        entry = _entry(name)
+        if isinstance(entry, _Builtin):
+            workload = getattr(importlib.import_module(entry.module),
+                               entry.cls)()
+            for key in [k for k, v in _REGISTRY.items() if v is entry]:
+                _REGISTRY[key] = workload
+            entry = workload
+    return entry
+
+
 def list_workloads() -> Tuple[str, ...]:
     """Canonical names of registered workloads, sorted."""
     return tuple(sorted({w.name for w in _REGISTRY.values()}))
+
+
+#: the paper's four workloads, under their names and aliases
+for _builtin, _aliases in (
+        (_Builtin("stencil", "repro.workloads.stencil", "StencilWorkload"),
+         ("laplacian",)),
+        (_Builtin("babelstream", "repro.workloads.babelstream",
+                  "BabelStreamWorkload"), ("stream",)),
+        (_Builtin("minibude", "repro.workloads.minibude",
+                  "MiniBudeWorkload"), ("bude",)),
+        (_Builtin("hartreefock", "repro.workloads.hartreefock",
+                  "HartreeFockWorkload"), ("hf",))):
+    for _key in (_builtin.name, *_aliases):
+        _REGISTRY[_key] = _builtin

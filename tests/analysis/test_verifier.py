@@ -11,12 +11,16 @@ from __future__ import annotations
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
 
 from repro.analysis import lint_kernel, verify_kernel
 from repro.analysis.lint import shipped_kernels
+from repro.core.device import DeviceContext
+from repro.core.dtypes import DType
 from repro.core.errors import AnalysisError
-from repro.core.kernel import Kernel
+from repro.core.kernel import Kernel, LaunchConfig
+from repro.gpu.executor import KernelExecutor
 
 _FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "broken_kernels.py"
 _spec = importlib.util.spec_from_file_location("broken_kernels", _FIXTURE)
@@ -55,10 +59,28 @@ def test_verify_result_is_memoised():
     assert verify_kernel(kern) is verify_kernel(kern)
 
 
-def test_strict_decoration_raises_on_broken_kernel():
-    with pytest.raises(AnalysisError) as exc:
-        Kernel(broken.divergent_barrier, strict=True)
-    assert "KV101" in str(exc.value)
+def test_strict_kernel_refused_at_first_launch_resolution():
+    """``strict=True`` is checked where a body would first run, not at
+    decoration: every executor mode, ``instantiate`` and a captured graph
+    refuse the unsound kernel before any lane runs, and lint reports it."""
+    kern = Kernel(broken.divergent_barrier, strict=True)     # no raise
+    launch = LaunchConfig.make(1, 4)
+    out = np.zeros(1)
+    executor = KernelExecutor()
+    for mode in ("auto", "lowered", "vectorized", "sequential",
+                 "cooperative"):
+        with pytest.raises(AnalysisError, match="KV101"):
+            executor.launch(kern, (out,), launch, mode=mode)
+    with pytest.raises(AnalysisError, match="KV101"):
+        executor.instantiate(kern, (out,), launch)
+    ctx = DeviceContext("h100")
+    buf = ctx.enqueue_create_buffer(DType.float64, 1)
+    with pytest.raises(AnalysisError, match="KV101"):
+        with ctx.capture("strict") as graph:
+            ctx.enqueue_function(kern, buf, grid_dim=1, block_dim=4)
+        graph.replay()
+    assert out[0] == 0.0 and buf.array[0] == 0.0     # no lane ran
+    assert "KV101" in _rules(kern)
 
 
 def test_strict_decoration_accepts_clean_kernel():

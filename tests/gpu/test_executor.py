@@ -280,3 +280,29 @@ class TestBarrierDetection:
 
     def test_real_calls_are_detected(self):
         assert kernel_uses_barrier(_block_sum_kernel) is True
+
+
+def _plain_body(out, n):
+    """An undecorated kernel body: launches wrap it in a Kernel."""
+    i = block_idx.x * block_dim.x + thread_idx.x
+    if i < n:
+        out[i] = 2.0 * i
+
+
+class TestPlainCallable:
+    def test_launches_keep_one_kernel_and_its_verdict(self):
+        from repro.analysis.verifier import VERIFY_MEMO
+
+        def lookups():
+            info = VERIFY_MEMO.cache_info()
+            return info.hits + info.misses
+
+        executor = KernelExecutor()
+        out = np.zeros(16)
+        launch = LaunchConfig.make(1, 16)
+        before = lookups()
+        for _ in range(50):
+            executor.launch(_plain_body, (out, 16), launch)
+            executor.instantiate(_plain_body, (out, 16), launch)()
+        assert lookups() - before <= 1
+        np.testing.assert_array_equal(out, 2.0 * np.arange(16))

@@ -8,6 +8,7 @@ import pytest
 
 from repro import __version__
 from repro import cli as cli_mod
+from repro import experiments as experiments_mod
 from repro.cli import accepts_option, build_parser, main
 from repro.core.errors import ConfigurationError
 from repro.core.memo import memo_infos
@@ -681,7 +682,7 @@ PARITY_ARGVS = [
 
 def _memoised_parser():
     """The parser ``main`` parses with."""
-    return cli_mod.PARSER_MEMO.get_or_compute("all", build_parser)
+    return build_parser()
 
 
 def _outcome(capsys, call, argv):
@@ -702,7 +703,7 @@ class TestCommandTable:
     def test_memoised_parser_matches_a_fresh_parser(self, argv):
         # the memoised parser has already parsed the earlier argvs
         memoised = _memoised_parser().parse_args(argv)
-        assert memoised == build_parser().parse_args(argv)
+        assert memoised == cli_mod._new_parser().parse_args(argv)
 
     @pytest.mark.parametrize("argv", [["--help"]] + [
         [name, "--help"] for name in cli_mod.COMMANDS])
@@ -728,7 +729,8 @@ class TestCommandTable:
     def test_memoised_parser_errors_read_as_a_fresh_parsers(
             self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
-        full = _outcome(capsys, lambda a: build_parser().parse_args(a), argv)
+        full = _outcome(capsys, lambda a: cli_mod._new_parser().parse_args(a),
+                        argv)
         assert full[0] == 2
         assert _outcome(capsys, main, argv) == full
 
@@ -754,6 +756,21 @@ class TestCommandTable:
         parser = _memoised_parser()
         assert parser.parse_args(["bench", "stencil"]).param == []
 
+    def test_main_calls_build_parser_on_every_invocation(self, capsys,
+                                                         monkeypatch):
+        # a wrapper of build_parser (a profiler's layer span) sees every
+        # parse, memo hit or not
+        calls = []
+        real = cli_mod.build_parser
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(cli_mod, "build_parser", counting)
+        assert main(["info"]) == 0 and main(["info"]) == 0
+        assert len(calls) == 2 and real() is real()
+
     def test_parser_memo_misses_once_then_hits(self, capsys):
         cli_mod.PARSER_MEMO.clear()
         assert main(["info"]) == 0
@@ -769,7 +786,7 @@ class TestCommandTable:
         def fail(*args, **kwargs):
             raise ConfigurationError("no such experiment model")
 
-        monkeypatch.setattr(cli_mod, "run_experiment", fail)
+        monkeypatch.setattr(experiments_mod, "run_experiment", fail)
         assert main([command, "fig5"]) == 2
         assert capsys.readouterr().err == \
             f"{command}: no such experiment model\n"

@@ -1,5 +1,8 @@
 """Tests for the unified workload registry."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.core.errors import ConfigurationError
@@ -48,6 +51,25 @@ class TestRegistry:
         assert get_workload("STENCIL") is get_workload("stencil")
         assert get_workload("hf") is get_workload("hartreefock")
         assert get_workload("laplacian") is get_workload("stencil")
+
+    def test_concurrent_first_lookups_share_one_builtin(self, monkeypatch):
+        from repro.workloads import registry
+
+        pending = registry._Builtin("stencil", "repro.workloads.stencil",
+                                    "StencilWorkload")
+        for key in ("stencil", "laplacian"):
+            monkeypatch.setitem(registry._REGISTRY, key, pending)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                found = list(pool.map(get_workload,
+                                      ["stencil", "laplacian"] * 16,
+                                      timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({id(w) for w in found}) == 1
+        assert get_workload("laplacian") is found[0]
 
     def test_instance_passthrough(self):
         wl = get_workload("minibude")
