@@ -140,9 +140,9 @@ def _stencil_executor_fixture(L):
     args = problem.inverse_spacing_squared
     layout = Layout.row_major(L, L, L)
     u = LayoutTensor(DType.float64, layout, u_host.reshape(-1).copy(),
-                     mut=False, bounds_check=False)
+                     mut=False)
     f_store = np.zeros(L ** 3)
-    f = LayoutTensor(DType.float64, layout, f_store, bounds_check=False)
+    f = LayoutTensor(DType.float64, layout, f_store)
     launch = stencil_launch_config(L, (4, 4, 4))
     return f_store, (f, u, L, L, L, *args), launch
 
@@ -218,8 +218,8 @@ def test_bench_graph_reenqueue_stencil_point(benchmark):
         u_buf = ctx.enqueue_create_buffer(problem.dtype, L ** 3, label="u")
         f_buf = ctx.enqueue_create_buffer(problem.dtype, L ** 3, label="f")
         u_buf.copy_from_host(u_host)
-        u = u_buf.tensor(layout, mut=False, bounds_check=False)
-        f = f_buf.tensor(layout, bounds_check=False)
+        u = u_buf.tensor(layout, mut=False)
+        f = f_buf.tensor(layout)
         ctx.enqueue_function(kern, f, u, L, L, L, *sargs,
                              grid_dim=launch.grid_dim,
                              block_dim=launch.block_dim,
@@ -248,8 +248,8 @@ def test_bench_graph_replay_stencil_point(benchmark):
     ctx = DeviceContext("h100")
     u_buf = ctx.enqueue_create_buffer(problem.dtype, L ** 3, label="u")
     f_buf = ctx.enqueue_create_buffer(problem.dtype, L ** 3, label="f")
-    u = u_buf.tensor(layout, mut=False, bounds_check=False)
-    f = f_buf.tensor(layout, bounds_check=False)
+    u = u_buf.tensor(layout, mut=False)
+    f = f_buf.tensor(layout)
     with ctx.capture("stencil-point") as graph:
         u_buf.copy_from_host(u_host)
         ctx.enqueue_function(kern, f, u, L, L, L, *sargs,
@@ -274,9 +274,9 @@ def _stencil_launch_fixture(L, block_shape):
     args = problem.inverse_spacing_squared
     layout = Layout.row_major(L, L, L)
     u = LayoutTensor(DType.float64, layout, u_host.reshape(-1).copy(),
-                     mut=False, bounds_check=False)
+                     mut=False)
     f_store = np.zeros(L ** 3)
-    f = LayoutTensor(DType.float64, layout, f_store, bounds_check=False)
+    f = LayoutTensor(DType.float64, layout, f_store)
     launch = stencil_launch_config(L, block_shape)
     return f_store, (f, u, L, L, L, *args), launch
 
@@ -355,9 +355,9 @@ def test_bench_vectorized_babelstream_dot(benchmark):
     a_store = rng.normal(size=n)
     b_store = rng.normal(size=n)
     a = LayoutTensor(DType.float64, Layout.row_major(n), a_store,
-                     mut=False, bounds_check=False)
+                     mut=False)
     b = LayoutTensor(DType.float64, Layout.row_major(n), b_store,
-                     mut=False, bounds_check=False)
+                     mut=False)
     sums = np.zeros(blocks)
     launch = LaunchConfig.make(blocks, tb)
     executor = KernelExecutor()
@@ -377,15 +377,17 @@ def _science_launch(kernel_name):
 
     Returns ``(kernel, args, launch, output array)``: fasten on an 8x32
     deck with 64 poses, the ERI kernel on a 4-atom helium system, Dot on
-    n=4096 with 4 blocks of 64 threads (bounds-checked, as the BabelStream
-    runner binds it).
+    n=4096 with 4 blocks of 64 threads.  Bounds checks are what the region
+    analysis leaves, as in the runners: fasten's transforms and forcefield,
+    the ERI kernel's Schwarz, geometry, density and Fock tensors, and Dot's
+    grid-stride inputs.
     """
     from repro.core.layout import Layout, LayoutTensor
 
-    def tensor(data, shape=None, dtype=DType.float64, checked=False):
+    def tensor(data, shape=None, dtype=DType.float64):
         flat = np.array(data, dtype=dtype.to_numpy()).reshape(-1)
         return LayoutTensor(dtype, Layout.row_major(*(shape or (flat.size,))),
-                            flat, bounds_check=checked)
+                            flat)
 
     if kernel_name == "fasten":
         from repro.kernels.minibude.kernel import fasten_kernel
@@ -417,9 +419,9 @@ def _science_launch(kernel_name):
 
     n, tb, blocks = 4096, 64, 4
     rng = np.random.default_rng(12)
-    sums = tensor(np.zeros(blocks), checked=True)
-    args = (tensor(rng.normal(size=n), checked=True),
-            tensor(rng.normal(size=n), checked=True), sums, n, tb)
+    sums = tensor(np.zeros(blocks))
+    args = (tensor(rng.normal(size=n)), tensor(rng.normal(size=n)), sums, n,
+            tb)
     return dot_kernel, args, LaunchConfig.make(blocks, tb), sums.ptr
 
 
@@ -555,8 +557,8 @@ def _stencil_graph_capture(L, mode):
     ctx = DeviceContext("h100")
     u_buf = ctx.enqueue_create_buffer(problem.dtype, L ** 3, label="u")
     f_buf = ctx.enqueue_create_buffer(problem.dtype, L ** 3, label="f")
-    u = u_buf.tensor(layout, mut=False, bounds_check=False)
-    f = f_buf.tensor(layout, bounds_check=False)
+    u = u_buf.tensor(layout, mut=False)
+    f = f_buf.tensor(layout)
     with ctx.capture(f"stencil-{mode}") as graph:
         u_buf.copy_from_host(u_host)
         ctx.enqueue_function(laplacian_kernel, f, u, L, L, L, *sargs,

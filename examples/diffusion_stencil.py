@@ -44,8 +44,8 @@ def simulate_on_device(L=16, steps=5, alpha_dt=1e-5):
 
     reference = u_host.copy()
     for step in range(steps):
-        u = d_u.tensor(layout, mut=False, bounds_check=False)
-        f = d_f.tensor(layout, bounds_check=False)
+        u = d_u.tensor(layout, mut=False)
+        f = d_f.tensor(layout)
         d_f.fill(0.0)
         ctx.enqueue_function(laplacian_kernel, f, u, L, L, L, *inv,
                              grid_dim=launch.grid_dim, block_dim=launch.block_dim)

@@ -55,8 +55,8 @@ def main() -> None:
     d_x.copy_from_host(x_host)
     d_y.copy_from_host(y_host)
 
-    x = d_x.tensor(Layout.row_major(n_small), mut=False, bounds_check=False)
-    y = d_y.tensor(Layout.row_major(n_small), bounds_check=False)
+    x = d_x.tensor(Layout.row_major(n_small), mut=False)
+    y = d_y.tensor(Layout.row_major(n_small))
     ctx.enqueue_function(axpy_kernel, y, x, 3.0, n_small,
                          grid_dim=ceildiv(n_small, BLOCK_SIZE),
                          block_dim=BLOCK_SIZE)

@@ -29,10 +29,15 @@ The IR records the facts its consumers need:
 * ``compress_lanes`` clamps, the early ``if not any_lane(m): return``
   guard, and the names bound to a launch axis's global index;
 * barriers, lane-guarded returns, lane-dependent control flow and the
-  constructs with no SIMT meaning (``print``, ``global``, ``yield`` …).
+  constructs with no SIMT meaning (``print``, ``global``, ``yield`` …);
+* the parameters the body uses other than as the tensor of a subscript,
+  masked accessor or atomic (``escapes``): a helper call, an alias or a
+  closure may index them where no :class:`Access` records it.
 
 Anything the interpreter cannot bound becomes ⊤, never a smaller set, so
 the regions read off the IR over-approximate what lanes actually touch.
+A guard bounds a name only while the name keeps the value it had when the
+guard was entered.
 """
 
 from __future__ import annotations
@@ -272,6 +277,8 @@ class KernelIR:
                                  Optional[Mask]]]
     early_guards: Dict[ast.stmt, Optional[Mask]]   # if not any_lane(m): return
     unmodelled: Tuple[str, ...]      # statements read without a model
+    #: parameters used other than as an access's tensor (see module doc)
+    escapes: frozenset = frozenset()
     analyzable: bool = True
 
 
@@ -286,13 +293,16 @@ class _Walk:
                                       for p in self.params}
         for a in args.kwonlyargs:
             self.env[a.arg] = (UNIFORM, None, None)
-        self.masks: List[Mask] = []      # active masks (clamp name reads)
+        #: active masks (clamp name reads), each with the env entries of
+        #: the names it bounds when it was entered
+        self.masks: List[Tuple[Mask, Dict]] = []
         self.guards: List[tuple] = []    # enclosing (taint, test, lane guard)
         self.tail = False                # an early lane return dominates
         self.stopped = False
         self.phase = 0
         self.records = {k: [] for k in ("accesses", "barriers", "lane_returns",
-                                        "divergence", "unsafe", "unmodelled")}
+                                        "divergence", "unsafe", "unmodelled",
+                                        "escapes")}
         self.axes: Dict = {}
         self.masks_at: Dict = {}
         self.clamps: Dict = {}
@@ -340,10 +350,14 @@ class _Walk:
             return (taint, vals[0][1]), mask
         return (taint, tuple((taint, s) for _, s in vals)), mask
 
+    def _enter(self, mask: Mask) -> None:
+        self.masks.append((mask, {name: self.env.get(name)
+                                  for name in mask.bounds}))
+
     def _masked(self, node, mask: Optional[Mask]):
         if mask is None:
             return self.eval(node)
-        self.masks.append(mask)
+        self._enter(mask)
         try:
             return self.eval(node)
         finally:
@@ -357,8 +371,6 @@ class _Walk:
         sym = self.env.get(base.id, (0, None, None))[1]
         if sym is _SHARED:
             return base.id, None
-        if base.id in self.pos:
-            return base.id, self.pos[base.id]
         if isinstance(sym, Var) and sym.name in self.pos:
             return sym.name, self.pos[sym.name]
         return None
@@ -417,13 +429,18 @@ class _Walk:
                          and not isinstance(v, bool) else None)
 
     def _e_Name(self, node):
-        taint, sym, _ = self.env.get(node.id, (UNIFORM, None, None))
+        entry = self.env.get(node.id, (UNIFORM, None, None))
+        taint, sym, _ = entry
         if node.id in _LANE_SOURCES:
             taint = LANE
         elif node.id in _UNIFORM_GEOMETRY:
             taint = UNIFORM
+        if isinstance(sym, Var) and sym.name in self.pos:
+            self._add("escapes", sym.name)
         if isinstance(sym, SymExpr):
-            for mask in self.masks:
+            for mask, entered in self.masks:
+                if entered.get(node.id, entry) is not entry:
+                    continue        # rebound since the guard was entered
                 for lo, hi in mask.bounds.get(node.id, ()):
                     sym = Clamp(sym, lo, hi)
         return taint, sym
@@ -509,6 +526,29 @@ class _Walk:
 
     _e_List = _e_Set = _e_Tuple
 
+    def _e_ListComp(self, node):
+        """A comprehension: its targets are ⊤ inside it, never the values
+        the enclosing names hold."""
+        saved = dict(self.env)
+        try:
+            taint = UNIFORM
+            for gen in node.generators:
+                t = self.eval(gen.iter)[0]
+                taint = max(taint, t)
+                for name in assigned_names([gen.target]):
+                    self.env[name] = (t, None, None)
+                for cond in gen.ifs:
+                    taint = max(taint, self.eval(cond)[0])
+            for elt in ("elt", "key", "value"):
+                sub = getattr(node, elt, None)
+                if sub is not None:
+                    taint = max(taint, self.eval(sub)[0])
+            return taint, None
+        finally:
+            self.env = saved
+
+    _e_SetComp = _e_DictComp = _e_GeneratorExp = _e_ListComp
+
     def _e_Yield(self, node):
         self._add("unsafe", (node.lineno, "yield", ()))
         return self.eval(node.value) if node.value is not None \
@@ -526,6 +566,10 @@ class _Walk:
 
     def _e_Call(self, node):
         name, args = callee(node), node.args
+        kwargs = [k.value for k in node.keywords]
+        if isinstance(node.func, ast.Attribute):
+            # the object of a method call: ``t.load(i)`` escapes ``t``
+            self.eval(node.func.value)
         if name in _BARRIERS:
             self._add("barriers", (node.lineno, self._lane_guard()))
             self.phase += 1
@@ -533,7 +577,7 @@ class _Walk:
         if name in _LANE_INDEX_CALLS:
             return LANE, (_DIM3 if not args else None)
         if name in _REDUCTIONS:
-            for a in args:
+            for a in args + kwargs:
                 self.eval(a)
             return UNIFORM, None
         if name == "lane_where" and len(args) == 3:
@@ -551,18 +595,20 @@ class _Walk:
             self._access(args[0], args[1], "r", node.lineno,
                          mask_node=args[2],
                          mask=m if isinstance(m, Mask) else None)
-            for a in args[3:]:
+            for a in args[3:] + kwargs:
                 self.eval(a)
             return GUARDED, None
         if name in _MASKED_WRITES and len(args) >= 4:
-            self.eval(args[2])
+            for a in [args[2]] + args[4:] + kwargs:
+                self.eval(a)
             m = self.eval(args[3])[1]
             self._access(args[0], args[1], "w", node.lineno,
                          mask_node=args[3],
                          mask=m if isinstance(m, Mask) else None)
             return GUARDED, None
         if name in _ATOMICS and len(args) >= 2:
-            taint = max((self.eval(a)[0] for a in args[2:]), default=UNIFORM)
+            taint = max((self.eval(a)[0] for a in args[2:] + kwargs),
+                        default=UNIFORM)
             # a read-modify-write of one cell (a shared array: one write)
             buf = self._buffer(args[0])
             kinds = "w" if buf is not None and buf[1] is None else "rw"
@@ -624,7 +670,13 @@ class _Walk:
     _stmt_Import = _stmt_ImportFrom = _stmt_Pass
 
     def _stmt_FunctionDef(self, node):
-        # nested helper definitions are opaque
+        # nested helper definitions are opaque; a parameter they close over
+        # escapes
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                sym = self.env.get(sub.id, (0, None, None))[1]
+                if isinstance(sym, Var) and sym.name in self.pos:
+                    self._add("escapes", sym.name)
         self.env[node.name] = (UNIFORM, None, None)
 
     _stmt_AsyncFunctionDef = _stmt_ClassDef = _stmt_FunctionDef
@@ -728,7 +780,7 @@ class _Walk:
         """Walk one arm of an ``if``; True when it returned."""
         self.guards.append(frame)
         if mask is not None:
-            self.masks.append(mask)
+            self._enter(mask)
         try:
             self.walk(body)
         finally:
@@ -847,7 +899,8 @@ class _Walk:
             divergence=tuple(r["divergence"]),
             unsafe=tuple(r["unsafe"]), axes=self.axes,
             masks=self.masks_at, clamps=self.clamps, early_guards=self.early,
-            unmodelled=tuple(r["unmodelled"]), analyzable=analyzable)
+            unmodelled=tuple(r["unmodelled"]),
+            escapes=frozenset(r["escapes"]), analyzable=analyzable)
 
 
 def _merge(saved: Dict, a: Dict, b: Dict) -> Dict:

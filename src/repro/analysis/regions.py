@@ -9,7 +9,7 @@ tightened by the guard masks, ``compress_lanes`` clamps and ``lane_where``
 selects the front end recognises (the same facts the verifier and the
 lowering tier read).  The symbolic summary is launch-independent and
 memoised on the kernel function; *concretizing* it against an actual launch
-and argument list yields integer index boxes per buffer, which feed four
+and argument list yields integer index boxes per buffer, which feed five
 consumers:
 
 * **racecheck** — provably disjoint cross-stream boxes suppress GR201;
@@ -21,6 +21,10 @@ consumers:
   when a leader launch reproduces a follower's exact regions.
 * **tuning** — :func:`launch_traffic` replaces the heuristic
   bytes-per-thread roofline inputs with exact per-buffer byte counts.
+* **bounds checks** — a tensor argument whose every access is proven
+  inside its extent (:attr:`ArgRegion.in_bounds`) runs unchecked: the
+  executor's interpreters get an unchecked view of it and the lowering
+  tier emits no check for it.
 
 Soundness
 ---------
@@ -31,7 +35,10 @@ the access to ⊤ (the whole buffer), never to a smaller set.  Disjointness
 conclusions drawn from regions are therefore sound.  The opposite
 direction (an access *must* go out of bounds) additionally requires the
 expression to be endpoint-exact — affine with single-occurrence variables
-— and unguarded; only then does ``KV106`` fire as an error.
+— and unguarded; only then does ``KV106`` fire as an error.  ``in_bounds``
+is the sound direction again: it needs a finite, non-empty box inside the
+extent for every access, and a parameter the body never hands anywhere
+else (``KernelIR.escapes``).
 """
 
 from __future__ import annotations
@@ -91,6 +98,8 @@ class RegionSummary:
     accesses: Tuple[Access, ...]
     analyzable: bool
     reasons: Tuple[str, ...] = ()
+    #: parameters used other than as an access's tensor
+    escapes: frozenset = frozenset()
 
 
 # --------------------------------------------------------------------------
@@ -125,7 +134,8 @@ def _build_summary(fn, name: str) -> RegionSummary:
     return RegionSummary(kernel=name, source=ir.source, params=ir.params,
                          accesses=tuple(a for a in ir.accesses
                                         if a.index is not None),
-                         analyzable=True, reasons=ir.unmodelled)
+                         analyzable=True, reasons=ir.unmodelled,
+                         escapes=ir.escapes)
 
 
 # --------------------------------------------------------------------------
@@ -143,7 +153,9 @@ class ArgRegion:
     can actually touch) — the form racecheck and the traffic model want.
     ``access_key`` is the *unclipped* per-access fingerprint, which the
     fusion cover check compares: clipping could make two different lane
-    populations look identical at the boundary.
+    populations look identical at the boundary.  ``in_bounds`` is the
+    proof that every access stays inside the extent under this launch, so
+    the argument runs without bounds checks.
     """
 
     index: int
@@ -154,6 +166,7 @@ class ArgRegion:
     writes: Tuple[Box, ...]
     exact: bool                       # no ⊤ access hit this argument
     access_key: Tuple = ()            # ((kind, line, raw box | None), ...)
+    in_bounds: bool = False           # every access proven inside the extent
 
 
 @dataclass(frozen=True)
@@ -183,6 +196,11 @@ class LaunchRegions:
 
     def by_index(self) -> Dict[int, ArgRegion]:
         return {r.index: r for r in self.regions}
+
+    @property
+    def in_bounds(self) -> frozenset:
+        """Positions of the tensor arguments that run unchecked."""
+        return frozenset(r.index for r in self.regions if r.in_bounds)
 
 
 def _arg_key(arg) -> Tuple:
@@ -282,7 +300,8 @@ def _concretize_fused(kern, parts, args, launch) -> Optional[LaunchRegions]:
                     index=pos, param=region.param, shape=region.shape,
                     elem_bytes=region.elem_bytes, reads=region.reads,
                     writes=region.writes, exact=region.exact,
-                    access_key=region.access_key)
+                    access_key=region.access_key,
+                    in_bounds=region.in_bounds)
             else:
                 merged[pos] = ArgRegion(
                     index=pos, param=prev.param, shape=prev.shape,
@@ -291,7 +310,8 @@ def _concretize_fused(kern, parts, args, launch) -> Optional[LaunchRegions]:
                     writes=prev.writes + region.writes,
                     exact=prev.exact and region.exact
                     and prev.shape == region.shape,
-                    access_key=prev.access_key + region.access_key)
+                    access_key=prev.access_key + region.access_key,
+                    in_bounds=prev.in_bounds and region.in_bounds)
     return LaunchRegions(
         kernel=name, source=source,
         regions=tuple(merged[i] for i in sorted(merged)),
@@ -328,6 +348,9 @@ def _concretize_summary(summary: RegionSummary, args,
     reads: Dict[int, List[Box]] = {}
     writes: Dict[int, List[Box]] = {}
     inexact: Set[int] = set()
+    # an escaping parameter may be indexed where no access records it
+    checked: Set[int] = {i for i in shapes
+                         if summary.params[i] in summary.escapes}
     keys: Dict[int, List[Tuple]] = {}
     oob: List[OOBFinding] = []
     proven: Set = set()
@@ -349,6 +372,7 @@ def _concretize_summary(summary: RegionSummary, args,
         if box is None:
             # ⊤: the whole buffer
             inexact.add(acc.index)
+            checked.add(acc.index)
             unproven.add(acc.line)
             whole = tuple((0, d - 1) for d in shape)
             sink.setdefault(acc.index, []).append(whole)
@@ -382,6 +406,7 @@ def _concretize_summary(summary: RegionSummary, args,
             proven.add(acc.line)
         else:
             unproven.add(acc.line)
+            checked.add(acc.index)
         if clipped is None:            # provably empty lane set
             continue
         cbox = tuple(clipped)
@@ -400,7 +425,8 @@ def _concretize_summary(summary: RegionSummary, args,
             reads=tuple(reads.get(idx, ())),
             writes=tuple(writes.get(idx, ())),
             exact=idx not in inexact,
-            access_key=tuple(keys.get(idx, ()))))
+            access_key=tuple(keys.get(idx, ())),
+            in_bounds=idx not in checked))
     return LaunchRegions(
         kernel=summary.kernel, source=summary.source,
         regions=tuple(regions), oob=tuple(oob),

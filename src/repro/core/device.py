@@ -209,13 +209,17 @@ class DeviceBuffer:
         return self
 
     # ------------------------------------------------------------------ views
-    def tensor(self, layout: Optional[Layout] = None, *, mut: bool = True,
-               bounds_check: bool = True) -> LayoutTensor:
-        """Create a :class:`LayoutTensor` view over this buffer."""
+    def tensor(self, layout: Optional[Layout] = None, *,
+               mut: bool = True) -> LayoutTensor:
+        """Create a :class:`LayoutTensor` view over this buffer.
+
+        Accesses are bounds-checked except in a launch whose accesses to
+        this tensor the region analysis proves in bounds.
+        """
         self._check_live()
         layout = layout or Layout.row_major(self.count)
         return LayoutTensor(self.dtype, layout, self, mut=mut,
-                            bounds_check=bounds_check, name=self.label)
+                            name=self.label)
 
     # ----------------------------------------------------------------- free
     def free(self) -> None:

@@ -8,8 +8,11 @@ same abstraction for the simulated device: a :class:`Layout` is a pure
 shape/stride description, and a :class:`LayoutTensor` is a zero-copy view over
 a NumPy array or :class:`~repro.core.device.DeviceBuffer`.
 
-Bounds checking is on by default (this is a correctness-first simulator) and
-can be disabled per tensor for speed in large benchmark runs.
+Every access is bounds-checked unless the access-region analysis
+(:func:`repro.analysis.regions.concretize_launch`) proves, for one concrete
+launch, that each access to the tensor stays inside its extent: the
+executor then runs the kernel on a private unchecked view
+(:meth:`LayoutTensor._unchecked`).  There is no user-facing switch.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from .dtypes import DType, dtype_from_any
 from .errors import LayoutError
 
-__all__ = ["Layout", "LayoutTensor"]
+__all__ = ["Layout", "LayoutTensor", "check_index", "index_error"]
 
 
 def _as_shape(dims: Sequence[int]) -> Tuple[int, ...]:
@@ -112,9 +115,7 @@ class Layout:
         for i, (x, d, s) in enumerate(zip(idx, self.shape, self.strides)):
             x = int(x)
             if x < 0 or x >= d:
-                raise LayoutError(
-                    f"index {x} out of bounds for dimension {i} of extent {d}"
-                )
+                raise index_error(x, i, d, lanes=False)
             off += x * s
         return off
 
@@ -133,10 +134,7 @@ class Layout:
         off = 0
         for i, (x, d, s) in enumerate(zip(idx, self.shape, self.strides)):
             x = np.asarray(x)
-            if x.size and (int(x.min()) < 0 or int(x.max()) >= d):
-                raise LayoutError(
-                    f"lane index out of bounds for dimension {i} of extent {d}"
-                )
+            check_index(x, i, d)
             off = off + x * s
         return off
 
@@ -147,6 +145,32 @@ class Layout:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         dims = "x".join(str(d) for d in self.shape)
         return f"Layout.{self.order}({dims})"
+
+
+def index_error(x, dim: int, extent: int, lanes: bool) -> LayoutError:
+    """The error of an index component *x* outside ``[0, extent)``.
+
+    The lane form (*lanes* true: *x* holds one index per lane) names no
+    value; the scalar form names the index, and for an array of scalar
+    indices (one per loop iteration, in iteration order) the first bad one.
+    """
+    if lanes:
+        return LayoutError(f"lane index out of bounds for dimension {dim} "
+                           f"of extent {extent}")
+    if isinstance(x, np.ndarray):
+        flat = x.reshape(-1)
+        x = flat[np.flatnonzero((flat < 0) | (flat >= extent))[0]]
+    return LayoutError(f"index {int(x)} out of bounds for dimension {dim} "
+                       f"of extent {extent}")
+
+
+def check_index(x: np.ndarray, dim: int, extent: int,
+                lanes: bool = True) -> None:
+    """Raise :func:`index_error` unless every entry of *x* is in
+    ``[0, extent)``: the check of :meth:`Layout.offset_array` and of the
+    lowering tier's generated code."""
+    if x.size and (x.min() < 0 or x.max() >= extent):
+        raise index_error(x, dim, extent, lanes)
 
 
 def _flatten_dims(dims) -> Tuple[int, ...]:
@@ -170,19 +194,21 @@ class LayoutTensor:
         at least ``layout.size`` elements.  The tensor never copies.
     mut:
         Whether writes are allowed; mirrors Mojo's ``mut`` parameter.
-    bounds_check:
-        Verify every access against the layout (default True).
+
+    Every access is checked against the layout.  A launch whose accesses
+    to the tensor the region analysis proves in bounds runs on an
+    unchecked view instead (:meth:`_unchecked`, made by the executor).
     """
 
-    __slots__ = ("dtype", "layout", "_data", "mut", "bounds_check", "name",
+    __slots__ = ("dtype", "layout", "_data", "mut", "_checked", "name",
                  "_strides", "_f64", "device_buffer")
 
     def __init__(self, dtype, layout: Layout, storage, *, mut: bool = True,
-                 bounds_check: bool = True, name: str = ""):
+                 name: str = ""):
         self.dtype: DType = dtype_from_any(dtype)
         self.layout = layout
         self.mut = bool(mut)
-        self.bounds_check = bool(bounds_check)
+        self._checked = True
         self.name = name
         # Cached for the unchecked fast path; per-element indexing inside
         # simulated kernels is the executor's hottest operation.  float64
@@ -246,7 +272,7 @@ class LayoutTensor:
     # the scalar resolution (``int()`` / ``ndarray.item``) and are re-resolved
     # through :meth:`Layout.offset_array` / fancy indexing.
     def __getitem__(self, index):
-        if self.bounds_check:
+        if self._checked:
             try:
                 off = (self.layout.offset(*index) if type(index) is tuple
                        else self.layout.offset(index))
@@ -275,7 +301,7 @@ class LayoutTensor:
     def __setitem__(self, index, value):
         if not self.mut:
             raise LayoutError(f"tensor {self.name or '<anonymous>'} is immutable")
-        if self.bounds_check:
+        if self._checked:
             try:
                 off = (self.layout.offset(*index) if type(index) is tuple
                        else self.layout.offset(index))
@@ -295,6 +321,18 @@ class LayoutTensor:
         else:
             off = index * self._strides[0]
         self._data[off] = value
+
+    def _unchecked(self) -> "LayoutTensor":
+        """A view of the same storage whose accesses skip the bounds check.
+
+        Only for a launch the region analysis proves in bounds for this
+        tensor (:class:`repro.analysis.regions.ArgRegion`'s ``in_bounds``).
+        """
+        view = object.__new__(LayoutTensor)
+        for slot in LayoutTensor.__slots__:
+            setattr(view, slot, getattr(self, slot))
+        view._checked = False
+        return view
 
     def load(self, *index):
         """Element load, explicit-call form of ``__getitem__``."""

@@ -58,6 +58,12 @@ safety is a property of the kernel body, not of the request);
 one resolver, and the :class:`ExecutionResult` reports the mode that
 actually ran.
 
+Bounds checks follow one fact, the region analysis's
+(:attr:`repro.analysis.regions.ArgRegion.in_bounds`): the interpreter modes
+run on private unchecked views of the tensor arguments it proves in bounds
+under the launch (:func:`_unchecked_views`), and the lowering tier emits no
+check for them; every other tensor access is checked.
+
 Execution-mode / performance envelope
 -------------------------------------
 The functional simulator exists to check *correctness* of per-thread kernel
@@ -103,6 +109,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..core.errors import LaunchError
 from ..core.intrinsics import Dim3, ThreadState, bind_thread_state
 from ..core.kernel import Kernel, LaunchConfig, as_kernel
+from ..core.layout import LayoutTensor
 from ..resilience import faults as _faults
 from .vector_executor import kernel_vector_safe, run_vectorized
 
@@ -285,6 +292,20 @@ def _resolve_mode(kern: Kernel, args: Sequence, launch: LaunchConfig,
     return ("vectorized", None) if entry is None else ("lowered", entry)
 
 
+def _unchecked_views(kern: Kernel, args: Sequence,
+                     launch: LaunchConfig) -> Sequence:
+    """*args* with an unchecked view of each tensor the region analysis
+    proves in bounds under *launch*: what the interpreter modes run on."""
+    from ..analysis.regions import concretize_launch
+
+    lr = concretize_launch(kern, args, launch)
+    proven = lr.in_bounds if lr is not None else ()
+    if not proven:
+        return args
+    return tuple(a._unchecked() if i in proven and isinstance(a, LayoutTensor)
+                 else a for i, a in enumerate(args))
+
+
 def _enter_launch(name: str) -> None:
     """The ``launch`` fault site every launch reaches first, eager or
     replayed."""
@@ -356,6 +377,8 @@ class KernelExecutor:
                 f"threads per block, got {launch.threads_per_block}"
             )
 
+        if entry is None:
+            args = _unchecked_views(kern, args, launch)
         counters = ExecutionCounters()
         start = time.perf_counter()
         if entry is not None:
@@ -411,6 +434,7 @@ class KernelExecutor:
                 _run_lowered(entry, name, args)
         elif mode == "vectorized":
             per_block = kernel_uses_barrier(kern)
+            args = _unchecked_views(kern, args, launch)
 
             def thunk() -> None:
                 _enter_launch(name)

@@ -20,11 +20,29 @@ point when the body fits the supported shape and ``None`` otherwise, and
 the executor falls back to the lockstep interpreter.  Behaviour is
 identical either way: the generated code performs the interpreter's
 element operations in its order and dtypes (a float64 scalar load is a
-Python float, a narrower one a NumPy scalar), keeps its checks (bounds
-checks on ``bounds_check=True`` tensors, the atomic index check, lock and
-count) and returns the barrier and atomic counts and shared bytes per block
-the interpreter would report.  ``tests/gpu/test_mode_differential.py`` and
-the property suite hold the tier to bitwise equality.
+Python float, a narrower one a NumPy scalar), keeps its checks (the atomic
+index check, lock and count, and the bounds checks below) and returns the
+barrier and atomic counts and shared bytes per block the interpreter would
+report.  ``tests/gpu/test_mode_differential.py`` and the property suite
+hold the tier to bitwise equality.  One exception: the axis form runs each
+statement over every iteration of its loop before the next statement, so
+a launch with out-of-bounds indices in two statements of one such loop
+may report a different one of its bad indices than the interpreter (the
+same ``LayoutError`` type; a launch with one bad index names it exactly).
+
+Bounds checks: a tensor argument the region analysis proves in bounds
+under the launch (:attr:`repro.analysis.regions.ArgRegion.in_bounds`)
+gets none.  For any other, each index value is checked once per extent
+per emission scope (straight-line code, one loop body, one branch): a
+statement before the first access that reads it (an expression is bound
+to a fresh variable first), :func:`repro.core.layout.check_index` for
+arrays, raising the interpreter's own message (the lane form, or the
+scalar form for a value that is one scalar per loop iteration).  The
+record of checks is saved and restored with the bindings, so one branch
+never relies on the other's, and rebinding a variable drops its checks.
+A checked index of a non-integer dtype refuses the body (the interpreter
+truncates it with ``int()``).  Slices are in bounds by
+construction (a slice escaping its tensor refuses the slice rule).
 
 One emitter, two index rules:
 
@@ -85,7 +103,9 @@ Specialisation key: generated source bakes launch extents, scalar argument
 values and tensor layouts, so compiled entries are memoised in
 :data:`LOWERED_MEMO` on (kernel function, launch, whether the launch is one
 lane chunk, argument signature), where a tensor's signature is its shape,
-dtype, layout order, strides, mutability and bounds checking.  Tensor
+dtype, layout order, strides and mutability.  Which tensors are checked
+follows from the launch, the shapes and the scalar values, so the key
+needs nothing more for it.  Tensor
 *data* is rebound on every call (the entry re-reads ``args[i].ptr``), so
 replaying a graph with new H2D bindings reuses the compiled module.
 """
@@ -104,6 +124,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.kernel_ir import assigned_names, kernel_ir
+from ..analysis.regions import concretize_launch
 from ..analysis.symexpr import Interval, launch_env
 from ..core import atomics as _atomics
 from ..core import intrinsics as _intrinsics
@@ -111,7 +132,7 @@ from ..core.dtypes import dtype_from_any
 from ..core.errors import LaunchError
 from ..core.intrinsics import Dim3
 from ..core.kernel import Kernel, LaunchConfig
-from ..core.layout import LayoutTensor
+from ..core.layout import LayoutTensor, check_index, index_error
 from ..core.memo import Memo
 from ..gpu.executor import kernel_uses_barrier
 from ..gpu.vector_executor import _block_geometry, _grid_geometry, single_chunk
@@ -147,19 +168,22 @@ class _Axis:
 
 
 class _Tensor:
-    """A tensor argument: combined-arg index, layout facts, and whether the
-    body stores to it and reads it at a non-zero lane offset."""
+    """A tensor argument: combined-arg index, layout facts, whether its
+    accesses need bounds checks (the region analysis did not prove them in
+    bounds) and whether the body stores to it and reads it at a non-zero
+    lane offset."""
 
-    __slots__ = ("index", "shape", "strides", "dtype", "mut", "bounds_check",
+    __slots__ = ("index", "shape", "strides", "dtype", "mut", "checked",
                  "name", "stored", "shifted_read")
 
-    def __init__(self, index: int, tensor: LayoutTensor, name: str):
+    def __init__(self, index: int, tensor: LayoutTensor, name: str,
+                 checked: bool):
         self.index = index
         self.shape = tensor.shape
         self.strides = tensor.layout.strides
         self.dtype = np.dtype(tensor.dtype.to_numpy())
         self.mut = tensor.mut
-        self.bounds_check = tensor.bounds_check
+        self.checked = checked
         self.name = name
         self.stored = False
         self.shifted_read = False
@@ -540,6 +564,10 @@ class _BodyLowerer:
         # runtime branch and axis-form loop body opens a new one
         self.scope = 0
         self.scopes = itertools.count(1)
+        #: (scope, index variable, extent) of every bounds check that
+        #: holds here: saved and restored with the env, and dropped for a
+        #: binding's variable when :meth:`_set` rebinds it
+        self.checks: set = set()
         self.merge_mask: Optional[str] = None   # per-block while mask
         self.per_block = per_block
         self.shared: Dict[str, _SharedArr] = {}
@@ -879,17 +907,49 @@ class _BodyLowerer:
         return comps
 
     # --------------------------------------------------------- memory ops
-    def _offset(self, t: "_Tensor", comps, scalar: bool) -> str:
-        """The interpreter's flat offset for *comps* (checked or not)."""
-        srcs = [self.src(c) for c in comps]
+    def _offset(self, t: "_Tensor", comps) -> str:
+        """The interpreter's flat offset for *comps*, after the bounds
+        checks the tensor needs."""
         if len(comps) != len(t.shape):
             raise _fail("tensor subscript rank does not match its shape")
-        if t.bounds_check:
-            fn = "offset" if scalar else "offset_array"
-            return f"_L{t.index}.{fn}({', '.join(srcs)})"
+        if t.checked:
+            comps = self._check(comps, t.shape)
+        srcs = [self.src(c) for c in comps]
         terms = [s if st == 1 else f"{s} * {st}"
                  for s, st in zip(srcs, t.strides)]
         return " + ".join(f"({x})" for x in terms)
+
+    def _check(self, comps, shape) -> List:
+        """Check each index component against its extent, once per
+        variable, extent and scope (an expression is bound to a fresh
+        variable first), with the interpreter's message: the lane form
+        once a lane array reaches the check (``Layout.offset`` hands the
+        whole index to ``offset_array`` at its first lane array)."""
+        out, lanes = [], False
+        for dim, (c, extent) in enumerate(zip(comps, shape)):
+            lanes = lanes or self.lanes_of(c)
+            if isinstance(c, _Const):
+                if not (_is_int(c.value) and 0 <= c.value < extent):
+                    # the interpreter raises here; let it
+                    raise _fail(f"static index {c.value!r} out of bounds")
+                out.append(c)
+                continue
+            if c.dtype is None or c.dtype.kind not in "iu":
+                # ``Layout.offset`` truncates with ``int()``; NumPy would not
+                raise _fail("tensor index is not an integer")
+            c = self.temp(c)
+            key = (self.scope, c.src, extent)
+            if key not in self.checks:
+                if self.is_array(c):
+                    self.emit(f"_check_index({c.src}, {dim}, {extent}, "
+                              f"{lanes})")
+                else:
+                    self.emit(f"if not 0 <= {c.src} < {extent}:")
+                    self.emit(f"    raise _index_error({c.src}, {dim}, "
+                              f"{extent}, False)")
+                self.checks.add(key)
+            out.append(c)
+        return out
 
     def _live_index(self, comps) -> List:
         """Inside a grid-stride trip axis, a block's trips past its own
@@ -913,14 +973,14 @@ class _BodyLowerer:
         self.reads.add(t.index)
         comps = self._live_index(comps)
         if not any(self.is_array(c) for c in comps):
-            off = self._offset(t, comps, True)
+            off = self._offset(t, comps)
             if t.dtype == np.float64:
                 return _Dyn(f"_f{t.index}.item({off})", t.dtype, True, False)
             return _Dyn(f"_f{t.index}[{off}]", t.dtype, False, False)
         lanes = self.lanes_of(*comps)
         # a float64 load without lanes is a Python float per iteration
         weak = (not lanes) and t.dtype == np.float64
-        return _Dyn(f"_f{t.index}[{self._offset(t, comps, False)}]", t.dtype,
+        return _Dyn(f"_f{t.index}[{self._offset(t, comps)}]", t.dtype,
                     weak, lanes, self.axes_of(*comps))
 
     def _store(self, t: "_Tensor", comps, value) -> None:
@@ -929,8 +989,7 @@ class _BodyLowerer:
             # the interpreter raises LayoutError here; let it
             raise _fail(f"store into immutable tensor {t.name!r}")
         self.writes.add(t.index)
-        scalar = not any(self.is_array(c) for c in comps)
-        self.emit(f"_f{t.index}[{self._offset(t, comps, scalar)}] = "
+        self.emit(f"_f{t.index}[{self._offset(t, comps)}] = "
                   f"{self.src(value)}")
 
     def _shared_index(self, sh: _SharedArr, comps) -> str:
@@ -1411,9 +1470,9 @@ class _BodyLowerer:
         self.writes.add(target.index)
         f = f"_f{target.index}"
         tuple_index = isinstance(node.args[1], ast.Tuple)
-        srcs = ", ".join(self.src(c) for c in comps)
         if not any(self.is_array(c) for c in comps):
             # one read-modify-write, resolved exactly as the interpreter does
+            srcs = ", ".join(self.src(c) for c in comps)
             self.ns["_Atomic"] = _atomics.Atomic
             index = f"({srcs},)" if tuple_index else srcs
             self.emit("_nat += 1")
@@ -1422,14 +1481,17 @@ class _BodyLowerer:
             return None
         flat = self._new()
         if tuple_index:
-            self.emit(f"{flat} = np.asarray(_L{target.index}.offset_array("
-                      f"{srcs}), dtype=np.intp)")
+            # in bounds per dimension, so in bounds of the flat storage
+            self.emit(f"{flat} = np.asarray({self._offset(target, comps)}, "
+                      f"dtype=np.intp)")
         else:
-            self.emit(f"{flat} = np.asarray({srcs}, dtype=np.intp)")
-        self.emit(f"if {flat}.size and (int({flat}.min()) < 0 or "
-                  f"int({flat}.max()) >= {f}.size):")
-        self.emit(f"    raise _LaunchError(f'atomic lane index out of bounds "
-                  f"for size {{{f}.size}}')")
+            self.emit(f"{flat} = np.asarray({self.src(comps[0])}, "
+                      f"dtype=np.intp)")
+            if target.checked:
+                self.emit(f"if {flat}.size and (int({flat}.min()) < 0 or "
+                          f"int({flat}.max()) >= {f}.size):")
+                self.emit(f"    raise _LaunchError(f'atomic lane index out "
+                          f"of bounds for size {{{f}.size}}')")
         self.emit(f"_nat += int({flat}.size)")
         self.emit("with _ATOMIC_LOCK:")
         self.emit(f"    np.add.at({f}, {flat}, {self.src(value)})")
@@ -1566,6 +1628,10 @@ class _BodyLowerer:
         return key[1].items[key[2]]
 
     def _set(self, key, value) -> None:
+        if self.checks:
+            # the key's variable is rebound: its checks no longer hold
+            var = self._stable(key)
+            self.checks = {k for k in self.checks if k[1] != var}
         if key[0] == "n":
             self.env[key[1]] = value
         else:
@@ -1832,7 +1898,8 @@ class _BodyLowerer:
 
     def _python_for(self, node, var: str, header: str, known: bool) -> bool:
         def prepare():
-            self.env[var] = _Dyn(f"v_{var}", np.dtype(np.int64), True, False)
+            self._set(("n", var), _Dyn(f"v_{var}", np.dtype(np.int64), True,
+                                       False))
             return header
         self._runtime_loop(prepare, node.body, known, {var})
         return False
@@ -1847,11 +1914,13 @@ class _BodyLowerer:
 
     def _save_env(self):
         seqs = _reachable_seqs(list(self.env.values()))
-        return dict(self.env), [(s, list(s.items)) for s in seqs]
+        return (dict(self.env), [(s, list(s.items)) for s in seqs],
+                set(self.checks))
 
     def _restore_env(self, saved) -> None:
-        env, seqs = saved
+        env, seqs, checks = saved
         self.env = dict(env)
+        self.checks = set(checks)
         for seq, items in seqs:
             seq.items = list(items)
 
@@ -1925,7 +1994,12 @@ class _BodyLowerer:
                 return self._while_per_block(node)
 
         def prepare():
-            return f"while {self.ev(node.test).src}:"
+            mark = len(self.lines)
+            test = self.ev(node.test).src
+            if len(self.lines) != mark:
+                # a check or temporary would run once, not per test
+                raise _fail("while test needs statements")
+            return f"while {test}:"
         self._runtime_loop(prepare, node.body, False, set())
         return False
 
@@ -2216,7 +2290,7 @@ def _arg_signature(args: Sequence) -> Tuple:
         if isinstance(a, LayoutTensor):
             lay = a.layout
             sig.append(("T", lay.shape, a.dtype.name, lay.order, lay.strides,
-                        a.mut, a.bounds_check))
+                        a.mut))
         elif isinstance(a, (int, float, np.integer, np.floating)):
             sig.append(("S", type(a).__name__, a))
         else:
@@ -2225,8 +2299,9 @@ def _arg_signature(args: Sequence) -> Tuple:
 
 
 def _bind_params(fn, args: Sequence, indices: Sequence[int],
-                 tensors: Dict[int, _Tensor]):
-    """Bind *fn*'s parameters to combined-arg symbols: (env, kernel IR)."""
+                 tensors: Dict[int, _Tensor], in_bounds: frozenset):
+    """Bind *fn*'s parameters to combined-arg symbols: (env, kernel IR).
+    Tensors outside *in_bounds* get bounds checks."""
     ir = kernel_ir(fn)
     if ir is None or not isinstance(ir.fndef, ast.FunctionDef):
         raise _fail("kernel source is unavailable")
@@ -2243,7 +2318,8 @@ def _bind_params(fn, args: Sequence, indices: Sequence[int],
                 raise _fail(f"tensor {pname!r} is not row-major contiguous")
             sym = tensors.get(idx)
             if sym is None:
-                sym = tensors[idx] = _Tensor(idx, a, pname)
+                sym = tensors[idx] = _Tensor(idx, a, pname,
+                                             idx not in in_bounds)
             env[pname] = sym
         elif isinstance(a, (int, float, np.integer, np.floating)):
             env[pname] = _Const(a, f"_s{idx}")
@@ -2280,11 +2356,10 @@ def _compile(kern, launch, source: str, ns: Optional[Dict] = None):
     return module._entry, source
 
 
-#: generated-code references to argument ``i``: flat data, layout, tensor,
-#: scalar, and the row-major view the slice rule indexes
-_ARG_TOKEN = re.compile(r"(?<![\w])_([fLTsd])(\d+)\b")
-_ARG_PRELUDE = {"f": "args[{i}].ptr", "L": "args[{i}].layout",
-                "T": "args[{i}]", "s": "args[{i}]",
+#: generated-code references to argument ``i``: flat data, tensor, scalar,
+#: and the row-major view the slice rule indexes
+_ARG_TOKEN = re.compile(r"(?<![\w])_([fTsd])(\d+)\b")
+_ARG_PRELUDE = {"f": "args[{i}].ptr", "T": "args[{i}]", "s": "args[{i}]",
                 "d": "args[{i}].ptr[:{size}].reshape({shape!r})"}
 #: generated-code references to lane index arrays
 _LANE_TOKEN = re.compile(r"(?<![\w])_(?:[tb][xyz]|bi)\b")
@@ -2331,11 +2406,14 @@ def _generate_rule(kern, args: Sequence, launch: LaunchConfig,
     ns = {"np": np, "math": math, "_fold": _fold, "_LaunchError": LaunchError,
           "_ATOMIC_LOCK": _atomics._ATOMIC_LOCK, "_Dim3": Dim3,
           "_grid_geometry": _grid_geometry,
-          "_block_geometry": _block_geometry}
+          "_block_geometry": _block_geometry, "_check_index": check_index,
+          "_index_error": index_error}
+    regions = concretize_launch(kern, args, launch)
+    in_bounds = regions.in_bounds if regions is not None else frozenset()
     tensors: Dict[int, _Tensor] = {}
     funcs, calls, axis_arrays, n, shared = [], [], [], 0, 0
     for k, (fn, indices) in enumerate(_kernel_parts(kern, args)):
-        env, ir = _bind_params(fn, args, indices, tensors)
+        env, ir = _bind_params(fn, args, indices, tensors, in_bounds)
         low = _BodyLowerer(fn, env, launch, rule, per_block, ns, n, ir)
         low.run(ir.fndef.body)
         if not gathers and not low.lines:

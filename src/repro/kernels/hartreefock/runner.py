@@ -157,7 +157,7 @@ def enqueue_hartreefock(ctx: DeviceContext, system: HeSystem,
         flat = np.asarray(data, dtype=np.float64).reshape(-1)
         buf = ctx.enqueue_create_buffer(DType.float64, flat.size, label=label)
         buf.copy_from_host(flat, stream=next(lanes))
-        return buf.tensor(Layout.row_major(*shape), mut=mut, bounds_check=False)
+        return buf.tensor(Layout.row_major(*shape), mut=mut)
 
     schwarz_t = upload(schwarz, (len(schwarz),), "schwarz")
     xpnt_t = upload(system.xpnt, (ngauss,), "xpnt")

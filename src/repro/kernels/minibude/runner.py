@@ -72,7 +72,7 @@ def enqueue_fasten(ctx: DeviceContext, deck: Deck, *, ppwi: int = 2,
     def upload(data, label):
         buf = ctx.enqueue_create_buffer(DType.float32, data.size, label=label)
         buf.copy_from_host(data, stream=next(lanes))
-        return buf.tensor(mut=False, bounds_check=False)
+        return buf.tensor(mut=False)
 
     inputs = {label: upload(data, label)
               for label, data in fasten_inputs(deck).items()}
@@ -82,7 +82,7 @@ def enqueue_fasten(ctx: DeviceContext, deck: Deck, *, ppwi: int = 2,
     ctx.fan_in(pool, compute, prefix="uploads")
     ctx.enqueue_function(
         fasten_kernel, ppwi, deck.natlig, deck.natpro, inputs["protein"],
-        inputs["ligand"], *transforms, etot_buf.tensor(bounds_check=False),
+        inputs["ligand"], *transforms, etot_buf.tensor(),
         inputs["forcefield"], deck.nposes,
         grid_dim=launch.grid_dim, block_dim=launch.block_dim, mode=executor,
         model=fasten_kernel_model(ppwi=ppwi, natlig=deck.natlig,

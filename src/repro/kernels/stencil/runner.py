@@ -64,8 +64,8 @@ def enqueue_stencil(ctx: DeviceContext, problem: StencilProblem,
         compute.wait(ctx.event("uploads").record(h2d))
     launch = stencil_launch_config(L, block_shape)
     ctx.enqueue_function(
-        laplacian_kernel, f_buf.tensor(layout, mut=True, bounds_check=False),
-        u_buf.tensor(layout, mut=False, bounds_check=False), L, L, L,
+        laplacian_kernel, f_buf.tensor(layout, mut=True),
+        u_buf.tensor(layout, mut=False), L, L, L,
         *problem.inverse_spacing_squared,
         grid_dim=launch.grid_dim, block_dim=launch.block_dim, mode=executor,
         model=stencil_kernel_model(L=L, precision=problem.precision),

@@ -7,8 +7,8 @@ and every fixture function in ``fixtures/{broken,region}_kernels.py``:
 * the ``kernel_regions(k)`` summary: ``analyzable`` and each access's
   param, kind, line, guarded, exact and ``str`` of its index expressions;
 * for the shipped kernels, ``lower_source`` at the launches
-  ``tests/gpu/test_mode_differential.py::CASES`` runs, on unchecked and on
-  bounds-checked tensors.
+  ``tests/gpu/test_mode_differential.py::CASES`` runs (the region analysis
+  decides which tensors the generated code checks).
 
 The comparison is exact.  Regenerate with
 ``PYTHONPATH=src python tests/analysis/test_golden_analysis.py --write``.
@@ -63,18 +63,15 @@ class _Recorder:
 
 
 def _lowered_sources():
-    """``{kernel: {"unchecked" | "checked": source}}`` at CASES launches."""
+    """``{kernel: source}`` at CASES launches."""
     diff = _load("mode_differential",
                  HERE.parent / "gpu" / "test_mode_differential.py")
     out = {}
     for family in sorted(diff.CASES):
-        run_case = diff.CASES[family][0]
-        for label, checked in (("unchecked", False), ("checked", True)):
-            rec = _Recorder()
-            run_case(rec, "auto", checked=checked)
-            for kern, args, launch in rec.launches:
-                out.setdefault(kern.name, {})[label] = \
-                    lower_source(kern, args, launch)
+        rec = _Recorder()
+        diff.CASES[family][0](rec, "auto")
+        for kern, args, launch in rec.launches:
+            out[kern.name] = lower_source(kern, args, launch)
     return out
 
 
@@ -119,8 +116,7 @@ def test_golden_covers_the_shipped_kernels_lowered():
     lowered = {k for k, v in expected.items() if "lower" in v}
     assert len(lowered) == 8
     for key in lowered:
-        assert all(expected[key]["lower"][label]
-                   for label in ("unchecked", "checked")), key
+        assert expected[key]["lower"], key
 
 
 if __name__ == "__main__":

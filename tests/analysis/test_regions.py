@@ -25,6 +25,7 @@ from repro.analysis import (
 from repro.analysis.symexpr import Interval
 from repro.core.device import DeviceContext
 from repro.core.dtypes import DType
+from repro.core.intrinsics import any_lane, compress_lanes, global_idx
 from repro.core.kernel import Kernel, LaunchConfig
 
 _FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "region_kernels.py"
@@ -119,6 +120,74 @@ class TestKernelRegions:
         traffic = launch_traffic(
             kern, (a.tensor(), c.tensor(), 1000), launch)
         assert traffic == (1000 * 8.0, 1000 * 8.0)
+
+
+def _copy_via_helper(a, c, n):
+    i = global_idx().x
+    m = i < n
+    if not any_lane(m):
+        return
+    i = compress_lanes(m, i)
+    c[i] = _read(a, i)          # the helper may index ``a`` anywhere
+
+
+def _read(t, i):
+    return t[i + 1]
+
+
+def _copy_via_method(a, c, n):
+    i = global_idx().x
+    m = i < n
+    if not any_lane(m):
+        return
+    i = compress_lanes(m, i)
+    c[i] = a.load(i + 1)
+
+
+def _rebound_under_guard(a, c, n):
+    i = global_idx().x
+    if i < n:
+        i = i + 1               # no longer bounded by the guard
+        c[i] = a[0]
+
+
+def _comprehension_target(a, c, n):
+    k = 0
+    s = sum([a[k] for k in range(n + 4)])
+    c[k] = s
+
+
+class TestInBounds:
+    """``ArgRegion.in_bounds``: the fact that switches bounds checks off."""
+
+    N = 64
+    LAUNCH = LaunchConfig.make(1, 64)
+
+    def _in_bounds(self, fn):
+        ctx, a, c = _buffers(self.N)
+        return concretize_launch(Kernel(fn), (a.tensor(), c.tensor(), self.N),
+                                 self.LAUNCH).in_bounds
+
+    def test_guarded_copy_is_proven(self):
+        assert self._in_bounds(fx.guarded_copy) == {0, 1}
+
+    def test_tail_launch_is_not_proven(self):
+        ctx, a, c = _buffers(self.N)
+        lr = concretize_launch(Kernel(fx.oob_copy),
+                               (a.tensor(), c.tensor(), self.N),
+                               LaunchConfig.make(1, self.N + 1))
+        assert lr.in_bounds == frozenset()
+
+    @pytest.mark.parametrize("fn", [_copy_via_helper, _copy_via_method])
+    def test_escaping_tensor_is_not_proven(self, fn):
+        # ``c`` is only subscripted in bounds; ``a`` leaves the body
+        assert self._in_bounds(fn) == {1}
+
+    def test_guard_stops_bounding_a_rebound_name(self):
+        assert self._in_bounds(_rebound_under_guard) == {0}
+
+    def test_comprehension_target_is_not_the_outer_name(self):
+        assert self._in_bounds(_comprehension_target) == {1}
 
 
 class TestKV106:

@@ -101,11 +101,6 @@ class TestLayoutTensor:
         with pytest.raises(LayoutError):
             _ = t[4, 0]
 
-    def test_bounds_check_disabled_allows_fast_path(self):
-        t, _ = self._tensor(bounds_check=False)
-        t[1, 1] = 2.0
-        assert t[1, 1] == 2.0
-
     def test_storage_too_small(self):
         layout = Layout.row_major(10)
         with pytest.raises(LayoutError):

@@ -3,9 +3,11 @@
 The verify-path launches of the four science kernels (stencil, the five
 BabelStream kernels, miniBUDE's fasten and the Hartree–Fock ERI kernel) run
 on small seeded inputs in ``auto``, ``lowered``, ``vectorized`` and the
-scalar mode each kernel needs, with unchecked and bounds-checked tensors.
-Outputs must be equal byte for byte (so ``-0.0`` and ``0.0`` differ and
-equal NaNs agree), the :class:`~repro.gpu.executor.ExecutionCounters` and
+scalar mode each kernel needs, once with the region analysis deciding which
+tensor arguments run without bounds checks and once with every access
+checked.  Outputs must be equal byte for byte
+(so ``-0.0`` and ``0.0`` differ and equal NaNs agree), the
+:class:`~repro.gpu.executor.ExecutionCounters` and
 ``shared_bytes_per_block`` identical, and ``auto`` (and its alias
 ``lowered``) must report the tier that actually ran: every shipped kernel
 lowers.  One larger input per kernel checks ``auto`` against
@@ -17,7 +19,8 @@ kernel that is not shipped, a grid-stride reduction whose trip count
 differs between lanes and between blocks (one block runs no trip at all),
 holds the lowering tier's trip axis and prefix slices to the same rules;
 a variant that rebinds constants from before the loop inside it must not
-take the trip axis.
+take the trip axis.  A float64 scalar index, which the interpreters
+truncate, must give the same result in every mode.
 
 The one stated tolerance: the Hartree–Fock kernel's scalar path evaluates
 the Boys function with ``math.erf`` per thread where the lane path uses a
@@ -32,6 +35,7 @@ import functools
 import numpy as np
 import pytest
 
+from repro.analysis.regions import LaunchRegions
 from repro.core.dtypes import DType
 from repro.core.errors import LayoutError
 from repro.core.intrinsics import (
@@ -39,6 +43,7 @@ from repro.core.intrinsics import (
     barrier,
     block_dim,
     block_idx,
+    compress_lanes,
     masked_gather,
     masked_store,
     shared_array,
@@ -46,8 +51,10 @@ from repro.core.intrinsics import (
 )
 from repro.core.kernel import LaunchConfig, kernel
 from repro.core.layout import Layout, LayoutTensor
+from repro.core.memo import Memo
 from repro.gpu import vector_executor
 from repro.gpu.executor import KernelExecutor
+from repro.graphopt import lower as lower_mod
 from repro.graphopt import lower_launch, lower_source
 from repro.kernels.babelstream.kernels import (
     SCALAR,
@@ -72,14 +79,13 @@ MODES = ("auto", "lowered", "vectorized", "sequential")
 SCALAR_ERF_RTOL = 1e-13
 
 
-def _tensor(data, shape=None, dtype=DType.float64, mut=True, checked=False):
+def _tensor(data, shape=None, dtype=DType.float64, mut=True):
     flat = np.array(data, dtype=dtype.to_numpy()).reshape(-1)
     layout = Layout.row_major(*(shape or (flat.size,)))
-    return LayoutTensor(dtype, layout, flat, mut=mut, bounds_check=checked)
+    return LayoutTensor(dtype, layout, flat, mut=mut)
 
 
-def _stencil(ex, mode, checked=False, L=12, block=(8, 4, 4)):
-    _tensor = functools.partial(globals()["_tensor"], checked=checked)
+def _stencil(ex, mode, L=12, block=(8, 4, 4)):
     problem = StencilProblem(L, "float64")
     u = _tensor(problem.initial_field(), (L, L, L), mut=False)
     f = _tensor(np.zeros(L ** 3), (L, L, L))
@@ -89,8 +95,7 @@ def _stencil(ex, mode, checked=False, L=12, block=(8, 4, 4)):
     return {"f": f.ptr}, {"laplacian_kernel": res}
 
 
-def _babelstream(ex, mode, checked=False):
-    _tensor = functools.partial(globals()["_tensor"], checked=checked)
+def _babelstream(ex, mode):
     n, tb, blocks = 1000, 64, 4                  # n % tb != 0: tail guard
     rng = np.random.default_rng(13)
     a, b, c = (_tensor(rng.normal(size=n)) for _ in range(3))
@@ -110,9 +115,7 @@ def _babelstream(ex, mode, checked=False):
     return {"a": a.ptr, "b": b.ptr, "c": c.ptr, "sums": sums.ptr}, results
 
 
-def _fasten(ex, mode, checked=False, natlig=6, natpro=24, nposes=32,
-            wgsize=8):
-    _tensor = functools.partial(globals()["_tensor"], checked=checked)
+def _fasten(ex, mode, natlig=6, natpro=24, nposes=32, wgsize=8):
     deck = make_deck(natlig=natlig, natpro=natpro, ntypes=4, nposes=nposes,
                      seed=5)
     f32 = DType.float32
@@ -128,8 +131,7 @@ def _fasten(ex, mode, checked=False, natlig=6, natpro=24, nposes=32,
     return {"etotals": etotals.ptr}, {"fasten_kernel": res}
 
 
-def _eri(ex, mode, checked=False, natoms=4):
-    _tensor = functools.partial(globals()["_tensor"], checked=checked)
+def _eri(ex, mode, natoms=4):
     system = make_helium_system(natoms, 3, spacing=2.5)
     n = system.natoms
     schwarz = compute_schwarz(system)
@@ -173,14 +175,14 @@ def ragged_stride_kernel(a, sums, n, stride, spread):
     masked_store(sums, block_idx.x, sh[0], tid == 0)
 
 
-def _ragged(ex, mode, checked=False):
+def _ragged(ex, mode):
     # 4 blocks of 8 lanes: block b starts at [50b, 50b + 21]; with n = 140
     # blocks 0-2 run 9, 6 and 3 trips (some of their lanes one trip fewer)
     # and block 3 runs none
     n, stride, spread = 140, 16, 50
     rng = np.random.default_rng(41)
-    a = _tensor(rng.normal(size=n), checked=checked)
-    sums = _tensor(np.zeros(4), checked=checked)
+    a = _tensor(rng.normal(size=n))
+    sums = _tensor(np.zeros(4))
     res = ex.launch(ragged_stride_kernel, (a, sums, n, stride, spread),
                     LaunchConfig.make(4, 8),
                     mode="cooperative" if mode == "sequential" else mode)
@@ -215,13 +217,12 @@ def ragged_rebound_kernel(a, sums, flags, counts, n, stride, spread, size):
     masked_store(counts, g, c, m)
 
 
-def _ragged_rebound(ex, mode, checked=False):
+def _ragged_rebound(ex, mode):
     # block b's lanes start at [50b, 50b + 7]: with n = 140 and stride 16
     # blocks 0-3 run 9, 6, 3 and 0 trips on every lane
     rng = np.random.default_rng(43)
-    a = _tensor(rng.normal(size=140), checked=checked)
-    sums, flags, counts = (_tensor(np.zeros(32), checked=checked)
-                           for _ in range(3))
+    a = _tensor(rng.normal(size=140))
+    sums, flags, counts = (_tensor(np.zeros(32)) for _ in range(3))
     res = ex.launch(ragged_rebound_kernel,
                     (a, sums, flags, counts, 140, 16, 50, 32),
                     LaunchConfig.make(4, 8),
@@ -263,19 +264,27 @@ def _assert_same_run(run, ref, label):
 
 @pytest.mark.parametrize("family", sorted(CASES))
 def test_modes_agree_bitwise_with_identical_counters(family):
-    _check_modes(family, checked=False)
+    _check_modes(family)
 
 
 @pytest.mark.parametrize("family", sorted(CASES))
-def test_modes_agree_bitwise_on_bounds_checked_tensors(family):
-    # the BabelStream runner binds bounds-checked tensors
-    _check_modes(family, checked=True)
+def test_modes_agree_bitwise_on_bounds_checked_tensors(family, monkeypatch):
+    # no tensor is proven in bounds, so every mode checks every access; the
+    # lowering memo starts empty so no unchecked entry is reused
+    ref = CASES[family][0](KernelExecutor(), "vectorized")
+    monkeypatch.setattr(LaunchRegions, "in_bounds",
+                        property(lambda self: frozenset()))
+    monkeypatch.setattr(lower_mod, "LOWERED_MEMO", Memo("lowered_checked"))
+    checked = _check_modes(family)
+    # the checks change no output and no counter
+    _assert_same_run(checked, ref, "checked")
 
 
-def _check_modes(family, checked):
+def _check_modes(family):
+    """Run *family* in every mode and check them against ``vectorized``;
+    returns the ``vectorized`` run."""
     driver, auto_tiers = CASES[family]
-    runs = {mode: driver(KernelExecutor(), mode, checked=checked)
-            for mode in MODES}
+    runs = {mode: driver(KernelExecutor(), mode) for mode in MODES}
     ref = runs["vectorized"]
     for mode in MODES:
         if family == "hartreefock" and mode == "sequential":
@@ -291,13 +300,13 @@ def _check_modes(family, checked):
         ran = {name: res.mode for name, res in runs[mode][1].items()}
         assert ran == auto_tiers, mode
     assert {res.mode for res in ref[1].values()} == {"vectorized"}
+    return ref
 
 
 def _dot_launch(n=100_000, tb=256, blocks=8, size=None):
     rng = np.random.default_rng(29)
-    a, b = (_tensor(rng.normal(size=size or n), checked=True)
-            for _ in range(2))
-    sums = _tensor(np.zeros(blocks), checked=True)
+    a, b = (_tensor(rng.normal(size=size or n)) for _ in range(2))
+    sums = _tensor(np.zeros(blocks))
     return (a, b, sums, n, tb), LaunchConfig.make(blocks, tb)
 
 
@@ -349,8 +358,9 @@ def test_stencil_tuning_probe_geometry_auto_matches_vectorized():
 
 
 def test_out_of_range_launch_raises_like_the_interpreter():
-    # n exceeds the bounds-checked inputs: the grid-stride gathers run off
-    # the end of `a` and `b`, in the lowered code on the trip axis
+    # n exceeds the inputs: the grid-stride gathers, which the region
+    # analysis cannot prove in bounds, run off the end of `a` and `b`, in
+    # the lowered code on the trip axis
     errors = {}
     for mode in ("auto", "vectorized"):
         args, launch = _dot_launch(n=4096, tb=64, blocks=4, size=4000)
@@ -363,8 +373,36 @@ def test_out_of_range_launch_raises_like_the_interpreter():
     assert errors["auto"][0] is LayoutError
 
 
+@kernel(name="float_index_kernel")
+def float_index_kernel(pos, a, out, n):
+    """Reads `a` at a float64 position: the interpreter truncates it."""
+    i = block_dim.x * block_idx.x + thread_idx.x
+    m = i < n
+    if not any_lane(m):
+        return
+    i = compress_lanes(m, i)
+    out[i] = a[pos[0]]
+
+
+def test_float_scalar_index_truncates_in_every_mode():
+    # the lowering tier would compare the raw 2.7 against the extent and
+    # then index with it, so it refuses the body
+    runs = {}
+    for mode in MODES:
+        pos, a = _tensor([2.7]), _tensor(np.arange(8.0) + 1.0)
+        out = _tensor(np.zeros(8))
+        res = KernelExecutor().launch(float_index_kernel, (pos, a, out, 8),
+                                      LaunchConfig.make(1, 8), mode=mode)
+        runs[mode] = ({"out": out.ptr}, {"float_index_kernel": res})
+        assert res.mode == ("sequential" if mode == "sequential"
+                            else "vectorized"), mode
+    assert runs["vectorized"][0]["out"].tolist() == [3.0] * 8
+    for mode in MODES:
+        _assert_same_run(runs[mode], runs["vectorized"], mode)
+
+
 def test_ragged_grid_stride_lowers_to_trip_axis_and_prefix_slices():
-    outputs, _ = _ragged(KernelExecutor(), "auto", checked=True)
+    outputs, _ = _ragged(KernelExecutor(), "auto")
     # the block that runs no trip keeps its -0.0
     assert np.signbit(outputs["sums"][3]) and outputs["sums"][3] == 0.0
     args = (_tensor(np.zeros(140)), _tensor(np.zeros(4)), 140, 16, 50)

@@ -400,9 +400,9 @@ def _stencil_run(mode, L=10, block=(4, 2, 2)):
     args = problem.inverse_spacing_squared
     layout = Layout.row_major(L, L, L)
     u = LayoutTensor(DType.float64, layout, u_host.reshape(-1).copy(),
-                     mut=False, bounds_check=False)
+                     mut=False)
     f_store = np.zeros(L ** 3)
-    f = LayoutTensor(DType.float64, layout, f_store, bounds_check=False)
+    f = LayoutTensor(DType.float64, layout, f_store)
     result = KernelExecutor().launch(
         laplacian_kernel, (f, u, L, L, L, *args),
         stencil_launch_config(L, block), mode=mode)
@@ -498,8 +498,7 @@ class TestHartreeFockParity:
             buf = ctx.enqueue_create_buffer(DType.float64, flat.size,
                                             label=label)
             buf.copy_from_host(flat)
-            return buf, buf.tensor(Layout.row_major(*shape),
-                                   bounds_check=False)
+            return buf, buf.tensor(Layout.row_major(*shape))
 
         _, schwarz_t = make_tensor(schwarz, (len(schwarz),), "schwarz")
         _, xpnt_t = make_tensor(system.xpnt, (system.ngauss,), "xpnt")
@@ -609,8 +608,7 @@ class TestLaneVectorAtomics:
 class TestLaneTensorIndexing:
     def test_bounds_checked_gather_and_scatter(self):
         store = np.arange(6.0)
-        t = LayoutTensor(DType.float64, Layout.row_major(2, 3), store,
-                         bounds_check=True)
+        t = LayoutTensor(DType.float64, Layout.row_major(2, 3), store)
         np.testing.assert_array_equal(t[np.array([0, 1]), np.array([2, 0])],
                                       [2.0, 3.0])
         t[np.array([0, 1]), np.array([0, 2])] = np.array([10.0, 11.0])
@@ -620,11 +618,13 @@ class TestLaneTensorIndexing:
         from repro.core.errors import LayoutError
 
         t = LayoutTensor(DType.float64, Layout.row_major(2, 3),
-                         np.zeros(6), bounds_check=True)
+                         np.zeros(6))
         with pytest.raises(LayoutError):
             t[np.array([0, 2]), np.array([0, 0])]
 
     def test_unchecked_flat_gather(self):
+        # the view the executor hands a kernel for a tensor the region
+        # analysis proves in bounds
         t = LayoutTensor(DType.float64, Layout.row_major(4),
-                         np.arange(4.0), bounds_check=False)
+                         np.arange(4.0))._unchecked()
         np.testing.assert_array_equal(t[np.array([3, 1])], [3.0, 1.0])

@@ -383,8 +383,8 @@ class TestExecutorDispatch:
             f_buf = ctx.enqueue_create_buffer(problem.dtype, L ** 3,
                                               label="f")
             u_buf.copy_from_host(u_host)
-            u = u_buf.tensor(layout, mut=False, bounds_check=False)
-            f = f_buf.tensor(layout, bounds_check=False)
+            u = u_buf.tensor(layout, mut=False)
+            f = f_buf.tensor(layout)
             res = KernelExecutor().launch(
                 laplacian_kernel, (f, u, L, L, L) + tuple(sargs),
                 launch, mode=mode)
@@ -486,7 +486,7 @@ class TestGenericKernels:
         b = np.random.default_rng(8).normal(size=size)
         ends, sums = np.zeros(32, dtype=np.int64), np.zeros(4)
         return ((LayoutTensor(DType.float64, Layout.row_major(size), b,
-                              mut=False, bounds_check=True),
+                              mut=False),
                  LayoutTensor(DType.int64, Layout.row_major(32), ends),
                  LayoutTensor(DType.float64, Layout.row_major(4), sums),
                  140, 16), [ends, sums])
@@ -635,6 +635,52 @@ class TestFold:
             assert got[b, 0].tobytes() == expected.tobytes()
 
 
+@kernel(name="_walk_count")
+def _walk_count(steps, out, n):
+    """Counts the leading positive entries of *steps*: the while test reads
+    a tensor at an index the region analysis cannot bound."""
+    k = 0
+    while steps[k] > 0.0:
+        k = k + 1
+    i = block_dim.x * block_idx.x + thread_idx.x
+    m = i < n
+    if not any_lane(m):
+        return
+    i = compress_lanes(m, i)
+    out[i] = k * 1.0
+
+
+@kernel(name="_branch_shift")
+def _branch_shift(flags, a, out, n):
+    """Both arms of a uniform runtime branch read `a` at ``i - 1``, which
+    the region analysis cannot prove in bounds."""
+    i = block_dim.x * block_idx.x + thread_idx.x
+    m = i < n
+    if not any_lane(m):
+        return
+    i = compress_lanes(m, i)
+    j = i - 1
+    if flags[0] > 0.0:
+        out[i] = a[j]
+    else:
+        out[i] = 2.0 * a[j]
+
+
+@kernel(name="_branch_rebind")
+def _branch_rebind(flags, a, out, n):
+    """One arm rebinds an index the code checked before the branch."""
+    i = block_dim.x * block_idx.x + thread_idx.x
+    m = i < n
+    if not any_lane(m):
+        return
+    i = compress_lanes(m, i)
+    j = i
+    x = a[j]
+    if flags[0] > 0.0:
+        j = j - 1
+    out[i] = x + a[j]
+
+
 class TestSpecialisationKey:
     """The memo key must separate every specialisation that lowers differently."""
 
@@ -670,24 +716,82 @@ class TestSpecialisationKey:
             KernelExecutor().launch(_scale2d, (frozen, u, 4, 6), self.LAUNCH)
         assert not np.any(frozen.ptr)
 
-    def test_bounds_check_is_part_of_the_key(self):
+    def test_scalar_arguments_decide_which_accesses_are_checked(self):
+        # the region analysis proves `table` in bounds for nrows <= 5 only;
+        # the scalars are in the key, so each specialisation has its checks
         launch = LaunchConfig.make(3, 16)
-        entries = []
-        for checked in (False, True):
-            out = np.zeros(40, dtype=np.float32)
-            f32 = DType.float32
-            args = (LayoutTensor(f32, Layout.row_major(40), out,
-                                 bounds_check=checked),
+        f32 = DType.float32
+        sources, errors = {}, {}
+        for nrows in (5, 6):
+            args = (LayoutTensor(f32, Layout.row_major(40),
+                                 np.zeros(40, np.float32)),
                     LayoutTensor(f32, Layout.row_major(5, 7),
-                                 np.ones(35, np.float32),
-                                 bounds_check=checked),
+                                 np.ones(35, np.float32)),
                     LayoutTensor(f32, Layout.row_major(7),
-                                 np.ones(7, np.float32),
-                                 bounds_check=checked), 40, 5, 7)
-            entries.append(lower_launch(_row_sums, args, launch))
-            source = lower_source(_row_sums, args, launch)
-            assert ("offset_array" in source) is checked
-        assert None not in entries and entries[0] is not entries[1]
+                                 np.ones(7, np.float32)), 40, nrows, 7)
+            sources[nrows] = lower_source(_row_sums, args, launch)
+            if nrows == 6:
+                for mode in ("auto", "vectorized"):
+                    with pytest.raises(LayoutError) as info:
+                        KernelExecutor().launch(_row_sums, args, launch,
+                                                mode=mode)
+                    errors[mode] = str(info.value)
+        assert "_check_index" not in sources[5]
+        assert "_check_index" in sources[6]
+        assert errors["auto"] == errors["vectorized"] == \
+            "index 5 out of bounds for dimension 0 of extent 5"
+
+    def test_while_test_reading_an_unproven_tensor_stays_interpreted(self):
+        # a check before the loop would run once, not once per test
+        args = (LayoutTensor(DType.float64, Layout.row_major(4), np.ones(4)),
+                LayoutTensor(DType.float64, Layout.row_major(8), np.zeros(8)),
+                8)
+        launch = LaunchConfig.make(1, 8)
+        report = lowering_report(_walk_count, args, launch)
+        assert report["reason"] == "while test needs statements"
+        for mode in ("auto", "vectorized", "sequential"):
+            with pytest.raises(LayoutError, match="index 4 out of bounds"):
+                KernelExecutor().launch(_walk_count, args, launch, mode=mode)
+
+    @staticmethod
+    def _branch_args(flag):
+        f64 = DType.float64
+        return (LayoutTensor(f64, Layout.row_major(1), np.array([flag])),
+                LayoutTensor(f64, Layout.row_major(16), np.arange(16.0)),
+                LayoutTensor(f64, Layout.row_major(16), np.zeros(16)), 16)
+
+    def test_each_branch_checks_its_own_indices(self):
+        # the else arm must not rely on the check the if arm emitted
+        launch = LaunchConfig.make(1, 16)
+        source = lower_source(_branch_shift, self._branch_args(-1.0), launch)
+        arms = source.split("    else:\n")
+        assert len(arms) == 2
+        assert all(arm.count("_check_index(v_j, 0, 16, True)") == 1
+                   for arm in arms)
+        for flag in (1.0, -1.0):
+            errors = {}
+            for mode in ("auto", "vectorized"):
+                with pytest.raises(LayoutError) as info:
+                    KernelExecutor().launch(_branch_shift,
+                                            self._branch_args(flag), launch,
+                                            mode=mode)
+                errors[mode] = str(info.value)
+            assert errors["auto"] == errors["vectorized"] == \
+                "lane index out of bounds for dimension 0 of extent 16"
+
+    def test_rebinding_in_a_branch_drops_the_check(self):
+        launch = LaunchConfig.make(1, 16)
+        source = lower_source(_branch_rebind, self._branch_args(1.0), launch)
+        assert source.count("_check_index(v_j, 0, 16, True)") == 2
+        ok = self._branch_args(-1.0)
+        assert KernelExecutor().launch(_branch_rebind, ok, launch).mode == \
+            "lowered"
+        np.testing.assert_array_equal(ok[2].ptr, 2.0 * np.arange(16.0))
+        for mode in ("auto", "vectorized"):
+            with pytest.raises(LayoutError, match="lane index out of bounds"):
+                KernelExecutor().launch(_branch_rebind,
+                                        self._branch_args(1.0), launch,
+                                        mode=mode)
 
     def test_multi_chunk_shifted_self_read_stays_interpreted(self,
                                                              monkeypatch):
