@@ -33,8 +33,12 @@ Subcommands
     stored winner.
 ``report``
     Regenerate experiment reports as one markdown document (the
-    ``EXPERIMENTS.md`` the result modules reference), ending with the
-    tuned-vs-untuned portability section (``--no-tuning`` skips it).
+    ``EXPERIMENTS.md`` the result modules reference), followed by the
+    tuned-vs-untuned portability section (``--no-tuning`` skips it) and the
+    graph compiler's modelled rewrite of each workload's lint capture
+    (``--no-graphopt`` skips it).  Every number in it is modelled or
+    counted, none is read off the host clock, so ``report --write
+    EXPERIMENTS.md`` reproduces the committed file byte for byte.
 ``lint``
     Static analysis over the kernel registry and the workload device
     graphs: the AST kernel verifier (vector-safety inference, barrier
@@ -47,10 +51,11 @@ Subcommands
     Chrome/Perfetto ``trace.json``: nested host spans (wall *and*
     modelled durations) over the per-stream modelled device timelines,
     plus the process-wide metrics snapshot.  Load the file in
-    https://ui.perfetto.dev or ``chrome://tracing``; without
-    ``--output``/``--json`` a per-span modelled-vs-wall summary is
-    printed instead.  ``bench --trace PATH`` offers the same export for
-    a full bench invocation.
+    https://ui.perfetto.dev or ``chrome://tracing``.  Without ``--json``
+    it prints the observability summary: fired counters, the run-latency
+    histogram and each span's host wall time beside its modelled time.
+    ``bench --trace PATH`` offers the same export for a full bench
+    invocation.
 ``bench-compare``
     Guard the host-execution microbenchmarks against performance
     regressions: compare a pytest-benchmark export (running the benchmarks
@@ -208,10 +213,7 @@ def _cmd_graph(args) -> int:
     graph-compiler contract), 1 otherwise, 2 on configuration errors —
     matching the lint/bench exit conventions.
     """
-    from .analysis.diagnostics import Severity
-    from .analysis.racecheck import analyze_graph, op_elided
-    from .graphopt import (lowering_report, optimize_graph, parse_passes,
-                           replay_timings)
+    from .graphopt import graph_entry, parse_passes, replay_timings
     from .workloads import get_workload, list_workloads
 
     if args.graph_all and args.workload:
@@ -221,34 +223,14 @@ def _cmd_graph(args) -> int:
     passes = parse_passes(args.passes)          # validates pass names early
     names = list(list_workloads()) if args.graph_all else [args.workload]
 
-    entries = []
-    all_clean = True
-    for name in names:
-        workload = get_workload(name)
-        graph = workload.lint_graph()
-        if graph is None:
-            entries.append({"workload": name, "graph": None,
-                            "note": "declares no lint graph"})
-            continue
-        optimized, report = optimize_graph(graph, args.passes)
-        diags = analyze_graph(optimized)
-        clean = not any(d.severity == Severity.ERROR for d in diags)
-        all_clean = all_clean and clean
-        lowering = []
-        for op in optimized.ops:
-            meta = op.meta or {}
-            if op.kind != "kernel" or op_elided(op) or "kern" not in meta:
-                continue
-            lowering.append(lowering_report(meta["kern"], meta["args"],
-                                            meta["launch"]))
-        entry = {"workload": name, **report.as_dict(),
-                 "lint_clean": clean,
-                 "lint_diagnostics": [d.as_dict() for d in diags],
-                 "lowering": lowering}
-        if args.bench:
-            entry["bench"] = replay_timings(workload, args.passes,
-                                            args.repeats)
-        entries.append(entry)
+    entries = [graph_entry(name, args.passes) for name in names]
+    all_clean = all(entry.get("lint_clean", True) for entry in entries)
+    if args.bench:
+        for entry in entries:
+            if entry["graph"] is not None:
+                entry["bench"] = replay_timings(
+                    get_workload(entry["workload"]), args.passes,
+                    args.repeats)
 
     payload = {"schema": "repro.graphopt-report/v1",
                "passes": list(passes), "graphs": entries}
@@ -872,10 +854,7 @@ def _report_args(p) -> None:
     p.add_argument("--no-tuning", action="store_true",
                    help="skip the tuned-vs-untuned portability section")
     p.add_argument("--no-graphopt", action="store_true",
-                   help="skip the graph-compiler speedup section")
-    p.add_argument("--no-obs", action="store_true",
-                   help="skip the observability section (metrics "
-                        "counters and per-span wall and modelled times)")
+                   help="skip the graph-compiler rewrite section")
 
 
 def _cmd_report(args) -> int:
@@ -884,16 +863,7 @@ def _cmd_report(args) -> int:
 
     full, write = args.full, args.write
     wanted = _experiment_ids(args.ids)
-    collector = None
-    tracing = contextlib.nullcontext()
-    if not args.no_obs:
-        from .obs import TraceCollector, install_trace_collector
-
-        # Trace the experiment runs themselves so the observability
-        # section can list per-span wall and modelled times.
-        collector = TraceCollector()
-        tracing = install_trace_collector(collector)
-    with tracing, result_scope():
+    with result_scope():
         results = [run_experiment(i, quick=not full) for i in wanted]
 
     lines = [
@@ -920,14 +890,12 @@ def _cmd_report(args) -> int:
         lines.append("")
         lines.append(tuning_report().to_markdown())
     if not args.no_graphopt:
-        from .graphopt import graphopt_report
+        from .graphopt import graph_entry, graphopt_markdown
+        from .workloads import list_workloads
 
         lines.append("")
-        lines.append(graphopt_report().to_markdown())
-    if not args.no_obs:
-        from .obs import observability_markdown
-
-        lines.extend(observability_markdown(collector))
+        lines.append(graphopt_markdown(
+            [graph_entry(name, "all") for name in list_workloads()]))
     document = "\n".join(lines) + "\n"
 
     if write:
@@ -968,13 +936,14 @@ def _trace_args(p) -> None:
                         "https://ui.perfetto.dev or chrome://tracing)")
     p.add_argument("--json", action="store_true",
                    help="print the Chrome trace JSON to stdout instead "
-                        "of the span summary")
+                        "of the observability summary")
 
 
 def _cmd_trace(args) -> int:
     from .harness.runner import MeasurementProtocol
     from .obs import (TraceCollector, build_chrome_trace,
-                      install_trace_collector, modelled_vs_wall, snapshot)
+                      install_trace_collector, observability_markdown,
+                      snapshot, write_chrome_trace)
     from .workloads import get_workload
 
     workload = get_workload(args.workload)
@@ -996,11 +965,12 @@ def _cmd_trace(args) -> int:
             probe = workload.tuning_probe(request)
             if probe is not None:
                 probe.replay()
-    trace = build_chrome_trace(collector, metrics_snapshot=snapshot())
+    metrics = snapshot()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(trace, fh, indent=1)
-            fh.write("\n")
+        trace = write_chrome_trace(args.output, collector,
+                                   metrics_snapshot=metrics)
+    else:
+        trace = build_chrome_trace(collector, metrics_snapshot=metrics)
     if args.json:
         print(json.dumps(trace, indent=1))
     else:
@@ -1011,9 +981,7 @@ def _cmd_trace(args) -> int:
               f"{len(collector.spans)} host span(s), "
               f"{len(collector.contexts)} device context(s), "
               f"{len(events)} trace event(s) on {len(tracks)} track(s)")
-        for row in modelled_vs_wall(collector):
-            print(f"  {row['name']:<16} wall {row['wall_ms']:10.3f} ms  "
-                  f"modelled {row['modelled_ms']:10.3f} ms")
+        print("\n".join(observability_markdown(collector, metrics)))
         if args.output:
             print(f"wrote Chrome trace to {args.output} "
                   "(load in https://ui.perfetto.dev or chrome://tracing)")

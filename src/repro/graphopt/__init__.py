@@ -12,6 +12,8 @@ Entry points
 * ``optimize_graph(graph, passes="all")`` -> ``(optimized_graph, report)``
 * ``lower_launch(kern, args, launch)`` -> compiled entry or ``None``
 * ``RunRequest(optimize="all")`` opts a workload's captured graphs in
+* ``graph_entry(name, passes)`` -> what ``repro graph`` and the report's
+  graph-compiler section show for one workload
 * ``repro graph <workload> --passes ...`` inspects what the passes did
 
 The names below resolve on first access (:mod:`repro._lazy`): the
@@ -25,15 +27,15 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                "lowering_report"),
     ".passes": ("GraphOptReport", "PASS_NAMES", "optimize_graph",
                 "parse_passes"),
-    ".report": ("GraphOptBenchReport", "graphopt_report", "replay_timings"),
+    ".report": ("graph_entry", "graphopt_markdown", "replay_timings"),
 })
 
 __all__ = [
-    "GraphOptBenchReport",
     "GraphOptReport",
     "LoweringUnsupported",
     "PASS_NAMES",
-    "graphopt_report",
+    "graph_entry",
+    "graphopt_markdown",
     "lower_launch",
     "lower_source",
     "lowering_report",

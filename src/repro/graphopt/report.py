@@ -1,129 +1,95 @@
-"""Graph-compiler speedup report for ``repro report`` / EXPERIMENTS.md.
+"""Per-workload graph-compiler entries: ``repro graph`` and EXPERIMENTS.md.
 
-One row per workload: best-of-*repeats* replay time of the lint capture
-before and after the all-pass pipeline, plus vectorized-vs-lowered dispatch
-times of the tuning probe for workloads that declare one.  The closing Φ
-row aggregates the speedups with the same arithmetic-mean treatment the
-portability tables use — fusion and lowering are "performance portability
-across executors" in the paper's Eq. 4 sense: how much of the compiled
-path's performance the interpreted path reaches.
+:func:`graph_entry` runs one workload's lint capture through a pass
+pipeline and returns what ``repro graph --json`` prints for it: the
+:func:`~repro.graphopt.passes.optimize_graph` report, the race detector's
+verdict on the optimized graph and one
+:func:`~repro.graphopt.lower.lowering_report` per surviving kernel.
+:func:`graphopt_markdown` renders those entries as the report's
+graph-compiler section.  Every number in an entry is modelled or counted,
+so the section is a pure function of the code.
+
+:func:`replay_timings` is the one host replay timer, behind ``repro graph
+--bench``; host wall times never reach the report.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Sequence
 
+from ..analysis.diagnostics import Severity
+from ..analysis.racecheck import analyze_graph, op_elided
 from ..harness.results import ResultTable
+from .lower import lowering_report
 from .passes import optimize_graph
 
-__all__ = ["GraphOptReportRow", "GraphOptBenchReport", "graphopt_report",
-           "replay_timings"]
+__all__ = ["graph_entry", "graphopt_markdown", "replay_timings"]
 
 
-@dataclass
-class GraphOptReportRow:
-    """Replay/dispatch timings for one workload's captured graph."""
+def graph_entry(name: str, passes: str) -> Dict[str, object]:
+    """What the *passes* pipeline does to workload *name*'s lint capture.
 
-    workload: str
-    unfused_s: Optional[float] = None
-    fused_s: Optional[float] = None
-    vectorized_s: Optional[float] = None
-    lowered_s: Optional[float] = None
+    The keys are the optimizer report's, plus ``lint_clean`` /
+    ``lint_diagnostics`` (the race detector on the optimized graph) and
+    ``lowering`` (one lowering outcome per kernel left after elision).  A
+    workload that declares no lint graph gets ``graph: None`` and a note.
+    """
+    from ..workloads import get_workload
 
-    @property
-    def fused_speedup(self) -> Optional[float]:
-        if self.unfused_s and self.fused_s:
-            return self.unfused_s / self.fused_s
-        return None
-
-    @property
-    def lowered_speedup(self) -> Optional[float]:
-        if self.vectorized_s and self.lowered_s:
-            return self.vectorized_s / self.lowered_s
-        return None
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "workload": self.workload,
-            "unfused_s": self.unfused_s,
-            "fused_s": self.fused_s,
-            "fused_speedup": self.fused_speedup,
-            "vectorized_s": self.vectorized_s,
-            "lowered_s": self.lowered_s,
-            "lowered_speedup": self.lowered_speedup,
-        }
+    graph = get_workload(name).lint_graph()
+    if graph is None:
+        return {"workload": name, "graph": None,
+                "note": "declares no lint graph"}
+    optimized, report = optimize_graph(graph, passes)
+    diags = analyze_graph(optimized)
+    lowering = [lowering_report(op.meta["kern"], op.meta["args"],
+                                op.meta["launch"])
+                for op in optimized.ops
+                if op.kind == "kernel" and not op_elided(op)
+                and "kern" in (op.meta or {})]
+    return {"workload": name, **report.as_dict(),
+            "lint_clean": not any(d.severity == Severity.ERROR
+                                  for d in diags),
+            "lint_diagnostics": [d.as_dict() for d in diags],
+            "lowering": lowering}
 
 
-@dataclass
-class GraphOptBenchReport:
-    """Fused/lowered speedups across the registered workloads."""
-
-    rows: List[GraphOptReportRow] = field(default_factory=list)
-    repeats: int = 10
-
-    def mean_speedups(self) -> Dict[str, float]:
-        """Arithmetic-mean fused/lowered speedups over measurable rows."""
-        out: Dict[str, float] = {}
-        for key in ("fused_speedup", "lowered_speedup"):
-            values = [getattr(r, key) for r in self.rows
-                      if getattr(r, key) is not None]
-            if values:
-                out[key] = sum(values) / len(values)
-        return out
-
-    def table(self) -> ResultTable:
-        table = ResultTable(
-            columns=["workload", "unfused_us", "fused_us", "fused_speedup",
-                     "vectorized_us", "lowered_us", "lowered_speedup"],
-            title="Graph-compiler replay and dispatch speedups",
-        )
-
-        def us(value: Optional[float]):
-            return value * 1e6 if value is not None else float("nan")
-
-        for row in self.rows:
-            table.add_row(
-                workload=row.workload,
-                unfused_us=us(row.unfused_s), fused_us=us(row.fused_s),
-                fused_speedup=row.fused_speedup
-                if row.fused_speedup is not None else float("nan"),
-                vectorized_us=us(row.vectorized_s),
-                lowered_us=us(row.lowered_s),
-                lowered_speedup=row.lowered_speedup
-                if row.lowered_speedup is not None else float("nan"),
-            )
-        means = self.mean_speedups()
+def graphopt_markdown(entries: Sequence[Dict[str, object]]) -> str:
+    """The report's graph-compiler section for :func:`graph_entry` output."""
+    table = ResultTable(
+        columns=["workload", "ops", "kernels", "fused", "elided", "pinned",
+                 "lowered", "lint"],
+        title="Graph-compiler rewrite of each lint capture")
+    for entry in entries:
+        if entry["graph"] is None:
+            table.add_row(workload=entry["workload"], ops=entry["note"])
+            continue
+        lowered = sum(1 for low in entry["lowering"] if low["lowered"])
         table.add_row(
-            workload="Φ (mean)", unfused_us=float("nan"),
-            fused_us=float("nan"),
-            fused_speedup=means.get("fused_speedup", float("nan")),
-            vectorized_us=float("nan"), lowered_us=float("nan"),
-            lowered_speedup=means.get("lowered_speedup", float("nan")),
-        )
-        return table
-
-    def to_markdown(self) -> str:
-        lines = [
-            "## Graph compiler: fused and lowered speedups",
-            "",
-            "Best-of-{n} replay of each workload's lint capture before and "
-            "after the all-pass pipeline (`elide,fuse,hoist`), and "
-            "vectorized-vs-lowered executor dispatch of the tuning probe. "
-            "The closing Φ row is the arithmetic-mean speedup over the "
-            "measurable workloads; committed baselines guard fused ≥ "
-            "unfused and lowered ≥ 2× vectorized on every merge.".format(
-                n=self.repeats),
-            "",
-            self.table().to_markdown(),
-        ]
-        return "\n".join(lines)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"repeats": self.repeats,
-                "rows": [r.as_dict() for r in self.rows],
-                "mean_speedups": self.mean_speedups()}
+            workload=entry["workload"],
+            ops=f"{entry['ops_before']} → {entry['ops_after']}",
+            kernels=f"{entry['kernels_before']} → {entry['kernels_after']}",
+            fused="; ".join(" + ".join(group["parts"])
+                            for group in entry["fused"]) or "none",
+            elided=len(entry["elided"]), pinned=len(entry["pinned"]),
+            lowered=f"{lowered}/{len(entry['lowering'])}",
+            lint="clean" if entry["lint_clean"] else "ERRORS")
+    passes = next((entry["passes"] for entry in entries
+                   if entry["graph"] is not None), [])
+    return "\n".join([
+        "## Graph compiler: modelled rewrite",
+        "",
+        f"Each workload's lint capture through the `{','.join(passes)}` "
+        "pipeline, as `repro graph --all --json` reports it: operations "
+        "and kernels before → after, the fused kernel groups, elided and "
+        "pinned transfers, the surviving kernels the lowering tier "
+        "compiles to NumPy, and the race detector's verdict on the "
+        "optimized graph. Replay wall times are host measurements; "
+        "`repro graph --bench` prints them.",
+        "",
+        table.to_markdown(),
+    ])
 
 
 def _best(fn, repeats: int) -> float:
@@ -156,19 +122,3 @@ def replay_timings(workload, passes: str,
         if probe is not None:
             timings[f"{mode}_replay_s"] = _best(probe.replay, repeats)
     return timings
-
-
-def graphopt_report(workload_names=None, *,
-                    repeats: int = 10) -> GraphOptBenchReport:
-    """Measure fused/lowered speedups for the registered workloads."""
-    from ..workloads import get_workload, list_workloads
-
-    report = GraphOptBenchReport(repeats=repeats)
-    for name in (workload_names or list_workloads()):
-        timings = replay_timings(get_workload(name), "all", repeats)
-        report.rows.append(GraphOptReportRow(
-            workload=name, unfused_s=timings.get("unfused_replay_s"),
-            fused_s=timings.get("fused_replay_s"),
-            vectorized_s=timings.get("vectorized_replay_s"),
-            lowered_s=timings.get("lowered_replay_s")))
-    return report

@@ -12,8 +12,10 @@ argues performance portability through *observable* per-phase breakdowns:
 * :mod:`~repro.obs.metrics` — the process-wide counters/gauges/histograms
   registry with a stable zero-filled catalog and :func:`snapshot`.
 
-Surfaces: ``repro trace <workload>``, ``repro bench --trace`` and the
-``repro report`` observability section.
+Surfaces: ``repro trace <workload>`` (whose text summary is
+:func:`~repro.obs.export.observability_markdown`) and ``repro bench
+--trace``.  ``repro report`` renders none of it: host wall times do not
+belong in a document that regenerates byte for byte.
 """
 
 from .export import (

@@ -209,7 +209,13 @@ def modelled_vs_wall(collector: TraceCollector) -> List[Dict[str, Any]]:
 def observability_markdown(
         collector: Optional[TraceCollector] = None,
         snapshot: Optional[Dict[str, Any]] = None) -> List[str]:
-    """Markdown lines for the ``repro report`` observability section."""
+    """Markdown lines of the ``repro trace`` observability summary.
+
+    The counters that fired, the ``workload_run_latency_ms`` histogram and,
+    given a *collector*, each modelled span's host wall time beside its
+    modelled device time, in the order the spans ended.  All of it depends on the host and on what the
+    process ran before, so no committed document renders it.
+    """
     if snapshot is None:
         snapshot = _metrics.snapshot()
     lines: List[str] = ["", "## Observability", ""]
@@ -238,14 +244,6 @@ def observability_markdown(
         lines.append("### Modelled vs wall time per span")
         lines.append("")
         if rows:
-            total = len(rows)
-            if total > 20:
-                # A full report traces hundreds of runs; show the spans
-                # that took the most host time.
-                rows = sorted(rows, key=lambda r: r["wall_ms"],
-                              reverse=True)[:20]
-                lines.append(f"Top 20 of {total} spans by wall time.")
-                lines.append("")
             lines.append("| span | wall (ms) | modelled (ms) |")
             lines.append("|---|---:|---:|")
             for row in rows:

@@ -83,16 +83,25 @@ def test_graph_rejects_both_name_and_all(capsys):
     assert main(["graph", "stencil", "--all"]) == 2
 
 
-def test_graphopt_report_section_renders():
-    """The EXPERIMENTS.md section: per-workload speedups plus the Φ row."""
-    from repro.graphopt import graphopt_report
-
-    report = graphopt_report(["babelstream"], repeats=2)
-    (row,) = report.rows
-    assert row.workload == "babelstream"
-    assert row.fused_speedup is not None and row.fused_speedup > 0
-    assert "fused_speedup" in report.mean_speedups()
-    markdown = report.to_markdown()
-    assert "Φ (mean)" in markdown and "babelstream" in markdown
-    payload = report.as_dict()
-    assert payload["rows"][0]["unfused_s"] > 0
+def test_report_section_matches_graph_json(tmp_path, capsys):
+    """The EXPERIMENTS.md section shows what ``repro graph --all --json``
+    reports: one entry builder feeds both."""
+    assert main(["graph", "--all", "--json"]) == 0
+    entries = json.loads(capsys.readouterr().out)["graphs"]
+    target = tmp_path / "report.md"
+    assert main(["report", "fig5", "--no-tuning",
+                 "--write", str(target)]) == 0
+    section = target.read_text().split("## Graph compiler: modelled rewrite",
+                                       1)[1]
+    cells = [line.strip("| ").split(" | ") for line in section.splitlines()
+             if line.startswith("| ")]
+    rows = {row[0]: row for row in cells[1:]}
+    assert sorted(rows) == sorted(entry["workload"] for entry in entries)
+    for entry in entries:
+        row = rows[entry["workload"]]
+        lowered = sum(low["lowered"] for low in entry["lowering"])
+        assert row[1:3] == [
+            f"{entry['ops_before']} → {entry['ops_after']}",
+            f"{entry['kernels_before']} → {entry['kernels_after']}"]
+        assert row[6:] == [f"{lowered}/{len(entry['lowering'])}",
+                           "clean" if entry["lint_clean"] else "ERRORS"]

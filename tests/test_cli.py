@@ -260,6 +260,38 @@ class TestReportCommand:
                      "--write", str(target)]) == 0
         assert "Tuned performance portability" not in target.read_text()
 
+    def test_document_ends_with_graph_compiler_section(self, tmp_path):
+        target = tmp_path / "graph.md"
+        assert main(["report", "fig5", "--no-tuning",
+                     "--write", str(target)]) == 0
+        document = target.read_text()
+        assert document.rstrip().endswith(
+            "| stencil | 3 → 3 | 1 → 1 | none | 0 | 0 | 1/1 | clean |")
+        assert "Observability" not in document
+
+    def test_no_graphopt_skips_the_section(self, tmp_path):
+        target = tmp_path / "plain.md"
+        assert main(["report", "fig5", "--no-graphopt",
+                     "--write", str(target)]) == 0
+        assert "Graph compiler" not in target.read_text()
+
+
+class TestTraceCommand:
+    def test_summary_lists_the_workload_run_span(self, capsys):
+        assert main(["trace", "stencil"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("stencil on h100/mojo: ")
+        assert "| span | wall (ms) | modelled (ms) |" in out
+        assert "| `workload.run` |" in out
+
+    def test_output_writes_what_json_prints(self, tmp_path, capsys):
+        target = tmp_path / "trace.json"
+        assert main(["trace", "stencil", "--json",
+                     "--output", str(target)]) == 0
+        printed = capsys.readouterr().out
+        assert target.read_text() == printed
+        assert json.loads(printed)["traceEvents"]
+
 
 class TestTuneCommand:
     GUARD = ["--param", "L=64"]
