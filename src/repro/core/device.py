@@ -57,12 +57,17 @@ number and count), so a long replay loop keeps constant memory.
 read, into the same events a replay used to append one by one.  A traced
 replay appends its events, which carry the compile-time op schedule for
 the trace exporter.
+
+Importing this module sets the process's host heap policy (glibc only):
+arrays up to one full lockstep chunk's int64 lane array come from the
+heap, which is not trimmed below twice that, so warm replays reuse their
+transients' pages instead of faulting them in again.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
-import mmap
 import sys
 import weakref
 from dataclasses import dataclass, field
@@ -74,6 +79,7 @@ import numpy as np
 from ..gpu.executor import ExecutionResult, KernelExecutor
 from ..gpu.memory import Allocation, AllocationTracker, MemorySpace, TransferModel
 from ..gpu.specs import GPUSpec, get_gpu
+from ..gpu.vector_executor import VECTOR_CHUNK_LANES
 from ..obs import trace as _trace
 from ..resilience import faults as _faults
 from .dtypes import DType, dtype_from_any
@@ -84,6 +90,32 @@ from .layout import Layout, LayoutTensor
 
 __all__ = ["DeviceBuffer", "DeviceContext", "DeviceGraph", "Event",
            "PipelineTiming", "Stream", "StreamEvent"]
+
+#: glibc ``mallopt`` parameters (``malloc.h``)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _set_heap_policy() -> None:
+    """Keep replay-sized host arrays in the allocator's heap.
+
+    glibc maps each block above its mmap threshold afresh and hands heap
+    top above its trim threshold back to the OS, so a replay whose
+    transients cross them (the lockstep engine's int64 lane arrays, 1 MiB
+    for the stencil probe) faults their pages in again every time.  Fixed
+    thresholds also stop glibc moving them by what the process freed
+    before.  The mmap threshold is one full lockstep chunk's int64 lane
+    array plus a page; the trim threshold keeps glibc's ratio of two.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    threshold = VECTOR_CHUNK_LANES * np.dtype(np.int64).itemsize + 4096
+    mallopt(_M_MMAP_THRESHOLD, threshold)
+    mallopt(_M_TRIM_THRESHOLD, 2 * threshold)
+
+
+_set_heap_policy()
 
 
 class DeviceBuffer:
@@ -99,10 +131,7 @@ class DeviceBuffer:
         self._allocation: Allocation = ctx._tracker.allocate(
             self.count, self.dtype, label=self.label
         )
-        np_dtype = self.dtype.to_numpy()
-        self.array = (np.zeros(self.count, dtype=np_dtype)
-                      if ctx._capture is None
-                      else _graph_array(np_dtype, self.count))
+        self.array = np.zeros(self.count, dtype=self.dtype.to_numpy())
         self._freed = False
 
     # ------------------------------------------------------------ properties
@@ -130,17 +159,12 @@ class DeviceBuffer:
             raise DeviceError(
                 f"host array has {src.size} elements, buffer holds {self.count}"
             )
-        if self.ctx._capture is not None:
-            # A graph replays its captured upload source for as long as it
-            # lives: snapshot it into graph-owned memory.
-            snapshot = _graph_array(src.dtype, src.size)
-            snapshot[...] = src
-            src = snapshot
-        elif not self.ctx.eager:
-            # Snapshot only when the write is deferred: the caller may
-            # mutate their array before it runs.  Eager copies execute
-            # immediately, so the extra O(n) host copy would be pure waste
-            # on the default path.
+        if self.ctx._capture is not None or not self.ctx.eager:
+            # Snapshot only when the write is deferred or replayed: the
+            # caller may mutate their array before it runs, and a graph
+            # replays its captured upload source for as long as it lives.
+            # Eager copies execute immediately, so the extra O(n) host copy
+            # would be pure waste on the default path.
             src = src.copy()
 
         def work() -> None:
@@ -1335,19 +1359,6 @@ class DeviceContext:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DeviceContext({self.spec.name}, eager={self.eager})"
-
-
-def _graph_array(dtype, count: int) -> np.ndarray:
-    """A zeroed array in an anonymous mapping of its own.
-
-    For memory a captured graph owns (its buffers and upload snapshots),
-    which lives across every replay.  Long-lived arrays inside the host
-    allocator's heap pin its top, so the transient arrays of each replay
-    are handed back to the OS and faulted in again on the next; a mapping
-    of their own keeps them out of the heap.
-    """
-    nbytes = max(int(count) * np.dtype(dtype).itemsize, 1)
-    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype, count=count)
 
 
 def _referenced_buffers(args: Sequence) -> Tuple[DeviceBuffer, ...]:

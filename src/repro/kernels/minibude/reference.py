@@ -48,8 +48,8 @@ def reference_energies(deck: Deck, *, pose_chunk: int = 256) -> np.ndarray:
 
     p_type = protein[:, 3].astype(int)
     l_type = ligand[:, 3].astype(int)
-    p_hbtype, p_radius, p_hphb, p_elsc = (ff[p_type, i] for i in range(4))
-    l_hbtype, l_radius, l_hphb, l_elsc = (ff[l_type, i] for i in range(4))
+    p_hbtype, p_radius, p_hphb, p_elsc = ff[p_type].T
+    l_hbtype, l_radius, l_hphb, l_elsc = ff[l_type].T
 
     # Pairwise (ligand, protein) forcefield combinations — pose independent.
     radij = p_radius[None, :] + l_radius[:, None]              # (L, P)
@@ -66,16 +66,18 @@ def reference_energies(deck: Deck, *, pose_chunk: int = 256) -> np.ndarray:
     energies = np.zeros(nposes, dtype=np.float64)
 
     lig_xyz = ligand[:, :3]                                     # (L, 3)
-    pro_xyz = protein[:, :3]                                    # (P, 3)
+    pro_x, pro_y, pro_z = protein[:, :3].T                      # (P,) each
 
     for start in range(0, nposes, pose_chunk):
         stop = min(start + pose_chunk, nposes)
         m = transforms[start:stop]                              # (C, 3, 4)
         # Transform ligand atoms: (C, L, 3)
         lpos = np.einsum("cij,lj->cli", m[:, :, :3], lig_xyz) + m[:, None, :, 3]
-        # Pairwise distances: (C, L, P)
-        diff = lpos[:, :, None, :] - pro_xyz[None, None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        # Pairwise distances: (C, L, P), one axis at a time
+        dx = lpos[:, :, None, 0] - pro_x
+        dy = lpos[:, :, None, 1] - pro_y
+        dz = lpos[:, :, None, 2] - pro_z
+        dist = np.sqrt(dx * dx + dy * dy + dz * dz)
 
         etot = np.zeros(stop - start, dtype=np.float64)
 

@@ -1,5 +1,7 @@
 """Tests for the miniBUDE workload."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,22 @@ class TestDeviceKernelVsReference:
         energies[3] += 100.0
         with pytest.raises(Exception):
             verify_energies(energies, reference_energies(deck))
+
+    # sha256 of the float32 energies: the host reference keeps these exact
+    # bits, also on a deck whose 300 poses span two pose chunks
+    @pytest.mark.parametrize("dims,digest", [
+        (dict(natlig=8, natpro=32, ntypes=64, nposes=64, seed=2025),
+         "5e76b818bffe745a8da59b8aba88ada9d1e0f22bdb6eb3334ced3af3155a6198"),
+        (dict(natlig=4, natpro=12, ntypes=6, nposes=16, seed=5),
+         "f5a5fd42d16a20302798ef6ed309979b43003d2320d9f0e8ea9831a92759fb4b"),
+        (dict(natlig=8, natpro=64, ntypes=64, nposes=300, seed=7),
+         "44293a0a8b676e6af3dc85ab82ccaa8b4185411d98e3bbf4ac879e21d2e8f3ca"),
+        (dict(natlig=26, natpro=938, ntypes=64, nposes=32, seed=2025),
+         "9b68895665153ec3fa1fc19a0b6989c09632058d3f483c87c4433338f4c6d3be"),
+    ])
+    def test_reference_energies_are_bitwise_pinned(self, dims, digest):
+        energies = reference_energies(make_deck(**dims))
+        assert hashlib.sha256(energies.tobytes()).hexdigest() == digest
 
     def test_reference_chunking_invariance(self):
         deck = make_deck(natlig=4, natpro=12, ntypes=6, nposes=64, seed=5)

@@ -8,7 +8,12 @@ under threaded sweeps, and bounded memory over many replays.
 
 from __future__ import annotations
 
-import mmap
+import ctypes
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,19 +161,94 @@ def test_replay_reaches_the_eager_fault_sites_in_order(name, streams,
         "launch", "transfer.d2h", "corrupt.d2h"}
 
 
-def test_graph_owned_memory_lives_in_its_own_mapping():
-    # Long-lived graph memory outside the allocator's heap: replays then
-    # do not make their transient arrays fault pages in again.
-    ctx = DeviceContext("h100")
-    with ctx.capture() as graph:
-        ENQUEUE["stencil"](ctx, 1)
-    def mapped(array):
-        return isinstance(getattr(array.base, "obj", None), mmap.mmap)
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
 
-    assert all(mapped(buf.array) for buf in graph._buffers)
-    assert all(mapped(src) for _, src in graph._h2d_specs.values())
-    eager = DeviceContext("h100").enqueue_create_buffer("float64", 8)
-    assert not mapped(eager.array)
+
+needs_mallopt = pytest.mark.skipif(
+    not _has_mallopt(), reason="the host allocator is not glibc's")
+
+#: counts the minor page faults of each case's calls after 5 warm-up calls;
+#: a full collection before each counted call returns the interpreter's
+#: free lists, so only the host allocator's behaviour is counted
+_FAULT_COUNTER = """
+import gc, json, resource
+
+def faults_per_call(call, calls):
+    for _ in range(5):
+        call()
+    total = 0
+    for _ in range(calls):
+        gc.collect()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        call()
+        total += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return total / calls
+"""
+
+_GRAPH_REPLAYS = _FAULT_COUNTER + """
+from repro.graphopt import optimize_graph
+from repro.workloads import get_workload
+
+graphs = {}
+for kernel in ("stencil", "babelstream", "minibude", "hartreefock"):
+    workload = get_workload(kernel)
+    graph = workload.lint_graph()
+    graphs[kernel + ".captured"] = graph
+    graphs[kernel + ".optimized"] = optimize_graph(graph, "all")[0]
+    for mode in ("vectorized", "lowered"):
+        probe = workload.tuning_probe(workload.make_request(executor=mode))
+        if probe is not None:
+            graphs[kernel + "." + mode] = probe
+print(json.dumps({name: faults_per_call(graph.replay, 20)
+                  for name, graph in graphs.items()}))
+"""
+
+_VERIFIED_RUNS = _FAULT_COUNTER + """
+from repro.workloads import get_workload
+
+faults = {}
+for kernel in ("stencil", "babelstream", "minibude", "hartreefock"):
+    workload = get_workload(kernel)
+    for executor in ("auto", "vectorized"):
+        request = workload.make_request(verify=True, executor=executor)
+        def run():
+            assert workload.run(request).verification.passed
+        faults[kernel + "." + executor] = faults_per_call(run, 10)
+print(json.dumps(faults))
+"""
+
+
+def _faults_in_fresh_process(code: str) -> dict:
+    # glibc adjusts its thresholds by what the process freed before, so
+    # every count starts from a new interpreter
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@needs_mallopt
+def test_graph_replays_fault_no_pages():
+    # The lockstep engine's lane arrays and the graphs' own buffers stay in
+    # the heap: a warm replay maps and faults in nothing afresh.
+    faults = _faults_in_fresh_process(_GRAPH_REPLAYS)
+    assert len(faults) == 12
+    assert {name: f for name, f in faults.items() if f > 1} == {}
+
+
+@needs_mallopt
+def test_verified_runs_fault_no_pages():
+    faults = _faults_in_fresh_process(_VERIFIED_RUNS)
+    assert len(faults) == 8
+    assert {name: f for name, f in faults.items() if f > 1} == {}
 
 
 def test_keyless_program_is_replayed_once_and_not_stored():
