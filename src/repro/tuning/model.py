@@ -18,8 +18,8 @@ The resulting :class:`CandidateEstimate` is an *upper-bound style* score —
 close in structure to the full timing model but intentionally independent of
 the compile pipeline, so the tuner's "modelled vs measured" ranking is a
 meaningful comparison rather than a tautology.  Candidates whose estimated
-cost exceeds ``keep_ratio`` times the best estimate are pruned and never
-measured.
+cost exceeds :data:`DEFAULT_KEEP_RATIO` times the best estimate are pruned
+and never measured.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .space import TuningConfig, TuningSpace
 __all__ = ["CandidateEstimate", "PruneReport", "estimate_candidate",
            "prune_space", "DEFAULT_KEEP_RATIO"]
 
-#: candidates estimated slower than ``keep_ratio`` x the best estimate are
+#: candidates estimated slower than this many times the best estimate are
 #: pruned before measurement
 DEFAULT_KEEP_RATIO = 2.0
 
@@ -183,7 +183,8 @@ class PruneReport:
     estimates: List[CandidateEstimate] = field(default_factory=list)
     kept: List[CandidateEstimate] = field(default_factory=list)
     pruned: List[CandidateEstimate] = field(default_factory=list)
-    keep_ratio: float = DEFAULT_KEEP_RATIO
+    #: the pruning cutoff, as a multiple of the best estimate
+    keep_ratio = DEFAULT_KEEP_RATIO
 
     @property
     def space_size(self) -> int:
@@ -206,13 +207,13 @@ class PruneReport:
 
 
 def prune_space(workload, request, space: TuningSpace, *,
-                keep_ratio: float = DEFAULT_KEEP_RATIO,
                 enabled: bool = True) -> PruneReport:
     """Estimate every candidate of *space* and drop the hopeless ones.
 
     A candidate is pruned when it is infeasible (the occupancy model rejects
     the launch) or when its occupancy/roofline cost estimate exceeds
-    ``keep_ratio`` times the best estimate in the space.  ``enabled=False``
+    :data:`DEFAULT_KEEP_RATIO` times the best estimate in the space.
+    ``enabled=False``
     keeps every feasible candidate (used to validate that pruning does not
     change winners).  Kept candidates are returned best-estimate-first.
 
@@ -221,7 +222,7 @@ def prune_space(workload, request, space: TuningSpace, *,
     bytes moved under each candidate's launch — instead of the coarse
     per-thread model; a probe or analysis failure silently falls back.
     """
-    report = PruneReport(keep_ratio=keep_ratio)
+    report = PruneReport()
     for config in space.candidates():
         tuned = config.apply(request)
         try:
@@ -239,7 +240,7 @@ def prune_space(workload, request, space: TuningSpace, *,
     feasible = [e for e in report.estimates if e.feasible]
     feasible.sort(key=lambda e: e.modelled_ms)
     if feasible and enabled:
-        cutoff = feasible[0].modelled_ms * keep_ratio
+        cutoff = feasible[0].modelled_ms * DEFAULT_KEEP_RATIO
         report.kept = [e for e in feasible if e.modelled_ms <= cutoff]
         report.pruned = [e for e in report.estimates
                          if e not in report.kept]

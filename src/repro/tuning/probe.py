@@ -24,7 +24,10 @@ from typing import Dict, Optional
 
 from ..core.errors import ReproError
 
-__all__ = ["ProbeResult", "run_probe"]
+__all__ = ["ProbeResult", "run_probe", "PROBE_REPEATS"]
+
+#: replays of each candidate's captured probe graph
+PROBE_REPEATS = 2
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,9 @@ class ProbeResult:
         }
 
 
-def run_probe(workload, request, *, repeats: int = 2) -> Optional[ProbeResult]:
-    """Capture the workload's probe pipeline once and replay it *repeats* times.
+def run_probe(workload, request) -> Optional[ProbeResult]:
+    """Capture the workload's probe pipeline once and replay it
+    :data:`PROBE_REPEATS` times.
 
     Returns None when the workload declares no probe.  A candidate whose
     capture or replay raises yields ``ok=False`` with the error message —
@@ -68,7 +72,7 @@ def run_probe(workload, request, *, repeats: int = 2) -> Optional[ProbeResult]:
     if graph is None:
         return None
     try:
-        for _ in range(max(int(repeats), 1)):
+        for _ in range(PROBE_REPEATS):
             graph.replay()
     except ReproError as exc:
         return ProbeResult(makespan_ms=float("inf"), replays=graph.replays,

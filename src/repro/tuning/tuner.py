@@ -27,7 +27,6 @@ from ..core.errors import ConfigurationError, ReproError
 from ..harness.runner import MeasurementProtocol
 from .db import TuningDB, TuningRecord, default_tuning_db
 from .model import (
-    DEFAULT_KEEP_RATIO,
     CandidateEstimate,
     PruneReport,
     estimate_candidate,
@@ -132,10 +131,8 @@ class Tuner:
                  budget: int = DEFAULT_BUDGET,
                  strategy: str = "auto",
                  seed: int = 2025,
-                 keep_ratio: float = DEFAULT_KEEP_RATIO,
                  prune: bool = True,
-                 probe: bool = True,
-                 probe_repeats: int = 2):
+                 probe: bool = True):
         if strategy not in STRATEGIES:
             raise ConfigurationError(
                 f"unknown tuning strategy {strategy!r}; expected one of "
@@ -158,10 +155,8 @@ class Tuner:
         self.budget = int(budget)
         self.strategy = strategy
         self.seed = int(seed)
-        self.keep_ratio = keep_ratio
         self.prune = prune
         self.probe = probe
-        self.probe_repeats = int(probe_repeats)
 
     # ------------------------------------------------------------ measurement
     def _measure(self, config: TuningConfig,
@@ -182,8 +177,7 @@ class Tuner:
                               error=str(exc))
         probe = None
         if self.probe:
-            probe = run_probe(self.workload, tuned,
-                              repeats=self.probe_repeats)
+            probe = run_probe(self.workload, tuned)
             if probe is not None and not probe.ok:
                 measured = float("inf")
         return Evaluation(config=config, modelled_ms=modelled,
@@ -194,7 +188,7 @@ class Tuner:
         """Prune, measure within budget, pick the winner, persist it."""
         request = self.request
         report = prune_space(self.workload, request, self.space,
-                             keep_ratio=self.keep_ratio, enabled=self.prune)
+                             enabled=self.prune)
         by_config = {e.config: e for e in report.estimates}
         kept = [e.config for e in report.kept]  # best-estimate-first
 

@@ -6,7 +6,6 @@ import numpy as np
 
 from ..backends import get_backend
 from ..core.device import DeviceContext
-from ..gpu.specs import get_gpu
 from ..kernels.babelstream.kernels import BABELSTREAM_OPS
 from ..kernels.babelstream.metrics import operation_bandwidth_gbs
 from ..kernels.babelstream.reference import expected_values
@@ -20,15 +19,7 @@ from ..kernels.babelstream.runner import (
     babelstream_op_config,
     enqueue_babelstream,
 )
-from .base import (
-    NOT_VERIFIED,
-    ParamSpec,
-    RunRequest,
-    Verification,
-    Workload,
-    WorkloadResult,
-)
-from .provenance import build_provenance
+from .base import ParamSpec, RunRequest, Workload
 
 __all__ = ["BabelStreamWorkload"]
 
@@ -66,7 +57,7 @@ class BabelStreamWorkload(Workload):
         ))
 
     def tuning_model(self, request: RunRequest):
-        """Triad (the primary metric's kernel) model + launch for the pruner."""
+        """Triad's model + launch: the primary metric's kernel."""
         p = self.validate_params(request.params)
         return babelstream_op_config(
             "triad", n=p["n"], precision=request.precision,
@@ -93,56 +84,47 @@ class BabelStreamWorkload(Workload):
         a, b, c = expected_values(num_iterations)
         return {"a": a, "b": b, "c": c}
 
-    def _run(self, request: RunRequest) -> WorkloadResult:
-        """Verify on a reduced vector, then model each operation (Eq. 2).
+    def _verify(self, request: RunRequest):
+        """Verify :data:`VERIFY_ITERATIONS` sweeps on a reduced vector."""
+        precision = request.precision
+        out, pipeline = self._replay_verification(
+            request, (VERIFY_N, VERIFY_ITERATIONS),
+            (VERIFY_TB_SIZE, VERIFY_DOT_BLOCKS),
+            lambda ctx: enqueue_babelstream(
+                ctx, n=VERIFY_N, precision=precision,
+                tb_size=VERIFY_TB_SIZE, executor=request.executor,
+                streams=request.streams, iterations=VERIFY_ITERATIONS,
+                dot_blocks=VERIFY_DOT_BLOCKS, downloads=("a", "b", "c")))
+        errors = babelstream_errors(out, n=VERIFY_N, precision=precision,
+                                    num_iterations=VERIFY_ITERATIONS)
+        return max(errors.values()), pipeline
 
-        Mirrors the BabelStream driver: every operation's bandwidth comes
-        from the backend timing model, and seeded jitter gives one sample
-        per protocol repeat.
+    def _figures(self, request: RunRequest, run):
+        """Each operation's Eq. 2 bandwidth, as the BabelStream benchmark
+        reports it, with one seeded jitter sample per protocol repeat.
+
+        *run* is Triad's; the other four operations are priced here.
         """
         p = request.params
         n, precision = p["n"], request.precision
-        spec = get_gpu(request.gpu)
         be = get_backend(request.backend)
-        verification, pipeline = NOT_VERIFIED, {}
-        if request.verify:
-            out, pipeline["verify_pipeline"] = self._replay_verification(
-                request, (VERIFY_N, VERIFY_ITERATIONS),
-                (VERIFY_TB_SIZE, VERIFY_DOT_BLOCKS),
-                lambda ctx: enqueue_babelstream(
-                    ctx, n=VERIFY_N, precision=precision,
-                    tb_size=VERIFY_TB_SIZE, executor=request.executor,
-                    streams=request.streams, iterations=VERIFY_ITERATIONS,
-                    dot_blocks=VERIFY_DOT_BLOCKS, downloads=("a", "b", "c")))
-            errors = babelstream_errors(out, n=VERIFY_N, precision=precision,
-                                        num_iterations=VERIFY_ITERATIONS)
-            verification = Verification(ran=True, passed=True,
-                                        max_rel_error=max(errors.values()))
-
         metrics, timing, samples = {}, {}, {}
         rng = np.random.default_rng(p["seed"])
         for op in BABELSTREAM_OPS:
-            model, launch = babelstream_op_config(
-                op, n=n, precision=precision, tb_size=p["tb_size"],
-                backend=be, gpu=spec)
-            run = be.time(model, spec, launch, fast_math=request.fast_math)
+            op_run = run
+            if op != "triad":
+                model, launch = babelstream_op_config(
+                    op, n=n, precision=precision, tb_size=p["tb_size"],
+                    backend=be, gpu=run.gpu)
+                op_run = be.time(model, run.gpu, launch,
+                                 fast_math=request.fast_math)
             bw = operation_bandwidth_gbs(op, n, precision,
-                                         run.timing.kernel_time_s)
+                                         op_run.timing.kernel_time_s)
             metrics[f"{op}_gbs"] = bw
-            timing[op] = run.timing
+            timing[op] = op_run.timing
             samples[f"{op}_gbs"] = [
                 bw * max(1.0 + rng.normal(0.0, p["jitter"]), 0.5)
                 for _ in range(request.protocol.repeats)]
         metrics["kernel_time_ms"] = sum(t.kernel_time_ms
                                         for t in timing.values())
-        # Profiling counters for the primary-metric kernel (triad).
-        metrics.update(self.counter_metrics(request))
-        return WorkloadResult(
-            request=request,
-            metrics=metrics,
-            primary_metric=self.primary_metric,
-            verification=verification,
-            timing={**timing, **pipeline},
-            samples=samples,
-            provenance=build_provenance(request, sampling=self.sampling),
-        )
+        return metrics, timing, samples

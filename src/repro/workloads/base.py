@@ -14,6 +14,12 @@ Anything that can build a :class:`RunRequest` — the CLI ``bench`` command,
 therefore drive any registered workload without knowing its kernel-specific
 surface.  Adding workload #5 means implementing this protocol and calling
 :func:`repro.workloads.registry.register_workload`; no CLI or harness change.
+
+A workload declares only what differs per kernel: its verification
+program, its primary kernel (:meth:`Workload.tuning_model`) and the figures
+of merit of that kernel's priced run.  :meth:`Workload.run` resolves the
+gpu and backend, verifies, prices the primary kernel once, reads the
+``counter_*`` metrics off that same run and assembles the result.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core.errors import ConfigurationError, VerificationError
-from ..core.memo import Memo
 from ..harness.runner import MeasurementProtocol
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
@@ -376,14 +381,19 @@ class Workload:
     """Base class every science workload adapter implements.
 
     Subclasses define ``name``, ``description``, ``params`` (a tuple of
-    :class:`ParamSpec`), the primary metric, and the two protocol methods:
+    :class:`ParamSpec`), the primary metric, and what differs per kernel:
 
     * :meth:`reference` — the host (NumPy) reference computation;
-    * :meth:`_run` — execute one validated :class:`RunRequest`; with
-      ``request.verify`` it replays the kernel's device program
+    * :meth:`tuning_model` — the request's primary kernel
+      ``(model, launch)``, priced once per run;
+    * :meth:`_verify` — the verification program: with ``request.verify``
+      :meth:`_run` replays the kernel's device program
       (``repro.kernels.<kernel>.runner``), captured once per program key
       (:meth:`_replay_verification`), and reports the program's pipeline
-      as the ``"verify_pipeline"`` timing entry.
+      as the ``"verify_pipeline"`` timing entry;
+    * :meth:`_figures` — the figures of merit of the priced kernel.
+
+    :meth:`_run` does the rest the same way for every workload.
     """
 
     name: str = ""
@@ -475,11 +485,13 @@ class Workload:
         return None
 
     def tuning_model(self, request: RunRequest):
-        """``(KernelModel, LaunchConfig)`` for *request*'s configuration.
+        """``(KernelModel, LaunchConfig)`` of *request*'s primary kernel.
 
-        The occupancy/roofline pruner scores candidates through this hook
-        without compiling or running anything.  Required whenever
-        :meth:`tuning_space` returns a space.
+        The one declaration of the kernel a request is priced by:
+        :meth:`_run` prices it once per run and reads the figures of merit
+        and the ``counter_*`` metrics off that run; the occupancy/roofline
+        pruner scores tuning candidates through it without compiling or
+        running anything.
         """
         raise ConfigurationError(
             f"workload {self.name!r} declares no tuning model"
@@ -549,6 +561,54 @@ class Workload:
         raise NotImplementedError
 
     def _run(self, request: RunRequest) -> WorkloadResult:
+        """Verify *request*, price its kernel once and assemble the result.
+
+        The primary kernel is :meth:`tuning_model`'s ``(model, launch)``,
+        priced by one ``Backend.time``; its
+        :class:`~repro.backends.base.BackendRun` feeds both
+        :meth:`_figures` and the ``counter_*`` metrics, which follow the
+        workload's own metrics.
+        """
+        from ..backends import get_backend
+        from ..gpu.specs import get_gpu
+        from .provenance import build_provenance
+
+        verification, pipeline = NOT_VERIFIED, {}
+        if request.verify:
+            error, pipeline["verify_pipeline"] = self._verify(request)
+            verification = Verification(ran=True, passed=True,
+                                        max_rel_error=error)
+        model, launch = self.tuning_model(request)
+        run = get_backend(request.backend).time(
+            model, get_gpu(request.gpu), launch, fast_math=request.fast_math)
+        metrics, timing, samples = self._figures(request, run)
+        metrics.update(_counter_metrics(run))
+        return WorkloadResult(
+            request=request,
+            metrics=metrics,
+            primary_metric=self.primary_metric,
+            verification=verification,
+            timing={**timing, **pipeline},
+            samples=samples,
+            provenance=build_provenance(request, sampling=self.sampling),
+        )
+
+    def _verify(self, request: RunRequest):
+        """``(max_rel_error, pipeline)`` of *request*'s verification program.
+
+        Replays the kernel's device program through
+        :meth:`_replay_verification` and compares its downloads with the
+        reference; a mismatch raises :class:`VerificationError`.
+        """
+        raise NotImplementedError
+
+    def _figures(self, request: RunRequest, run):
+        """``(metrics, timing, samples)`` of the priced primary kernel *run*.
+
+        ``metrics`` and ``samples`` hold the workload's figures of merit in
+        export order; ``timing`` maps each kernel label to its
+        :class:`~repro.gpu.timing.TimingBreakdown`, *run*'s included.
+        """
         raise NotImplementedError
 
     def _replay_verification(self, request: RunRequest, problem_key,
@@ -573,45 +633,6 @@ class Workload:
             key = (self.name, problem_key, spec.name, request.precision,
                    executor, request.streams, knobs)
         return replay_program(key, spec, enqueue, **bindings)
-
-    def counter_metrics(self, request: RunRequest) -> Dict[str, float]:
-        """``counter_*`` profiling-counter metrics for *request*'s kernel.
-
-        The paper's NCU-table quantities
-        (:class:`~repro.profiling.counters.CounterSet`), surfaced uniformly
-        in every :class:`WorkloadResult` via the workload's
-        :meth:`tuning_model`.  Counters derive from the compiled kernel and
-        the analytic timing model alone, so they are identical across
-        executor modes (guarded by a parity test) and memoisable on the
-        model/launch/backend/gpu/fast-math key.
-        """
-        model, launch = self.tuning_model(request)
-        key = (model, launch, request.backend, request.gpu,
-               request.fast_math)
-        try:
-            hash(key)
-        except TypeError:  # unhashable launch: compute uncached
-            return self._compute_counter_metrics(request, model, launch)
-        return dict(_COUNTER_MEMO.get_or_compute(
-            key, lambda: self._compute_counter_metrics(request, model,
-                                                       launch)))
-
-    @staticmethod
-    def _compute_counter_metrics(request: RunRequest, model,
-                                 launch) -> Dict[str, float]:
-        from ..backends import get_backend
-        from ..gpu.specs import get_gpu
-        from ..profiling.counters import collect_counters
-
-        run = get_backend(request.backend).time(
-            model, get_gpu(request.gpu), launch,
-            fast_math=request.fast_math)
-        flat: Dict[str, float] = {}
-        for key, value in collect_counters(run).as_dict().items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            flat[f"counter_{key}"] = float(value)
-        return flat
 
     def run(self, request: RunRequest) -> WorkloadResult:
         """Validate *request* and execute it.
@@ -696,9 +717,22 @@ class Workload:
         return result
 
 
-#: memo for :meth:`Workload.counter_metrics` — counters are pure functions
-#: of (model, launch, backend, gpu, fast_math), so repeat runs pay nothing
-_COUNTER_MEMO = Memo("counter_metrics")
+def _counter_metrics(run) -> Dict[str, float]:
+    """The numeric profiling counters of *run* as ``counter_*`` metrics.
+
+    The paper's NCU-table quantities
+    (:class:`~repro.profiling.counters.CounterSet`) derive from the compiled
+    kernel and the analytic timing model alone, so they are identical
+    across executor modes.
+    """
+    from ..profiling.counters import collect_counters
+
+    flat: Dict[str, float] = {}
+    for key, value in collect_counters(run).as_dict().items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            continue
+        flat[f"counter_{key}"] = float(value)
+    return flat
 
 
 def _modelled_result_ms(result: WorkloadResult) -> Optional[float]:

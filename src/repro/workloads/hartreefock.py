@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from ..backends import get_backend
 from ..core.device import DeviceContext
-from ..gpu.specs import get_gpu
 from ..kernels.hartreefock.basis import make_helium_system
 from ..kernels.hartreefock.kernel import (
     SCHWARZ_TOLERANCE,
@@ -23,15 +21,7 @@ from ..kernels.hartreefock.runner import (
 )
 from ..core.kernel import LaunchConfig
 from ..core.memo import Memo
-from .base import (
-    NOT_VERIFIED,
-    ParamSpec,
-    RunRequest,
-    Verification,
-    Workload,
-    WorkloadResult,
-)
-from .provenance import build_provenance
+from .base import ParamSpec, RunRequest, Workload
 
 __all__ = ["HartreeFockWorkload"]
 
@@ -95,11 +85,11 @@ class HartreeFockWorkload(Workload):
         ))
 
     def tuning_model(self, request: RunRequest):
-        """ERI kernel model + launch for the pruner.
+        """The ERI kernel's model + launch on the requested system.
 
         The system and its surviving fraction are launch-independent and
-        memoised by value, so scoring candidates does not re-screen the
-        system per block size.
+        memoised by value, so neither a run nor the pruner's scoring of
+        each block size re-screens the system.
         """
         p = self.validate_params(request.params)
         system, survivors = _screened_system(p["natoms"], p["ngauss"],
@@ -131,49 +121,29 @@ class HartreeFockWorkload(Workload):
         return expected_fock(make_helium_system(natoms, ngauss,
                                                 spacing=spacing))
 
-    def _run(self, request: RunRequest) -> WorkloadResult:
-        """Verify a ``verify_natoms`` system, then model the requested one.
+    def _verify(self, request: RunRequest):
+        """Verify the device Fock build of a ``verify_natoms`` system."""
+        small = make_helium_system(request.params["verify_natoms"],
+                                   request.params["ngauss"],
+                                   spacing=VERIFY_SPACING)
+        out, pipeline = self._replay_verification(
+            request, small.key, (VERIFY_BLOCK_SIZE,),
+            lambda ctx: enqueue_hartreefock(
+                ctx, small, compute_schwarz(small),
+                block_size=VERIFY_BLOCK_SIZE, executor=request.executor,
+                streams=request.streams))
+        _, err = fock_error(small, 0.0, out["fock"])
+        return err, pipeline
 
-        The surviving-quadruple fraction comes from the system's actual
-        Schwarz bounds and drives the per-thread resource model; the kernel
-        time comes from the backend model, so no ERI is evaluated here.
+    def _figures(self, request: RunRequest, run):
+        """Table 4's kernel time and the screening that drives it.
+
+        No ERI is evaluated: the time comes from the backend model.
         """
         p = request.params
-        natoms, ngauss = p["natoms"], p["ngauss"]
-        spec = get_gpu(request.gpu)
-        be = get_backend(request.backend)
-        verification, pipeline = NOT_VERIFIED, {}
-        if request.verify:
-            small = make_helium_system(p["verify_natoms"], ngauss,
-                                       spacing=VERIFY_SPACING)
-            out, pipeline["verify_pipeline"] = self._replay_verification(
-                request, small.key, (VERIFY_BLOCK_SIZE,),
-                lambda ctx: enqueue_hartreefock(
-                    ctx, small, compute_schwarz(small),
-                    block_size=VERIFY_BLOCK_SIZE, executor=request.executor,
-                    streams=request.streams))
-            _, err = fock_error(small, 0.0, out["fock"])
-            verification = Verification(ran=True, passed=True,
-                                        max_rel_error=err)
-
-        system, survivors = _screened_system(natoms, ngauss, p["spacing"],
-                                             p["schwarz_tol"])
-        model = hartree_fock_kernel_model(natoms=natoms, ngauss=ngauss,
-                                          surviving_fraction=survivors)
-        run = be.time(model, spec,
-                      LaunchConfig.for_elements(system.nquads,
-                                                p["block_size"]),
-                      fast_math=request.fast_math)
-        return WorkloadResult(
-            request=request,
-            metrics={
-                "kernel_time_ms": run.timing.kernel_time_ms,
-                "nquads": float(system.nquads),
-                "surviving_fraction": survivors,
-                **self.counter_metrics(request),
-            },
-            primary_metric=self.primary_metric,
-            verification=verification,
-            timing={"kernel": run.timing, **pipeline},
-            provenance=build_provenance(request, sampling=self.sampling),
-        )
+        system, survivors = _screened_system(p["natoms"], p["ngauss"],
+                                             p["spacing"], p["schwarz_tol"])
+        return ({"kernel_time_ms": run.timing.kernel_time_ms,
+                 "nquads": float(system.nquads),
+                 "surviving_fraction": survivors},
+                {"kernel": run.timing}, {})

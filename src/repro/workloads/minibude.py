@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from ..backends import get_backend
 from ..core.device import DeviceContext
-from ..gpu.specs import get_gpu
 from ..kernels.minibude.deck import (
     BM1_NATLIG,
     BM1_NATPRO,
@@ -21,15 +19,7 @@ from ..kernels.minibude.runner import (
     fasten_inputs,
     minibude_launch_config,
 )
-from .base import (
-    NOT_VERIFIED,
-    ParamSpec,
-    RunRequest,
-    Verification,
-    Workload,
-    WorkloadResult,
-)
-from .provenance import build_provenance
+from .base import ParamSpec, RunRequest, Workload
 
 __all__ = ["MiniBudeWorkload"]
 
@@ -80,7 +70,7 @@ class MiniBudeWorkload(Workload):
         )
 
     def tuning_model(self, request: RunRequest):
-        """Fasten kernel model + launch for the pruner (bm1 deck shape)."""
+        """The fasten kernel's model + launch on the bm1 deck shape."""
         p = self.validate_params(request.params)
         model = fasten_kernel_model(ppwi=p["ppwi"], natlig=BM1_NATLIG,
                                     natpro=BM1_NATPRO, wgsize=p["wgsize"])
@@ -109,50 +99,31 @@ class MiniBudeWorkload(Workload):
                          nposes=nposes, seed=seed, name="reference")
         return expected_energies(deck)
 
-    def _run(self, request: RunRequest) -> WorkloadResult:
-        """Verify on a reduced deck, then model the bm1 shape (Eq. 3).
+    def _verify(self, request: RunRequest):
+        """Verify on a ``verify_poses`` deck of 8 ligand x 32 protein atoms.
 
         Only the deck's shape enters the timing model, so the bm1 deck is
-        never generated; functional verification runs the device kernel on
-        a ``verify_poses`` deck no larger than 8 ligand x 32 protein atoms.
+        never generated.
         """
         p = request.params
-        ppwi, wgsize, nposes = p["ppwi"], p["wgsize"], p["nposes"]
-        spec = get_gpu(request.gpu)
-        be = get_backend(request.backend)
-        verification, pipeline = NOT_VERIFIED, {}
-        if request.verify:
-            small = make_deck(natlig=8, natpro=32, ntypes=BM1_NTYPES,
-                              nposes=p["verify_poses"], seed=p["seed"],
-                              name="verify")
-            knobs = (min(ppwi, 2), min(wgsize, 8))
-            # one program per deck shape; each request binds its own deck
-            shape = None if small.key is None else small.key[:4]
-            out, pipeline["verify_pipeline"] = self._replay_verification(
-                request, shape, knobs,
-                lambda ctx: enqueue_fasten(
-                    ctx, small, ppwi=knobs[0], wgsize=knobs[1],
-                    executor=request.executor, streams=request.streams),
-                **fasten_inputs(small))
-            verification = Verification(
-                ran=True, passed=True,
-                max_rel_error=fasten_error(small, out["etotals"]))
+        small = make_deck(natlig=8, natpro=32, ntypes=BM1_NTYPES,
+                          nposes=p["verify_poses"], seed=p["seed"],
+                          name="verify")
+        knobs = (min(p["ppwi"], 2), min(p["wgsize"], 8))
+        # one program per deck shape; each request binds its own deck
+        shape = None if small.key is None else small.key[:4]
+        out, pipeline = self._replay_verification(
+            request, shape, knobs,
+            lambda ctx: enqueue_fasten(
+                ctx, small, ppwi=knobs[0], wgsize=knobs[1],
+                executor=request.executor, streams=request.streams),
+            **fasten_inputs(small))
+        return fasten_error(small, out["etotals"]), pipeline
 
-        model = fasten_kernel_model(ppwi=ppwi, natlig=BM1_NATLIG,
-                                    natpro=BM1_NATPRO, wgsize=wgsize)
-        run = be.time(model, spec,
-                      minibude_launch_config(nposes, ppwi, wgsize),
-                      fast_math=request.fast_math)
-        return WorkloadResult(
-            request=request,
-            metrics={
-                "gflops": gflops(ppwi, BM1_NATLIG, BM1_NATPRO, nposes,
-                                 run.timing.kernel_time_s),
-                "kernel_time_ms": run.timing.kernel_time_ms,
-                **self.counter_metrics(request),
-            },
-            primary_metric=self.primary_metric,
-            verification=verification,
-            timing={"kernel": run.timing, **pipeline},
-            provenance=build_provenance(request, sampling=self.sampling),
-        )
+    def _figures(self, request: RunRequest, run):
+        """Eq. 3 GFLOP/s of the bm1 shape (one evaluation, no samples)."""
+        p = request.params
+        return ({"gflops": gflops(p["ppwi"], BM1_NATLIG, BM1_NATPRO,
+                                  p["nposes"], run.timing.kernel_time_s),
+                 "kernel_time_ms": run.timing.kernel_time_ms},
+                {"kernel": run.timing}, {})

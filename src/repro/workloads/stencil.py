@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backends import get_backend
 from ..core.device import DeviceContext
-from ..gpu.specs import get_gpu
 from ..kernels.stencil.kernel import stencil_kernel_model
 from ..kernels.stencil.metrics import effective_bandwidth_gbs
 from ..kernels.stencil.problem import StencilProblem
@@ -17,15 +15,7 @@ from ..kernels.stencil.runner import (
     stencil_error,
     stencil_launch_config,
 )
-from .base import (
-    NOT_VERIFIED,
-    ParamSpec,
-    RunRequest,
-    Verification,
-    Workload,
-    WorkloadResult,
-)
-from .provenance import build_provenance
+from .base import ParamSpec, RunRequest, Workload
 
 __all__ = ["StencilWorkload"]
 
@@ -69,7 +59,7 @@ class StencilWorkload(Workload):
         ))
 
     def tuning_model(self, request: RunRequest):
-        """Kernel model + launch for the pruner (no compile, no run)."""
+        """The Laplacian kernel's model + launch on the requested grid."""
         p = self.validate_params(request.params)
         model = stencil_kernel_model(L=p["L"], precision=request.precision)
         return model, stencil_launch_config(p["L"], p["block_shape"])
@@ -103,50 +93,32 @@ class StencilWorkload(Workload):
         (memoised, read-only)."""
         return StencilProblem(L, precision).expected_laplacian()
 
-    def _run(self, request: RunRequest) -> WorkloadResult:
-        """Verify on a reduced grid, then model the requested ``L`` (Eq. 1).
+    def _verify(self, request: RunRequest):
+        """Verify on at most a ``FUNCTIONAL_VERIFY_MAX_L``-edge grid.
 
-        The kernel's numerics do not depend on ``L``, so the device kernel
-        is verified on at most a ``FUNCTIONAL_VERIFY_MAX_L``-edge grid; the
-        bandwidth comes from the backend timing model, and seeded jitter
-        gives one sample per protocol repeat (Figure 3's spread).
+        The kernel's numerics do not depend on ``L``, so a reduced grid
+        checks the same device code the requested ``L`` is modelled for.
         """
-        p = request.params
-        L, precision = p["L"], request.precision
-        spec = get_gpu(request.gpu)
-        be = get_backend(request.backend)
-        verification, pipeline = NOT_VERIFIED, {}
-        if request.verify:
-            problem = StencilProblem(min(L, FUNCTIONAL_VERIFY_MAX_L),
-                                     precision)
-            out, pipeline["verify_pipeline"] = self._replay_verification(
-                request, problem.key, VERIFY_BLOCK_SHAPE,
-                lambda ctx: enqueue_stencil(
-                    ctx, problem, VERIFY_BLOCK_SHAPE,
-                    executor=request.executor, streams=request.streams))
-            verification = Verification(
-                ran=True, passed=True,
-                max_rel_error=stencil_error(problem, out["f"]))
+        problem = StencilProblem(min(request.params["L"],
+                                     FUNCTIONAL_VERIFY_MAX_L),
+                                 request.precision)
+        out, pipeline = self._replay_verification(
+            request, problem.key, VERIFY_BLOCK_SHAPE,
+            lambda ctx: enqueue_stencil(
+                ctx, problem, VERIFY_BLOCK_SHAPE,
+                executor=request.executor, streams=request.streams))
+        return stencil_error(problem, out["f"]), pipeline
 
-        run = be.time(stencil_kernel_model(L=L, precision=precision), spec,
-                      stencil_launch_config(L, p["block_shape"]),
-                      fast_math=request.fast_math)
-        bandwidth = effective_bandwidth_gbs(L, precision,
+    def _figures(self, request: RunRequest, run):
+        """Eq. 1 bandwidth, and one seeded jitter sample per protocol
+        repeat (Figure 3's spread)."""
+        p = request.params
+        bandwidth = effective_bandwidth_gbs(p["L"], request.precision,
                                             run.timing.kernel_time_s)
         rng = np.random.default_rng(p["seed"])
         samples = [bandwidth * max(1.0 + rng.normal(0.0, p["jitter"]), 0.5)
                    for _ in range(request.protocol.repeats)]
-        return WorkloadResult(
-            request=request,
-            metrics={
-                "bandwidth_gbs": bandwidth,
-                "mean_bandwidth_gbs": float(np.mean(samples)),
-                "kernel_time_ms": run.timing.kernel_time_ms,
-                **self.counter_metrics(request),
-            },
-            primary_metric=self.primary_metric,
-            verification=verification,
-            timing={"kernel": run.timing, **pipeline},
-            samples={"bandwidth_gbs": samples},
-            provenance=build_provenance(request, sampling=self.sampling),
-        )
+        return ({"bandwidth_gbs": bandwidth,
+                 "mean_bandwidth_gbs": float(np.mean(samples)),
+                 "kernel_time_ms": run.timing.kernel_time_ms},
+                {"kernel": run.timing}, {"bandwidth_gbs": samples})

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness.runner import MeasurementProtocol
-from repro.tuning.probe import run_probe
+from repro.tuning.probe import PROBE_REPEATS, run_probe
 from repro.workloads import get_workload
 
 FAST = MeasurementProtocol(warmup=0, repeats=1)
@@ -18,9 +18,9 @@ def _request(wl, **overrides):
 class TestRunProbe:
     def test_probe_succeeds_within_budget(self):
         wl = get_workload("stencil")
-        probe = run_probe(wl, _request(wl), repeats=2)
+        probe = run_probe(wl, _request(wl))
         assert probe is not None and probe.ok
-        assert probe.replays == 2
+        assert probe.replays == PROBE_REPEATS
 
     def test_workload_without_probe_returns_none(self):
         wl = get_workload("hartreefock")
