@@ -14,6 +14,13 @@ import os
 import pytest
 
 
+def pytest_configure(config):
+    """Register the ``slow`` mark (the full-size Table 4 benchmark).  It
+    selects nothing by default: deselect it with ``-m "not slow"``."""
+    config.addinivalue_line("markers",
+                            "slow: a full-size paper benchmark (seconds)")
+
+
 def pytest_sessionfinish(session, exitstatus):
     """Export the memo counters for ``repro bench-compare``.
 

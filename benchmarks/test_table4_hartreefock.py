@@ -1,8 +1,9 @@
 """Benchmark regenerating Table 4 (Hartree-Fock wall-clock times).
 
-The quick mode covers the 64/128/256-atom rows; pass ``--run-slow-hf`` (see
-``test_table4_full``) to include the 1024-atom / 6-Gaussian row, whose Schwarz
-screening over ~1.4e11 quadruples takes a few extra seconds of host time.
+The quick mode covers the 64/128/256-atom rows; ``test_table4_hartreefock_full``
+adds the 1024-atom / 6-Gaussian row, whose Schwarz screening over ~1.4e11
+quadruples takes extra host time.  It carries the ``slow`` mark
+(``benchmarks/conftest.py``): ``-m "not slow"`` deselects it.
 """
 
 import pytest

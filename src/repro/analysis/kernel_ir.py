@@ -32,7 +32,11 @@ The IR records the facts its consumers need:
   constructs with no SIMT meaning (``print``, ``global``, ``yield`` …);
 * the parameters the body uses other than as the tensor of a subscript,
   masked accessor or atomic (``escapes``): a helper call, an alias or a
-  closure may index them where no :class:`Access` records it.
+  closure may index them where no :class:`Access` records it;
+* per loop (:class:`Loop`): its :class:`Induction` variable, which the
+  regions read as a :class:`~.symexpr.Stride`, and its accumulation
+  statements ``x = x + e``; the lowering tier's trip axis and folds take
+  both from here, and no other module decides what either is.
 
 Anything the interpreter cannot bound becomes ⊤, never a smaller set, so
 the regions read off the IR over-approximate what lanes actually touch.
@@ -45,17 +49,17 @@ from __future__ import annotations
 import ast
 import inspect
 import textwrap
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.atomics import ATOMIC_FUNCTIONS
 from ..core.intrinsics import SIMT_MODEL
 from ..core.memo import Memo
 from .symexpr import (Add, Clamp, Const, FloorDiv, Join, LANE_VARS, Mul, Neg,
-                      Sub, SymExpr, Var)
+                      Stride, Sub, SymExpr, Var)
 
-__all__ = ["UNIFORM", "GUARDED", "LANE", "BLOCK_CALLS", "Access", "KernelIR",
-           "Mask",
+__all__ = ["UNIFORM", "GUARDED", "LANE", "BLOCK_CALLS", "Access", "Induction",
+           "KernelIR", "Loop", "Mask",
            "IR_MEMO", "assigned_names", "callee", "kernel_ir", "underlying_fn"]
 
 # taint lattice
@@ -81,6 +85,9 @@ _AXES = ("x", "y", "z")
 _ARITH = {ast.Add: Add, ast.Sub: Sub, ast.Mult: Mul, ast.FloorDiv: FloorDiv}
 _FLIP = {ast.Lt: ast.Gt, ast.Gt: ast.Lt, ast.LtE: ast.GtE, ast.GtE: ast.LtE}
 _NEGATE = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt}
+#: the nodes of a step expression that evaluates with no side effect
+_PURE = (ast.Name, ast.Constant, ast.BinOp, ast.UnaryOp, ast.Attribute,
+         ast.operator, ast.unaryop, ast.expr_context)
 
 
 def underlying_fn(kern):
@@ -107,9 +114,10 @@ _NON_BINDING = (ast.If, ast.While, ast.Expr, ast.Return, ast.Pass, ast.Break,
                 ast.Continue, ast.Assert, ast.Global, ast.Nonlocal)
 
 
-def _scan(body, loops: Dict) -> set:
-    """Names a statement list binds; records each loop body's in *loops*."""
-    names = set()
+def _scan(body, loops: Dict, bodies: Dict) -> Tuple[set, list]:
+    """Names a statement list binds and its statements, nested ones
+    included; records each loop body's in *loops* and *bodies*."""
+    names, stmts = set(), list(body)
     for stmt in body:
         if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign,
                              ast.For)):
@@ -121,11 +129,12 @@ def _scan(body, loops: Dict) -> set:
         for field in ("body", "orelse", "handlers", "finalbody"):
             sub = getattr(stmt, field, None)
             if isinstance(sub, list) and sub:
-                inner = _scan(sub, loops)
+                inner, nested = _scan(sub, loops, bodies)
                 names |= inner
+                stmts += nested
                 if field == "body" and isinstance(stmt, (ast.For, ast.While)):
-                    loops[stmt] = inner
-    return names
+                    loops[stmt], bodies[stmt] = inner, nested
+    return names, stmts
 
 
 def _global_index(axis: str) -> SymExpr:
@@ -154,15 +163,18 @@ class Mask:
     ``exact`` is set when every conjunct of an ``&`` conjunction parsed
     (dropping a conjunct only widens the mask, which is sound for regions
     but not for code generation).  ``neg`` is the complement of a single
-    comparison, used for the false arm of ``lane_where``.
+    comparison, used for the false arm of ``lane_where``.  ``entries``
+    holds each bounded name's env entry when the comparison ran: the
+    bound holds for that value only.
     """
 
-    __slots__ = ("bounds", "exact", "neg")
+    __slots__ = ("bounds", "exact", "neg", "entries")
 
-    def __init__(self, bounds, exact: bool = True, neg=None):
+    def __init__(self, bounds, exact: bool = True, neg=None, entries=None):
         self.bounds = bounds
         self.exact = exact
         self.neg = neg
+        self.entries = entries or {}
 
     def key(self) -> Tuple:
         return tuple(sorted(
@@ -178,11 +190,16 @@ def _conjoin(syms, elementwise: bool) -> Optional[Mask]:
     if not masks:
         return None
     bounds: Dict[str, list] = {}
+    entries: Dict[str, object] = {}
     for m in masks:
         for name, pairs in m.bounds.items():
             bounds.setdefault(name, []).extend(pairs)
+            # two values of one name: the bound holds for neither alone
+            entry = m.entries.get(name)
+            entries[name] = entry if entries.get(name, entry) is entry \
+                else object()
     return Mask(bounds, elementwise and len(masks) == len(syms)
-                and all(m.exact for m in masks))
+                and all(m.exact for m in masks), entries=entries)
 
 
 def _bound_pair(op, bound: SymExpr):
@@ -202,8 +219,9 @@ def _expr_vars(expr: SymExpr, out: List[str]) -> None:
 
 
 def _approx(expr: SymExpr) -> bool:
-    """Does *expr* contain a clamp or a join (a guard-derived bound)?"""
-    if isinstance(expr, (Clamp, Join)):
+    """Does *expr* contain a clamp, a join or a stride (a bound that lanes
+    need not reach)?"""
+    if isinstance(expr, (Clamp, Join, Stride)):
         return True
     return any(_approx(sub) for sub in (getattr(expr, c, None)
                                         for c in ("left", "right", "operand"))
@@ -255,6 +273,29 @@ class Access:
     phase: int = 0                   # barrier-delimited phase
 
 
+@dataclass(frozen=True)
+class Induction:
+    """A loop's induction variable: the body's only rebinding of *name* is
+    its trailing ``name = name + step`` (or ``+=``), *step* uniform and
+    loop invariant, so inside the loop *name* is ``start + k * step`` for
+    some ``k >= 0``.  *limit* is the exclusive bound of a ``while
+    any_lane(name < limit)`` test, None for any other loop."""
+
+    name: str
+    step: ast.expr
+    limit: Optional[SymExpr]
+
+
+@dataclass(frozen=True)
+class Loop:
+    """What the front end knows about one ``for`` or ``while`` loop."""
+
+    induction: Optional[Induction]
+    #: the body's ``x = x + e`` statements (nested ones included), x a name
+    #: or a slot ``x[k]`` of a local sequence (the lowering tier resolves k)
+    accumulations: frozenset
+
+
 @dataclass(frozen=True, eq=False)
 class KernelIR:
     """What the front end knows about one kernel body."""
@@ -280,6 +321,7 @@ class KernelIR:
     #: parameters used other than as an access's tensor (see module doc)
     escapes: frozenset = frozenset()
     analyzable: bool = True
+    loops: Dict[ast.stmt, Loop] = field(default_factory=dict)
 
 
 class _Walk:
@@ -308,7 +350,9 @@ class _Walk:
         self.clamps: Dict = {}
         self.early: Dict = {}
         self.carried: Dict = {}     # loop -> the names its body rebinds
-        _scan(fndef.body, self.carried)
+        self.bodies: Dict = {}      # loop -> its body's statements, nested
+        _scan(fndef.body, self.carried, self.bodies)
+        self.loops: Dict = {}
 
     # ------------------------------------------------------------ helpers
     def _add(self, kind: str, item) -> None:
@@ -351,8 +395,7 @@ class _Walk:
         return (taint, tuple((taint, s) for _, s in vals)), mask
 
     def _enter(self, mask: Mask) -> None:
-        self.masks.append((mask, {name: self.env.get(name)
-                                  for name in mask.bounds}))
+        self.masks.append((mask, mask.entries))
 
     def _masked(self, node, mask: Optional[Mask]):
         if mask is None:
@@ -501,8 +544,9 @@ class _Walk:
         if pair is None:
             return taint, None
         neg = _bound_pair(_NEGATE.get(op), bound)
-        return taint, Mask({name: [pair]},
-                           neg=None if neg is None else Mask({name: [neg]}))
+        entries = {name: self.env.get(name)}
+        return taint, Mask({name: [pair]}, entries=entries, neg=None if neg
+                           is None else Mask({name: [neg]}, entries=entries))
 
     def _e_IfExp(self, node):
         taint, test = self.eval(node.test)
@@ -811,24 +855,66 @@ class _Walk:
                 self.stopped = True
 
     # --------------------------------------------------------------- loops
+    def _accumulation(self, node) -> bool:
+        """``x = x + e`` with x a name or a slot ``x[k]`` of a local."""
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.value, ast.BinOp)
+                and isinstance(node.value.op, ast.Add)):
+            return False
+        target = node.targets[0]
+        base = target.value if isinstance(target, ast.Subscript) else None
+        return (isinstance(target, ast.Name) or isinstance(base, ast.Name)
+                and base.id not in self.pos) \
+            and ast.unparse(node.value.left) == ast.unparse(target)
+
+    def _induction(self, node, accumulations) -> Optional[Tuple[str,
+                                                                ast.expr]]:
+        """(name, step) of the loop's induction variable, if it has one."""
+        last = node.body[-1]
+        if isinstance(last, ast.AugAssign) and isinstance(last.op, ast.Add):
+            target, step = last.target, last.value
+        elif last in accumulations:
+            target, step = last.targets[0], last.value.right
+        else:
+            return None
+        if not isinstance(target, ast.Name) or self.carried[node] & {
+                n.id for n in ast.walk(step) if isinstance(n, ast.Name)} \
+                or not all(isinstance(n, _PURE) for n in ast.walk(step)):
+            return None
+        stores = [n for n in ast.walk(node) if isinstance(n, ast.Name)
+                  and n.id == target.id and isinstance(n.ctx, ast.Store)]
+        return (target.id, step) if len(stores) == 1 else None
+
     def _loop(self, node, head, frame) -> None:
         """Walk a loop body until its carried taints are a fixpoint.
 
         Carried names enter as ⊤ (their symbolic value changes per
-        iteration).  A pass whose exit taints exceed its entry taints is
-        rolled back and repeated from the joined taints, so exactly the
+        iteration), an induction variable as its :class:`Stride` from its
+        value on entry.  A pass whose exit taints exceed its entry taints
+        is rolled back and repeated from the joined taints, so exactly the
         stable pass stays recorded.
         """
         carried = self.carried[node]
+        accumulations = frozenset(s for s in self.bodies[node]
+                                  if self._accumulation(s))
+        induction = self._induction(node, accumulations)
         entry = dict(self.env)
         for name in carried:
             taint, _, defn = entry.get(name, (UNIFORM, None, None))
             entry[name] = (taint, None, defn)
+        if induction is not None:
+            name, step = induction
+            taint, start, defn = self.env.get(name, (UNIFORM, None, None))
+            tstep, sym = self.eval(step)
+            if tstep != UNIFORM:
+                induction = None
+            elif isinstance(start, SymExpr) and isinstance(sym, SymExpr):
+                entry[name] = (taint, Stride(start, sym), defn)
         mark = {k: len(v) for k, v in self.records.items()}
         state = (self.phase, self.tail)
         while True:
             self.env = dict(entry)
-            taint = head()
+            taint, test = head()
             if frame:
                 self.guards.append((taint, node.test, False))
             try:
@@ -851,6 +937,12 @@ class _Walk:
             if n in self.env:
                 t = max(self.env[n][0], entry[n][0])
                 self.env[n] = (t,) + self.env[n][1:]
+        if induction is not None:
+            pairs = test.bounds.get(induction[0], ()) if isinstance(
+                test, Mask) and test.exact and len(test.bounds) == 1 else ()
+            induction = Induction(*induction, pairs[0][1] if len(pairs) == 1
+                                  and pairs[0][0] is None else None)
+        self.loops[node] = Loop(induction, accumulations)
 
     def _stmt_For(self, node):
         def head():
@@ -870,17 +962,22 @@ class _Walk:
             if taint != UNIFORM:
                 self._add("divergence", ("for", node.lineno, None))
             self._bind(node.target, (taint, loop), None)
-            return taint
+            return taint, None
         self._loop(node, head, False)
         self.walk(node.orelse)
         self.stopped = False
 
     def _stmt_While(self, node):
-        def head():
-            taint = self.eval(node.test)[0]
+        def head():     # the test's taint and the m of any_lane(m)
+            test, mask = node.test, None
+            if isinstance(test, ast.Call) and callee(test) == "any_lane" \
+                    and len(test.args) == 1 and not test.keywords:
+                taint, mask = UNIFORM, self.eval(test.args[0])[1]
+            else:
+                taint = self.eval(test)[0]
             if taint != UNIFORM:
                 self._add("divergence", ("while", node.lineno, node.test))
-            return taint
+            return taint, mask
         self._loop(node, head, True)
         # anything the body rebinds is iteration-dependent: ⊤ afterwards
         for name in self.carried[node]:
@@ -900,7 +997,8 @@ class _Walk:
             unsafe=tuple(r["unsafe"]), axes=self.axes,
             masks=self.masks_at, clamps=self.clamps, early_guards=self.early,
             unmodelled=tuple(r["unmodelled"]),
-            escapes=frozenset(r["escapes"]), analyzable=analyzable)
+            escapes=frozenset(r["escapes"]), analyzable=analyzable,
+            loops=self.loops)
 
 
 def _merge(saved: Dict, a: Dict, b: Dict) -> Dict:

@@ -31,7 +31,11 @@ Soundness
 The front end *over-approximates*: every index a lane can actually
 produce lies inside the reported region.  Anything it cannot model — loop
 carried variables, calls into helpers, data-dependent indices — degrades
-the access to ⊤ (the whole buffer), never to a smaller set.  Disjointness
+the access to ⊤ (the whole buffer), never to a smaller set.  The one loop
+carried exception is an induction variable (``i = i + s`` ends the body
+and is ``i``'s only rebinding, ``s`` uniform): it reads ``[start, inf)``
+while ``s`` is positive under the launch, else ⊤, so only a guard such as
+``i < n`` bounds it, and it is never endpoint-exact.  Disjointness
 conclusions drawn from regions are therefore sound.  The opposite
 direction (an access *must* go out of bounds) additionally requires the
 expression to be endpoint-exact — affine with single-occurrence variables
@@ -46,6 +50,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ..core.memo import Memo
 from .diagnostics import Diagnostic, Severity
@@ -207,16 +213,8 @@ def _arg_key(arg) -> Tuple:
     shape = _arg_shape(arg)
     if shape is not None:
         return ("T", shape, _arg_elem_bytes(arg))
-    if isinstance(arg, (bool,)):
+    if isinstance(arg, (bool, int, float, np.generic)):
         return ("S", float(arg))
-    if isinstance(arg, (int, float)):
-        return ("S", float(arg))
-    try:
-        import numpy as _np
-        if isinstance(arg, _np.generic):
-            return ("S", float(arg))
-    except Exception:  # pragma: no cover - numpy always present
-        pass
     return ("O",)
 
 
@@ -329,21 +327,11 @@ def _concretize_summary(summary: RegionSummary, args,
     shapes: Dict[int, Tuple[int, ...]] = {}
     elems: Dict[int, int] = {}
     for i, (pname, arg) in enumerate(zip(summary.params, args)):
-        shape = _arg_shape(arg)
-        if shape is not None:
-            shapes[i] = shape
-            elems[i] = _arg_elem_bytes(arg)
-        elif isinstance(arg, (bool, int, float)):
-            v = float(arg)
-            env[pname] = Interval(v, v)
-        else:
-            try:
-                import numpy as _np
-                if isinstance(arg, _np.generic):
-                    v = float(arg)
-                    env[pname] = Interval(v, v)
-            except Exception:  # pragma: no cover
-                pass
+        key = _arg_key(arg)
+        if key[0] == "T":
+            shapes[i], elems[i] = key[1], key[2]
+        elif key[0] == "S":
+            env[pname] = Interval(key[1], key[1])
 
     reads: Dict[int, List[Box]] = {}
     writes: Dict[int, List[Box]] = {}

@@ -13,8 +13,9 @@ Design notes
 * Expressions are immutable trees built from :class:`Const`, :class:`Var`,
   the arithmetic nodes (:class:`Add` / :class:`Sub` / :class:`Mul` /
   :class:`FloorDiv` / :class:`Neg`), :class:`Clamp` (a guard-derived
-  half-open bound restriction) and :class:`Join` (the hull of two values —
-  ``lane_where`` selects).
+  half-open bound restriction), :class:`Join` (the hull of two values —
+  ``lane_where`` selects) and :class:`Stride` (a loop's induction
+  variable).
 * :class:`Interval` is a closed interval over the extended reals; the
   usual over-approximating arithmetic applies, so every derived region is
   a sound superset of the accessed index set.
@@ -43,6 +44,7 @@ __all__ = [
     "Neg",
     "Clamp",
     "Join",
+    "Stride",
     "LANE_VARS",
     "UNIFORM_VARS",
     "launch_env",
@@ -328,6 +330,30 @@ class Join(SymExpr):
 
     def key(self) -> Tuple:
         return ("join", self.left.key(), self.right.key())
+
+
+class Stride(SymExpr):
+    """``start + k * step`` for some ``k >= 0``: a loop's induction variable.
+
+    Its interval is ``[start.lo, inf)`` while *step* is positive under the
+    launch, and unbounded (None) otherwise: a zero step never ends a
+    grid-stride loop and a negative one walks below the start.
+    """
+
+    __slots__ = ("start", "step")
+
+    def __init__(self, start: SymExpr, step: SymExpr):
+        self.start = start
+        self.step = step
+
+    def interval(self, env: _Env) -> Optional[Interval]:
+        start, step = self.start.interval(env), self.step.interval(env)
+        if start is None or step is None or step.empty or step.lo <= 0:
+            return None
+        return Interval(start.lo, _INF)
+
+    def key(self) -> Tuple:
+        return ("stride", self.start.key(), self.step.key())
 
 
 def launch_env(launch) -> Dict[str, Interval]:

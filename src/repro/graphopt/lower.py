@@ -58,26 +58,33 @@ One emitter, two index rules:
   arithmetic, and ``any_lane`` / ``compress_lanes`` / ``lane_where`` /
   ``masked_gather`` / ``masked_store`` / ``Atomic.fetch_add`` are emitted
   inline (fasten, ERI, Dot).  Uniform ``for … in range(<static>)`` loops
-  whose iterations interact only through ``x = x + e`` accumulators run
-  with the loop index as a leading array axis; the accumulators fold in
-  iteration and statement order (:func:`_fold`), so sums stay bitwise.
+  whose iterations interact only through the IR's accumulation statements
+  (:attr:`repro.analysis.kernel_ir.Loop.accumulations`) run with the loop
+  index as a leading array axis; the accumulators fold in iteration and
+  statement order (:func:`_fold`), so sums stay bitwise.
   The axis form is used while its temporaries fit :data:`AXIS_BUDGET`
   elements; above it a loop stays a Python loop in the generated code (short
   loops that the axis form refuses unroll).  Stores and atomics run once,
   over all lanes, in the interpreter's order.  Bodies with barriers or
   shared memory (:func:`repro.gpu.executor.kernel_uses_barrier`) run every
   block at once on a ``(block, lane)`` axis: shared arrays become
-  ``(blocks, size)``, a ``while any_lane(...)`` test is evaluated per block
-  and blocks whose loop has ended keep their state.  Two forms there need
-  no Python loop:
+  ``(blocks, size)``.  Two forms there need no Python loop:
 
   - **trip axis** — a grid-stride loop ``while any_lane(i < n): …;
     i = i + s`` with static ``n`` and ``s > 0`` runs on a ``(trips, blocks,
     lanes)`` index array (:meth:`_BodyLowerer._while_trips`): each gather,
     and its bounds check, runs once per chunk of trips, not once per trip.
-    A trip a block does not run gathers index 0 and adds ``-0.0``, the
-    exact IEEE "no add"; a lane masked off inside a running block keeps
-    the ``+0.0`` term the interpreter adds;
+    The loop shape comes from the IR: its
+    :class:`~repro.analysis.kernel_ir.Induction` names ``i``, ``s`` and
+    ``n``, and no other ``while any_lane(...)`` loop lowers.  A trip a
+    block does not run gathers index 0 and adds ``-0.0``, the exact IEEE
+    "no add"; a lane masked off inside a running block keeps the ``+0.0``
+    term the interpreter adds.  An accumulator folds at the NEP 50 join of
+    its start and its terms, so a Python ``0.0`` against float32 terms
+    folds at float32; a block that runs no trip keeps the Python scalar,
+    so after the loop the accumulator is a weak/strong mix of the fold
+    dtype and a use whose result would differ between the two refuses the
+    body;
   - **prefix slices** — a ``masked_store`` into shared memory guarded by
     ``thread_idx.x < s`` with static ``s`` (one-dimensional blocks), whose
     value combines gathers under the same guard, is one slice assignment
@@ -198,63 +205,7 @@ def _axis_extents(launch: LaunchConfig) -> Dict[str, int]:
     return {"x": bd.x * gd.x, "y": bd.y * gd.y, "z": bd.z * gd.z}
 
 
-# --------------------------------------------------------------------- match
-def _eval_static(node, env) -> float:
-    """Numerically evaluate a scalar expression from constants and scalar args."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-        return node.value
-    if isinstance(node, ast.Name):
-        sym = env.get(node.id)
-        if isinstance(sym, _Const) and _const_type(sym.value) is not None:
-            return sym.value
-        raise _fail(f"name {node.id!r} is not a scalar argument")
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return -_eval_static(node.operand, env)
-    if isinstance(node, ast.BinOp):
-        left = _eval_static(node.left, env)
-        right = _eval_static(node.right, env)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        if isinstance(node.op, ast.FloorDiv):
-            return left // right
-        if isinstance(node.op, ast.Div):
-            return left / right
-    raise _fail("bound expression is not statically evaluable")
-
-
-def _static_int(node, env) -> int:
-    value = _eval_static(node, env)
-    if int(value) != value:
-        raise _fail(f"bound expression evaluates to non-integer {value}")
-    return int(value)
-
-
 # ------------------------------------------------------------------- codegen
-def _index_components(node, env) -> List[Tuple[str, int]]:
-    """Subscript index -> [(lane-var name, constant offset)] per dimension."""
-    elts = node.elts if isinstance(node, ast.Tuple) else [node]
-    comps: List[Tuple[str, int]] = []
-    for e in elts:
-        if isinstance(e, ast.Name):
-            name, off = e.id, 0
-        elif isinstance(e, ast.BinOp) and isinstance(e.left, ast.Name) \
-                and isinstance(e.op, (ast.Add, ast.Sub)):
-            name = e.left.id
-            off = _static_int(e.right, env)
-            if isinstance(e.op, ast.Sub):
-                off = -off
-        else:
-            raise _fail("tensor index is not lane-variable +/- constant")
-        if not isinstance(env.get(name), _Axis):
-            raise _fail(f"tensor index {name!r} is not a lane index")
-        comps.append((name, off))
-    return comps
-
-
 def _slices_for(comps: Sequence[Tuple[str, int]], shape: Tuple[int, ...],
                 env) -> str:
     if len(comps) != len(shape):
@@ -365,9 +316,11 @@ class _Frame:
     """One axis-form loop: its axis position, trip count (an int, or the
     source of a runtime count), the bindings that existed on entry, the
     accumulators it folds on exit and, for a grid-stride trip axis, *live*:
-    the ``(trips, blocks, 1)`` mask of the trips each block runs."""
+    the ``(trips, blocks, 1)`` mask of the trips each block runs, and
+    *starts*: each accumulator's binding before the loop."""
 
-    __slots__ = ("depth", "trip", "names", "seqs", "accums", "live")
+    __slots__ = ("depth", "trip", "names", "seqs", "accums", "live",
+                 "starts")
 
     def __init__(self, depth: int, trip, names, seqs):
         self.depth = depth
@@ -376,6 +329,7 @@ class _Frame:
         self.seqs = seqs
         self.accums: Dict = {}
         self.live: Optional[str] = None
+        self.starts: Dict = {}
 
 
 _MISSING = object()
@@ -555,6 +509,10 @@ class _BodyLowerer:
         #: a slice-rule store's right-hand side is evaluated
         self.store_target = None
         self.env = env
+        #: the launch and the scalar arguments, named as in IR bounds
+        self.scalars = {**launch_env(launch), **{
+            n: Interval(float(v.value), float(v.value)) for n, v in env.items()
+            if isinstance(v, _Const) and _const_type(v.value)}}
         self.ns = ns
         self.n = n                  # generated-name counter
         self.lines: List[str] = []
@@ -568,7 +526,6 @@ class _BodyLowerer:
         #: holds here: saved and restored with the env, and dropped for a
         #: binding's variable when :meth:`_set` rebinds it
         self.checks: set = set()
-        self.merge_mask: Optional[str] = None   # per-block while mask
         self.per_block = per_block
         self.shared: Dict[str, _SharedArr] = {}
         self.shared_seq = 0
@@ -1005,8 +962,8 @@ class _BodyLowerer:
                     self.axes_of(*comps) | frozenset("B"))
 
     def _no_side_effects(self, what: str) -> None:
-        if self.frames or self.merge_mask is not None:
-            raise _fail(f"{what} inside an axis-form or per-block loop")
+        if self.frames:
+            raise _fail(f"{what} inside an axis-form loop")
 
     # ---------------------------------------------------------- slice rule
     def _slice_stmt(self, stmt) -> bool:
@@ -1052,10 +1009,7 @@ class _BodyLowerer:
         """
         if mask is None or not mask.exact:
             raise _fail("guard mask is not a conjunction of lane comparisons")
-        values = launch_env(self.launch)
-        for name, v in self.env.items():
-            if isinstance(v, _Const) and _const_type(v.value) is not None:
-                values[name] = Interval(float(v.value), float(v.value))
+        values = self.scalars
         out = {}
         for name, pairs in mask.bounds.items():
             if not isinstance(self.env.get(name), _Axis):
@@ -1099,6 +1053,24 @@ class _BodyLowerer:
             self.env[name] = self.env[name].tightened(*bounds.get(
                 name, (None, None)))
 
+    def _index_components(self, node) -> List[Tuple[str, int]]:
+        """Subscript index -> [(lane-var name, constant offset)] per
+        dimension: ``i`` or ``i +/- c`` with ``c`` a static integer."""
+        comps: List[Tuple[str, int]] = []
+        for e in node.elts if isinstance(node, ast.Tuple) else [node]:
+            name, off, sign = getattr(e, "id", None), _Const(0), 1
+            if isinstance(e, ast.BinOp) and isinstance(e.left, ast.Name) \
+                    and isinstance(e.op, (ast.Add, ast.Sub)):
+                name, off = e.left.id, self.ev(e.right)
+                sign = -1 if isinstance(e.op, ast.Sub) else 1
+            if not (isinstance(off, _Const) and _const_type(off.value)
+                    and int(off.value) == off.value):
+                raise _fail("tensor index is not lane-variable +/- constant")
+            if not isinstance(self.env.get(name), _Axis):
+                raise _fail(f"tensor index {name!r} is not a lane index")
+            comps.append((name, sign * int(off.value)))
+        return comps
+
     def _slice_store(self, target: ast.Subscript, value) -> None:
         env = self.env
         tensor = env.get(target.value.id)
@@ -1107,7 +1079,7 @@ class _BodyLowerer:
         if not tensor.mut:
             # the interpreter raises LayoutError here; let it
             raise _fail(f"store into immutable tensor {target.value.id!r}")
-        comps = _index_components(target.slice, env)
+        comps = self._index_components(target.slice)
         axes = [env[name].axis for name, _ in comps]
         if len(set(axes)) != len(axes):
             raise _fail("store uses one launch axis for two dimensions")
@@ -1136,7 +1108,7 @@ class _BodyLowerer:
         if not isinstance(tensor, _Tensor) or self.store_target is None:
             raise _fail("subscript outside a tensor store's right-hand side")
         lhs_comps, lhs_index, reads_lhs = self.store_target
-        comps = _index_components(node.slice, self.env)
+        comps = self._index_components(node.slice)
         # Alignment: a read must enumerate lanes exactly as the store does,
         # else the slice views would pair the wrong elements.
         if [c[0] for c in comps] != [c[0] for c in lhs_comps]:
@@ -1365,7 +1337,7 @@ class _BodyLowerer:
         elements; False when the statement has another shape (it then
         lowers as a scatter)."""
         if not self.per_block or self.scope or self.frames \
-                or self.merge_mask is not None or len(node.args) != 4:
+                or len(node.args) != 4:
             return False
         try:
             mask = self._pure(lambda: self.ev(node.args[3]))
@@ -1425,10 +1397,7 @@ class _BodyLowerer:
             raise _fail("barrier in a whole-grid body")
         if self.frames:
             raise _fail("barrier inside an axis-form loop")
-        if self.merge_mask is not None:
-            self.emit(f"_nbar += {self.tpb} * int({self.merge_mask}.sum())")
-        else:
-            self.emit(f"_nbar += {self.nblocks * self.tpb}")
+        self.emit(f"_nbar += {self.nblocks * self.tpb}")
         return None
 
     def _h_shared_array(self, node, kw):
@@ -1544,7 +1513,7 @@ class _BodyLowerer:
     def _s_Return(self, node):
         if node.value is not None:
             raise _fail("kernel returns a value")
-        if self.frames or self.merge_mask is not None or self.per_block:
+        if self.frames or self.per_block:
             raise _fail("return inside an axis-form or per-block body")
         self.emit("return _nbar, _nat")
         return True
@@ -1566,7 +1535,7 @@ class _BodyLowerer:
         if len(node.targets) != 1:
             raise _fail("chained assignment")
         target = node.targets[0]
-        if self._accumulate(target, node.value):
+        if self._accumulate(node):
             return False
         if isinstance(target, ast.Subscript):
             base = self.ev(target.value)
@@ -1655,36 +1624,21 @@ class _BodyLowerer:
         if self.frames and self._outer_frame(key) is not None:
             raise _fail("a binding from outside an axis-form loop is "
                         "reassigned inside it")
-        if self.merge_mask is not None and isinstance(value, _Dyn) \
-                and isinstance(self._get(key, None), _Dyn):
-            value = self._merge(self._get(key), value)
         if isinstance(value, _Dyn):
             value = self.temp(value, self._stable(key))
         self._set(key, value)
 
-    def _merge(self, old: _Dyn, new: _Dyn) -> _Dyn:
-        """Per-block while: blocks whose loop has ended keep *old*."""
-        if old.type == new.type:
-            dtype, weak = old.type
-        elif old.dtype == new.dtype and old.dtype is not None \
-                and old.dtype in _WEAK_DTYPE.values():
-            dtype, weak = old.dtype, None
-        else:
-            raise _fail("per-block loop changes a value's type")
-        return _Dyn(f"np.where({self.merge_mask}, {new.src}, {old.src})",
-                    dtype, weak, old.lanes or new.lanes,
-                    old.axes | new.axes | frozenset("B"))
-
     # -- accumulation ---------------------------------------------------
-    def _accumulate(self, target, value) -> bool:
-        """``x = x + e`` inside an axis-form loop: record the term."""
-        if not (self.frames and isinstance(value, ast.BinOp)
-                and isinstance(value.op, ast.Add)
-                and ast.unparse(value.left) == ast.unparse(target)):
+    def _accumulate(self, node) -> bool:
+        """An IR accumulation statement inside an axis-form loop: record
+        its term."""
+        if not (self.frames and any(node in loop.accumulations
+                                    for loop in self.ir.loops.values())):
             return False
+        target, value = node.targets[0], node.value
         if isinstance(target, ast.Name):
             key = ("n", target.id)
-        elif isinstance(target, ast.Subscript):
+        else:
             seq = self.ev(target.value)
             idx = self.ev(target.slice)
             if not (isinstance(seq, _Seq) and isinstance(idx, _Const)
@@ -1692,8 +1646,6 @@ class _BodyLowerer:
                     and -len(seq.items) <= idx.value < len(seq.items)):
                 return False
             key = ("s", seq, idx.value % len(seq.items))
-        else:
-            return False
         cur = self._get(key)
         frame = self._outer_frame(key)
         if frame is None or cur is _MISSING:
@@ -1740,12 +1692,19 @@ class _BodyLowerer:
             axes = self.axes_of(init, *terms) - frozenset(
                 range(frame.depth, frame.depth + len(acc["ext"])))
             if frame.live is not None:
-                # folded once per chunk of trips from the variable itself,
-                # which a launch with no trips leaves at its initial value
-                if self.src(init) != name or self.vtype(init)[0] != t[0]:
-                    raise _fail("trip-axis accumulator is not a stable "
-                                "variable of one dtype")
+                # folded once per chunk of trips from the variable itself;
+                # a block with no trips keeps the initial value: a weak
+                # start of another dtype must be a constant of the fold
+                # dtype's kind that the fold dtype holds exactly
+                start, (dtype, weak) = frame.starts.get(key), self.vtype(init)
+                if self.src(init) != name or (dtype != t[0] and not (
+                        isinstance(start, _Const) and weak
+                        and dtype.kind == t[0].kind
+                        and t[0].type(start.value).item() == start.value)):
+                    raise _fail("trip-axis accumulator starts at a value "
+                                "its fold dtype does not hold")
                 if self.vtype(init) != t:
+                    # a Python scalar or an array of t[0] (see _operands)
                     t = (t[0], None)
             self.emit(f"{name} = _fold({self.src(init)}, "
                       f"({''.join(x.src + ', ' for x in terms)}), "
@@ -1939,7 +1898,7 @@ class _BodyLowerer:
         del self.axis_arrays[naxes:]
 
     def _for_axis(self, node, var: str, trip: int) -> bool:
-        if self.per_block or self.merge_mask is not None:
+        if self.per_block:
             raise _fail("axis form in a per-block body")
         extent = trip * self.lane_bound
         for f in self.frames:
@@ -1983,15 +1942,12 @@ class _BodyLowerer:
                 return True
         else:
             raise _fail("static while loop does not terminate")
-        if self.frames or self.merge_mask is not None:
-            raise _fail("runtime while inside an axis-form or per-block loop")
+        if self.frames:
+            raise _fail("runtime while inside an axis-form loop")
         if test.lanes:
             raise _fail("while on a lane array")
         if test.axes:
-            try:
-                return self._attempt(lambda: self._while_trips(node))
-            except LoweringUnsupported:
-                return self._while_per_block(node)
+            return self._while_trips(node)
 
         def prepare():
             mark = len(self.lines)
@@ -2011,51 +1967,43 @@ class _BodyLowerer:
                                         # or loops
                 i = i + s               # s a static positive int
 
-        Block ``b`` runs ``T_b = ceil((n - min_lanes i) / s)`` trips (the
-        test is monotone in the trip), so trip ``k`` sees ``i + k*s`` on a
-        ``(trips, blocks, lanes)`` array, the body runs once over it and
-        ``live[k, b] = k < T_b`` is the loop test itself.  Accumulators fold
-        along the trip axis in iteration order (:func:`_fold`); a trip the
-        block does not run adds ``-0.0`` and gathers index 0 instead of
-        its own.  Trips run in chunks that keep the arrays within
+        The kernel IR names the loop's induction variable ``i``, its step
+        ``s`` and the limit ``n`` of its test.  Block ``b`` runs ``T_b =
+        ceil((n - min_lanes i) / s)`` trips (the test is monotone in the
+        trip), so trip ``k`` sees ``i + k*s`` on a ``(trips, blocks,
+        lanes)`` array, the body runs once over it and ``live[k, b] = k <
+        T_b`` is the loop test itself.  The IR's accumulation statements
+        fold along the trip axis in iteration order (:func:`_fold`); a trip
+        the block does not run adds ``-0.0`` and gathers index 0 instead
+        of its own.  Trips run in chunks that keep the arrays within
         :data:`AXIS_BUDGET` elements, and ``i`` leaves the loop at
         ``i + T_b*s``, as in the interpreter.  A name bound before the loop
-        may change inside it only as an accumulator (``x = x + e``); any
-        other rebinding, even to a constant, refuses the form.
+        may change inside it only as an accumulator; any other rebinding,
+        even to a constant, refuses the form.
         """
-        if self.frames or self.merge_mask is not None:
-            raise _fail("trip axis inside another loop")
+        loop = self.ir.loops[node]
+        induction = loop.induction
+        if induction is None or induction.limit is None:
+            raise _fail("while loop is not a grid-stride loop")
         if any(isinstance(n, (ast.While, ast.For))
                for stmt in node.body for n in ast.walk(stmt)):
             raise _fail("loop inside a grid-stride loop")
-        *body, step = node.body
-        test = node.test
-        cmp = test.args[0] if isinstance(test, ast.Call) and len(
-            test.args) == 1 and not test.keywords else None
-        if not (body and isinstance(cmp, ast.Compare)
-                and isinstance(cmp.left, ast.Name) and len(cmp.ops) == 1
-                and isinstance(cmp.ops[0], (ast.Lt, ast.LtE))):
-            raise _fail("while test is not any_lane(i < n)")
-        var = cmp.left.id
-        incr = _increment(step, var)
-        if incr is None or var in assigned_names(body):
-            raise _fail("grid-stride loop does not end in i = i + s")
-        fn = self._pure(lambda: self.ev(test.func))
-        bound = self._pure(lambda: self.ev(cmp.comparators[0]))
-        stride = self._pure(lambda: self.ev(incr))
+        var, body = induction.name, node.body[:-1]
+        limit = self._bound(induction.limit, self.scalars)
+        stride = self._pure(lambda: self.ev(induction.step))
         i0 = self.env.get(var)
-        if not (isinstance(fn, _Const) and fn.value is _intrinsics.any_lane
-                and isinstance(bound, _Const) and _is_int(bound.value)
-                and isinstance(stride, _Const) and _is_int(stride.value)
+        if not (body and isinstance(stride, _Const) and _is_int(stride.value)
                 and stride.value > 0 and isinstance(i0, _Dyn) and i0.lanes
                 and getattr(i0.dtype, "kind", None) == "i"
                 and i0.axes <= {"B"}):
             raise _fail("grid-stride loop is not lane-affine with a "
                         "uniform stride")
-        limit = int(bound.value) + isinstance(cmp.ops[0], ast.LtE)
         stride = int(stride.value)
-        for name in sorted(_accumulated(body) & set(self.env)):
-            self._stabilise(("n", name))
+        accumulated = {getattr(a.targets[0], "id", None)
+                       for a in loop.accumulations} - {None, var}
+        starts = {("n", n): self.env[n] for n in accumulated & set(self.env)}
+        for key in sorted(starts):
+            self._stabilise(key)
         i0 = self.temp(i0)
         trips, c, k = (self._new("_trips"), self._new("_chunk"),
                        self._new("_trip"))
@@ -2069,10 +2017,11 @@ class _BodyLowerer:
         names = {n for n, v in self.env.items() if not isinstance(v, _Poison)}
         frame = _Frame(0, f"len({k})", names, {id(s) for s in _reachable_seqs(
             list(self.env.values()))})
+        frame.starts = starts
         self.env[var] = self.temp(_Dyn(f"({i0.src} + {k} * {stride})",
                                        i0.dtype, False, True,
                                        i0.axes | {0}))
-        frame.live = self.temp(self.ev(test)).src
+        frame.live = self.temp(self.ev(node.test)).src
         self.frames.append(frame)
         scope, self.scope = self.scope, next(self.scopes)
         try:
@@ -2091,26 +2040,7 @@ class _BodyLowerer:
             True, i0.axes)
         return False
 
-    def _while_per_block(self, node) -> bool:
-        """``while any_lane(c)`` per block; finished blocks keep state."""
-        mask = self._new("_w")
-
-        def prepare():
-            test = self.ev(node.test)
-            self.emit(f"{mask} = {test.src}")
-            self.merge_mask = mask
-            return f"while {mask}.any():"
-
-        def tail():
-            self.emit(f"{mask} = {mask} & {self.ev(node.test).src}")
-        try:
-            self._runtime_loop(prepare, node.body, False, set(), tail)
-        finally:
-            self.merge_mask = None
-        return False
-
-    def _runtime_loop(self, prepare, body, known: bool, local: set,
-                      tail=None) -> None:
+    def _runtime_loop(self, prepare, body, known: bool, local: set) -> None:
         """Emit a Python loop whose body is lowered once.
 
         Bindings the body changes are materialised into stable variables
@@ -2123,7 +2053,7 @@ class _BodyLowerer:
         try:
             base = self._save()
             before = self._bindings()
-            self._loop_pass(prepare, body, tail)
+            self._loop_pass(prepare, body)
             after = self._bindings()
             self._restore(base)
             for key, v in before.items():
@@ -2133,7 +2063,7 @@ class _BodyLowerer:
                     self._stabilise(key)
             entry = self._save()
             entry_b = self._bindings()
-            code, exit_b = self._loop_pass(prepare, body, tail)
+            code, exit_b = self._loop_pass(prepare, body)
             if not self._types_match(entry_b, exit_b, local, entry_b):
                 # lower again at the loop-carried types of iteration two
                 self._restore(entry)
@@ -2141,7 +2071,7 @@ class _BodyLowerer:
                     if key in entry_b and isinstance(v, _Dyn) and not (
                             key[0] == "n" and key[1] in local):
                         self._set(key, v)
-                code2, exit2 = self._loop_pass(prepare, body, tail)
+                code2, exit2 = self._loop_pass(prepare, body)
                 if code2 != code or not self._types_match(
                         exit_b, exit2, local, entry_b):
                     raise _fail("loop-carried values do not reach a fixed "
@@ -2183,14 +2113,12 @@ class _BodyLowerer:
                 self._set(key, _Poison("may or may not be updated by a "
                                        "loop"))
 
-    def _loop_pass(self, prepare, body, tail):
+    def _loop_pass(self, prepare, body):
         mark = len(self.lines)
         self.emit(prepare())
         self.indent += 1
         inner = len(self.lines)
         self.run(body)
-        if tail is not None:
-            tail()
         if len(self.lines) == inner:
             self.emit("pass")
         self.indent -= 1
@@ -2232,26 +2160,6 @@ class _BodyLowerer:
         if not isinstance(v, _Dyn):
             raise _fail("a non-numeric binding is rebound inside a loop")
         self._set(key, self.temp(v.untagged(), name))
-
-
-def _increment(stmt, var: str):
-    """The ``s`` of ``var = var + s``, else None."""
-    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
-            and isinstance(stmt.targets[0], ast.Name) \
-            and stmt.targets[0].id == var and isinstance(stmt.value, ast.BinOp) \
-            and isinstance(stmt.value.op, ast.Add) \
-            and isinstance(stmt.value.left, ast.Name) \
-            and stmt.value.left.id == var:
-        return stmt.value.right
-    return None
-
-
-def _accumulated(body) -> set:
-    """Names a statement list updates as ``x = x + e``."""
-    return {node.targets[0].id for stmt in body for node in ast.walk(stmt)
-            if isinstance(node, ast.Assign) and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and _increment(node, node.targets[0].id) is not None}
 
 
 #: names whose use inside a helper means it reads per-thread kernel state,

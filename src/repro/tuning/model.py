@@ -226,6 +226,7 @@ def prune_space(workload, request, space: TuningSpace, *,
     for config in space.candidates():
         tuned = config.apply(request)
         try:
+            tuned = tuned.replace(params=workload.validate_params(tuned.params))
             model, launch = workload.tuning_model(tuned)
         except ReproError as exc:
             estimate = CandidateEstimate(config=config, feasible=False,

@@ -207,8 +207,9 @@ class Tuner:
             estimate = by_config.get(config)
             if estimate is None:
                 try:
-                    model, launch = self.workload.tuning_model(
-                        config.apply(request))
+                    tuned = config.apply(request)
+                    model, launch = self.workload.tuning_model(tuned.replace(
+                        params=self.workload.validate_params(tuned.params)))
                     estimate = estimate_candidate(request.gpu, model, launch,
                                                   config)
                 except ReproError:

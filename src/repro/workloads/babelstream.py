@@ -58,7 +58,7 @@ class BabelStreamWorkload(Workload):
 
     def tuning_model(self, request: RunRequest):
         """Triad's model + launch: the primary metric's kernel."""
-        p = self.validate_params(request.params)
+        p = request.params
         return babelstream_op_config(
             "triad", n=p["n"], precision=request.precision,
             tb_size=p["tb_size"], backend=request.backend, gpu=request.gpu)

@@ -491,7 +491,9 @@ class Workload:
         :meth:`_run` prices it once per run and reads the figures of merit
         and the ``counter_*`` metrics off that run; the occupancy/roofline
         pruner scores tuning candidates through it without compiling or
-        running anything.
+        running anything.  *request*'s parameters are already validated:
+        the run path validates them once, the pruner and the tuner after
+        applying a candidate.
         """
         raise ConfigurationError(
             f"workload {self.name!r} declares no tuning model"

@@ -91,7 +91,7 @@ class HartreeFockWorkload(Workload):
         memoised by value, so neither a run nor the pruner's scoring of
         each block size re-screens the system.
         """
-        p = self.validate_params(request.params)
+        p = request.params
         system, survivors = _screened_system(p["natoms"], p["ngauss"],
                                              p["spacing"], p["schwarz_tol"])
         model = hartree_fock_kernel_model(

@@ -71,7 +71,7 @@ class MiniBudeWorkload(Workload):
 
     def tuning_model(self, request: RunRequest):
         """The fasten kernel's model + launch on the bm1 deck shape."""
-        p = self.validate_params(request.params)
+        p = request.params
         model = fasten_kernel_model(ppwi=p["ppwi"], natlig=BM1_NATLIG,
                                     natpro=BM1_NATPRO, wgsize=p["wgsize"])
         return model, minibude_launch_config(p["nposes"], p["ppwi"],

@@ -60,7 +60,7 @@ class StencilWorkload(Workload):
 
     def tuning_model(self, request: RunRequest):
         """The Laplacian kernel's model + launch on the requested grid."""
-        p = self.validate_params(request.params)
+        p = request.params
         model = stencil_kernel_model(L=p["L"], precision=request.precision)
         return model, stencil_launch_config(p["L"], p["block_shape"])
 

@@ -25,7 +25,8 @@ from repro.analysis import (
 from repro.analysis.symexpr import Interval
 from repro.core.device import DeviceContext
 from repro.core.dtypes import DType
-from repro.core.intrinsics import any_lane, compress_lanes, global_idx
+from repro.core.intrinsics import (any_lane, compress_lanes, global_idx,
+                                   masked_gather, masked_store)
 from repro.core.kernel import Kernel, LaunchConfig
 
 _FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "region_kernels.py"
@@ -151,6 +152,13 @@ def _rebound_under_guard(a, c, n):
         c[i] = a[0]
 
 
+def _mask_before_rebinding(a, c, n):
+    i = global_idx().x
+    m = i < n
+    i = i + 1                   # ``m`` bounds the old ``i``, not this one
+    masked_store(c, i - 1, masked_gather(a, i, m), m)
+
+
 def _comprehension_target(a, c, n):
     k = 0
     s = sum([a[k] for k in range(n + 4)])
@@ -185,6 +193,10 @@ class TestInBounds:
 
     def test_guard_stops_bounding_a_rebound_name(self):
         assert self._in_bounds(_rebound_under_guard) == {0}
+
+    def test_mask_bounds_the_value_it_compared(self):
+        # the gather reads ``a`` one past the extent on the last lane
+        assert self._in_bounds(_mask_before_rebinding) == {1}
 
     def test_comprehension_target_is_not_the_outer_name(self):
         assert self._in_bounds(_comprehension_target) == {1}

@@ -1,8 +1,8 @@
 """Differential execution: every shipped kernel in every executor mode.
 
 The verify-path launches of the four science kernels (stencil, the five
-BabelStream kernels, miniBUDE's fasten and the Hartree–Fock ERI kernel) run
-on small seeded inputs in ``auto``, ``lowered``, ``vectorized`` and the
+BabelStream kernels at float64 and at float32, miniBUDE's fasten and the
+Hartree–Fock ERI kernel) run on small seeded inputs in ``auto``, ``lowered``, ``vectorized`` and the
 scalar mode each kernel needs, once with the region analysis deciding which
 tensor arguments run without bounds checks and once with every access
 checked.  Outputs must be equal byte for byte
@@ -95,11 +95,11 @@ def _stencil(ex, mode, L=12, block=(8, 4, 4)):
     return {"f": f.ptr}, {"laplacian_kernel": res}
 
 
-def _babelstream(ex, mode):
+def _babelstream(ex, mode, dtype=DType.float64):
     n, tb, blocks = 1000, 64, 4                  # n % tb != 0: tail guard
     rng = np.random.default_rng(13)
-    a, b, c = (_tensor(rng.normal(size=n)) for _ in range(3))
-    sums = _tensor(np.zeros(blocks))
+    a, b, c = (_tensor(rng.normal(size=n), dtype=dtype) for _ in range(3))
+    sums = _tensor(np.zeros(blocks), dtype=dtype)
     launch = LaunchConfig.for_elements(n, tb)
     results = {}
     for kern, args in ((copy_kernel, (a, c, n)),
@@ -239,11 +239,17 @@ CASES = {
                                    "add_kernel": "lowered",
                                    "triad_kernel": "lowered",
                                    "dot_kernel": "lowered"}),
+    # Dot's accumulator starts at a Python float and folds at float32
+    "babelstream-float32": (
+        functools.partial(_babelstream, dtype=DType.float32),
+        {"copy_kernel": "lowered", "mul_kernel": "lowered",
+         "add_kernel": "lowered", "triad_kernel": "lowered",
+         "dot_kernel": "lowered"}),
     "minibude": (_fasten, {"fasten_kernel": "lowered"}),
     "hartreefock": (_eri, {"hartree_fock_kernel": "lowered"}),
     "ragged": (_ragged, {"ragged_stride_kernel": "lowered"}),
-    # neither the trip axis nor the per-block loop takes the rebound
-    # constants: the lowering tier refuses the kernel
+    # the trip axis does not take the rebound constants: the lowering
+    # tier refuses the kernel
     "ragged-rebound": (_ragged_rebound,
                        {"ragged_rebound_kernel": "vectorized"}),
 }

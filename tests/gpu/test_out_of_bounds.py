@@ -101,7 +101,7 @@ def test_out_of_bounds_input_raises_in_every_mode(name):
 #: the differential launches: one per unproven index variable and extent
 CHECKS = {"laplacian_kernel": 0, "copy_kernel": 0, "mul_kernel": 0,
           "add_kernel": 0, "triad_kernel": 0,
-          "dot_kernel": 2,             # a[i], b[i] on the trip axis
+          "dot_kernel": 0,             # a[i], b[i] bounded by i < n
           "fasten_kernel": 10,         # 2 pose indices, 8 forcefield rows
           "hartree_fock_kernel": 6}    # ij, kl, i, j, k, l
 

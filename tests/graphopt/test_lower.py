@@ -211,6 +211,51 @@ def _nested_stride_body(a, sums, n, stride):
 _nested_stride = Kernel(_nested_stride_body, name="_nested_stride")
 
 
+def _weak_start_body(a, sums, n, stride):
+    """A grid-stride sum from a Python ``0.1``: a float32 fold would
+    round the start that a block running no trip keeps exactly."""
+    sh = shared_array(block_dim.x, DType.float64, key="sh")
+    tid = thread_idx.x
+    i = block_idx.x * 50 + tid
+    acc = 0.1
+    while any_lane(i < n):
+        acc = acc + masked_gather(a, i, i < n)
+        i = i + stride
+    sh[tid] = acc
+    barrier()
+    masked_store(sums, block_idx.x, sh[0], tid == 0)
+
+
+def _int_start_body(a, sums, n, stride):
+    """A grid-stride sum from a Python ``0``: a block running no trip
+    keeps the int, whose negation is ``0``, not the fold's ``-0.0``."""
+    sh = shared_array(block_dim.x, DType.float64, key="sh")
+    tid = thread_idx.x
+    i = block_idx.x * 50 + tid
+    acc = 0
+    while any_lane(i < n):
+        acc = acc + masked_gather(a, i, i < n)
+        i = i + stride
+    sh[tid] = -acc
+    barrier()
+    masked_store(sums, block_idx.x, sh[0], tid == 0)
+
+
+def _weak_use_body(a, sums, n, stride):
+    """The sum, a Python float in a block that runs no trip, meets a
+    Python float after the loop."""
+    sh = shared_array(block_dim.x, DType.float64, key="sh")
+    tid = thread_idx.x
+    i = block_idx.x * 50 + tid
+    acc = 0.0
+    while any_lane(i < n):
+        acc = acc + masked_gather(a, i, i < n)
+        i = i + stride
+    sh[tid] = acc * 0.5
+    barrier()
+    masked_store(sums, block_idx.x, sh[0], tid == 0)
+
+
 def _scale2d_tensors(f_layout):
     u = LayoutTensor(DType.float64, Layout.row_major(4, 6),
                      np.arange(24.0), mut=False)
@@ -558,7 +603,7 @@ class TestGenericKernels:
         report = lowering_report(_nested_stride, args, launch)
         assert report == {
             "kernel": "_nested_stride", "lowered": False,
-            "reason": "runtime while inside an axis-form or per-block loop"}
+            "reason": "loop inside a grid-stride loop"}
         runs = {}
         for mode in ("auto", "vectorized"):
             args, (sums,) = make_args()
@@ -577,6 +622,50 @@ def _sequential(init, rows, dtype):
             acc = dtype.type(acc + row[lane])
         out[lane] = acc
     return out
+
+
+class TestWeakAccumulator:
+    """After a trip axis a block that ran no trip holds the Python start:
+    the fold's dtype must hold it, and no later use may tell them apart."""
+
+    CASES = {
+        # (kernel, dtype): the refusal, or None when it lowers
+        ("weak_start", "float64"): None,
+        ("weak_start", "float32"): "trip-axis accumulator starts at a value "
+                                   "its fold dtype does not hold",
+        ("weak_use", "float64"): "axis form meets a value of mixed type",
+        ("weak_use", "float32"): "axis form meets a value of mixed type",
+        ("int_start", "float64"): "trip-axis accumulator starts at a value "
+                                  "its fold dtype does not hold",
+        ("int_start", "float32"): "trip-axis accumulator starts at a value "
+                                  "its fold dtype does not hold",
+    }
+    KERNELS = {"weak_start": Kernel(_weak_start_body, name="_weak_start"),
+               "weak_use": Kernel(_weak_use_body, name="_weak_use"),
+               "int_start": Kernel(_int_start_body, name="_int_start")}
+
+    @pytest.mark.parametrize("name, dtype", sorted(CASES))
+    def test_refusal_and_modes_agree(self, name, dtype):
+        kern, dt = self.KERNELS[name], DType.from_name(dtype)
+        launch = LaunchConfig.make(4, 8)    # block 3 runs no trip
+
+        def run(mode):
+            a = LayoutTensor(dt, Layout.row_major(140),
+                             np.linspace(-1.0, 1.0, 140).astype(dtype))
+            sums = LayoutTensor(dt, Layout.row_major(4), np.zeros(4, dtype))
+            res = KernelExecutor().launch(kern, (a, sums, 140, 16), launch,
+                                          mode=mode)
+            return res.mode, sums.ptr.tobytes()
+
+        args = (LayoutTensor(dt, Layout.row_major(140), np.zeros(140, dtype)),
+                LayoutTensor(dt, Layout.row_major(4), np.zeros(4, dtype)),
+                140, 16)
+        report = lowering_report(kern, args, launch)
+        assert report.get("reason") == self.CASES[name, dtype]
+        auto, vec = run("auto"), run("vectorized")
+        assert auto[0] == ("vectorized" if report.get("reason")
+                           else "lowered")
+        assert auto[1] == vec[1]
 
 
 class TestFold:
