@@ -932,11 +932,14 @@ class _Walk:
             for k, v in self.records.items():
                 del v[mark[k]:]
             self.phase, self.tail = state
-        # a loop may run zero times: exit taints join the entry taints
+        # a loop may run zero times or break: exit taints join the entry
+        # taints, a rebound name is ⊤ afterwards, and an induction variable
+        # keeps its entry start + k·s, which holds at every exit
         for n in carried:
             if n in self.env:
                 t = max(self.env[n][0], entry[n][0])
-                self.env[n] = (t,) + self.env[n][1:]
+                sym = entry[n][1] if induction and n == induction[0] else None
+                self.env[n] = (t, sym, self.env[n][2])
         if induction is not None:
             pairs = test.bounds.get(induction[0], ()) if isinstance(
                 test, Mask) and test.exact and len(test.bounds) == 1 else ()
@@ -979,10 +982,6 @@ class _Walk:
                 self._add("divergence", ("while", node.lineno, node.test))
             return taint, mask
         self._loop(node, head, True)
-        # anything the body rebinds is iteration-dependent: ⊤ afterwards
-        for name in self.carried[node]:
-            if name in self.env:
-                self.env[name] = (self.env[name][0], None, self.env[name][2])
         self.walk(node.orelse)
         self.stopped = False
 

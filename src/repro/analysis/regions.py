@@ -33,9 +33,10 @@ produce lies inside the reported region.  Anything it cannot model — loop
 carried variables, calls into helpers, data-dependent indices — degrades
 the access to ⊤ (the whole buffer), never to a smaller set.  The one loop
 carried exception is an induction variable (``i = i + s`` ends the body
-and is ``i``'s only rebinding, ``s`` uniform): it reads ``[start, inf)``
-while ``s`` is positive under the launch, else ⊤, so only a guard such as
-``i < n`` bounds it, and it is never endpoint-exact.  Disjointness
+and is ``i``'s only rebinding, ``s`` uniform): in its loop and after it
+(zero trips and ``break`` included) it reads ``[start, inf)`` while ``s``
+is positive under the launch, else ⊤, so only a guard such as ``i < n``
+bounds it, and it is never endpoint-exact.  Disjointness
 conclusions drawn from regions are therefore sound.  The opposite
 direction (an access *must* go out of bounds) additionally requires the
 expression to be endpoint-exact — affine with single-occurrence variables

@@ -499,10 +499,12 @@ class _BodyLowerer:
     """
 
     def __init__(self, fn, env: Dict, launch: LaunchConfig, rule: str,
-                 per_block: bool, ns: Dict, n: int = 0, ir=None):
+                 per_block: bool, ns: Dict, n: int, ir):
         self.globals = getattr(fn, "__globals__", {})
         self.rule = rule
-        self.ir = ir                # the kernel IR the slice rule reads
+        #: the kernel IR: the slice rule's bounds and each loop's induction
+        #: variable and accumulations
+        self.ir = ir
         self.launch = launch
         self.extents = _axis_extents(launch)
         #: (store components, tensor index, [reads the stored tensor]) while

@@ -25,6 +25,7 @@ from repro.analysis import (
 from repro.analysis.symexpr import Interval
 from repro.core.device import DeviceContext
 from repro.core.dtypes import DType
+from repro.core.errors import LayoutError
 from repro.core.intrinsics import (any_lane, compress_lanes, global_idx,
                                    masked_gather, masked_store)
 from repro.core.kernel import Kernel, LaunchConfig
@@ -159,6 +160,32 @@ def _mask_before_rebinding(a, c, n):
     masked_store(c, i - 1, masked_gather(a, i, m), m)
 
 
+def _stepped_in_for(a, c, n, m):
+    i = global_idx().x
+    for _ in range(m):
+        i = i + 1               # start + k for some k >= 0, k = 0 included
+    if i < n:
+        c[i - 1] = a[0]
+
+
+def _rebound_in_for(a, c, n, m):
+    i = global_idx().x
+    for _ in range(m):
+        i = 1                   # after zero trips ``i`` is still the index
+    if i < n:
+        c[i - 1] = a[0]
+
+
+def _break_before_step(a, c, n, m):
+    i = global_idx().x
+    for _ in range(m):
+        if m > 0:
+            break               # leaves at k = 0 whatever the trip count
+        i = i + 1
+    if i < n:
+        c[i - 1] = a[0]
+
+
 def _comprehension_target(a, c, n):
     k = 0
     s = sum([a[k] for k in range(n + 4)])
@@ -200,6 +227,19 @@ class TestInBounds:
 
     def test_comprehension_target_is_not_the_outer_name(self):
         assert self._in_bounds(_comprehension_target) == {1}
+
+    @pytest.mark.parametrize("fn", [_stepped_in_for, _break_before_step,
+                                    _rebound_in_for])
+    def test_zero_trip_loop_leaves_its_entry_value(self, fn):
+        # with m = 0, lane 0 leaves the loop with i = 0 and writes c[-1]
+        ctx, a, c = _buffers(self.N)
+        args = (a.tensor(), c.tensor(), self.N, 0)
+        kern = Kernel(fn)
+        assert concretize_launch(kern, args, self.LAUNCH).in_bounds == {0}
+        for mode in ("auto", "vectorized"):
+            with pytest.raises(LayoutError):
+                ctx.enqueue_function(kern, *args, grid_dim=1, block_dim=64,
+                                     mode=mode)
 
 
 class TestKV106:
