@@ -2,8 +2,7 @@
 
 The modelled-GPU analogue of compute-sanitizer's racecheck.  The input is
 an ordered list of device operations — a captured
-:class:`~repro.core.device.DeviceGraph`'s ops or a context's pending queue —
-and the analysis rebuilds the ordering the runtime itself guarantees:
+:class:`~repro.core.device.DeviceGraph`'s ops — and the analysis rebuilds the ordering the runtime itself guarantees:
 
 * **program order** within one stream (streams are FIFO), and
 * **event edges**: an operation that waits on an event happens-after the
@@ -37,7 +36,7 @@ the subtlest races (tile halos, off-by-one partitions), so the extra
 precision goes straight into the message.
 
 ``GR202`` use-after-free — an operation whose buffer was freed before the
-analysis ran (the op would raise at drain time; the diagnostic names the
+analysis ran (the op would raise at replay; the diagnostic names the
 enqueue site when the runtime captured one).
 
 ``GR203`` dead transfer — an H2D copy or memset whose buffer is never read
@@ -58,9 +57,8 @@ Graph-compiler provenance: ops tombstoned by a :mod:`repro.graphopt` pass
 replay step, so they are skipped as *subjects* of every rule and are
 transparent to the happens-before chains (sound because the passes never
 elide an op carrying event waits or records).  Their *reads* still count
-when deciding whether a write is dead: a D2H download the optimizer
-dropped must not re-flag the upload that fed it as a ``GR203`` dead
-transfer — the upload was live in the program the user wrote.
+when deciding whether a write is dead; a fused part reads only what its
+fused kernel, placed before it, reads too.
 """
 
 from __future__ import annotations
@@ -134,7 +132,7 @@ def _op_accesses(op) -> Tuple[tuple, tuple]:
 
 
 #: public alias — the graph optimizer shares this access derivation when
-#: deciding elision/hoisting legality, so detector and compiler cannot
+#: deciding elision legality, so detector and compiler cannot
 #: disagree about what an op touches
 op_accesses = _op_accesses
 
@@ -291,9 +289,8 @@ def analyze_ops(ops: Sequence, *, subject: str = "<ops>",
             continue
         _, writes = accesses[i]
         for buf in writes:
-            # Elided readers still count: a download the graph compiler
-            # dropped proves the upload was live in the captured program,
-            # so re-linting the optimized graph must not flag it.
+            # Elided readers still count (a fused part's reads are its
+            # fused kernel's too).
             read_later = any(
                 any(b is buf for b in accesses[j][0])
                 for j in range(i + 1, n))

@@ -192,7 +192,7 @@ def _graph_args(p) -> None:
                    help="optimize every registered workload's graph")
     p.add_argument("--passes", default="all", metavar="PASSES",
                    help="pass pipeline: 'all' (default), 'none', or a "
-                        "comma-separated subset of elide,fuse,hoist")
+                        "comma-separated subset of elide,fuse")
     p.add_argument("--bench", action="store_true",
                    help="additionally time unfused/fused graph replays "
                         "and vectorized/lowered kernel dispatch")
@@ -259,8 +259,6 @@ def _cmd_graph(args) -> int:
         for victim in entry["elided"]:
             print(f"  elided: {victim['kind']} {victim['name']!r} "
                   f"({victim['action']})")
-        for label in entry["pinned"]:
-            print(f"  pinned: {label}")
         for low in entry["lowering"]:
             status = ("lowered to NumPy" if low["lowered"]
                       else f"not lowered ({low['reason']})")
@@ -442,7 +440,7 @@ def _bench_args(p) -> None:
     p.add_argument("--optimize", default="none", metavar="PASSES",
                    help="graph-compiler passes applied to captured device "
                         "graphs: 'none' (default), 'all', or a "
-                        "comma-separated subset of elide,fuse,hoist")
+                        "comma-separated subset of elide,fuse")
     p.add_argument("--streams", type=int, default=1, metavar="N",
                    help="device streams for the verification pipeline "
                         "(default 1; N>1 gives transfers/compute their own "
@@ -924,7 +922,7 @@ def _trace_args(p) -> None:
     p.add_argument("--optimize", default="none", metavar="PASSES",
                    help="graph-compiler passes applied to captured "
                         "device graphs ('none', 'all', or a subset of "
-                        "elide,fuse,hoist) — optimized replays appear "
+                        "elide,fuse) — optimized replays appear "
                         "as expanded graph slices on the timeline")
     p.add_argument("--streams", type=int, default=1, metavar="N",
                    help="device streams (default 1); each stream is "

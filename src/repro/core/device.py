@@ -13,21 +13,15 @@ extended with the stream/event/graph machinery a real device queue offers:
     ctx.synchronize()
 
 Every ``enqueue_*`` operation lands on a :class:`Stream` (the context's
-default stream unless ``stream=`` names another one).  Streams are FIFO;
-cross-stream ordering is expressed with :class:`Event`::
+default stream unless ``stream=`` names another one) and, outside a
+capture, executes at enqueue.  Streams are FIFO; cross-stream ordering is
+expressed with :class:`Event`::
 
     h2d, compute = ctx.stream("h2d"), ctx.stream("compute")
     d_u.copy_from_host(host, stream=h2d)
     uploaded = ctx.event("uploaded").record(h2d)
     compute.wait(uploaded)
     ctx.enqueue_function(kern, u, ..., stream=compute)
-
-In ``eager=True`` contexts (the default, convenient for tests and examples)
-operations execute at enqueue; with ``eager=False`` they are queued — in
-every case *ordered with the kernels of their stream* — and run at
-:meth:`DeviceContext.synchronize`, which executes the resulting dependency
-DAG in enqueue order (a valid topological order, since an event can only be
-waited on after it was recorded).
 
 Timing is overlap-aware: each executed operation occupies a lane of its
 stream on the modelled timeline (``start_ms``/``end_ms`` per
@@ -148,10 +142,9 @@ class DeviceBuffer:
                        stream: Optional["Stream"] = None) -> "DeviceBuffer":
         """Copy host data into the buffer (modelled H2D transfer).
 
-        The host array is validated and snapshotted immediately; the copy
-        itself is enqueued on *stream*, so in an ``eager=False`` context it
-        executes at :meth:`DeviceContext.synchronize`, ordered with the
-        kernels of its stream.
+        The host array is validated at once.  During graph capture it is
+        also snapshotted, since the graph replays that source for as long as
+        it lives and the caller may mutate their array before then.
         """
         self._check_live()
         src = np.asarray(host_array, dtype=self.dtype.to_numpy()).reshape(-1)
@@ -159,12 +152,7 @@ class DeviceBuffer:
             raise DeviceError(
                 f"host array has {src.size} elements, buffer holds {self.count}"
             )
-        if self.ctx._capture is not None or not self.ctx.eager:
-            # Snapshot only when the write is deferred or replayed: the
-            # caller may mutate their array before it runs, and a graph
-            # replays its captured upload source for as long as it lives.
-            # Eager copies execute immediately, so the extra O(n) host copy
-            # would be pure waste on the default path.
+        if self.ctx._capture is not None:
             src = src.copy()
 
         def work() -> None:
@@ -178,27 +166,17 @@ class DeviceBuffer:
                      stream: Optional["Stream"] = None) -> Optional[np.ndarray]:
         """Copy the buffer back to the host (modelled D2H transfer).
 
-        Returns the destination array.  In an ``eager=False`` context the
-        copy is *enqueued*: the returned array holds the data only after
-        :meth:`DeviceContext.synchronize` has run the queue.  During graph
-        capture the call only *registers* the download — data is delivered
-        by :meth:`DeviceGraph.replay`'s outputs dict — so it returns
-        ``None`` (and rejects ``out=``, which would silently never be
-        written).
+        Returns the destination array.  During graph capture the call only
+        *registers* the download — data is delivered by
+        :meth:`DeviceGraph.replay`'s outputs dict — so it returns ``None``
+        (and rejects ``out=``, which would silently never be written).
         """
         self._check_live()
         if out is None:
             if self.ctx._capture is not None:
                 self.ctx._submit_transfer("d2h", self, _noop, stream)
                 return None
-            np_dtype = self.dtype.to_numpy()
-            if self.ctx.eager:
-                dest = np.empty(self.count, dtype=np_dtype)  # filled below
-            else:
-                # deferred fill: a caller reading before synchronize() sees
-                # a loud sentinel (NaN / zeros), not recycled heap memory
-                sentinel = np.nan if np.issubdtype(np_dtype, np.floating) else 0
-                dest = np.full(self.count, sentinel, dtype=np_dtype)
+            dest = np.empty(self.count, dtype=self.dtype.to_numpy())
             ret: np.ndarray = dest
         else:
             if self.ctx._capture is not None:
@@ -249,9 +227,9 @@ class DeviceBuffer:
     def free(self) -> None:
         """Release the allocation (idempotent frees raise DeviceError).
 
-        Work already enqueued against the buffer raises
-        :class:`DeviceError` when it later executes (use-after-free of a
-        pending operation).
+        Work enqueued later against the buffer (through a tensor taken
+        before the free, or a graph that captured it) raises
+        :class:`DeviceError` when it executes.
         """
         self._check_live()
         self.ctx._tracker.free(self._allocation)
@@ -360,8 +338,8 @@ class _ReplayRun:
 class Event:
     """A stream marker, as in CUDA/HIP: record on one stream, wait on another.
 
-    ``record(stream)`` enqueues the marker; once it has *executed* (at
-    enqueue in eager contexts, at ``synchronize()`` otherwise) its
+    ``record(stream)`` enqueues the marker; once it has executed (at
+    enqueue, or at the replay of the graph that captured it) its
     :meth:`elapsed_ms` reports the modelled timeline timestamp at which all
     preceding work on the recording stream completed.  ``stream.wait(event)``
     makes subsequently enqueued work on that stream start no earlier than the
@@ -382,11 +360,6 @@ class Event:
         """True once :meth:`record` has enqueued the marker."""
         return self._stream is not None
 
-    @property
-    def complete(self) -> bool:
-        """True once the marker has executed and carries a timestamp."""
-        return self._timestamp_ms is not None
-
     # ------------------------------------------------------------------- api
     def record(self, stream: Optional["Stream"] = None) -> "Event":
         """Enqueue this marker on *stream* (default stream when omitted)."""
@@ -404,15 +377,13 @@ class Event:
 
         With *since*, the interval between the two events — the stream-level
         analogue of ``cudaEventElapsedTime``.  Raises :class:`DeviceError`
-        for an event that has not executed yet (record it, then
-        ``synchronize()`` in lazy contexts).
+        for an event that has not executed: never recorded, or recorded
+        in a capture whose graph has not replayed.
         """
         if self._timestamp_ms is None:
-            state = "recorded but not executed" if self.recorded \
-                else "never recorded"
             raise DeviceError(
-                f"event {self.name!r} has no timestamp ({state}); "
-                f"synchronize() the context first"
+                f"event {self.name!r} has no timestamp: it was never "
+                f"recorded outside a capture or replayed in a graph"
             )
         if since is not None:
             if since.ctx is not self.ctx:
@@ -426,7 +397,7 @@ class Event:
         return self._timestamp_ms
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Event({self.name}, complete={self.complete})"
+        return f"Event({self.name}, recorded={self.recorded})"
 
 
 class Stream:
@@ -471,7 +442,7 @@ class Stream:
         return waits
 
     def synchronize(self) -> "Stream":
-        """Drain the context queue (global: the DAG is executed whole)."""
+        """The context's :meth:`DeviceContext.synchronize`."""
         self.ctx.synchronize()
         return self
 
@@ -488,7 +459,7 @@ def _noop() -> None:
 
 
 class _Op:
-    """One enqueued device operation: a DAG node awaiting execution.
+    """One enqueued device operation: executed at once, or captured.
 
     ``reads`` / ``writes`` are the operation's declared buffer access sets
     (None: derived from ``kind``/``meta`` by consumers — see
@@ -581,10 +552,6 @@ class DeviceGraph:
         self._operations = 0
         self._kernels = 0
         self.replays = 0
-        #: labels whose H2D upload was hoisted out of the replay loop by the
-        #: graph optimizer (see :mod:`repro.graphopt`); binding one at replay
-        #: raises, because the upload no longer runs per-replay.
-        self._pinned: frozenset = frozenset()
 
     # ------------------------------------------------------------ properties
     @property
@@ -643,7 +610,7 @@ class DeviceGraph:
     def pipeline(self) -> PipelineTiming:
         """The :class:`PipelineTiming` of one replay, fixed at compile.
 
-        Equal to :meth:`DeviceContext.pipeline_breakdown` of a fresh eager
+        Equal to :meth:`DeviceContext.pipeline_breakdown` of a fresh
         context that enqueued the captured sequence: per-lane busy time,
         the makespan, the serial sum in capture order and the operation
         count including event markers.
@@ -811,21 +778,8 @@ class DeviceGraph:
                 f"cannot replay graph {self.name!r} while a capture is "
                 f"active on the context"
             )
-        if self.ctx._pending:
-            # A replay is ordered after previously enqueued work, exactly
-            # like any other submission — drain the queue so the graph sees
-            # up-to-date buffer contents.
-            self.ctx._drain()
         unknown = set(bindings) - set(self._h2d_specs)
         if unknown:
-            pinned = unknown & self._pinned
-            if pinned:
-                raise DeviceError(
-                    f"graph {self.name!r} input(s) {sorted(pinned)} were "
-                    f"pinned by the hoist-invariant-transfers pass; their "
-                    f"upload runs once at optimization time and cannot be "
-                    f"rebound at replay (re-optimize without pinning them)"
-                )
             raise DeviceError(
                 f"graph {self.name!r} has no input buffer(s) "
                 f"{sorted(unknown)}; known inputs: {sorted(self._h2d_specs)}"
@@ -848,7 +802,7 @@ class DeviceGraph:
             sources[label] = src
 
         outputs: Dict[str, np.ndarray] = {}
-        # Transfers reach the fault sites of the eager path, in its order;
+        # Transfers reach the fault sites of an enqueue, in its order;
         # kernel thunks reach the launch sites themselves.
         injector = _faults._ACTIVE
         for kind, payload in self._steps:
@@ -967,10 +921,6 @@ class DeviceContext:
     ----------
     gpu:
         GPU name (``"h100"``, ``"mi300a"`` ...) or a :class:`GPUSpec`.
-    eager:
-        When True (default) enqueued work executes immediately;
-        when False it runs at :meth:`synchronize`, matching a real stream.
-        Either way the modelled timeline is stream/event-aware.
     executor:
         Optional custom :class:`KernelExecutor` (tests inject small limits).
     """
@@ -982,22 +932,20 @@ class DeviceContext:
     #: workload having to thread the flag through.
     default_record_sites: bool = False
 
-    def __init__(self, gpu="h100", *, eager: bool = True,
+    def __init__(self, gpu="h100", *,
                  executor: Optional[KernelExecutor] = None,
                  record_sites: bool = False):
         self.spec: GPUSpec = get_gpu(gpu)
-        self.eager = bool(eager)
         #: when True every enqueue captures its user-code ``file:line`` on
         #: the op (one frame walk per enqueue) so diagnostics — notably
-        #: use-after-free at drain time — can name where the bad op was
-        #: issued.  Off by default: the hot enqueue path pays nothing.
+        #: use-after-free — can name where the bad op was issued.  Off by
+        #: default: the hot enqueue path pays nothing.
         self.record_sites = bool(record_sites) or type(self).default_record_sites
         self._tracker = AllocationTracker(self.spec)
         self._transfer_model = TransferModel(self.spec)
         self._executor = executor or KernelExecutor()
         self._streams: Dict[str, Stream] = {}
         self.default_stream: Stream = self.stream("default")
-        self._pending: List[_Op] = []
         self._capture: Optional[DeviceGraph] = None
         #: events recorded on this context, invalidated by reset_timeline()
         #: (weak: an event dropped by the caller should not be kept alive)
@@ -1181,17 +1129,15 @@ class DeviceContext:
             op.site = _caller_site()
         if self._capture is not None:
             self._capture._record(op)
-        elif self.eager:
-            self._execute(op)
         else:
-            self._pending.append(op)
+            self._execute(op)
 
-    def _execute(self, op: _Op) -> StreamEvent:
+    def _execute(self, op: _Op) -> None:
         for buf in op.buffers:
             if buf.freed:
                 site = f" (enqueued at {op.site})" if op.site else ""
                 raise DeviceError(
-                    f"pending {op.kind} operation {op.name!r} uses freed "
+                    f"{op.kind} operation {op.name!r} uses freed "
                     f"buffer {buf.label!r}{site}"
                 )
         start = op.stream._clock_ms
@@ -1207,44 +1153,20 @@ class DeviceContext:
         op.stream._clock_ms = end
         if op.event is not None:
             op.event._timestamp_ms = start
-        event = StreamEvent(op.kind, op.name, duration, execution, details,
-                            stream=op.stream.name, start_ms=start, end_ms=end)
-        self._timeline.append(event)
-        return event
+        self._timeline.append(StreamEvent(
+            op.kind, op.name, duration, execution, details,
+            stream=op.stream.name, start_ms=start, end_ms=end))
 
     def synchronize(self) -> List[StreamEvent]:
-        """Execute all pending work in dependency order; return the timeline.
+        """Return the executed timeline.
 
-        The pending queue is drained in enqueue order, which is a valid
-        topological order of the stream/event DAG (an event can only be
-        waited on after its ``record`` was enqueued).  The queue is emptied
-        even when an operation raises — matching a real queue, where
-        submitted work is consumed exactly once.
+        Enqueued work has already run, so there is nothing to wait for;
+        the call keeps Mojo's ``ctx.synchronize()`` shape and refuses
+        during a capture, whose work runs only at replay.
         """
-        self._drain()
-        return self.timeline
-
-    def _drain(self) -> None:
         if self._capture is not None:
             raise DeviceError("cannot synchronize during device-graph capture")
-        collector = _trace._ACTIVE
-        if collector is None:
-            pending, self._pending = self._pending, []
-            for op in pending:
-                self._execute(op)
-            return
-        with collector.span("device.drain", device=self.spec.name,
-                            operations=len(self._pending)) as sp:
-            pending, self._pending = self._pending, []
-            modelled = 0.0
-            for op in pending:
-                modelled += self._execute(op).modelled_time_ms
-            sp.set_modelled(modelled)
-
-    @property
-    def pending_operations(self) -> int:
-        """Operations enqueued but not yet executed (always 0 when eager)."""
-        return len(self._pending)
+        return self.timeline
 
     # -------------------------------------------------------------- accounting
     def _predict_time(self, model: KernelModel, launch: LaunchConfig) -> float:
@@ -1343,11 +1265,9 @@ class DeviceContext:
     def reset_timeline(self) -> None:
         """Clear the executed timeline and rewind the stream clocks.
 
-        Work still pending (``eager=False``) stays queued and executes from
-        ``t=0`` at the next :meth:`synchronize`.  Events recorded before the
-        reset are invalidated — their timestamps belong to the discarded
-        timeline, so waiting on them (or reading ``elapsed_ms``) raises
-        until they are recorded again.
+        Events recorded before the reset are invalidated — their
+        timestamps belong to the discarded timeline, so waiting on them (or
+        reading ``elapsed_ms``) raises until they are recorded again.
         """
         self._timeline.clear()
         for s in self._streams.values():
@@ -1358,7 +1278,7 @@ class DeviceContext:
         self._recorded_events = weakref.WeakSet()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DeviceContext({self.spec.name}, eager={self.eager})"
+        return f"DeviceContext({self.spec.name})"
 
 
 def _referenced_buffers(args: Sequence) -> Tuple[DeviceBuffer, ...]:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .dtypes import dtype_from_any
 from .errors import LaunchError
+from .layout import LayoutTensor
 
 __all__ = [
     "Dim3",
@@ -440,12 +441,17 @@ def masked_gather(target, index, mask, other=0.0):
     Inactive lanes never dereference their (possibly out-of-range) index:
     the lockstep path substitutes index 0 before the gather and replaces the
     result with *other* afterwards, matching the behaviour of a predicated
-    load.
+    load.  A masked-off thread on the scalar path gets *other* typed as the
+    lane path's ``np.where`` types it (a float32 tensor's float32, not a
+    Python float).
     """
     if isinstance(mask, np.ndarray):
         safe = np.where(mask, index, 0)
         return np.where(mask, target[safe], other)
-    return target[index] if mask else other
+    if mask:
+        return target[index]
+    data = target.ptr if isinstance(target, LayoutTensor) else target
+    return np.result_type(data.dtype, other).type(other)
 
 
 def masked_store(target, index, value, mask) -> None:

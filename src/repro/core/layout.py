@@ -218,8 +218,8 @@ class LayoutTensor:
         self._strides = layout.strides
         self._f64 = self.dtype.name == "float64"
         # Back-reference to the owning DeviceBuffer (duck-typed: device.py
-        # imports this module, not the other way round) so enqueued kernels
-        # can detect use-after-free of a pending launch at execution time.
+        # imports this module, not the other way round) so a kernel
+        # enqueued on a freed buffer's tensor is caught at execution time.
         self.device_buffer = (storage if hasattr(storage, "freed")
                               and hasattr(storage, "array") else None)
         data = _storage_array(storage)

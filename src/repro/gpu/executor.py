@@ -106,7 +106,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.errors import LaunchError
+from ..core.errors import LaunchError, ReproError
 from ..core.intrinsics import Dim3, ThreadState, bind_thread_state
 from ..core.kernel import Kernel, LaunchConfig, as_kernel
 from ..core.layout import LayoutTensor
@@ -541,6 +541,10 @@ class KernelExecutor:
             w.join()
         if errors:
             exc, block = errors[0]
+            if isinstance(exc, ReproError):
+                # The kernel's own error (e.g. a LayoutError), as the other
+                # modes raise it.
+                raise exc
             raise LaunchError(
                 f"kernel {kern.name!r} raised in block {block}: {exc!r}"
             ) from exc

@@ -1,8 +1,8 @@
 """Graph compiler: optimizing passes and a lowering tier for DeviceGraphs.
 
 The compilation stack the paper's thesis calls for, applied to the captured
-graph IR: :func:`optimize_graph` runs the pass pipeline (kernel fusion,
-transfer/memset elision, invariant-transfer hoisting) over a
+graph IR: :func:`optimize_graph` runs the pass pipeline (transfer/memset
+elision, kernel fusion) over a
 :class:`~repro.core.device.DeviceGraph`, and :mod:`repro.graphopt.lower`
 compiles vector-safe kernel bodies (fused or not) into NumPy whole-array
 slicing, which the executor's default ``auto`` dispatch tries first.

@@ -3,16 +3,14 @@
 The graph compiler's middle end.  Each pass consumes an ordered op list (the
 graph IR recorded at capture) and produces a rewritten list; the pipeline
 then re-lowers the result through :meth:`DeviceGraph.rewritten` into fresh
-replay steps and a new cached makespan.  Three passes exist, applied in the
-canonical order ``elide -> fuse -> hoist``:
+replay steps and a new cached makespan.  Two passes exist, applied in the
+canonical order ``elide -> fuse``:
 
 ``elide``
     Drop dead and redundant data movement: an H2D copy or memset whose
     buffer nothing reads afterwards (the optimization form of racecheck's
-    ``GR203`` *warning*), a memset whose buffer is fully overwritten before
-    any read, and D2H downloads the caller explicitly discards via
-    ``drop_outputs=``.  Elision cascades to a fixpoint — dropping a dead
-    download can make its upstream upload dead too.
+    ``GR203`` *warning*), or whose buffer is fully overwritten before any
+    read.  Elision runs to a fixpoint.
 
 ``fuse``
     Merge runs of *adjacent* vector-safe kernels on one stream that share a
@@ -29,27 +27,17 @@ canonical order ``elide -> fuse -> hoist``:
     Kernels with barriers/shared memory (e.g. the BabelStream dot reduction)
     and cross-stream neighbours never fuse.
 
-``hoist``
-    Pin replay-invariant uploads: an H2D op whose buffer has no other
-    writer in the graph (and no earlier reader) is executed once at
-    optimization time and tombstoned, so replays stop paying its transfer.
-    Opt-in via ``pin=`` — binding a pinned label at replay raises, and the
-    pass refuses labels whose upload is not provably invariant.
-
 Rewrites never mutate the input graph: modified ops are cloned, removed ops
 stay in the rewritten list as *tombstones* (``meta["elided"]`` plus a
 ``meta["graphopt"]`` provenance record naming the pass and action), which
 keeps inspection honest (``repro graph`` shows what was cut) and lets the
-race detector skip them while still crediting their reads — an elided D2H
-must not re-trigger GR203 on the upload that fed it.
+race detector skip them while still crediting their reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..analysis.racecheck import op_accesses
 from ..core.errors import AnalysisError, ConfigurationError
@@ -60,9 +48,8 @@ from ..obs import metrics as _obs_metrics
 
 __all__ = ["GraphOptReport", "PASS_NAMES", "optimize_graph", "parse_passes"]
 
-#: canonical pass order (elision first widens fusion adjacency; hoisting
-#: last sees the final set of live uploads)
-PASS_NAMES = ("elide", "fuse", "hoist")
+#: canonical pass order (elision first widens fusion adjacency)
+PASS_NAMES = ("elide", "fuse")
 
 
 @dataclass
@@ -78,7 +65,6 @@ class GraphOptReport:
     kernels_after: int = 0
     fused: List[dict] = field(default_factory=list)
     elided: List[dict] = field(default_factory=list)
-    pinned: List[str] = field(default_factory=list)
     makespan_before_ms: float = 0.0
     makespan_after_ms: float = 0.0
 
@@ -93,7 +79,6 @@ class GraphOptReport:
             "kernels_after": self.kernels_after,
             "fused": list(self.fused),
             "elided": list(self.elided),
-            "pinned": list(self.pinned),
             "makespan_before_ms": self.makespan_before_ms,
             "makespan_after_ms": self.makespan_after_ms,
         }
@@ -175,45 +160,26 @@ def _next_access(ops: Sequence, start: int, buf) -> Optional[str]:
     return None
 
 
-def _elide_pass(ops: List, report: GraphOptReport,
-                drop_outputs: Sequence[str]) -> List:
-    drop = set(drop_outputs)
-    dropped: set = set()
+def _elide_pass(ops: List, report: GraphOptReport) -> List:
     changed = True
     while changed:
         changed = False
         for i, op in enumerate(ops):
-            if _is_elided(op) or op.waits:
+            if (_is_elided(op) or op.waits
+                    or op.kind not in ("h2d", "memset")):
                 # Ops carrying event waits are never elided: the race
                 # detector skips tombstones when chaining happens-before,
                 # which is only sound for ops that add no event edges.
                 continue
-            if op.kind == "d2h":
-                label = op.buffers[0].label
-                if label in drop and label not in dropped:
-                    dropped.add(label)
-                    ops[i] = _tombstone(op, "elide", "dropped-output",
-                                        buffer=label)
-                    report.elided.append({"kind": op.kind, "name": op.name,
-                                          "buffer": label,
-                                          "action": "dropped-output"})
-                    changed = True
-            elif op.kind in ("h2d", "memset"):
-                buf = op.buffers[0]
-                nxt = _next_access(ops, i, buf)
-                if nxt == "read":
-                    continue
-                action = "dead-write" if nxt is None else "redundant-write"
-                ops[i] = _tombstone(op, "elide", action, buffer=buf.label)
-                report.elided.append({"kind": op.kind, "name": op.name,
-                                      "buffer": buf.label, "action": action})
-                changed = True
-    missing = drop - dropped
-    if missing:
-        raise ConfigurationError(
-            f"drop_outputs names {sorted(missing)} but the graph captures "
-            f"no matching D2H copy"
-        )
+            buf = op.buffers[0]
+            nxt = _next_access(ops, i, buf)
+            if nxt == "read":
+                continue
+            action = "dead-write" if nxt is None else "redundant-write"
+            ops[i] = _tombstone(op, "elide", action, buffer=buf.label)
+            report.elided.append({"kind": op.kind, "name": op.name,
+                                  "buffer": buf.label, "action": action})
+            changed = True
     return ops
 
 
@@ -390,59 +356,9 @@ def _fuse_pass(ctx, ops: List, report: GraphOptReport) -> List:
     return out
 
 
-# ----------------------------------------------------------------- hoist pass
-def _hoist_legal(ops: Sequence, pos: int, buf) -> Optional[str]:
-    """None when the upload at *pos* is replay-invariant, else the reason."""
-    if ops[pos].waits:
-        return "the upload carries event waits"
-    for j, op in enumerate(ops):
-        if j == pos or _is_elided(op):
-            continue
-        reads, writes = op_accesses(op)
-        if any(b is buf for b in writes):
-            return f"{op.kind} {op.name!r} also writes the buffer"
-        if j < pos and any(b is buf for b in reads):
-            return f"{op.kind} {op.name!r} reads the buffer before the upload"
-    return None
-
-
-def _hoist_pass(ops: List, pin, report: GraphOptReport,
-                strict: bool) -> Tuple[List, List]:
-    pin_all = pin == "all"
-    if isinstance(pin, str) and not pin_all:
-        pin = [t.strip() for t in pin.split(",") if t.strip()]
-    wanted = set() if pin_all else {str(p) for p in pin}
-    actions: List[Tuple[object, object]] = []
-    seen: set = set()
-    for i, op in enumerate(ops):
-        if op.kind != "h2d" or _is_elided(op):
-            continue
-        buf = op.buffers[0]
-        seen.add(buf.label)
-        if not pin_all and buf.label not in wanted:
-            continue
-        reason = _hoist_legal(ops, i, buf)
-        if reason is not None:
-            if strict and buf.label in wanted:
-                raise ConfigurationError(
-                    f"cannot pin input {buf.label!r}: {reason}"
-                )
-            continue
-        actions.append((buf, op.meta["src"]))
-        report.pinned.append(buf.label)
-        ops[i] = _tombstone(op, "hoist", "pinned", buffer=buf.label)
-    missing = wanted - seen
-    if missing:
-        raise ConfigurationError(
-            f"pin names {sorted(missing)} but the graph captures no "
-            f"matching H2D upload"
-        )
-    return ops, actions
-
-
 # ------------------------------------------------------------------ pipeline
-def optimize_graph(graph, passes="all", *, pin=(), drop_outputs=(),
-                   name: Optional[str] = None, check: bool = True):
+def optimize_graph(graph, passes="all", *, name: Optional[str] = None,
+                   check: bool = True):
     """Run the selected passes over *graph*; returns ``(optimized, report)``.
 
     The input graph is left untouched and stays replayable — the rewritten
@@ -451,12 +367,6 @@ def optimize_graph(graph, passes="all", *, pin=(), drop_outputs=(),
     through the happens-before race detector and any error-severity finding
     raises :class:`~repro.core.errors.AnalysisError`, mirroring
     ``ctx.capture(check=True)`` for compiler output.
-
-    ``pin`` activates the hoist pass for the named input labels (or
-    ``"all"`` for every provably invariant upload); explicitly named labels
-    that cannot be pinned raise.  ``drop_outputs`` lets the elide pass
-    remove named D2H downloads (and, transitively, uploads that fed only
-    them).
     """
     selected = parse_passes(passes)
     ops = list(graph.ops)
@@ -466,20 +376,12 @@ def optimize_graph(graph, passes="all", *, pin=(), drop_outputs=(),
         kernels_before=sum(1 for op in ops
                            if op.kind == "kernel" and not _is_elided(op)),
         makespan_before_ms=graph.makespan_ms)
-    actions: List = []
-    for p in selected:
-        if p == "elide":
-            ops = _elide_pass(ops, report, drop_outputs)
-        elif p == "fuse":
-            ops = _fuse_pass(graph.ctx, ops, report)
-        elif p == "hoist":
-            ops, actions = _hoist_pass(ops, pin, report, strict=True)
+    if "elide" in selected:
+        ops = _elide_pass(ops, report)
+    if "fuse" in selected:
+        ops = _fuse_pass(graph.ctx, ops, report)
     optimized = graph.rewritten(ops, name=report.optimized)
-    optimized._pinned = frozenset(report.pinned)
     optimized._graphopt_report = report
-    # Pinned uploads run once, here, after the rewrite is known compilable.
-    for buf, src in actions:
-        buf.array[...] = np.asarray(src)
     report.ops_after = sum(1 for op in ops if not _is_elided(op))
     report.kernels_after = optimized.num_kernels
     report.makespan_after_ms = optimized.makespan_ms

@@ -58,8 +58,8 @@ def graph_entry(name: str, passes: str) -> Dict[str, object]:
 def graphopt_markdown(entries: Sequence[Dict[str, object]]) -> str:
     """The report's graph-compiler section for :func:`graph_entry` output."""
     table = ResultTable(
-        columns=["workload", "ops", "kernels", "fused", "elided", "pinned",
-                 "lowered", "lint"],
+        columns=["workload", "ops", "kernels", "fused", "elided", "lowered",
+                 "lint"],
         title="Graph-compiler rewrite of each lint capture")
     for entry in entries:
         if entry["graph"] is None:
@@ -72,7 +72,7 @@ def graphopt_markdown(entries: Sequence[Dict[str, object]]) -> str:
             kernels=f"{entry['kernels_before']} → {entry['kernels_after']}",
             fused="; ".join(" + ".join(group["parts"])
                             for group in entry["fused"]) or "none",
-            elided=len(entry["elided"]), pinned=len(entry["pinned"]),
+            elided=len(entry["elided"]),
             lowered=f"{lowered}/{len(entry['lowering'])}",
             lint="clean" if entry["lint_clean"] else "ERRORS")
     passes = next((entry["passes"] for entry in entries
@@ -82,8 +82,8 @@ def graphopt_markdown(entries: Sequence[Dict[str, object]]) -> str:
         "",
         f"Each workload's lint capture through the `{','.join(passes)}` "
         "pipeline, as `repro graph --all --json` reports it: operations "
-        "and kernels before → after, the fused kernel groups, elided and "
-        "pinned transfers, the surviving kernels the lowering tier "
+        "and kernels before → after, the fused kernel groups, elided "
+        "transfers, the surviving kernels the lowering tier "
         "compiles to NumPy, and the race detector's verdict on the "
         "optimized graph. Replay wall times are host measurements; "
         "`repro graph --bench` prints them.",

@@ -84,7 +84,7 @@ def enqueue_babelstream(ctx: DeviceContext, *, n: int, precision: str,
     ``streams > 1`` puts the fills on their own lanes, event-ordered
     before the kernel stream; the kernels depend on each other and stay
     FIFO on one stream.  Returns ``{label: download}`` for *downloads*
-    (and each ``"dot_sums<i>"``): arrays on an eager context, None under
+    (and each ``"dot_sums<i>"``): arrays, or None under
     ``ctx.capture``.
     """
     dtype = dtype_from_any(precision)

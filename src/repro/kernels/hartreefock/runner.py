@@ -142,8 +142,8 @@ def enqueue_hartreefock(ctx: DeviceContext, system: HeSystem,
                         streams: int = 1) -> Optional[np.ndarray]:
     """Upload *system*, launch the ERI kernel and download the Fock matrix.
 
-    Returns the flat Fock download: an array on an eager context, None
-    under ``ctx.capture``.  The inputs are read-only tensors; only the
+    Returns the flat Fock download: an array, or None under
+    ``ctx.capture``.  The inputs are read-only tensors; only the
     zero-initialised Fock matrix is written.  ``streams > 1`` spreads the
     six uploads round-robin over that many H2D streams with the kernel
     event-ordered behind them (identical numerics, overlapped modelled

@@ -59,8 +59,8 @@ def enqueue_fasten(ctx: DeviceContext, deck: Deck, *, ppwi: int = 2,
                    streams: int = 1) -> Optional[np.ndarray]:
     """Upload *deck*, launch fasten and download the pose energies on *ctx*.
 
-    Returns the energies download: an array on an eager context, None
-    under ``ctx.capture``.  The deck inputs are read-only tensors.
+    Returns the energies download: an array, or None under
+    ``ctx.capture``.  The deck inputs are read-only tensors.
     ``streams > 1`` distributes the deck uploads round-robin over that many
     H2D streams, with the kernel event-ordered after every upload
     (identical numerics, overlapped modelled pipeline).

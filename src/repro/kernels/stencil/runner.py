@@ -44,8 +44,8 @@ def enqueue_stencil(ctx: DeviceContext, problem: StencilProblem,
                     streams: int = 1) -> Optional[np.ndarray]:
     """Upload the initial field, launch the Laplacian, download ``f``.
 
-    Returns the flat ``f`` download: an array on an eager context, None
-    under ``ctx.capture``.  ``streams > 1`` gives the upload, the kernel
+    Returns the flat ``f`` download: an array, or None under
+    ``ctx.capture``.  ``streams > 1`` gives the upload, the kernel
     and the download their own lanes (``h2d``, ``compute``, ``d2h``),
     ordered by the ``uploads`` and ``kernel-done`` events.  The three
     phases are strictly dependent, so they still serialise: the lanes

@@ -9,7 +9,7 @@ https://ui.perfetto.dev load directly).
 Layout of the exported trace:
 
 * **pid 1, "host"** — one thread track per host thread, carrying the nested
-  spans (``workload.run`` → ``tuning.resolve`` → ``device.drain`` …) as
+  spans (``workload.run`` → ``tuning.resolve`` → ``graph.replay`` …) as
   complete ("X") events in *wall-clock* microseconds relative to the
   collector's epoch.  Span args, ids and the modelled-vs-wall durations
   ride in ``args``.
@@ -195,8 +195,8 @@ def write_chrome_trace(path: str, collector: TraceCollector, *,
 def modelled_vs_wall(collector: TraceCollector) -> List[Dict[str, Any]]:
     """Per-span rows of host wall time beside modelled device time.
 
-    Only spans that attributed a nonzero modelled duration appear (an
-    empty drain models none).  The two are different quantities: the
+    Only spans that attributed a nonzero modelled duration appear (a
+    span with no device work models none).  The two are different quantities: the
     simulator's wall clock is not GPU time, so they are reported side by
     side and never subtracted.
     """

@@ -2,12 +2,11 @@
 
 The paper explains *where time goes* per ``(gpu, backend)`` — its NCU and
 rocprof tables are observability artifacts.  This module provides the host
-half of that story: nested spans (``workload.run`` → ``tuning.resolve`` → ``device.drain`` /
-``graph.replay``) with ids,
-parents, and *two* durations each — the wall-clock time the host actually
-spent, and the modelled device time the analytic timing model predicted.
-They are different quantities and are reported side by side, never
-subtracted.
+half of that story: nested spans (``workload.run`` → ``tuning.resolve`` →
+``graph.replay``) with ids, parents, and *two* durations each — the
+wall-clock time the host actually spent, and the modelled device time the
+analytic timing model predicted.  They are different quantities and are
+reported side by side, never subtracted.
 
 Collection is **off by default** and follows the exact switch pattern of
 :class:`~repro.resilience.faults.FaultInjector`: the hot paths read one

@@ -193,7 +193,7 @@ class RunRequest:
     #: replay: ``"none"`` (the default) replays the capture as recorded,
     #: ``"all"`` runs the full :mod:`repro.graphopt` pipeline, or a
     #: comma-separated subset of :data:`repro.graphopt.PASS_NAMES`
-    #: (``"elide"``, ``"fuse"``, ``"hoist"``)
+    #: (``"elide"``, ``"fuse"``)
     optimize: str = "none"
 
     def __post_init__(self):

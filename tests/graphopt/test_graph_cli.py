@@ -19,7 +19,7 @@ def test_graph_single_workload_json(capsys):
     assert main(["graph", "babelstream", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == "repro.graphopt-report/v1"
-    assert payload["passes"] == ["elide", "fuse", "hoist"]
+    assert payload["passes"] == ["elide", "fuse"]
     (entry,) = payload["graphs"]
     assert entry["workload"] == "babelstream"
     assert entry["kernels_before"] == 4 and entry["kernels_after"] == 1
@@ -71,8 +71,9 @@ def test_graph_unknown_workload_is_config_error(capsys):
 
 
 def test_graph_unknown_pass_is_config_error(capsys):
-    assert main(["graph", "babelstream", "--passes", "vectorize"]) == 2
-    assert "graph:" in capsys.readouterr().err
+    for passes in ("vectorize", "hoist"):
+        assert main(["graph", "babelstream", "--passes", passes]) == 2
+        assert "graph:" in capsys.readouterr().err
 
 
 def test_graph_requires_a_target(capsys):
@@ -103,5 +104,5 @@ def test_report_section_matches_graph_json(tmp_path, capsys):
         assert row[1:3] == [
             f"{entry['ops_before']} → {entry['ops_after']}",
             f"{entry['kernels_before']} → {entry['kernels_after']}"]
-        assert row[6:] == [f"{lowered}/{len(entry['lowering'])}",
+        assert row[5:] == [f"{lowered}/{len(entry['lowering'])}",
                            "clean" if entry["lint_clean"] else "ERRORS"]

@@ -1,4 +1,4 @@
-"""The graph-compiler pass pipeline: elision, fusion, hoisting, legality."""
+"""The graph-compiler pass pipeline: elision, fusion, legality."""
 
 from __future__ import annotations
 
@@ -36,12 +36,14 @@ class TestParsePasses:
         assert parse_passes("fuse") == ("fuse",)
 
     def test_canonical_order_is_restored(self):
-        assert parse_passes("hoist,fuse,elide") == PASS_NAMES
+        assert parse_passes("fuse,elide") == PASS_NAMES
         assert parse_passes(["fuse", "elide"]) == ("elide", "fuse")
 
     def test_unknown_pass_raises(self):
-        with pytest.raises(ConfigurationError):
-            parse_passes("fuse,vectorize")
+        for passes in ("fuse,vectorize", "hoist"):
+            with pytest.raises(ConfigurationError,
+                               match=r"\('elide', 'fuse'\)"):
+                parse_passes(passes)
 
 
 class TestFusion:
@@ -260,80 +262,6 @@ class TestElision:
         optimized, report = optimize_graph(graph, "elide")
         assert report.elided == []
 
-    def test_drop_outputs_cascades_to_feeding_upload(self):
-        n = 64
-        ctx = DeviceContext("h100")
-        a_buf = ctx.enqueue_create_buffer(DType.float64, n, label="a")
-        b_buf = ctx.enqueue_create_buffer(DType.float64, n, label="b")
-        with ctx.capture("cascade") as graph:
-            a_buf.copy_from_host(np.ones(n))
-            b_buf.copy_from_host(np.full(n, 2.0))
-            a_buf.copy_to_host()
-            b_buf.copy_to_host()
-        optimized, report = optimize_graph(graph, "elide",
-                                           drop_outputs=("b",))
-        actions = {(e["buffer"], e["action"]) for e in report.elided}
-        # dropping the download makes its upload dead — elision cascades
-        assert actions == {("b", "dropped-output"), ("b", "dead-write")}
-        result = optimized.replay()
-        assert "b" not in result and "a" in result
-
-    def test_unknown_drop_output_raises(self, stream_capture):
-        ctx, graph, bufs = stream_capture
-        with pytest.raises(ConfigurationError):
-            optimize_graph(graph, "elide", drop_outputs=("nope",))
-
-
-class TestHoist:
-    def _capture(self):
-        n = 64
-        ctx = DeviceContext("h100")
-        u_buf = ctx.enqueue_create_buffer(DType.float64, n, label="u")
-        f_buf = ctx.enqueue_create_buffer(DType.float64, n, label="f")
-        u, f = u_buf.tensor(mut=False), f_buf.tensor()
-        host = np.linspace(0.0, 1.0, n)
-        with ctx.capture("hoistable") as graph:
-            u_buf.copy_from_host(host)
-            ctx.enqueue_function(copy_kernel, u, f, n,
-                                 grid_dim=1, block_dim=n)
-            f_buf.copy_to_host()
-        return ctx, graph, host
-
-    def test_pin_all_hoists_invariant_upload(self):
-        ctx, graph, host = self._capture()
-        base = graph.replay()
-        optimized, report = optimize_graph(graph, "hoist", pin="all")
-        assert report.pinned == ["u"]
-        assert optimized._pinned == frozenset({"u"})
-        _replays_equal(base, optimized.replay())
-
-    def test_pinned_label_cannot_be_rebound(self):
-        ctx, graph, host = self._capture()
-        optimized, _ = optimize_graph(graph, "hoist", pin="u")
-        with pytest.raises(DeviceError, match="pinned"):
-            optimized.replay(u=np.zeros_like(host))
-        # the unoptimized capture still accepts the binding
-        assert np.array_equal(graph.replay(u=np.zeros_like(host))["f"],
-                              np.zeros_like(host))
-
-    def test_pinning_written_buffer_raises(self, stream_capture):
-        # "a" is re-written by Add/Triad kernels, so its upload is not
-        # replay-invariant; naming it explicitly must refuse, not skip
-        ctx, graph, bufs = stream_capture
-        with pytest.raises(ConfigurationError, match="cannot pin"):
-            optimize_graph(graph, "hoist", pin="a")
-
-    def test_pin_all_skips_non_invariant_uploads(self, stream_capture):
-        ctx, graph, bufs = stream_capture
-        optimized, report = optimize_graph(graph, "hoist", pin="all")
-        # every buffer is kernel-written in the STREAM sweep: nothing pins
-        assert report.pinned == []
-
-    def test_unknown_pin_label_raises(self):
-        ctx, graph, host = self._capture()
-        with pytest.raises(ConfigurationError, match="no"):
-            optimize_graph(graph, "hoist", pin="ghost")
-
 
 class TestPipeline:
     def test_input_graph_is_never_mutated(self, stream_capture):
@@ -372,6 +300,12 @@ class TestPipeline:
         assert optimized.num_kernels == 1
         assert optimized._graphopt_report.fused
         _replays_equal(plain.replay(), optimized.replay())
+
+    def test_workload_request_rejects_hoist(self):
+        from repro.workloads import get_workload
+
+        with pytest.raises(ConfigurationError, match="'elide', 'fuse'"):
+            get_workload("babelstream").make_request(optimize="hoist")
 
     def test_rewritten_requires_compiled_graph(self):
         ctx = DeviceContext("h100")

@@ -16,7 +16,7 @@ from repro.graphopt import optimize_graph
 from repro.workloads import get_workload, list_workloads
 
 WORKLOADS = tuple(list_workloads())
-PASS_COMBOS = ("elide", "fuse", "hoist", "elide,fuse", "all")
+PASS_COMBOS = ("elide", "fuse", "elide,fuse", "all")
 
 
 def _assert_bit_identical(base, opt):
@@ -36,19 +36,6 @@ def test_optimized_replay_is_bit_identical(name, passes):
     optimized, _report = optimize_graph(graph, passes)
     _assert_bit_identical(base, optimized.replay())
     # replaying the optimized graph again stays stable (memsets/h2ds rerun)
-    _assert_bit_identical(base, optimized.replay())
-
-
-@pytest.mark.parametrize("name", WORKLOADS)
-def test_pinned_hoist_is_bit_identical(name):
-    """pin="all" (upload-once) must never pin a non-invariant transfer."""
-    workload = get_workload(name)
-    graph = workload.lint_graph()
-    if graph is None:
-        pytest.skip(f"{name} declares no lint graph")
-    base = graph.replay()
-    optimized, _report = optimize_graph(graph, "hoist", pin="all")
-    _assert_bit_identical(base, optimized.replay())
     _assert_bit_identical(base, optimized.replay())
 
 

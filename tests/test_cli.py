@@ -266,7 +266,7 @@ class TestReportCommand:
                      "--write", str(target)]) == 0
         document = target.read_text()
         assert document.rstrip().endswith(
-            "| stencil | 3 → 3 | 1 → 1 | none | 0 | 0 | 1/1 | clean |")
+            "| stencil | 3 → 3 | 1 → 1 | none | 0 | 1/1 | clean |")
         assert "Observability" not in document
 
     def test_no_graphopt_skips_the_section(self, tmp_path):
