@@ -77,6 +77,18 @@ class TestDeviceBuffer:
         with pytest.raises(DeviceError):
             buf.fill(1.0)
 
+    def test_upload_to_freed_buffer_names_it(self, ctx):
+        buf = ctx.enqueue_create_buffer(DType.float64, 8, label="gone")
+        buf.free()
+        with pytest.raises(DeviceError, match="freed buffer 'gone'"):
+            buf.copy_from_host(np.zeros(8))
+
+    def test_download_from_freed_buffer_names_it(self, ctx):
+        buf = ctx.enqueue_create_buffer(DType.float64, 8, label="gone")
+        buf.free()
+        with pytest.raises(DeviceError, match="freed buffer 'gone'"):
+            buf.copy_to_host()
+
     def test_len_and_nbytes(self, ctx):
         buf = ctx.enqueue_create_buffer(DType.float32, 10)
         assert len(buf) == 10
@@ -160,6 +172,90 @@ class TestDeviceContext:
         buf.free()
         with pytest.raises(DeviceError, match="uses freed buffer 'victim'"):
             ctx.enqueue_function(_fill, t, 1.0, n, grid_dim=1, block_dim=8)
+
+
+class TestEnqueueRunsAtOnce:
+    """Outside a capture every enqueue executes before it returns, in
+    enqueue order; ``synchronize()`` only hands back the timeline."""
+
+    def test_kernel_result_is_visible_without_synchronize(self, ctx):
+        n = 16
+        buf = ctx.enqueue_create_buffer(DType.float32, n)
+        ctx.enqueue_function(_fill, buf.tensor(), 1.0, n, grid_dim=1,
+                             block_dim=16)
+        assert np.all(buf.array == 1.0)
+        assert [e.kind for e in ctx.timeline] == ["kernel"]
+
+    def test_h2d_kernel_d2h_run_in_enqueue_order(self, ctx):
+        n = 16
+        buf = ctx.enqueue_create_buffer(DType.float64, n)
+        buf.copy_from_host(np.full(n, 2.0))
+        ctx.enqueue_function(_scale, buf.tensor(), 3.0, n, grid_dim=1,
+                             block_dim=16)
+        out = buf.copy_to_host(np.full(n, -1.0))
+        assert np.all(out == 6.0)
+        assert [e.kind for e in ctx.timeline] == ["h2d", "kernel", "d2h"]
+
+    def test_copy_to_host_returns_the_data(self, ctx):
+        buf = ctx.enqueue_create_buffer(DType.float64, 8)
+        buf.copy_from_host(np.arange(8.0))
+        result = buf.copy_to_host()
+        np.testing.assert_array_equal(result, np.arange(8.0))
+        assert not np.shares_memory(result, buf.array)
+
+    def test_host_mutation_after_upload_does_not_reach_the_buffer(self, ctx):
+        src = np.full(4, 1.0)
+        buf = ctx.enqueue_create_buffer(DType.float64, 4)
+        buf.copy_from_host(src)
+        src[:] = 99.0
+        assert np.all(buf.array == 1.0)
+
+    def test_enqueue_fill_executes_at_once(self, ctx):
+        buf = ctx.enqueue_create_buffer(DType.float64, 8)
+        ctx.enqueue_fill(buf, 7.0)
+        assert np.all(buf.array == 7.0)
+
+    def test_synchronize_returns_the_timeline_and_is_idempotent(self, ctx):
+        buf = ctx.enqueue_create_buffer(DType.float64, 4)
+        buf.fill(1.0)
+        buf.copy_to_host()
+        first = ctx.synchronize()
+        assert [e.kind for e in first] == ["memset", "d2h"]
+        assert ctx.synchronize() == first     # nothing left to run
+        assert ctx.stream("s").synchronize().name == "s"
+
+    def test_reset_timeline_restarts_clocks_from_zero(self, ctx):
+        buf = ctx.enqueue_create_buffer(DType.float64, 4096)
+        buf.copy_from_host(np.zeros(4096))
+        buf.copy_from_host(np.zeros(4096))
+        ctx.reset_timeline()
+        buf.fill(5.0)
+        (memset,) = ctx.timeline
+        assert memset.start_ms == 0.0
+        assert ctx.elapsed_ms == memset.end_ms > 0.0
+        assert np.all(buf.array == 5.0)
+
+    def test_cross_stream_pipeline_executes_in_dag_order(self, ctx):
+        n = 16
+        buf = ctx.enqueue_create_buffer(DType.float64, n)
+        h2d, compute = ctx.stream("h2d"), ctx.stream("compute")
+        buf.copy_from_host(np.full(n, 2.0), stream=h2d)
+        compute.wait(ctx.event("up").record(h2d))
+        ctx.enqueue_function(_scale, buf.tensor(), 2.0, n, grid_dim=1,
+                             block_dim=n, stream=compute)
+        out = buf.copy_to_host(stream=compute)
+        assert np.all(out == 4.0)
+        upload = ctx.lanes["h2d"][0]
+        (launch,) = [e for e in ctx.timeline if e.kind == "kernel"]
+        assert launch.start_ms >= upload.end_ms
+
+    def test_event_has_a_timestamp_once_recorded(self, ctx):
+        buf = ctx.enqueue_create_buffer(DType.float64, 1 << 12)
+        buf.copy_from_host(np.zeros(1 << 12))
+        ev = ctx.event("now").record()
+        assert ev.recorded
+        assert ev.elapsed_ms() == pytest.approx(ctx.elapsed_ms)
+        assert ev.elapsed_ms() > 0.0
 
 
 class TestFillMemset:
@@ -395,6 +491,16 @@ class TestDeviceGraph:
         src[:] = 99.0                         # caller mutates before replay
         graph.replay()
         assert np.all(buf.array == 1.0)
+
+    def test_replay_reads_contents_written_before_it(self, ctx):
+        # an upload enqueued after the capture has run by the time the
+        # replay's download reads the buffer
+        buf = ctx.enqueue_create_buffer(DType.float64, 4, label="src")
+        with ctx.capture() as graph:
+            buf.copy_to_host()
+        buf.copy_from_host(np.full(4, 5.0))
+        out = graph.replay()
+        np.testing.assert_array_equal(out["src"], np.full(4, 5.0))
 
     def test_wait_on_event_from_outside_the_capture_rejected(self, ctx):
         # Same rule as CUDA stream capture: the dependency would otherwise

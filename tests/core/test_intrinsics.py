@@ -16,6 +16,7 @@ from repro.core.intrinsics import (
     ceildiv,
     current_thread_state,
     global_idx,
+    masked_gather,
     shared_array,
     stack_allocation,
     thread_idx,
@@ -144,3 +145,22 @@ class TestStackAllocation:
     def test_outside_kernel_raises(self):
         with pytest.raises(LaunchError):
             stack_allocation(8, DType.float64)
+
+
+@pytest.mark.parametrize("dtype, other", [
+    (DType.float32, 0.1),
+    (DType.float32, 0),
+    (DType.float64, 0.1),
+    (DType.int32, 0),
+    (DType.int64, -1),
+], ids=["float32-float", "float32-int", "float64-float", "int32-int",
+        "int64-int"])
+def test_masked_off_scalar_load_is_typed_as_the_lane_path(dtype, other):
+    # a masked-off thread on the scalar path gets *other* converted as the
+    # lane path's np.where converts it, so both paths accumulate alike
+    data = np.arange(4).astype(dtype.to_numpy())
+    lanes = masked_gather(data, np.arange(4), np.zeros(4, dtype=bool), other)
+    scalar = masked_gather(data, 9, False, other)
+    assert type(scalar) is lanes.dtype.type
+    assert scalar == lanes[0]
+    assert type(masked_gather(data, 2, True, other)) is data.dtype.type

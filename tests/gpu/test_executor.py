@@ -5,8 +5,9 @@ import pytest
 
 from repro.core import DType, barrier, block_dim, block_idx, grid_dim, kernel, shared_array, thread_idx
 from repro.core.intrinsics import masked_store
-from repro.core.errors import LaunchError
+from repro.core.errors import LaunchError, LayoutError
 from repro.core.kernel import LaunchConfig
+from repro.core.layout import Layout, LayoutTensor
 from repro.gpu.executor import ExecutionCounters, KernelExecutor, kernel_uses_barrier
 
 
@@ -106,6 +107,26 @@ class TestCooperativeExecution:
         with pytest.raises(LaunchError):
             KernelExecutor().launch(bad_kernel, (np.zeros(2),),
                                     LaunchConfig.make(1, 2), mode="cooperative")
+
+
+@kernel
+def _overrun_copy(src, dst, n):
+    i = block_idx.x * block_dim.x + thread_idx.x
+    if i < n:
+        dst[i] = src[i]
+
+
+@pytest.mark.parametrize("mode",
+                         ["sequential", "cooperative", "vectorized", "auto"])
+def test_kernel_layout_error_is_raised_unchanged(mode):
+    # every mode raises the kernel's own ReproError, not a LaunchError
+    # wrapping it: n = 8 lets block 1 read past the source's extent of 6
+    src = LayoutTensor(DType.float64, Layout.row_major(6), np.arange(6.0))
+    dst = LayoutTensor(DType.float64, Layout.row_major(8), np.zeros(8))
+    with pytest.raises(LayoutError, match="extent 6") as info:
+        KernelExecutor().launch(_overrun_copy, (src, dst, 8),
+                                LaunchConfig.make(2, 4), mode=mode)
+    assert type(info.value) is LayoutError
 
 
 class TestExecutorLimits:

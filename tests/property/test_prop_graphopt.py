@@ -16,7 +16,8 @@ from repro.graphopt import optimize_graph
 from repro.workloads import get_workload, list_workloads
 
 WORKLOADS = tuple(list_workloads())
-PASS_COMBOS = ("elide", "fuse", "elide,fuse", "all")
+#: "none" re-lowers the captured ops unchanged through the same rewrite
+PASS_COMBOS = ("none", "elide", "fuse", "elide,fuse", "all")
 
 
 def _assert_bit_identical(base, opt):
