@@ -376,11 +376,13 @@ def _science_launch(kernel_name):
     """Verify-sized launch of one of the three loop/atomic/barrier kernels.
 
     Returns ``(kernel, args, launch, output array)``: fasten on an 8x32
-    deck with 64 poses, the ERI kernel on a 4-atom helium system, Dot on
-    n=4096 with 4 blocks of 64 threads.  Bounds checks are what the region
-    analysis leaves, as in the runners: fasten's transforms and forcefield,
-    the ERI kernel's Schwarz, geometry, density and Fock tensors, and Dot's
-    grid-stride inputs.
+    deck with 64 poses (``fasten``) and on a 12x32 deck with 128 poses
+    (``fasten_chunked``: the ligand x protein nest exceeds the lowering
+    tier's axis budget, so the ligand loop runs in chunks), the ERI kernel
+    on a 4-atom helium system, Dot on n=4096 with 4 blocks of 64 threads.
+    Bounds checks are what the region analysis leaves, as in the runners:
+    fasten's transforms and forcefield, the ERI kernel's Schwarz, geometry,
+    density and Fock tensors, and Dot's grid-stride inputs.
     """
     from repro.core.layout import Layout, LayoutTensor
 
@@ -389,11 +391,13 @@ def _science_launch(kernel_name):
         return LayoutTensor(dtype, Layout.row_major(*(shape or (flat.size,))),
                             flat)
 
-    if kernel_name == "fasten":
+    if kernel_name.startswith("fasten"):
         from repro.kernels.minibude.kernel import fasten_kernel
         from repro.kernels.minibude.runner import minibude_launch_config
 
-        deck = make_deck(natlig=8, natpro=32, ntypes=4, nposes=64, seed=7)
+        natlig, nposes = (8, 64) if kernel_name == "fasten" else (12, 128)
+        deck = make_deck(natlig=natlig, natpro=32, ntypes=4, nposes=nposes,
+                         seed=7)
         f32 = DType.float32
         out = tensor(np.zeros(deck.nposes), dtype=f32)
         args = (2, deck.natlig, deck.natpro,
@@ -449,6 +453,19 @@ def test_bench_lowered_fasten_launch(benchmark):
 def test_bench_vectorized_fasten_launch(benchmark):
     """The same fasten launch pinned to the lockstep interpreter."""
     _bench_science_launch(benchmark, "fasten", "vectorized")
+
+
+def test_bench_lowered_fasten_chunked_launch(benchmark):
+    """fasten over the axis budget: the ligand loop runs in chunks of
+    atoms, each chunk's ligand x protein block on array axes (at least 2x
+    ``vectorized``)."""
+    _bench_science_launch(benchmark, "fasten_chunked", "lowered")
+
+
+def test_bench_vectorized_fasten_chunked_launch(benchmark):
+    """The same over-budget fasten launch pinned to the lockstep
+    interpreter."""
+    _bench_science_launch(benchmark, "fasten_chunked", "vectorized")
 
 
 def test_bench_lowered_eri_launch(benchmark):

@@ -25,10 +25,11 @@ index check, lock and count, and the bounds checks below) and returns the
 barrier and atomic counts and shared bytes per block the interpreter would
 report.  ``tests/gpu/test_mode_differential.py`` and the property suite
 hold the tier to bitwise equality.  One exception: the axis form runs each
-statement over every iteration of its loop before the next statement, so
-a launch with out-of-bounds indices in two statements of one such loop
-may report a different one of its bad indices than the interpreter (the
-same ``LayoutError`` type; a launch with one bad index names it exactly).
+statement over every iteration of its loop (of its chunk, when the loop
+runs in chunks) before the next statement, so a launch with out-of-bounds
+indices in two statements of one such loop may report a different one of
+its bad indices than the interpreter (the same ``LayoutError`` type; a
+launch with one bad index names it exactly).
 
 Bounds checks: a tensor argument the region analysis proves in bounds
 under the launch (:attr:`repro.analysis.regions.ArgRegion.in_bounds`)
@@ -61,14 +62,18 @@ One emitter, two index rules:
   whose iterations interact only through the IR's accumulation statements
   (:attr:`repro.analysis.kernel_ir.Loop.accumulations`) run with the loop
   index as a leading array axis; the accumulators fold in iteration and
-  statement order (:func:`_fold`), so sums stay bitwise.
-  The axis form is used while its temporaries fit :data:`AXIS_BUDGET`
-  elements; above it a loop stays a Python loop in the generated code (short
-  loops that the axis form refuses unroll).  Stores and atomics run once,
-  over all lanes, in the interpreter's order.  Bodies with barriers or
-  shared memory (:func:`repro.gpu.executor.kernel_uses_barrier`) run every
-  block at once on a ``(block, lane)`` axis: shared arrays become
-  ``(blocks, size)``.  Two forms there need no Python loop:
+  statement order (:func:`_fold`), so sums stay bitwise.  A nest whose
+  temporaries would exceed :data:`AXIS_BUDGET` elements runs its outer
+  loops in chunks of iterations, in order, each accumulator folding once
+  per chunk from its variable (a chunk of one iteration has a scalar
+  index).  That is the one loop form: a loop the axis form refuses
+  unrolls up to :data:`UNROLL_MAX` trips, else the body stays
+  interpreted, and no kernel loop becomes a Python loop in the generated
+  code except as chunk loops.  Stores and atomics run once, over all
+  lanes, in the interpreter's order.  Bodies with barriers or shared
+  memory (:func:`repro.gpu.executor.kernel_uses_barrier`) run every block
+  at once on a ``(block, lane)`` axis: shared arrays become ``(blocks,
+  size)``.  Two forms there need no Python loop:
 
   - **trip axis** — a grid-stride loop ``while any_lane(i < n): …;
     i = i + s`` with static ``n`` and ``s > 0`` runs on a ``(trips, blocks,
@@ -222,7 +227,7 @@ def _slices_for(comps: Sequence[Tuple[str, int]], shape: Tuple[int, ...],
 
 # ----------------------------------------------------------- the emitter
 #: axis-form loop nests whose temporaries would exceed this many elements
-#: (loop extents times the launch's lane count) stay Python loops
+#: (loop extents times the launch's lane count) run their trips in chunks
 AXIS_BUDGET = 1 << 14
 #: static loops refused by the axis form unroll up to this trip count
 UNROLL_MAX = 8
@@ -231,7 +236,13 @@ _STATIC_WHILE_MAX = 64
 
 
 class _OverBudget(LoweringUnsupported):
-    """An axis-form nest would exceed :data:`AXIS_BUDGET` (internal)."""
+    """An axis-form nest would hold *extent* elements, more than
+    :data:`AXIS_BUDGET`: an enclosing loop must run fewer trips at once
+    (internal)."""
+
+    def __init__(self, extent: int):
+        super().__init__("axis form exceeds the budget")
+        self.extent = extent
 
 
 class _Const:
@@ -275,10 +286,6 @@ class _Dyn:
     def type(self):
         return (self.dtype, self.weak)
 
-    def same_type(self, other) -> bool:
-        return isinstance(other, _Dyn) and self.type == other.type \
-            and self.lanes == other.lanes and self.axes == other.axes
-
 
 class _Seq:
     """A Python list or tuple whose structure is resolved at codegen time."""
@@ -313,18 +320,23 @@ class _Poison:
 
 
 class _Frame:
-    """One axis-form loop: its axis position, trip count (an int, or the
-    source of a runtime count), the bindings that existed on entry, the
-    accumulators it folds on exit and, for a grid-stride trip axis, *live*:
-    the ``(trips, blocks, 1)`` mask of the trips each block runs, and
-    *starts*: each accumulator's binding before the loop."""
+    """One axis-form loop: its axis position, trip count (an int; in a
+    chunk loop the source of the chunk's count, or 1 for one trip per
+    chunk), *size*: the most trips it runs at once, whether it runs in a
+    chunk loop, the bindings that existed on entry, the accumulators it
+    folds on exit (of each chunk) and, for a grid-stride trip axis,
+    *live*: the ``(trips, blocks, 1)`` mask of the trips each block runs,
+    and *starts*: each accumulator's binding before the loop."""
 
-    __slots__ = ("depth", "trip", "names", "seqs", "accums", "live",
-                 "starts")
+    __slots__ = ("depth", "trip", "size", "chunked", "names", "seqs",
+                 "accums", "live", "starts")
 
-    def __init__(self, depth: int, trip, names, seqs):
+    def __init__(self, depth: int, trip, size: int, chunked: bool, names,
+                 seqs):
         self.depth = depth
         self.trip = trip
+        self.size = size
+        self.chunked = chunked
         self.names = names
         self.seqs = seqs
         self.accums: Dict = {}
@@ -420,7 +432,8 @@ def _fold(init, terms, p, ext, dtype):
     sequential for any shape.
     """
     r, n = len(ext), math.prod(ext)
-    nd = max(np.ndim(t) for t in terms)
+    # a term that varies with no loop axis holds the lane axis alone
+    nd = max(p + r + 1, *(np.ndim(t) for t in terms))
     shapes = [(1,) * (nd - np.ndim(t)) + np.shape(t) for t in terms]
     ishape = (1,) * (nd - np.ndim(init)) + np.shape(init)
     full = np.broadcast_shapes(*shapes, ishape)
@@ -493,9 +506,9 @@ class _BodyLowerer:
     under ``rule="gathers"`` tensor accesses become gathers/scatters
     through the interpreter's own offset arithmetic, lane helpers and
     atomics are inlined, uniform loops run with their index as a leading
-    array axis (within :data:`AXIS_BUDGET`), and barrier bodies run every
-    block at once on a ``(block, lane)`` axis.  Expressions are emitted by
-    one evaluator for both.
+    array axis (in chunks of iterations beyond :data:`AXIS_BUDGET`), and
+    barrier bodies run every block at once on a ``(block, lane)`` axis.
+    Expressions are emitted by one evaluator for both.
     """
 
     def __init__(self, fn, env: Dict, launch: LaunchConfig, rule: str,
@@ -520,8 +533,8 @@ class _BodyLowerer:
         self.lines: List[str] = []
         self.indent = 1
         self.frames: List[_Frame] = []
-        # scope 0 is straight-line (or unrolled) code; every runtime loop,
-        # runtime branch and axis-form loop body opens a new one
+        # scope 0 is straight-line (or unrolled) code; every runtime
+        # branch and axis-form loop body opens a new one
         self.scope = 0
         self.scopes = itertools.count(1)
         #: (scope, index variable, extent) of every bounds check that
@@ -1649,33 +1662,38 @@ class _BodyLowerer:
                 return False
             key = ("s", seq, idx.value % len(seq.items))
         cur = self._get(key)
-        frame = self._outer_frame(key)
-        if frame is None or cur is _MISSING:
+        owner = self._outer_frame(key)
+        if owner is None or cur is _MISSING:
             return False
         inner = self.frames[-1]
+        # it folds at the end of the innermost chunk loop from its owner
+        # in (the loops between run one trip at a time), else after it
+        frame = next((f for f in reversed(self.frames[owner.depth:])
+                      if f.chunked), owner)
         acc = frame.accums.get(key)
         if acc is None:
             if isinstance(cur, _Poison):
                 raise _fail("accumulator folds in two loops")
             acc = frame.accums[key] = {
                 "key": key, "init": cur, "terms": [], "inner": inner,
-                "ext": tuple(f.trip for f in self.frames[frame.depth:])}
+                "depth": owner.depth,
+                "ext": tuple(f.trip for f in self.frames[owner.depth:])}
             self._set(key, _Poison("is an accumulator read inside its "
                                    "loop"))
         elif acc["inner"] is not inner:
             raise _fail("accumulator updated from two loop bodies")
         term = self.temp(self.ev(value.right))
         t = self.vtype(term)
-        if frame.live is not None:
+        if owner.live is not None:
             # a trip the block does not run adds the exact IEEE no-op
             zero = {"f": "-0.0", "i": "0", "u": "0"}.get(
                 getattr(t[0], "kind", None))
             if zero is None:
                 raise _fail("trip-axis accumulator of a non-numeric type")
             term = self.temp(_Dyn(
-                f"np.where({frame.live}, {self.src(term)}, {zero})", t[0],
+                f"np.where({owner.live}, {self.src(term)}, {zero})", t[0],
                 t[1], self.lanes_of(term),
-                self.axes_of(term) | {frame.depth, "B"}))
+                self.axes_of(term) | {owner.depth, "B"}))
         acc["terms"].append(term)
         return True
 
@@ -1685,36 +1703,43 @@ class _BodyLowerer:
             t = self.vtype(init)
             for _ in range(2):
                 for term in terms:
-                    t = _result_type(operator.add, t, term.type)
+                    t = _result_type(operator.add, t, self.vtype(term))
             if t[0] is None or t[1] is None:
                 raise _fail("accumulator type is not static")
-            key = acc["key"]
+            key, p = acc["key"], acc["depth"]
             name = self._stable(key)
             lanes = self.lanes_of(init, *terms)
             axes = self.axes_of(init, *terms) - frozenset(
-                range(frame.depth, frame.depth + len(acc["ext"])))
+                range(p, p + len(acc["ext"])))
+            if frame.chunked and self.src(init) != name:
+                raise _fail("accumulator is not in its variable across "
+                            "chunks")
             if frame.live is not None:
-                # folded once per chunk of trips from the variable itself;
                 # a block with no trips keeps the initial value: a weak
                 # start of another dtype must be a constant of the fold
                 # dtype's kind that the fold dtype holds exactly
                 start, (dtype, weak) = frame.starts.get(key), self.vtype(init)
-                if self.src(init) != name or (dtype != t[0] and not (
+                if dtype != t[0] and not (
                         isinstance(start, _Const) and weak
                         and dtype.kind == t[0].kind
-                        and t[0].type(start.value).item() == start.value)):
+                        and t[0].type(start.value).item() == start.value):
                     raise _fail("trip-axis accumulator starts at a value "
                                 "its fold dtype does not hold")
                 if self.vtype(init) != t:
                     # a Python scalar or an array of t[0] (see _operands)
                     t = (t[0], None)
-            self.emit(f"{name} = _fold({self.src(init)}, "
-                      f"({''.join(x.src + ', ' for x in terms)}), "
-                      f"{frame.depth}, {_tuple_src(acc['ext'])}, "
-                      f"{t[0].name!r})")
-            if not lanes and not axes:
-                self.emit(f"{name} = {name}.item()" if t[1] else
-                          f"{name} = {name}[0]")
+            srcs = [self.src(x) for x in terms]
+            if set(acc["ext"]) == {1}:
+                # one trip per chunk: the interpreter's own additions
+                self.emit(f"{name} = {' + '.join([self.src(init)] + srcs)}")
+            else:
+                self.emit(f"{name} = _fold({self.src(init)}, "
+                          f"({''.join(x + ', ' for x in srcs)}), "
+                          f"{p}, {_tuple_src(acc['ext'])}, "
+                          f"{t[0].name!r})")
+                if not lanes and not axes:
+                    self.emit(f"{name} = {name}.item()" if t[1] else
+                              f"{name} = {name}[0]")
             self._set(key, _Dyn(name, t[0], t[1], lanes, axes))
 
     # ---------------------------------------------------------------- if
@@ -1791,8 +1816,9 @@ class _BodyLowerer:
             first = vals[0]
             if all(v is first for v in vals):
                 self._set(key, first)
-            elif all(isinstance(v, _Dyn) and v.same_type(first)
-                     and v.src == first.src for v in vals):
+            elif all(isinstance(v, _Dyn) and (v.src, v.type, v.lanes, v.axes)
+                     == (first.src, first.type, first.lanes, first.axes)
+                     for v in vals):
                 # one variable, assigned on both branches: only its type
                 # is known to agree
                 self._set(key, first.untagged())
@@ -1809,60 +1835,27 @@ class _BodyLowerer:
                 and 1 <= len(it.args) <= 3):
             raise _fail("loop is not 'for name in range(...)'")
         bounds = [self.ev(a) for a in it.args]
+        if not all(isinstance(b, _Const)
+                   and isinstance(b.value, (int, np.integer)) for b in bounds):
+            raise _fail("range() with a runtime bound")
+        trip = range(*(int(b.value) for b in bounds))
         var = node.target.id
-        if all(isinstance(b, _Const) and isinstance(b.value, (int, np.integer))
-               for b in bounds):
-            trip = range(*(int(b.value) for b in bounds))
-            if len(trip) == 0:
-                return False
-            over = False
-            if len(trip) > 1 and len(it.args) == 1:
-                try:
-                    return self._attempt(lambda: self._for_axis(
-                        node, var, len(trip)))
-                except _OverBudget:
-                    over = True
-                except LoweringUnsupported:
-                    pass
-            short = len(trip) <= UNROLL_MAX
-            if self.frames and not short:
-                raise _OverBudget("loop nest exceeds the axis budget") \
-                    if over else _fail("loop inside an axis-form loop")
-            if self.frames or (short and not over):
-                return self._unroll(node.body, var, trip)
-            header = f"for v_{var} in {trip!r}:"
-            if short:   # over budget: a Python loop, else unrolled
-                try:
-                    return self._attempt(lambda: self._python_for(
-                        node, var, header, True))
-                except LoweringUnsupported:
-                    return self._unroll(node.body, var, trip)
-            known = True
-        else:
-            if self.frames:
-                raise _fail("runtime loop inside an axis-form loop")
-            for b in bounds:
-                if self.is_array(b):
-                    raise _fail("range() of an array")
-            srcs = ", ".join(self.src(b) for b in bounds)
-            header = f"for v_{var} in range({srcs}):"
-            known = False
-
-        return self._python_for(node, var, header, known)
+        if len(trip) > 1 and len(it.args) == 1:
+            try:
+                return self._attempt(lambda: self._for_axis(
+                    node, var, len(trip)))
+            except LoweringUnsupported:
+                if len(trip) > UNROLL_MAX:
+                    raise   # over budget: an enclosing loop takes fewer trips
+        elif len(trip) > UNROLL_MAX:
+            raise _fail("long loop over range() with a start or a step")
+        return self._unroll(node.body, var, trip)
 
     def _unroll(self, body, var: str, trip) -> bool:
         for k in trip:
             self.env[var] = _Const(k)
             if self.run(body):
                 return True
-        return False
-
-    def _python_for(self, node, var: str, header: str, known: bool) -> bool:
-        def prepare():
-            self._set(("n", var), _Dyn(f"v_{var}", np.dtype(np.int64), True,
-                                       False))
-            return header
-        self._runtime_loop(prepare, node.body, known, {var})
         return False
 
     def _attempt(self, fn):
@@ -1885,6 +1878,13 @@ class _BodyLowerer:
         for seq, items in seqs:
             seq.items = list(items)
 
+    def _bindings(self) -> Dict:
+        out = {("n", k): v for k, v in self.env.items()}
+        for seq in _reachable_seqs(list(self.env.values())):
+            for i, v in enumerate(seq.items):
+                out[("s", seq, i)] = v
+        return out
+
     def _save(self):
         return (self._save_env(), len(self.lines), self.loads,
                 dict(self.shared), self.shared_seq, self.shared_bytes,
@@ -1900,34 +1900,121 @@ class _BodyLowerer:
         del self.axis_arrays[naxes:]
 
     def _for_axis(self, node, var: str, trip: int) -> bool:
+        """A static loop with its index on an array axis.
+
+        All trips run at once when the nest's temporaries fit
+        :data:`AXIS_BUDGET` elements.  Otherwise, when every enclosing
+        axis-form loop runs one trip at a time, the loop runs in chunks of
+        the most trips that fit, and a chunk of one always fits (its
+        temporaries are those of straight-line code); when an enclosing
+        loop runs several trips at once this raises :class:`_OverBudget`
+        and that loop retries with fewer trips per chunk.  Chunks run in
+        iteration order, so the folds keep the interpreter's order.
+        """
         if self.per_block:
             raise _fail("axis form in a per-block body")
-        extent = trip * self.lane_bound
-        for f in self.frames:
-            extent *= f.trip
-        if extent > AXIS_BUDGET:
-            raise _OverBudget("axis form exceeds the budget")
-        live = {k for k, v in self.env.items() if not isinstance(v, _Poison)}
-        frame = _Frame(len(self.frames), trip, live,
-                       {id(s) for s in _reachable_seqs(
-                           list(self.env.values()))})
-        src = self._new("_ax")
-        self.axis_arrays.append((src, frame.depth, trip))
-        self.env[var] = _Dyn(src, np.dtype(np.int64), True, False,
-                             frozenset({frame.depth}))
+        outer = self.lane_bound * math.prod(f.size for f in self.frames)
+        nested = any(f.size > 1 for f in self.frames)
+        size = min(trip, AXIS_BUDGET // outer)
+        if size < trip and nested:
+            raise _OverBudget(trip * outer)
+        size = max(size, 1)
+        while True:
+            try:
+                return self._attempt(lambda: self._for_chunks(
+                    node, var, trip, size))
+            except _OverBudget as exc:
+                if nested or size == 1:
+                    raise
+                size = max(1, min(size - 1, size * AXIS_BUDGET // exc.extent))
+
+    def _for_chunks(self, node, var: str, trip: int, size: int) -> bool:
+        depth = len(self.frames)
+        if size < trip:
+            self._stabilise_accumulators(node)
+        index, axes = None, frozenset()     # one trip at a time: a scalar
+        if size > 1:
+            src = self._new("_ax")
+            self.axis_arrays.append((src, depth, trip))
+            index, axes = src, frozenset({depth})
+            if size < trip:
+                index = f"{src}[{':, ' * depth}{{c}}:{{c}} + {size}]"
+
+        def bind(frame, k):
+            self.env[var] = _Dyn(k, np.dtype(np.int64), True, False, axes)
+        self._axis_loop(node.body, trip, size, bind, index)
+        self.env[var] = _Const(trip - 1)
+        return False
+
+    def _axis_loop(self, body, trips, size: int, bind, index) -> None:
+        """Lower *body* once for all *trips* trips of a loop (an int, or the
+        source of a runtime count), the trip index *index* on a new array
+        axis.
+
+        When *size* is not *trips*, the trips run *size* at a time in a
+        chunk loop, *index* formatting the chunk's trip indices from its
+        first trip ``{c}`` (None: one trip per chunk, the scalar ``c``
+        itself): each accumulator the loop owns lives in its variable
+        across chunks (:meth:`_stabilise_accumulators`) and folds once per
+        chunk.  *bind(frame, k)* binds the loop's names from the trip
+        indices *k*.  A name the body binds is local to the loop, and so is
+        a constant when a block may run no trip.
+        """
+        depth, k = len(self.frames), index
+        chunked = size != trips
+        if chunked:
+            c = self._new("_chunk")
+            self.emit(f"for {c} in range(0, {trips}, {size}):")
+            self.indent += 1
+            k, trips = c, 1
+            if index is not None:
+                k = self._new("_trip")
+                self.emit(f"{k} = {index.format(c=c)}")
+                trips = f"len({k})" if depth == 0 else f"{k}.shape[{depth}]"
+        names = {n for n, v in self.env.items() if not isinstance(v, _Poison)}
+        frame = _Frame(depth, trips, size, chunked, names, {
+            id(s) for s in _reachable_seqs(list(self.env.values()))})
+        bind(frame, k)
         self.frames.append(frame)
         scope, self.scope = self.scope, next(self.scopes)
         try:
-            self.run(node.body)
+            self.run(body)
         finally:
             self.frames.pop()
             self.scope = scope
         self._fold_frame(frame)
+        if chunked:
+            self.indent -= 1
+        kept = _Poison if frame.live else (_Const, _Poison)
         for name, v in list(self.env.items()):
-            if name not in live and not isinstance(v, (_Const, _Poison)):
+            if name not in names and not isinstance(v, kept):
                 self.env[name] = _Poison("is local to an axis-form loop")
-        self.env[var] = _Const(trip - 1)
-        return False
+
+    def _stabilise_accumulators(self, node, skip=None) -> Dict:
+        """Materialise each number that the loop's accumulation statements
+        target (names other than *skip*, and every slot of a targeted
+        local list) into its stable variable, where a chunk loop carries
+        it; returns each one's binding before.  Prefix facts hold for one
+        iteration only, so they are dropped."""
+        names, seqs = set(), {}
+        for stmt in self.ir.loops[node].accumulations:
+            target = stmt.targets[0]
+            if isinstance(target, ast.Name):
+                names.add(target.id)
+            elif isinstance(self.env.get(target.value.id), _Seq):
+                seq = self.env[target.value.id]
+                seqs[seq.sid] = seq
+        keys = [("n", n) for n in sorted(names - {skip}) if n in self.env]
+        keys += [("s", seqs[sid], i) for sid in sorted(seqs)
+                 for i in range(len(seqs[sid].items))]
+        starts = {}
+        for key in keys:
+            v = starts[key] = self._get(key)
+            if isinstance(v, _Const) and _const_type(v.value):
+                v = _Dyn(self.const_src(v), *_const_type(v.value), False)
+            if isinstance(v, _Dyn):
+                self._set(key, self.temp(v.untagged(), self._stable(key)))
+        return starts
 
     def _s_While(self, node):
         if node.orelse:
@@ -1948,18 +2035,9 @@ class _BodyLowerer:
             raise _fail("runtime while inside an axis-form loop")
         if test.lanes:
             raise _fail("while on a lane array")
-        if test.axes:
-            return self._while_trips(node)
-
-        def prepare():
-            mark = len(self.lines)
-            test = self.ev(node.test).src
-            if len(self.lines) != mark:
-                # a check or temporary would run once, not per test
-                raise _fail("while test needs statements")
-            return f"while {test}:"
-        self._runtime_loop(prepare, node.body, False, set())
-        return False
+        if not test.axes:
+            raise _fail("while loop with a runtime test")
+        return self._while_trips(node)
 
     def _while_trips(self, node) -> bool:
         """A per-block grid-stride loop on a leading trip axis::
@@ -1978,10 +2056,10 @@ class _BodyLowerer:
         fold along the trip axis in iteration order (:func:`_fold`); a trip
         the block does not run adds ``-0.0`` and gathers index 0 instead
         of its own.  Trips run in chunks that keep the arrays within
-        :data:`AXIS_BUDGET` elements, and ``i`` leaves the loop at
-        ``i + T_b*s``, as in the interpreter.  A name bound before the loop
-        may change inside it only as an accumulator; any other rebinding,
-        even to a constant, refuses the form.
+        :data:`AXIS_BUDGET` elements (:meth:`_axis_loop`), and ``i``
+        leaves the loop at ``i + T_b*s``, as in the interpreter.  A name
+        bound before the loop may change inside it only as an accumulator;
+        any other rebinding, even to a constant, refuses the form.
         """
         loop = self.ir.loops[node]
         induction = loop.induction
@@ -2001,167 +2079,26 @@ class _BodyLowerer:
             raise _fail("grid-stride loop is not lane-affine with a "
                         "uniform stride")
         stride = int(stride.value)
-        accumulated = {getattr(a.targets[0], "id", None)
-                       for a in loop.accumulations} - {None, var}
-        starts = {("n", n): self.env[n] for n in accumulated & set(self.env)}
-        for key in sorted(starts):
-            self._stabilise(key)
+        starts = self._stabilise_accumulators(node, skip=var)
         i0 = self.temp(i0)
-        trips, c, k = (self._new("_trips"), self._new("_chunk"),
-                       self._new("_trip"))
+        trips = self._new("_trips")
         chunk = max(1, AXIS_BUDGET // self.lane_bound)
         self.emit(f"{trips} = max(0, -((int({i0.src}.min()) - {limit}) "
                   f"// {stride}))")
-        self.emit(f"for {c} in range(0, {trips}, {chunk}):")
-        self.indent += 1
-        self.emit(f"{k} = np.arange({c}, min({c} + {chunk}, {trips}))"
-                  ".reshape(-1, 1, 1)")
-        names = {n for n, v in self.env.items() if not isinstance(v, _Poison)}
-        frame = _Frame(0, f"len({k})", names, {id(s) for s in _reachable_seqs(
-            list(self.env.values()))})
-        frame.starts = starts
-        self.env[var] = self.temp(_Dyn(f"({i0.src} + {k} * {stride})",
-                                       i0.dtype, False, True,
-                                       i0.axes | {0}))
-        frame.live = self.temp(self.ev(node.test)).src
-        self.frames.append(frame)
-        scope, self.scope = self.scope, next(self.scopes)
-        try:
-            self.run(body)
-        finally:
-            self.frames.pop()
-            self.scope = scope
-        self._fold_frame(frame)
-        self.indent -= 1
-        for name, v in list(self.env.items()):
-            if name not in names and not isinstance(v, _Poison):
-                self.env[name] = _Poison("is local to a trip-axis loop")
+
+        def bind(frame, k):
+            frame.starts = starts
+            self.env[var] = self.temp(_Dyn(f"({i0.src} + {k} * {stride})",
+                                           i0.dtype, False, True,
+                                           i0.axes | {0}))
+            frame.live = self.temp(self.ev(node.test)).src
+        self._axis_loop(body, trips, chunk, bind, "np.arange({c}, min({c} + "
+                        f"{chunk}, {trips})).reshape(-1, 1, 1)")
         self.env[var] = _Dyn(
             f"({i0.src} + {stride} * np.maximum(0, -(({i0.src}.min(axis=-1, "
             f"keepdims=True) - {limit}) // {stride})))", i0.dtype, False,
             True, i0.axes)
         return False
-
-    def _runtime_loop(self, prepare, body, known: bool, local: set) -> None:
-        """Emit a Python loop whose body is lowered once.
-
-        Bindings the body changes are materialised into stable variables
-        first; the body is then lowered until its code and the bindings'
-        types reach a fixed point, so the single emitted body is valid for
-        every iteration.  When the loop may run zero times, a binding whose
-        type the loop changes is joined (or poisoned) afterwards.
-        """
-        scope, self.scope = self.scope, next(self.scopes)
-        try:
-            base = self._save()
-            before = self._bindings()
-            self._loop_pass(prepare, body)
-            after = self._bindings()
-            self._restore(base)
-            for key, v in before.items():
-                if key[0] == "n" and key[1] in local:
-                    continue
-                if not self._unchanged(v, after.get(key)):
-                    self._stabilise(key)
-            entry = self._save()
-            entry_b = self._bindings()
-            code, exit_b = self._loop_pass(prepare, body)
-            if not self._types_match(entry_b, exit_b, local, entry_b):
-                # lower again at the loop-carried types of iteration two
-                self._restore(entry)
-                for key, v in exit_b.items():
-                    if key in entry_b and isinstance(v, _Dyn) and not (
-                            key[0] == "n" and key[1] in local):
-                        self._set(key, v)
-                code2, exit2 = self._loop_pass(prepare, body)
-                if code2 != code or not self._types_match(
-                        exit_b, exit2, local, entry_b):
-                    raise _fail("loop-carried values do not reach a fixed "
-                                "point")
-                exit_b = exit2
-            self.lines.extend(code)
-            if not known:
-                self._join_after_loop(entry_b, exit_b)
-        finally:
-            self.scope = scope
-
-    def _bindings(self) -> Dict:
-        out = {("n", k): v for k, v in self.env.items()}
-        for seq in _reachable_seqs(list(self.env.values())):
-            for i, v in enumerate(seq.items):
-                out[("s", seq, i)] = v
-        return out
-
-    def _join_after_loop(self, entry: Dict, exit_: Dict) -> None:
-        """A loop that may not run: each binding is its entry or exit value."""
-        for key, v in exit_.items():
-            e = entry.get(key, _MISSING)
-            if e is v:
-                continue
-            if e is _MISSING:
-                if key[0] == "n":
-                    self._set(key, _Poison("is bound inside a loop that "
-                                           "may not run"))
-                continue
-            if isinstance(e, _Dyn) and isinstance(v, _Dyn) \
-                    and e.src == v.src and e.dtype == v.dtype \
-                    and e.dtype is not None and (
-                        (e.lanes, e.axes) == (v.lanes, v.axes)
-                        or e.dtype.kind == "f"):
-                weak = e.weak if e.weak == v.weak else None
-                self._set(key, _Dyn(v.src, v.dtype, weak, e.lanes or v.lanes,
-                                    e.axes | v.axes))
-            else:
-                self._set(key, _Poison("may or may not be updated by a "
-                                       "loop"))
-
-    def _loop_pass(self, prepare, body):
-        mark = len(self.lines)
-        self.emit(prepare())
-        self.indent += 1
-        inner = len(self.lines)
-        self.run(body)
-        if len(self.lines) == inner:
-            self.emit("pass")
-        self.indent -= 1
-        code = self.lines[mark:]
-        del self.lines[mark:]
-        return code, self._bindings()
-
-    @staticmethod
-    def _unchanged(old, new) -> bool:
-        if old is new:
-            return True
-        if isinstance(old, _Const) and isinstance(new, _Const):
-            return type(old.value) is type(new.value) \
-                and old.value == new.value
-        return False
-
-    @staticmethod
-    def _types_match(a: Dict, b: Dict, local: set, keys) -> bool:
-        """Do the loop-carried bindings *keys* have equal types in a, b?"""
-        for key in keys:
-            v = a.get(key)
-            if (key[0] == "n" and key[1] in local) or not isinstance(v, _Dyn):
-                continue
-            w = b.get(key)
-            if not (isinstance(w, _Dyn) and v.same_type(w)
-                    and v.src == w.src):
-                return False
-        return True
-
-    def _stabilise(self, key) -> None:
-        """Materialise a loop-carried binding into its stable variable; its
-        prefix facts hold for one iteration only, so they are dropped."""
-        v, name = self._get(key), self._stable(key)
-        if isinstance(v, _Const):
-            t = _const_type(v.value)
-            if t is None:
-                raise _fail("a non-numeric binding is rebound inside a loop")
-            v = _Dyn(self.const_src(v), t[0], t[1], False)
-        if not isinstance(v, _Dyn):
-            raise _fail("a non-numeric binding is rebound inside a loop")
-        self._set(key, self.temp(v.untagged(), name))
 
 
 #: names whose use inside a helper means it reads per-thread kernel state,

@@ -10,7 +10,7 @@ canonical order ``elide -> fuse``:
     Drop dead and redundant data movement: an H2D copy or memset whose
     buffer nothing reads afterwards (the optimization form of racecheck's
     ``GR203`` *warning*), or whose buffer is fully overwritten before any
-    read.  Elision runs to a fixpoint.
+    read.  Elision is one forward sweep.
 
 ``fuse``
     Merge runs of *adjacent* vector-safe kernels on one stream that share a
@@ -161,25 +161,22 @@ def _next_access(ops: Sequence, start: int, buf) -> Optional[str]:
 
 
 def _elide_pass(ops: List, report: GraphOptReport) -> List:
-    changed = True
-    while changed:
-        changed = False
-        for i, op in enumerate(ops):
-            if (_is_elided(op) or op.waits
-                    or op.kind not in ("h2d", "memset")):
-                # Ops carrying event waits are never elided: the race
-                # detector skips tombstones when chaining happens-before,
-                # which is only sound for ops that add no event edges.
-                continue
-            buf = op.buffers[0]
-            nxt = _next_access(ops, i, buf)
-            if nxt == "read":
-                continue
-            action = "dead-write" if nxt is None else "redundant-write"
-            ops[i] = _tombstone(op, "elide", action, buffer=buf.label)
-            report.elided.append({"kind": op.kind, "name": op.name,
-                                  "buffer": buf.label, "action": action})
-            changed = True
+    """One forward sweep: eliding a later write never turns an earlier
+    write's next access into a read, so no decision needs revisiting."""
+    for i, op in enumerate(ops):
+        if _is_elided(op) or op.waits or op.kind not in ("h2d", "memset"):
+            # Ops carrying event waits are never elided: the race
+            # detector skips tombstones when chaining happens-before,
+            # which is only sound for ops that add no event edges.
+            continue
+        buf = op.buffers[0]
+        nxt = _next_access(ops, i, buf)
+        if nxt == "read":
+            continue
+        action = "dead-write" if nxt is None else "redundant-write"
+        ops[i] = _tombstone(op, "elide", action, buffer=buf.label)
+        report.elided.append({"kind": op.kind, "name": op.name,
+                              "buffer": buf.label, "action": action})
     return ops
 
 

@@ -373,6 +373,12 @@ LARGE = {
     "eri": functools.partial(_eri, natoms=16),
     "fasten": functools.partial(_fasten, natlig=26, natpro=938, nposes=256,
                                 wgsize=64),
+    # the protein loop fits the axis budget, the ligand x protein nest does
+    # not: the ligand loop (longer than UNROLL_MAX) runs in chunks
+    "fasten-12x32": functools.partial(_fasten, natlig=12, natpro=32,
+                                      nposes=128, wgsize=8),
+    "fasten-26x256": functools.partial(_fasten, natlig=26, natpro=256,
+                                       nposes=128, wgsize=8),
 }
 
 

@@ -13,6 +13,7 @@ message must be the ``vectorized`` interpreter's.
 from __future__ import annotations
 
 import importlib.util
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +36,22 @@ from repro.kernels.stencil.runner import stencil_launch_config
 MODES = ("auto", "vectorized", "sequential")
 
 
-def _fasten(ligand_type):
-    deck = make_deck(natlig=6, natpro=24, ntypes=4, nposes=32, seed=5)
-    ligand = deck.ligand.copy()
-    ligand[2, 3] = deck.ntypes if ligand_type == "ntypes" else ligand_type
-    bad = Deck(deck.protein, ligand, deck.forcefield, deck.poses)
+#: a deck whose ligand x protein nest exceeds the lowering tier's axis
+#: budget at 128 poses: the ligand loop runs in chunks of ligand atoms
+CHUNKED = {"natlig": 12, "natpro": 32, "nposes": 128}
+
+
+def _fasten(ligand_type=None, protein_type=None, natlig=6, natpro=24,
+            nposes=32):
+    """fasten with ligand atom 2 and protein atom 3 of the given types."""
+    deck = make_deck(natlig=natlig, natpro=natpro, ntypes=4, nposes=nposes,
+                     seed=5)
+    ligand, protein = deck.ligand.copy(), deck.protein.copy()
+    for atoms, row, kind in ((ligand, 2, ligand_type),
+                             (protein, 3, protein_type)):
+        if kind is not None:
+            atoms[row, 3] = deck.ntypes if kind == "ntypes" else kind
+    bad = Deck(protein, ligand, deck.forcefield, deck.poses)
     return lambda ctx, mode: enqueue_fasten(ctx, bad, executor=mode)
 
 
@@ -69,6 +81,8 @@ def _stencil(ctx, mode, L=8):
 FIXTURES = {
     "fasten-type-minus-1": _fasten(-1),
     "fasten-type-ntypes": _fasten("ntypes"),
+    "fasten-chunked-ligand-type-minus-1": _fasten(-1, **CHUNKED),
+    "fasten-chunked-protein-type-ntypes": _fasten(None, "ntypes", **CHUNKED),
     "hartreefock-short-schwarz": _hartreefock,
     "stencil-short-field": _stencil,
 }
@@ -129,10 +143,28 @@ def test_unproven_index_values_are_checked_once():
 def test_scalar_index_reports_its_value():
     # the forcefield index is one scalar per ligand atom: every mode names
     # the first bad one, as the interpreter's per-iteration read does
-    for mode in MODES:
+    for deck, mode in itertools.product(({}, CHUNKED), MODES):
         with pytest.raises(LayoutError, match=r"^index -4 out of bounds "
                            r"for dimension 0 of extent 16$"):
-            _fasten(-1)(DeviceContext("h100"), mode)
+            _fasten(-1, **deck)(DeviceContext("h100"), mode)
+
+
+def test_two_bad_types_under_chunking_raise_the_same_error_type():
+    # The stated axis-form divergence, per chunk: the interpreter meets the
+    # bad protein type first (ligand atom 0), the lowered code checks the
+    # forcefield rows of a whole chunk of ligand atoms (atom 2 among them)
+    # before any protein row.  Both raise LayoutError, naming a bad index.
+    program = _fasten(-1, "ntypes", **CHUNKED)
+    source = _lowered_source(program)
+    assert "for _chunk" in source and "while" not in source
+    errors = {}
+    for mode in ("auto", "vectorized"):
+        with pytest.raises(LayoutError) as info:
+            program(DeviceContext("h100"), mode)
+        errors[mode] = str(info.value)
+    assert set(errors.values()) <= {
+        f"index {i} out of bounds for dimension 0 of extent 16"
+        for i in (-4, 16)}
 
 
 def test_in_bounds_inputs_still_run():

@@ -191,6 +191,43 @@ def _loop_counter_body(out, a, n):
 _loop_counter = Kernel(_loop_counter_body, name="_loop_counter")
 
 
+def _invariant_terms_body(out, a, n):
+    """Accumulation terms that do not vary with the loop: a lane array and
+    a constant."""
+    i = block_dim.x * block_idx.x + thread_idx.x
+    m = i < n
+    if not any_lane(m):
+        return
+    i = compress_lanes(m, i)
+    acc = 0.0
+    for k in range(4):
+        acc = acc + a[i]
+        acc = acc + 1.0
+    out[i] = acc
+
+
+_invariant_terms = Kernel(_invariant_terms_body, name="_invariant_terms")
+
+
+def _recurrence_body(out, a, n):
+    """A long loop the axis form refuses (``x`` is no accumulator) and a
+    ``range()`` whose bound is read at run time."""
+    i = block_dim.x * block_idx.x + thread_idx.x
+    m = i < n
+    if not any_lane(m):
+        return
+    i = compress_lanes(m, i)
+    x = 0.0
+    for k in range(12):
+        x = x * 0.5 + a[k]
+    for k in range(int(a[0])):
+        x = x + 1.0
+    out[i] = x
+
+
+_recurrence = Kernel(_recurrence_body, name="_recurrence")
+
+
 def _nested_stride_body(a, sums, n, stride):
     """A grid-stride loop inside another grid-stride loop."""
     sh = shared_array(block_dim.x, DType.float64, key="sh")
@@ -514,6 +551,64 @@ class TestGenericKernels:
         KernelExecutor().launch(_loop_counter, args, LaunchConfig.make(1, 8))
         assert out.tolist() == (a + 4 + 16).tolist()
 
+    def test_loop_invariant_terms_fold_like_the_interpreter(self):
+        a = np.linspace(-1.0, 1.0, 8)
+
+        def make_args():
+            out = np.zeros(8)
+            return ((LayoutTensor(DType.float64, Layout.row_major(8), out),
+                     LayoutTensor(DType.float64, Layout.row_major(8), a,
+                                  mut=False), 8), [out])
+        self._compare(_invariant_terms, make_args, LaunchConfig.make(1, 8))
+
+    def test_nest_over_the_budget_runs_in_chunks(self, monkeypatch):
+        # 48 lanes and a 100-element budget: the row loop runs one row at a
+        # time (a scalar index), the 12-column loop two columns at a time
+        monkeypatch.setattr(lower_mod, "AXIS_BUDGET", 100)
+        lower_mod.LOWERED_MEMO.clear()
+        rng = np.random.default_rng(5)
+        table = rng.normal(size=(5, 12)).astype(np.float32)
+        weights = rng.normal(size=12).astype(np.float32)
+
+        def make_args():
+            out = np.zeros(40, dtype=np.float32)
+            f32 = DType.float32
+            return ((LayoutTensor(f32, Layout.row_major(40), out),
+                     LayoutTensor(f32, Layout.row_major(5, 12), table,
+                                  mut=False),
+                     LayoutTensor(f32, Layout.row_major(12), weights,
+                                  mut=False), 40, 5, 12), [out])
+        try:
+            self._compare(_row_sums, make_args, LaunchConfig.make(3, 16))
+            source = lower_source(_row_sums, make_args()[0],
+                                  LaunchConfig.make(3, 16))
+        finally:
+            lower_mod.LOWERED_MEMO.clear()
+        assert "for _chunk1 in range(0, 5, 1):" in source
+        assert "in range(0, 12, 2):" in source
+        assert "while" not in source
+
+    def test_refused_long_loops_run_interpreted(self):
+        a = np.array([3.0] + [0.25] * 11)
+
+        def make_args():
+            out = np.zeros(8)
+            return ((LayoutTensor(DType.float64, Layout.row_major(8), out),
+                     LayoutTensor(DType.float64, Layout.row_major(12), a,
+                                  mut=False), 8), [out])
+        launch = LaunchConfig.make(1, 8)
+        report = lowering_report(_recurrence, make_args()[0], launch)
+        assert report["reason"] == "a binding from outside an axis-form " \
+                                   "loop is reassigned inside it"
+        outputs = {}
+        for mode in ("auto", "vectorized"):
+            args, (out,) = make_args()
+            res = KernelExecutor().launch(_recurrence, args, launch,
+                                          mode=mode)
+            outputs[mode] = (res.mode, out.tobytes())
+        assert outputs["auto"] == outputs["vectorized"]
+        assert outputs["auto"][0] == "vectorized"
+
     def test_block_tree_reduction_stores_prefix_slices(self):
         x = np.zeros(128, dtype=np.float32)
         f32 = DType.float32
@@ -831,13 +926,14 @@ class TestSpecialisationKey:
             "index 5 out of bounds for dimension 0 of extent 5"
 
     def test_while_test_reading_an_unproven_tensor_stays_interpreted(self):
-        # a check before the loop would run once, not once per test
+        # only a grid-stride `while` lowers; this one runs interpreted,
+        # checking every read of its test
         args = (LayoutTensor(DType.float64, Layout.row_major(4), np.ones(4)),
                 LayoutTensor(DType.float64, Layout.row_major(8), np.zeros(8)),
                 8)
         launch = LaunchConfig.make(1, 8)
         report = lowering_report(_walk_count, args, launch)
-        assert report["reason"] == "while test needs statements"
+        assert report["reason"] == "while loop with a runtime test"
         for mode in ("auto", "vectorized", "sequential"):
             with pytest.raises(LayoutError, match="index 4 out of bounds"):
                 KernelExecutor().launch(_walk_count, args, launch, mode=mode)

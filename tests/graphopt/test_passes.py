@@ -257,6 +257,27 @@ class TestElision:
         assert report.elided[0]["kind"] == "memset"
         _replays_equal(graph.replay(), optimized.replay())
 
+        # h2d -> memset -> memset -> kernel read: the first two writes are
+        # each overwritten before any read, the last one is read
+        a_buf = ctx.enqueue_create_buffer(DType.float64, n, label="a")
+        c_buf = ctx.enqueue_create_buffer(DType.float64, n, label="c")
+        launch = LaunchConfig.for_elements(n, 64)
+        with ctx.capture("rows") as graph:
+            a_buf.copy_from_host(np.ones(n))
+            a_buf.fill(2.0)
+            a_buf.fill(3.0)
+            ctx.enqueue_function(copy_kernel, a_buf.tensor(), c_buf.tensor(),
+                                 n, grid_dim=launch.grid_dim,
+                                 block_dim=launch.block_dim)
+            c_buf.copy_to_host()
+        optimized, report = optimize_graph(graph, "elide")
+        assert [(e["kind"], e["action"]) for e in report.elided] == [
+            ("h2d", "redundant-write"), ("memset", "redundant-write")]
+        assert report.ops_after == report.ops_before - 2
+        replay = optimized.replay()
+        _replays_equal(graph.replay(), replay)
+        assert np.all(replay["c"] == 3.0)
+
     def test_live_upload_is_kept(self, stream_capture):
         ctx, graph, bufs = stream_capture
         optimized, report = optimize_graph(graph, "elide")
