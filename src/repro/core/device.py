@@ -41,12 +41,17 @@ a replayable :class:`DeviceGraph`::
         d_f.copy_to_host()
     out = graph.replay(u=u1)["f"]      # re-run with new buffer contents
 
-Replay skips all per-enqueue Python work (argument normalisation, launch
-validation, modelled-time prediction, per-op bookkeeping), which is what
-amortises host-side launch overhead across sweep repeats.  A replay's place
-on the timeline is fixed at compile too: untraced replays of one graph in a
-row are held as one run entry (the graph's shape, first start, first replay
-number and count), so a long replay loop keeps constant memory.
+Every operation is recorded as data (:class:`_Op`), its modelled duration
+fixed at enqueue, and its effect is one step that :func:`_run_steps` runs:
+an enqueue outside a capture runs its op's step at once, and a replay runs
+the steps compiled from the captured ops, so both reach the same fault
+sites in the same order.  Replay skips all per-enqueue Python work
+(argument normalisation, launch validation, modelled-time prediction,
+per-op bookkeeping), which is what amortises host-side launch overhead
+across sweep repeats.  A replay's place on the timeline is fixed at compile
+too: untraced replays of one graph in a row are held as one run entry (the
+graph's shape, first start, first replay number and count), so a long
+replay loop keeps constant memory.
 :attr:`DeviceContext.timeline` and the timing summaries expand runs when
 read, into the same events a replay used to append one by one.  A traced
 replay appends its events, which carry the compile-time op schedule for
@@ -65,8 +70,8 @@ import itertools
 import sys
 import weakref
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -154,12 +159,7 @@ class DeviceBuffer:
             )
         if self.ctx._capture is not None:
             src = src.copy()
-
-        def work() -> None:
-            self.array[...] = src
-
-        self.ctx._submit_transfer("h2d", self, work, stream, src=src,
-                                  sink=self.array)
+        self.ctx._submit_transfer("h2d", self, stream, src=src)
         return self
 
     def copy_to_host(self, out: Optional[np.ndarray] = None, *,
@@ -173,11 +173,9 @@ class DeviceBuffer:
         """
         self._check_live()
         if out is None:
-            if self.ctx._capture is not None:
-                self.ctx._submit_transfer("d2h", self, _noop, stream)
-                return None
-            dest = np.empty(self.count, dtype=self.dtype.to_numpy())
-            ret: np.ndarray = dest
+            dest = ret = (
+                None if self.ctx._capture is not None
+                else np.empty(self.count, dtype=self.dtype.to_numpy()))
         else:
             if self.ctx._capture is not None:
                 # A captured D2H delivers through the replay outputs dict;
@@ -198,11 +196,7 @@ class DeviceBuffer:
                     "writes through a flat view of it)"
                 )
             ret = out
-
-        def work() -> None:
-            dest[...] = self.array
-
-        self.ctx._submit_transfer("d2h", self, work, stream, sink=dest)
+        self.ctx._submit_transfer("d2h", self, stream, out=dest)
         return ret
 
     def fill(self, value, *, stream: Optional["Stream"] = None) -> "DeviceBuffer":
@@ -368,7 +362,7 @@ class Event:
         self._timestamp_ms = None
         self.ctx._recorded_events.add(self)
         op = _Op("event", self.name, stream, stream._take_waits(), (),
-                 _zero_work, self)
+                 {"duration_ms": 0.0, "details": {}}, event=self)
         self.ctx._submit(op)
         return self
 
@@ -450,32 +444,27 @@ class Stream:
         return f"Stream({self.name!r}, clock={self._clock_ms:.3f}ms)"
 
 
-def _zero_work() -> Tuple[float, Optional[ExecutionResult], dict]:
-    return 0.0, None, {}
-
-
-def _noop() -> None:
-    """Placeholder work for ops whose effect exists only at graph replay."""
-
-
 class _Op:
-    """One enqueued device operation: executed at once, or captured.
+    """One enqueued device operation, as data: executed at once, or captured.
 
-    ``reads`` / ``writes`` are the operation's declared buffer access sets
-    (None: derived from ``kind``/``meta`` by consumers — see
-    :func:`repro.analysis.racecheck._op_accesses`); ``site`` is the
+    ``meta`` holds everything the runtime, the graph passes and the race
+    detector read: ``duration_ms``, the modelled duration fixed at
+    enqueue; ``details``, the timeline event's; a kernel's ``kern``,
+    ``args``, ``launch`` and ``mode``; an H2D's ``src``, a D2H's ``out``
+    (``None`` when captured) and a memset's ``value``.  Its effect is its
+    :func:`_step`.  ``reads`` / ``writes`` are the operation's declared
+    buffer access sets (None: derived from ``kind``/``meta`` by consumers
+    — see :func:`repro.analysis.racecheck._op_accesses`); ``site`` is the
     user-code enqueue location, captured only when the context records
     sites (lint / strict mode), so the default enqueue path pays nothing.
     """
 
-    __slots__ = ("kind", "name", "stream", "waits", "buffers", "work",
-                 "event", "meta", "reads", "writes", "site")
+    __slots__ = ("kind", "name", "stream", "waits", "buffers", "meta",
+                 "event", "reads", "writes", "site")
 
     def __init__(self, kind: str, name: str, stream: Stream,
                  waits: Tuple[Event, ...], buffers: Tuple[DeviceBuffer, ...],
-                 work: Callable[[], Tuple[float, Optional[ExecutionResult], dict]],
-                 event: Optional[Event] = None,
-                 meta: Optional[dict] = None,
+                 meta: dict, event: Optional[Event] = None,
                  reads: Optional[Tuple[DeviceBuffer, ...]] = None,
                  writes: Optional[Tuple[DeviceBuffer, ...]] = None):
         self.kind = kind
@@ -483,12 +472,61 @@ class _Op:
         self.stream = stream
         self.waits = waits
         self.buffers = buffers
-        self.work = work
-        self.event = event
         self.meta = meta
+        self.event = event
         self.reads = reads
         self.writes = writes
         self.site = None
+
+
+#: the ``meta`` entry a transfer or memset step takes as its argument
+_STEP_ARG = {"h2d": "src", "d2h": "out", "memset": "value"}
+
+
+def _step(op: _Op, executor: KernelExecutor) -> tuple:
+    """*op*'s ``(kind, buffer, argument)`` step for :func:`_run_steps`.
+
+    A kernel's argument is its launch instantiated on *executor*, so
+    validation and mode resolution are paid here, once.  Event markers
+    have no step.
+    """
+    meta = op.meta
+    if op.kind == "kernel":
+        return ("kernel", None, executor.instantiate(
+            meta["kern"], meta["args"], meta["launch"], mode=meta["mode"]))
+    return (op.kind, op.buffers[0], meta[_STEP_ARG[op.kind]])
+
+
+def _run_steps(steps: Sequence[tuple], sources: Dict[str, object],
+               outputs: Dict[str, np.ndarray]) -> None:
+    """Run op steps: the one place a transfer or memset takes effect.
+
+    An eager enqueue runs its op's one step, :meth:`DeviceGraph.replay`
+    its compiled steps.  An H2D copies ``sources[label]`` when bound, else
+    its own source; a D2H copies into its ``out=`` array, or into a fresh
+    ``outputs[label]`` when captured.  Transfers reach the ``transfer.*``
+    and ``corrupt.*`` fault sites here; kernel thunks reach the launch
+    sites themselves.
+    """
+    injector = _faults._ACTIVE
+    for kind, buf, arg in steps:
+        if kind == "kernel":
+            arg()
+        elif kind == "memset":
+            buf.array[...] = arg
+        else:
+            if injector is not None:
+                injector.fail_transfer(kind, buf.label)
+            if kind == "h2d":
+                sink = buf.array
+                sink[...] = sources.get(buf.label, arg)
+            elif arg is None:
+                sink = outputs[buf.label] = buf.array.copy()
+            else:
+                sink = arg
+                sink[...] = buf.array
+            if injector is not None:
+                injector.corrupt_transfer(kind, buf.label, sink)
 
 
 @dataclass
@@ -536,7 +574,7 @@ class DeviceGraph:
         self.name = name or f"graph{next(self._ids)}"
         self._ops: List[_Op] = []
         self._compiled = False
-        self._steps: List[Tuple[str, tuple]] = []
+        self._steps: List[tuple] = []
         self._h2d_specs: Dict[str, Tuple[DeviceBuffer, object]] = {}
         self._buffers: Tuple[DeviceBuffer, ...] = ()
         self._streams: Tuple[Stream, ...] = ()
@@ -632,11 +670,12 @@ class DeviceGraph:
     def _compile(self) -> None:
         """Lower the captured ops into replay steps and the cached makespan.
 
-        Runs once, when the capture block closes: per-op modelled durations
-        (and the kernel time predictions behind them) are paid here instead
-        of on every replay.
+        Runs once, when the capture block closes: each kernel launch is
+        instantiated here instead of on every replay, and the makespan sums
+        the durations the ops carry from enqueue.
         """
-        steps: List[Tuple[str, tuple]] = []
+        steps: List[tuple] = []
+        copies: set = set()
         clocks: Dict[str, float] = {}
         busy: Dict[str, float] = {}
         buffers: Dict[int, DeviceBuffer] = {}
@@ -645,7 +684,7 @@ class DeviceGraph:
         operations = 0
         ctx = self.ctx
         for op in self._ops:
-            meta = op.meta or {}
+            meta = op.meta
             if meta.get("elided"):
                 # Tombstone left by a graphopt pass: the op stays in the IR
                 # for inspection/provenance but contributes no replay step,
@@ -655,54 +694,27 @@ class DeviceGraph:
             streams[op.stream.name] = op.stream
             for buf in op.buffers:
                 buffers[id(buf)] = buf
-            duration = meta.get("duration_ms", 0.0)
+            duration = meta["duration_ms"]
             if op.kind == "kernel":
                 self._kernels += 1
-                timing = meta.get("timing")
-                model = meta.get("model")
-                if timing is not None:
-                    duration = float(getattr(timing, "kernel_time_ms", timing))
-                elif model is not None:
-                    duration = ctx._predict_time(model, meta["launch"])
-                # Pre-instantiated launch thunk: validation and mode
-                # resolution are paid once here, not on every replay.
-                steps.append(("kernel", ctx._executor.instantiate(
-                    meta["kern"], meta["args"], meta["launch"],
-                    mode=meta["mode"])))
-            elif op.kind == "h2d":
+            elif op.kind in ("h2d", "d2h"):
                 buf = op.buffers[0]
-                if buf.label in self._h2d_specs:
-                    # Two uploads under one label — whether into one buffer
-                    # (a mid-graph re-seed) or into two buffers sharing a
-                    # label — would make a replay binding for that label
-                    # silently rebind both copies, changing the captured
-                    # semantics.
+                if (op.kind, buf.label) in copies:
+                    # Two uploads (or downloads) under one label — of one
+                    # buffer (a mid-graph re-seed, an intermediate snapshot)
+                    # or of two buffers sharing a label — would make a
+                    # replay binding rebind both, or the label-keyed outputs
+                    # keep only the last, changing the captured semantics.
                     raise DeviceError(
-                        f"graph {self.name!r} captured two H2D copies under "
-                        f"the label {buf.label!r}; replay bindings are keyed "
-                        f"by label — upload once, or use distinctly-labelled "
-                        f"buffers"
+                        f"graph {self.name!r} captured two "
+                        f"{op.kind.upper()} copies under the label "
+                        f"{buf.label!r}; replay bindings and outputs are "
+                        f"keyed by label — copy once, or use "
+                        f"distinctly-labelled buffers"
                     )
-                self._h2d_specs[buf.label] = (buf, meta["src"])
-                steps.append(("h2d", (buf, buf.label, meta["src"])))
-            elif op.kind == "d2h":
-                buf = op.buffers[0]
-                if any(k == "d2h" and p[0].label == buf.label
-                       for k, p in steps):
-                    # Two downloads of one label — whether of the same buffer
-                    # (an intermediate snapshot) or of two buffers sharing a
-                    # label — would silently collapse to the last copy in the
-                    # label-keyed outputs dict.
-                    raise DeviceError(
-                        f"graph {self.name!r} captured two D2H copies under "
-                        f"the label {buf.label!r}; replay outputs are keyed "
-                        f"by label — copy once, or use distinctly-labelled "
-                        f"buffers"
-                    )
-                steps.append(("d2h", (buf,)))
-            elif op.kind == "memset":
-                steps.append(("memset", (op.buffers[0], meta["value"])))
-            # "event" ops contribute only to the makespan computation below
+                copies.add((op.kind, buf.label))
+                if op.kind == "h2d":
+                    self._h2d_specs[buf.label] = (buf, meta["src"])
             start = clocks.get(op.stream.name, 0.0)
             for ev in op.waits:
                 # reversed: a wait observes the *latest* record of the event
@@ -720,8 +732,10 @@ class DeviceGraph:
                     )
                 start = max(start, marker)
             if op.kind == "event":
+                # markers have no step: they only place their event
                 self._event_offsets.append((op.event, start))
             else:
+                steps.append(_step(op, ctx._executor))
                 # Trace-export schedule: paid once per compile, never on
                 # replay, so the hot path stays collector-free.
                 self._trace_schedule.setdefault(op.stream.name, []).append(
@@ -802,29 +816,7 @@ class DeviceGraph:
             sources[label] = src
 
         outputs: Dict[str, np.ndarray] = {}
-        # Transfers reach the fault sites of an enqueue, in its order;
-        # kernel thunks reach the launch sites themselves.
-        injector = _faults._ACTIVE
-        for kind, payload in self._steps:
-            if kind == "kernel":
-                payload()
-            elif kind == "h2d":
-                buf, label, captured = payload
-                if injector is not None:
-                    injector.fail_transfer("h2d", label)
-                buf.array[...] = sources.get(label, captured)
-                if injector is not None:
-                    injector.corrupt_transfer("h2d", label, buf.array)
-            elif kind == "d2h":
-                buf, = payload
-                if injector is not None:
-                    injector.fail_transfer("d2h", buf.label)
-                out = outputs[buf.label] = buf.array.copy()
-                if injector is not None:
-                    injector.corrupt_transfer("d2h", buf.label, out)
-            else:  # memset
-                buf, value = payload
-                buf.array[...] = value
+        _run_steps(self._steps, sources, outputs)
 
         self.replays += 1
         start = max(s._clock_ms for s in self._streams)
@@ -1050,24 +1042,19 @@ class DeviceContext:
         kern = as_kernel(kern)
         launch = LaunchConfig.make(grid_dim, block_dim)
         stream = self._resolve_stream(stream)
-        buffers = _referenced_buffers(args)
-
-        def work() -> Tuple[float, Optional[ExecutionResult], dict]:
-            execution = self._executor.launch(kern, args, launch, mode=mode)
-            modelled = 0.0
-            details = {}
-            if timing is not None:
-                modelled = float(getattr(timing, "kernel_time_ms", timing))
-                details["timing"] = timing
-            elif model is not None:
-                modelled = self._predict_time(model, launch)
-                details["model"] = model
-            return modelled, execution, details
-
+        if timing is not None:
+            duration = float(getattr(timing, "kernel_time_ms", timing))
+            details = {"timing": timing}
+        elif model is not None:
+            duration = self._predict_time(model, launch)
+            details = {"model": model}
+        else:
+            duration, details = 0.0, {}
         reads, writes = _split_buffer_accesses(args)
-        op = _Op("kernel", kern.name, stream, stream._take_waits(), buffers,
-                 work, meta={"kern": kern, "args": args, "launch": launch,
-                             "mode": mode, "model": model, "timing": timing},
+        op = _Op("kernel", kern.name, stream, stream._take_waits(),
+                 _referenced_buffers(args),
+                 {"kern": kern, "args": args, "launch": launch, "mode": mode,
+                  "duration_ms": duration, "details": details},
                  reads=reads, writes=writes)
         self._submit(op)
 
@@ -1078,14 +1065,10 @@ class DeviceContext:
         stream = self._resolve_stream(stream)
         t_ms = buf.nbytes / (self.spec.peak_bandwidth_bytes
                              * _MEMSET_EFFICIENCY) * 1e3
-
-        def work() -> Tuple[float, Optional[ExecutionResult], dict]:
-            buf.array[...] = value
-            return t_ms, None, {"nbytes": buf.nbytes, "value": value}
-
         op = _Op("memset", f"memset:{buf.label}", stream,
-                 stream._take_waits(), (buf,), work,
-                 meta={"value": value, "duration_ms": t_ms})
+                 stream._take_waits(), (buf,),
+                 {"value": value, "duration_ms": t_ms,
+                  "details": {"nbytes": buf.nbytes, "value": value}})
         self._submit(op)
 
     # --------------------------------------------------------------- capture
@@ -1105,23 +1088,13 @@ class DeviceContext:
 
     # ------------------------------------------------------------- execution
     def _submit_transfer(self, kind: str, buf: DeviceBuffer,
-                         fn: Callable[[], None], stream: Optional[Stream],
-                         src=None, sink=None) -> None:
+                         stream: Optional[Stream], **meta) -> None:
         stream = self._resolve_stream(stream)
-        t_ms = self._transfer_model.transfer_time_s(buf.nbytes) * 1e3
-
-        def work() -> Tuple[float, Optional[ExecutionResult], dict]:
-            injector = _faults._ACTIVE
-            if injector is not None:
-                injector.fail_transfer(kind, buf.label)
-            fn()
-            if injector is not None and sink is not None:
-                injector.corrupt_transfer(kind, buf.label, sink)
-            return t_ms, None, {"nbytes": buf.nbytes, "buffer": buf.label}
-
+        meta["duration_ms"] = (self._transfer_model.transfer_time_s(buf.nbytes)
+                               * 1e3)
+        meta["details"] = {"nbytes": buf.nbytes, "buffer": buf.label}
         op = _Op(kind, f"{kind}:{buf.nbytes}B", stream, stream._take_waits(),
-                 (buf,), work,
-                 meta={"src": src, "duration_ms": t_ms})
+                 (buf,), meta)
         self._submit(op)
 
     def _submit(self, op: _Op) -> None:
@@ -1148,13 +1121,22 @@ class DeviceContext:
                     f"which never executed"
                 )
             start = max(start, ev._timestamp_ms)
-        duration, execution, details = op.work()
+        meta = op.meta
+        execution = None
+        if op.kind == "kernel":
+            # one timed run of the thunk a replay step would hold
+            execution = self._executor.launch(meta["kern"], meta["args"],
+                                              meta["launch"],
+                                              mode=meta["mode"])
+        elif op.kind != "event":
+            _run_steps((_step(op, self._executor),), {}, {})
+        duration = meta["duration_ms"]
         end = start + duration
         op.stream._clock_ms = end
         if op.event is not None:
             op.event._timestamp_ms = start
         self._timeline.append(StreamEvent(
-            op.kind, op.name, duration, execution, details,
+            op.kind, op.name, duration, execution, meta["details"],
             stream=op.stream.name, start_ms=start, end_ms=end))
 
     def synchronize(self) -> List[StreamEvent]:

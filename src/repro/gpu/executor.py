@@ -54,9 +54,10 @@ exactly like ``auto``.  An explicit ``mode="vectorized"`` never lowers and
 falls back to the appropriate scalar mode for unproven kernels (vector
 safety is a property of the kernel body, not of the request);
 ``mode="sequential"`` / ``mode="cooperative"`` force the scalar engines.
-:meth:`KernelExecutor.launch` and :meth:`KernelExecutor.instantiate` share
-one resolver, and the :class:`ExecutionResult` reports the mode that
-actually ran.
+:meth:`KernelExecutor.instantiate` is the one place a launch is
+validated, limited and resolved; it returns a run thunk, and
+:meth:`KernelExecutor.launch` is one timed run of that thunk, whose
+:class:`ExecutionResult` reports the mode that actually ran.
 
 Bounds checks follow one fact, the region analysis's
 (:attr:`repro.analysis.regions.ArgRegion.in_bounds`): the interpreter modes
@@ -90,17 +91,18 @@ question:
   device durations for the paper's figures and tables; no functional
   execution at all, so problem size is irrelevant.
 
-Event counting uses per-worker local tallies that are merged into the shared
-:class:`ExecutionCounters` once per block (the vectorized mode records whole
-lane sets per event), so no lock is taken per event — and the counters are
-identical across all four modes for the same launch.  Kernel *durations*
-come from the analytic model in :mod:`repro.gpu.timing`, not from Python
-wall-clock.
+Events are counted on one :class:`ExecutionCounters` per launch, without a
+lock: the sequential, vectorized (whole lane sets per event) and lowered
+engines count into it directly, and each cooperative worker counts into
+its own, merged after the workers join.  The counters are identical across
+all four modes for the same launch.  Kernel *durations* come from the
+analytic model in :mod:`repro.gpu.timing`, not from Python wall-clock.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import threading
 import time
 from dataclasses import dataclass
@@ -118,63 +120,11 @@ __all__ = ["ExecutionCounters", "ExecutionResult", "KernelExecutor",
 
 
 class ExecutionCounters:
-    """Event counters shared by all threads of one launch.
+    """Event counts of one launch, or of one cooperative worker's share.
 
-    The executor itself accumulates events on per-worker :class:`_LocalTally`
-    objects and calls :meth:`merge` once per block; the per-event ``record_*``
-    methods remain for direct use (and for code that instruments a single
-    simulated thread by hand).
-    """
-
-    __slots__ = ("threads_run", "blocks_run", "barriers", "atomics", "_lock")
-
-    def __init__(self):
-        self.threads_run = 0
-        self.blocks_run = 0
-        self.barriers = 0
-        self.atomics = 0
-        self._lock = threading.Lock()
-
-    def record_barrier(self, n: int = 1) -> None:
-        with self._lock:
-            self.barriers += n
-
-    def record_atomic(self, n: int = 1) -> None:
-        with self._lock:
-            self.atomics += n
-
-    def record_thread(self) -> None:
-        with self._lock:
-            self.threads_run += 1
-
-    def record_block(self) -> None:
-        with self._lock:
-            self.blocks_run += 1
-
-    def merge(self, threads_run: int = 0, blocks_run: int = 0,
-              barriers: int = 0, atomics: int = 0) -> None:
-        """Fold a batch of event counts in under a single lock acquisition."""
-        with self._lock:
-            self.threads_run += threads_run
-            self.blocks_run += blocks_run
-            self.barriers += barriers
-            self.atomics += atomics
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "threads_run": self.threads_run,
-            "blocks_run": self.blocks_run,
-            "barriers": self.barriers,
-            "atomics": self.atomics,
-        }
-
-
-class _LocalTally:
-    """Lock-free per-worker event counts, merged into ExecutionCounters.
-
-    Exposes the same ``record_barrier`` / ``record_atomic`` interface the
-    intrinsics and atomics call on ``state.counters``, but owned by exactly
-    one OS thread so plain integer increments suffice.
+    Plain integer increments: the sequential, vectorized and lowered
+    engines count straight into the launch's counters, and each
+    cooperative worker counts into its own, merged after the workers join.
     """
 
     __slots__ = ("threads_run", "blocks_run", "barriers", "atomics")
@@ -191,15 +141,21 @@ class _LocalTally:
     def record_atomic(self, n: int = 1) -> None:
         self.atomics += n
 
-    def flush(self, counters: ExecutionCounters) -> None:
-        """Merge this tally into *counters* and reset it."""
-        if self.threads_run or self.blocks_run or self.barriers or self.atomics:
-            counters.merge(self.threads_run, self.blocks_run,
-                           self.barriers, self.atomics)
-            self.threads_run = 0
-            self.blocks_run = 0
-            self.barriers = 0
-            self.atomics = 0
+    def merge(self, threads_run: int = 0, blocks_run: int = 0,
+              barriers: int = 0, atomics: int = 0) -> None:
+        """Fold a batch of event counts in."""
+        self.threads_run += threads_run
+        self.blocks_run += blocks_run
+        self.barriers += barriers
+        self.atomics += atomics
+
+    def as_dict(self) -> Dict[str, int]:
+        return {
+            "threads_run": self.threads_run,
+            "blocks_run": self.blocks_run,
+            "barriers": self.barriers,
+            "atomics": self.atomics,
+        }
 
 
 @dataclass
@@ -326,8 +282,6 @@ def _run_lowered(entry: Callable, name: str, args: Sequence):
 class KernelExecutor:
     """Runs kernels functionally over a simulated grid."""
 
-    #: refuse cooperative launches with more OS threads per block than this
-    MAX_COOPERATIVE_BLOCK = 1024
     #: refuse functional launches larger than this many total threads
     #: (the functional simulator is for correctness, not for 2^25-element runs)
     MAX_TOTAL_THREADS = 8_000_000
@@ -344,7 +298,8 @@ class KernelExecutor:
         *,
         mode: str = "auto",
     ) -> ExecutionResult:
-        """Execute *kern* over the grid described by *launch*.
+        """Execute *kern* over the grid described by *launch*: one timed
+        run, with fresh counters, of the thunk :meth:`instantiate` returns.
 
         Parameters
         ----------
@@ -361,7 +316,37 @@ class KernelExecutor:
             result reports the mode that ran.
         """
         kern = as_kernel(kern)
-        _enter_launch(kern.name)
+        run = self.instantiate(kern, args, launch, mode=mode)
+        counters = ExecutionCounters()
+        start = time.perf_counter()
+        shared = run(counters)
+        wall = time.perf_counter() - start
+        return ExecutionResult(
+            kernel_name=kern.name,
+            launch=launch,
+            mode=run.mode,
+            counters=counters,
+            wall_time_s=wall,
+            shared_bytes_per_block=shared,
+        )
+
+    def instantiate(self, kern: Kernel, args: Sequence, launch: LaunchConfig,
+                    *, mode: str = "auto") -> Callable[..., int]:
+        """Check and resolve a launch once; return its run thunk.
+
+        The functional-simulator analogue of graph instantiation, and the
+        one place a launch is checked: kernel wrapping, launch validation,
+        the thread limit, execution-mode resolution (including lowering)
+        and the unchecked views of proven tensors are paid here.  The
+        returned ``run(counters=None)`` only performs the kernel's
+        functional work: it reaches the ``launch`` fault site, then its
+        engine's, counts the launch's events into *counters* (or into
+        throwaway ones) and returns the peak shared bytes per block;
+        ``run.mode`` is the mode it runs.  :meth:`launch` is one timed run
+        of it, and :meth:`repro.core.device.DeviceGraph.replay` runs the
+        one each captured kernel was instantiated into.
+        """
+        kern = as_kernel(kern)
         launch.validate()
         total = launch.total_threads
         if total > self.max_total_threads:
@@ -371,87 +356,39 @@ class KernelExecutor:
                 "reference implementation / timing model for large problems"
             )
         mode, entry = _resolve_mode(kern, args, launch, mode)
-        if mode == "cooperative" and launch.threads_per_block > self.MAX_COOPERATIVE_BLOCK:
-            raise LaunchError(
-                f"cooperative mode supports at most {self.MAX_COOPERATIVE_BLOCK} "
-                f"threads per block, got {launch.threads_per_block}"
-            )
-
-        if entry is None:
-            args = _unchecked_views(kern, args, launch)
-        counters = ExecutionCounters()
-        start = time.perf_counter()
-        if entry is not None:
-            barriers, atomics, max_shared = _run_lowered(entry, kern.name,
-                                                         args)
-            # the entry counts the barrier and atomic events the lane
-            # interpreter would record, so the counters match it exactly
-            counters.merge(threads_run=total, blocks_run=launch.num_blocks,
-                           barriers=barriers, atomics=atomics)
-        elif mode == "vectorized":
-            max_shared = run_vectorized(kern, args, launch, counters,
-                                        per_block=kernel_uses_barrier(kern))
-        elif mode == "sequential":
-            max_shared = self._run_sequential(kern, args, launch, counters)
-        else:
-            max_shared = self._run_cooperative(kern, args, launch, counters)
-        wall = time.perf_counter() - start
-
-        return ExecutionResult(
-            kernel_name=kern.name,
-            launch=launch,
-            mode=mode,
-            counters=counters,
-            wall_time_s=wall,
-            shared_bytes_per_block=max_shared,
-        )
-
-    def instantiate(self, kern: Kernel, args: Sequence, launch: LaunchConfig,
-                    *, mode: str = "auto") -> Callable[[], None]:
-        """Pre-validate a launch and return a zero-argument re-execution thunk.
-
-        The functional-simulator analogue of graph instantiation: kernel
-        wrapping, launch validation, thread-limit checks and execution-mode
-        resolution (including lowering) are paid once here, and the returned
-        thunk only performs the kernel's functional work.  Used by
-        :meth:`repro.core.device.DeviceGraph.replay` to amortise launch
-        overhead across repeats; the thunk reports no counters or timings,
-        and reaches the same fault sites, in the same order, as
-        :meth:`launch`.
-        """
-        kern = as_kernel(kern)
-        launch.validate()
-        if launch.total_threads > self.max_total_threads:
-            raise LaunchError(
-                f"functional launch of {launch.total_threads} threads exceeds "
-                f"the simulator limit of {self.max_total_threads}"
-            )
-        mode, entry = _resolve_mode(kern, args, launch, mode)
         name = kern.name
         if entry is not None:
-            def thunk() -> None:
-                _enter_launch(name)
-                _run_lowered(entry, name, args)
-        elif mode == "vectorized":
-            per_block = kernel_uses_barrier(kern)
-            args = _unchecked_views(kern, args, launch)
-
-            def thunk() -> None:
-                _enter_launch(name)
-                run_vectorized(kern, args, launch, ExecutionCounters(),
-                               per_block=per_block)
+            def engine(counters: ExecutionCounters) -> int:
+                barriers, atomics, shared = _run_lowered(entry, name, args)
+                # the entry counts the barrier and atomic events the lane
+                # interpreter would record, so the counters match it exactly
+                counters.merge(total, launch.num_blocks, barriers, atomics)
+                return shared
         else:
-            def thunk() -> None:
-                self.launch(kern, args, launch, mode=mode)
+            args = _unchecked_views(kern, args, launch)
+            if mode == "vectorized":
+                engine = functools.partial(run_vectorized, kern, args, launch,
+                                           per_block=kernel_uses_barrier(kern))
+            elif mode == "sequential":
+                engine = functools.partial(self._run_sequential, kern, args,
+                                           launch)
+            else:
+                engine = functools.partial(self._run_cooperative, kern, args,
+                                           launch)
 
-        return thunk
+        def run(counters: Optional[ExecutionCounters] = None) -> int:
+            _enter_launch(name)
+            return engine(ExecutionCounters() if counters is None
+                          else counters)
+
+        run.mode = mode
+        return run
 
     # ----------------------------------------------------------- sequential
     def _run_sequential(self, kern, args, launch, counters) -> int:
         fn = kern.fn
         blocks = tuple(_iter_dim3(launch.grid_dim))
         threads = tuple(_iter_dim3(launch.block_dim))
-        tally = _LocalTally()
         max_shared = 0
         # One mutable ThreadState reused for every simulated thread: only the
         # indices and the per-thread shared-allocation cursor are rebound.
@@ -462,23 +399,22 @@ class KernelExecutor:
             grid_dim=launch.grid_dim,
             block_shared={},
             block_barrier=None,
-            counters=tally,
+            counters=counters,
         )
         with bind_thread_state(state):
             for block in blocks:
                 block_shared: Dict[str, "np.ndarray"] = {}
                 state.block_idx = block
                 state.block_shared = block_shared
-                tally.blocks_run += 1
+                counters.blocks_run += 1
                 for thread in threads:
                     state.thread_idx = thread
                     state._shared_seq = 0
                     fn(*args)
-                tally.threads_run += len(threads)
+                counters.threads_run += len(threads)
                 shared = _shared_bytes(block_shared)
                 if shared > max_shared:
                     max_shared = shared
-                tally.flush(counters)
         return max_shared
 
     # ---------------------------------------------------------- cooperative
@@ -492,9 +428,10 @@ class KernelExecutor:
         errors: List[Tuple[BaseException, Dim3]] = []
         err_lock = threading.Lock()
         max_shared = [0]
+        # one set of counters per worker, merged once the workers join
+        tallies = [ExecutionCounters() for _ in threads]
 
-        def worker(wid: int, thread: Dim3):
-            tally = _LocalTally()
+        def worker(wid: int, thread: Dim3, tally: ExecutionCounters):
             state = ThreadState(
                 thread_idx=thread,
                 block_idx=blocks[0],
@@ -523,22 +460,21 @@ class KernelExecutor:
                             if shared > max_shared[0]:
                                 max_shared[0] = shared
                             block_shared_dicts[bi].clear()
-                        tally.flush(counters)
             except threading.BrokenBarrierError:
                 pass  # another worker failed; shut down quietly
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 with err_lock:
                     errors.append((exc, state.block_idx))
                 barrier.abort()
-            finally:
-                tally.flush(counters)
 
-        workers = [threading.Thread(target=worker, args=(w, t), daemon=True)
-                   for w, t in enumerate(threads)]
+        workers = [threading.Thread(target=worker, args=(w, t, c), daemon=True)
+                   for w, (t, c) in enumerate(zip(threads, tallies))]
         for w in workers:
             w.start()
         for w in workers:
             w.join()
+        for tally in tallies:
+            counters.merge(**tally.as_dict())
         if errors:
             exc, block = errors[0]
             if isinstance(exc, ReproError):

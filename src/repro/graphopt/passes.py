@@ -116,7 +116,7 @@ def _is_elided(op) -> bool:
 
 def _clone(op, meta: dict):
     new = op.__class__(op.kind, op.name, op.stream, op.waits, op.buffers,
-                       op.work, op.event, meta, op.reads, op.writes)
+                       meta, op.event, op.reads, op.writes)
     new.site = op.site
     return new
 
@@ -126,18 +126,6 @@ def _tombstone(op, pass_name: str, action: str, **extra):
     meta["elided"] = True
     meta["graphopt"] = {"pass": pass_name, "action": action, **extra}
     return _clone(op, meta)
-
-
-def _kernel_duration_ms(ctx, op) -> float:
-    """An op's modelled kernel duration, as ``DeviceGraph._compile`` sees it."""
-    meta = op.meta or {}
-    timing = meta.get("timing")
-    if timing is not None:
-        return float(getattr(timing, "kernel_time_ms", timing))
-    model = meta.get("model")
-    if model is not None:
-        return ctx._predict_time(model, meta["launch"])
-    return 0.0
 
 
 # ----------------------------------------------------------------- elide pass
@@ -282,34 +270,30 @@ def _union_accesses(part_ops: Sequence) -> Tuple[tuple, tuple, tuple]:
             tuple(writes.values()))
 
 
-def _emit_fused(ctx, run: List, out: List, report: GraphOptReport) -> None:
+def _emit_fused(run: List, out: List, report: GraphOptReport) -> None:
     if len(run) < 2:
         out.extend(run)
         return
     first = run[0]
     fused_kern, combined = _build_fused_kernel(run)
     buffers, reads, writes = _union_accesses(run)
-    total_ms = sum(_kernel_duration_ms(ctx, op) for op in run)
+    total_ms = sum(op.meta["duration_ms"] for op in run)
 
-    def _no_direct_execution():  # pragma: no cover - replay never calls it
-        raise AnalysisError(
-            f"fused op {fused_kern.name!r} executes through graph replay "
-            f"steps only"
-        )
-
-    # Fused bodies dispatch through the lowering tier: "lowered" first
-    # tries the NumPy-codegen entry for the merged body (one whole-array
-    # expression per part store instead of N lockstep sweeps) and falls
-    # back to the vector executor when codegen declines the body — so the
-    # override can only change speed, never semantics.
+    # The fused op exists only in a rewritten graph, so it runs only as a
+    # replay step, whose duration is its parts' enqueue-time durations
+    # summed.  Fused bodies dispatch through the lowering tier: "lowered"
+    # first tries the NumPy-codegen entry for the merged body (one
+    # whole-array expression per part store instead of N lockstep sweeps)
+    # and falls back to the vector executor when codegen declines the
+    # body — so the override can only change speed, never semantics.
     meta = {"kern": fused_kern, "args": combined,
-            "launch": first.meta["launch"], "mode": "lowered", "model": None,
-            "timing": total_ms,
+            "launch": first.meta["launch"], "mode": "lowered",
+            "duration_ms": total_ms,
             "graphopt": {"pass": "fuse",
                          "parts": [op.meta["kern"].name for op in run]}}
     fused_op = first.__class__("kernel", fused_kern.name, first.stream,
-                               first.waits, buffers, _no_direct_execution,
-                               None, meta, reads, writes)
+                               first.waits, buffers, meta, None, reads,
+                               writes)
     fused_op.site = first.site
     out.append(fused_op)
     for op in run:
@@ -319,13 +303,13 @@ def _emit_fused(ctx, run: List, out: List, report: GraphOptReport) -> None:
                          "timing_ms": total_ms})
 
 
-def _fuse_pass(ctx, ops: List, report: GraphOptReport) -> List:
+def _fuse_pass(ops: List, report: GraphOptReport) -> List:
     out: List = []
     run: List = []
     pending_tombstones: List = []
 
     def flush():
-        _emit_fused(ctx, run, out, report)
+        _emit_fused(run, out, report)
         out.extend(pending_tombstones)
         run.clear()
         pending_tombstones.clear()
@@ -376,7 +360,7 @@ def optimize_graph(graph, passes="all", *, name: Optional[str] = None,
     if "elide" in selected:
         ops = _elide_pass(ops, report)
     if "fuse" in selected:
-        ops = _fuse_pass(graph.ctx, ops, report)
+        ops = _fuse_pass(ops, report)
     optimized = graph.rewritten(ops, name=report.optimized)
     optimized._graphopt_report = report
     report.ops_after = sum(1 for op in ops if not _is_elided(op))

@@ -149,8 +149,7 @@ class TestExecutorLimits:
         counters = ExecutionCounters()
         counters.record_atomic()
         counters.record_barrier()
-        counters.record_thread()
-        counters.record_block()
+        counters.merge(threads_run=1, blocks_run=1)
         assert counters.as_dict() == {"threads_run": 1, "blocks_run": 1,
                                       "barriers": 1, "atomics": 1}
 

@@ -13,6 +13,7 @@ from repro.kernels.babelstream.kernels import (
     START_B,
     START_C,
     add_kernel,
+    babelstream_kernel_model,
     copy_kernel,
     mul_kernel,
     triad_kernel,
@@ -22,13 +23,7 @@ from repro.core.kernel import LaunchConfig
 N = 1 << 10
 
 
-@pytest.fixture
-def stream_capture():
-    """H2D a/b/c -> Copy -> Mul -> Add -> Triad -> D2H a, c on one stream.
-
-    The canonical fusion subject: four adjacent vector-safe kernels with an
-    identical launch sharing the a/b/c buffers.
-    """
+def _capture_stream(models: bool):
     ctx = DeviceContext("h100")
     launch = LaunchConfig.for_elements(N, 256)
     bufs = {}
@@ -41,13 +36,31 @@ def stream_capture():
         bufs["a"].copy_from_host(np.full(N, START_A))
         bufs["b"].copy_from_host(np.full(N, START_B))
         bufs["c"].copy_from_host(np.full(N, START_C))
-        for kern, args in ((copy_kernel, (a, c, N)),
-                           (mul_kernel, (b, c, SCALAR, N)),
-                           (add_kernel, (a, b, c, N)),
-                           (triad_kernel, (a, b, c, SCALAR, N))):
-            ctx.enqueue_function(kern, *args,
-                                 grid_dim=launch.grid_dim,
-                                 block_dim=launch.block_dim)
+        for kern, op, args in ((copy_kernel, "copy", (a, c, N)),
+                               (mul_kernel, "mul", (b, c, SCALAR, N)),
+                               (add_kernel, "add", (a, b, c, N)),
+                               (triad_kernel, "triad", (a, b, c, SCALAR, N))):
+            ctx.enqueue_function(
+                kern, *args, grid_dim=launch.grid_dim,
+                block_dim=launch.block_dim,
+                model=babelstream_kernel_model(op, n=N) if models else None)
         bufs["a"].copy_to_host()
         bufs["c"].copy_to_host()
     return ctx, graph, bufs
+
+
+@pytest.fixture
+def stream_capture():
+    """H2D a/b/c -> Copy -> Mul -> Add -> Triad -> D2H a, c on one stream.
+
+    The canonical fusion subject: four adjacent vector-safe kernels with an
+    identical launch sharing the a/b/c buffers.
+    """
+    return _capture_stream(models=False)
+
+
+@pytest.fixture
+def modelled_stream_capture():
+    """``stream_capture`` with each kernel enqueued with its BabelStream
+    model, so every kernel op carries a non-zero modelled duration."""
+    return _capture_stream(models=True)

@@ -82,12 +82,18 @@ class TestFusion:
             assert op.meta["graphopt"]["pass"] == "fuse"
             assert op.meta["graphopt"]["action"] == "fused-into"
 
-    def test_fused_timing_is_sum_of_parts(self, stream_capture):
-        ctx, graph, bufs = stream_capture
+    def test_fused_timing_is_sum_of_parts(self, modelled_stream_capture):
+        ctx, graph, bufs = modelled_stream_capture
+        parts = [op.meta["duration_ms"] for op in graph.ops
+                 if op.kind == "kernel"]
         optimized, report = optimize_graph(graph, "fuse")
-        # no per-kernel models were supplied, so the parts model 0 ms each
-        assert report.fused[0]["timing_ms"] == pytest.approx(0.0)
-        assert optimized.makespan_ms <= graph.makespan_ms
+        assert len(parts) == 4 and all(ms > 0.0 for ms in parts)
+        # the fused op costs its parts' enqueue-time durations, summed
+        assert report.fused[0]["timing_ms"] == pytest.approx(sum(parts))
+        fused = [op for op in optimized.ops
+                 if op.kind == "kernel" and not op.meta.get("elided")]
+        assert fused[0].meta["duration_ms"] == report.fused[0]["timing_ms"]
+        assert optimized.makespan_ms == pytest.approx(graph.makespan_ms)
 
     def test_barrier_kernel_never_fuses(self):
         """The Dot reduction (shared memory + barriers) stays unfused."""

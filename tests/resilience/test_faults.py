@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core import (DeviceContext, DType, block_dim, block_idx, kernel,
+                        thread_idx)
 from repro.core.errors import ConfigurationError, DeviceError, LaunchError
+from repro.gpu.executor import KernelExecutor
 from repro.resilience import (
     FaultInjector,
     FaultPlan,
@@ -266,3 +269,74 @@ class TestLoweredSites:
         assert occurrences["launch.lowered"] == 2
         assert "launch.vectorized" not in occurrences
         np.testing.assert_array_equal(again, clean)
+
+
+@kernel
+def _axpy(y, x, alpha, n):
+    i = block_idx.x * block_dim.x + thread_idx.x
+    if i < n:
+        y[i] = alpha * x[i] + y[i]
+
+
+def _axpy_program(ctx):
+    """h2d, memset, kernel, d2h on the default stream."""
+    x = ctx.enqueue_create_buffer(DType.float64, 64, label="x")
+    y = ctx.enqueue_create_buffer(DType.float64, 64, label="y")
+    x.copy_from_host(np.arange(64.0))
+    y.fill(1.0)
+    ctx.enqueue_function(_axpy, y.tensor(), x.tensor(mut=False), 2.0, 64,
+                         grid_dim=2, block_dim=32)
+    return y.copy_to_host()
+
+
+class TestOneExecutionPath:
+    """An eager enqueue and a graph replay run the same step per op."""
+
+    def test_eager_and_replayed_programs_reach_the_same_sites(self):
+        with install_fault_plan(FaultPlan()) as eager:
+            out = _axpy_program(DeviceContext("h100"))
+        ctx = DeviceContext("h100")
+        with ctx.capture("axpy") as graph:
+            _axpy_program(ctx)
+        with install_fault_plan(FaultPlan()) as replayed:
+            replayed_out = graph.replay()["y"]
+        occurrences = eager.stats()["occurrences"]
+        assert occurrences == replayed.stats()["occurrences"]
+        assert {"transfer.h2d", "corrupt.h2d", "launch", "transfer.d2h",
+                "corrupt.d2h"} <= set(occurrences)
+        np.testing.assert_array_equal(out, replayed_out)
+        np.testing.assert_array_equal(out, 2.0 * np.arange(64.0) + 1.0)
+
+    def test_corrupt_d2h_reaches_the_callers_array(self):
+        ctx = DeviceContext("h100")
+        buf = ctx.enqueue_create_buffer(DType.float64, 16, label="x")
+        buf.copy_from_host(np.arange(16.0))
+        arr = np.zeros(16)
+        plan = FaultPlan(rules=(
+            FaultRule(site="corrupt.d2h", probability=1.0),))
+        with install_fault_plan(plan) as injector:
+            assert buf.copy_to_host(out=arr) is arr
+        assert injector.stats()["total_fired"] == 1
+        assert not np.array_equal(arr, np.arange(16.0))
+        np.testing.assert_array_equal(buf.array, np.arange(16.0))
+
+    def test_invalid_launch_fails_before_the_launch_site(self):
+        # 1,000 threads against a 100-thread limit: instantiation refuses
+        # the launch before its run reaches the launch fault site, eagerly
+        # and at the close of a capture alike
+        ctx = DeviceContext(executor=KernelExecutor(max_total_threads=100))
+        x = ctx.enqueue_create_buffer(DType.float64, 1000, label="x")
+        y = ctx.enqueue_create_buffer(DType.float64, 1000, label="y")
+
+        def enqueue():
+            ctx.enqueue_function(_axpy, y.tensor(), x.tensor(), 2.0, 1000,
+                                 grid_dim=10, block_dim=100)
+
+        with install_fault_plan(FaultPlan()) as injector:
+            with pytest.raises(LaunchError, match="exceeds"):
+                enqueue()
+            assert "launch" not in injector.stats()["occurrences"]
+            with pytest.raises(LaunchError, match="exceeds"):
+                with ctx.capture("too-big"):
+                    enqueue()
+            assert "launch" not in injector.stats()["occurrences"]
