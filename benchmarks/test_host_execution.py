@@ -68,7 +68,7 @@ def test_bench_hartreefock_run_warm(benchmark):
     """Default hartreefock request without verification, setup memos warm.
 
     Every request after the first for a system pays only for the memo
-    lookups, the survivor count and the timing model.
+    lookups (its price included) and the survivor count.
     """
     from repro.workloads import get_workload
 
@@ -93,23 +93,37 @@ def test_bench_workload_dispatch(benchmark):
     a timing-model-only stencil run (no functional verification).
 
     Guards the overhead the workload abstraction adds on top of the memoised
-    compile/timing pipeline — the layer every CLI ``bench`` call and sweep
-    configuration now goes through.
+    price (every round after the first is a price-memo hit) — the layer
+    every CLI ``bench`` call and sweep configuration now goes through.
     """
-    from repro.workloads import get_workload
+    result = benchmark(_stencil_dispatch)
+    assert result.metrics["bandwidth_gbs"] > 0
+    assert not result.verification.ran
 
-    protocol = MeasurementProtocol(warmup=0, repeats=3)
+
+def test_bench_unpriced_workload_dispatch(benchmark):
+    """The same dispatch with the price memo cleared every round: each run
+    prices its kernel afresh (a compile-memo hit plus the timing model)."""
+    from repro.backends.base import PRICE_MEMO
 
     def run():
-        workload = get_workload("stencil")
-        request = workload.make_request(
-            gpu="h100", backend="mojo", precision="float32",
-            params={"L": 64}, protocol=protocol, verify=False)
-        return workload.run(request)
+        PRICE_MEMO.clear()
+        return _stencil_dispatch()
 
     result = benchmark(run)
     assert result.metrics["bandwidth_gbs"] > 0
-    assert not result.verification.ran
+    assert PRICE_MEMO.cache_info().misses > 0
+
+
+def _stencil_dispatch():
+    """A model-only stencil run through the workload registry."""
+    from repro.workloads import get_workload
+
+    workload = get_workload("stencil")
+    request = workload.make_request(
+        gpu="h100", backend="mojo", precision="float32", params={"L": 64},
+        protocol=MeasurementProtocol(warmup=0, repeats=3), verify=False)
+    return workload.run(request)
 
 
 def test_bench_cli_dispatch(benchmark):

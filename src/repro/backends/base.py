@@ -8,6 +8,12 @@ constant-memory promotion, fast-math availability, atomic lowering and
 block-size heuristics.  Those differences are expressed as a
 :class:`~repro.core.compiler.CompilerProfile` per (backend, GPU vendor) pair
 and documented field-by-field in the concrete backend modules.
+
+A price — one backend's compile of a kernel model plus the timing model's
+prediction for one launch on one GPU — is a pure function of its inputs, so
+:meth:`Backend.time` pays each one once (:data:`PRICE_MEMO`), for the
+workloads and, through :data:`GENERIC`, for the device runtime's modelled
+kernels.
 """
 
 from __future__ import annotations
@@ -22,15 +28,20 @@ from ..core.memo import Memo
 from ..gpu.specs import GPUSpec, get_gpu
 from ..gpu.timing import KernelTimingModel, TimingBreakdown
 
-__all__ = ["Backend", "BackendRun", "PROFILE_MEMO"]
+__all__ = ["Backend", "BackendRun", "GENERIC", "PRICE_MEMO", "PROFILE_MEMO"]
 
 #: compiler profile per (backend instance, GPU name)
 PROFILE_MEMO = Memo("compiler_profile")
+#: priced kernel per (backend name, GPU, kernel model, launch, fast-math)
+PRICE_MEMO = Memo("price")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackendRun:
-    """A compiled kernel together with its predicted timing on one GPU."""
+    """A compiled kernel together with its predicted timing on one GPU.
+
+    Frozen: :data:`PRICE_MEMO` hands one instance to every caller.
+    """
 
     backend_name: str
     gpu: GPUSpec
@@ -107,18 +118,32 @@ class Backend:
 
     def time(self, model: KernelModel, gpu, launch: LaunchConfig, *,
              fast_math: bool = False) -> BackendRun:
-        """Compile *model* and predict its duration for *launch* on *gpu*."""
+        """Compile *model* and predict its duration for *launch* on *gpu*.
+
+        Memoised in :data:`PRICE_MEMO` by value on the backend's name (which
+        fixes its compiler profile on each GPU), the GPU spec, *model*,
+        *launch* and *fast_math*: every caller of a key shares one frozen
+        :class:`BackendRun`.  A miss compiles through the compile memo,
+        which reuses one compile across launches.  Patching a compiler or
+        timing-model constant therefore takes effect only after
+        ``PRICE_MEMO.clear()``.
+        """
         spec = self.require_support(gpu)
-        compiled = self.compile(model, spec, launch=launch, fast_math=fast_math)
-        timing = KernelTimingModel(spec).predict(compiled, launch)
-        return BackendRun(
-            backend_name=self.name,
-            gpu=spec,
-            compiled=compiled,
-            timing=timing,
-            launch=launch,
-            fast_math=compiled.fast_math,
-        )
+
+        def price() -> BackendRun:
+            compiled = self.compile(model, spec, launch=launch,
+                                    fast_math=fast_math)
+            return BackendRun(
+                backend_name=self.name,
+                gpu=spec,
+                compiled=compiled,
+                timing=KernelTimingModel(spec).predict(compiled, launch),
+                launch=launch,
+                fast_math=compiled.fast_math,
+            )
+
+        return PRICE_MEMO.get_or_compute(
+            (self.name, spec, model, launch, bool(fast_math)), price)
 
     # ------------------------------------------------------------ heuristics
     def default_block_size(self, gpu, *, kernel_kind: str = "generic") -> int:
@@ -137,3 +162,18 @@ class Backend:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Backend {self.name}>"
+
+
+class _GenericBackend(Backend):
+    """A generic vendor compiler on any GPU: prices the kernels a device
+    context is given a :class:`KernelModel` for."""
+
+    name = "generic"
+    display_name = "Generic"
+
+    def compiler_profile(self, gpu) -> CompilerProfile:
+        return CompilerProfile(name="generic")
+
+
+#: the backend behind a device context's modelled kernel durations
+GENERIC = _GenericBackend()

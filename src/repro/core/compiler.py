@@ -18,7 +18,8 @@ lives here and can be ablated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .dtypes import DType
 from .errors import CompilationError
@@ -170,16 +171,20 @@ class CompilerProfile:
         return self
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompiledKernel:
-    """Result of compiling a kernel model for a backend / GPU / launch."""
+    """Result of compiling a kernel model for a backend / GPU / launch.
+
+    Frozen, with a read-only ``instruction_mix`` and a tuple of ``notes``:
+    the compile and price memos hand one instance to every caller.
+    """
 
     kernel_name: str
     backend_name: str
     fast_math: bool
     ir: KernelIR
     registers_per_thread: int
-    instruction_mix: Dict[str, float]
+    instruction_mix: Mapping[str, float]
     #: global DRAM traffic per active thread, bytes
     dram_bytes_per_thread: float
     #: cost-weighted FLOP-equivalents per active thread (drives compute time)
@@ -195,7 +200,7 @@ class CompiledKernel:
     model: KernelModel
     profile: CompilerProfile
     launch: Optional[LaunchConfig] = None
-    notes: List[str] = field(default_factory=list)
+    notes: Tuple[str, ...] = ()
 
     @property
     def uses_constant_memory(self) -> bool:
@@ -422,8 +427,8 @@ _SLOW_DIV_WEIGHT = 12.0
 # the full compile input is hashable by value; custom pass pipelines are keyed
 # by the identity of the pass instances (the tuple in the key keeps them
 # alive, so ids cannot be recycled).  Entries are shared: the cached
-# CompiledKernel's ``ir`` is returned by reference, while ``notes``,
-# ``instruction_mix`` and ``launch`` are fresh per call.
+# CompiledKernel is frozen, with a read-only instruction mix and a tuple of
+# notes, so a hit differs from the entry only in ``launch``, applied per call.
 # ---------------------------------------------------------------------------
 
 COMPILE_MEMO = Memo("compile")
@@ -465,9 +470,8 @@ def compile_kernel(
         # Unhashable ingredient (e.g. an exotic pass pipeline): compile
         # straight through without memoisation.
         return replace(compile_once(), launch=launch)
-    cached = COMPILE_MEMO.get_or_compute(key, compile_once)
-    return replace(cached, launch=launch, notes=list(cached.notes),
-                   instruction_mix=dict(cached.instruction_mix))
+    return replace(COMPILE_MEMO.get_or_compute(key, compile_once),
+                   launch=launch)
 
 
 def _compile_uncached(
@@ -533,7 +537,7 @@ def _compile_uncached(
         fast_math=fast,
         ir=ir,
         registers_per_thread=registers,
-        instruction_mix=ir.mix(),
+        instruction_mix=MappingProxyType(ir.mix()),
         dram_bytes_per_thread=dram_bytes,
         effective_flops_per_thread=effective_flops,
         raw_flops_per_thread=raw_flops,
@@ -546,5 +550,5 @@ def _compile_uncached(
         model=model,
         profile=profile,
         launch=launch,
-        notes=list(ir.notes),
+        notes=tuple(ir.notes),
     )

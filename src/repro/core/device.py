@@ -1152,14 +1152,11 @@ class DeviceContext:
 
     # -------------------------------------------------------------- accounting
     def _predict_time(self, model: KernelModel, launch: LaunchConfig) -> float:
-        # Local import: timing needs a compiled kernel, which needs a backend
-        # profile; use the generic profile for context-level estimates.
-        from .compiler import CompilerProfile, compile_kernel
-        from ..gpu.timing import KernelTimingModel
+        # Local import: pricing loads the compiler and the timing model.
+        # Context-level estimates use the generic compiler profile.
+        from ..backends.base import GENERIC
 
-        compiled = compile_kernel(model, CompilerProfile(name="generic"),
-                                  launch=launch, backend_name="generic")
-        return KernelTimingModel(self.spec).predict(compiled, launch).kernel_time_ms
+        return GENERIC.time(model, self.spec, launch).kernel_time_ms
 
     # ------------------------------------------------------------- reporting
     @property

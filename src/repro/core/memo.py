@@ -1,9 +1,9 @@
 """Bounded, thread-safe memo: the one cache layer of the package.
 
-Problem setup, compiled kernels, analysis verdicts, workload results and
-tuning winners are pure functions of their keys and are requested over and
-over by sweeps, reports and tuning.  A :class:`Memo` stores them by value
-key so the work is paid once:
+Problem setup, compiled and priced kernels, analysis verdicts, workload
+results and tuning winners are pure functions of their keys and are
+requested over and over by sweeps, reports and tuning.  A :class:`Memo`
+stores them by value key so the work is paid once:
 
 * **Bounded.**  A memo evicts its least-recently-used entry once it holds
   more than :data:`MAX_ENTRIES` entries.  Bytes of NumPy array data (or of

@@ -22,8 +22,8 @@ Hartree–Fock).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from ..core.compiler import CompiledKernel, Opcode
 from ..core.errors import ConfigurationError
@@ -64,9 +64,12 @@ _CACHE_FACTORS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimingBreakdown:
-    """Predicted timing and derived rates for one kernel launch."""
+    """Predicted timing and derived rates for one kernel launch.
+
+    Frozen: a priced kernel's breakdown is shared by every caller.
+    """
 
     kernel_name: str
     backend_name: str
@@ -90,7 +93,7 @@ class TimingBreakdown:
     memory_efficiency: float
     compute_efficiency: float
     bound: str
-    notes: list = field(default_factory=list)
+    notes: Tuple[str, ...] = ()
 
     @property
     def kernel_time_s(self) -> float:
@@ -265,7 +268,7 @@ class KernelTimingModel:
             memory_efficiency=mem_eff,
             compute_efficiency=compute_eff,
             bound=bound,
-            notes=list(compiled.notes),
+            notes=compiled.notes,
         )
 
     # ------------------------------------------------------------- internals

@@ -112,8 +112,7 @@ def _clone(result: WorkloadResult) -> WorkloadResult:
 
     Top-level containers (metrics, timing, samples, provenance) are fresh
     dicts/lists so caller-side mutation cannot poison the cache; the request,
-    verification and timing breakdown objects are shared (frozen or treated
-    as read-only).
+    verification and timing breakdown objects are shared (all frozen).
     """
     out = copy.copy(result)
     out.metrics = dict(result.metrics)

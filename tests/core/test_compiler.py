@@ -165,10 +165,14 @@ class TestCompileCache:
         assert info["misses"] == 1 and info["hits"] == 1
         assert first.instruction_mix == second.instruction_mix
         assert first.registers_per_thread == second.registers_per_thread
-        # Per-call fields are fresh objects: annotating one result must not
-        # leak into the cached entry or other callers.
-        first.notes.append("local annotation")
-        assert "local annotation" not in compile_kernel(model, profile).notes
+        # A hit shares the cached entry, so no caller can change it in place.
+        with pytest.raises(AttributeError):
+            first.notes.append("local annotation")
+        with pytest.raises(TypeError):
+            first.instruction_mix[Opcode.LDG] = 0.0
+        with pytest.raises(AttributeError):
+            first.registers_per_thread = 0
+        assert compile_kernel(model, profile) == second
 
     def test_mutated_model_is_a_miss_not_stale(self):
         from repro.core.compiler import compile_cache_info

@@ -102,17 +102,17 @@ class TestInstrumentedSites:
             'workload_run_latency_ms{workload="stencil"}')
         assert child is not None and child["count"] == 1
 
-    def test_compile_cache_counters(self, stencil):
+    def test_price_cache_counters(self, stencil):
         reset_metrics()
         request = stencil.make_request(params={"L": 18}, protocol=FAST)
         reg = registry()
         stencil.run(request)
-        first = (reg.counter("memo_hits_total", memo="compile"),
-                 reg.counter("memo_misses_total", memo="compile"))
+        first = (reg.counter("memo_hits_total", memo="price"),
+                 reg.counter("memo_misses_total", memo="price"))
         stencil.run(request)
-        second = (reg.counter("memo_hits_total", memo="compile"),
-                  reg.counter("memo_misses_total", memo="compile"))
-        # a repeat run re-serves every kernel from the compile memo
+        second = (reg.counter("memo_hits_total", memo="price"),
+                  reg.counter("memo_misses_total", memo="price"))
+        # a repeat run re-serves every priced kernel from the price memo
         assert second[0] > first[0]
         assert second[1] == first[1]
 
