@@ -11,14 +11,16 @@ and documented field-by-field in the concrete backend modules.
 
 A price — one backend's compile of a kernel model plus the timing model's
 prediction for one launch on one GPU — is a pure function of its inputs, so
-:meth:`Backend.time` pays each one once (:data:`PRICE_MEMO`), for the
+:meth:`Backend.time` pays each stage once: the compile memo holds one
+compiled kernel per (kernel model, compiler profile, fast-math), and
+:data:`PRICE_MEMO` one prediction per (compiled kernel, GPU, launch), for the
 workloads and, through :data:`GENERIC`, for the device runtime's modelled
 kernels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 from ..core.compiler import CompiledKernel, CompilerProfile, compile_kernel
@@ -32,7 +34,7 @@ __all__ = ["Backend", "BackendRun", "GENERIC", "PRICE_MEMO", "PROFILE_MEMO"]
 
 #: compiler profile per (backend instance, GPU name)
 PROFILE_MEMO = Memo("compiler_profile")
-#: priced kernel per (backend name, GPU, kernel model, launch, fast-math)
+#: priced kernel per (compiled kernel, GPU spec, launch)
 PRICE_MEMO = Memo("price")
 
 
@@ -120,30 +122,30 @@ class Backend:
              fast_math: bool = False) -> BackendRun:
         """Compile *model* and predict its duration for *launch* on *gpu*.
 
-        Memoised in :data:`PRICE_MEMO` by value on the backend's name (which
-        fixes its compiler profile on each GPU), the GPU spec, *model*,
-        *launch* and *fast_math*: every caller of a key shares one frozen
-        :class:`BackendRun`.  A miss compiles through the compile memo,
-        which reuses one compile across launches.  Patching a compiler or
-        timing-model constant therefore takes effect only after
-        ``PRICE_MEMO.clear()``.
+        :meth:`compile` returns the compile memo's one
+        :class:`CompiledKernel` per (model, this backend's profile on the
+        GPU, *fast_math*), and :data:`PRICE_MEMO` keys on that instance, the
+        GPU spec by value and *launch*: every caller of a key shares one frozen
+        :class:`BackendRun`, and a compile is reused across launches.
+        Patching a compiler or timing-model constant therefore takes effect
+        only after ``PRICE_MEMO.clear()`` (and ``COMPILE_MEMO.clear()`` for
+        a compiler constant).
         """
         spec = self.require_support(gpu)
+        compiled = self.compile(model, spec, fast_math=fast_math)
 
         def price() -> BackendRun:
-            compiled = self.compile(model, spec, launch=launch,
-                                    fast_math=fast_math)
+            annotated = replace(compiled, launch=launch)
             return BackendRun(
-                backend_name=self.name,
+                backend_name=compiled.backend_name,
                 gpu=spec,
-                compiled=compiled,
-                timing=KernelTimingModel(spec).predict(compiled, launch),
+                compiled=annotated,
+                timing=KernelTimingModel(spec).predict(annotated, launch),
                 launch=launch,
                 fast_math=compiled.fast_math,
             )
 
-        return PRICE_MEMO.get_or_compute(
-            (self.name, spec, model, launch, bool(fast_math)), price)
+        return PRICE_MEMO.get_or_compute((compiled, spec, launch), price)
 
     # ------------------------------------------------------------ heuristics
     def default_block_size(self, gpu, *, kernel_kind: str = "generic") -> int:

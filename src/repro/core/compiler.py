@@ -171,12 +171,14 @@ class CompilerProfile:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompiledKernel:
     """Result of compiling a kernel model for a backend / GPU / launch.
 
     Frozen, with a read-only ``instruction_mix`` and a tuple of ``notes``:
-    the compile and price memos hand one instance to every caller.
+    the compile and price memos hand one instance to every caller.  It
+    compares and hashes by identity: the compile memo returns one instance
+    per compile input, and the price memo keys on that instance.
     """
 
     kernel_name: str
@@ -428,7 +430,8 @@ _SLOW_DIV_WEIGHT = 12.0
 # by the identity of the pass instances (the tuple in the key keeps them
 # alive, so ids cannot be recycled).  Entries are shared: the cached
 # CompiledKernel is frozen, with a read-only instruction mix and a tuple of
-# notes, so a hit differs from the entry only in ``launch``, applied per call.
+# notes.  A call without a launch returns the entry itself; a launch is
+# applied to a copy per call.
 # ---------------------------------------------------------------------------
 
 COMPILE_MEMO = Memo("compile")
@@ -452,7 +455,8 @@ def compile_kernel(
 
     Results are memoised on ``(model, profile, fast_math, backend_name,
     passes-identity)`` in :data:`COMPILE_MEMO`; *launch* only annotates the
-    returned object and is applied per call.  Because :class:`KernelModel` is
+    returned object and is applied per call; without it the memo's own entry
+    is returned, one instance per input.  Because :class:`KernelModel` is
     frozen, a "mutated" model (via :meth:`KernelModel.scaled`) is a different
     value and therefore a different cache key — stale results cannot be
     served.
@@ -470,8 +474,8 @@ def compile_kernel(
         # Unhashable ingredient (e.g. an exotic pass pipeline): compile
         # straight through without memoisation.
         return replace(compile_once(), launch=launch)
-    return replace(COMPILE_MEMO.get_or_compute(key, compile_once),
-                   launch=launch)
+    compiled = COMPILE_MEMO.get_or_compute(key, compile_once)
+    return compiled if launch is None else replace(compiled, launch=launch)
 
 
 def _compile_uncached(

@@ -1,6 +1,7 @@
-"""The price memo: one frozen ``BackendRun`` per (backend, GPU, kernel,
-launch, fast-math), shared by ``Backend.time`` and the device runtime's
-modelled kernel durations."""
+"""The price memo: one frozen ``BackendRun`` per (compiled kernel, GPU,
+launch), shared by ``Backend.time`` and the device runtime's modelled kernel
+durations.  The compiled kernel is the compile memo's one instance per
+(kernel model, backend profile, fast-math)."""
 
 import dataclasses
 import math
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend
-from repro.backends.base import GENERIC, PRICE_MEMO
-from repro.core.compiler import CompilerProfile, compile_kernel
+from repro.backends.base import GENERIC, PRICE_MEMO, Backend
+from repro.core.compiler import COMPILE_MEMO, CompilerProfile, compile_kernel
 from repro.core.device import DeviceContext
 from repro.core.dtypes import DType
 from repro.core.kernel import KernelModel, LaunchConfig
@@ -131,6 +132,52 @@ def test_each_key_part_misses(change):
     assert _misses() == misses + 1
     assert other is not baseline
     assert other.gpu == varied["gpu"]
+
+
+class _Profiled(Backend):
+    """A backend whose name says nothing about its profile."""
+
+    name = "same-name"
+
+    def __init__(self, profile):
+        self.profile = profile
+
+    def compiler_profile(self, gpu):
+        return self.profile
+
+
+def test_backends_sharing_a_name_price_with_their_own_profiles():
+    PRICE_MEMO.clear()
+    plain = _Profiled(CompilerProfile(name="plain", register_scale=1.0))
+    heavy = _Profiled(CompilerProfile(name="heavy", register_scale=3.0))
+    first = plain.time(_model(), H100, LAUNCH)
+    misses = _misses()
+    other = heavy.time(_model(), H100, LAUNCH)
+    assert _misses() == misses + 1
+    assert other.compiled.profile is heavy.profile
+    compiled = compile_kernel(_model(), heavy.profile, launch=LAUNCH,
+                              backend_name="same-name")
+    _assert_same(other.timing,
+                 KernelTimingModel(H100).predict(compiled, LAUNCH), "timing")
+    assert (other.compiled.registers_per_thread
+            > first.compiled.registers_per_thread)
+
+
+def test_one_compile_serves_every_launch():
+    PRICE_MEMO.clear()
+    COMPILE_MEMO.clear()
+    mojo = get_backend("mojo")
+    narrow = LaunchConfig.for_elements(2 ** 20, 128)
+    wide = mojo.time(_model(), H100, LAUNCH)
+    other = mojo.time(_model(), H100, narrow)
+    assert COMPILE_MEMO.cache_info().misses == 1
+    assert _misses() == 2
+    assert (wide.compiled.launch, other.compiled.launch) == (LAUNCH, narrow)
+    entry = compile_kernel(_model(), mojo.cached_profile(H100),
+                           backend_name="mojo")
+    assert entry is compile_kernel(_model(), mojo.cached_profile(H100),
+                                   backend_name="mojo")
+    assert entry.launch is None
 
 
 def test_priced_run_matches_an_unmemoised_price():

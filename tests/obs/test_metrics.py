@@ -102,17 +102,27 @@ class TestInstrumentedSites:
             'workload_run_latency_ms{workload="stencil"}')
         assert child is not None and child["count"] == 1
 
-    def test_price_cache_counters(self, stencil):
+    @staticmethod
+    def _repeat_run_counts(stencil, memo):
         reset_metrics()
         request = stencil.make_request(params={"L": 18}, protocol=FAST)
         reg = registry()
-        stencil.run(request)
-        first = (reg.counter("memo_hits_total", memo="price"),
-                 reg.counter("memo_misses_total", memo="price"))
-        stencil.run(request)
-        second = (reg.counter("memo_hits_total", memo="price"),
-                  reg.counter("memo_misses_total", memo="price"))
-        # a repeat run re-serves every priced kernel from the price memo
+        counts = []
+        for _ in range(2):
+            stencil.run(request)
+            counts.append((reg.counter("memo_hits_total", memo=memo),
+                           reg.counter("memo_misses_total", memo=memo)))
+        return counts
+
+    def test_compile_cache_counters(self, stencil):
+        first, second = self._repeat_run_counts(stencil, "compile")
+        # a repeat run re-serves every kernel from the compile memo
+        assert second[0] > first[0]
+        assert second[1] == first[1]
+
+    def test_price_cache_counters(self, stencil):
+        first, second = self._repeat_run_counts(stencil, "price")
+        # ... and every priced launch from the price memo
         assert second[0] > first[0]
         assert second[1] == first[1]
 
