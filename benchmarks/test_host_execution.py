@@ -115,6 +115,35 @@ def test_bench_unpriced_workload_dispatch(benchmark):
     assert PRICE_MEMO.cache_info().misses > 0
 
 
+def test_bench_compile_miss(benchmark):
+    """The lowering behind a compile-memo miss: the memo is cleared every
+    round, then each workload's primary kernel model (default request) is
+    compiled under every distinct (backend, compiler profile) pair of the
+    GPUs the backend supports."""
+    from repro.backends import get_backend, list_backends
+    from repro.core.compiler import COMPILE_MEMO, compile_kernel
+    from repro.gpu.specs import get_gpu, list_gpus
+    from repro.workloads import get_workload, list_workloads
+
+    models = [workload.tuning_model(workload.make_request())[0]
+              for workload in map(get_workload, list_workloads())]
+    targets = list(dict.fromkeys(
+        (backend.name, backend.cached_profile(spec))
+        for backend in map(get_backend, list_backends())
+        for spec in map(get_gpu, list_gpus()) if backend.supports(spec)))
+
+    def run():
+        COMPILE_MEMO.clear()
+        return [compile_kernel(model, profile, backend_name=name)
+                for model in models for name, profile in targets]
+
+    compiled = benchmark(run)
+    assert len(models) == 4
+    assert {name for name, _ in targets} == set(list_backends())
+    assert len(compiled) == len(models) * len(targets)
+    assert COMPILE_MEMO.cache_info().misses == len(compiled)
+
+
 def _stencil_dispatch():
     """A model-only stencil run through the workload registry."""
     from repro.workloads import get_workload

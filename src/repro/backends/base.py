@@ -122,17 +122,18 @@ class Backend:
              fast_math: bool = False) -> BackendRun:
         """Compile *model* and predict its duration for *launch* on *gpu*.
 
-        :meth:`compile` returns the compile memo's one
-        :class:`CompiledKernel` per (model, this backend's profile on the
-        GPU, *fast_math*), and :data:`PRICE_MEMO` keys on that instance, the
-        GPU spec by value and *launch*: every caller of a key shares one frozen
-        :class:`BackendRun`, and a compile is reused across launches.
-        Patching a compiler or timing-model constant therefore takes effect
-        only after ``PRICE_MEMO.clear()`` (and ``COMPILE_MEMO.clear()`` for
-        a compiler constant).
+        The GPU is resolved once; :func:`compile_kernel` returns the compile
+        memo's one :class:`CompiledKernel` per (model, this backend's profile
+        on the GPU, *fast_math*), and :data:`PRICE_MEMO` keys on that
+        instance, the GPU spec by value and *launch*: every caller of a key
+        shares one frozen :class:`BackendRun`, and a compile is reused across
+        launches.  Patching a compiler or timing-model constant therefore
+        takes effect only after ``PRICE_MEMO.clear()`` (and
+        ``COMPILE_MEMO.clear()`` for a compiler constant).
         """
         spec = self.require_support(gpu)
-        compiled = self.compile(model, spec, fast_math=fast_math)
+        compiled = compile_kernel(model, self.cached_profile(spec),
+                                  fast_math=fast_math, backend_name=self.name)
 
         def price() -> BackendRun:
             annotated = replace(compiled, launch=launch)

@@ -193,17 +193,10 @@ def _graph_args(p) -> None:
     p.add_argument("--passes", default="all", metavar="PASSES",
                    help="pass pipeline: 'all' (default), 'none', or a "
                         "comma-separated subset of elide,fuse")
-    p.add_argument("--bench", action="store_true",
-                   help="additionally time unfused/fused graph replays "
-                        "and vectorized/lowered kernel dispatch")
-    p.add_argument("--repeats", type=int, default=20, metavar="N",
-                   help="replay repeats per timing (min is reported; "
-                        "default 20)")
     p.add_argument("--json", action="store_true",
                    help="emit the per-workload reports as JSON")
     p.add_argument("--output", default=None, metavar="PATH",
-                   help="also write the JSON payload to PATH (e.g. "
-                        "BENCH_graphopt.json with --bench)")
+                   help="also write the JSON payload to PATH")
 
 
 def _cmd_graph(args) -> int:
@@ -213,8 +206,8 @@ def _cmd_graph(args) -> int:
     graph-compiler contract), 1 otherwise, 2 on configuration errors —
     matching the lint/bench exit conventions.
     """
-    from .graphopt import graph_entry, parse_passes, replay_timings
-    from .workloads import get_workload, list_workloads
+    from .graphopt import graph_entry, parse_passes
+    from .workloads import list_workloads
 
     if args.graph_all and args.workload:
         raise ConfigurationError("name one workload or pass --all, not both")
@@ -225,12 +218,6 @@ def _cmd_graph(args) -> int:
 
     entries = [graph_entry(name, args.passes) for name in names]
     all_clean = all(entry.get("lint_clean", True) for entry in entries)
-    if args.bench:
-        for entry in entries:
-            if entry["graph"] is not None:
-                entry["bench"] = replay_timings(
-                    get_workload(entry["workload"]), args.passes,
-                    args.repeats)
 
     payload = {"schema": "repro.graphopt-report/v1",
                "passes": list(passes), "graphs": entries}
@@ -265,10 +252,6 @@ def _cmd_graph(args) -> int:
             print(f"  {low['kernel']}: {status}")
         print(f"  optimized graph lint: "
               f"{'clean' if entry['lint_clean'] else 'ERRORS'}")
-        bench = entry.get("bench")
-        if bench:
-            for key, value in bench.items():
-                print(f"  {key}: {value * 1e6:.1f} us")
     if args.output:
         print(f"wrote JSON report to {args.output}")
     return 0 if all_clean else 1

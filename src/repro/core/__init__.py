@@ -2,9 +2,9 @@
 
 This package provides the Mojo-style device programming API used by every
 workload in the repository: typed device buffers and layout tensors, thread
-intrinsics, atomics, kernel/launch abstractions, and the multi-level
-compilation pipeline whose backend-specific lowering reproduces the paper's
-profiling observations.
+intrinsics, atomics, kernel/launch abstractions, and the backend-specific
+lowering (``compile_kernel``) that reproduces the paper's profiling
+observations.
 
 The re-exports below resolve on first access (:mod:`repro._lazy`): importing
 one module of the package, such as :mod:`repro.core.errors`, does not import
@@ -15,8 +15,8 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".atomics": ("Atomic", "atomic_add", "atomic_max", "atomic_min"),
-    ".compiler": ("CompiledKernel", "CompilerProfile", "Opcode", "build_ir",
-                  "compile_kernel", "default_pass_pipeline"),
+    ".compiler": ("CompiledKernel", "CompilerProfile", "Opcode",
+                  "compile_kernel"),
     ".device": ("DeviceBuffer", "DeviceContext", "DeviceGraph", "Event",
                 "PipelineTiming", "Stream", "StreamEvent"),
     ".dtypes": ("DType", "dtype_from_any"),
@@ -34,8 +34,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 
 __all__ = [
     "Atomic", "atomic_add", "atomic_max", "atomic_min",
-    "CompiledKernel", "CompilerProfile", "Opcode", "build_ir", "compile_kernel",
-    "default_pass_pipeline",
+    "CompiledKernel", "CompilerProfile", "Opcode", "compile_kernel",
     "DeviceBuffer", "DeviceContext", "DeviceGraph", "Event",
     "PipelineTiming", "Stream", "StreamEvent",
     "DType", "dtype_from_any",

@@ -1,48 +1,40 @@
-"""A small multi-level compilation pipeline for kernel models.
+"""Backend lowering of kernel models.
 
 Mojo lowers kernels through MLIR to vendor ISA; CUDA/HIP lower through their
 own compilers.  The observable consequences in the paper are instruction-mix
 differences (Figure 5), register-allocation differences (Tables 2-3), the
 availability of ``fast-math`` (Figures 6-7), and the lowering chosen for
 atomic operations (Table 4).  This module reproduces those consequences with
-an explicit, inspectable pipeline:
+one lowering function:
 
-``KernelModel``  →  ``build_ir``  →  [passes]  →  :class:`CompiledKernel`
+``KernelModel`` + :class:`CompilerProfile`  →  :func:`compile_kernel`  →
+:class:`CompiledKernel`
 
-The per-backend differences are expressed by a :class:`CompilerProfile`
-(constructed by each backend), so the *mechanism* that produces a difference
-(e.g. constant-memory promotion producing fewer ``LDC`` instructions for Mojo)
-lives here and can be ablated.
+It lowers in a fixed order: the backend-neutral instruction mix with
+constant promotion, fast-math legalisation, integer-op inflation, atomic
+lowering, then spill and pathology analysis.  The per-backend differences
+are expressed by a :class:`CompilerProfile` (constructed by each backend), so
+the *mechanism* that produces a difference (e.g. constant-memory promotion
+producing fewer ``LDC`` instructions for Mojo) lives here and can be ablated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .dtypes import DType
 from .errors import CompilationError
-from .kernel import KernelModel, LaunchConfig, MemoryPattern
+from .kernel import KernelModel, LaunchConfig
 from .memo import Memo
 
 __all__ = [
     "Opcode",
-    "IROp",
-    "KernelIR",
     "CompilerProfile",
     "CompiledKernel",
-    "CompilerPass",
-    "ConstantPromotionPass",
-    "FastMathPass",
-    "RegisterAllocationPass",
-    "AtomicLoweringPass",
-    "SpillAnalysisPass",
-    "build_ir",
     "compile_kernel",
     "compile_cache_info",
     "COMPILE_MEMO",
-    "default_pass_pipeline",
 ]
 
 
@@ -69,49 +61,6 @@ class Opcode:
     ATOM_CAS = "ATOM_CAS"  # compare-and-swap loop iteration (software atomic)
     LDL = "LDL"       # local (spill) load
     STL = "STL"       # local (spill) store
-
-
-@dataclass
-class IROp:
-    """One instruction class with an average per-thread execution count."""
-
-    opcode: str
-    count: float
-    dtype: Optional[DType] = None
-    note: str = ""
-
-    def scaled(self, factor: float) -> "IROp":
-        return IROp(self.opcode, self.count * factor, self.dtype, self.note)
-
-
-@dataclass
-class KernelIR:
-    """Lowered kernel: instruction classes plus structural metadata."""
-
-    name: str
-    ops: List[IROp] = field(default_factory=list)
-    model: Optional[KernelModel] = None
-    fast_math: bool = False
-    uses_constant_memory: bool = False
-    notes: List[str] = field(default_factory=list)
-
-    def count(self, opcode: str) -> float:
-        return sum(op.count for op in self.ops if op.opcode == opcode)
-
-    def total_instructions(self) -> float:
-        return sum(op.count for op in self.ops)
-
-    def mix(self) -> Dict[str, float]:
-        """Aggregate per-opcode counts."""
-        out: Dict[str, float] = {}
-        for op in self.ops:
-            out[op.opcode] = out.get(op.opcode, 0.0) + op.count
-        return out
-
-    def replace_ops(self, ops: List[IROp]) -> "KernelIR":
-        clone = KernelIR(self.name, list(ops), self.model, self.fast_math,
-                         self.uses_constant_memory, list(self.notes))
-        return clone
 
 
 @dataclass(frozen=True)
@@ -184,9 +133,11 @@ class CompiledKernel:
     kernel_name: str
     backend_name: str
     fast_math: bool
-    ir: KernelIR
     registers_per_thread: int
+    #: per-opcode counts per thread, in the order each opcode is first emitted
     instruction_mix: Mapping[str, float]
+    #: scalar arguments live in constant memory (promoted by the backend)
+    uses_constant_memory: bool
     #: global DRAM traffic per active thread, bytes
     dram_bytes_per_thread: float
     #: cost-weighted FLOP-equivalents per active thread (drives compute time)
@@ -204,215 +155,6 @@ class CompiledKernel:
     launch: Optional[LaunchConfig] = None
     notes: Tuple[str, ...] = ()
 
-    @property
-    def uses_constant_memory(self) -> bool:
-        return self.ir.uses_constant_memory
-
-    def sass_listing(self) -> List[str]:
-        """A human-readable pseudo-assembly listing (Figure 5 style)."""
-        lines = [f"// {self.backend_name} lowering of {self.kernel_name}"
-                 f" (registers={self.registers_per_thread}"
-                 f"{', fast-math' if self.fast_math else ''})"]
-        for op in sorted(self.ir.ops, key=lambda o: -o.count):
-            if op.count <= 0:
-                continue
-            note = f"  // {op.note}" if op.note else ""
-            lines.append(f"  {op.opcode:<9} x{op.count:>8.1f}{note}")
-        return lines
-
-
-# ---------------------------------------------------------------------------
-# IR construction
-# ---------------------------------------------------------------------------
-
-def build_ir(model: KernelModel) -> KernelIR:
-    """Lower a :class:`KernelModel` into the initial (backend-neutral) IR."""
-    ops: List[IROp] = []
-    dt = model.dtype
-
-    ops.append(IROp(Opcode.LDG, model.loads_global, dt, "global loads"))
-    ops.append(IROp(Opcode.STG, model.stores_global, dt, "global stores"))
-    if model.shared_loads:
-        ops.append(IROp(Opcode.LDS, model.shared_loads, dt, "shared loads"))
-    if model.shared_stores:
-        ops.append(IROp(Opcode.STS, model.shared_stores, dt, "shared stores"))
-    if model.barriers:
-        ops.append(IROp(Opcode.BAR, model.barriers, None, "block barriers"))
-
-    # Floating point: split plain flops into FMA + ADD/MUL in a generic ratio.
-    fma = model.flops * 0.45
-    fadd = model.flops * 0.35
-    fmul = model.flops * 0.20
-    ops.append(IROp(Opcode.FFMA, fma, dt, "fused multiply-adds"))
-    ops.append(IROp(Opcode.FADD, fadd, dt, "adds/subs"))
-    ops.append(IROp(Opcode.FMUL, fmul, dt, "multiplies"))
-    if model.divides:
-        ops.append(IROp(Opcode.FDIV, model.divides, dt, "divide/sqrt"))
-    if model.transcendentals:
-        ops.append(IROp(Opcode.MUFU, model.transcendentals, dt,
-                        "special functions (sin/cos/exp/pow)"))
-
-    # Integer / control instructions
-    ops.append(IROp(Opcode.IADD3, model.int_ops * 0.5, None, "index adds"))
-    ops.append(IROp(Opcode.IMAD, model.int_ops * 0.3, None, "index multiply-adds"))
-    ops.append(IROp(Opcode.ISETP, max(1.0, model.int_ops * 0.1), None, "predicates"))
-    ops.append(IROp(Opcode.BRA, max(1.0, model.int_ops * 0.1), None, "branches"))
-    ops.append(IROp(Opcode.MOV, 4.0 + model.scalar_args, None, "parameter staging"))
-
-    # Scalar arguments start as generic constant loads; the constant promotion
-    # pass rewrites them per backend.
-    if model.scalar_args:
-        ops.append(IROp(Opcode.LDC, 0.0, None, "constant loads (pre-promotion)"))
-
-    if model.atomics:
-        ops.append(IROp(Opcode.ATOM, model.atomics, dt, "atomic RMW"))
-
-    return KernelIR(name=model.name, ops=ops, model=model)
-
-
-# ---------------------------------------------------------------------------
-# Passes
-# ---------------------------------------------------------------------------
-
-class CompilerPass:
-    """Base class: a pass transforms a KernelIR given a profile."""
-
-    name = "pass"
-
-    def run(self, ir: KernelIR, profile: CompilerProfile,
-            fast_math: bool) -> KernelIR:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class ConstantPromotionPass(CompilerPass):
-    """Decide how scalar kernel arguments are materialised.
-
-    Mojo promotes compile-time scalars into constant memory / immediates,
-    producing fewer ``LDC`` operations than CUDA for the Triad kernel
-    (Figure 5, observation i).
-    """
-
-    name = "constant-promotion"
-
-    def run(self, ir: KernelIR, profile: CompilerProfile, fast_math: bool) -> KernelIR:
-        model = ir.model
-        if model is None or model.scalar_args == 0:
-            return ir
-        per_scalar = (profile.promoted_loads_per_scalar if profile.constant_promotion
-                      else profile.constant_loads_per_scalar)
-        new_ops = []
-        for op in ir.ops:
-            if op.opcode == Opcode.LDC:
-                op = IROp(Opcode.LDC, per_scalar * model.scalar_args, None,
-                          "constant loads" + (" (promoted)" if profile.constant_promotion else ""))
-            new_ops.append(op)
-        out = ir.replace_ops(new_ops)
-        out.uses_constant_memory = profile.constant_promotion
-        if profile.constant_promotion:
-            out.notes.append("scalars promoted to constant memory")
-        return out
-
-
-class FastMathPass(CompilerPass):
-    """Legalise special functions depending on fast-math availability."""
-
-    name = "fast-math"
-
-    def run(self, ir: KernelIR, profile: CompilerProfile, fast_math: bool) -> KernelIR:
-        enabled = bool(fast_math and profile.fast_math_available)
-        out = ir.replace_ops(list(ir.ops))
-        out.fast_math = enabled
-        if enabled:
-            out.notes.append("fast-math: special functions lowered to HW approximations")
-        elif fast_math and not profile.fast_math_available:
-            out.notes.append("fast-math requested but unavailable in this toolchain")
-        return out
-
-
-class RegisterAllocationPass(CompilerPass):
-    """Estimate registers/thread and integer-op inflation for the backend."""
-
-    name = "register-allocation"
-
-    def run(self, ir: KernelIR, profile: CompilerProfile, fast_math: bool) -> KernelIR:
-        model = ir.model
-        if model is None:
-            return ir
-        new_ops = []
-        for op in ir.ops:
-            if op.opcode in (Opcode.IADD3, Opcode.IMAD):
-                op = op.scaled(profile.int_op_scale)
-            new_ops.append(op)
-        out = ir.replace_ops(new_ops)
-        return out
-
-    @staticmethod
-    def estimate_registers(model: KernelModel, profile: CompilerProfile) -> int:
-        base = model.working_values
-        est = int(round(base * profile.register_scale)) + profile.register_bias
-        return max(8, est)
-
-
-class AtomicLoweringPass(CompilerPass):
-    """Lower atomics to native RMW or to a CAS retry loop."""
-
-    name = "atomic-lowering"
-
-    def run(self, ir: KernelIR, profile: CompilerProfile, fast_math: bool) -> KernelIR:
-        model = ir.model
-        if model is None or model.atomics == 0:
-            return ir
-        new_ops = []
-        for op in ir.ops:
-            if op.opcode == Opcode.ATOM and profile.atomic_mode == "cas":
-                expanded = model.atomics * (1.0 + profile.cas_expected_retries)
-                new_ops.append(IROp(Opcode.ATOM_CAS, expanded, op.dtype,
-                                    "software CAS loop (no native FP64 atomic path)"))
-                # each retry re-loads the destination
-                new_ops.append(IROp(Opcode.LDG, expanded, op.dtype,
-                                    "CAS destination reloads"))
-                continue
-            new_ops.append(op)
-        out = ir.replace_ops(new_ops)
-        if profile.atomic_mode == "cas":
-            out.notes.append("atomics lowered to compare-and-swap loops")
-        return out
-
-
-class SpillAnalysisPass(CompilerPass):
-    """Detect register spilling / codegen pathologies for large kernels."""
-
-    name = "spill-analysis"
-
-    def run(self, ir: KernelIR, profile: CompilerProfile, fast_math: bool) -> KernelIR:
-        model = ir.model
-        if model is None:
-            return ir
-        out = ir.replace_ops(list(ir.ops))
-        if model.working_values > profile.spill_threshold_values:
-            spilled_values = model.working_values - profile.spill_threshold_values
-            out.ops.append(IROp(Opcode.STL, spilled_values * 2.0, model.dtype,
-                                "register spill stores"))
-            out.ops.append(IROp(Opcode.LDL, spilled_values * 2.0, model.dtype,
-                                "register spill loads"))
-            out.notes.append(f"spilled {spilled_values} live values to local memory")
-        return out
-
-
-def default_pass_pipeline() -> List[CompilerPass]:
-    """The standard pass order used by every backend."""
-    return [
-        ConstantPromotionPass(),
-        FastMathPass(),
-        RegisterAllocationPass(),
-        AtomicLoweringPass(),
-        SpillAnalysisPass(),
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Top-level compile
-# ---------------------------------------------------------------------------
 
 _FAST_SPECIAL_WEIGHT = 4.0     # flop-equivalents of a fast-math special op
 _SLOW_SPECIAL_WEIGHT = 20.0    # flop-equivalents without fast-math
@@ -426,9 +168,7 @@ _SLOW_DIV_WEIGHT = 12.0
 # The figure/table sweeps recompile the *same* (model, profile, fast_math)
 # combination hundreds of times per experiment (every repeat, every GPU row).
 # KernelModel, CompilerProfile and LaunchConfig are all frozen dataclasses, so
-# the full compile input is hashable by value; custom pass pipelines are keyed
-# by the identity of the pass instances (the tuple in the key keeps them
-# alive, so ids cannot be recycled).  Entries are shared: the cached
+# the full compile input is hashable by value.  Entries are shared: the cached
 # CompiledKernel is frozen, with a read-only instruction mix and a tuple of
 # notes.  A call without a launch returns the entry itself; a launch is
 # applied to a copy per call.
@@ -449,65 +189,101 @@ def compile_kernel(
     fast_math: bool = False,
     launch: Optional[LaunchConfig] = None,
     backend_name: Optional[str] = None,
-    passes: Optional[List[CompilerPass]] = None,
 ) -> CompiledKernel:
-    """Run the pass pipeline over *model* and assemble a :class:`CompiledKernel`.
+    """Lower *model* for *profile* into a :class:`CompiledKernel`.
 
-    Results are memoised on ``(model, profile, fast_math, backend_name,
-    passes-identity)`` in :data:`COMPILE_MEMO`; *launch* only annotates the
-    returned object and is applied per call; without it the memo's own entry
-    is returned, one instance per input.  Because :class:`KernelModel` is
-    frozen, a "mutated" model (via :meth:`KernelModel.scaled`) is a different
-    value and therefore a different cache key — stale results cannot be
-    served.
+    Results are memoised on ``(model, profile, fast_math, backend_name)`` in
+    :data:`COMPILE_MEMO`; *launch* only annotates the returned object and is
+    applied per call; without it the memo's own entry is returned, one
+    instance per input.  Because :class:`KernelModel` is frozen, a "mutated"
+    model (via :meth:`KernelModel.scaled`) is a different value and therefore
+    a different cache key — stale results cannot be served.
     """
-    def compile_once():
-        return _compile_uncached(model, profile, fast_math=fast_math,
-                                 launch=None, backend_name=backend_name,
-                                 passes=passes)
-
-    key = (model, profile, bool(fast_math), backend_name,
-           None if passes is None else tuple(passes))
-    try:
-        hash(key)
-    except TypeError:
-        # Unhashable ingredient (e.g. an exotic pass pipeline): compile
-        # straight through without memoisation.
-        return replace(compile_once(), launch=launch)
-    compiled = COMPILE_MEMO.get_or_compute(key, compile_once)
+    compiled = COMPILE_MEMO.get_or_compute(
+        (model, profile, bool(fast_math), backend_name),
+        lambda: _lower(model, profile, fast_math, backend_name))
     return compiled if launch is None else replace(compiled, launch=launch)
 
 
-def _compile_uncached(
-    model: KernelModel,
-    profile: CompilerProfile,
-    *,
-    fast_math: bool = False,
-    launch: Optional[LaunchConfig] = None,
-    backend_name: Optional[str] = None,
-    passes: Optional[List[CompilerPass]] = None,
-) -> CompiledKernel:
-    """The actual pass pipeline; see :func:`compile_kernel`."""
+def _lower(model: KernelModel, profile: CompilerProfile, fast_math: bool,
+           backend_name: Optional[str]) -> CompiledKernel:
+    """The lowering behind a :func:`compile_kernel` miss."""
     profile = profile.validated()
-    ir = build_ir(model)
-    for p in (passes if passes is not None else default_pass_pipeline()):
-        ir = p.run(ir, profile, fast_math)
+    mix: Dict[str, float] = {}
+    notes: List[str] = []
 
-    fast = ir.fast_math
-    registers = RegisterAllocationPass.estimate_registers(model, profile)
+    def emit(opcode: str, count: float) -> None:
+        # float counts; a CAS loop's destination reloads add to LDG
+        mix[opcode] = mix.get(opcode, 0.0) + count
+
+    emit(Opcode.LDG, model.loads_global)
+    emit(Opcode.STG, model.stores_global)
+    if model.shared_loads:
+        emit(Opcode.LDS, model.shared_loads)
+    if model.shared_stores:
+        emit(Opcode.STS, model.shared_stores)
+    if model.barriers:
+        emit(Opcode.BAR, model.barriers)
+
+    # Floating point: split plain flops into FMA + ADD/MUL in a generic ratio.
+    emit(Opcode.FFMA, model.flops * 0.45)
+    emit(Opcode.FADD, model.flops * 0.35)
+    emit(Opcode.FMUL, model.flops * 0.20)
+    if model.divides:
+        emit(Opcode.FDIV, model.divides)
+    if model.transcendentals:
+        emit(Opcode.MUFU, model.transcendentals)
+
+    # Index arithmetic, inflated by the backend's address re-computation
+    # (Figure 5's extra IADD3s).
+    emit(Opcode.IADD3, model.int_ops * 0.5 * profile.int_op_scale)
+    emit(Opcode.IMAD, model.int_ops * 0.3 * profile.int_op_scale)
+    emit(Opcode.ISETP, max(1.0, model.int_ops * 0.1))
+    emit(Opcode.BRA, max(1.0, model.int_ops * 0.1))
+    emit(Opcode.MOV, 4.0 + model.scalar_args)
+
+    # Scalar arguments: Mojo promotes compile-time scalars into constant
+    # memory, producing fewer LDCs than CUDA for Triad (Figure 5, obs. i).
+    if model.scalar_args:
+        per_scalar = (profile.promoted_loads_per_scalar
+                      if profile.constant_promotion
+                      else profile.constant_loads_per_scalar)
+        emit(Opcode.LDC, per_scalar * model.scalar_args)
+        if profile.constant_promotion:
+            notes.append("scalars promoted to constant memory")
+
+    fast = bool(fast_math and profile.fast_math_available)
+    if fast:
+        notes.append("fast-math: special functions lowered to HW approximations")
+    elif fast_math:
+        notes.append("fast-math requested but unavailable in this toolchain")
+
+    # Atomics: native RMW, or a CAS retry loop that re-loads the destination
+    # on every retry (no native FP64 atomic path).
+    loads = model.loads_global
+    if model.atomics:
+        if profile.atomic_mode == "cas":
+            expanded = model.atomics * (1.0 + profile.cas_expected_retries)
+            emit(Opcode.ATOM_CAS, expanded)
+            emit(Opcode.LDG, expanded)
+            loads = loads + expanded
+            notes.append("atomics lowered to compare-and-swap loops")
+        else:
+            emit(Opcode.ATOM, model.atomics)
+
+    # DRAM traffic per active thread, including CAS reload traffic.
+    dram_bytes = (loads + model.stores_global) * model.dtype.sizeof
     spilled = model.working_values > profile.spill_threshold_values
     local_bytes = 0
     if spilled:
-        local_bytes = (model.working_values - profile.spill_threshold_values) \
-            * model.dtype.sizeof
-
-    # DRAM traffic per active thread, including CAS reload traffic.
-    loads = ir.count(Opcode.LDG)
-    stores = ir.count(Opcode.STG)
-    dram_bytes = (loads + stores) * model.dtype.sizeof
-    if spilled:
-        spill_traffic = (ir.count(Opcode.LDL) + ir.count(Opcode.STL)) * model.dtype.sizeof
-        dram_bytes += spill_traffic * 0.5   # spills partially hit in L2
+        spilled_values = model.working_values - profile.spill_threshold_values
+        spill_ops = spilled_values * 2.0
+        emit(Opcode.STL, spill_ops)
+        emit(Opcode.LDL, spill_ops)
+        notes.append(f"spilled {spilled_values} live values to local memory")
+        local_bytes = spilled_values * model.dtype.sizeof
+        # spills partially hit in L2
+        dram_bytes += (spill_ops + spill_ops) * model.dtype.sizeof * 0.5
 
     # FLOP accounting: raw FLOPs for reporting, weighted FLOPs for timing.
     raw_flops = model.flops + model.divides + model.transcendentals
@@ -524,35 +300,35 @@ def _compile_uncached(
     # The codegen pathology observed in the paper (Table 4, a=1024/ngauss=6)
     # is specific to the atomic-heavy Hartree-Fock kernel with a very large
     # working set; kernels without atomics are not affected.
-    pathology = (model.atomics > 0
-                 and model.working_values > profile.pathology_threshold_values)
-    if pathology:
+    if (model.atomics > 0
+            and model.working_values > profile.pathology_threshold_values):
         effective_flops *= profile.pathology_penalty
-        ir.notes.append("codegen pathology: working set exceeds backend threshold")
+        notes.append("codegen pathology: working set exceeds backend threshold")
 
-    atomic_per_thread = model.atomics
     atomic_scale = profile.atomic_throughput_scale
     if profile.atomic_mode == "cas":
         atomic_scale = atomic_scale / (1.0 + profile.cas_expected_retries)
 
+    registers = int(round(model.working_values * profile.register_scale)) \
+        + profile.register_bias
     return CompiledKernel(
         kernel_name=model.name,
         backend_name=backend_name or profile.name,
         fast_math=fast,
-        ir=ir,
-        registers_per_thread=registers,
-        instruction_mix=MappingProxyType(ir.mix()),
+        registers_per_thread=max(8, registers),
+        instruction_mix=MappingProxyType(mix),
+        uses_constant_memory=(bool(model.scalar_args)
+                              and profile.constant_promotion),
         dram_bytes_per_thread=dram_bytes,
         effective_flops_per_thread=effective_flops,
         raw_flops_per_thread=raw_flops,
         shared_bytes_per_block=model.shared_bytes_per_block,
-        atomic_ops_per_thread=atomic_per_thread,
+        atomic_ops_per_thread=model.atomics,
         atomic_mode=profile.atomic_mode,
         atomic_throughput_scale=atomic_scale,
         spilled=spilled,
         local_memory_bytes_per_thread=local_bytes,
         model=model,
         profile=profile,
-        launch=launch,
-        notes=tuple(ir.notes),
+        notes=tuple(notes),
     )

@@ -8,7 +8,7 @@ used by the backends:
 * a human-readable name,
 * an optional :class:`KernelModel` builder describing the kernel's per-thread
   resource usage (global loads/stores, FLOPs, atomics, shared-memory traffic,
-  transcendental operations ...).  The compiler pipeline lowers this model to
+  transcendental operations ...).  ``compile_kernel`` lowers this model to
   an instruction mix and the timing model turns it into a predicted kernel
   duration on a given GPU.
 

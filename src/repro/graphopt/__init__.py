@@ -27,7 +27,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                "lowering_report"),
     ".passes": ("GraphOptReport", "PASS_NAMES", "optimize_graph",
                 "parse_passes"),
-    ".report": ("graph_entry", "graphopt_markdown", "replay_timings"),
+    ".report": ("graph_entry", "graphopt_markdown"),
 })
 
 __all__ = [
@@ -41,5 +41,4 @@ __all__ = [
     "lowering_report",
     "optimize_graph",
     "parse_passes",
-    "replay_timings",
 ]

@@ -8,14 +8,10 @@ verdict on the optimized graph and one
 :func:`graphopt_markdown` renders those entries as the report's
 graph-compiler section.  Every number in an entry is modelled or counted,
 so the section is a pure function of the code.
-
-:func:`replay_timings` is the one host replay timer, behind ``repro graph
---bench``; host wall times never reach the report.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Sequence
 
 from ..analysis.diagnostics import Severity
@@ -24,7 +20,7 @@ from ..harness.results import ResultTable
 from .lower import lowering_report
 from .passes import optimize_graph
 
-__all__ = ["graph_entry", "graphopt_markdown", "replay_timings"]
+__all__ = ["graph_entry", "graphopt_markdown"]
 
 
 def graph_entry(name: str, passes: str) -> Dict[str, object]:
@@ -85,40 +81,9 @@ def graphopt_markdown(entries: Sequence[Dict[str, object]]) -> str:
         "and kernels before → after, the fused kernel groups, elided "
         "transfers, the surviving kernels the lowering tier "
         "compiles to NumPy, and the race detector's verdict on the "
-        "optimized graph. Replay wall times are host measurements; "
-        "`repro graph --bench` prints them.",
+        "optimized graph. Replay wall times are host measurements, so "
+        "they stay out of this report.",
         "",
         table.to_markdown(),
     ])
 
-
-def _best(fn, repeats: int) -> float:
-    fn()                                        # warm caches/codegen
-    samples = []
-    for _ in range(max(repeats, 1)):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    return min(samples)
-
-
-def replay_timings(workload, passes: str,
-                   repeats: int) -> Dict[str, float]:
-    """Best-of-*repeats* replay times for one workload's graphs, in seconds.
-
-    ``unfused_replay_s`` / ``fused_replay_s`` replay the lint capture before
-    and after the *passes* pipeline; ``vectorized_replay_s`` /
-    ``lowered_replay_s`` replay executor-mode variants of the tuning probe.
-    A key is absent when the workload has no such graph.
-    """
-    timings: Dict[str, float] = {}
-    graph = workload.lint_graph()
-    if graph is not None:
-        optimized, _ = optimize_graph(graph, passes)
-        timings["unfused_replay_s"] = _best(graph.replay, repeats)
-        timings["fused_replay_s"] = _best(optimized.replay, repeats)
-    for mode in ("vectorized", "lowered"):
-        probe = workload.tuning_probe(workload.make_request(executor=mode))
-        if probe is not None:
-            timings[f"{mode}_replay_s"] = _best(probe.replay, repeats)
-    return timings

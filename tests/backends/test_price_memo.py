@@ -180,6 +180,20 @@ def test_one_compile_serves_every_launch():
     assert entry.launch is None
 
 
+def test_time_resolves_the_gpu_once(monkeypatch):
+    mojo = get_backend("mojo")
+    calls = []
+    resolve = mojo.require_support
+
+    def counted(gpu):
+        calls.append(gpu)
+        return resolve(gpu)
+
+    monkeypatch.setattr(mojo, "require_support", counted)
+    mojo.time(_model(), "h100", LAUNCH)
+    assert calls == ["h100"]
+
+
 def test_priced_run_matches_an_unmemoised_price():
     PRICE_MEMO.clear()
     cuda = get_backend("cuda")

@@ -1,14 +1,8 @@
-"""Tests for the compilation pipeline (IR, passes, CompiledKernel)."""
+"""Tests for the backend lowering (compile_kernel, CompiledKernel)."""
 
 import pytest
 
-from repro.core.compiler import (
-    CompilerProfile,
-    Opcode,
-    build_ir,
-    compile_kernel,
-    default_pass_pipeline,
-)
+from repro.core.compiler import CompilerProfile, Opcode, compile_kernel
 from repro.core.dtypes import DType
 from repro.core.errors import CompilationError
 from repro.core.kernel import KernelModel, LaunchConfig
@@ -21,35 +15,40 @@ def _model(**kw):
     return KernelModel(**defaults)
 
 
-class TestBuildIR:
+def _mix(profile=None, **kw):
+    return compile_kernel(_model(**kw), profile or CompilerProfile()).instruction_mix
+
+
+class TestInstructionMix:
     def test_memory_ops_counted(self):
-        ir = build_ir(_model(loads_global=7, stores_global=1))
-        assert ir.count(Opcode.LDG) == 7
-        assert ir.count(Opcode.STG) == 1
+        mix = _mix(loads_global=7, stores_global=1)
+        assert mix[Opcode.LDG] == 7
+        assert mix[Opcode.STG] == 1
 
     def test_flops_split_preserves_total(self):
-        ir = build_ir(_model(flops=100))
-        total = ir.count(Opcode.FFMA) + ir.count(Opcode.FADD) + ir.count(Opcode.FMUL)
+        mix = _mix(flops=100)
+        total = mix[Opcode.FFMA] + mix[Opcode.FADD] + mix[Opcode.FMUL]
         assert total == pytest.approx(100)
 
     def test_shared_and_barrier_ops(self):
-        ir = build_ir(_model(shared_loads=4, shared_stores=2, barriers=3))
-        assert ir.count(Opcode.LDS) == 4
-        assert ir.count(Opcode.STS) == 2
-        assert ir.count(Opcode.BAR) == 3
+        mix = _mix(shared_loads=4, shared_stores=2, barriers=3)
+        assert mix[Opcode.LDS] == 4
+        assert mix[Opcode.STS] == 2
+        assert mix[Opcode.BAR] == 3
+        assert Opcode.LDS not in _mix()
 
-    def test_atomics_lowered_initially_as_atom(self):
-        ir = build_ir(_model(atomics=6))
-        assert ir.count(Opcode.ATOM) == 6
+    def test_native_atomics_stay_atom(self):
+        mix = _mix(CompilerProfile(atomic_mode="native"), atomics=6)
+        assert mix[Opcode.ATOM] == 6
+        assert Opcode.ATOM_CAS not in mix
 
-    def test_mix_aggregates(self):
-        ir = build_ir(_model())
-        mix = ir.mix()
+    def test_mix_values_are_floats(self):
+        mix = _mix()
         assert mix[Opcode.LDG] == 2
-        assert ir.total_instructions() == pytest.approx(sum(mix.values()))
+        assert all(type(count) is float for count in mix.values())
 
 
-class TestPasses:
+class TestLowering:
     def test_constant_promotion_reduces_ldc(self):
         model = _model(scalar_args=4)
         promoted = compile_kernel(model, CompilerProfile(constant_promotion=True,
@@ -136,20 +135,9 @@ class TestCompiledKernel:
                                   CompilerProfile())
         assert compiled.dram_bytes_per_thread == pytest.approx(4 * 8)
 
-    def test_sass_listing_text(self):
-        compiled = compile_kernel(_model(), CompilerProfile(name="cuda"))
-        listing = compiled.sass_listing()
-        assert any("LDG" in line for line in listing)
-        assert listing[0].startswith("//")
-
-    def test_default_pipeline_order(self):
-        names = [p.name for p in default_pass_pipeline()]
-        assert names == ["constant-promotion", "fast-math", "register-allocation",
-                         "atomic-lowering", "spill-analysis"]
-
 
 class TestCompileCache:
-    """Memoisation of compile_kernel on (model, profile, fast_math, passes)."""
+    """Memoisation of compile_kernel on (model, profile, fast_math, backend)."""
 
     def setup_method(self):
         from repro.core.compiler import COMPILE_MEMO
@@ -203,13 +191,94 @@ class TestCompileCache:
         assert compile_cache_info()["hits"] == 1
         assert a.launch == launch_a and b.launch == launch_b
 
-    def test_pass_pipeline_identity_in_key(self):
-        from repro.core.compiler import compile_cache_info
-        model = _model()
-        profile = CompilerProfile()
-        pipeline = default_pass_pipeline()
-        compile_kernel(model, profile, passes=pipeline)
-        compile_kernel(model, profile, passes=pipeline)          # same objects
-        assert compile_cache_info()["hits"] == 1
-        compile_kernel(model, profile, passes=default_pass_pipeline())
-        assert compile_cache_info()["misses"] == 2               # fresh objects
+
+# One model per lowering branch: (model fields, profile fields, fast_math,
+# ordered instruction mix, notes, uses_constant_memory, registers, DRAM bytes).
+ORACLE = {
+    "cas_spill": (
+        dict(loads_global=3, stores_global=1, flops=40, int_ops=12, divides=2,
+             transcendentals=1, atomics=6, shared_loads=4, shared_stores=2,
+             barriers=1, scalar_args=3, working_values=72),
+        dict(atomic_mode="cas", cas_expected_retries=4.0,
+             spill_threshold_values=64, int_op_scale=1.2),
+        False,
+        [("LDG", 33.0), ("STG", 1.0), ("LDS", 4.0), ("STS", 2.0),
+         ("BAR", 1.0), ("FFMA", 18.0), ("FADD", 14.0), ("FMUL", 8.0),
+         ("FDIV", 2.0), ("MUFU", 1.0), ("IADD3", 7.199999999999999),
+         ("IMAD", 4.319999999999999), ("ISETP", 1.2000000000000002),
+         ("BRA", 1.2000000000000002), ("MOV", 7.0), ("LDC", 6.0),
+         ("ATOM_CAS", 30.0), ("STL", 16.0), ("LDL", 16.0)],
+        ("atomics lowered to compare-and-swap loops",
+         "spilled 8 live values to local memory"),
+        False, 75, 400.0),
+    "promotion_fast_math": (
+        dict(loads_global=2, stores_global=1, flops=10, transcendentals=4,
+             scalar_args=4, working_values=18),
+        dict(constant_promotion=True, promoted_loads_per_scalar=0.5,
+             register_scale=1.15),
+        True,
+        [("LDG", 2.0), ("STG", 1.0), ("FFMA", 4.5), ("FADD", 3.5),
+         ("FMUL", 2.0), ("MUFU", 4.0), ("IADD3", 4.0), ("IMAD", 2.4),
+         ("ISETP", 1.0), ("BRA", 1.0), ("MOV", 8.0), ("LDC", 2.0)],
+        ("scalars promoted to constant memory",
+         "fast-math: special functions lowered to HW approximations"),
+        True, 24, 24),
+    "fast_math_unavailable": (
+        dict(loads_global=2, stores_global=1, flops=10, divides=3,
+             scalar_args=2, working_values=16),
+        dict(fast_math_available=False),
+        True,
+        [("LDG", 2.0), ("STG", 1.0), ("FFMA", 4.5), ("FADD", 3.5),
+         ("FMUL", 2.0), ("FDIV", 3.0), ("IADD3", 4.0), ("IMAD", 2.4),
+         ("ISETP", 1.0), ("BRA", 1.0), ("MOV", 6.0), ("LDC", 4.0)],
+        ("fast-math requested but unavailable in this toolchain",),
+        False, 19, 24),
+    "pathology": (
+        dict(loads_global=5, stores_global=1, flops=200, atomics=2,
+             scalar_args=1, working_values=80),
+        dict(pathology_threshold_values=70, pathology_penalty=9.0,
+             spill_threshold_values=100),
+        False,
+        [("LDG", 5.0), ("STG", 1.0), ("FFMA", 90.0), ("FADD", 70.0),
+         ("FMUL", 40.0), ("IADD3", 4.0), ("IMAD", 2.4), ("ISETP", 1.0),
+         ("BRA", 1.0), ("MOV", 5.0), ("LDC", 2.0), ("ATOM", 2.0)],
+        ("codegen pathology: working set exceeds backend threshold",),
+        False, 83, 48),
+    "no_scalars": (
+        dict(loads_global=2, stores_global=1, flops=10, scalar_args=0,
+             working_values=4),
+        dict(constant_promotion=True),
+        False,
+        [("LDG", 2.0), ("STG", 1.0), ("FFMA", 4.5), ("FADD", 3.5),
+         ("FMUL", 2.0), ("IADD3", 4.0), ("IMAD", 2.4), ("ISETP", 1.0),
+         ("BRA", 1.0), ("MOV", 4.0)],
+        (),
+        False, 8, 24),
+    "cas_without_atomics": (
+        dict(loads_global=2, stores_global=2, flops=6, int_ops=4,
+             scalar_args=2, working_values=12),
+        dict(atomic_mode="cas"),
+        False,
+        [("LDG", 2.0), ("STG", 2.0), ("FFMA", 2.7),
+         ("FADD", 2.0999999999999996), ("FMUL", 1.2000000000000002),
+         ("IADD3", 2.0), ("IMAD", 1.2), ("ISETP", 1.0), ("BRA", 1.0),
+         ("MOV", 6.0), ("LDC", 4.0)],
+        (),
+        False, 15, 32),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE))
+def test_compile_oracle(case):
+    """Pinned lowering of one model per branch: mix order, notes, types."""
+    (model_kw, profile_kw, fast_math, mix, notes, constant_memory,
+     registers, dram) = ORACLE[case]
+    model = KernelModel(name=case, dtype=DType.float64, **model_kw)
+    compiled = compile_kernel(model, CompilerProfile(**profile_kw),
+                              fast_math=fast_math)
+    assert list(compiled.instruction_mix.items()) == mix
+    assert compiled.notes == notes
+    assert compiled.uses_constant_memory is constant_memory
+    assert compiled.registers_per_thread == registers
+    assert compiled.dram_bytes_per_thread == dram
+    assert type(compiled.dram_bytes_per_thread) is type(dram)
